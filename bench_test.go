@@ -434,11 +434,10 @@ func BenchmarkKernelTimerThroughputGoroutine(b *testing.B) {
 // dominates every live run; the receive matcher is hoisted so the harness
 // itself adds no per-message allocations, leaving only the transport +
 // delivery path in allocs/msg.
-func benchMesh(b *testing.B, codec tcpnet.Codec) {
-	b.Helper()
+func benchMesh(b *testing.B) {
 	const n, perPair = 4, 2000
 	col := &trace.Collector{}
-	m, err := tcpnet.New(tcpnet.Config{N: n, Trace: col, Codec: codec, QueueLen: 4 * perPair})
+	m, err := tcpnet.New(tcpnet.Config{N: n, Trace: col, QueueLen: 4 * perPair})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -506,13 +505,11 @@ func benchMesh(b *testing.B, codec tcpnet.Codec) {
 	}
 }
 
-// BenchmarkMeshThroughput compares the binary wire codec + batched writer
-// against the legacy per-frame gob lane on the same mesh workload. The wire
-// variant must sustain at least 2x the gob msgs/s with at least 4x fewer
-// allocations per message (pinned in BENCH_PR5.json).
+// BenchmarkMeshThroughput measures the binary wire codec + batched writer on
+// the mesh flood. The cell keeps the name BENCH_PR5.json records it under,
+// next to the ratios against the deleted per-frame gob codec.
 func BenchmarkMeshThroughput(b *testing.B) {
-	b.Run("wire", func(b *testing.B) { benchMesh(b, tcpnet.CodecWire) })
-	b.Run("gob", func(b *testing.B) { benchMesh(b, tcpnet.CodecGob) })
+	b.Run("wire", benchMesh)
 }
 
 // BenchmarkE15LiveThroughput regenerates the E15 table (quick mode) like the

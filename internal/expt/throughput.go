@@ -13,37 +13,30 @@ import (
 	"repro/internal/fd/heartbeat"
 	"repro/internal/tcpnet"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
-
-func codecName(c tcpnet.Codec) string {
-	if c == tcpnet.CodecGob {
-		return "gob"
-	}
-	return "wire"
-}
 
 // E15LiveThroughput is a supplementary engineering experiment on the real TCP
 // transport: an all-pairs message flood over a localhost mesh at n up to 32,
-// run once with the legacy gob codec and once with the binary wire codec +
-// batched writer, measuring sustained delivery throughput, bytes per frame on
-// the wire, and heap allocations per message. At the largest n it also reruns
-// the E13-style heartbeat-detector scenario under both codecs: the fast path
-// must leave strong completeness and crash-detection latency intact —
-// performance is allowed to change, correctness columns are not.
+// measuring sustained delivery throughput, bytes per frame on the wire, and
+// heap allocations per message. At the largest n it also reruns the E13-style
+// heartbeat-detector scenario: strong completeness and crash detection must
+// hold on the same transport the flood measures.
 //
 // Cells run sequentially, not through the trial pool: allocs/msg comes from
 // runtime.ReadMemStats deltas, which are process-global and would be polluted
 // by a concurrent cell. Like E13/E14-live, the numbers are wall-clock and
 // machine-dependent; the in-experiment assertions are therefore shape checks
-// (frames drain, wire frames are smaller than gob frames, completeness holds),
-// while the strict speedup ratios are pinned by BenchmarkMeshThroughput in
-// BENCH_PR5.json.
+// (frames drain, completeness holds) plus one exact one: the wire format is
+// fully specified, so the bytes the writers put on the wire must equal the
+// encoded size of the frames sent. The ratios against the deleted gob codec
+// are frozen in BENCH_PR5.json.
 func E15LiveThroughput(quick bool) (*Table, error) {
 	t := &Table{
 		ID:      "E15",
-		Title:   "Live TCP mesh throughput: binary wire codec + batched writes vs legacy gob (supplementary; wall-clock)",
-		Claim:   "engineering supplement to Section 4 live runs: the compact wire codec and batched writer raise sustained mesh throughput and shrink frames without changing detector correctness",
-		Columns: []string{"n", "codec", "msgs/s", "B/frame", "allocs/msg", "delivered", "completeness", "det p50", "det max"},
+		Title:   "Live TCP mesh throughput: binary wire codec + batched writes (supplementary; wall-clock)",
+		Claim:   "engineering supplement to Section 4 live runs: the mesh sustains an all-pairs flood at the exact byte cost the wire format specifies, with detector correctness intact on the same transport",
+		Columns: []string{"n", "msgs/s", "B/frame", "allocs/msg", "delivered", "completeness", "det p50", "det max"},
 	}
 	ns := []int{8, 16, 32}
 	totalMsgs := 48000
@@ -51,7 +44,6 @@ func E15LiveThroughput(quick bool) (*Table, error) {
 		ns = []int{8, 16}
 		totalMsgs = 12000
 	}
-	codecs := []tcpnet.Codec{tcpnet.CodecGob, tcpnet.CodecWire}
 	detN := ns[len(ns)-1] // detection scenario only at the largest n
 
 	var err error
@@ -60,77 +52,79 @@ func E15LiveThroughput(quick bool) (*Table, error) {
 		if perPair < 16 {
 			perPair = 16
 		}
-		bpf := make(map[tcpnet.Codec]float64, len(codecs))
-		for _, c := range codecs {
-			thr, terr := runThroughputCell(n, c, perPair)
-			if terr != nil {
-				return t, terr
+		thr, terr := runThroughputCell(n, perPair)
+		if terr != nil {
+			return t, terr
+		}
+		comp, p50, max := "-", "-", "-"
+		if n == detN {
+			det, derr := runDetectionCell(n)
+			if derr != nil {
+				return t, derr
 			}
-			bpf[c] = thr.bytesPerFrame
-			comp, p50, max := "-", "-", "-"
-			if n == detN {
-				det, derr := runDetectionCell(n, c)
-				if derr != nil {
-					return t, derr
-				}
-				comp = mark(det.completeness.Holds)
-				if det.detected > 0 {
-					p50, max = msd(det.detP50), msd(det.detMax)
-				}
-				if err == nil {
-					err = checkf(det.completeness.Holds, "E15",
-						"n=%d %s: strong completeness violated on the fast path", n, codecName(c))
-				}
-				if err == nil {
-					err = checkf(det.detected > 0, "E15",
-						"n=%d %s: no survivor ever detected the crash", n, codecName(c))
-				}
+			comp = mark(det.completeness.Holds)
+			if det.detected > 0 {
+				p50, max = msd(det.detP50), msd(det.detMax)
 			}
-			t.AddRow(n, codecName(c),
-				fmt.Sprintf("%.0f", thr.msgsPerSec),
-				fmt.Sprintf("%.1f", thr.bytesPerFrame),
-				fmt.Sprintf("%.1f", thr.allocsPerMsg),
-				fmt.Sprintf("%d/%d", thr.delivered, thr.total),
-				comp, p50, max)
 			if err == nil {
-				err = checkf(thr.delivered == thr.total, "E15",
-					"n=%d %s: flood did not fully drain (%d of %d delivered)",
-					n, codecName(c), thr.delivered, thr.total)
+				err = checkf(det.completeness.Holds, "E15",
+					"n=%d: strong completeness violated on the TCP mesh", n)
+			}
+			if err == nil {
+				err = checkf(det.detected > 0, "E15",
+					"n=%d: no survivor ever detected the crash", n)
 			}
 		}
+		t.AddRow(n,
+			fmt.Sprintf("%.0f", thr.msgsPerSec),
+			fmt.Sprintf("%.1f", float64(thr.wireBytes)/float64(thr.wireFrames)),
+			fmt.Sprintf("%.1f", thr.allocsPerMsg),
+			fmt.Sprintf("%d/%d", thr.delivered, thr.total),
+			comp, p50, max)
 		if err == nil {
-			err = checkf(bpf[tcpnet.CodecWire] < bpf[tcpnet.CodecGob], "E15",
-				"n=%d: wire frames (%.1f B) not smaller than gob frames (%.1f B)",
-				n, bpf[tcpnet.CodecWire], bpf[tcpnet.CodecGob])
+			err = checkf(thr.delivered == thr.total, "E15",
+				"n=%d: flood did not fully drain (%d of %d delivered)",
+				n, thr.delivered, thr.total)
+		}
+		if err == nil {
+			err = checkf(thr.wireFrames == int64(thr.total) && thr.wireBytes == thr.wantBytes, "E15",
+				"n=%d: writers report %d bytes in %d frames, the flood encodes to exactly %d bytes in %d",
+				n, thr.wireBytes, thr.wireFrames, thr.wantBytes, thr.total)
 		}
 	}
 	t.Notes = append(t.Notes,
 		"wall-clock run over real loopback sockets; throughput and allocation numbers are machine-dependent",
 		"cells run sequentially because allocs/msg is a process-global ReadMemStats delta",
-		fmt.Sprintf("detection columns come from the E13-style heartbeat scenario, rerun per codec at n=%d; '-' rows ran throughput only", detN),
-		"the strict >=2x msgs/s and >=4x fewer allocs/msg acceptance ratios are pinned by BenchmarkMeshThroughput (BENCH_PR5.json); here only the shape is asserted to keep shared CI runners from flaking")
+		"B/frame is gated exactly: bytes written must equal the summed wire.AppendFrame length of the flood's frames (Round i is a varint: a flood frame is 22 B for i < 64, 23 B above)",
+		fmt.Sprintf("detection columns come from the E13-style heartbeat scenario at n=%d; '-' rows ran throughput only", detN),
+		"the historical >=2x msgs/s and >=4x fewer allocs/msg ratios against the deleted per-frame gob codec are frozen in BENCH_PR5.json")
 	return t, err
 }
 
 type throughputResult struct {
-	msgsPerSec    float64
-	bytesPerFrame float64
-	allocsPerMsg  float64
-	delivered     int
-	total         int
+	msgsPerSec   float64
+	allocsPerMsg float64
+	delivered    int
+	total        int
+	// Writer-side volume of the measured window, and the bytes its frames
+	// encode to.
+	wireFrames, wireBytes, wantBytes int64
 }
+
+// floodPayload is the i-th message E15's flood sends on every ordered pair.
+func floodPayload(i int) consensus.Msg { return consensus.Msg{Inst: "E15", Round: i} }
 
 // runThroughputCell floods a fresh n-process mesh with perPair messages on
 // every ordered pair and measures sustained delivery rate, wire bytes per
 // frame, and heap allocations per message. A one-frame-per-pair warm-up
-// establishes every connection (and, for gob, its stream state) before the
-// measured window so dial latency is excluded.
-func runThroughputCell(n int, codec tcpnet.Codec, perPair int) (throughputResult, error) {
+// establishes every connection before the measured window so dial latency is
+// excluded.
+func runThroughputCell(n, perPair int) (throughputResult, error) {
 	col := &trace.Collector{}
 	// QueueLen must hold a destination's worst-case backlog — (n-1)*perPair
 	// frames funnel through each peer queue — so the clean-mesh flood cannot
 	// shed frames through overflow and delivered==total stays checkable.
-	m, err := tcpnet.New(tcpnet.Config{N: n, Trace: col, Codec: codec, QueueLen: 16384})
+	m, err := tcpnet.New(tcpnet.Config{N: n, Trace: col, QueueLen: 16384})
 	if err != nil {
 		return throughputResult{}, fmt.Errorf("E15: %w", err)
 	}
@@ -155,7 +149,7 @@ func runThroughputCell(n int, codec tcpnet.Codec, perPair int) (throughputResult
 				for i := 0; i < count; i++ {
 					for _, to := range pids {
 						if to != p.ID() {
-							p.Send(to, "flood", consensus.Msg{Inst: "E15", Round: i})
+							p.Send(to, "flood", floodPayload(i))
 						}
 					}
 				}
@@ -174,10 +168,22 @@ func runThroughputCell(n int, codec tcpnet.Codec, perPair int) (throughputResult
 	flood("warm", 1).Wait()
 	waitDelivered(warm, 10*time.Second)
 	if col.Delivered("flood") < warm {
-		return throughputResult{}, fmt.Errorf("E15: n=%d %s: warm-up frames never drained", n, codecName(codec))
+		return throughputResult{}, fmt.Errorf("E15: n=%d: warm-up frames never drained", n)
 	}
 
 	total := n * (n - 1) * perPair
+	// Process ids up to 63 take one varint byte, so a flood frame's size
+	// depends on i alone and one pair's frames stand for every pair's.
+	var wantBytes int64
+	var frame []byte
+	for i := 0; i < perPair; i++ {
+		frame, err = wire.AppendFrame(frame[:0], &wire.Frame{From: 1, To: 2, Kind: "flood", Payload: floodPayload(i)})
+		if err != nil {
+			return throughputResult{}, fmt.Errorf("E15: %w", err)
+		}
+		wantBytes += int64(len(frame))
+	}
+	wantBytes *= int64(n * (n - 1))
 	runtime.GC()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
@@ -190,12 +196,12 @@ func runThroughputCell(n int, codec tcpnet.Codec, perPair int) (throughputResult
 	runtime.ReadMemStats(&ms1)
 	f1, b1 := m.WireStats()
 
-	res := throughputResult{delivered: col.Delivered("flood") - warm, total: total}
+	res := throughputResult{
+		delivered: col.Delivered("flood") - warm, total: total,
+		wireFrames: f1 - f0, wireBytes: b1 - b0, wantBytes: wantBytes,
+	}
 	if wall > 0 {
 		res.msgsPerSec = float64(res.delivered) / wall.Seconds()
-	}
-	if f1 > f0 {
-		res.bytesPerFrame = float64(b1-b0) / float64(f1-f0)
 	}
 	if total > 0 {
 		res.allocsPerMsg = float64(ms1.Mallocs-ms0.Mallocs) / float64(total)
@@ -211,10 +217,9 @@ type detectionResult struct {
 }
 
 // runDetectionCell reruns the E13 heartbeat scenario — n processes, victim
-// crashed at 400ms, sampled every period for 1.5s — on a mesh with the given
-// codec, recording per-survivor crash-detection latency alongside the
-// completeness verdict.
-func runDetectionCell(n int, codec tcpnet.Codec) (detectionResult, error) {
+// crashed at 400ms, sampled every period for 1.5s — recording per-survivor
+// crash-detection latency alongside the completeness verdict.
+func runDetectionCell(n int) (detectionResult, error) {
 	const (
 		period  = 10 * time.Millisecond
 		crashAt = 400 * time.Millisecond
@@ -222,7 +227,7 @@ func runDetectionCell(n int, codec tcpnet.Codec) (detectionResult, error) {
 		victim  = dsys.ProcessID(2)
 	)
 	col := &trace.Collector{}
-	m, err := tcpnet.New(tcpnet.Config{N: n, Trace: col, Codec: codec})
+	m, err := tcpnet.New(tcpnet.Config{N: n, Trace: col})
 	if err != nil {
 		return detectionResult{}, fmt.Errorf("E15: %w", err)
 	}

@@ -3,21 +3,22 @@ package tcpnet
 // In-package tests for the batched writer's failure accounting. They use the
 // mesh's dial hook to inject deterministic connection failures: a batch that
 // hits a broken connection must retry every frame exactly once, in order,
-// and emit tcp.break / tcp.lost exactly like the unbatched writer did.
+// and emit tcp.break / tcp.lost once per broken attempt / lost frame.
 
 import (
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/consensus"
 	"repro/internal/dsys"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // brokenConn is a net.Conn whose every write fails — the deterministic stand-in
@@ -219,39 +220,50 @@ func TestConcurrentSendersSharedPeer(t *testing.T) {
 	}
 }
 
-// TestRegisterIdempotent: double registration — of a protocol type the
-// transport pre-registers and of an application type — must be a no-op,
-// never a panic.
-func TestRegisterIdempotent(t *testing.T) {
-	type appPayload struct{ X int }
-	Register(consensus.Msg{}) // already registered by init
-	Register(consensus.Msg{})
-	Register(appPayload{})
-	Register(appPayload{})
-}
-
-// TestGobCodecMode: the legacy codec stays a working transport (it is the
-// benchmark baseline), carrying the same structured payloads.
-func TestGobCodecMode(t *testing.T) {
-	col := trace.NewCollector()
-	m, err := New(Config{N: 2, Trace: col, Codec: CodecGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	got := collectKind(m, 2, "seq")
-	want := consensus.Msg{Inst: "i-3", Round: 2, Est: []dsys.ProcessID{1, 2}, TS: 1}
-	m.Spawn(1, "send", func(p dsys.Proc) { p.Send(2, "seq", want) })
-	select {
-	case v := <-got:
-		msg, ok := v.(consensus.Msg)
-		if !ok || msg.Inst != want.Inst || msg.Round != want.Round {
-			t.Fatalf("gob codec mangled payload: %#v", v)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("gob-codec mesh delivered nothing")
-	}
-	if frames, bytes := m.WireStats(); frames == 0 || bytes == 0 {
-		t.Errorf("WireStats = (%d, %d), want nonzero for gob lane", frames, bytes)
+// TestUnencodableFrameDroppedOnce: a frame wire cannot encode, queued between
+// two good frames, costs exactly one tcp.unencodable — no break, no retry, no
+// redial — and its neighbours arrive in order on the one connection.
+func TestUnencodableFrameDroppedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name, logged string
+		payload      any
+	}{
+		{"unregistered type", "unregistered payload type map[string]int", map[string]int{"a": 1}},
+		{"body over MaxFrameLen", "exceeds MaxFrameLen", make([]byte, wire.MaxFrameLen+1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := trace.NewCollector()
+			var log strings.Builder // read after Stop: the writer goroutine has exited
+			m, err := New(Config{N: 2, Trace: col, Log: &log})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Stop()
+			got := collectKind(m, 2, "seq")
+			for _, payload := range []any{0, tc.payload, 1} {
+				m.send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: payload})
+			}
+			for want := 0; want < 2; want++ {
+				select {
+				case v := <-got:
+					if v != want {
+						t.Fatalf("frame %v arrived, want %d", v, want)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("frame %d never arrived", want)
+				}
+			}
+			for event, want := range map[string]int{
+				"tcp.unencodable": 1, "tcp.break": 0, "tcp.lost": 0, "tcp.dial": 1,
+			} {
+				if n := col.LinkEvents(event); n != want {
+					t.Errorf("%s = %d, want %d", event, n, want)
+				}
+			}
+			m.Stop()
+			if out := log.String(); !strings.Contains(out, tc.logged) {
+				t.Errorf("log %q does not say %q", out, tc.logged)
+			}
+		})
 	}
 }

@@ -54,7 +54,16 @@ func TestMalformedFramesDroppedNotPanic(t *testing.T) {
 	c1.Write([]byte("\xff\xfedefinitely not a frame\x01\x02"))
 	c1.Close()
 
-	// 2: well-formed frames, out-of-range From and To addressed elsewhere.
+	// 2: a well-framed body whose payload carries the reserved value tag 0x11
+	// (the deleted gob blob lane).
+	c3, err := net.Dial("tcp", m.Addr(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c3.Write([]byte{0, 0, 0, 9, 2, 4, 1, 'k', 0x11, 3, 1, 2, 3})
+	defer c3.Close()
+
+	// 3: well-formed frames, out-of-range From and To addressed elsewhere.
 	c2, err := net.Dial("tcp", m.Addr(2))
 	if err != nil {
 		t.Fatal(err)
@@ -77,11 +86,11 @@ func TestMalformedFramesDroppedNotPanic(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for col.LinkEvents("tcp.badframe") < 4 && time.Now().Before(deadline) {
+	for col.LinkEvents("tcp.badframe") < 5 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := col.LinkEvents("tcp.badframe"); n < 4 {
-		t.Errorf("tcp.badframe = %d, want >= 4 (garbage stream + 3 invalid frames)", n)
+	if n := col.LinkEvents("tcp.badframe"); n < 5 {
+		t.Errorf("tcp.badframe = %d, want >= 5 (garbage stream + reserved tag + 3 invalid frames)", n)
 	}
 
 	// The mesh must still be fully operational end to end.

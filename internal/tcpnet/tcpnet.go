@@ -18,7 +18,7 @@
 // Sends are asynchronous: each destination has a bounded outbound queue
 // drained by a dedicated writer goroutine, so a protocol task is never
 // blocked by TCP backpressure or a slow dial. The writer drains up to
-// Config.Batch queued frames per wakeup and writes them through a pooled
+// batchLen queued frames per wakeup and writes them through a pooled
 // bufio.Writer with a single flush — one syscall carries a burst instead of
 // one per frame. When the queue overflows the OLDEST frame is dropped
 // (periodic protocol traffic makes the newest frame the valuable one). When a
@@ -38,18 +38,17 @@
 //
 // # Encoding
 //
-// Frames are encoded by package wire: hot protocol payloads take hand-rolled
-// binary codecs, anything else rides wire's gob fallback lane. Applications
-// sending their own payload types must call Register first (idempotent).
-// Config.Codec can select the legacy per-frame encoding/gob streams instead —
-// kept as the measurable baseline the E15 experiment and the mesh benchmarks
-// compare against. A malformed or out-of-range frame arriving at a listener
-// is dropped and traced ("tcp.badframe"), never panics the process.
+// Every frame is encoded by package wire, which is also where payload types
+// are registered; the transport itself knows no protocol. A frame whose
+// payload wire cannot encode (an unregistered type, a body over
+// wire.MaxFrameLen) is dropped at the writer and traced ("tcp.unencodable")
+// without touching the connection. A malformed or out-of-range frame arriving
+// at a listener is dropped and traced ("tcp.badframe"), never panics the
+// process.
 package tcpnet
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -58,62 +57,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/consensus"
-	"repro/internal/consensus/mrc"
-	"repro/internal/core"
 	"repro/internal/dsys"
-	"repro/internal/fd/omega"
 	"repro/internal/live"
-	"repro/internal/rbcast"
 	"repro/internal/trace"
 	"repro/internal/wire"
-)
-
-func init() {
-	// Gob-lane registrations for every protocol payload: the legacy codec
-	// and wire's fallback lane need them. (The hot types also have fast-lane
-	// codecs, registered by package wire itself.) wire.RegisterGob is
-	// idempotent, so re-running this — or an application registering one of
-	// these types again — can never panic.
-	wire.RegisterGob(consensus.Msg{})
-	wire.RegisterGob(consensus.Decide{})
-	wire.RegisterGob(rbcast.Wire{})
-	wire.RegisterGob(&omega.BeatPayload{})
-	wire.RegisterGob(mrc.LdrInfo{})
-	wire.RegisterGob(core.Kick{})
-	wire.RegisterGob(core.Command{})
-	wire.RegisterGob(core.Batch{})
-	wire.RegisterGob(core.Fetch{})
-	wire.RegisterGob(core.State{})
-	wire.RegisterGob([]dsys.ProcessID(nil))
-	wire.RegisterGob([]uint32(nil))
-	wire.RegisterGob([]uint64(nil))
-}
-
-// Register makes a payload type known to the transport's encoder, like
-// gob.Register — but idempotent: registering the same type twice is a no-op.
-// Call it for application payload types before Spawn.
-func Register(v any) { wire.RegisterGob(v) }
-
-// frame is the on-wire representation of one message under the legacy gob
-// codec (field-compatible with the pre-wire transport's streams).
-type frame struct {
-	From, To dsys.ProcessID
-	Kind     string
-	Payload  any
-}
-
-// Codec selects the frame encoding of a mesh.
-type Codec int
-
-const (
-	// CodecWire is the default: length-prefixed binary frames (package wire)
-	// written in batches through buffered connections.
-	CodecWire Codec = iota
-	// CodecGob is the legacy encoding: one gob stream per connection, one
-	// unbuffered Encode per frame. Kept as the measurable baseline for
-	// BenchmarkMeshThroughput and experiment E15.
-	CodecGob
 )
 
 // Config parameterizes a TCP mesh.
@@ -151,19 +98,6 @@ type Config struct {
 	// QueueLen bounds each per-destination outbound queue (default 1024).
 	// On overflow the oldest queued frame is dropped ("tcp.overflow").
 	QueueLen int
-	// Batch bounds how many queued frames one writer wakeup drains and
-	// flushes as a single buffered write (default 64).
-	Batch int
-	// Codec selects the frame encoding (default CodecWire).
-	Codec Codec
-	// Nagle re-enables Nagle's algorithm (TCP_NODELAY off) on outbound
-	// connections. The default keeps TCP_NODELAY on, matching Go's default:
-	// with batched writes every flush is already a coalesced segment, so
-	// delaying it buys nothing and costs latency.
-	Nagle bool
-	// MaxBackoff caps the exponential reconnect backoff (default 500ms;
-	// the first retry waits 5ms).
-	MaxBackoff time.Duration
 	// Faults, if set, injects transport faults (drops, duplication,
 	// partitions, forced connection resets). Nil means a clean mesh.
 	Faults *Faults
@@ -250,12 +184,6 @@ func New(cfg Config) (*Mesh, error) {
 	}
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 1024
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 64
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 500 * time.Millisecond
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.init(); err != nil {
@@ -357,7 +285,7 @@ func (m *Mesh) SetPeerAddr(id dsys.ProcessID, addr string) error {
 
 // WireStats reports cumulative outbound transport volume — frames written and
 // bytes put on the wire by every peer writer since the mesh started. E15 uses
-// it to compare per-frame encoding cost across codecs.
+// it to report the per-frame encoding cost.
 func (m *Mesh) WireStats() (frames, bytes int64) {
 	return m.wireFrames.Load(), m.wireBytes.Load()
 }
@@ -477,7 +405,7 @@ func (m *Mesh) send(msg dsys.Message) {
 	if pr == nil {
 		return
 	}
-	f := frame{From: msg.From, To: msg.To, Kind: msg.Kind, Payload: msg.Payload}
+	f := wire.Frame{From: msg.From, To: msg.To, Kind: msg.Kind, Payload: msg.Payload}
 	pr.enqueue(outFrame{f: f})
 	if fa := m.cfg.Faults; fa != nil && fa.Chance(fa.DupP) {
 		m.onLink("tcp.dup", msg.From, msg.To)
@@ -564,10 +492,6 @@ func (m *Mesh) readLoop(id dsys.ProcessID, conn net.Conn) {
 	defer m.wg.Done()
 	defer m.unregisterInbound(conn)
 	defer conn.Close()
-	if m.cfg.Codec == CodecGob {
-		m.readLoopGob(id, conn)
-		return
-	}
 	br := bufio.NewReaderSize(conn, 32<<10)
 	var buf []byte
 	var ar msgArena
@@ -576,26 +500,6 @@ func (m *Mesh) readLoop(id dsys.ProcessID, conn net.Conn) {
 		buf = b
 		if err != nil {
 			if errors.Is(err, wire.ErrMalformed) {
-				m.onLink("tcp.badframe", f.From, id)
-			}
-			return
-		}
-		if !m.inject(&ar, id, f.From, f.To, f.Kind, f.Payload) {
-			return
-		}
-	}
-}
-
-// readLoopGob is the legacy-codec read side: one gob stream per connection.
-func (m *Mesh) readLoopGob(id dsys.ProcessID, conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	var ar msgArena
-	for {
-		var f frame
-		if err := dec.Decode(&f); err != nil {
-			if !isTeardown(err) {
-				// Garbage bytes, an unregistered payload type, or a
-				// truncated header: drop the stream, never panic.
 				m.onLink("tcp.badframe", f.From, id)
 			}
 			return
@@ -671,27 +575,23 @@ func (m *Mesh) injectDatagram(from, to dsys.ProcessID, kind string, payload any)
 	})
 }
 
-// isTeardown reports whether a decode error is ordinary connection teardown
-// (EOF, reset, locally closed socket) rather than a malformed frame.
-func isTeardown(err error) bool {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-		return true
-	}
-	var opErr *net.OpError
-	return errors.As(err, &opErr)
-}
-
 // outFrame is one queued outbound frame. retried marks that one delivery
 // attempt already failed, bounding redelivery effort: a frame is retried at
 // most once before it is dropped ("tcp.lost"), which keeps the link fair-lossy
-// without letting an unencodable payload or a flapping connection wedge the
-// writer forever.
+// without letting a flapping connection wedge the writer forever.
 type outFrame struct {
-	f       frame
+	f       wire.Frame
 	retried bool
 }
 
-const initialBackoff = 5 * time.Millisecond
+const (
+	// batchLen bounds how many queued frames one writer wakeup drains and
+	// flushes as a single buffered write.
+	batchLen = 64
+	// The reconnect backoff doubles from initialBackoff up to maxBackoff.
+	initialBackoff = 5 * time.Millisecond
+	maxBackoff     = 500 * time.Millisecond
+)
 
 // Pools shared by all peer writers: encode buffers (one live per connected
 // writer) and the bufio.Writers wrapping outbound connections. Meshes come
@@ -754,7 +654,7 @@ func (pr *peer) awaitFrames() bool {
 	return !pr.closed
 }
 
-// drain moves up to Config.Batch queued frames into dst (reused across
+// drain moves up to batchLen queued frames into dst (reused across
 // calls), compacting the queue. Reports false when the peer closed.
 func (pr *peer) drain(dst []outFrame) ([]outFrame, bool) {
 	dst = dst[:0]
@@ -763,7 +663,7 @@ func (pr *peer) drain(dst []outFrame) ([]outFrame, bool) {
 	if pr.closed {
 		return dst, false
 	}
-	n := min(len(pr.q), pr.m.cfg.Batch)
+	n := min(len(pr.q), batchLen)
 	dst = append(dst, pr.q[:n]...)
 	rem := copy(pr.q, pr.q[n:])
 	// Zero the vacated tail so shifted-out frames don't pin their payloads.
@@ -824,22 +724,14 @@ func (pr *peer) swapConn(conn net.Conn) net.Conn {
 }
 
 // peerWriter is the writer goroutine's connection state: the live conn plus
-// the codec machinery on top of it (pooled buffered writer and encode buffer
-// for the wire codec, stream encoder for the legacy gob codec).
+// the pooled buffered writer and batch encode buffer on top of it.
 type peerWriter struct {
 	pr     *peer
 	conn   net.Conn
-	bw     *bufio.Writer // wire codec: pooled, wraps conn
-	encBuf *[]byte       // wire codec: pooled batch encode buffer
-	ends   []int         // wire codec: per-frame end offsets into encBuf
-	genc   *gob.Encoder  // legacy codec: stream encoder over conn
+	bw     *bufio.Writer // pooled, wraps conn
+	encBuf *[]byte       // pooled batch encode buffer
+	ends   []int         // per-frame end offsets into encBuf
 }
-
-// Sentinel end-offsets for frames the codec itself rejected (no bytes):
-const (
-	endKeep = -1 // first marshal failure — kept for one retry
-	endDrop = -2 // second marshal failure — frame lost, accounted
-)
 
 // run is the writer goroutine: await traffic, (re)connect, drain a batch,
 // write it with one flush. Frames that survive a broken attempt stay in
@@ -881,8 +773,9 @@ func (pr *peer) run() {
 
 // connect dials the destination until it succeeds or the peer is closed,
 // sleeping *backoff (doubled up to the cap) between failed attempts. On
-// success the backoff resets, the connection is published, and the codec
-// state is armed.
+// success the backoff resets, the connection is published, and the buffered
+// writer is armed. Go dials TCP with TCP_NODELAY on, which is what a batched
+// writer wants: every flush is already a coalesced segment.
 func (w *peerWriter) connect(backoff *time.Duration) bool {
 	pr, m := w.pr, w.pr.m
 	for {
@@ -896,18 +789,11 @@ func (w *peerWriter) connect(backoff *time.Duration) bool {
 			if pr.swapConn(conn) == nil {
 				return false
 			}
-			if tc, ok := conn.(*net.TCPConn); ok {
-				tc.SetNoDelay(!m.cfg.Nagle)
-			}
 			m.onLink("tcp.dial", dsys.None, pr.to)
 			*backoff = initialBackoff
 			w.conn = conn
-			if m.cfg.Codec == CodecGob {
-				w.genc = gob.NewEncoder(&countWriter{m: m, conn: conn})
-			} else {
-				w.bw = bwPool.Get().(*bufio.Writer)
-				w.bw.Reset(conn)
-			}
+			w.bw = bwPool.Get().(*bufio.Writer)
+			w.bw.Reset(conn)
 			return true
 		}
 		m.onLink("tcp.dialfail", dsys.None, pr.to)
@@ -918,9 +804,7 @@ func (w *peerWriter) connect(backoff *time.Duration) bool {
 			t.Stop()
 			return false
 		}
-		if *backoff *= 2; *backoff > m.cfg.MaxBackoff {
-			*backoff = m.cfg.MaxBackoff
-		}
+		*backoff = min(*backoff*2, maxBackoff)
 	}
 }
 
@@ -937,71 +821,61 @@ func (w *peerWriter) teardown() {
 		bwPool.Put(w.bw)
 		w.bw = nil
 	}
-	w.genc = nil
 }
 
 // writeBatch attempts one delivery of batch and returns the frames still
 // pending — empty on full success, the retry-once survivors after a break.
-func (w *peerWriter) writeBatch(batch []outFrame) []outFrame {
-	if w.genc != nil {
-		return w.writeGob(batch)
-	}
-	return w.writeWire(batch)
-}
-
-// writeWire writes a batch under the wire codec: marshal every frame into
-// the shared encode buffer, hand the spans to the buffered writer, flush
-// once. Accounting mirrors the unbatched writer per frame:
+// It marshals every frame into the shared encode buffer, hands the spans to
+// the buffered writer and flushes once:
 //
-//   - a frame the codec rejects (gob-fallback failure on an unregistered
-//     payload) gets "tcp.break" and one retry, then "tcp.break"+"tcp.lost" —
-//     the connection is untouched, marshalling is not a link fault;
+//   - a frame wire cannot encode (unregistered payload type, body over
+//     MaxFrameLen) never will, so it is dropped here with one
+//     "tcp.unencodable" — the connection is untouched, marshalling is not a
+//     link fault;
 //   - a write or flush error is one "tcp.break" and a teardown; every frame
 //     of the failed attempt is retried once, in order, ahead of new traffic
 //     on the fresh connection, and a frame whose retry also breaks is
 //     dropped with "tcp.lost". Frames after the error point were never
 //     attempted and stay pristine (no retry consumed).
-func (w *peerWriter) writeWire(batch []outFrame) []outFrame {
+func (w *peerWriter) writeBatch(batch []outFrame) []outFrame {
 	pr, m := w.pr, w.pr.m
 	buf := (*w.encBuf)[:0]
 	w.ends = w.ends[:0]
 
-	// Marshal pass: frames become byte spans in buf.
+	// Marshal pass: frames become byte spans in buf, unencodable ones leave
+	// the batch.
+	n := 0
 	for i := range batch {
-		of := &batch[i]
-		out, err := wire.AppendFrame(buf, &wire.Frame{
-			From: of.f.From, To: of.f.To, Kind: of.f.Kind, Payload: of.f.Payload,
-		})
+		f := &batch[i].f
+		out, err := wire.AppendFrame(buf, f)
 		if err != nil {
-			m.onLink("tcp.break", of.f.From, pr.to)
-			if of.retried {
-				m.onLink("tcp.lost", of.f.From, pr.to)
-				w.ends = append(w.ends, endDrop)
-			} else {
-				w.ends = append(w.ends, endKeep)
+			m.onLink("tcp.unencodable", f.From, pr.to)
+			if m.cfg.Log != nil {
+				fmt.Fprintf(m.cfg.Log, "tcpnet: %v->%v %q frame dropped: %v\n", f.From, pr.to, f.Kind, err)
 			}
 			continue
 		}
-		w.ends = append(w.ends, len(out))
 		buf = out
+		w.ends = append(w.ends, len(out))
+		if n != i {
+			batch[n] = batch[i]
+		}
+		n++
 	}
+	batch = batch[:n]
 	*w.encBuf = buf
+	if len(batch) == 0 {
+		return batch
+	}
 
 	// Write pass: every span through the buffered writer, one flush.
 	var werr error
-	attemptEnd := len(batch) // frames [0,attemptEnd) were part of a failed attempt
-	failFrom := dsys.None
-	start, firstWritten := 0, -1
-	for i := range batch {
-		end := w.ends[i]
-		if end < 0 {
-			continue
-		}
-		if firstWritten < 0 {
-			firstWritten = i
-		}
+	attempted := len(batch) // frames [0,attempted) are part of this attempt
+	failFrom := batch[0].f.From
+	start := 0
+	for i, end := range w.ends {
 		if _, werr = w.bw.Write(buf[start:end]); werr != nil {
-			attemptEnd = i + 1
+			attempted = i + 1
 			failFrom = batch[i].f.From
 			break
 		}
@@ -1009,102 +883,38 @@ func (w *peerWriter) writeWire(batch []outFrame) []outFrame {
 		m.wireBytes.Add(int64(end - start))
 		start = end
 	}
-	if werr == nil && firstWritten >= 0 {
-		if werr = w.bw.Flush(); werr != nil {
-			failFrom = batch[firstWritten].f.From
-		}
+	if werr == nil {
+		werr = w.bw.Flush()
 	}
 
-	keep := batch[:0]
 	if werr == nil {
-		// Delivered. Roll forced resets per flushed frame, matching the
-		// per-frame roll of the unbatched writer.
-		if fa := m.cfg.Faults; fa != nil && fa.ResetP > 0 && firstWritten >= 0 && w.conn != nil {
+		// Delivered. Roll forced resets per flushed frame.
+		if fa := m.cfg.Faults; fa != nil && fa.ResetP > 0 {
 			for i := range batch {
-				if w.ends[i] < 0 || !fa.Chance(fa.ResetP) {
-					continue
+				if fa.Chance(fa.ResetP) {
+					m.onLink("tcp.reset", batch[i].f.From, pr.to)
+					w.teardown()
+					break
 				}
-				m.onLink("tcp.reset", batch[i].f.From, pr.to)
-				w.teardown()
-				break
 			}
 		}
-		for i := range batch {
-			if w.ends[i] == endKeep {
-				batch[i].retried = true
-				keep = append(keep, batch[i])
-			}
-		}
-		return keep
+		return batch[:0]
 	}
 
 	// The connection broke with the batch in flight.
 	m.onLink("tcp.break", failFrom, pr.to)
 	w.teardown()
+	keep := batch[:0]
 	for i := range batch {
 		of := &batch[i]
-		switch {
-		case w.ends[i] == endDrop: // lost, already accounted
-		case w.ends[i] == endKeep:
-			of.retried = true
-			keep = append(keep, *of)
-		case i < attemptEnd:
+		if i < attempted {
 			if of.retried {
 				m.onLink("tcp.lost", of.f.From, pr.to)
-			} else {
-				of.retried = true
-				keep = append(keep, *of)
+				continue
 			}
-		default: // never attempted: no retry consumed
-			keep = append(keep, *of)
+			of.retried = true
 		}
+		keep = append(keep, *of)
 	}
 	return keep
-}
-
-// writeGob writes a batch under the legacy codec: one unbuffered gob Encode
-// per frame, exactly the pre-wire transport behaviour (it is the measured
-// baseline, so it must not accidentally batch).
-func (w *peerWriter) writeGob(batch []outFrame) []outFrame {
-	pr, m := w.pr, w.pr.m
-	fa := m.cfg.Faults
-	for i := range batch {
-		of := &batch[i]
-		if err := w.genc.Encode(&of.f); err != nil {
-			// Connection broke mid-write (or the encoder rejected the
-			// value). Tear down and retry the frame once on a fresh
-			// connection; after that the frame is lost (fair-lossy) but
-			// the link itself keeps going.
-			m.onLink("tcp.break", of.f.From, pr.to)
-			w.teardown()
-			keep := batch[:0]
-			if of.retried {
-				m.onLink("tcp.lost", of.f.From, pr.to)
-			} else {
-				of.retried = true
-				keep = append(keep, *of)
-			}
-			return append(keep, batch[i+1:]...)
-		}
-		m.wireFrames.Add(1)
-		if fa != nil && fa.Chance(fa.ResetP) {
-			m.onLink("tcp.reset", of.f.From, pr.to)
-			w.teardown()
-			return append(batch[:0], batch[i+1:]...)
-		}
-	}
-	return batch[:0]
-}
-
-// countWriter counts the bytes the legacy gob encoder puts on the wire, so
-// WireStats covers both codecs.
-type countWriter struct {
-	m    *Mesh
-	conn net.Conn
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.conn.Write(p)
-	c.m.wireBytes.Add(int64(n))
-	return n, err
 }

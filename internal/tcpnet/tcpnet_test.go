@@ -1,6 +1,7 @@
 package tcpnet_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/rbcast"
 	"repro/internal/tcpnet"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 func TestPingPongOverTCP(t *testing.T) {
@@ -43,13 +45,27 @@ func TestPingPongOverTCP(t *testing.T) {
 	}
 }
 
-func TestStructuredPayloadsSurviveGob(t *testing.T) {
-	type custom struct {
-		A int
-		B string
-		C []dsys.ProcessID
-	}
-	tcpnet.Register(custom{})
+// custom is an application payload type: it crosses the mesh because the
+// application registers an encode/decode pair for it with package wire.
+type custom struct {
+	A int
+	B string
+	C []dsys.ProcessID
+}
+
+func TestRegisteredCustomPayloadOverTCP(t *testing.T) {
+	wire.Register(custom{},
+		func(e *wire.Encoder, v any) {
+			c := v.(custom)
+			e.Varint(int64(c.A))
+			e.String(c.B)
+			e.Value(c.C)
+		},
+		func(d *wire.Decoder) any {
+			c := custom{A: d.Int(), B: d.String()}
+			c.C, _ = d.Value().([]dsys.ProcessID)
+			return c
+		})
 	m, err := tcpnet.New(tcpnet.Config{N: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -60,13 +76,12 @@ func TestStructuredPayloadsSurviveGob(t *testing.T) {
 		msg, _ := p.Recv(dsys.MatchKind("c"))
 		done <- msg.Payload.(custom)
 	})
-	m.Spawn(1, "send", func(p dsys.Proc) {
-		p.Send(2, "c", custom{A: 7, B: "x", C: []dsys.ProcessID{3, 1}})
-	})
+	want := custom{A: 7, B: "x", C: []dsys.ProcessID{3, 1}}
+	m.Spawn(1, "send", func(p dsys.Proc) { p.Send(2, "c", want) })
 	select {
 	case got := <-done:
-		if got.A != 7 || got.B != "x" || len(got.C) != 2 || got.C[0] != 3 {
-			t.Errorf("payload mangled: %+v", got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("payload mangled: %+v, want %+v", got, want)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("timed out")

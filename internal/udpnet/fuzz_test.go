@@ -82,9 +82,8 @@ func FuzzUDPFrameRoundTrip(f *testing.F) {
 			}
 		}
 		// A decoded frame re-encodes into a decodable datagram with the same
-		// header; payloads of gob-lane types may normalize, so only the
-		// deterministic header is compared byte-for-byte through a second
-		// round trip (the same bar FuzzWireRoundTrip sets).
+		// header, and a second round trip yields the same bytes (the same bar
+		// FuzzWireRoundTrip sets).
 		re, err := udpnet.AppendDatagram(nil, &fr)
 		if err != nil {
 			t.Fatalf("decoded frame did not re-encode: %v (frame %+v)", err, fr)

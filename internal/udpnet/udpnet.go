@@ -36,6 +36,7 @@
 package udpnet
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -51,7 +52,8 @@ import (
 // MaxDatagram is the largest datagram the transport sends or accepts: the
 // IPv4 UDP payload ceiling. Frames that encode larger are dropped at the
 // sender ("udp.toobig") — a datagram transport cannot fragment frames, and
-// detector traffic is orders of magnitude smaller.
+// detector traffic is orders of magnitude smaller. A frame whose payload type
+// wire cannot encode at all is dropped as "udp.unencodable".
 const MaxDatagram = 65507
 
 // Config parameterizes a Transport (and a Mesh, which builds one).
@@ -76,7 +78,8 @@ type Config struct {
 	// (single-process mode only).
 	Peers map[dsys.ProcessID]string
 	// Trace receives link events ("udp.drop", "udp.dup", "udp.cut",
-	// "udp.reorder", "udp.badframe", "udp.toobig", "udp.rebind"). Optional.
+	// "udp.reorder", "udp.badframe", "udp.toobig", "udp.unencodable",
+	// "udp.rebind"). Optional.
 	Trace *trace.Collector
 	// Log receives task debug output (Mesh only). Optional.
 	Log io.Writer
@@ -290,16 +293,24 @@ func (t *Transport) Send(m dsys.Message) {
 	out, err := AppendDatagram((*bufp)[:0], &wire.Frame{From: from, To: to, Kind: m.Kind, Payload: m.Payload})
 	if err != nil {
 		encBufPool.Put(bufp)
-		t.onLink("udp.toobig", from, to)
+		if errors.Is(err, wire.ErrUnregistered) {
+			t.onLink("udp.unencodable", from, to)
+		} else {
+			t.onLink("udp.toobig", from, to)
+		}
 		return
+	}
+	// A duplicate is copied out before transmit hands the pooled buffer back.
+	var dup []byte
+	if fa != nil && fa.Chance(fa.DupP) {
+		dup = append([]byte(nil), out...)
 	}
 	*bufp = out[:0]
 	t.transmit(from, to, out, bufp)
-	if fa != nil && fa.Chance(fa.DupP) {
+	if dup != nil {
 		t.onLink("udp.dup", from, to)
 		// The copy rolls its own delay/jitter/reorder, so duplicates arrive
 		// decorrelated from their originals — as they do on real networks.
-		dup := append([]byte(nil), out...)
 		t.transmit(from, to, dup, nil)
 	}
 }

@@ -1,6 +1,7 @@
 package udpnet_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,6 +61,62 @@ func TestDatagramCodecRejectsHostile(t *testing.T) {
 		if _, err := udpnet.DecodeDatagram(b); err == nil {
 			t.Errorf("%s: hostile datagram decoded", name)
 		}
+	}
+}
+
+// TestUnsendableFrameLabelled: a frame the sender cannot put in a datagram,
+// sent between two good frames, is traced under the event that says why —
+// an unregistered payload type is not a size problem — exactly once, and its
+// neighbours are delivered in order.
+func TestUnsendableFrameLabelled(t *testing.T) {
+	for _, tc := range []struct {
+		name, event, errText string
+		payload              any
+	}{
+		{"unregistered type", "udp.unencodable", "unregistered payload type map[string]int", map[string]int{"a": 1}},
+		{"above MaxDatagram", "udp.toobig", "above MaxDatagram", make([]byte, udpnet.MaxDatagram)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := udpnet.AppendDatagram(nil, &wire.Frame{From: 1, To: 2, Kind: "seq", Payload: tc.payload})
+			if err == nil || !strings.Contains(err.Error(), tc.errText) {
+				t.Fatalf("AppendDatagram error %v, want it to say %q", err, tc.errText)
+			}
+			col := trace.NewCollector()
+			m, err := udpnet.New(udpnet.Config{N: 2, Trace: col})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Stop()
+			got := make(chan any, 4)
+			m.Spawn(2, "recv", func(p dsys.Proc) {
+				for {
+					msg, _ := p.Recv(dsys.MatchKind("seq"))
+					got <- msg.Payload
+				}
+			})
+			for _, payload := range []any{0, tc.payload, 1} {
+				m.Transport().Send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: payload})
+			}
+			for want := 0; want < 2; want++ {
+				select {
+				case v := <-got:
+					if v != want {
+						t.Fatalf("frame %v arrived, want %d", v, want)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("frame %d never arrived", want)
+				}
+			}
+			for _, event := range []string{"udp.unencodable", "udp.toobig"} {
+				want := 0
+				if event == tc.event {
+					want = 1
+				}
+				if n := col.LinkEvents(event); n != want {
+					t.Errorf("%s = %d, want %d", event, n, want)
+				}
+			}
+		})
 	}
 }
 

@@ -1,31 +1,12 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"repro/internal/consensus"
-	"repro/internal/dsys"
 	"repro/internal/fd/omega"
 	"repro/internal/rbcast"
 )
-
-// gobFrame mirrors the envelope the pre-wire transport gob-encoded per frame.
-type gobFrame struct {
-	From, To dsys.ProcessID
-	Kind     string
-	Payload  any
-}
-
-func init() {
-	// The gob baseline encodes interface-typed payloads, which needs the
-	// concrete types registered — the transport's init does this in prod.
-	RegisterGob(&omega.BeatPayload{})
-	RegisterGob(consensus.Msg{})
-	RegisterGob(consensus.Decide{})
-	RegisterGob(rbcast.Wire{})
-}
 
 // benchFrames are the payload mix of a live detector+consensus workload: the
 // n²−n heartbeat beats dominate, with consensus and rbcast envelopes mixed in.
@@ -38,9 +19,8 @@ func benchFrames() []Frame {
 	}
 }
 
-// BenchmarkWireCodec compares the wire codec against the gob streams the
-// transport used before, over the same frame mix. The "/gob" pairs are the
-// baseline BENCH_PR5.json records the speedup against.
+// BenchmarkWireCodec measures the wire codec over that frame mix.
+// BENCH_PR5.json records the same cells against the deleted gob streams.
 func BenchmarkWireCodec(b *testing.B) {
 	frames := benchFrames()
 
@@ -55,18 +35,6 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("encode/gob", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink bytes.Buffer
-		enc := gob.NewEncoder(&sink)
-		for i := 0; i < b.N; i++ {
-			f := frames[i%len(frames)]
-			if err := enc.Encode(&gobFrame{f.From, f.To, f.Kind, f.Payload}); err != nil {
-				b.Fatal(err)
-			}
-			sink.Reset()
-		}
-	})
 	b.Run("roundtrip/wire", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte
@@ -77,22 +45,6 @@ func BenchmarkWireCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err = DecodeFrame(buf[4:]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("roundtrip/gob", func(b *testing.B) {
-		b.ReportAllocs()
-		var pipe bytes.Buffer
-		enc := gob.NewEncoder(&pipe)
-		dec := gob.NewDecoder(&pipe)
-		for i := 0; i < b.N; i++ {
-			f := frames[i%len(frames)]
-			if err := enc.Encode(&gobFrame{f.From, f.To, f.Kind, f.Payload}); err != nil {
-				b.Fatal(err)
-			}
-			var out gobFrame
-			if err := dec.Decode(&out); err != nil {
 				b.Fatal(err)
 			}
 		}

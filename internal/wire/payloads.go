@@ -1,10 +1,10 @@
 package wire
 
-// Hand-rolled codecs for the hot protocol payload types. These are the
+// Hand-rolled codecs for the protocol payload structs. These are the
 // payloads every detector/consensus workload sends per period — the CT-style
-// ◇P heartbeat alone is n²−n of them — so each gets a field-by-field codec
-// instead of the gob fallback. The registration order below fixes the wire
-// ids; it is append-only (add new types at the end).
+// ◇P heartbeat alone is n²−n of them — so each gets a field-by-field codec.
+// The registration order below fixes the wire ids; it is append-only (add new
+// types at the end).
 //
 // Each codec must keep enc and dec exactly mirrored; TestPayloadRoundTrips
 // and FuzzWireRoundTrip enforce it.
@@ -135,9 +135,8 @@ func init() {
 			return st
 		})
 	// Command batch: the value a log slot decides — it rides inside
-	// consensus.Msg.Est / consensus.Decide.Value on every instance message,
-	// so it gets the fast lane too. Appended after the PR-7 types to keep
-	// earlier wire ids stable.
+	// consensus.Msg.Est / consensus.Decide.Value on every instance message.
+	// Appended after the PR-7 types to keep earlier wire ids stable.
 	Register(core.Batch{},
 		func(e *Encoder, v any) { encBatch(e, v.(core.Batch)) },
 		func(d *Decoder) any { return decBatch(d) })

@@ -1,23 +1,26 @@
-// Package wire is the compact binary frame codec of the TCP transport
-// (package tcpnet). It replaces per-frame encoding/gob on the hot path: a
-// frame is a 4-byte big-endian length prefix followed by a hand-rolled body
+// Package wire is the compact binary frame codec of the socket transports
+// (tcpnet streams, udpnet datagrams). A frame is a 4-byte big-endian length
+// prefix followed by a hand-rolled body
 //
 //	varint(From) varint(To) string(Kind) value(Payload)
 //
-// where value is a one-byte tag plus a type-specific body. Payload types fall
-// into three lanes:
+// where value is a one-byte tag plus a type-specific body. This is the only
+// encoding the transports put on a socket, and every byte of it is specified
+// here. Payload types fall into three lanes:
 //
-//   - primitives and the small slice types protocol messages carry (nil,
-//     bool, int, uint64, float64, string, []byte, dsys.ProcessID,
-//     time.Duration, []dsys.ProcessID, []uint32, []uint64) have dedicated
-//     tags and allocate nothing to encode;
-//   - the hot protocol payload structs (omega beats, consensus envelopes,
-//     reliable-broadcast wires, replicated-log commands; see payloads.go) are
-//     registered in a type registry with hand-rolled field codecs, addressed
-//     on the wire by a small integer id;
-//   - everything else takes the gob fallback lane: the value is gob-encoded
-//     as a self-contained length-delimited blob. Slower and bulkier, but any
-//     payload the old transport could carry still round-trips.
+//   - primitives (nil, bool, int, int64, uint, uint32, uint64, float64,
+//     string, []byte, dsys.ProcessID, time.Duration) have dedicated tags and
+//     allocate nothing to encode;
+//   - the small slice types protocol messages carry ([]dsys.ProcessID,
+//     []uint32, []uint64) have dedicated tags too;
+//   - struct payloads (omega beats, consensus envelopes, reliable-broadcast
+//     wires, replicated-log commands; see payloads.go) are registered in a
+//     type registry with hand-rolled field codecs, addressed on the wire by a
+//     small integer id. An application sending its own payload type calls
+//     Register with an encode/decode pair first.
+//
+// A payload whose dynamic type is in none of the lanes does not encode:
+// Encoder.Value and AppendFrame report ErrUnregistered, naming the type.
 //
 // Registry ids are assigned in registration order, so every process of a
 // mesh must perform the same registrations in the same order — trivially
@@ -32,9 +35,7 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -61,6 +62,11 @@ const maxDepth = 64
 // to I/O errors from the underlying reader). Transports use it to tell "bad
 // frame, drop it and trace" from "connection teardown".
 var ErrMalformed = errors.New("wire: malformed frame")
+
+// ErrUnregistered tags the encode error for a payload (top-level or nested)
+// whose dynamic type is neither a primitive nor registered with Register. The
+// error text names the type.
+var ErrUnregistered = errors.New("wire: unregistered payload type")
 
 // Frame is the transport-level message envelope, the unit of encoding.
 type Frame struct {
@@ -89,7 +95,8 @@ const (
 	tagU32s     = 0x0e // uvarint count + uvarints
 	tagU64s     = 0x0f // uvarint count + uvarints
 	tagReg      = 0x10 // uvarint registry id + registered codec body
-	tagGob      = 0x11 // uvarint length + self-contained gob stream of an any
+	// 0x11 is reserved (the deleted gob blob lane); it decodes as ErrMalformed
+	// like any unknown tag, and the next new tag is 0x12.
 )
 
 // EncodeFunc appends the body of a registered payload value to the encoder.
@@ -116,7 +123,7 @@ var (
 	regByID  atomic.Pointer[[]*regEntry]
 )
 
-// Register adds a payload type to the fast lane: values whose dynamic type
+// Register adds a payload type to the registry: values whose dynamic type
 // equals sample's encode through enc and decode through dec, addressed by a
 // small integer id assigned in registration order. Registering a type that
 // is already registered is a no-op (the first registration wins), so
@@ -152,47 +159,12 @@ func Register(sample any, enc EncodeFunc, dec DecodeFunc) {
 	regByTyp.Store(&nextTyp)
 }
 
-// Registered reports whether sample's type is in the fast lane.
-func Registered(sample any) bool {
-	m := regByTyp.Load()
-	if m == nil {
-		return false
-	}
-	_, ok := (*m)[reflect.TypeOf(sample)]
-	return ok
-}
-
-// gobSeen makes RegisterGob idempotent per concrete type, so the transport's
-// Register can be called any number of times with the same payload type
-// without tripping gob's duplicate-registration checks.
-var (
-	gobMu   sync.Mutex
-	gobSeen = map[reflect.Type]bool{}
-)
-
-// RegisterGob makes a payload type known to the fallback lane's gob codec
-// (like gob.Register, but registering the same type twice is a no-op).
-// Types in the fast lane don't need it; anything else sent as a payload does.
-func RegisterGob(v any) {
-	typ := reflect.TypeOf(v)
-	if typ == nil {
-		return
-	}
-	gobMu.Lock()
-	defer gobMu.Unlock()
-	if gobSeen[typ] {
-		return
-	}
-	gob.Register(v)
-	gobSeen[typ] = true
-}
-
 // ---------------------------------------------------------------------------
 // Encoder
 
 // Encoder appends the wire representation of values to a byte slice. The
-// zero value (or one holding a recycled buffer) is ready to use. Encoding
-// errors (only the gob lane can fail) are sticky in err.
+// zero value (or one holding a recycled buffer) is ready to use. The one
+// encoding error, ErrUnregistered, is sticky in err.
 type Encoder struct {
 	buf []byte
 	err error
@@ -226,8 +198,9 @@ func (e *Encoder) Bool(b bool) {
 	}
 }
 
-// Value appends a tagged payload value, choosing the primitive, registered
-// or gob lane by dynamic type.
+// Value appends a tagged payload value, choosing the primitive, slice or
+// registered lane by dynamic type. A type in none of them appends nothing and
+// sets ErrUnregistered.
 func (e *Encoder) Value(v any) {
 	switch x := v.(type) {
 	case nil:
@@ -296,23 +269,10 @@ func (e *Encoder) Value(v any) {
 				return
 			}
 		}
-		e.gobValue(v)
-	}
-}
-
-// gobValue encodes v as a self-contained, length-delimited gob stream — the
-// fallback lane for unregistered payload types.
-func (e *Encoder) gobValue(v any) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(&v); err != nil {
 		if e.err == nil {
-			e.err = fmt.Errorf("wire: gob fallback: %w", err)
+			e.err = fmt.Errorf("%w %T", ErrUnregistered, v)
 		}
-		return
 	}
-	e.byte(tagGob)
-	e.Uvarint(uint64(b.Len()))
-	e.buf = append(e.buf, b.Bytes()...)
 }
 
 // ---------------------------------------------------------------------------
@@ -504,17 +464,6 @@ func (d *Decoder) Value() any {
 			return nil
 		}
 		return d.checked((*ids)[id].dec(d))
-	case tagGob:
-		b := d.take(d.Uvarint())
-		if b == nil {
-			return nil
-		}
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-			d.fail("gob fallback: " + err.Error())
-			return nil
-		}
-		return v
 	default:
 		d.fail("unknown value tag")
 		return nil
@@ -542,9 +491,10 @@ var (
 )
 
 // AppendFrame appends the full wire representation of f — 4-byte big-endian
-// body length, then the body — to dst and returns the extended slice. The
-// only error source is the gob fallback lane rejecting an unencodable
-// payload; dst is returned unextended then.
+// body length, then the body — to dst and returns the extended slice. It
+// fails, returning dst unextended, on an ErrUnregistered payload type or a
+// body above MaxFrameLen — both properties of the frame alone, so retrying
+// the same frame cannot succeed.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0)

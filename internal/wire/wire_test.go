@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -16,12 +17,6 @@ import (
 	"repro/internal/fd/omega"
 	"repro/internal/rbcast"
 )
-
-func init() {
-	// The gob-fallback test frame carries an interface-typed map; the gob
-	// lane needs the concrete type registered, same as any transport user.
-	RegisterGob(map[string]int{})
-}
 
 // roundTrip encodes f and decodes it back through the full frame path.
 func roundTrip(t *testing.T, f Frame) Frame {
@@ -38,9 +33,8 @@ func roundTrip(t *testing.T, f Frame) Frame {
 	return got
 }
 
-// testFrames covers every lane: nil/primitive payloads, all registered hot
-// payload structs including nested anys, the small slice types, and a
-// gob-fallback payload.
+// testFrames covers every lane: nil/primitive payloads, the small slice
+// types, and all registered payload structs including nested anys.
 func testFrames() []Frame {
 	return []Frame{
 		{From: 1, To: 2, Kind: "hb.alive", Payload: nil},
@@ -91,7 +85,6 @@ func testFrames() []Frame {
 			}}},
 			{Slot: 19, Round: 1, Batch: core.Batch{}},
 		}}},
-		{From: 1, To: 2, Kind: "gob", Payload: map[string]int{"a": 1}}, // fallback lane
 	}
 }
 
@@ -104,26 +97,37 @@ func TestPayloadRoundTrips(t *testing.T) {
 	}
 }
 
-// TestRegisteredLaneUsed asserts the hot payloads do not silently fall into
-// the gob lane (which would still round-trip but defeat the codec).
-func TestRegisteredLaneUsed(t *testing.T) {
-	for _, v := range []any{
-		&omega.BeatPayload{}, consensus.Msg{}, consensus.Decide{},
-		rbcast.Wire{}, mrc.LdrInfo{}, core.Command{}, core.Kick{},
-		core.Fetch{}, core.State{}, core.Batch{},
-	} {
-		if !Registered(v) {
-			t.Errorf("%T not in the registered fast lane", v)
-		}
-	}
-	// A beat frame must be tiny: 4B length + header + tag bytes, far below
-	// what gob's type preamble alone costs.
+// TestBeatFrameCompact: a beat frame must be tiny — 4B length + header + tag
+// bytes.
+func TestBeatFrameCompact(t *testing.T) {
 	b, err := AppendFrame(nil, &Frame{From: 1, To: 2, Kind: "omega.leaderbeat", Payload: &omega.BeatPayload{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(b) > 32 {
 		t.Errorf("beat frame is %d bytes, want compact (<= 32)", len(b))
+	}
+}
+
+// TestUnregisteredPayload: a payload type in no lane — top-level or nested
+// inside a registered struct — is ErrUnregistered naming the type, and dst
+// comes back unextended.
+func TestUnregisteredPayload(t *testing.T) {
+	dst := []byte("prefix")
+	for _, payload := range []any{
+		map[string]int{},
+		rbcast.Wire{Origin: 1, Seq: 2, Payload: map[string]int{"a": 1}},
+	} {
+		out, err := AppendFrame(dst, &Frame{From: 1, To: 2, Kind: "k", Payload: payload})
+		if !errors.Is(err, ErrUnregistered) {
+			t.Fatalf("%T: got err %v, want ErrUnregistered", payload, err)
+		}
+		if !strings.Contains(err.Error(), "map[string]int") {
+			t.Errorf("%T: error %q does not name the unregistered type", payload, err)
+		}
+		if string(out) != "prefix" {
+			t.Errorf("%T: dst extended to %q on error", payload, out)
+		}
 	}
 }
 
@@ -143,9 +147,6 @@ func TestRegisterIdempotent(t *testing.T) {
 	if got := roundTrip(t, f); !reflect.DeepEqual(got, f) {
 		t.Fatalf("round trip after duplicate registration: %+v", got)
 	}
-	// The gob lane's registration is equally idempotent.
-	RegisterGob(consensus.Msg{})
-	RegisterGob(consensus.Msg{})
 }
 
 // TestTruncationsNeverPanic decodes every strict prefix of every valid body:
@@ -179,7 +180,7 @@ func TestMalformedInputs(t *testing.T) {
 		"unknown reg id":   {2, 4, 1, 'k', tagReg, 0xcf, 0x0f},
 		"huge slice count": {2, 4, 1, 'k', tagPIDs, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"huge string len":  {2, 4, 1, 'k', tagString, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"bad gob blob":     {2, 4, 1, 'k', tagGob, 3, 1, 2, 3},
+		"reserved tag":     {2, 4, 1, 'k', 0x11, 3, 1, 2, 3},
 		"truncated varint": {0x80},
 		"overlong varint":  {2, 4, 1, 'k', tagInt, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
 	}
