@@ -315,7 +315,7 @@ func (n *node) status() cluster.Response {
 		resp.Suspected = append(resp.Suspected, int(id))
 	}
 	if rep != nil {
-		resp.Applied = len(rep.Applied())
+		resp.Applied = rep.AppliedLen()
 	}
 	return resp
 }

@@ -214,10 +214,13 @@ func (t FDTrace) WeakCompleteness() Verdict {
 // EventualStrongAccuracy: there is a time after which correct processes are
 // not suspected by any correct process.
 func (t FDTrace) EventualStrongAccuracy() Verdict {
-	correctSet := fd.NewSet(t.CorrectIDs()...)
-	return t.suffixFrom(t.CorrectIDs(), func(_ dsys.ProcessID, s FDSample) bool {
-		for q := range s.Suspected {
-			if correctSet.Has(q) {
+	correct := t.CorrectIDs()
+	return t.suffixFrom(correct, func(_ dsys.ProcessID, s FDSample) bool {
+		if s.Suspected.Len() == 0 {
+			return false
+		}
+		for _, q := range correct {
+			if s.Suspected.Has(q) {
 				return true
 			}
 		}

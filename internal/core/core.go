@@ -570,6 +570,14 @@ func (r *Replica) Applied() []AppliedEntry {
 	return out
 }
 
+// AppliedLen returns the number of applied commands, len(Applied()) without
+// the copy — what a status report or a progress poll wants.
+func (r *Replica) AppliedLen() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.applied)
+}
+
 // AppliedValues returns just the applied command payloads, in log order.
 func (r *Replica) AppliedValues() []any {
 	r.mu.Lock()

@@ -47,6 +47,9 @@ func assertSameLogs(t *testing.T, reps map[dsys.ProcessID]*core.Replica, ids []d
 		if len(got) != wantLen {
 			t.Fatalf("%v applied %d entries (%v), want %d", id, len(got), got, wantLen)
 		}
+		if n := reps[id].AppliedLen(); n != len(reps[id].Applied()) || n != wantLen {
+			t.Fatalf("%v: AppliedLen() = %d, len(Applied()) = %d, want %d", id, n, len(reps[id].Applied()), wantLen)
+		}
 		if ref == nil {
 			ref = got
 			continue

@@ -91,7 +91,7 @@ func E17PipelineThroughput(quick bool) (*Table, error) {
 				return
 			}
 			for _, id := range dsys.Pids(n) {
-				if len(reps[id].Applied()) < total {
+				if reps[id].AppliedLen() < total {
 					return
 				}
 			}

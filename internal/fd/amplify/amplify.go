@@ -77,17 +77,16 @@ func (d *Detector) Suspected() fd.Set {
 
 func (d *Detector) bcastTask(p dsys.Proc) {
 	for {
-		susp := d.under.Suspected()
+		list := d.under.Suspected().Members()
 		// Local suspicions feed the local output too (the process trusts
 		// its own module without waiting for its broadcast to loop back).
 		d.mu.Lock()
-		for q := range susp {
+		for _, q := range list {
 			if q != d.self {
 				d.out.Add(q)
 			}
 		}
 		d.mu.Unlock()
-		list := susp.Members()
 		for _, q := range p.All() {
 			if q != d.self {
 				p.Send(q, KindSets, list)

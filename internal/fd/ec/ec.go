@@ -44,7 +44,7 @@ func (d FromLeader) Trusted() dsys.ProcessID { return d.L.Trusted() }
 // Suspected implements fd.Suspector: Π minus the trusted process.
 func (d FromLeader) Suspected() fd.Set {
 	t := d.L.Trusted()
-	s := make(fd.Set, d.N)
+	var s fd.Set
 	for i := 1; i <= d.N; i++ {
 		if q := dsys.ProcessID(i); q != t {
 			s.Add(q)

@@ -24,88 +24,87 @@
 //
 // The properties themselves are *verified over traces* by package check;
 // this package only defines the query interfaces and the Set type.
+//
+// Set has the value semantics of a slice, not of the map it once was: Add and
+// Remove have pointer receivers and change the variable they are called on,
+// while an assignment or a by-value parameter copies only the header and
+// shares the storage — so of two such copies at most one may be mutated, and
+// whoever needs an independent set takes a Clone (every Suspected() does).
+// Members() returns a private copy the caller may keep or modify; no query
+// mutates, and Has, Len, Equal and FirstNonSuspected do not allocate.
 package fd
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/dsys"
 )
 
-// Set is a set of processes, used for suspect lists.
-type Set map[dsys.ProcessID]bool
+// Set is a set of processes, used for suspect lists. Suspect lists hold the
+// crashed few, not the n monitored, so a Set is the sorted slice of its
+// members: queries binary-search it, Members and String need no sorting, and
+// the zero value is the empty set and owns no memory. It is a value with a
+// slice's sharing rules; see the package comment.
+type Set struct {
+	ids []dsys.ProcessID // strictly increasing
+}
 
-// NewSet builds a Set from the given processes.
+// NewSet builds a Set from the given processes, in any order and with
+// repeats; it does not keep ids.
 func NewSet(ids ...dsys.ProcessID) Set {
-	s := make(Set, len(ids))
-	for _, id := range ids {
-		s[id] = true
+	if len(ids) == 0 {
+		return Set{}
 	}
-	return s
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return Set{slices.Compact(out)}
 }
 
 // Has reports membership.
-func (s Set) Has(id dsys.ProcessID) bool { return s[id] }
+func (s Set) Has(id dsys.ProcessID) bool {
+	_, ok := slices.BinarySearch(s.ids, id)
+	return ok
+}
 
 // Add inserts id.
-func (s Set) Add(id dsys.ProcessID) { s[id] = true }
+func (s *Set) Add(id dsys.ProcessID) {
+	if n := len(s.ids); n == 0 || s.ids[n-1] < id {
+		s.ids = append(s.ids, id) // in increasing order, the common case
+		return
+	}
+	if i, ok := slices.BinarySearch(s.ids, id); !ok {
+		s.ids = slices.Insert(s.ids, i, id)
+	}
+}
 
 // Remove deletes id.
-func (s Set) Remove(id dsys.ProcessID) { delete(s, id) }
+func (s *Set) Remove(id dsys.ProcessID) {
+	if i, ok := slices.BinarySearch(s.ids, id); ok {
+		s.ids = slices.Delete(s.ids, i, i+1)
+	}
+}
 
 // Clone returns an independent copy.
-func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	for id, v := range s {
-		if v {
-			out[id] = true
-		}
-	}
-	return out
-}
+func (s Set) Clone() Set { return Set{slices.Clone(s.ids)} }
 
 // Len returns the number of members.
-func (s Set) Len() int {
-	n := 0
-	for _, v := range s {
-		if v {
-			n++
-		}
-	}
-	return n
-}
+func (s Set) Len() int { return len(s.ids) }
 
-// Members returns the members in increasing process order.
+// Members returns the members in increasing process order, as a fresh
+// non-nil slice.
 func (s Set) Members() []dsys.ProcessID {
-	out := make([]dsys.ProcessID, 0, len(s))
-	for id, v := range s {
-		if v {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(make([]dsys.ProcessID, 0, len(s.ids)), s.ids...)
 }
 
 // Equal reports whether two sets have the same members.
-func (s Set) Equal(o Set) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	for id, v := range s {
-		if v && !o[id] {
-			return false
-		}
-	}
-	return true
-}
+func (s Set) Equal(o Set) bool { return slices.Equal(s.ids, o.ids) }
 
 // String renders the set like "{p2 p5}".
 func (s Set) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, id := range s.Members() {
+	for i, id := range s.ids {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
@@ -175,10 +174,19 @@ type Beacon interface {
 // 3): with eventually identical suspect sets, all correct processes
 // eventually agree on this choice.
 func FirstNonSuspected(s Set, n int) dsys.ProcessID {
-	for i := 1; i <= n; i++ {
-		if !s[dsys.ProcessID(i)] {
-			return dsys.ProcessID(i)
+	// One walk over the sorted members: the answer is the first gap in the
+	// run 1, 2, 3, ... they start with.
+	first := dsys.ProcessID(1)
+	for _, id := range s.ids {
+		if id > first {
+			break
+		}
+		if id == first {
+			first++
 		}
 	}
-	return dsys.None
+	if int(first) > n {
+		return dsys.None
+	}
+	return first
 }

@@ -1,0 +1,169 @@
+package fdlab_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"testing"
+	"time"
+
+	"repro/internal/dsys"
+	"repro/internal/fd"
+	"repro/internal/fd/ec"
+	"repro/internal/fd/fdlab"
+	"repro/internal/fd/heartbeat"
+	"repro/internal/fd/omega"
+	"repro/internal/fd/ring"
+	"repro/internal/fd/transform"
+	"repro/internal/network"
+)
+
+// goldenDigests pins the behaviour of the three scalable detectors event for
+// event. Each value is the SHA-256 of one seeded run's full message log
+// (time, from, to, kind, payload, dropped) followed by every process's
+// sampled Suspected().Members() and Trusted(), computed at the commit before
+// the detectors' per-peer maps and the map-backed fd.Set were replaced by
+// role-sized tables and the sorted-slice Set. A representation change must
+// reproduce these runs exactly; a deliberate protocol change must say so and
+// re-pin the constant it moves.
+var goldenDigests = map[string]string{
+	"ring":                "3e2eec5b94e1dd02dacc63c26341580a754341569163a67328916ad587b6ef0e",
+	"heartbeat-additive":  "ce084818468ffb84868612d52168d1996a705bc30a32bc0455ac705f1beaa6fd",
+	"heartbeat-jacobson":  "3d250999316c00fb0ef04e65074d815a9f17d6466ccad3e842776616a8e7637c",
+	"transform":           "13ee4ffbd51f61c810a207b616acdcc84198bc1b655c502197e35bb4f70faa53",
+	"transform-piggyback": "9f2f3b3c0c03ca9fdd7d83655424f7ff0bd85f65b2459fe74044aa563ead89c4",
+}
+
+// both joins a suspector and a leader oracle held by one process into the
+// single module fdlab probes.
+type both struct {
+	fd.Suspector
+	fd.LeaderOracle
+}
+
+// falseSuspecter is the retraction counter ring, heartbeat and transform all
+// export.
+type falseSuspecter interface{ FalseSuspicions() int }
+
+func TestGoldenDetectorDigests(t *testing.T) {
+	const n, goldenSeeds = 8, 3
+	period := 10 * time.Millisecond
+	hb := func(policy heartbeat.TimeoutPolicy) func(p dsys.Proc) (any, falseSuspecter) {
+		return func(p dsys.Proc) (any, falseSuspecter) {
+			d := heartbeat.Start(p, heartbeat.Options{Period: period, Policy: policy})
+			return ec.FromPerfect{S: d, N: n}, d
+		}
+	}
+	tp := func(piggyback bool) func(p dsys.Proc) (any, falseSuspecter) {
+		return func(p dsys.Proc) (any, falseSuspecter) {
+			lb := omega.StartLeaderBeat(p, omega.Options{Period: period})
+			opt := transform.Options{Period: period}
+			if piggyback {
+				opt.Piggyback = lb
+			}
+			d := transform.Start(p, lb, opt)
+			return both{d, lb}, d
+		}
+	}
+	cases := []struct {
+		name  string
+		seed  int64
+		build func(p dsys.Proc) (any, falseSuspecter)
+	}{
+		{"ring", 5101, func(p dsys.Proc) (any, falseSuspecter) {
+			d := ring.Start(p, ring.Options{Period: period})
+			return d, d
+		}},
+		{"heartbeat-additive", 5102, hb(heartbeat.PolicyAdditive)},
+		{"heartbeat-jacobson", 5103, hb(heartbeat.PolicyJacobson)},
+		{"transform", 5104, tp(false)},
+		{"transform-piggyback", 5105, tp(true)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// One digest covers goldenSeeds runs, so a rarely taken branch has
+			// several schedules in which to show a divergence.
+			run := func(goroutines bool) (string, int, int) {
+				all := sha256.New()
+				retracted, leaders := 0, 0
+				for i := int64(0); i < goldenSeeds; i++ {
+					counters := make([]falseSuspecter, 0, n)
+					res := fdlab.Run(fdlab.Setup{
+						N:    n,
+						Seed: tc.seed + 100*i,
+						// Jittered and lossy throughout, wild before GST:
+						// delays above the initial timeout force false
+						// suspicions that later beats retract, and 4% loss
+						// keeps doing so after.
+						Net: network.FairLossy{P: 0.04, Under: fdlab.PartialSync(300*time.Millisecond, 35*time.Millisecond)},
+						// p1 is everyone's initial leader, so its crash is
+						// the leader change.
+						Crashes: map[dsys.ProcessID]time.Duration{1: 600 * time.Millisecond},
+						Build: func(p dsys.Proc) any {
+							m, c := tc.build(p)
+							counters = append(counters, c)
+							return m
+						},
+						RunFor:         1500 * time.Millisecond,
+						GoroutineTasks: goroutines,
+					})
+					for _, c := range counters {
+						retracted += c.FalseSuspicions()
+					}
+					seen := map[dsys.ProcessID]bool{}
+					for _, s := range res.Trace.Rec.Samples(n) {
+						seen[s.Trusted] = true
+					}
+					leaders = max(leaders, len(seen))
+					digestRun(all, res)
+				}
+				return hex.EncodeToString(all.Sum(nil)), retracted, leaders
+			}
+			cb, retracted, leaders := run(false)
+			gr, _, _ := run(true)
+			if retracted == 0 {
+				t.Errorf("scenario retracted no false suspicion; it no longer exercises the back-off path")
+			}
+			if leaders < 2 {
+				t.Errorf("p%d trusted %d distinct leaders; the scenario needs a leader change", n, leaders)
+			}
+			if cb != gr {
+				t.Errorf("callback path %s vs goroutine path %s", cb, gr)
+			}
+			if want := goldenDigests[tc.name]; cb != want {
+				t.Errorf("digest %s, golden %s", cb, want)
+			}
+		})
+	}
+}
+
+// digestRun hashes a run's message log and sampled detector outputs into h.
+func digestRun(h hash.Hash, res fdlab.Result) {
+	for _, e := range res.Messages.Events() {
+		fmt.Fprintf(h, "%d %d %d %s ", e.At, e.From, e.To, e.Kind)
+		writePayload(h, e.Payload)
+		fmt.Fprintf(h, " %t\n", e.Dropped)
+	}
+	for _, id := range dsys.Pids(res.Trace.N) {
+		for _, s := range res.Trace.Rec.Samples(id) {
+			fmt.Fprintf(h, "%d %d %v %d\n", id, s.At, s.Suspected.Members(), s.Trusted)
+		}
+	}
+}
+
+// writePayload renders the payload shapes the detectors send; a nil and an
+// empty suspect list hash alike, as they encode alike on the wire.
+func writePayload(h hash.Hash, payload any) {
+	switch v := payload.(type) {
+	case nil:
+		fmt.Fprint(h, "-")
+	case []dsys.ProcessID:
+		fmt.Fprintf(h, "%v", v)
+	case *omega.BeatPayload:
+		fmt.Fprint(h, "beat:")
+		writePayload(h, v.Attachment)
+	default:
+		panic(fmt.Sprintf("golden digest: unhashed payload type %T", payload))
+	}
+}

@@ -32,9 +32,6 @@ func NewScripted(trusted dsys.ProcessID, suspected ...dsys.ProcessID) *Scripted 
 func (s *Scripted) Suspected() fd.Set {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.susp == nil {
-		return fd.Set{}
-	}
 	return s.susp.Clone()
 }
 
@@ -63,9 +60,6 @@ func (s *Scripted) SetSuspected(ids ...dsys.ProcessID) {
 func (s *Scripted) Suspect(ids ...dsys.ProcessID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.susp == nil {
-		s.susp = fd.Set{}
-	}
 	for _, id := range ids {
 		s.susp.Add(id)
 	}

@@ -86,6 +86,10 @@ func (o *Options) fill() {
 // Detector is a heartbeat ◇P module attached to one process. It implements
 // fd.Suspector (and, composed with fd.FirstNonSuspected, yields ◇C — see
 // package ec).
+//
+// This detector really does monitor everyone, so its state is one dense
+// per-peer table, and the estimator's second table exists only under the
+// policy that reads it.
 type Detector struct {
 	opt  Options
 	self dsys.ProcessID
@@ -93,14 +97,24 @@ type Detector struct {
 
 	mu        sync.Mutex
 	suspected fd.Set
-	lastHeard map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
-	// Jacobson estimator state (PolicyJacobson): smoothed inter-arrival
-	// mean and deviation per sender.
-	srtt   map[dsys.ProcessID]time.Duration
-	rttvar map[dsys.ProcessID]time.Duration
+	// peers is indexed by process id; entry 0 and the own entry stay zero.
+	peers []peer
+	// est is the Jacobson estimator state, indexed like peers; nil unless
+	// the policy is PolicyJacobson with adaptation on.
+	est []estimate
 
 	falseSusp int
+}
+
+// peer is what the detector knows about one monitored process.
+type peer struct {
+	lastHeard time.Duration
+	timeout   time.Duration
+}
+
+// estimate is the smoothed inter-arrival mean and deviation of one sender.
+type estimate struct {
+	srtt, rttvar time.Duration
 }
 
 var _ fd.Suspector = (*Detector)(nil)
@@ -108,22 +122,15 @@ var _ fd.Suspector = (*Detector)(nil)
 // Start attaches a heartbeat detector to p's process and spawns its tasks.
 func Start(p dsys.Proc, opt Options) *Detector {
 	opt.fill()
-	d := &Detector{
-		opt:       opt,
-		self:      p.ID(),
-		n:         p.N(),
-		suspected: fd.Set{},
-		lastHeard: make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:   make(map[dsys.ProcessID]time.Duration, p.N()),
-		srtt:      make(map[dsys.ProcessID]time.Duration, p.N()),
-		rttvar:    make(map[dsys.ProcessID]time.Duration, p.N()),
-	}
+	d := &Detector{opt: opt, self: p.ID(), n: p.N(), peers: make([]peer, p.N()+1)}
 	now := p.Now()
 	for _, q := range p.All() {
 		if q != d.self {
-			d.lastHeard[q] = now
-			d.timeout[q] = opt.InitialTimeout
+			d.peers[q] = peer{lastHeard: now, timeout: opt.InitialTimeout}
 		}
+	}
+	if opt.Policy == PolicyJacobson && !opt.FixedTimeout {
+		d.est = make([]estimate, p.N()+1)
 	}
 	// Declared as loop tasks so the simulator can run them goroutine-free;
 	// spawn order and task shape exactly mirror the blocking originals.
@@ -152,7 +159,10 @@ func (d *Detector) FalseSuspicions() int {
 func (d *Detector) Timeout(q dsys.ProcessID) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.timeout[q]
+	if q < 1 || int(q) > d.n {
+		return 0
+	}
+	return d.peers[q].timeout
 }
 
 // sendStep is one heartbeat period: I-AM-ALIVE to everyone else.
@@ -168,8 +178,9 @@ func (d *Detector) sendStep(p dsys.Proc) {
 func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 	d.mu.Lock()
 	now := p.Now()
-	gap := now - d.lastHeard[m.From]
-	d.lastHeard[m.From] = now
+	pr := &d.peers[m.From]
+	gap := now - pr.lastHeard
+	pr.lastHeard = now
 	wasSuspected := d.suspected.Has(m.From)
 	if wasSuspected {
 		d.suspected.Remove(m.From)
@@ -179,7 +190,7 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 		switch d.opt.Policy {
 		case PolicyAdditive:
 			if wasSuspected {
-				d.timeout[m.From] += d.opt.TimeoutIncrement
+				pr.timeout += d.opt.TimeoutIncrement
 			}
 		case PolicyJacobson:
 			d.observeGapLocked(m.From, gap)
@@ -194,22 +205,19 @@ func (d *Detector) observeGapLocked(q dsys.ProcessID, gap time.Duration) {
 	if gap <= 0 {
 		return
 	}
-	if d.srtt[q] == 0 {
-		d.srtt[q] = gap
-		d.rttvar[q] = gap / 2
+	e := &d.est[q]
+	if e.srtt == 0 {
+		e.srtt = gap
+		e.rttvar = gap / 2
 	} else {
-		diff := gap - d.srtt[q]
+		diff := gap - e.srtt
 		if diff < 0 {
 			diff = -diff
 		}
-		d.rttvar[q] += (diff - d.rttvar[q]) / 4
-		d.srtt[q] += (gap - d.srtt[q]) / 8
+		e.rttvar += (diff - e.rttvar) / 4
+		e.srtt += (gap - e.srtt) / 8
 	}
-	to := d.srtt[q] + 4*d.rttvar[q] + d.opt.Period
-	if to < d.opt.Period {
-		to = d.opt.Period
-	}
-	d.timeout[q] = to
+	d.peers[q].timeout = max(e.srtt+4*e.rttvar+d.opt.Period, d.opt.Period)
 }
 
 // checkStep is one expiry evaluation over all monitored processes.
@@ -220,7 +228,7 @@ func (d *Detector) checkStep(p dsys.Proc) {
 		if q == d.self || d.suspected.Has(q) {
 			continue
 		}
-		if now-d.lastHeard[q] > d.timeout[q] {
+		if pr := d.peers[q]; now-pr.lastHeard > pr.timeout {
 			d.suspected.Add(q)
 		}
 	}

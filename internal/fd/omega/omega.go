@@ -307,7 +307,7 @@ func (d *FromSuspector) gossipTask(p dsys.Proc) {
 	for {
 		susp := d.under.Suspected()
 		d.mu.Lock()
-		for q := range susp {
+		for _, q := range susp.Members() {
 			d.counters[int(q)-1]++
 		}
 		snapshot := make([]uint64, d.n)

@@ -28,6 +28,7 @@
 package ring
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -86,20 +87,37 @@ func (o *Options) fill() {
 }
 
 // Detector is a ring ◇C module attached to one process.
+//
+// A process monitors one predecessor at a time, and its state is sized to
+// that: the last-heard time of the current predecessor (setPred restarts it
+// whenever monitoring moves, so no other process's ever matters), and a
+// timeout only for the processes a retracted suspicion has backed off —
+// everyone else is at InitialTimeout.
 type Detector struct {
 	opt  Options
 	self dsys.ProcessID
 	n    int
 
-	mu        sync.Mutex
-	susp      fd.Set
+	mu   sync.Mutex
+	susp fd.Set
+	// beat is susp as the payload that rides the heartbeats, an immutable
+	// []dsys.ProcessID: built and boxed once per change of susp, then shared
+	// by every beat until the next change. nil when stale.
+	beat      any
 	pred      dsys.ProcessID // nearest non-suspected predecessor; None if alone
 	rewatched bool           // a retry WATCH was sent for the current pred deadline
-	lastHeard map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
+	predHeard time.Duration  // last beat from pred, or when monitoring moved to it
+	// backoff is the sparse override table of timeouts: it holds the total
+	// TimeoutIncrement added for each process that was ever falsely
+	// suspected here; a process absent from it times out after
+	// InitialTimeout. Allocated on the first retraction.
+	backoff   map[dsys.ProcessID]time.Duration
 	watchers  map[dsys.ProcessID]time.Duration // watcher -> expiry
 	lastWatch time.Duration                    // last renewal WATCH to pred
 	falseSusp int
+	// targets and adopted are scratch buffers of the beat and receive tasks,
+	// kept so a steady-state step allocates nothing.
+	targets, adopted []dsys.ProcessID
 
 	// Leadership deferral (fd.LeadershipDeferrer): ready is this process's
 	// own readiness predicate; deferUntil holds peers whose beats carried a
@@ -124,20 +142,11 @@ func Start(p dsys.Proc, opt Options) *Detector {
 		opt:        opt,
 		self:       p.ID(),
 		n:          p.N(),
-		susp:       fd.Set{},
-		lastHeard:  make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:    make(map[dsys.ProcessID]time.Duration, p.N()),
 		watchers:   make(map[dsys.ProcessID]time.Duration),
 		deferUntil: make(map[dsys.ProcessID]time.Duration),
 	}
-	now := p.Now()
-	for _, q := range p.All() {
-		if q != d.self {
-			d.lastHeard[q] = now
-			d.timeout[q] = opt.InitialTimeout
-		}
-	}
 	d.pred = d.nearestPred()
+	d.predHeard = p.Now()
 	// Declared as loop tasks so the simulator can run them goroutine-free;
 	// spawn order, task shape (body-then-sleep vs sleep-then-body) and
 	// receive kinds exactly mirror the blocking originals.
@@ -244,37 +253,52 @@ func (d *Detector) setPred(p dsys.Proc, q dsys.ProcessID) {
 	if q == dsys.None {
 		return
 	}
-	d.lastHeard[q] = p.Now()
+	d.predHeard = p.Now()
 	d.lastWatch = p.Now()
 	p.Send(q, KindWatch, nil)
+}
+
+// beatLocked returns the current suspect list as a message payload, a
+// []dsys.ProcessID the receivers share and nobody modifies. Callers hold
+// d.mu.
+func (d *Detector) beatLocked() any {
+	if d.beat == nil {
+		d.beat = d.susp.Members()
+	}
+	return d.beat
 }
 
 // beatStep is one heartbeat period: send the suspect list to the nearest
 // non-suspected successor and every live watcher.
 func (d *Detector) beatStep(p dsys.Proc) {
 	d.mu.Lock()
-	targets := fd.Set{}
-	if s := d.nearestSucc(); s != dsys.None {
-		targets.Add(s)
+	succ := d.nearestSucc()
+	targets := d.targets[:0]
+	if succ != dsys.None {
+		targets = append(targets, succ)
 	}
 	now := p.Now()
 	for w, exp := range d.watchers {
 		if exp <= now {
 			delete(d.watchers, w)
-		} else {
-			targets.Add(w)
+		} else if w != succ {
+			targets = append(targets, w)
 		}
 	}
-	list := d.susp.Members()
+	slices.Sort(targets) // beats go out in process order
+	d.targets = targets
+	list := d.beatLocked()
 	ready := d.ready
 	d.mu.Unlock()
 	if ready != nil && !ready() {
 		// Mark leadership deferral by listing ourselves in our own beat
 		// — no recipient ever suspects the process it just heard from,
 		// so the self-entry is unambiguous and costs no extra message.
-		list = append(list, d.self)
+		// The shared list is immutable, so the mark goes on a copy.
+		list = append(slices.Clip(list.([]dsys.ProcessID)), d.self)
 	}
-	for _, q := range targets.Members() {
+	// Only this task touches targets between here and its next step.
+	for _, q := range targets {
 		p.Send(q, KindBeat, list)
 	}
 }
@@ -286,7 +310,9 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 	case KindWatch:
 		d.watchers[m.From] = p.Now() + d.opt.WatchTTL
 	case KindBeat:
-		d.lastHeard[m.From] = p.Now()
+		if m.From == d.pred {
+			d.predHeard = p.Now()
+		}
 		beat, _ := m.Payload.([]dsys.ProcessID)
 		selfMarked := false
 		for _, q := range beat {
@@ -308,8 +334,12 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 			// A falsely suspected process resurfaced: retract, back off
 			// its timeout, and re-evaluate whom to monitor.
 			d.susp.Remove(m.From)
+			d.beat = nil
 			d.falseSusp++
-			d.timeout[m.From] += d.opt.TimeoutIncrement
+			if d.backoff == nil {
+				d.backoff = make(map[dsys.ProcessID]time.Duration)
+			}
+			d.backoff[m.From] += d.opt.TimeoutIncrement
 			if np := d.nearestPred(); np != d.pred {
 				d.setPred(p, np)
 			}
@@ -321,18 +351,26 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 			// timed out on ourselves, and a predecessor that has not yet
 			// learned of their crashes (the information must travel the
 			// whole ring) must not be able to erase them.
-			newSusp := fd.Set{}
+			adopted := d.adopted[:0]
 			for _, q := range beat {
 				// q == d.pred also filters the sender's own deferral
 				// mark, which is a leadership hint, not a suspicion.
 				if q != d.self && q != d.pred {
-					newSusp.Add(q)
+					adopted = append(adopted, q)
 				}
 			}
 			for q := d.next(d.pred); q != d.self; q = d.next(q) {
-				newSusp.Add(q)
+				adopted = append(adopted, q)
 			}
-			d.susp = newSusp
+			slices.Sort(adopted)
+			adopted = slices.Compact(adopted)
+			d.adopted = adopted
+			// Almost every beat repeats the list already held; only one
+			// that differs is worth building a set from.
+			if !slices.Equal(adopted, d.beatLocked().([]dsys.ProcessID)) {
+				d.susp = fd.NewSet(adopted...)
+				d.beat = nil
+			}
 			d.rewatched = false
 		}
 	}
@@ -355,17 +393,18 @@ func (d *Detector) checkStep(p dsys.Proc) {
 		}
 		return
 	}
-	if now-d.lastHeard[d.pred] > d.timeout[d.pred] {
+	if now-d.predHeard > d.opt.InitialTimeout+d.backoff[d.pred] {
 		if !d.rewatched {
 			// The predecessor may simply not know we are listening
 			// (e.g. it still heartbeats a process we already gave up
 			// on). Ask once more before suspecting it.
 			d.rewatched = true
-			d.lastHeard[d.pred] = now
+			d.predHeard = now
 			d.lastWatch = now
 			p.Send(d.pred, KindWatch, nil)
 		} else {
 			d.susp.Add(d.pred)
+			d.beat = nil
 			d.setPred(p, d.nearestPred())
 		}
 	} else if d.pred != d.prev(d.self) && now-d.lastWatch >= d.opt.WatchRenew {

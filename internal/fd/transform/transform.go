@@ -29,6 +29,7 @@
 package transform
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -79,17 +80,38 @@ func (o *Options) fill() {
 	}
 }
 
+// peer is the leader's view of one monitored process.
+type peer struct {
+	lastAlive time.Duration // last I-AM-ALIVE seen
+	timeout   time.Duration // Δp(q)
+}
+
 // Detector is the ◇P module produced by the transformation at one process.
+//
+// Its memory follows its role. Tasks 3 and 4 are the leader's, so the per-peer
+// table they work on exists only at a process that has been leader: a
+// follower holds its adopted list, a few scalars and nothing that grows with
+// n. Until the table exists every peer has the values Start used to write
+// for it — last heard at start, timeout InitialTimeout — and that default is
+// exact, not approximate: Task 3 reads lastAlive only through
+// max(lastAlive, leaderSince), so nothing a process hears before its first
+// stint as leader can outlive the leaderSince that stint sets.
 type Detector struct {
 	opt   Options
 	self  dsys.ProcessID
 	n     int
 	under fd.LeaderOracle
 
-	mu        sync.Mutex
-	list      fd.Set // output suspect list
-	lastAlive map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
+	mu   sync.Mutex
+	list fd.Set // output suspect list
+	// listMsg is list as the payload the leader sends, an immutable
+	// []dsys.ProcessID: built and boxed once per change of list, then shared
+	// by every message of every period until the next change. nil when
+	// stale.
+	listMsg any
+	// peers is indexed by process id (entry 0 and the own entry unused); nil
+	// until this process first finds itself leader, see ensurePeers.
+	peers []peer
 	// leaderSince is when this process last became leader in its own view;
 	// it bounds the freshness reference for Task 3 so stale lastAlive
 	// values from a previous leadership stint do not cause instant
@@ -106,27 +128,12 @@ var _ fd.Suspector = (*Detector)(nil)
 // process from under (a ◇C or Ω detector).
 func Start(p dsys.Proc, under fd.LeaderOracle, opt Options) *Detector {
 	opt.fill()
-	d := &Detector{
-		opt:       opt,
-		self:      p.ID(),
-		n:         p.N(),
-		under:     under,
-		list:      fd.Set{},
-		lastAlive: make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:   make(map[dsys.ProcessID]time.Duration, p.N()),
-	}
-	now := p.Now()
-	for _, q := range p.All() {
-		if q != d.self {
-			d.lastAlive[q] = now
-			d.timeout[q] = opt.InitialTimeout
-		}
-	}
+	d := &Detector{opt: opt, self: p.ID(), n: p.N(), under: under}
 	if opt.Piggyback != nil {
 		opt.Piggyback.SetBeaconPayload(func() any {
 			d.mu.Lock()
 			defer d.mu.Unlock()
-			return d.list.Members()
+			return d.listMsgLocked()
 		})
 		opt.Piggyback.OnBeacon(func(from dsys.ProcessID, payload any) {
 			if list, ok := payload.([]dsys.ProcessID); ok {
@@ -179,6 +186,28 @@ func (d *Detector) Adoptions() int {
 	return d.adoptions
 }
 
+// listMsgLocked returns the current suspect list as a message payload, a
+// []dsys.ProcessID the receivers share and nobody modifies. Callers hold
+// d.mu.
+func (d *Detector) listMsgLocked() any {
+	if d.listMsg == nil {
+		d.listMsg = d.list.Members()
+	}
+	return d.listMsg
+}
+
+// ensurePeers allocates the leader's per-peer table with the defaults every
+// peer has had so far. Callers hold d.mu.
+func (d *Detector) ensurePeers() {
+	if d.peers != nil {
+		return
+	}
+	d.peers = make([]peer, d.n+1)
+	for q := range d.peers {
+		d.peers[q].timeout = d.opt.InitialTimeout
+	}
+}
+
 // isLeader reports whether this process currently considers itself leader,
 // tracking leadership transitions for Task 3's freshness reference.
 func (d *Detector) isLeader(now time.Duration) bool {
@@ -187,6 +216,7 @@ func (d *Detector) isLeader(now time.Duration) bool {
 	defer d.mu.Unlock()
 	if leader && !d.wasLeader {
 		d.leaderSince = now
+		d.ensurePeers()
 	}
 	d.wasLeader = leader
 	return leader
@@ -199,7 +229,7 @@ func (d *Detector) task1Step(p dsys.Proc) {
 		return
 	}
 	d.mu.Lock()
-	list := d.list.Members()
+	list := d.listMsgLocked()
 	d.mu.Unlock()
 	for _, q := range p.All() {
 		if q != d.self {
@@ -226,14 +256,12 @@ func (d *Detector) task3Step(p dsys.Proc) {
 		if q == d.self || d.list.Has(q) {
 			continue
 		}
-		ref := d.lastAlive[q]
-		if d.leaderSince > ref {
-			ref = d.leaderSince
-		}
-		if now-ref > d.timeout[q] {
+		ref := max(d.peers[q].lastAlive, d.leaderSince)
+		if now-ref > d.peers[q].timeout {
 			// Task 3: no I-AM-ALIVE within Δp(q); suspect q. The leader
 			// never suspects itself.
 			d.list.Add(q)
+			d.listMsg = nil
 		}
 	}
 	d.mu.Unlock()
@@ -242,14 +270,20 @@ func (d *Detector) task3Step(p dsys.Proc) {
 // task4Step retracts a suspicion when an I-AM-ALIVE arrives (Task 4).
 func (d *Detector) task4Step(p dsys.Proc, m *dsys.Message) {
 	d.mu.Lock()
-	d.lastAlive[m.From] = p.Now()
 	if d.list.Has(m.From) {
 		// Task 4: the suspicion was a mistake; retract it and back
 		// off so that q is suspected only a bounded number of times
-		// once the system is stable (proof of Theorem 1).
+		// once the system is stable (proof of Theorem 1). A follower whose
+		// adopted list names the sender gets here too; its back-off must
+		// survive until it leads, so it takes a table now.
+		d.ensurePeers()
 		d.list.Remove(m.From)
+		d.listMsg = nil
 		d.falseSusp++
-		d.timeout[m.From] += d.opt.TimeoutIncrement
+		d.peers[m.From].timeout += d.opt.TimeoutIncrement
+	}
+	if d.peers != nil {
+		d.peers[m.From].lastAlive = p.Now()
 	}
 	d.mu.Unlock()
 }
@@ -265,6 +299,11 @@ func (d *Detector) adopt(p dsys.Proc, from dsys.ProcessID, list []dsys.ProcessID
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.list = fd.NewSet(list...)
+	// The leader repeats an unchanged list every period; only a list that
+	// differs from the one held is worth building a set from.
+	if !slices.Equal(list, d.listMsgLocked().([]dsys.ProcessID)) {
+		d.list = fd.NewSet(list...)
+		d.listMsg = nil
+	}
 	d.adoptions++
 }

@@ -37,6 +37,14 @@ import (
 // (at, seq) total order applies unchanged, so pop order — and with it every
 // experiment table — is bit-identical to the binary heap's
 // (TestWheelMatchesHeapPopOrder proves this on randomized workloads).
+//
+// Memory: a slot owns a backing array only while it holds events. A drained
+// level-0 slot hands its array to the due set, which sorts and serves it in
+// place; the due set's exhausted array and a cascaded slot's go to bufPool,
+// and place draws from there when a slot takes its first event or outgrows
+// its array. The arrays therefore number what the pending events need at
+// their peak — not one per slot, each as large as the biggest burst that ever
+// crossed it (TestWheelCapacityTracksPending).
 type eventQueue struct {
 	// cur holds the due events: every pending event with at < curEnd.
 	cur    dueSet
@@ -53,10 +61,7 @@ type eventQueue struct {
 	// overflow holds events beyond the top level's horizon, heap-ordered.
 	overflow eventHeap
 	size     int
-	// arena carves the initial backing arrays of slots in chunks, so a run
-	// touching a few hundred slots pays a handful of allocations instead of
-	// one per slot (slots keep their arrays across rotations afterwards).
-	arena []event
+	pool     bufPool
 }
 
 const (
@@ -93,18 +98,68 @@ type wheelLevel struct {
 
 func (q *eventQueue) Len() int { return q.size }
 
-// slotCap is the initial capacity carved for a slot's backing array; slots
-// that collect more events in one rotation grow out of the arena normally
-// and keep the grown array.
+// slotCap is the capacity of the smallest slot array, size class 0; class c
+// holds slotCap<<c events.
 const slotCap = 4
 
-func (q *eventQueue) newSlot() []event {
-	if len(q.arena) < slotCap {
-		q.arena = make([]event, 64*slotCap)
+// bufPool holds the event arrays no slot or due set is using, by size class.
+// Invariant: every pooled array is empty, holds only zero events (no message,
+// task or closure pointer outlives its firing there) and has exactly its
+// class's capacity. An array of class c is allocated only when none is free,
+// so per class they number at most the peak simultaneous demand, and since a
+// slot moves up one class only when full, the classes below a slot's array
+// add at most its own capacity again.
+type bufPool struct {
+	free [bufClasses][][]event
+	// arena carves class-0 arrays in chunks, so a run touching a few hundred
+	// slots at once pays a handful of allocations instead of one per slot.
+	arena []event
+}
+
+// bufClasses bounds the size classes; the largest holds slotCap<<31 events.
+const bufClasses = 32
+
+// get returns an empty array of class c.
+func (p *bufPool) get(c int) []event {
+	if f := p.free[c]; len(f) > 0 {
+		buf := f[len(f)-1]
+		f[len(f)-1] = nil
+		p.free[c] = f[:len(f)-1]
+		return buf
 	}
-	s := q.arena[:0:slotCap]
-	q.arena = q.arena[slotCap:]
-	return s
+	if c > 0 {
+		return make([]event, 0, slotCap<<c)
+	}
+	if len(p.arena) < slotCap {
+		p.arena = make([]event, 64*slotCap)
+	}
+	buf := p.arena[:0:slotCap]
+	p.arena = p.arena[slotCap:]
+	return buf
+}
+
+// put takes back an array whose events have been copied elsewhere or served.
+// It zeroes es[:len(es)]; a caller that knows its array already holds only
+// zero events (the due set: pop clears each entry) passes it re-sliced to
+// length 0 and pays nothing.
+func (p *bufPool) put(es []event) {
+	if cap(es) == 0 {
+		return
+	}
+	clear(es)
+	c := bits.Len(uint(cap(es)/slotCap)) - 1
+	p.free[c] = append(p.free[c], es[:0])
+}
+
+// grown returns the array to continue a full slot in: one class up, holding
+// the slot's events, with the outgrown array back in the pool.
+func (p *bufPool) grown(es []event) []event {
+	if cap(es) == 0 {
+		return p.get(0)
+	}
+	buf := append(p.get(bits.Len(uint(cap(es)/slotCap))), es...)
+	p.put(es)
+	return buf
 }
 
 // push files e by (at, seq); O(1) except for amortized slice growth.
@@ -128,8 +183,8 @@ func (q *eventQueue) place(e event) {
 		// Same level-1 parent slot as the frontier: level 0 reaches it.
 		slot := tick & wheelL0Mask
 		s := &q.slots0[slot]
-		if cap(*s) == 0 {
-			*s = q.newSlot()
+		if len(*s) == cap(*s) {
+			*s = q.pool.grown(*s)
 		}
 		*s = append(*s, e)
 		q.occ0[slot>>6] |= 1 << uint(slot&63)
@@ -142,21 +197,11 @@ func (q *eventQueue) place(e event) {
 	}
 	slot := (tick >> levelShift(li)) & wheelSlotMask
 	s := &q.levels[li].slots[slot]
-	if cap(*s) == 0 {
-		*s = q.newSlot()
+	if len(*s) == cap(*s) {
+		*s = q.pool.grown(*s)
 	}
 	*s = append(*s, e)
 	q.levels[li].occupied |= 1 << uint(slot)
-}
-
-// recycle zeroes a consumed slot slice so no message, task or closure
-// pointer is retained past its firing, and returns the empty slice for the
-// slot's next rotation.
-func recycle(es []event) []event {
-	for j := range es {
-		es[j] = event{}
-	}
-	return es[:0]
 }
 
 // next0 returns the tick of the first occupied level-0 slot at or after the
@@ -177,8 +222,8 @@ func (q *eventQueue) next0() int64 {
 	return -1
 }
 
-// drainSlot0 moves the events of the level-0 slot at tick s into cur and
-// advances the frontier past it.
+// drainSlot0 makes the events of the level-0 slot at tick s the due set,
+// array and all, and advances the frontier past it.
 func (q *eventQueue) drainSlot0(s int64) {
 	q.frontier = s + 1
 	q.curEnd = time.Duration(q.frontier << wheelTickBits)
@@ -187,7 +232,6 @@ func (q *eventQueue) drainSlot0(s int64) {
 	q.slots0[slot] = nil
 	q.occ0[slot>>6] &^= 1 << uint(slot&63)
 	q.cur.fill(es)
-	q.slots0[slot] = recycle(es)
 }
 
 // dueSet is cur's implementation: the due events of the level-0 slot being
@@ -200,7 +244,8 @@ func (q *eventQueue) drainSlot0(s int64) {
 // spill heap and merges in by the same total order, so pop order is
 // bit-identical to the old heap's.
 type dueSet struct {
-	// run is the sorted slot content; run[head:] is the unserved remainder.
+	// run is the sorted slot content, in the array the slot collected it in;
+	// run[head:] is the unserved remainder and run[:head] is zeroed.
 	run  []event
 	head int
 	// spill holds events pushed below curEnd after fill, heap-ordered.
@@ -212,11 +257,10 @@ func (d *dueSet) Len() int { return len(d.run) - d.head + d.spill.Len() }
 // push files an event that became due mid-drain.
 func (d *dueSet) push(e event) { d.spill.push(e) }
 
-// fill replaces the exhausted due set with one level-0 slot's events, sorted
-// into (at, seq) order. Only valid when Len() == 0 (advance's precondition).
+// fill makes one level-0 slot's array the due set, sorting it in place into
+// (at, seq) order. Only valid after release (advance's first step).
 func (d *dueSet) fill(es []event) {
-	d.run = append(d.run[:0], es...)
-	d.head = 0
+	d.run = es
 	for i := 1; i < len(d.run); i++ {
 		e := d.run[i]
 		j := i - 1
@@ -226,6 +270,14 @@ func (d *dueSet) fill(es []event) {
 		}
 		d.run[j+1] = e
 	}
+}
+
+// release gives up the exhausted run's array; pop has zeroed every entry of
+// it. Only valid when Len() == 0.
+func (d *dueSet) release() []event {
+	es := d.run[:0]
+	d.run, d.head = nil, 0
+	return es
 }
 
 // eventAfter reports whether a fires strictly after b in (at, seq) order.
@@ -291,6 +343,9 @@ func (q *eventQueue) overflowBeyondWindow() bool {
 // advance moves the frontier to the next pending event and fills cur with
 // its level-0 slot. It must only be called when cur is empty and size > 0.
 func (q *eventQueue) advance() {
+	// The served array goes back first, so a cascade or a burst placed while
+	// the next slot is found can already reuse it.
+	q.pool.put(q.cur.release())
 	// Fast path: with the overflow heap out of reach and no upper-level slot
 	// straddling the frontier, an occupied level-0 slot is always the
 	// earliest candidate — every occupied slot of an upper level then lies
@@ -372,7 +427,7 @@ func (q *eventQueue) advance() {
 			for _, e := range es {
 				q.place(e)
 			}
-			lv.slots[slot] = recycle(es)
+			q.pool.put(es)
 			continue
 		}
 		// A level-0 slot: its events become the due set.

@@ -5,6 +5,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -126,8 +127,12 @@ type Collector struct {
 	winFrom, winTo atomic.Int64 // time.Duration nanoseconds
 	sentWin        counters
 
-	mu      sync.Mutex // guards the logs below
-	events  []MsgEvent
+	mu sync.Mutex // guards the logs below
+	// events is the message log in chunks of eventChunk entries, all full
+	// but the last: a log of millions of sends costs one allocation per
+	// chunk and never recopies what it already holds, where one flat slice
+	// doubled and recopied its way up.
+	events  [][]MsgEvent
 	crashes map[dsys.ProcessID]time.Duration
 	linkLog []LinkEvent
 	timings []Timing
@@ -166,6 +171,25 @@ type LinkEvent struct {
 	To    dsys.ProcessID
 }
 
+// eventChunk is the length of a message-log chunk (256 KiB of MsgEvents).
+const eventChunk = 4096
+
+// logEvent appends e to the message log. Callers hold c.mu.
+func (c *Collector) logEvent(e MsgEvent) {
+	n := len(c.events)
+	if n == 0 || len(c.events[n-1]) == eventChunk {
+		// The first chunk grows from nothing, so the many short runs pay for
+		// what they log; a log that fills it gets whole chunks from then on.
+		var chunk []MsgEvent
+		if n > 0 {
+			chunk = make([]MsgEvent, 0, eventChunk)
+		}
+		c.events = append(c.events, chunk)
+		n++
+	}
+	c.events[n-1] = append(c.events[n-1], e)
+}
+
 // NewCollector returns a Collector that logs full message events.
 func NewCollector() *Collector {
 	return &Collector{LogMessages: true}
@@ -188,7 +212,7 @@ func (c *Collector) OnSend(m *dsys.Message, dropped bool) {
 	}
 	if c.LogMessages {
 		c.mu.Lock()
-		c.events = append(c.events, MsgEvent{At: m.SentAt, From: m.From, To: m.To, Kind: m.Kind, Payload: m.Payload, Dropped: dropped})
+		c.logEvent(MsgEvent{At: m.SentAt, From: m.From, To: m.To, Kind: m.Kind, Payload: m.Payload, Dropped: dropped})
 		c.mu.Unlock()
 	}
 }
@@ -327,9 +351,7 @@ func (c *Collector) Kinds() []string {
 func (c *Collector) Events() []MsgEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]MsgEvent, len(c.events))
-	copy(out, c.events)
-	return out
+	return slices.Concat(c.events...)
 }
 
 // SentBetween counts messages sent in [from, to) matched by kinds (all kinds
@@ -342,9 +364,11 @@ func (c *Collector) SentBetween(from, to time.Duration, kinds ...string) int {
 		want[k] = true
 	}
 	n := 0
-	for _, e := range c.events {
-		if e.At >= from && e.At < to && (len(want) == 0 || want[e.Kind]) {
-			n++
+	for _, chunk := range c.events {
+		for _, e := range chunk {
+			if e.At >= from && e.At < to && (len(want) == 0 || want[e.Kind]) {
+				n++
+			}
 		}
 	}
 	return n

@@ -112,6 +112,41 @@ func TestEventsReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestEventLogAcrossChunks logs past several chunk boundaries and checks that
+// the chunked log reads back exactly as one flat log would: every entry, in
+// send order, with windows counted across the seams.
+func TestEventLogAcrossChunks(t *testing.T) {
+	const total = 3*4096 + 17 // the chunk length is 4096
+	c := trace.NewCollector()
+	for i := 0; i < total; i++ {
+		kind := "even"
+		if i%2 == 1 {
+			kind = "odd"
+		}
+		c.OnSend(msg(dsys.ProcessID(1+i%3), 2, kind, time.Duration(i)), i%5 == 0)
+	}
+	evs := c.Events()
+	if len(evs) != total {
+		t.Fatalf("Events() has %d entries, want %d", len(evs), total)
+	}
+	for i, e := range evs {
+		if e.At != time.Duration(i) || e.From != dsys.ProcessID(1+i%3) || e.Dropped != (i%5 == 0) {
+			t.Fatalf("entry %d out of place: %+v", i, e)
+		}
+	}
+	// A window straddling the first two seams.
+	from, to := time.Duration(4000), time.Duration(8300)
+	if got := c.SentBetween(from, to); got != 4300 {
+		t.Errorf("SentBetween across chunks = %d, want 4300", got)
+	}
+	if got := c.SentBetween(from, to, "odd"); got != 2150 {
+		t.Errorf("SentBetween(odd) across chunks = %d, want 2150", got)
+	}
+	if c.Sent("even")+c.Sent("odd") != total {
+		t.Errorf("counters lost sends: %d + %d", c.Sent("even"), c.Sent("odd"))
+	}
+}
+
 func TestLinkEvents(t *testing.T) {
 	c := trace.NewCollector()
 	c.OnLink("tcp.dial", 0, 2, 5*time.Millisecond)
