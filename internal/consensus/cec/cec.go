@@ -29,6 +29,13 @@
 // estimates, nacking late non-null propositions, and deciding on R-delivery)
 // are folded into a single deterministic message dispatcher; behaviour is
 // identical because the tasks in the paper only react to received messages.
+// R-delivery reaches the dispatcher as a message too: the delivery handler
+// self-sends the decision as a KindDecided, so the Propose call waiting in
+// any phase wakes and returns at its R-delivery instant. A coordinator that
+// R-broadcast the decision waits for exactly that (its own copy is local,
+// Validity guarantees it) instead of opening another round. Options.Poll is
+// therefore only the interval at which waits re-read the detector and, after
+// ProbeAfter idle polls, repair message loss; no fault-free step waits on it.
 //
 // With a stable detector (every correct process permanently trusts the same
 // correct leader) the algorithm decides in a single round — the property
@@ -53,9 +60,11 @@ const (
 	// KindProbe is a catch-up probe broadcast by a process whose wait has
 	// been idle for a while; decided processes answer it (and any other
 	// instance message) with KindDecided. The paper's model has reliable
-	// links, under which neither kind is ever needed (the reliable
+	// links, under which neither kind ever crosses the network (the reliable
 	// broadcast of the decision reaches everyone); they make the algorithm
-	// recover from message loss, e.g. transient partitions.
+	// recover from message loss, e.g. transient partitions. A process also
+	// sends itself a KindDecided when it R-delivers the decision: that
+	// self-addressed copy is how the delivery reaches its waiting Propose.
 	KindProbe   = "cec.probe"
 	KindDecided = "cec.decided"
 )
@@ -94,7 +103,6 @@ type state struct {
 	idlePolls  int    // consecutive empty pump cycles, for catch-up probing
 	resend     func() // re-sends the current phase's messages on long idle
 	matchAll   dsys.MatchFunc
-	decidedCh  chan consensus.Result // buffered(1); filled by the R-deliver handler
 	decided    *consensus.Result
 	stats      Stats
 }
@@ -130,7 +138,6 @@ func propose(p dsys.Proc, d fd.EventuallyConsistent, rb *rbcast.Module, v any, o
 		propEstOf: make(map[int]any),
 		ackedOf:   make(map[int]dsys.ProcessID),
 		matchAll:  consensus.Match("cec.", opt.Instance),
-		decidedCh: make(chan consensus.Result, 1),
 	}
 	cancel := rb.OnDeliver(st.onRDeliver)
 	defer cancel()
@@ -154,13 +161,16 @@ func propose(p dsys.Proc, d fd.EventuallyConsistent, rb *rbcast.Module, v any, o
 
 // spawnResponder starts the post-decision catch-up task.
 func (st *state) spawnResponder(p dsys.Proc) {
+	// The responder lives as long as the process: it copies what it needs so
+	// that the instance's round stores are not kept alive with it.
 	dec := *st.decided
-	inst := st.opt.Instance
+	inst, self, matchAll := st.opt.Instance, st.self, st.matchAll
 	match := dsys.MatchFunc(func(m *dsys.Message) bool {
-		if m.Kind == KindDecided || !st.matchAll(m) {
-			return false // never answer another responder
-		}
-		return true
+		// Never answer another responder. Our own KindDecided is the
+		// R-delivery wake-up of a Propose that had already decided another
+		// way; it is taken (and dropped below) so it does not sit in the
+		// mailbox forever.
+		return matchAll(m) && (m.Kind != KindDecided || m.From == self)
 	})
 	p.Spawn("cec-responder", func(p dsys.Proc) {
 		for {
@@ -177,28 +187,20 @@ func (st *state) spawnResponder(p dsys.Proc) {
 }
 
 // onRDeliver is the third task of Fig. 4: upon R-delivering a decide
-// request, decide accordingly. It runs on the reliable-broadcast relay task.
+// request, decide accordingly. It runs on the reliable-broadcast relay task
+// and touches no state of the Propose task: it hands the decision over as a
+// self-addressed KindDecided, which never reaches a transport and which the
+// dispatcher treats like a decided peer's answer.
 func (st *state) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
 	dec, ok := payload.(consensus.Decide)
 	if !ok || dec.Inst != st.opt.Instance {
 		return
 	}
-	select {
-	case st.decidedCh <- consensus.Result{Value: dec.Value, Round: dec.Round, At: p.Now()}:
-	default: // already decided (uniform integrity: decide at most once)
-	}
+	p.Send(p.ID(), KindDecided, consensus.Msg{Inst: dec.Inst, Round: dec.Round, Est: dec.Value})
 }
 
-// checkDecided returns the decision if one has been R-delivered.
+// checkDecided returns the decision once the dispatcher has seen one.
 func (st *state) checkDecided() *consensus.Result {
-	if st.decided != nil {
-		return st.decided
-	}
-	select {
-	case res := <-st.decidedCh:
-		st.decided = &res
-	default:
-	}
 	if st.decided == nil && st.opt.PreDecided != nil {
 		if v, r, ok := st.opt.PreDecided(); ok {
 			st.decided = &consensus.Result{Value: v, Round: r, At: st.p.Now()}
@@ -325,9 +327,10 @@ func (st *state) dispatch(m *dsys.Message) {
 		}
 		st.nacks[r][m.From] = true
 	case KindDecided:
-		select {
-		case st.decidedCh <- consensus.Result{Value: env.Est, Round: r, At: st.p.Now()}:
-		default:
+		// Our own R-delivery or a decided peer's answer to a probe; the
+		// first one is the decision (uniform integrity: decide at most once).
+		if st.decided == nil {
+			st.decided = &consensus.Result{Value: env.Est, Round: r, At: st.p.Now()}
 		}
 	}
 }
@@ -480,6 +483,14 @@ func (st *state) runRound() {
 				Round: r,
 				Value: st.propEstOf[r],
 			})
+			// The broadcast's self-addressed copy is local, so our own
+			// R-delivery is certain and imminent: wait for it here. Opening
+			// round r+1 instead would announce a round for an instance that
+			// is already decided and draw an estimate and a KindDecided out
+			// of every peer.
+			for st.checkDecided() == nil {
+				st.pump()
+			}
 		}
 	}
 }

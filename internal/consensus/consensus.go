@@ -65,8 +65,10 @@ type Options struct {
 	Instance string
 	// Poll is the interval at which blocking waits re-examine detector
 	// output and local conditions (default 1ms). It bounds how quickly a
-	// process reacts to suspicions; message arrivals are reacted to
-	// immediately.
+	// process reacts to suspicions and, times ProbeAfter, how soon it
+	// repairs a lost message; message arrivals — the R-delivery of the
+	// decision included — are reacted to immediately, so no fault-free step
+	// waits for it.
 	Poll time.Duration
 	// RoundProbe, if set, is updated with this process's current round at
 	// every round start — instrumentation for experiment E6.

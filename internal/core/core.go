@@ -29,6 +29,14 @@
 // that learn a slot's outcome only from the decision broadcast (they were
 // busy elsewhere when the instance ran) fast-forward through it without
 // sending a message.
+//
+// The commit path is event-driven end to end: Submit wakes the replica's
+// driver task, a decision wakes it again, and between the two every step is
+// taken on a received message — there is no timer for a command to wait on.
+// A lone command at an idle replica therefore commits in consensus time: six
+// link delays at a follower (kick, announcement, estimate, proposition, ack,
+// decide), four at the leader. The timers that remain (consensus.Options.Poll,
+// ProbeAfter, TransferTimeout) only poll the detector and repair loss.
 package core
 
 import (
@@ -54,8 +62,11 @@ const (
 	KindFetch = "core.fetch"
 	// KindState answers a KindFetch with one chunk of decided entries.
 	KindState = "core.state"
-	// KindDone is the self-addressed wakeup an instance runner sends its
-	// replica's driver when a slot decides; it never crosses the network.
+	// KindDone is the self-addressed wake-up of the replica's driver task; it
+	// never crosses the network. Three senders, each right after changing
+	// something the driver acts on: the decide-broadcast handler and an
+	// instance runner (whichever of the two recorded the slot's decision),
+	// and Submit (a command arrived while nothing of ours was in flight).
 	KindDone = "core.done"
 )
 
@@ -107,7 +118,9 @@ type State struct {
 	Entries []StateEntry
 }
 
-// Config configures a Replica. The zero value is usable.
+// Config configures a Replica. The zero value is usable. Nothing here sets a
+// polling interval: the replica's driver blocks until a message gives it
+// something to do (see KindDone).
 type Config struct {
 	// Detector supplies the ◇C modules; if nil a ring detector is started
 	// with Ring options.
@@ -137,9 +150,6 @@ type Config struct {
 	// 1 disables pipelining: the next slot opens only after the previous
 	// applied, the pre-pipelining behaviour.
 	Pipeline int
-	// IdlePoll is how often an idle replica re-checks for work (default
-	// 2ms).
-	IdlePoll time.Duration
 	// SeqBase offsets the per-origin sequence counter: the first Submit
 	// gets Seq SeqBase+1. A process that can crash and restart (so the
 	// replica's counter restarts too) must pass a value unique to the
@@ -174,21 +184,24 @@ type Config struct {
 type Replica struct {
 	cfg  Config
 	self dsys.ProcessID
+	proc dsys.Proc // the handle StartReplica was given; Submit's wake-up goes out through it
 	det  fd.EventuallyConsistent
 	rb   *rbcast.Module
 
 	mu            sync.Mutex
 	pending       []Command // submitted, not yet applied own commands
 	pendHead      int       // first live index of pending (amortized pop)
+	submitWoke    bool      // a Submit's wake-up is sent and the driver has not drained it yet
 	nextSeq       int64
-	decided       map[string]consensus.Decide // instance name -> decision
-	decidedHigh   int                         // highest log slot seen decided
+	decided       map[int]decision // by log slot
+	decidedHigh   int              // highest log slot seen decided
 	applied       []AppliedEntry
 	appliedSeen   map[cmdKey]bool // (Origin, Seq) already applied
 	applyNext     int             // next slot to apply (first not-yet-applied)
 	nextOpen      int             // next slot this replica will open an instance for
 	inflightSlot  int             // slot the current own-batch proposal went to (0 = none)
 	inflight      []Command       // the commands of that proposal
+	running       map[int]bool    // slots whose instance runner has not returned yet
 	kicks         map[int]Batch   // announced batches by slot, applyNext..; pruned on apply
 	kickHigh      int             // highest announced slot seen
 	transferStall int             // frontier at the last failed state transfer
@@ -196,7 +209,13 @@ type Replica struct {
 	fetchKind     string          // KindFetch, namespaced by the instance
 	stateKind     string          // KindState, namespaced by the instance
 	doneKind      string          // KindDone, namespaced by the instance
-	instPrefix    string          // instance-name prefix of log slots, for decidedHigh
+	instPrefix    string          // instance-name prefix of log slots
+}
+
+// decision is what a log slot decided and in which round.
+type decision struct {
+	round int
+	value any
 }
 
 // cmdKey is the identity a command is deduplicated by (see Command).
@@ -242,9 +261,6 @@ func StartReplica(p dsys.Proc, cfg Config) *Replica {
 	if cfg.Pipeline <= 0 {
 		cfg.Pipeline = 4
 	}
-	if cfg.IdlePoll <= 0 {
-		cfg.IdlePoll = 2 * time.Millisecond
-	}
 	if cfg.TransferChunk <= 0 || cfg.TransferChunk > maxTransferChunk {
 		cfg.TransferChunk = 256
 	}
@@ -254,9 +270,11 @@ func StartReplica(p dsys.Proc, cfg Config) *Replica {
 	r := &Replica{
 		cfg:         cfg,
 		self:        p.ID(),
+		proc:        p,
 		det:         cfg.Detector,
-		decided:     make(map[string]consensus.Decide),
+		decided:     make(map[int]decision),
 		appliedSeen: make(map[cmdKey]bool),
+		running:     make(map[int]bool),
 		kicks:       make(map[int]Batch),
 		nextSeq:     cfg.SeqBase,
 		applyNext:   1,
@@ -297,20 +315,11 @@ func StartReplica(p dsys.Proc, cfg Config) *Replica {
 		if s == 0 {
 			return
 		}
-		r.mu.Lock()
-		_, dup := r.decided[dec.Inst]
-		if !dup {
-			r.decided[dec.Inst] = dec
-			if s > r.decidedHigh {
-				r.decidedHigh = s
-			}
-		}
-		r.mu.Unlock()
-		// Wake the driver so a parked decision is applied (and the window
-		// slides) without waiting out an idle poll. Self-sends are local on
-		// every runtime (zero link delay, no transport).
-		if !dup {
-			dp.Send(dp.ID(), r.doneKind, s)
+		// Wake the driver so the decision is applied (and the window slides)
+		// now. Self-sends are local on every runtime (zero link delay, no
+		// transport).
+		if r.recordDecision(s, dec.Round, dec.Value) {
+			dp.Send(dp.ID(), r.doneKind, nil)
 		}
 	})
 	p.Spawn("core-log", r.logTask)
@@ -336,7 +345,12 @@ func (r *Replica) caughtUp() bool {
 //   - For slots already decided here it answers any late message with the
 //     decision, centralising what cec's per-instance responder would do —
 //     one everlasting task per slot would wake on every message arrival and
-//     make throughput decay with the log length (Options.NoResponder).
+//     make throughput decay with the log length (Options.NoResponder). It
+//     stands back while the slot's own runner is still inside Propose: that
+//     runner is waiting for the self-addressed KindDecided of its
+//     R-delivery, and taking it from under the runner would leave it parked
+//     until its next poll. Whatever the runner leaves behind is swept up
+//     here once it has returned.
 //   - For slots beyond this replica's pipeline window it mirrors the
 //     reactive tasks of the paper's Fig. 4 (null estimates to coordinators,
 //     nacks to non-null propositions). Without that, a replica replaying its
@@ -362,10 +376,11 @@ func (r *Replica) responderTask(p dsys.Proc) {
 			return false
 		}
 		r.mu.Lock()
-		_, dec := r.decided[env.Inst]
+		_, dec := r.decided[s]
 		ahead := s > r.applyNext+r.cfg.Pipeline
+		running := r.running[s]
 		r.mu.Unlock()
-		return dec || ahead
+		return dec && !running || ahead
 	})
 	for {
 		m, ok := p.Recv(match)
@@ -376,14 +391,15 @@ func (r *Replica) responderTask(p dsys.Proc) {
 			continue
 		}
 		env := m.Payload.(consensus.Msg)
+		s := r.slotOf(env.Inst)
 		r.mu.Lock()
-		dec, isDec := r.decided[env.Inst]
+		dec, isDec := r.decided[s]
 		r.mu.Unlock()
 		switch {
 		case isDec:
 			// Never answer a KindDecided (another responder) — it would loop.
 			if m.Kind != cec.KindDecided {
-				p.Send(m.From, cec.KindDecided, consensus.Msg{Inst: env.Inst, Round: dec.Round, Est: dec.Value})
+				p.Send(m.From, cec.KindDecided, consensus.Msg{Inst: env.Inst, Round: dec.round, Est: dec.value})
 			}
 		case m.Kind == cec.KindCoord:
 			// A coordinator announcement: answer with a null estimate so its
@@ -431,15 +447,15 @@ func (r *Replica) stateServerTask(p dsys.Proc) {
 		r.mu.Lock()
 		resp.High = r.decidedHigh
 		for s := req.From; s > 0 && s <= r.decidedHigh && len(resp.Entries) < limit; s++ {
-			dec, ok := r.decided[r.instance(s)]
+			dec, ok := r.decided[s]
 			if !ok {
 				break
 			}
-			b, isBatch := dec.Value.(Batch)
+			b, isBatch := dec.value.(Batch)
 			if !isBatch {
 				break
 			}
-			resp.Entries = append(resp.Entries, StateEntry{Slot: s, Round: dec.Round, Batch: b})
+			resp.Entries = append(resp.Entries, StateEntry{Slot: s, Round: dec.round, Batch: b})
 		}
 		r.mu.Unlock()
 		p.Send(m.From, r.stateKind, resp)
@@ -455,11 +471,10 @@ func (r *Replica) installState(st State) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range st.Entries {
-		inst := r.instance(e.Slot)
-		if _, dup := r.decided[inst]; dup {
+		if _, dup := r.decided[e.Slot]; dup {
 			continue
 		}
-		r.decided[inst] = consensus.Decide{Inst: inst, Round: e.Round, Value: e.Batch}
+		r.decided[e.Slot] = decision{e.Round, e.Batch}
 		if e.Slot > r.decidedHigh {
 			r.decidedHigh = e.Slot
 		}
@@ -478,7 +493,7 @@ func (r *Replica) nextGap(from int) (int, int) {
 	defer r.mu.Unlock()
 	s := from
 	for s <= r.decidedHigh {
-		if _, ok := r.decided[r.instance(s)]; !ok {
+		if _, ok := r.decided[s]; !ok {
 			break
 		}
 		s++
@@ -543,14 +558,29 @@ func (r *Replica) stateTransfer(p dsys.Proc, slot int) bool {
 func (r *Replica) Detector() fd.EventuallyConsistent { return r.det }
 
 // Submit enqueues a command payload for ordering and returns its identity.
-// It may be called from any task or goroutine of the replica's process and
-// returns immediately; the command is applied everywhere once ordered.
+// It may be called from any goroutine (live runtime) or from any task or
+// kernel callback (simulator) and returns immediately; the command is applied
+// everywhere once ordered. On a crashed or stopped process it is a no-op
+// beyond the buffer append.
+//
+// Submit wakes the driver itself: when no own chunk is in flight and no
+// earlier Submit's wake-up is still outstanding it self-sends one KindDone.
+// Otherwise it is a plain append — the driver re-reads the buffer when the
+// in-flight chunk applies, or when it drains the outstanding wake-up, and
+// both happen after this append (all under mu), so no command is left behind.
 func (r *Replica) Submit(payload any) Command {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.nextSeq++
 	cmd := Command{Origin: r.self, Seq: r.nextSeq, Payload: payload}
 	r.pending = append(r.pending, cmd)
+	wake := r.inflightSlot == 0 && !r.submitWoke
+	if wake {
+		r.submitWoke = true
+	}
+	r.mu.Unlock()
+	if wake {
+		r.proc.Send(r.self, r.doneKind, nil)
+	}
 	return cmd
 }
 
@@ -608,10 +638,26 @@ func (r *Replica) slotOf(inst string) int {
 func (r *Replica) lookupDecided(slot int) (any, int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if dec, ok := r.decided[r.instance(slot)]; ok {
-		return dec.Value, dec.Round, true
+	if dec, ok := r.decided[slot]; ok {
+		return dec.value, dec.round, true
 	}
 	return nil, 0, false
+}
+
+// recordDecision stores slot's decision unless one is already held, and
+// reports whether it was new. Decisions are facts: whichever source delivers
+// one first (decide broadcast, probe answer, state chunk) is as good as any.
+func (r *Replica) recordDecision(slot, round int, value any) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.decided[slot]; dup {
+		return false
+	}
+	r.decided[slot] = decision{round, value}
+	if slot > r.decidedHigh {
+		r.decidedHigh = slot
+	}
+	return true
 }
 
 // noteKick records a slot announcement: the batch (so an idle replica can
@@ -705,12 +751,12 @@ func (r *Replica) dropPendingLocked(seq int64) {
 func (r *Replica) drainApplies() {
 	r.mu.Lock()
 	for {
-		dec, ok := r.decided[r.instance(r.applyNext)]
+		dec, ok := r.decided[r.applyNext]
 		if !ok {
 			break
 		}
 		slot := r.applyNext
-		batch, _ := dec.Value.(Batch)
+		batch, _ := dec.value.(Batch)
 		for _, cmd := range batch.Cmds {
 			// Apply each (Origin, Seq) at most once. The same command can be
 			// decided in two slots: a replica idle at slot j that received a
@@ -771,7 +817,7 @@ func (r *Replica) openNext(p dsys.Proc) bool {
 		r.mu.Unlock()
 		return false // window full: wait for applyNext to advance
 	}
-	if _, ok := r.decided[r.instance(s)]; ok {
+	if _, ok := r.decided[s]; ok {
 		// Already decided (out-of-order arrival or installed state): no
 		// instance to run — drainApplies will consume it once contiguous.
 		r.nextOpen = s + 1
@@ -803,6 +849,7 @@ func (r *Replica) openNext(p dsys.Proc) bool {
 	// Anything closer is ordinary in-flight pipelining, not lag.
 	behind := r.decidedHigh >= s+pipe || r.kickHigh >= s+pipe
 	r.nextOpen = s + 1
+	r.running[s] = true
 	r.mu.Unlock()
 
 	if own {
@@ -842,18 +889,17 @@ func (r *Replica) runInstance(p dsys.Proc, slot int, prop Batch, behind bool) {
 	opt.NoResponder = true
 	res := cec.Propose(p, r.det, r.rb, prop, opt)
 
+	// Propose may have learned the decision from a probe answer rather than
+	// the decide broadcast: record it so the responderTask can serve this
+	// slot, and wake the driver to apply it. When the broadcast got here
+	// first its handler has done both already.
+	fresh := r.recordDecision(slot, res.Round, res.Value)
 	r.mu.Lock()
-	// Record the decision (Propose may have learned it from a probe answer
-	// rather than the decide broadcast) so the responderTask can serve this
-	// slot and decidedHigh reflects our own frontier.
-	if _, dup := r.decided[opt.Instance]; !dup {
-		r.decided[opt.Instance] = consensus.Decide{Inst: opt.Instance, Round: res.Round, Value: res.Value}
-	}
-	if slot > r.decidedHigh {
-		r.decidedHigh = slot
-	}
+	delete(r.running, slot)
 	r.mu.Unlock()
-	p.Send(p.ID(), r.doneKind, slot) // wake the driver to apply + refill
+	if fresh {
+		p.Send(p.ID(), r.doneKind, nil)
+	}
 }
 
 // logTask is the replica's driver: it drains announcements, keeps the
@@ -893,6 +939,11 @@ func (r *Replica) logTask(p dsys.Proc) {
 				break
 			}
 		}
+		// Every wake-up sent so far is drained, and the buffer is read below:
+		// from here on a Submit must send a new one.
+		r.mu.Lock()
+		r.submitWoke = false
+		r.mu.Unlock()
 
 		// Batch catch-up: when the decided frontier is well past our first
 		// gap (we restarted, or missed decisions while partitioned away),
@@ -929,16 +980,19 @@ func (r *Replica) logTask(p dsys.Proc) {
 		for r.openNext(p) {
 		}
 
-		// Wait for a reason to do more: a slot announcement, a state chunk,
-		// or a runner/broadcast wakeup; re-check pending via the idle poll
-		// (Submit is a plain buffer append from any task or goroutine).
-		if m, ok := p.RecvTimeout(matchWake, r.cfg.IdlePoll); ok {
-			switch m.Kind {
-			case kk:
-				r.noteKick(m.Payload.(Kick))
-			case sk:
-				r.installState(m.Payload.(State))
-			}
+		// Wait for a reason to do more. Everything re-checked above changes
+		// only on one of these: a slot announcement, a state chunk, or a
+		// KindDone from whoever recorded a decision or submitted a command.
+		// There is no timer here — a stall would be a missing wake-up.
+		m, ok := p.Recv(matchWake)
+		if !ok {
+			return
+		}
+		switch m.Kind {
+		case kk:
+			r.noteKick(m.Payload.(Kick))
+		case sk:
+			r.installState(m.Payload.(State))
 		}
 	}
 }

@@ -2,18 +2,25 @@
 // the paper's consensus algorithm uses to disseminate the decision (Section
 // 5.2, third task of Fig. 4). It is the classical relay implementation cited
 // from Chandra–Toueg: on R-broadcast the message is sent to every process;
-// on first receipt a process relays it to every other process and only then
-// R-delivers it. Over reliable links this satisfies:
+// on first receipt every process but the origin relays it to every other
+// process and only then R-delivers it. Over reliable links this satisfies:
 //
 //	Validity:  if a correct process R-broadcasts m, it R-delivers m.
 //	Agreement: if any correct process R-delivers m, every correct process
 //	           eventually R-delivers m (the relay step makes delivery
 //	           contagious even if the origin crashed mid-broadcast).
 //	Uniform integrity: every process R-delivers m at most once.
+//
+// The origin itself does not relay: it has just sent m to everyone, so its
+// relay would hand every peer a second copy over the same link. Agreement
+// never rested on it — if the origin is correct its first copies arrive, and
+// if it crashes mid-broadcast its relay dies with it; what carries m to the
+// processes the origin missed is the relay of whoever did receive it. One
+// broadcast therefore costs (n−1) + (n−1)(n−2) = (n−1)² transport messages.
 package rbcast
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/dsys"
@@ -60,8 +67,17 @@ type Module struct {
 	mu        sync.Mutex
 	seq       int
 	delivered map[key]bool
-	handlers  map[int]Handler
-	nextH     int
+	// handlers is in registration order and copy-on-write: OnDeliver and
+	// cancel install a new slice, so a delivery reads the slice header under
+	// mu and calls the handlers without it, allocating nothing.
+	handlers []registered
+	nextH    int
+}
+
+// registered is one OnDeliver registration; id is what cancel removes.
+type registered struct {
+	id int
+	fn Handler
 }
 
 // Start attaches a reliable-broadcast module to p's process, using the
@@ -100,7 +116,6 @@ func StartNamespaceInc(p dsys.Proc, ns string, inc int64) *Module {
 		kind:      kind,
 		inc:       inc,
 		delivered: make(map[key]bool),
-		handlers:  make(map[int]Handler),
 	}
 	p.Spawn("rb-relay", m.relayTask)
 	return m
@@ -114,17 +129,22 @@ func (m *Module) OnDeliver(fn Handler) (cancel func()) {
 	defer m.mu.Unlock()
 	id := m.nextH
 	m.nextH++
-	m.handlers[id] = fn
+	m.handlers = append(slices.Clip(m.handlers), registered{id, fn})
 	return func() {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		delete(m.handlers, id)
+		if i := slices.IndexFunc(m.handlers, func(h registered) bool { return h.id == id }); i >= 0 {
+			m.handlers = slices.Delete(slices.Clone(m.handlers), i, i+1)
+		}
 	}
 }
 
 // Broadcast R-broadcasts payload from this process. p must be a task handle
 // of the same process. Delivery to the local process happens through the
-// regular receive path, like everyone else's.
+// regular receive path, like everyone else's: the self-addressed copy is
+// local on every runtime, so a correct origin always R-delivers its own
+// broadcast (Validity) and a caller may wait for that delivery. These n
+// sends are all the origin contributes; it does not relay (package comment).
 func (m *Module) Broadcast(p dsys.Proc, payload any) {
 	if p.ID() != m.self {
 		panic("rbcast: Broadcast called with a foreign task handle")
@@ -139,40 +159,40 @@ func (m *Module) Broadcast(p dsys.Proc, payload any) {
 }
 
 func (m *Module) relayTask(p dsys.Proc) {
+	match := dsys.MatchKind(m.kind)
 	for {
-		msg, ok := p.Recv(dsys.MatchKind(m.kind))
+		msg, ok := p.Recv(match)
 		if !ok {
 			return
 		}
-		w := msg.Payload.(Wire)
-		k := key{w.Origin, w.Inc, w.Seq}
-		m.mu.Lock()
-		if m.delivered[k] {
-			m.mu.Unlock()
-			continue
-		}
-		m.delivered[k] = true
-		// Snapshot handlers in registration order so delivery callbacks run
-		// deterministically.
-		ids := make([]int, 0, len(m.handlers))
-		for id := range m.handlers {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		hs := make([]Handler, 0, len(ids))
-		for _, id := range ids {
-			hs = append(hs, m.handlers[id])
-		}
+		m.receive(p, msg)
+	}
+}
+
+// receive handles one transport message: on first receipt it relays, then
+// R-delivers to the handlers in registration order.
+func (m *Module) receive(p dsys.Proc, msg *dsys.Message) {
+	w := msg.Payload.(Wire)
+	k := key{w.Origin, w.Inc, w.Seq}
+	m.mu.Lock()
+	if m.delivered[k] {
 		m.mu.Unlock()
-		// Relay before delivering: if this process crashes right after
-		// acting on the message, everyone else still receives it.
+		return
+	}
+	m.delivered[k] = true
+	hs := m.handlers
+	m.mu.Unlock()
+	// Relay before delivering: if this process crashes right after acting on
+	// the message, everyone else still receives it. Our own broadcast went
+	// to everyone already (an earlier life's did not come from this module).
+	if w.Origin != m.self || w.Inc != m.inc {
 		for _, q := range m.all {
 			if q != m.self && q != msg.From {
-				p.Send(q, m.kind, w)
+				p.Send(q, m.kind, msg.Payload) // the envelope as received, not boxed again
 			}
 		}
-		for _, h := range hs {
-			h(p, w.Origin, w.Payload)
-		}
+	}
+	for _, h := range hs {
+		h.fn(p, w.Origin, w.Payload)
 	}
 }

@@ -108,29 +108,66 @@ func TestUniformIntegrityNoDuplicateDeliveries(t *testing.T) {
 	}
 }
 
-func TestAgreementWhenOriginCrashesMidBroadcast(t *testing.T) {
-	// The origin sends to only a subset before crashing (modeled by
-	// per-link loss of its remaining sends): whoever received it must relay
-	// so that every correct process delivers.
+func TestAgreementWhenOriginReachesOnePeer(t *testing.T) {
+	// The origin's copies reach only p2 (per-link loss of the rest): whoever
+	// received it must relay so that every correct process delivers. In the
+	// first case the origin crashed mid-broadcast; in the second it lives on
+	// behind fair-lossy links that ate all but one copy. The origin itself
+	// never relays, so in both it is p2's relay alone that carries the
+	// message to p3, p4 and p5.
 	net := network.PerLink{
 		Default: reliable(),
 		Links: map[network.LinkKey]network.Network{
-			// Origin p1's messages to p3, p4, p5 are all lost — as if p1
-			// crashed after reaching only p2.
 			{From: 1, To: 3}: network.FairLossy{P: 1.0, Under: reliable()},
 			{From: 1, To: 4}: network.FairLossy{P: 1.0, Under: reliable()},
 			{From: 1, To: 5}: network.FairLossy{P: 1.0, Under: reliable()},
 		},
 	}
-	log := &deliveryLog{}
-	k := setup(5, 3, net, log, map[dsys.ProcessID]func(dsys.Proc, *rbcast.Module){
-		1: func(p dsys.Proc, m *rbcast.Module) { m.Broadcast(p, "contagious") },
-	})
-	k.CrashAt(1, 5*time.Millisecond)
-	k.Run(time.Second)
-	for _, id := range []dsys.ProcessID{2, 3, 4, 5} {
-		if ds := log.at(id); len(ds) != 1 {
-			t.Errorf("%v delivered %d times, want 1 (via relay)", id, len(ds))
+	for _, originCrashes := range []bool{true, false} {
+		log := &deliveryLog{}
+		k := setup(5, 3, net, log, map[dsys.ProcessID]func(dsys.Proc, *rbcast.Module){
+			1: func(p dsys.Proc, m *rbcast.Module) { m.Broadcast(p, "contagious") },
+		})
+		if originCrashes {
+			k.CrashAt(1, 5*time.Millisecond)
+		}
+		k.Run(time.Second)
+		for _, id := range []dsys.ProcessID{2, 3, 4, 5} {
+			if ds := log.at(id); len(ds) != 1 {
+				t.Errorf("origin crashes=%v: %v delivered %d times, want 1 (via relay)", originCrashes, id, len(ds))
+			}
+		}
+	}
+}
+
+// TestBroadcastCostsNMinusOneSquared: the origin sends n−1 copies and does
+// not relay; each of the n−1 receivers relays to the n−2 processes that are
+// neither itself nor the sender. (n−1) + (n−1)(n−2) = (n−1)² messages cross
+// the network, and the self-addressed copy is the origin's own delivery.
+func TestBroadcastCostsNMinusOneSquared(t *testing.T) {
+	for _, n := range []int{2, 3, 5, 7} {
+		col := trace.NewCollector()
+		k := sim.New(sim.Config{N: n, Network: reliable(), Seed: 1, Trace: col})
+		delivered := 0
+		for _, id := range dsys.Pids(n) {
+			id := id
+			k.Spawn(id, "rb", func(p dsys.Proc) {
+				m := rbcast.Start(p)
+				m.OnDeliver(func(dsys.Proc, dsys.ProcessID, any) { delivered++ })
+				if id == 2 {
+					m.Broadcast(p, "once")
+				}
+			})
+		}
+		k.Run(time.Second)
+		remote := 0
+		for _, e := range col.Events() {
+			if e.Kind == rbcast.Kind && e.From != e.To {
+				remote++
+			}
+		}
+		if remote != (n-1)*(n-1) || delivered != n {
+			t.Errorf("n=%d: %d remote %s and %d deliveries, want %d and %d", n, remote, rbcast.Kind, delivered, (n-1)*(n-1), n)
 		}
 	}
 }
