@@ -69,25 +69,29 @@ func (r *FDRecorder) SetProbe(id dsys.ProcessID, p FDProbe) { r.probes[id] = p }
 
 // Attach schedules sampling on k at start, start+every, ...
 func (r *FDRecorder) Attach(k *sim.Kernel, start, every time.Duration) {
-	k.Every(start, every, func(now time.Duration) {
-		for _, id := range dsys.Pids(r.n) {
-			if k.Crashed(id) {
-				continue
-			}
-			p, ok := r.probes[id]
-			if !ok {
-				continue
-			}
-			s := FDSample{At: now, Trusted: dsys.None}
-			if p.Suspected != nil {
-				s.Suspected = p.Suspected()
-			}
-			if p.Trusted != nil {
-				s.Trusted = p.Trusted()
-			}
-			r.samples[id] = append(r.samples[id], s)
+	k.Every(start, every, func(now time.Duration) { r.Sample(now, k.Crashed) })
+}
+
+// Sample records one sample at time now of every probed process that has
+// not crashed.
+func (r *FDRecorder) Sample(now time.Duration, crashed func(dsys.ProcessID) bool) {
+	for _, id := range dsys.Pids(r.n) {
+		if crashed(id) {
+			continue
 		}
-	})
+		p, ok := r.probes[id]
+		if !ok {
+			continue
+		}
+		s := FDSample{At: now, Trusted: dsys.None}
+		if p.Suspected != nil {
+			s.Suspected = p.Suspected()
+		}
+		if p.Trusted != nil {
+			s.Trusted = p.Trusted()
+		}
+		r.samples[id] = append(r.samples[id], s)
+	}
 }
 
 // Samples returns the recorded samples of process id.

@@ -175,17 +175,27 @@ func TestKillRestartMixedTransport(t *testing.T) {
 		t.Fatalf("cluster never converged over UDP heartbeats: %v", err)
 	}
 
-	// Heartbeats must demonstrably flow as datagrams on every node.
+	// Heartbeats must demonstrably flow as datagrams on every node. An
+	// agreed leader is no proof that any beat has arrived yet (every node
+	// trusts p1 from the start), so each node is polled until both of its
+	// counters move.
 	for i, addr := range addrs {
-		st, err := Status(addr, 2*time.Second)
-		if err != nil {
-			t.Fatalf("status node %d: %v", i+1, err)
-		}
-		if st.Transport != TransportUDP {
-			t.Fatalf("node %d reports transport %q, want %q", i+1, st.Transport, TransportUDP)
-		}
-		if st.UDPOut == 0 || st.UDPIn == 0 {
-			t.Fatalf("node %d udp counters %d out / %d in — beats not on UDP", i+1, st.UDPOut, st.UDPIn)
+		var st Response
+		var err error
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st, err = Status(addr, 2*time.Second)
+			if err == nil && st.Transport != TransportUDP {
+				t.Fatalf("node %d reports transport %q, want %q", i+1, st.Transport, TransportUDP)
+			}
+			if err == nil && st.UDPOut > 0 && st.UDPIn > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d udp counters %d out / %d in after 10s (last status error: %v) — beats not on UDP",
+					i+1, st.UDPOut, st.UDPIn, err)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
 

@@ -2,12 +2,13 @@ package expt
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/dsys"
+	"repro/internal/fd/fdlab"
 	"repro/internal/fd/heartbeat"
+	"repro/internal/live"
 	"repro/internal/netfault"
 	"repro/internal/tcpnet"
 	"repro/internal/trace"
@@ -85,66 +86,35 @@ type meshScenarioResult struct {
 	redials      int
 }
 
-// runMeshScenario runs the heartbeat detector on a fresh 4-process mesh
-// with the given faults, crashes p2 at 400ms, samples every 10ms for 1.5s
-// and evaluates the trace.
+// runMeshScenario runs the live heartbeat scenario (runLiveHeartbeat) on a
+// fresh 4-process TCP mesh with the given faults, forcing a reset of every
+// connection each 300ms when asked.
 func runMeshScenario(faults *tcpnet.Faults, forcedResets bool) (meshScenarioResult, error) {
-	const (
-		n       = 4
-		period  = 10 * time.Millisecond
-		crashAt = 400 * time.Millisecond
-		runFor  = 1500 * time.Millisecond
-		victim  = dsys.ProcessID(2)
-	)
+	const n = 4
 	col := &trace.Collector{}
 	m, err := tcpnet.New(tcpnet.Config{N: n, Trace: col, Faults: faults})
 	if err != nil {
 		return meshScenarioResult{}, fmt.Errorf("E13: %w", err)
 	}
 	defer m.Stop()
-
-	var mu sync.Mutex
-	dets := make(map[dsys.ProcessID]*heartbeat.Detector)
-	for _, id := range dsys.Pids(n) {
-		id := id
-		m.Spawn(id, "fd", func(p dsys.Proc) {
-			d := heartbeat.Start(p, heartbeat.Options{Period: period})
-			mu.Lock()
-			dets[id] = d
-			mu.Unlock()
-			p.Sleep(time.Hour)
-		})
-	}
-
-	rec := check.NewFDRecorder(n)
-	start := time.Now()
-	var lastReset time.Duration
-	didCrash := false
-	for time.Since(start) < runFor {
-		now := time.Since(start)
-		if !didCrash && now >= crashAt {
-			m.Crash(victim)
-			didCrash = true
-		}
-		if forcedResets && now-lastReset >= 300*time.Millisecond {
-			m.ResetConns()
-			lastReset = now
-		}
-		sampleAt := m.Cluster().Now()
-		mu.Lock()
-		for _, id := range dsys.Pids(n) {
-			if m.Cluster().Crashed(id) {
-				continue
+	if forcedResets {
+		done, exited := make(chan struct{}), make(chan struct{})
+		defer func() { close(done); <-exited }()
+		go func() {
+			defer close(exited)
+			tick := time.NewTicker(300 * time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-tick.C:
+					m.ResetConns()
+				case <-done:
+					return
+				}
 			}
-			if d, ok := dets[id]; ok {
-				rec.AddSample(id, check.FDSample{At: sampleAt, Suspected: d.Suspected(), Trusted: dsys.None})
-			}
-		}
-		mu.Unlock()
-		time.Sleep(period)
+		}()
 	}
-
-	tr := check.FDTrace{N: n, Rec: rec, Crashed: col.Crashed()}
+	tr := runLiveHeartbeat(m.Cluster(), n, heartbeat.Options{Period: livePeriod})
 	return meshScenarioResult{
 		completeness: tr.StrongCompleteness(),
 		qos:          tr.QoS(),
@@ -152,4 +122,24 @@ func runMeshScenario(faults *tcpnet.Faults, forcedResets bool) (meshScenarioResu
 		resets:       col.LinkEvents("tcp.reset"),
 		redials:      col.LinkEvents("tcp.dial"),
 	}, nil
+}
+
+// The live detector scenario every wall-clock detector row runs (E13, E15's
+// detection cell, E18's live rows): heartbeat ◇P on each process, liveVictim
+// crashed at 400ms, every detector sampled each period for 1.5s.
+const (
+	livePeriod = 10 * time.Millisecond
+	liveVictim = dsys.ProcessID(2)
+)
+
+// runLiveHeartbeat runs the live detector scenario on c, a cluster of n
+// processes, and returns the sampled trace.
+func runLiveHeartbeat(c *live.Cluster, n int, opts heartbeat.Options) check.FDTrace {
+	return fdlab.RunLive(c, fdlab.Setup{
+		N:           n,
+		Crashes:     map[dsys.ProcessID]time.Duration{liveVictim: 400 * time.Millisecond},
+		Build:       func(p dsys.Proc) any { return heartbeat.Start(p, opts) },
+		SampleEvery: livePeriod,
+		RunFor:      1500 * time.Millisecond,
+	})
 }

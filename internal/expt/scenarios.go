@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/check"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/fd/heartbeat"
 	"repro/internal/fd/ring"
 	"repro/internal/fd/transform"
+	"repro/internal/live"
 	"repro/internal/netfault"
 	"repro/internal/network"
 	"repro/internal/trace"
@@ -306,72 +306,26 @@ type udpScenarioResult struct {
 	reorders     int
 }
 
-// runUDPScenario is the live counterpart of runMeshScenario on the datagram
-// transport: heartbeat ◇P over real UDP sockets, n=4, crash p2 at 400ms,
-// sample every 10ms for 1.5s.
+// runUDPScenario runs the live heartbeat scenario (runLiveHeartbeat) on a
+// 4-process cluster over the UDP datagram transport.
 func runUDPScenario(faults *udpnet.Faults) (udpScenarioResult, error) {
-	const (
-		n       = 4
-		period  = 10 * time.Millisecond
-		crashAt = 400 * time.Millisecond
-		runFor  = 1500 * time.Millisecond
-		victim  = dsys.ProcessID(2)
-	)
+	const n = 4
 	col := &trace.Collector{}
-	m, err := udpnet.New(udpnet.Config{N: n, Trace: col, Faults: faults})
+	tr, err := udpnet.NewTransport(udpnet.Config{N: n, Trace: col, Faults: faults})
 	if err != nil {
 		return udpScenarioResult{}, fmt.Errorf("E18: %w", err)
 	}
-	defer m.Stop()
-
-	var mu sync.Mutex
-	dets := make(map[dsys.ProcessID]*heartbeat.Detector)
-	for _, id := range dsys.Pids(n) {
-		id := id
-		m.Spawn(id, "fd", func(p dsys.Proc) {
-			// InitialTimeout 5 periods: headroom against scheduler stalls so
-			// the clean row's "no false suspicions" gate measures the
-			// transport, not the CI machine's jitter. The default additive
-			// policy keeps that headroom; PolicyJacobson re-derives the
-			// timeout from observed gaps (~2 periods on a clean loopback),
-			// which one 12 ms stall beats.
-			d := heartbeat.Start(p, heartbeat.Options{
-				Period:         period,
-				InitialTimeout: 5 * period,
-			})
-			mu.Lock()
-			dets[id] = d
-			mu.Unlock()
-			p.Sleep(time.Hour)
-		})
-	}
-
-	rec := check.NewFDRecorder(n)
-	start := time.Now()
-	didCrash := false
-	for time.Since(start) < runFor {
-		if !didCrash && time.Since(start) >= crashAt {
-			m.Crash(victim)
-			didCrash = true
-		}
-		sampleAt := m.Cluster().Now()
-		mu.Lock()
-		for _, id := range dsys.Pids(n) {
-			if m.Cluster().Crashed(id) {
-				continue
-			}
-			if d, ok := dets[id]; ok {
-				rec.AddSample(id, check.FDSample{At: sampleAt, Suspected: d.Suspected(), Trusted: dsys.None})
-			}
-		}
-		mu.Unlock()
-		time.Sleep(period)
-	}
-
-	tr := check.FDTrace{N: n, Rec: rec, Crashed: col.Crashed()}
+	c := live.NewCluster(live.Config{N: n, Trace: col, Transport: tr})
+	defer c.Stop()
+	// InitialTimeout 5 periods: headroom against scheduler stalls so the
+	// clean row's "no false suspicions" gate measures the transport, not the
+	// CI machine's jitter. The default additive policy keeps that headroom;
+	// PolicyJacobson re-derives the timeout from observed gaps (~2 periods on
+	// a clean loopback), which one 12 ms stall beats.
+	ft := runLiveHeartbeat(c, n, heartbeat.Options{Period: livePeriod, InitialTimeout: 5 * livePeriod})
 	return udpScenarioResult{
-		completeness: tr.StrongCompleteness(),
-		qos:          tr.QoS(),
+		completeness: ft.StrongCompleteness(),
+		qos:          ft.QoS(),
 		drops:        col.LinkEvents("udp.drop"),
 		dups:         col.LinkEvents("udp.dup"),
 		reorders:     col.LinkEvents("udp.reorder"),

@@ -3,7 +3,7 @@ package expt
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -216,77 +216,30 @@ type detectionResult struct {
 	detected     int // survivors that ever suspected the victim
 }
 
-// runDetectionCell reruns the E13 heartbeat scenario — n processes, victim
-// crashed at 400ms, sampled every period for 1.5s — recording per-survivor
-// crash-detection latency alongside the completeness verdict.
+// runDetectionCell runs the live heartbeat scenario (runLiveHeartbeat) on an
+// n-process TCP mesh and reads each survivor's crash-detection latency off
+// the samples: the first sample at which it suspects the victim.
 func runDetectionCell(n int) (detectionResult, error) {
-	const (
-		period  = 10 * time.Millisecond
-		crashAt = 400 * time.Millisecond
-		runFor  = 1500 * time.Millisecond
-		victim  = dsys.ProcessID(2)
-	)
-	col := &trace.Collector{}
-	m, err := tcpnet.New(tcpnet.Config{N: n, Trace: col})
+	m, err := tcpnet.New(tcpnet.Config{N: n})
 	if err != nil {
 		return detectionResult{}, fmt.Errorf("E15: %w", err)
 	}
 	defer m.Stop()
+	tr := runLiveHeartbeat(m.Cluster(), n, heartbeat.Options{Period: livePeriod})
 
-	var mu sync.Mutex
-	dets := make(map[dsys.ProcessID]*heartbeat.Detector)
-	for _, id := range dsys.Pids(n) {
-		m.Spawn(id, "fd", func(p dsys.Proc) {
-			d := heartbeat.Start(p, heartbeat.Options{Period: period})
-			mu.Lock()
-			dets[id] = d
-			mu.Unlock()
-			p.Sleep(time.Hour)
-		})
+	crashAt := tr.Crashed[liveVictim]
+	var lats []time.Duration
+	for _, id := range tr.CorrectIDs() {
+		for _, s := range tr.Rec.Samples(id) {
+			if s.At >= crashAt && s.Suspected.Has(liveVictim) {
+				lats = append(lats, s.At-crashAt)
+				break
+			}
+		}
 	}
-
-	rec := check.NewFDRecorder(n)
-	first := make(map[dsys.ProcessID]time.Duration) // survivor -> detection latency
-	start := time.Now()
-	var crashWall time.Duration
-	didCrash := false
-	for time.Since(start) < runFor {
-		now := time.Since(start)
-		if !didCrash && now >= crashAt {
-			m.Crash(victim)
-			crashWall = now
-			didCrash = true
-		}
-		sampleAt := m.Cluster().Now()
-		mu.Lock()
-		for _, id := range dsys.Pids(n) {
-			if m.Cluster().Crashed(id) {
-				continue
-			}
-			d, ok := dets[id]
-			if !ok {
-				continue
-			}
-			sus := d.Suspected()
-			rec.AddSample(id, check.FDSample{At: sampleAt, Suspected: sus, Trusted: dsys.None})
-			if didCrash && sus.Has(victim) {
-				if _, seen := first[id]; !seen {
-					first[id] = now - crashWall
-				}
-			}
-		}
-		mu.Unlock()
-		time.Sleep(period)
-	}
-
-	tr := check.FDTrace{N: n, Rec: rec, Crashed: col.Crashed()}
-	res := detectionResult{completeness: tr.StrongCompleteness(), detected: len(first)}
-	if len(first) > 0 {
-		lats := make([]time.Duration, 0, len(first))
-		for _, l := range first {
-			lats = append(lats, l)
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	res := detectionResult{completeness: tr.StrongCompleteness(), detected: len(lats)}
+	if len(lats) > 0 {
+		slices.Sort(lats)
 		res.detP50 = lats[len(lats)/2]
 		res.detMax = lats[len(lats)-1]
 	}

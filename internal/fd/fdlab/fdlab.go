@@ -1,14 +1,17 @@
 // Package fdlab is the shared scaffolding for failure-detector experiments
-// and integration tests: it wires n simulated processes, attaches one
-// detector module per process, injects crashes, samples every module's
-// output, and returns the recorded trace for property evaluation.
+// and integration tests: it wires n processes — simulated (Run) or on a live
+// cluster (RunLive) — attaches one detector module per process, injects
+// crashes, samples every module's output, and returns the recorded trace
+// for property evaluation.
 package fdlab
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/dsys"
+	"repro/internal/live"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -98,6 +101,49 @@ func Run(s Setup) Result {
 		Events:   k.Events(),
 		Wall:     time.Since(start),
 	}
+}
+
+// RunLive is Run's wall-clock twin on a live cluster of s.N processes (an
+// in-memory network model or a socket transport): it builds one detector
+// module per process, crashes each process of s.Crashes when its time has
+// passed, samples every live module each s.SampleEvery until s.RunFor, and
+// returns the recorded trace. Seed, Net, GoroutineTasks and CountWindow
+// belong to the simulator and are ignored; the cluster brings its own
+// network. The caller stops the cluster.
+func RunLive(c *live.Cluster, s Setup) check.FDTrace {
+	if s.SampleEvery <= 0 {
+		s.SampleEvery = 5 * time.Millisecond
+	}
+	if s.RunFor <= 0 {
+		s.RunFor = 2 * time.Second
+	}
+	rec := check.NewFDRecorder(s.N)
+	var mu sync.Mutex // guards the recorder: probes arrive from the tasks
+	for _, id := range dsys.Pids(s.N) {
+		c.Spawn(id, "fd-setup", func(p dsys.Proc) {
+			probe := check.ProbeOf(s.Build(p))
+			mu.Lock()
+			rec.SetProbe(id, probe)
+			mu.Unlock()
+		})
+	}
+	crashed := make(map[dsys.ProcessID]time.Duration, len(s.Crashes))
+	start := time.Now()
+	for time.Since(start) < s.RunFor {
+		now := time.Since(start)
+		for id, at := range s.Crashes {
+			if _, done := crashed[id]; !done && now >= at {
+				crashed[id] = c.Now()
+				c.Crash(id)
+			}
+		}
+		at := c.Now()
+		mu.Lock()
+		rec.Sample(at, c.Crashed)
+		mu.Unlock()
+		time.Sleep(s.SampleEvery)
+	}
+	return check.FDTrace{N: s.N, Rec: rec, Crashed: crashed}
 }
 
 // PartialSync is a convenient default network: partially synchronous with

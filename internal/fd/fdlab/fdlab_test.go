@@ -9,6 +9,7 @@ import (
 	"repro/internal/fd"
 	"repro/internal/fd/fdlab"
 	"repro/internal/fd/fdtest"
+	"repro/internal/live"
 	"repro/internal/network"
 )
 
@@ -45,6 +46,39 @@ func TestRunWiresProbesAndCrashes(t *testing.T) {
 	}
 	if len(res.Modules) != 3 {
 		t.Errorf("Modules has %d entries", len(res.Modules))
+	}
+}
+
+// TestRunLiveWiresProbesAndCrashes is RunLive's counterpart of the test
+// above, on a live cluster with the in-memory network: the crash lands on
+// schedule and is recorded on the cluster clock, the crashed process stops
+// being sampled, and the survivors' probes are wired.
+func TestRunLiveWiresProbesAndCrashes(t *testing.T) {
+	c := live.NewCluster(live.Config{N: 3, Network: network.Reliable{Latency: network.Fixed(time.Millisecond)}})
+	defer c.Stop()
+	crashAt := 100 * time.Millisecond
+	tr := fdlab.RunLive(c, fdlab.Setup{
+		N:           3,
+		Crashes:     map[dsys.ProcessID]time.Duration{2: crashAt},
+		Build:       func(p dsys.Proc) any { return fdtest.NewScripted(1, 3) },
+		SampleEvery: 10 * time.Millisecond,
+		RunFor:      300 * time.Millisecond,
+	})
+	at, ok := tr.Crashed[2]
+	if !ok || at < crashAt || !c.Crashed(2) {
+		t.Fatalf("crash record %v %v, want p2 crashed at or after %v", at, ok, crashAt)
+	}
+	s1 := tr.Rec.Samples(1)
+	if len(s1) < 10 {
+		t.Fatalf("%d samples for p1 over 300ms at 10ms", len(s1))
+	}
+	if last := s1[len(s1)-1]; last.Trusted != 1 || !last.Suspected.Has(3) {
+		t.Errorf("probe wiring wrong: %+v", last)
+	}
+	for _, s := range tr.Rec.Samples(2) {
+		if s.At > at {
+			t.Errorf("crashed process sampled at %v, after its crash at %v", s.At, at)
+		}
 	}
 }
 

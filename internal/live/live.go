@@ -1,10 +1,10 @@
 // Package live is the real-time runtime: it implements the same dsys.Proc
 // interface as the deterministic simulator (package sim), but tasks are
 // ordinary goroutines, time is the wall clock, and message latency/loss is
-// imposed by a network model evaluated on real timers. Algorithms written
-// once against dsys.Proc therefore run unchanged on real concurrency — used
-// by the examples to demonstrate the detectors and consensus outside the
-// simulator.
+// imposed by a network model evaluated on real timers — or, with a
+// Transport, by real sockets (packages tcpnet and udpnet). Algorithms
+// written once against dsys.Proc therefore run unchanged on real
+// concurrency.
 //
 // Unlike the simulator, runs are not reproducible (goroutine scheduling and
 // wall-clock timing are real); the property checkers still apply via
@@ -38,17 +38,41 @@ type Config struct {
 	// Log receives task debug output. Optional.
 	Log io.Writer
 	// Transport, if set, replaces the in-memory delivery path: every
-	// non-self Send is handed to it, and the transport is responsible for
-	// eventually calling Cluster.Inject on the destination's side. Used by
-	// package tcpnet to run the cluster over real sockets. The message is
-	// passed by value so the sender-side hot path stays allocation-free —
-	// transports queue the fields they need, not the Message itself. The
-	// contract does NOT promise delivery: a transport may drop freely
-	// (udpnet's datagrams, tcpnet under fault injection), and one cluster's
-	// traffic may be split across transports by message kind (tcpnet's
-	// Datagram option routes detector beats over UDP while the rest stays
-	// on TCP) — protocols must own their retry/suspicion logic.
-	Transport func(m dsys.Message)
+	// non-self Send is handed to it, and it delivers into Cluster.Inject.
+	// The cluster starts, crashes and stops it (see Transport).
+	Transport Transport
+}
+
+// Transport carries a cluster's non-self messages between processes in
+// place of the in-memory network model: package tcpnet over TCP streams,
+// package udpnet over UDP datagrams, or both split by message kind
+// (tcpnet.Config.Datagram). The cluster owns every ordering decision around
+// it, and a transport never re-checks process ids or crash state for the
+// cluster's sake:
+//
+//   - Start is called once, by NewCluster, before any task runs. From then
+//     on the transport hands every inbound message it has validated to
+//     inject (Cluster.Inject), from any goroutine, concurrently. SentAt does
+//     not cross the wire; Inject stamps the arrival time.
+//   - Send is called from the sending task's goroutine for every non-self
+//     Send, with From and To in range. It must not block on the network and
+//     promises no delivery: a transport may drop, duplicate or reorder, and
+//     protocols own their retry and suspicion logic. The message is passed
+//     by value so the send path stays allocation-free.
+//   - Crash(id) is called once per crashed process, after the cluster has
+//     marked it crashed and unless the cluster was stopped first: the
+//     transport stops carrying traffic to and from id and releases what it
+//     holds for it. Messages already in flight may still arrive; Inject
+//     drops those addressed to id.
+//   - Stop is called once, by the first Cluster.Stop, after every process
+//     is marked stopped and before the cluster waits for its tasks: the
+//     transport closes its sockets and waits for its goroutines. A Send or
+//     a Crash racing Stop must still return.
+type Transport interface {
+	Start(inject func(*dsys.Message))
+	Send(m dsys.Message)
+	Crash(id dsys.ProcessID)
+	Stop()
 }
 
 // Cluster is a set of live processes in one OS process.
@@ -135,6 +159,9 @@ func NewCluster(cfg Config) *Cluster {
 		p.cond = sync.NewCond(&p.mu)
 		c.procs[i] = p
 	}
+	if cfg.Transport != nil {
+		cfg.Transport.Start(c.Inject)
+	}
 	return c
 }
 
@@ -156,11 +183,12 @@ func (c *Cluster) Spawn(id dsys.ProcessID, name string, fn dsys.TaskFunc) {
 }
 
 // Crash permanently crashes process id: its tasks are unwound at their next
-// blocking primitive and its messages stop flowing.
+// blocking primitive and its messages stop flowing. The first Crash of id
+// reaches the transport, unless the cluster was already stopped.
 func (c *Cluster) Crash(id dsys.ProcessID) {
 	p := c.proc(id)
 	p.mu.Lock()
-	already := p.crashed
+	already, stopped := p.crashed, p.stopped
 	p.crashed = true
 	p.dead.Store(true)
 	p.buf, p.head = nil, 0
@@ -171,6 +199,9 @@ func (c *Cluster) Crash(id dsys.ProcessID) {
 	}
 	if already {
 		return
+	}
+	if c.cfg.Transport != nil && !stopped {
+		c.cfg.Transport.Crash(id)
 	}
 	c.stopTimers(func(to dsys.ProcessID) bool { return to == id })
 	p.cond.Broadcast()
@@ -208,8 +239,9 @@ func (c *Cluster) Crashed(id dsys.ProcessID) bool {
 	return p.crashed
 }
 
-// Stop unwinds every task and waits for them to exit. Tasks stuck in
-// non-blocking user code are only reaped at their next primitive call.
+// Stop unwinds every task, stops the transport and waits for the tasks to
+// exit. Tasks stuck in non-blocking user code are only reaped at their next
+// primitive call.
 func (c *Cluster) Stop() {
 	c.stopOnce.Do(func() {
 		for _, p := range c.procs {
@@ -227,6 +259,9 @@ func (c *Cluster) Stop() {
 		c.timersClosed = true
 		c.timersMu.Unlock()
 		c.stopTimers(func(dsys.ProcessID) bool { return true })
+		if c.cfg.Transport != nil {
+			c.cfg.Transport.Stop()
+		}
 	})
 	c.wg.Wait()
 }
@@ -294,8 +329,9 @@ func (v taskView) Send(to dsys.ProcessID, kind string, payload any) {
 	// Lock-free liveness check: a Send racing a concurrent Crash could
 	// already slip past the old mutexed check before the crash landed, so the
 	// relaxed read changes nothing observable — crashed destinations drop the
-	// message at Inject regardless.
-	if p.dead.Load() {
+	// message at Inject regardless. A send to a process that does not exist
+	// goes nowhere.
+	if p.dead.Load() || to < 1 || int(to) > len(c.procs) {
 		return
 	}
 	now := time.Since(c.start)
@@ -304,7 +340,7 @@ func (v taskView) Send(to dsys.ProcessID, kind string, payload any) {
 		// fields into its queue slot, so this path allocates nothing.
 		m := dsys.Message{From: p.id, To: to, Kind: kind, Payload: payload, SentAt: now}
 		c.cfg.Trace.OnSend(&m, false)
-		c.cfg.Transport(m)
+		c.cfg.Transport.Send(m)
 		return
 	}
 	m := &dsys.Message{From: p.id, To: to, Kind: kind, Payload: payload, SentAt: now}
@@ -352,10 +388,19 @@ func (c *Cluster) injectAfter(delay time.Duration, m *dsys.Message) {
 }
 
 // Inject delivers a message into the destination process's mailbox,
-// bypassing the network model. Transports (and tests) use it as the
-// receiving end of their delivery path.
+// bypassing the network model. It is the receiving end of every delivery
+// path (network timers, transports, tests), and the one place a message is
+// dropped for a destination that does not exist, has crashed or has
+// stopped. A message without a send time (SentAt does not cross a
+// transport's wire) is stamped with its arrival time.
 func (c *Cluster) Inject(m *dsys.Message) {
-	dst := c.proc(m.To)
+	if m.To < 1 || int(m.To) > len(c.procs) {
+		return
+	}
+	if m.SentAt == 0 {
+		m.SentAt = time.Since(c.start)
+	}
+	dst := c.procs[m.To-1]
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
 	if dst.crashed || dst.stopped {

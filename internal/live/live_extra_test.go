@@ -64,19 +64,44 @@ func TestSpawnAfterCrashDoesNotRun(t *testing.T) {
 	}
 }
 
+// loopback is the smallest live.Transport: Send injects the message straight
+// back into the cluster. It records what reached it.
+type loopback struct {
+	inject func(*dsys.Message)
+
+	mu      sync.Mutex
+	kinds   []string
+	crashes map[dsys.ProcessID]int
+	stops   int
+}
+
+func (l *loopback) Start(inject func(*dsys.Message)) { l.inject = inject }
+
+func (l *loopback) Send(m dsys.Message) {
+	l.mu.Lock()
+	l.kinds = append(l.kinds, m.Kind)
+	l.mu.Unlock()
+	l.inject(&m)
+}
+
+func (l *loopback) Crash(id dsys.ProcessID) {
+	l.mu.Lock()
+	l.crashes[id]++
+	l.mu.Unlock()
+}
+
+func (l *loopback) Stop() {
+	l.mu.Lock()
+	l.stops++
+	l.mu.Unlock()
+}
+
+// TestTransportHookReceivesNonSelfSends: the transport carries every
+// non-self send and no self-send, hears each crash and the stop exactly
+// once however often they are called, and hears no crash after the stop.
 func TestTransportHookReceivesNonSelfSends(t *testing.T) {
-	var mu sync.Mutex
-	var seen []string
-	var c *live.Cluster
-	c = live.NewCluster(live.Config{
-		N: 2,
-		Transport: func(m dsys.Message) {
-			mu.Lock()
-			seen = append(seen, m.Kind)
-			mu.Unlock()
-			c.Inject(&m) // loop straight back
-		},
-	})
+	tr := &loopback{crashes: make(map[dsys.ProcessID]int)}
+	c := live.NewCluster(live.Config{N: 3, Transport: tr})
 	defer c.Stop()
 	done := make(chan struct{})
 	c.Spawn(2, "recv", func(p dsys.Proc) {
@@ -92,15 +117,36 @@ func TestTransportHookReceivesNonSelfSends(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("transport did not deliver")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, k := range seen {
-		if k == "self" {
-			t.Error("self-send leaked into the transport hook")
-		}
+	c.Crash(3)
+	c.Crash(3)
+	c.Stop()
+	c.Stop()
+	c.Crash(2) // after Stop: the transport is already closed
+
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if len(tr.kinds) != 1 || tr.kinds[0] != "via-transport" {
+		t.Errorf("transport carried %q, want exactly the one non-self send", tr.kinds)
 	}
-	if len(seen) == 0 {
-		t.Error("transport hook never called")
+	if len(tr.crashes) != 1 || tr.crashes[3] != 1 {
+		t.Errorf("transport crashes %v, want p3 exactly once", tr.crashes)
+	}
+	if tr.stops != 1 {
+		t.Errorf("transport stopped %d times, want 1", tr.stops)
+	}
+}
+
+// TestInjectOutOfRangeIsDropped: Inject is where every delivery path ends,
+// so a destination that does not exist is dropped there, not a panic.
+func TestInjectOutOfRangeIsDropped(t *testing.T) {
+	col := trace.NewCollector()
+	c := live.NewCluster(live.Config{N: 2, Network: fastNet(), Trace: col})
+	defer c.Stop()
+	for _, to := range []dsys.ProcessID{0, -1, 3, 99} {
+		c.Inject(&dsys.Message{From: 1, To: to, Kind: "stray"})
+	}
+	if n := col.Delivered("stray"); n != 0 {
+		t.Errorf("%d out-of-range messages delivered", n)
 	}
 }
 

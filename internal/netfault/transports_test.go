@@ -1,134 +1,374 @@
 package netfault_test
 
-// Both live transports embed netfault.Knobs/Engine, so their drop and
-// duplication knobs must mean the same thing: DropP=1 silences a link on
-// streams and datagrams alike, and DupP=1 doubles every delivery on both.
-// These tests drive each transport through the same send schedule and hold
-// them to the same bar — the contract the E18 scenario matrix relies on
-// when it compares detectors across transports.
+// The transport contract. Every live transport implements live.Transport and
+// takes its drop and duplication knobs from netfault.Knobs/Engine, so one
+// table holds them all to the same bar: TCP streams, UDP datagrams, and the
+// mixed mode (TCP with the test's "seq" kind routed over UDP, the shape
+// cmd/ecnode runs). The E18 scenario matrix relies on the knobs meaning the
+// same thing everywhere, and the cluster on every transport obeying the same
+// crash/stop contract.
 
 import (
+	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dsys"
+	"repro/internal/live"
 	"repro/internal/netfault"
 	"repro/internal/tcpnet"
 	"repro/internal/trace"
 	"repro/internal/udpnet"
+	"repro/internal/wire"
 )
 
-// meshUnderTest abstracts the two transports behind the operations the
-// shared test body needs.
-type meshUnderTest struct {
-	spawn func(id dsys.ProcessID, name string, fn dsys.TaskFunc)
-	stop  func()
+// listener is one inbound socket of a process that raw bytes can be sent at.
+type listener struct {
+	network, addr string
+	badframe      string // the link event a malformed frame there is traced as
 }
 
-func startTCP(t *testing.T, knobs netfault.Knobs, col *trace.Collector) meshUnderTest {
+type transportCase struct {
+	name string
+	// carrier is the link-event prefix of the side that carries kind "seq".
+	carrier string
+	// exact: the carrier retransmits, so DupP=1 means exactly two copies.
+	exact bool
+	// build returns a fresh transport for n processes with knobs on every
+	// side, and the listeners of process 2.
+	build func(t *testing.T, n int, knobs netfault.Knobs, col *trace.Collector) (live.Transport, []listener)
+}
+
+func newTCP(t *testing.T, cfg tcpnet.Config) *tcpnet.Transport {
 	t.Helper()
-	m, err := tcpnet.New(tcpnet.Config{N: 2, Trace: col, Faults: &tcpnet.Faults{Knobs: knobs}})
+	tr, err := tcpnet.NewTransport(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return meshUnderTest{spawn: m.Spawn, stop: m.Stop}
+	return tr
 }
 
-func startUDP(t *testing.T, knobs netfault.Knobs, col *trace.Collector) meshUnderTest {
+func newUDP(t *testing.T, n int, knobs netfault.Knobs, col *trace.Collector) *udpnet.Transport {
 	t.Helper()
-	m, err := udpnet.New(udpnet.Config{N: 2, Trace: col, Faults: &udpnet.Faults{Knobs: knobs}})
+	tr, err := udpnet.NewTransport(udpnet.Config{N: n, Trace: col, Faults: &udpnet.Faults{Knobs: knobs}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return meshUnderTest{spawn: m.Spawn, stop: m.Stop}
+	return tr
 }
 
-// runCertainDrop asserts DropP=1 delivers nothing on the given transport.
-func runCertainDrop(t *testing.T, start func(*testing.T, netfault.Knobs, *trace.Collector) meshUnderTest, dropEvent string) {
+var transports = []transportCase{
+	{"tcp", "tcp", true, func(t *testing.T, n int, knobs netfault.Knobs, col *trace.Collector) (live.Transport, []listener) {
+		tr := newTCP(t, tcpnet.Config{N: n, Trace: col, Faults: &tcpnet.Faults{Knobs: knobs}})
+		return tr, []listener{{"tcp", tr.Addr(2), "tcp.badframe"}}
+	}},
+	{"udp", "udp", false, func(t *testing.T, n int, knobs netfault.Knobs, col *trace.Collector) (live.Transport, []listener) {
+		tr := newUDP(t, n, knobs, col)
+		return tr, []listener{{"udp", tr.Addr(2), "udp.badframe"}}
+	}},
+	{"mixed", "udp", false, func(t *testing.T, n int, knobs netfault.Knobs, col *trace.Collector) (live.Transport, []listener) {
+		udp := newUDP(t, n, knobs, col)
+		tr := newTCP(t, tcpnet.Config{N: n, Trace: col, Faults: &tcpnet.Faults{Knobs: knobs},
+			Datagram: udp, DatagramKinds: []string{"seq"}})
+		return tr, []listener{{"tcp", tr.Addr(2), "tcp.badframe"}, {"udp", udp.Addr(2), "udp.badframe"}}
+	}},
+}
+
+// spy wraps a transport and counts what it hands to Cluster.Inject, by
+// direction — including messages the cluster then drops.
+type spy struct {
+	live.Transport
+	mu      sync.Mutex
+	arrived map[[2]dsys.ProcessID]int
+}
+
+func (s *spy) Start(inject func(*dsys.Message)) {
+	s.Transport.Start(func(m *dsys.Message) {
+		s.mu.Lock()
+		s.arrived[[2]dsys.ProcessID{m.From, m.To}]++
+		s.mu.Unlock()
+		inject(m)
+	})
+}
+
+// take returns the arrival counts so far and resets them.
+func (s *spy) take() map[[2]dsys.ProcessID]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	got := s.arrived
+	s.arrived = make(map[[2]dsys.ProcessID]int)
+	return got
+}
+
+// start runs a 2-process cluster over a fresh transport of tc, stopped when
+// the test ends.
+func start(t *testing.T, tc transportCase, knobs netfault.Knobs, col *trace.Collector) (*live.Cluster, *spy, []listener) {
 	t.Helper()
-	col := trace.NewCollector()
-	m := start(t, netfault.Knobs{Seed: 9, DropP: 1}, col)
-	defer m.stop()
+	tr, lns := tc.build(t, 2, knobs, col)
+	sp := &spy{Transport: tr, arrived: make(map[[2]dsys.ProcessID]int)}
+	c := live.NewCluster(live.Config{N: 2, Trace: col, Transport: sp})
+	t.Cleanup(c.Stop)
+	return c, sp, lns
+}
+
+// forEach runs body as one subtest per transport.
+func forEach(t *testing.T, body func(t *testing.T, tc transportCase)) {
+	for _, tc := range transports {
+		t.Run(tc.name, func(t *testing.T) { body(t, tc) })
+	}
+}
+
+// collect spawns a receiver on process id forwarding the payloads of kind.
+// The buffer holds far more than any test reads; once full, payloads are
+// discarded rather than wedging the task, which Stop could not reap.
+func collect(c *live.Cluster, id dsys.ProcessID, kind string) <-chan int {
 	got := make(chan int, 1024)
-	m.spawn(2, "recv", func(p dsys.Proc) {
+	c.Spawn(id, "recv-"+kind, func(p dsys.Proc) {
 		for {
-			msg, _ := p.Recv(dsys.MatchKind("seq"))
-			got <- msg.Payload.(int)
+			msg, _ := p.Recv(dsys.MatchKind(kind))
+			select {
+			case got <- msg.Payload.(int):
+			default:
+			}
 		}
 	})
-	m.spawn(1, "send", func(p dsys.Proc) {
+	return got
+}
+
+// stream spawns a task on process from sending kind to process to every
+// period, forever.
+func stream(c *live.Cluster, from, to dsys.ProcessID, kind string, period time.Duration) {
+	c.Spawn(from, "send-"+kind, func(p dsys.Proc) {
 		for i := 0; ; i++ {
-			p.Send(2, "seq", i)
-			p.Sleep(time.Millisecond)
+			p.Send(to, kind, i)
+			p.Sleep(period)
 		}
 	})
+}
+
+// within fails the test if fn does not return inside d.
+func within(t *testing.T, d time.Duration, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); fn() }()
 	select {
-	case v := <-got:
-		t.Fatalf("frame %d delivered despite DropP=1", v)
-	case <-time.After(400 * time.Millisecond):
-	}
-	if col.LinkEvents(dropEvent) == 0 {
-		t.Fatalf("no %s traced — nothing was sent?", dropEvent)
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s blocked for %v", what, d)
 	}
 }
 
-func TestCertainDropSilencesTCP(t *testing.T) { runCertainDrop(t, startTCP, "tcp.drop") }
-func TestCertainDropSilencesUDP(t *testing.T) { runCertainDrop(t, startUDP, "udp.drop") }
-
-// runCertainDup asserts DupP=1 visibly duplicates on the given transport:
-// the receiver sees clearly more deliveries than distinct sends, and never
-// more than two per send. TCP delivers reliably, so it must converge on
-// exactly 2 copies each; UDP may shed copies (natural loss), so the bar is
-// "duplication observed, never more than doubled".
-func runCertainDup(t *testing.T, start func(*testing.T, netfault.Knobs, *trace.Collector) meshUnderTest, exact bool) {
-	t.Helper()
-	const sends = 40
-	col := trace.NewCollector()
-	m := start(t, netfault.Knobs{Seed: 11, DupP: 1}, col)
-	defer m.stop()
-	counts := make(chan int, 4*sends)
-	m.spawn(2, "recv", func(p dsys.Proc) {
-		for {
-			msg, _ := p.Recv(dsys.MatchKind("seq"))
-			counts <- msg.Payload.(int)
-		}
-	})
-	m.spawn(1, "send", func(p dsys.Proc) {
-		for i := 0; i < sends; i++ {
-			p.Send(2, "seq", i)
-			p.Sleep(2 * time.Millisecond)
-		}
-		p.Sleep(time.Hour)
-	})
-
-	perSend := make(map[int]int)
-	total := 0
-	deadline := time.After(15 * time.Second)
-	want := 2 * sends
-	if !exact {
-		want = sends + sends/2 // duplication unmistakable even with some loss
-	}
-	for total < want {
+// TestCertainDropSilences: DropP=1 delivers nothing.
+func TestCertainDropSilences(t *testing.T) {
+	forEach(t, func(t *testing.T, tc transportCase) {
+		col := trace.NewCollector()
+		c, _, _ := start(t, tc, netfault.Knobs{Seed: 9, DropP: 1}, col)
+		got := collect(c, 2, "seq")
+		stream(c, 1, 2, "seq", time.Millisecond)
 		select {
-		case v := <-counts:
-			perSend[v]++
-			if perSend[v] > 2 {
+		case v := <-got:
+			t.Fatalf("frame %d delivered despite DropP=1", v)
+		case <-time.After(400 * time.Millisecond):
+		}
+		if col.LinkEvents(tc.carrier+".drop") == 0 {
+			t.Fatalf("no %s.drop traced — nothing was sent?", tc.carrier)
+		}
+	})
+}
+
+// TestCertainDupDoubles: DupP=1 visibly duplicates — clearly more deliveries
+// than distinct sends, never more than two per send. A retransmitting carrier
+// must converge on exactly 2 copies each; a datagram carrier may shed copies
+// (natural loss), so its bar is "duplication observed, never more than
+// doubled".
+func TestCertainDupDoubles(t *testing.T) {
+	forEach(t, func(t *testing.T, tc transportCase) {
+		const sends = 40
+		c, _, _ := start(t, tc, netfault.Knobs{Seed: 11, DupP: 1}, trace.NewCollector())
+		got := collect(c, 2, "seq")
+		c.Spawn(1, "send", func(p dsys.Proc) {
+			for i := 0; i < sends; i++ {
+				p.Send(2, "seq", i)
+				p.Sleep(2 * time.Millisecond)
+			}
+		})
+		perSend := make(map[int]int)
+		count := func(v int) {
+			if perSend[v]++; perSend[v] > 2 {
 				t.Fatalf("send %d delivered %d times — more copies than DupP=1 allows", v, perSend[v])
 			}
-			total++
-		case <-deadline:
-			t.Fatalf("only %d deliveries of %d sends with DupP=1 (want >= %d)", total, sends, want)
 		}
+		want := 2 * sends
+		if !tc.exact {
+			want = sends + sends/2 // duplication unmistakable even with some loss
+		}
+		deadline := time.After(15 * time.Second)
+		for total := 0; total < want; total++ {
+			select {
+			case v := <-got:
+				count(v)
+			case <-deadline:
+				t.Fatalf("only %d deliveries of %d sends with DupP=1 (want >= %d)", total, sends, want)
+			}
+		}
+		// Drain stragglers and re-check the per-send ceiling.
+		time.Sleep(200 * time.Millisecond)
+		for len(got) > 0 {
+			count(<-got)
+		}
+	})
+}
+
+// TestCrashStopsBothDirections: once the cluster crashes a process, the
+// transport carries nothing to it or from it — not the survivor's sends, not
+// a send in the crashed process's name — and the crash is traced once.
+func TestCrashStopsBothDirections(t *testing.T) {
+	forEach(t, func(t *testing.T, tc transportCase) {
+		col := trace.NewCollector()
+		c, sp, _ := start(t, tc, netfault.Knobs{Seed: 1}, col)
+		for _, kind := range []string{"seq", "ctl"} { // "ctl" stays on TCP in the mixed mode
+			collect(c, 1, kind)
+			collect(c, 2, kind)
+			stream(c, 1, 2, kind, time.Millisecond)
+			stream(c, 2, 1, kind, time.Millisecond)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		seen := make(map[[2]dsys.ProcessID]int)
+		for seen[[2]dsys.ProcessID{1, 2}] == 0 || seen[[2]dsys.ProcessID{2, 1}] == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("no traffic in both directions before the crash: %v", seen)
+			}
+			time.Sleep(5 * time.Millisecond)
+			for k, v := range sp.take() {
+				seen[k] += v
+			}
+		}
+
+		c.Crash(2)
+		crashedAt, ok := col.CrashTime(2)
+		if !ok {
+			t.Fatal("crash not traced")
+		}
+		time.Sleep(100 * time.Millisecond) // in-flight frames may still land
+		sp.take()
+		for i := 0; i < 20; i++ {
+			sp.Send(dsys.Message{From: 2, To: 1, Kind: "seq", Payload: i})
+			sp.Send(dsys.Message{From: 2, To: 1, Kind: "ctl", Payload: i})
+			time.Sleep(5 * time.Millisecond)
+		}
+		time.Sleep(100 * time.Millisecond)
+		if got := sp.take(); len(got) != 0 {
+			t.Errorf("traffic after the crash of p2: %v", got)
+		}
+		c.Crash(2)
+		if again, _ := col.CrashTime(2); again != crashedAt {
+			t.Errorf("second Crash re-traced p2: %v then %v", crashedAt, again)
+		}
+	})
+}
+
+// TestCrashStopInEitherOrder: Crash then Stop and Stop then Crash, each
+// twice, neither panic nor block, and a transport Send or Crash racing a
+// finished Stop returns.
+func TestCrashStopInEitherOrder(t *testing.T) {
+	forEach(t, func(t *testing.T, tc transportCase) {
+		for _, order := range []string{"crash-first", "stop-first"} {
+			c, sp, _ := start(t, tc, netfault.Knobs{Seed: 2}, nil)
+			collect(c, 2, "seq")
+			stream(c, 1, 2, "seq", time.Millisecond)
+			stream(c, 2, 1, "seq", time.Millisecond)
+			time.Sleep(20 * time.Millisecond)
+			within(t, 5*time.Second, order, func() {
+				for i := 0; i < 2; i++ {
+					if order == "crash-first" {
+						c.Crash(1)
+						c.Stop()
+					} else {
+						c.Stop()
+						c.Crash(1)
+					}
+				}
+				sp.Send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: -1})
+				sp.Crash(2)
+			})
+		}
+	})
+}
+
+// TestOutOfRangeIsDroppedNotPanic: an inbound frame from a process that does
+// not exist is dropped and traced as the listener's badframe event, a
+// message injected for a destination that does not exist is dropped, and
+// the cluster keeps delivering after both.
+func TestOutOfRangeIsDroppedNotPanic(t *testing.T) {
+	forEach(t, func(t *testing.T, tc transportCase) {
+		col := trace.NewCollector()
+		c, _, lns := start(t, tc, netfault.Knobs{Seed: 3}, col)
+		got := collect(c, 2, "seq")
+		for _, from := range []dsys.ProcessID{99, 0} {
+			// The same bytes are one TCP frame and one datagram.
+			b, err := wire.AppendFrame(nil, &wire.Frame{From: from, To: 2, Kind: "seq", Payload: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ln := range lns {
+				sendRaw(t, ln, b)
+			}
+		}
+		for _, to := range []dsys.ProcessID{0, 3} {
+			c.Inject(&dsys.Message{From: 1, To: to, Kind: "seq", Payload: 8})
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for _, ln := range lns {
+			for col.LinkEvents(ln.badframe) < 2 && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n := col.LinkEvents(ln.badframe); n < 2 {
+				t.Errorf("%s = %d, want 2 (senders 99 and 0)", ln.badframe, n)
+			}
+		}
+		stream(c, 1, 2, "seq", 2*time.Millisecond)
+		select {
+		case v := <-got:
+			if v == 7 || v == 8 {
+				t.Fatalf("out-of-range message delivered (payload %d)", v)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("no delivery after the out-of-range frames")
+		}
+	})
+}
+
+// sendRaw writes b at the listener from a fresh socket.
+func sendRaw(t *testing.T, ln listener, b []byte) {
+	t.Helper()
+	conn, err := net.Dial(ln.network, ln.addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Drain stragglers and re-check the per-send ceiling.
-	time.Sleep(200 * time.Millisecond)
-	for len(counts) > 0 {
-		v := <-counts
-		if perSend[v]++; perSend[v] > 2 {
-			t.Fatalf("send %d delivered %d times — more copies than DupP=1 allows", v, perSend[v])
-		}
+	defer conn.Close()
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestCertainDupDoublesTCP(t *testing.T) { runCertainDup(t, startTCP, true) }
-func TestCertainDupDoublesUDP(t *testing.T) { runCertainDup(t, startUDP, false) }
+// TestOutOfRangeCrashAlike: crashing a process that does not exist is the
+// same programming error on every transport — the cluster's panic, raised
+// before any transport is reached.
+func TestOutOfRangeCrashAlike(t *testing.T) {
+	forEach(t, func(t *testing.T, tc transportCase) {
+		c, _, _ := start(t, tc, netfault.Knobs{Seed: 4}, nil)
+		for _, id := range []dsys.ProcessID{0, 3} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("live: invalid process id %v", id)
+					if r := recover(); r != want {
+						t.Errorf("Crash(%v) panicked with %v, want %q", id, r, want)
+					}
+				}()
+				c.Crash(id)
+			}()
+		}
+	})
+}

@@ -62,9 +62,9 @@ func collectKind(m *Mesh, to dsys.ProcessID, kind string) <-chan any {
 // out. Attempt 1 additionally blocks until release is closed, so the test
 // can fill the queue and force the whole send burst into one batch.
 func holdThenDial(m *Mesh, release <-chan struct{}, conns ...net.Conn) {
-	real := m.dial
+	real := m.tr.dial
 	attempt := 0
-	m.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+	m.tr.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 		attempt++
 		if attempt == 1 {
 			<-release
@@ -96,7 +96,7 @@ func TestBatchBreakRetriesOnceInOrder(t *testing.T) {
 	release := make(chan struct{})
 	holdThenDial(m, release, newBrokenConn()) // attempt 2 breaks, 3+ real
 	for i := 0; i < B; i++ {
-		m.send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: i})
+		m.tr.Send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: i})
 	}
 	close(release)
 
@@ -140,7 +140,7 @@ func TestBatchDoubleBreakLosesEveryFrameOnce(t *testing.T) {
 	release := make(chan struct{})
 	holdThenDial(m, release, newBrokenConn(), newBrokenConn()) // attempts 2+3 break
 	for i := 0; i < B; i++ {
-		m.send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: i})
+		m.tr.Send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: i})
 	}
 	close(release)
 
@@ -156,7 +156,7 @@ func TestBatchDoubleBreakLosesEveryFrameOnce(t *testing.T) {
 	}
 	// The link must keep working after shedding the batch: fair-lossy, not
 	// permanently dark.
-	m.send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: 99})
+	m.tr.Send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: 99})
 	select {
 	case v := <-got:
 		if v.(int) != 99 {
@@ -241,7 +241,7 @@ func TestUnencodableFrameDroppedOnce(t *testing.T) {
 			defer m.Stop()
 			got := collectKind(m, 2, "seq")
 			for _, payload := range []any{0, tc.payload, 1} {
-				m.send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: payload})
+				m.tr.Send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: payload})
 			}
 			for want := 0; want < 2; want++ {
 				select {

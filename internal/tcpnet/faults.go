@@ -6,17 +6,19 @@ import (
 	"repro/internal/netfault"
 )
 
-// Faults injects transport faults into a Mesh, mirroring over real sockets
-// what package network's models (FairLossy, Partitioned, Duplicating) give
-// the simulator, so the QoS and soak experiments can run against TCP.
+// Faults injects transport faults into a Transport, mirroring over real
+// sockets what package network's models (FairLossy, Partitioned,
+// Duplicating) give the simulator, so the QoS and soak experiments can run
+// against TCP.
 //
-// The probability knobs (netfault.Knobs plus ResetP) are read at Mesh
-// construction: set them before passing the Faults to New and leave them
-// fixed for the run — New rejects out-of-range probabilities. Partitions
-// are dynamic: Partition/Heal/HealAll may be called at any time while the
-// mesh runs. One Faults value must not be shared by two meshes.
+// The probability knobs (netfault.Knobs plus ResetP) are read at Transport
+// construction: set them before passing the Faults to New or NewTransport
+// and leave them fixed for the run — construction rejects out-of-range
+// probabilities. Partitions are dynamic: Partition/Heal/HealAll may be
+// called at any time while the transport runs. One Faults value must not be
+// shared by two transports.
 //
-// Every injected fault is traced on the mesh's collector: "tcp.drop"
+// Every injected fault is traced on the transport's collector: "tcp.drop"
 // (random frame drop), "tcp.dup" (frame duplicated), "tcp.cut" (frame
 // dropped by a partition), "tcp.reset" (forced connection reset).
 type Faults struct {
@@ -36,7 +38,8 @@ type Faults struct {
 	netfault.Engine
 }
 
-// init validates the knobs and seeds the engine. Called by New; idempotent.
+// init validates the knobs and seeds the engine. Called by NewTransport;
+// idempotent.
 func (f *Faults) init() error {
 	if err := f.Knobs.Validate(); err != nil {
 		return fmt.Errorf("tcpnet: %w", err)

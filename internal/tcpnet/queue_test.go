@@ -29,7 +29,7 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 	deadAddr := dead.Addr().String()
 	dead.Close()
 	realAddr := m.Addr(2)
-	m.setAddr(2, deadAddr)
+	m.tr.setAddr(2, deadAddr)
 
 	got := make(chan int, 100)
 	m.Spawn(2, "recv", func(p dsys.Proc) {
@@ -61,7 +61,7 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 
 	// Restore the real address: the backlog must drain, and what survives
 	// is a suffix of the newest frames (oldest-dropped policy).
-	m.setAddr(2, realAddr)
+	m.tr.setAddr(2, realAddr)
 	var received []int
 	deadlineCh := time.After(10 * time.Second)
 	for {

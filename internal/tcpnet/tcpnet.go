@@ -5,6 +5,12 @@
 // the repository — the detectors and consensus algorithms run on it
 // unchanged, with real sockets providing the asynchrony.
 //
+// Transport is the socket machinery, a live.Transport like
+// udpnet.Transport: live.NewCluster(live.Config{N, Trace, Transport: tr})
+// runs a cluster over it. New builds the two together and returns the Mesh
+// handle, which adds the TCP-only controls (Addr, SetPeerAddr, WireStats,
+// ResetConns).
+//
 // A mesh runs in one of two modes. All-in-one (the default): all N
 // processes live in this OS process, each on its own ephemeral loopback
 // listener — what the tests and experiments use. Single-process
@@ -101,60 +107,44 @@ type Config struct {
 	// Faults, if set, injects transport faults (drops, duplication,
 	// partitions, forced connection resets). Nil means a clean mesh.
 	Faults *Faults
-	// Datagram, if set, is a side transport (package udpnet) that carries
-	// the message kinds listed in DatagramKinds instead of the TCP streams —
-	// typically the failure detectors' heartbeat/ring-beat traffic, which is
-	// loss-tolerant by design (the paper's Section 4 link model for the
-	// leader is fair-lossy) and gains nothing from TCP's reliability while
-	// paying for its head-of-line blocking. Control traffic (rbcast,
-	// consensus, replicated log) keeps flowing over TCP. The mesh arms the
-	// datagram transport's delivery on New and propagates Crash and Stop to
-	// it. The mesh's own Faults do not apply to datagram kinds; the datagram
-	// transport has its own.
-	Datagram Datagram
+	// Datagram, if set, is a second transport (a udpnet.Transport) that
+	// carries the message kinds listed in DatagramKinds instead of the TCP
+	// streams — typically the failure detectors' heartbeat/ring-beat
+	// traffic, which is loss-tolerant by design (the paper's Section 4 link
+	// model for the leader is fair-lossy) and gains nothing from TCP's
+	// reliability while paying for its head-of-line blocking. Control
+	// traffic (rbcast, consensus, replicated log) keeps flowing over TCP.
+	// The TCP transport starts, crashes and stops it with itself, so its
+	// inbound datagrams go to the same Cluster.Inject. The TCP Faults do not
+	// apply to datagram kinds; the datagram transport has its own.
+	Datagram live.Transport
 	// DatagramKinds lists the message kinds routed over Datagram. Required
 	// (non-empty) when Datagram is set.
 	DatagramKinds []string
-}
-
-// Datagram is the contract a side datagram transport implements so a Mesh
-// can route selected kinds over it (udpnet.Transport is the implementation).
-type Datagram interface {
-	// Start arms inbound delivery: every datagram frame the transport
-	// receives and validates is handed to deliver (from any receiver
-	// goroutine, concurrently). The mesh re-validates and injects into its
-	// cluster.
-	Start(deliver func(from, to dsys.ProcessID, kind string, payload any))
-	// Send transmits one message as a single datagram, best-effort: no
-	// queueing, no retransmission, loss is natural.
-	Send(m dsys.Message)
-	// Crash stops carrying traffic to and from id and closes its local
-	// socket (if this transport hosts it).
-	Crash(id dsys.ProcessID)
-	// Stop closes every socket and ends the receiver goroutines.
-	Stop()
 }
 
 // dialFunc produces outbound connections; a test hook substitutes
 // fault-injecting fakes for deterministic break/retry coverage.
 type dialFunc func(addr string, timeout time.Duration) (net.Conn, error)
 
-// Mesh is a live cluster whose messages flow over TCP loopback.
-type Mesh struct {
+// Transport is the TCP socket machinery — listeners, per-destination
+// outbound queues and writers, read loops — as a live.Transport.
+type Transport struct {
 	cfg       Config
-	cluster   *live.Cluster
+	epoch     time.Time
+	inject    func(*dsys.Message) // set by Start, before any read loop runs
 	listeners []net.Listener
 	dial      dialFunc
 
-	// Send-path state is read lock-free: Mesh.send runs on every protocol
-	// task concurrently, and the CT-style ◇P workload calls it n²−n times
-	// per period — a mesh-wide mutex there serializes the whole cluster.
+	// Send-path state is read lock-free: Send runs on every protocol task
+	// concurrently, and the CT-style ◇P workload calls it n²−n times per
+	// period — a transport-wide mutex there serializes the whole cluster.
 	stopped atomic.Bool
 	crashed []atomic.Bool          // by id-1
 	peerTab []atomic.Pointer[peer] // by destination id-1; nil until first use
 
-	// dgKinds indexes Config.DatagramKinds; non-nil only when a datagram
-	// side-transport is configured. Read lock-free on the send path.
+	// dgKinds indexes Config.DatagramKinds; nil unless a datagram transport
+	// is configured. Read lock-free on the send path.
 	dgKinds map[string]bool
 
 	// Cumulative outbound volume, for WireStats.
@@ -167,9 +157,31 @@ type Mesh struct {
 	wg      sync.WaitGroup
 }
 
-// New builds the mesh: one loopback listener per process, accept loops
-// running. Processes are added with Spawn, exactly as with live.Cluster.
+// Mesh is a live cluster whose messages flow over TCP: a Transport and the
+// live.Cluster it carries, built together by New.
+type Mesh struct {
+	tr      *Transport
+	cluster *live.Cluster
+}
+
+// New builds the mesh: a Transport and a live cluster over it. Processes are
+// added with Spawn, exactly as with live.Cluster.
 func New(cfg Config) (*Mesh, error) {
+	tr, err := NewTransport(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Mesh{tr: tr, cluster: live.NewCluster(live.Config{
+		N:         cfg.N,
+		Trace:     cfg.Trace,
+		Log:       cfg.Log,
+		Transport: tr,
+	})}, nil
+}
+
+// NewTransport binds one listener per local process. Connections are
+// accepted from Start on; until then they wait in the listen backlog.
+func NewTransport(cfg Config) (*Transport, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("tcpnet: N must be at least 1")
 	}
@@ -193,75 +205,82 @@ func New(cfg Config) (*Mesh, error) {
 	if cfg.Datagram != nil && len(cfg.DatagramKinds) == 0 {
 		return nil, fmt.Errorf("tcpnet: Datagram set without DatagramKinds")
 	}
-	m := &Mesh{
-		cfg:     cfg,
-		crashed: make([]atomic.Bool, cfg.N),
-		peerTab: make([]atomic.Pointer[peer], cfg.N),
-		inbound: make(map[net.Conn]dsys.ProcessID),
+	t := &Transport{
+		cfg:       cfg,
+		epoch:     time.Now(),
+		listeners: make([]net.Listener, cfg.N),
+		crashed:   make([]atomic.Bool, cfg.N),
+		peerTab:   make([]atomic.Pointer[peer], cfg.N),
+		addrs:     make([]string, cfg.N),
+		inbound:   make(map[net.Conn]dsys.ProcessID),
 	}
-	m.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+	t.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, timeout)
 	}
 	if cfg.Datagram != nil {
-		m.dgKinds = make(map[string]bool, len(cfg.DatagramKinds))
+		t.dgKinds = make(map[string]bool, len(cfg.DatagramKinds))
 		for _, k := range cfg.DatagramKinds {
-			m.dgKinds[k] = true
+			t.dgKinds[k] = true
 		}
 	}
-	m.cluster = live.NewCluster(live.Config{
-		N:         cfg.N,
-		Trace:     cfg.Trace,
-		Log:       cfg.Log,
-		Transport: m.send,
-	})
-	if cfg.Datagram != nil {
-		cfg.Datagram.Start(m.injectDatagram)
-	}
-	m.listeners = make([]net.Listener, cfg.N)
-	m.addrs = make([]string, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		id := dsys.ProcessID(i + 1)
 		if cfg.Self != 0 && id != cfg.Self {
 			// Remote process: its address comes from the config (or later
 			// from SetPeerAddr); nothing to bind here.
-			m.addrs[i] = cfg.Peers[id]
+			t.addrs[i] = cfg.Peers[id]
 			continue
 		}
 		ln, err := net.Listen("tcp", cfg.Bind)
 		if err != nil {
-			m.Stop()
+			t.Stop()
 			return nil, fmt.Errorf("tcpnet: listen %q for p%d: %w", cfg.Bind, i+1, err)
 		}
-		m.listeners[i] = ln
-		m.addrs[i] = ln.Addr().String()
+		t.listeners[i] = ln
+		t.addrs[i] = ln.Addr().String()
 		if cfg.Self != 0 && cfg.Advertise != "" {
-			m.addrs[i] = cfg.Advertise
+			t.addrs[i] = cfg.Advertise
 		}
-		m.wg.Add(1)
-		go m.acceptLoop(id, ln)
 	}
-	return m, nil
+	return t, nil
+}
+
+// Start starts the accept loops, delivering every valid inbound frame to
+// inject, and starts the datagram transport with the same inject
+// (live.Transport).
+func (t *Transport) Start(inject func(*dsys.Message)) {
+	t.inject = inject
+	for i, ln := range t.listeners {
+		if ln != nil {
+			t.wg.Add(1)
+			go t.acceptLoop(dsys.ProcessID(i+1), ln)
+		}
+	}
+	if t.cfg.Datagram != nil {
+		t.cfg.Datagram.Start(inject)
+	}
 }
 
 // Cluster returns the underlying live cluster (for Now, Crashed, etc.).
 func (m *Mesh) Cluster() *live.Cluster { return m.cluster }
 
 // Addr returns the TCP address process id listens on.
-func (m *Mesh) Addr(id dsys.ProcessID) string { return m.addrOf(id) }
+func (m *Mesh) Addr(id dsys.ProcessID) string { return m.tr.Addr(id) }
 
-// addrOf reads the dial target for id under the mesh lock (tests redirect
-// addresses to exercise unreachable-peer behaviour).
-func (m *Mesh) addrOf(id dsys.ProcessID) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.addrs[id-1]
+// Addr returns the TCP address process id listens on — in single-process
+// mode, the dial target for a remote id.
+func (t *Transport) Addr(id dsys.ProcessID) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.addrs[id-1]
 }
 
-// setAddr rewrites the dial target for id (test hook).
-func (m *Mesh) setAddr(id dsys.ProcessID, addr string) {
-	m.mu.Lock()
-	m.addrs[id-1] = addr
-	m.mu.Unlock()
+// setAddr rewrites the dial target for id (SetPeerAddr; tests redirect
+// addresses to exercise unreachable-peer behaviour).
+func (t *Transport) setAddr(id dsys.ProcessID, addr string) {
+	t.mu.Lock()
+	t.addrs[id-1] = addr
+	t.mu.Unlock()
 }
 
 // SetPeerAddr supplies (or rewrites) the dial address of a remote process in
@@ -270,16 +289,17 @@ func (m *Mesh) setAddr(id dsys.ProcessID, addr string) {
 // frames queued while the peer was unreachable flow as soon as the address
 // resolves.
 func (m *Mesh) SetPeerAddr(id dsys.ProcessID, addr string) error {
-	if id < 1 || int(id) > m.cfg.N {
-		return fmt.Errorf("tcpnet: SetPeerAddr: process id %v out of range 1..%d", id, m.cfg.N)
+	cfg := &m.tr.cfg
+	if id < 1 || int(id) > cfg.N {
+		return fmt.Errorf("tcpnet: SetPeerAddr: process id %v out of range 1..%d", id, cfg.N)
 	}
-	if m.cfg.Self == 0 {
+	if cfg.Self == 0 {
 		return fmt.Errorf("tcpnet: SetPeerAddr is only meaningful in single-process mode")
 	}
-	if id == m.cfg.Self {
+	if id == cfg.Self {
 		return fmt.Errorf("tcpnet: SetPeerAddr: %v is the local process", id)
 	}
-	m.setAddr(id, addr)
+	m.tr.setAddr(id, addr)
 	return nil
 }
 
@@ -287,37 +307,56 @@ func (m *Mesh) SetPeerAddr(id dsys.ProcessID, addr string) error {
 // bytes put on the wire by every peer writer since the mesh started. E15 uses
 // it to report the per-frame encoding cost.
 func (m *Mesh) WireStats() (frames, bytes int64) {
-	return m.wireFrames.Load(), m.wireBytes.Load()
+	return m.tr.wireFrames.Load(), m.tr.wireBytes.Load()
+}
+
+// ResetConns forcibly closes every currently open outbound connection in the
+// mesh (traced as "tcp.reset"). Writers reconnect with backoff and traffic
+// resumes — the chaos knob used by the soak tests to exercise recovery.
+func (m *Mesh) ResetConns() {
+	for i := range m.tr.peerTab {
+		if pr := m.tr.peerTab[i].Load(); pr != nil {
+			pr.resetConn()
+		}
+	}
 }
 
 // Spawn starts a task of process id. In single-process mode only the local
 // process (Config.Self) can host tasks.
 func (m *Mesh) Spawn(id dsys.ProcessID, name string, fn dsys.TaskFunc) {
-	if m.cfg.Self != 0 && id != m.cfg.Self {
-		panic(fmt.Sprintf("tcpnet: single-process mesh hosts only %v; cannot spawn tasks of %v", m.cfg.Self, id))
+	if self := m.tr.cfg.Self; self != 0 && id != self {
+		panic(fmt.Sprintf("tcpnet: single-process mesh hosts only %v; cannot spawn tasks of %v", self, id))
 	}
 	m.cluster.Spawn(id, name, fn)
 }
 
+// Crash permanently crashes process id (live.Cluster.Crash): its tasks are
+// unwound, its listener and connections close, and the mesh stops carrying
+// traffic to and from it.
+func (m *Mesh) Crash(id dsys.ProcessID) { m.cluster.Crash(id) }
+
+// Stop unwinds the cluster and closes every socket (live.Cluster.Stop).
+func (m *Mesh) Stop() { m.cluster.Stop() }
+
 // onLink records a transport event on the trace collector (nil-safe).
-func (m *Mesh) onLink(event string, from, to dsys.ProcessID) {
-	m.cfg.Trace.OnLink(event, from, to, m.cluster.Now())
+func (t *Transport) onLink(event string, from, to dsys.ProcessID) {
+	t.cfg.Trace.OnLink(event, from, to, time.Since(t.epoch))
 }
 
-// Crash permanently crashes process id: its tasks are unwound, its listener
-// and connections close, and the mesh stops carrying traffic to and from it.
-func (m *Mesh) Crash(id dsys.ProcessID) {
-	m.crashed[id-1].Store(true)
-	m.mu.Lock()
-	ln := m.listeners[id-1]
-	pr := m.peerTab[id-1].Swap(nil)
+// Crash closes id's listener, its inbound connections and the outbound
+// queue to it, and stops carrying traffic to and from it (live.Transport).
+func (t *Transport) Crash(id dsys.ProcessID) {
+	t.crashed[id-1].Store(true)
+	t.mu.Lock()
+	ln := t.listeners[id-1]
+	pr := t.peerTab[id-1].Swap(nil)
 	var ins []net.Conn
-	for c, owner := range m.inbound {
+	for c, owner := range t.inbound {
 		if owner == id {
 			ins = append(ins, c)
 		}
 	}
-	m.mu.Unlock()
+	t.mu.Unlock()
 	if ln != nil {
 		ln.Close()
 	}
@@ -327,32 +366,30 @@ func (m *Mesh) Crash(id dsys.ProcessID) {
 	for _, c := range ins {
 		c.Close()
 	}
-	if m.cfg.Datagram != nil {
-		m.cfg.Datagram.Crash(id)
+	if t.cfg.Datagram != nil {
+		t.cfg.Datagram.Crash(id)
 	}
-	m.cluster.Crash(id)
 }
 
-// Stop closes every socket, terminates the writers and unwinds the cluster.
-func (m *Mesh) Stop() {
-	if !m.stopped.CompareAndSwap(false, true) {
-		m.cluster.Stop()
+// Stop closes every socket and waits for the writers and read loops to end
+// (live.Transport). Idempotent.
+func (t *Transport) Stop() {
+	if !t.stopped.CompareAndSwap(false, true) {
 		return
 	}
-	m.mu.Lock()
-	lns := m.listeners
+	t.mu.Lock()
 	var prs []*peer
-	for i := range m.peerTab {
-		if pr := m.peerTab[i].Swap(nil); pr != nil {
+	for i := range t.peerTab {
+		if pr := t.peerTab[i].Swap(nil); pr != nil {
 			prs = append(prs, pr)
 		}
 	}
-	ins := make([]net.Conn, 0, len(m.inbound))
-	for c := range m.inbound {
+	ins := make([]net.Conn, 0, len(t.inbound))
+	for c := range t.inbound {
 		ins = append(ins, c)
 	}
-	m.mu.Unlock()
-	for _, ln := range lns {
+	t.mu.Unlock()
+	for _, ln := range t.listeners {
 		if ln != nil {
 			ln.Close()
 		}
@@ -363,134 +400,120 @@ func (m *Mesh) Stop() {
 	for _, c := range ins {
 		c.Close()
 	}
-	if m.cfg.Datagram != nil {
-		m.cfg.Datagram.Stop()
+	if t.cfg.Datagram != nil {
+		t.cfg.Datagram.Stop()
 	}
-	m.cluster.Stop()
-	m.wg.Wait()
+	t.wg.Wait()
 }
 
-// ResetConns forcibly closes every currently open outbound connection in the
-// mesh (traced as "tcp.reset"). Writers reconnect with backoff and traffic
-// resumes — the chaos knob used by the soak tests to exercise recovery.
-func (m *Mesh) ResetConns() {
-	for i := range m.peerTab {
-		if pr := m.peerTab[i].Load(); pr != nil {
-			pr.resetConn()
-		}
-	}
-}
-
-// send implements the live transport hook: apply injected faults, then hand
-// the frame to the destination's outbound queue. It never blocks on the
-// network.
-func (m *Mesh) send(msg dsys.Message) {
-	if m.dgKinds != nil && m.dgKinds[msg.Kind] {
-		// Detector traffic rides the datagram side-transport (its own Faults
-		// apply there); the TCP mesh's faults only shape stream traffic.
-		m.cfg.Datagram.Send(msg)
+// Send applies injected faults, then hands the frame to the destination's
+// outbound queue (live.Transport). It never blocks on the network.
+func (t *Transport) Send(msg dsys.Message) {
+	if t.dgKinds[msg.Kind] {
+		// Detector traffic rides the datagram transport (its own Faults apply
+		// there); the TCP faults only shape stream traffic.
+		t.cfg.Datagram.Send(msg)
 		return
 	}
-	if fa := m.cfg.Faults; fa != nil {
+	if fa := t.cfg.Faults; fa != nil {
 		if fa.Partitioned(msg.From, msg.To) {
-			m.onLink("tcp.cut", msg.From, msg.To)
+			t.onLink("tcp.cut", msg.From, msg.To)
 			return
 		}
 		if fa.Chance(fa.DropP) {
-			m.onLink("tcp.drop", msg.From, msg.To)
+			t.onLink("tcp.drop", msg.From, msg.To)
 			return
 		}
 	}
-	pr := m.peer(msg.To, msg.From)
+	pr := t.peer(msg.To, msg.From)
 	if pr == nil {
 		return
 	}
 	f := wire.Frame{From: msg.From, To: msg.To, Kind: msg.Kind, Payload: msg.Payload}
 	pr.enqueue(outFrame{f: f})
-	if fa := m.cfg.Faults; fa != nil && fa.Chance(fa.DupP) {
-		m.onLink("tcp.dup", msg.From, msg.To)
+	if fa := t.cfg.Faults; fa != nil && fa.Chance(fa.DupP) {
+		t.onLink("tcp.dup", msg.From, msg.To)
 		pr.enqueue(outFrame{f: f})
 	}
 }
 
 // peer returns (creating on first use) the outbound queue for destination
-// to, or nil when the mesh is stopped or either endpoint has crashed. The
-// steady-state path is three atomic loads — the mesh mutex is only taken to
-// create a destination's queue the first time anyone sends to it.
-func (m *Mesh) peer(to, from dsys.ProcessID) *peer {
-	if to < 1 || int(to) > len(m.peerTab) {
+// to, or nil when the transport is stopped or either endpoint has crashed.
+// The steady-state path is three atomic loads — the transport mutex is only
+// taken to create a destination's queue the first time anyone sends to it.
+func (t *Transport) peer(to, from dsys.ProcessID) *peer {
+	if t.stopped.Load() || t.crashed[to-1].Load() || t.crashed[from-1].Load() {
 		return nil
 	}
-	if m.stopped.Load() || m.crashed[to-1].Load() || m.crashed[from-1].Load() {
-		return nil
-	}
-	if pr := m.peerTab[to-1].Load(); pr != nil {
+	if pr := t.peerTab[to-1].Load(); pr != nil {
 		return pr
 	}
-	return m.peerSlow(to)
+	return t.peerSlow(to)
 }
 
-// peerSlow creates the destination's queue under the mesh lock, re-checking
-// liveness so a racing Crash/Stop cannot resurrect a closed destination.
-func (m *Mesh) peerSlow(to dsys.ProcessID) *peer {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped.Load() || m.crashed[to-1].Load() {
+// peerSlow creates the destination's queue under the transport lock,
+// re-checking liveness so a racing Crash/Stop cannot resurrect a closed
+// destination.
+func (t *Transport) peerSlow(to dsys.ProcessID) *peer {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stopped.Load() || t.crashed[to-1].Load() {
 		return nil
 	}
-	if pr := m.peerTab[to-1].Load(); pr != nil {
+	if pr := t.peerTab[to-1].Load(); pr != nil {
 		return pr
 	}
-	pr := newPeer(m, to)
-	m.peerTab[to-1].Store(pr)
-	m.wg.Add(1)
+	pr := newPeer(t, to)
+	t.peerTab[to-1].Store(pr)
+	t.wg.Add(1)
 	go pr.run()
 	return pr
 }
 
 // registerInbound tracks an accepted connection so Crash/Stop can close it;
-// reports false (and closes the conn) when the mesh is already stopping.
-func (m *Mesh) registerInbound(conn net.Conn, owner dsys.ProcessID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped.Load() || m.crashed[owner-1].Load() {
+// reports false (and closes the conn) when its listener's process is gone.
+func (t *Transport) registerInbound(conn net.Conn, owner dsys.ProcessID) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stopped.Load() || t.crashed[owner-1].Load() {
 		conn.Close()
 		return false
 	}
-	m.inbound[conn] = owner
+	t.inbound[conn] = owner
 	return true
 }
 
-func (m *Mesh) unregisterInbound(conn net.Conn) {
-	m.mu.Lock()
-	delete(m.inbound, conn)
-	m.mu.Unlock()
+func (t *Transport) unregisterInbound(conn net.Conn) {
+	t.mu.Lock()
+	delete(t.inbound, conn)
+	t.mu.Unlock()
 }
 
 // acceptLoop receives connections addressed to process id and decodes
 // frames into the cluster.
-func (m *Mesh) acceptLoop(id dsys.ProcessID, ln net.Listener) {
-	defer m.wg.Done()
+func (t *Transport) acceptLoop(id dsys.ProcessID, ln net.Listener) {
+	defer t.wg.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed (crash or stop)
 		}
-		if !m.registerInbound(conn, id) {
+		if !t.registerInbound(conn, id) {
 			continue
 		}
-		m.wg.Add(1)
-		go m.readLoop(id, conn)
+		t.wg.Add(1)
+		go t.readLoop(id, conn)
 	}
 }
 
-// readLoop decodes frames off one accepted connection. Out-of-range frames
-// are dropped and traced; a stream whose framing goes bad is dropped whole
-// (resynchronization is impossible once a length prefix is suspect); only
-// connection teardown ends the loop silently.
-func (m *Mesh) readLoop(id dsys.ProcessID, conn net.Conn) {
-	defer m.wg.Done()
-	defer m.unregisterInbound(conn)
+// readLoop decodes frames off one accepted connection into the cluster. A
+// frame from an out-of-range sender, or addressed to some other process than
+// this listener's, is dropped and traced; a stream whose framing goes bad is
+// dropped whole (resynchronization is impossible once a length prefix is
+// suspect); only connection teardown ends the loop silently.
+func (t *Transport) readLoop(id dsys.ProcessID, conn net.Conn) {
+	defer t.wg.Done()
+	defer t.unregisterInbound(conn)
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 32<<10)
 	var buf []byte
@@ -500,13 +523,15 @@ func (m *Mesh) readLoop(id dsys.ProcessID, conn net.Conn) {
 		buf = b
 		if err != nil {
 			if errors.Is(err, wire.ErrMalformed) {
-				m.onLink("tcp.badframe", f.From, id)
+				t.onLink("tcp.badframe", f.From, id)
 			}
 			return
 		}
-		if !m.inject(&ar, id, f.From, f.To, f.Kind, f.Payload) {
-			return
+		if f.From < 1 || int(f.From) > t.cfg.N || f.To != id {
+			t.onLink("tcp.badframe", f.From, id)
+			continue
 		}
+		t.inject(ar.new(dsys.Message{From: f.From, To: f.To, Kind: f.Kind, Payload: f.Payload}))
 	}
 }
 
@@ -530,49 +555,6 @@ func (a *msgArena) new(msg dsys.Message) *dsys.Message {
 	a.chunk = a.chunk[1:]
 	*m = msg
 	return m
-}
-
-// inject validates one received frame and delivers it into the cluster.
-// It returns false when the read loop should end (mesh stopped).
-func (m *Mesh) inject(ar *msgArena, id, from, to dsys.ProcessID, kind string, payload any) bool {
-	// Validate bounds before the frame can reach cluster.Inject, whose id
-	// lookup panics on out-of-range processes. A frame addressed to some
-	// other process arriving on this listener is equally invalid.
-	if from < 1 || int(from) > m.cfg.N || to != id {
-		m.onLink("tcp.badframe", from, id)
-		return true
-	}
-	if m.stopped.Load() {
-		return false
-	}
-	if m.crashed[to-1].Load() || m.crashed[from-1].Load() {
-		return true
-	}
-	m.cluster.Inject(ar.new(dsys.Message{
-		From: from, To: to, Kind: kind, Payload: payload,
-		SentAt: m.cluster.Now(),
-	}))
-	return true
-}
-
-// injectDatagram is the datagram side-transport's delivery callback: the
-// transport already validated the frame's addressing against its own socket
-// layout; the mesh re-checks bounds and liveness and injects. Datagram
-// frames allocate one dsys.Message each — at heartbeat rates (n messages per
-// period per node) the arena optimization of the stream read loops would be
-// noise.
-func (m *Mesh) injectDatagram(from, to dsys.ProcessID, kind string, payload any) {
-	if from < 1 || int(from) > m.cfg.N || to < 1 || int(to) > m.cfg.N {
-		m.onLink("tcp.badframe", from, to)
-		return
-	}
-	if m.stopped.Load() || m.crashed[to-1].Load() || m.crashed[from-1].Load() {
-		return
-	}
-	m.cluster.Inject(&dsys.Message{
-		From: from, To: to, Kind: kind, Payload: payload,
-		SentAt: m.cluster.Now(),
-	})
 }
 
 // outFrame is one queued outbound frame. retried marks that one delivery
@@ -608,7 +590,7 @@ var (
 // ever touch the queue, so TCP backpressure and dial latency never block a
 // send.
 type peer struct {
-	m  *Mesh
+	t  *Transport
 	to dsys.ProcessID
 
 	mu       sync.Mutex
@@ -619,8 +601,8 @@ type peer struct {
 	closedCh chan struct{}
 }
 
-func newPeer(m *Mesh, to dsys.ProcessID) *peer {
-	pr := &peer{m: m, to: to, closedCh: make(chan struct{})}
+func newPeer(t *Transport, to dsys.ProcessID) *peer {
+	pr := &peer{t: t, to: to, closedCh: make(chan struct{})}
 	pr.cond = sync.NewCond(&pr.mu)
 	return pr
 }
@@ -632,10 +614,10 @@ func (pr *peer) enqueue(of outFrame) {
 		pr.mu.Unlock()
 		return
 	}
-	if len(pr.q) >= pr.m.cfg.QueueLen {
+	if len(pr.q) >= pr.t.cfg.QueueLen {
 		old := pr.q[0]
 		pr.q = pr.q[1:]
-		pr.m.onLink("tcp.overflow", old.f.From, pr.to)
+		pr.t.onLink("tcp.overflow", old.f.From, pr.to)
 	}
 	pr.q = append(pr.q, of)
 	pr.cond.Signal()
@@ -701,7 +683,7 @@ func (pr *peer) resetConn() {
 	conn := pr.conn
 	pr.mu.Unlock()
 	if conn != nil {
-		pr.m.onLink("tcp.reset", dsys.None, pr.to)
+		pr.t.onLink("tcp.reset", dsys.None, pr.to)
 		conn.Close()
 	}
 }
@@ -737,7 +719,7 @@ type peerWriter struct {
 // write it with one flush. Frames that survive a broken attempt stay in
 // pending (ahead of newer queue traffic, preserving per-sender order).
 func (pr *peer) run() {
-	defer pr.m.wg.Done()
+	defer pr.t.wg.Done()
 	w := peerWriter{pr: pr}
 	w.encBuf = encBufPool.Get().(*[]byte)
 	defer func() {
@@ -777,26 +759,26 @@ func (pr *peer) run() {
 // writer is armed. Go dials TCP with TCP_NODELAY on, which is what a batched
 // writer wants: every flush is already a coalesced segment.
 func (w *peerWriter) connect(backoff *time.Duration) bool {
-	pr, m := w.pr, w.pr.m
+	pr, t := w.pr, w.pr.t
 	for {
 		select {
 		case <-pr.closedCh:
 			return false
 		default:
 		}
-		conn, err := m.dial(m.addrOf(pr.to), m.cfg.DialTimeout)
+		conn, err := t.dial(t.Addr(pr.to), t.cfg.DialTimeout)
 		if err == nil {
 			if pr.swapConn(conn) == nil {
 				return false
 			}
-			m.onLink("tcp.dial", dsys.None, pr.to)
+			t.onLink("tcp.dial", dsys.None, pr.to)
 			*backoff = initialBackoff
 			w.conn = conn
 			w.bw = bwPool.Get().(*bufio.Writer)
 			w.bw.Reset(conn)
 			return true
 		}
-		m.onLink("tcp.dialfail", dsys.None, pr.to)
+		t.onLink("tcp.dialfail", dsys.None, pr.to)
 		t := time.NewTimer(*backoff)
 		select {
 		case <-t.C:
@@ -838,7 +820,7 @@ func (w *peerWriter) teardown() {
 //     dropped with "tcp.lost". Frames after the error point were never
 //     attempted and stay pristine (no retry consumed).
 func (w *peerWriter) writeBatch(batch []outFrame) []outFrame {
-	pr, m := w.pr, w.pr.m
+	pr, t := w.pr, w.pr.t
 	buf := (*w.encBuf)[:0]
 	w.ends = w.ends[:0]
 
@@ -849,9 +831,9 @@ func (w *peerWriter) writeBatch(batch []outFrame) []outFrame {
 		f := &batch[i].f
 		out, err := wire.AppendFrame(buf, f)
 		if err != nil {
-			m.onLink("tcp.unencodable", f.From, pr.to)
-			if m.cfg.Log != nil {
-				fmt.Fprintf(m.cfg.Log, "tcpnet: %v->%v %q frame dropped: %v\n", f.From, pr.to, f.Kind, err)
+			t.onLink("tcp.unencodable", f.From, pr.to)
+			if t.cfg.Log != nil {
+				fmt.Fprintf(t.cfg.Log, "tcpnet: %v->%v %q frame dropped: %v\n", f.From, pr.to, f.Kind, err)
 			}
 			continue
 		}
@@ -879,8 +861,8 @@ func (w *peerWriter) writeBatch(batch []outFrame) []outFrame {
 			failFrom = batch[i].f.From
 			break
 		}
-		m.wireFrames.Add(1)
-		m.wireBytes.Add(int64(end - start))
+		t.wireFrames.Add(1)
+		t.wireBytes.Add(int64(end - start))
 		start = end
 	}
 	if werr == nil {
@@ -889,10 +871,10 @@ func (w *peerWriter) writeBatch(batch []outFrame) []outFrame {
 
 	if werr == nil {
 		// Delivered. Roll forced resets per flushed frame.
-		if fa := m.cfg.Faults; fa != nil && fa.ResetP > 0 {
+		if fa := t.cfg.Faults; fa != nil && fa.ResetP > 0 {
 			for i := range batch {
 				if fa.Chance(fa.ResetP) {
-					m.onLink("tcp.reset", batch[i].f.From, pr.to)
+					t.onLink("tcp.reset", batch[i].f.From, pr.to)
 					w.teardown()
 					break
 				}
@@ -902,14 +884,14 @@ func (w *peerWriter) writeBatch(batch []outFrame) []outFrame {
 	}
 
 	// The connection broke with the batch in flight.
-	m.onLink("tcp.break", failFrom, pr.to)
+	t.onLink("tcp.break", failFrom, pr.to)
 	w.teardown()
 	keep := batch[:0]
 	for i := range batch {
 		of := &batch[i]
 		if i < attempted {
 			if of.retried {
-				m.onLink("tcp.lost", of.f.From, pr.to)
+				t.onLink("tcp.lost", of.f.From, pr.to)
 				continue
 			}
 			of.retried = true

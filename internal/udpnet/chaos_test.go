@@ -2,7 +2,7 @@ package udpnet_test
 
 // The datagram chaos soak, mirroring tcpnet's TestChaosSoakMesh on the
 // transport that loses natively: the heartbeat ◇P detector runs on an
-// all-UDP mesh while the harness injects 20% loss, 20% duplication,
+// all-UDP cluster while the harness injects 20% loss, 20% duplication,
 // reordering and jitter, hammers the transport with concurrent high-rate
 // noise senders, closes and re-binds every socket mid-run, and crashes one
 // process. The acceptance bar: strong completeness of the detector still
@@ -36,17 +36,13 @@ func TestChaosSoakUDPMesh(t *testing.T) {
 		ReorderWindow: 30 * time.Millisecond,
 		Jitter:        5 * time.Millisecond,
 	}
-	m, err := udpnet.New(udpnet.Config{N: n, Trace: col, Faults: faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
+	tr, c := udpCluster(t, udpnet.Config{N: n, Trace: col, Faults: faults})
 
 	var mu sync.Mutex
 	dets := make(map[dsys.ProcessID]*heartbeat.Detector)
 	for _, id := range dsys.Pids(n) {
 		id := id
-		m.Spawn(id, "fd", func(p dsys.Proc) {
+		c.Spawn(id, "fd", func(p dsys.Proc) {
 			d := heartbeat.Start(p, heartbeat.Options{Period: period})
 			mu.Lock()
 			dets[id] = d
@@ -56,7 +52,7 @@ func TestChaosSoakUDPMesh(t *testing.T) {
 		// Concurrent high-rate senders on top of the detector traffic: every
 		// process blasts noise datagrams at every peer, so the send path is
 		// exercised from many goroutines at once while faults roll.
-		m.Spawn(id, "noise", func(p dsys.Proc) {
+		c.Spawn(id, "noise", func(p dsys.Proc) {
 			for i := 0; ; i++ {
 				for _, to := range p.All() {
 					if to != id {
@@ -66,7 +62,7 @@ func TestChaosSoakUDPMesh(t *testing.T) {
 				p.Sleep(time.Millisecond)
 			}
 		})
-		m.Spawn(id, "drain", func(p dsys.Proc) {
+		c.Spawn(id, "drain", func(p dsys.Proc) {
 			for {
 				p.Recv(dsys.MatchKind("noise"))
 			}
@@ -75,11 +71,11 @@ func TestChaosSoakUDPMesh(t *testing.T) {
 
 	rec := check.NewFDRecorder(n)
 	sample := func() {
-		now := m.Cluster().Now()
+		now := c.Now()
 		mu.Lock()
 		defer mu.Unlock()
 		for _, id := range dsys.Pids(n) {
-			if m.Cluster().Crashed(id) {
+			if c.Crashed(id) {
 				continue
 			}
 			if d, ok := dets[id]; ok {
@@ -99,21 +95,21 @@ func TestChaosSoakUDPMesh(t *testing.T) {
 	for time.Since(start) < runFor {
 		now := time.Since(start)
 		if !didCrash && now >= crashAt {
-			m.Crash(crashed)
+			c.Crash(crashed)
 			didCrash = true
 		}
 		// The mid-run socket close: every ~600ms of the chaos phase, close
 		// and re-bind every socket while senders keep firing.
 		if now < chaosUntil && now-lastRebind >= 600*time.Millisecond {
-			m.Transport().Rebind()
+			tr.Rebind()
 			lastRebind = now
 		}
 		sample()
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	tr := check.FDTrace{N: n, Rec: rec, Crashed: col.Crashed()}
-	sc := tr.StrongCompleteness()
+	ft := check.FDTrace{N: n, Rec: rec, Crashed: col.Crashed()}
+	sc := ft.StrongCompleteness()
 	if !sc.Holds {
 		t.Fatalf("strong completeness violated under datagram chaos (crash at %v; drops=%d dups=%d reorders=%d rebinds=%d)",
 			crashAt, col.LinkEvents("udp.drop"), col.LinkEvents("udp.dup"),
@@ -122,7 +118,7 @@ func TestChaosSoakUDPMesh(t *testing.T) {
 	if sc.From > runFor-500*time.Millisecond {
 		t.Errorf("completeness stabilized only at %v of a %v run — too close to the end to be meaningful", sc.From, runFor)
 	}
-	q := tr.QoS()
+	q := ft.QoS()
 	t.Logf("completeness from %v; qos %+v", sc.From, q)
 
 	// The chaos must actually have happened.
@@ -131,7 +127,7 @@ func TestChaosSoakUDPMesh(t *testing.T) {
 			t.Errorf("no %s traced — fault injection inert", ev)
 		}
 	}
-	if sent, rcvd, _ := m.Transport().Stats(); sent == 0 || rcvd == 0 {
+	if sent, rcvd, _ := tr.Stats(); sent == 0 || rcvd == 0 {
 		t.Errorf("transport stats %d sent / %d received — soak inert", sent, rcvd)
 	}
 }

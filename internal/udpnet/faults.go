@@ -16,7 +16,7 @@ import (
 // stream transport hides from the detectors entirely.
 //
 // The probability and duration knobs are read at Transport construction: set
-// them before passing the Faults to New/NewTransport and leave them fixed
+// them before passing the Faults to NewTransport and leave them fixed
 // for the run — construction rejects out-of-range values. Partitions
 // (Partition/Heal/HealAll, promoted from netfault.Engine) and per-link
 // delays (SetDelay) are dynamic: callable at any time while the transport

@@ -8,16 +8,17 @@
 // ever reaches the detector) while TCP head-of-line blocking sits on the
 // hot path.
 //
-// The package offers two shapes:
+// Transport implements live.Transport and is used in one of two places.
+// As a cluster's whole transport, every message travels as a datagram:
 //
-//   - Transport is the bare datagram engine. tcpnet.Config.Datagram takes
-//     one so a mesh can keep control traffic (rbcast, consensus, the
-//     replicated log) on TCP streams while the detector kinds flow as
-//     datagrams — the mixed mode cmd/ecnode exposes as
-//     "heartbeat_transport": "udp".
-//   - Mesh couples a Transport with its own live.Cluster, so detectors run
-//     with ALL traffic over UDP — what the soak test and the E18 scenario
-//     matrix use.
+//	tr, err := udpnet.NewTransport(udpnet.Config{N: 4, Trace: col})
+//	c := live.NewCluster(live.Config{N: 4, Trace: col, Transport: tr})
+//
+// which is what the soak test and the E18 scenario matrix run detectors on.
+// As tcpnet.Config.Datagram, it carries only the detector kinds while
+// control traffic (rbcast, consensus, the replicated log) stays on TCP
+// streams — the mixed mode cmd/ecnode exposes as
+// "heartbeat_transport": "udp".
 //
 // Frames reuse the hardened codec of package wire unchanged: a datagram is
 // exactly the bytes one TCP frame would put on a stream (4-byte big-endian
@@ -38,7 +39,6 @@ package udpnet
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -56,7 +56,7 @@ import (
 // wire cannot encode at all is dropped as "udp.unencodable".
 const MaxDatagram = 65507
 
-// Config parameterizes a Transport (and a Mesh, which builds one).
+// Config parameterizes a Transport.
 type Config struct {
 	// N is the number of processes.
 	N int
@@ -81,26 +81,21 @@ type Config struct {
 	// "udp.reorder", "udp.badframe", "udp.toobig", "udp.unencodable",
 	// "udp.rebind"). Optional.
 	Trace *trace.Collector
-	// Log receives task debug output (Mesh only). Optional.
-	Log io.Writer
 	// Faults, if set, injects datagram faults. Nil means a clean transport —
 	// which over loopback still makes no delivery promises.
 	Faults *Faults
 }
 
-// deliverFunc receives one validated inbound frame.
-type deliverFunc func(from, to dsys.ProcessID, kind string, payload any)
-
 // Transport is the datagram engine: local sockets, read loops, and a
-// fire-and-forget send path. It implements tcpnet.Datagram.
+// fire-and-forget send path.
 type Transport struct {
-	cfg   Config
-	epoch time.Time
+	cfg    Config
+	epoch  time.Time
+	inject func(*dsys.Message) // set by Start, before any read loop runs
 
 	stopped atomic.Bool
 	crashed []atomic.Bool                 // by id-1
 	conns   []atomic.Pointer[net.UDPConn] // local sockets by id-1; nil for remote ids
-	sink    atomic.Pointer[deliverFunc]
 
 	sent      atomic.Int64
 	sentBytes atomic.Int64
@@ -115,8 +110,8 @@ type Transport struct {
 // allocation-free in steady state.
 var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 2<<10); return &b }}
 
-// NewTransport binds the local sockets and starts their read loops. Inbound
-// frames are dropped until Start arms delivery.
+// NewTransport binds the local sockets. Nothing is read from them until
+// Start; datagrams arriving before that wait in the socket buffers.
 func NewTransport(cfg Config) (*Transport, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("udpnet: N must be at least 1")
@@ -165,18 +160,20 @@ func NewTransport(cfg Config) (*Transport, error) {
 		}
 		t.conns[i].Store(conn)
 		t.addrs[i] = conn.LocalAddr().(*net.UDPAddr)
-		t.wg.Add(1)
-		go t.readLoop(id, conn)
 	}
 	return t, nil
 }
 
-// Start arms inbound delivery (tcpnet.Datagram). Frames received before
-// Start are dropped — the caller arms delivery before spawning protocol
-// tasks, so nothing meaningful is lost.
-func (t *Transport) Start(deliver func(from, to dsys.ProcessID, kind string, payload any)) {
-	d := deliverFunc(deliver)
-	t.sink.Store(&d)
+// Start starts one read loop per local socket, delivering every valid
+// inbound frame to inject (live.Transport).
+func (t *Transport) Start(inject func(*dsys.Message)) {
+	t.inject = inject
+	for i := range t.conns {
+		if conn := t.conns[i].Load(); conn != nil {
+			t.wg.Add(1)
+			go t.readLoop(dsys.ProcessID(i+1), conn)
+		}
+	}
 }
 
 // Addr returns the datagram address process id is reachable at ("" when
@@ -204,19 +201,16 @@ func (t *Transport) onLink(event string, from, to dsys.ProcessID) {
 }
 
 // Crash stops carrying traffic to and from id and closes its local socket
-// (tcpnet.Datagram). Datagrams already in flight to the closed socket
+// (live.Transport). Datagrams already in flight to the closed socket
 // vanish — the crash semantics the detectors observe.
 func (t *Transport) Crash(id dsys.ProcessID) {
-	if id < 1 || int(id) > t.cfg.N {
-		return
-	}
 	t.crashed[id-1].Store(true)
 	if conn := t.conns[id-1].Swap(nil); conn != nil {
 		conn.Close()
 	}
 }
 
-// Stop closes every socket and ends the read loops (tcpnet.Datagram).
+// Stop closes every socket and ends the read loops (live.Transport).
 // Idempotent. Delayed (jittered/reordered) datagrams whose timers fire
 // after Stop are discarded by the write path.
 func (t *Transport) Stop() {
@@ -266,15 +260,12 @@ func (t *Transport) Rebind() {
 	}
 }
 
-// Send transmits one message as one datagram (tcpnet.Datagram): encode,
+// Send transmits one message as one datagram (live.Transport): encode,
 // roll the injected faults, write to the destination socket. Never blocks
 // beyond the (non-blocking) socket write; a send to a crashed, stopped or
 // unknown destination is silently dropped — that IS the delivery contract.
 func (t *Transport) Send(m dsys.Message) {
 	from, to := m.From, m.To
-	if from < 1 || int(from) > t.cfg.N || to < 1 || int(to) > t.cfg.N || from == to {
-		return
-	}
 	if t.stopped.Load() || t.crashed[from-1].Load() || t.crashed[to-1].Load() {
 		return
 	}
@@ -373,7 +364,7 @@ func (t *Transport) write(from, to dsys.ProcessID, data []byte) {
 }
 
 // readLoop receives datagrams addressed to process id, decodes and
-// validates them, and hands them to the armed sink. A read error checks for
+// validates them, and injects them into the cluster. A read error checks for
 // a rebound socket (Rebind) before giving up.
 func (t *Transport) readLoop(id dsys.ProcessID, conn *net.UDPConn) {
 	defer t.wg.Done()
@@ -399,13 +390,8 @@ func (t *Transport) readLoop(id dsys.ProcessID, conn *net.UDPConn) {
 			t.onLink("udp.badframe", f.From, id)
 			continue
 		}
-		if t.stopped.Load() || t.crashed[id-1].Load() || t.crashed[f.From-1].Load() {
-			continue
-		}
 		t.received.Add(1)
-		if sink := t.sink.Load(); sink != nil {
-			(*sink)(f.From, f.To, f.Kind, f.Payload)
-		}
+		t.inject(&dsys.Message{From: f.From, To: f.To, Kind: f.Kind, Payload: f.Payload})
 	}
 }
 

@@ -7,11 +7,25 @@ import (
 	"time"
 
 	"repro/internal/dsys"
+	"repro/internal/live"
 	"repro/internal/netfault"
 	"repro/internal/trace"
 	"repro/internal/udpnet"
 	"repro/internal/wire"
 )
+
+// udpCluster runs a live cluster over an all-UDP transport, stopped when the
+// test ends.
+func udpCluster(t *testing.T, cfg udpnet.Config) (*udpnet.Transport, *live.Cluster) {
+	t.Helper()
+	tr, err := udpnet.NewTransport(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := live.NewCluster(live.Config{N: cfg.N, Trace: cfg.Trace, Transport: tr})
+	t.Cleanup(c.Stop)
+	return tr, c
+}
 
 func TestDatagramCodecRoundTrip(t *testing.T) {
 	frames := []wire.Frame{
@@ -82,20 +96,16 @@ func TestUnsendableFrameLabelled(t *testing.T) {
 				t.Fatalf("AppendDatagram error %v, want it to say %q", err, tc.errText)
 			}
 			col := trace.NewCollector()
-			m, err := udpnet.New(udpnet.Config{N: 2, Trace: col})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Stop()
+			tr, c := udpCluster(t, udpnet.Config{N: 2, Trace: col})
 			got := make(chan any, 4)
-			m.Spawn(2, "recv", func(p dsys.Proc) {
+			c.Spawn(2, "recv", func(p dsys.Proc) {
 				for {
 					msg, _ := p.Recv(dsys.MatchKind("seq"))
 					got <- msg.Payload
 				}
 			})
 			for _, payload := range []any{0, tc.payload, 1} {
-				m.Transport().Send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: payload})
+				tr.Send(dsys.Message{From: 1, To: 2, Kind: "seq", Payload: payload})
 			}
 			for want := 0; want < 2; want++ {
 				select {
@@ -123,19 +133,15 @@ func TestUnsendableFrameLabelled(t *testing.T) {
 func TestMeshDeliveryAndPartition(t *testing.T) {
 	col := trace.NewCollector()
 	faults := &udpnet.Faults{Knobs: netfault.Knobs{Seed: 3}}
-	m, err := udpnet.New(udpnet.Config{N: 2, Trace: col, Faults: faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
+	tr, c := udpCluster(t, udpnet.Config{N: 2, Trace: col, Faults: faults})
 	got := make(chan int, 4096)
-	m.Spawn(2, "recv", func(p dsys.Proc) {
+	c.Spawn(2, "recv", func(p dsys.Proc) {
 		for {
 			msg, _ := p.Recv(dsys.MatchKind("seq"))
 			got <- msg.Payload.(int)
 		}
 	})
-	m.Spawn(1, "send", func(p dsys.Proc) {
+	c.Spawn(1, "send", func(p dsys.Proc) {
 		for i := 0; ; i++ {
 			p.Send(2, "seq", i)
 			p.Sleep(2 * time.Millisecond)
@@ -165,7 +171,7 @@ func TestMeshDeliveryAndPartition(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no traffic after heal")
 	}
-	if sent, rcvd, bytes := m.Transport().Stats(); sent == 0 || rcvd == 0 || bytes == 0 {
+	if sent, rcvd, bytes := tr.Stats(); sent == 0 || rcvd == 0 || bytes == 0 {
 		t.Errorf("Stats() = %d/%d/%d, want all nonzero", sent, rcvd, bytes)
 	}
 }
@@ -199,9 +205,7 @@ func TestSingleProcessPair(t *testing.T) {
 	defer t1b.Stop()
 
 	got := make(chan dsys.Message, 128)
-	t2.Start(func(from, to dsys.ProcessID, kind string, payload any) {
-		got <- dsys.Message{From: from, To: to, Kind: kind, Payload: payload}
-	})
+	t2.Start(func(m *dsys.Message) { got <- *m })
 	deadline := time.After(10 * time.Second)
 	for {
 		t1b.Send(dsys.Message{From: 1, To: 2, Kind: "ping", Payload: 1})
@@ -220,14 +224,10 @@ func TestSingleProcessPair(t *testing.T) {
 
 // Crash closes the victim's socket and stops traffic both ways.
 func TestTransportCrash(t *testing.T) {
-	m, err := udpnet.New(udpnet.Config{N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
+	tr, c := udpCluster(t, udpnet.Config{N: 2})
 	var mu sync.Mutex
 	count := 0
-	m.Spawn(2, "recv", func(p dsys.Proc) {
+	c.Spawn(2, "recv", func(p dsys.Proc) {
 		for {
 			p.Recv(dsys.MatchKind("seq"))
 			mu.Lock()
@@ -235,7 +235,7 @@ func TestTransportCrash(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	m.Spawn(1, "send", func(p dsys.Proc) {
+	c.Spawn(1, "send", func(p dsys.Proc) {
 		for i := 0; ; i++ {
 			p.Send(2, "seq", i)
 			p.Sleep(time.Millisecond)
@@ -254,11 +254,11 @@ func TestTransportCrash(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	m.Crash(2)
+	c.Crash(2)
 	time.Sleep(50 * time.Millisecond) // let sends that raced the crash flag finish
-	sentBefore, _, _ := m.Transport().Stats()
+	sentBefore, _, _ := tr.Stats()
 	time.Sleep(100 * time.Millisecond)
-	sentAfter, _, _ := m.Transport().Stats()
+	sentAfter, _, _ := tr.Stats()
 	if sentAfter != sentBefore {
 		t.Errorf("transport still transmitting to a crashed process: %d -> %d", sentBefore, sentAfter)
 	}
@@ -270,11 +270,7 @@ func TestTransportCrash(t *testing.T) {
 // first arrivals must be separated by most of the delay.
 func TestAsymmetricDelay(t *testing.T) {
 	faults := &udpnet.Faults{Knobs: netfault.Knobs{Seed: 5}}
-	m, err := udpnet.New(udpnet.Config{N: 2, Faults: faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
+	_, c := udpCluster(t, udpnet.Config{N: 2, Faults: faults})
 	faults.SetDelay(1, 2, 300*time.Millisecond)
 
 	var mu sync.Mutex
@@ -293,11 +289,11 @@ func TestAsymmetricDelay(t *testing.T) {
 			}
 		}
 	}
-	m.Spawn(1, "recv", arrival(1))
-	m.Spawn(2, "recv", arrival(2))
+	c.Spawn(1, "recv", arrival(1))
+	c.Spawn(2, "recv", arrival(2))
 	for _, id := range []dsys.ProcessID{1, 2} {
 		id := id
-		m.Spawn(id, "send", func(p dsys.Proc) {
+		c.Spawn(id, "send", func(p dsys.Proc) {
 			for {
 				p.Send(3-id, "ping", 0)
 				p.Sleep(10 * time.Millisecond)
@@ -337,7 +333,7 @@ func TestBadKnobsRejected(t *testing.T) {
 		{Jitter: -time.Millisecond},
 	}
 	for i, fa := range bad {
-		if _, err := udpnet.New(udpnet.Config{N: 2, Faults: fa}); err == nil {
+		if _, err := udpnet.NewTransport(udpnet.Config{N: 2, Faults: fa}); err == nil {
 			t.Errorf("case %d: bad faults accepted", i)
 		}
 	}
