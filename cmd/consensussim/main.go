@@ -39,7 +39,7 @@ func main() {
 	runFor := flag.Duration("for", 30*time.Second, "virtual horizon")
 	flag.Parse()
 
-	crashes, err := parseCrashes(*crash, *n)
+	crashes, err := dsys.ParseCrashes(*crash, *n)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -110,27 +110,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-func parseCrashes(s string, n int) (map[dsys.ProcessID]time.Duration, error) {
-	out := map[dsys.ProcessID]time.Duration{}
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		var id int
-		var at string
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d@%s", &id, &at); err != nil {
-			return nil, fmt.Errorf("bad crash spec %q (want id@duration)", part)
-		}
-		d, err := time.ParseDuration(at)
-		if err != nil {
-			return nil, fmt.Errorf("bad crash time in %q: %v", part, err)
-		}
-		if id < 1 || id > n {
-			return nil, fmt.Errorf("crash id %d out of range 1..%d", id, n)
-		}
-		out[dsys.ProcessID(id)] = d
-	}
-	return out, nil
 }

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/check"
@@ -45,7 +44,7 @@ func main() {
 	period := flag.Duration("period", 10*time.Millisecond, "heartbeat period")
 	flag.Parse()
 
-	crashes, err := parseCrashes(*crash, *n)
+	crashes, err := dsys.ParseCrashes(*crash, *n)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -133,27 +132,4 @@ func builder(kind string, period time.Duration) (func(p dsys.Proc) any, error) {
 	default:
 		return nil, fmt.Errorf("unknown detector %q", kind)
 	}
-}
-
-func parseCrashes(s string, n int) (map[dsys.ProcessID]time.Duration, error) {
-	out := map[dsys.ProcessID]time.Duration{}
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		var id int
-		var at string
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d@%s", &id, &at); err != nil {
-			return nil, fmt.Errorf("bad crash spec %q (want id@duration)", part)
-		}
-		d, err := time.ParseDuration(at)
-		if err != nil {
-			return nil, fmt.Errorf("bad crash time in %q: %v", part, err)
-		}
-		if id < 1 || id > n {
-			return nil, fmt.Errorf("crash id %d out of range 1..%d", id, n)
-		}
-		out[dsys.ProcessID(id)] = d
-	}
-	return out, nil
 }

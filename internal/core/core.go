@@ -324,7 +324,7 @@ func StartReplica(p dsys.Proc, cfg Config) *Replica {
 	})
 	p.Spawn("core-log", r.logTask)
 	p.Spawn("core-responder", r.responderTask)
-	p.Spawn("core-state", r.stateServerTask)
+	dsys.SpawnRecvLoop(p, "core-state", r.serveFetch, r.fetchKind)
 	return r
 }
 
@@ -419,47 +419,40 @@ func (r *Replica) responderTask(p dsys.Proc) {
 	}
 }
 
-// stateServerTask answers state-transfer requests: for each Fetch it sends
-// back one State chunk holding the contiguous decided prefix starting at the
+// serveFetch answers a state-transfer request: for a Fetch it sends back
+// one State chunk holding the contiguous decided prefix starting at the
 // requested slot (stopping at the first gap or the chunk limit) plus this
 // replica's decided frontier. Serving is read-only and independent of the
 // driver's position, so even a replica that is itself replaying can donate
 // the prefix it already has.
-func (r *Replica) stateServerTask(p dsys.Proc) {
-	match := dsys.MatchKind(r.fetchKind)
-	for {
-		m, ok := p.Recv(match)
-		if !ok {
-			return
-		}
-		if m.From == p.ID() {
-			continue
-		}
-		req, ok := m.Payload.(Fetch)
-		if !ok {
-			continue
-		}
-		limit := req.Limit
-		if limit <= 0 || limit > maxTransferChunk {
-			limit = maxTransferChunk
-		}
-		resp := State{From: req.From}
-		r.mu.Lock()
-		resp.High = r.decidedHigh
-		for s := req.From; s > 0 && s <= r.decidedHigh && len(resp.Entries) < limit; s++ {
-			dec, ok := r.decided[s]
-			if !ok {
-				break
-			}
-			b, isBatch := dec.value.(Batch)
-			if !isBatch {
-				break
-			}
-			resp.Entries = append(resp.Entries, StateEntry{Slot: s, Round: dec.round, Batch: b})
-		}
-		r.mu.Unlock()
-		p.Send(m.From, r.stateKind, resp)
+func (r *Replica) serveFetch(p dsys.Proc, m *dsys.Message) {
+	if m.From == p.ID() {
+		return
 	}
+	req, ok := m.Payload.(Fetch)
+	if !ok {
+		return
+	}
+	limit := req.Limit
+	if limit <= 0 || limit > maxTransferChunk {
+		limit = maxTransferChunk
+	}
+	resp := State{From: req.From}
+	r.mu.Lock()
+	resp.High = r.decidedHigh
+	for s := req.From; s > 0 && s <= r.decidedHigh && len(resp.Entries) < limit; s++ {
+		dec, ok := r.decided[s]
+		if !ok {
+			break
+		}
+		b, isBatch := dec.value.(Batch)
+		if !isBatch {
+			break
+		}
+		resp.Entries = append(resp.Entries, StateEntry{Slot: s, Round: dec.round, Batch: b})
+	}
+	r.mu.Unlock()
+	p.Send(m.From, r.stateKind, resp)
 }
 
 // installState records a chunk's decisions locally and returns how many were

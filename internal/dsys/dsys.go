@@ -14,6 +14,7 @@ package dsys
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 )
 
@@ -149,4 +150,29 @@ func Pids(n int) []ProcessID {
 		ps[i] = ProcessID(i + 1)
 	}
 	return ps
+}
+
+// ParseCrashes parses a crash schedule "id@duration,..." (e.g.
+// "2@300ms,5@600ms") over processes 1..n; the empty string is no crashes.
+func ParseCrashes(s string, n int) (map[ProcessID]time.Duration, error) {
+	out := map[ProcessID]time.Duration{}
+	if s == "" {
+		return out, nil
+	}
+	for _, part := range strings.Split(s, ",") {
+		var id int
+		var at string
+		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d@%s", &id, &at); err != nil {
+			return nil, fmt.Errorf("bad crash spec %q (want id@duration)", part)
+		}
+		d, err := time.ParseDuration(at)
+		if err != nil {
+			return nil, fmt.Errorf("bad crash time in %q: %v", part, err)
+		}
+		if id < 1 || id > n {
+			return nil, fmt.Errorf("crash id %d out of range 1..%d", id, n)
+		}
+		out[ProcessID(id)] = d
+	}
+	return out, nil
 }

@@ -9,9 +9,13 @@ import "time"
 // simulator); declared through SpawnRecvLoop/SpawnTickLoop they expose their
 // structure, and a runtime implementing LoopSpawner can run them as
 // resumable callbacks with no context at all — the simulator's
-// goroutine-free fast path. Runtimes without the fast path fall back to the
-// equivalent blocking expansion, so the two spellings behave identically
-// everywhere.
+// goroutine-free fast path. Runtimes without the fast path (the live
+// cluster) run the equivalent blocking expansion, RecvLoopTask or
+// TickLoopTask, so the two spellings behave identically everywhere; the
+// expansion is also the reference the simulator's differential tests hold
+// the fast path to. Every receive and periodic loop in the repository is
+// declared this way; Spawn is for bodies that genuinely block mid-step,
+// such as a consensus Propose.
 
 // RecvLoopFunc is the body of a receive loop: called once per received
 // message, in delivery order. The message is only valid for the duration of

@@ -63,8 +63,8 @@ var _ fd.Suspector = (*Detector)(nil)
 func Start(p dsys.Proc, under fd.Suspector, opt Options) *Detector {
 	opt.fill()
 	d := &Detector{opt: opt, self: p.ID(), under: under, out: fd.Set{}}
-	p.Spawn("amp-bcast", d.bcastTask)
-	p.Spawn("amp-recv", d.recvTask)
+	dsys.SpawnTickLoop(p, "amp-bcast", dsys.TickLoop{Period: opt.Period, Immediate: true, Fn: d.bcastStep})
+	dsys.SpawnRecvLoop(p, "amp-recv", d.recvStep, KindSets)
 	return d
 }
 
@@ -75,40 +75,31 @@ func (d *Detector) Suspected() fd.Set {
 	return d.out.Clone()
 }
 
-func (d *Detector) bcastTask(p dsys.Proc) {
-	for {
-		list := d.under.Suspected().Members()
-		// Local suspicions feed the local output too (the process trusts
-		// its own module without waiting for its broadcast to loop back).
-		d.mu.Lock()
-		for _, q := range list {
-			if q != d.self {
-				d.out.Add(q)
-			}
+func (d *Detector) bcastStep(p dsys.Proc) {
+	list := d.under.Suspected().Members()
+	// Local suspicions feed the local output too (the process trusts its
+	// own module without waiting for its broadcast to loop back).
+	d.mu.Lock()
+	for _, q := range list {
+		if q != d.self {
+			d.out.Add(q)
 		}
-		d.mu.Unlock()
-		for _, q := range p.All() {
-			if q != d.self {
-				p.Send(q, KindSets, list)
-			}
+	}
+	d.mu.Unlock()
+	for _, q := range p.All() {
+		if q != d.self {
+			p.Send(q, KindSets, list)
 		}
-		p.Sleep(d.opt.Period)
 	}
 }
 
-func (d *Detector) recvTask(p dsys.Proc) {
-	for {
-		m, ok := p.Recv(dsys.MatchKind(KindSets))
-		if !ok {
-			return
+func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
+	d.mu.Lock()
+	for _, q := range m.Payload.([]dsys.ProcessID) {
+		if q != d.self {
+			d.out.Add(q)
 		}
-		d.mu.Lock()
-		for _, q := range m.Payload.([]dsys.ProcessID) {
-			if q != d.self {
-				d.out.Add(q)
-			}
-		}
-		d.out.Remove(m.From)
-		d.mu.Unlock()
 	}
+	d.out.Remove(m.From)
+	d.mu.Unlock()
 }

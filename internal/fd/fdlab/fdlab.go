@@ -35,11 +35,6 @@ type Setup struct {
 	SampleEvery time.Duration
 	// RunFor is the virtual duration of the run (default 2s).
 	RunFor time.Duration
-	// GoroutineTasks forces every detector loop task onto the kernel's
-	// blocking goroutine path instead of the callback fast path. The two
-	// execution schemes are required to produce bit-identical runs; the
-	// differential tests flip this switch and compare whole traces.
-	GoroutineTasks bool
 	// CountWindow, when non-zero, puts the trace collector in windowed-count
 	// mode: per-kind sends are tallied for [CountWindow[0], CountWindow[1])
 	// (read back via Result.Messages.SentWithin) and the per-message log is
@@ -76,7 +71,7 @@ func Run(s Setup) Result {
 		col.LogMessages = false
 		col.SetCountWindow(s.CountWindow[0], s.CountWindow[1])
 	}
-	k := sim.New(sim.Config{N: s.N, Network: s.Net, Seed: s.Seed, Trace: col, GoroutineTasks: s.GoroutineTasks})
+	k := sim.New(sim.Config{N: s.N, Network: s.Net, Seed: s.Seed, Trace: col})
 	rec := check.NewFDRecorder(s.N)
 	modules := make(map[dsys.ProcessID]any, s.N)
 	for _, id := range dsys.Pids(s.N) {
@@ -107,9 +102,9 @@ func Run(s Setup) Result {
 // in-memory network model or a socket transport): it builds one detector
 // module per process, crashes each process of s.Crashes when its time has
 // passed, samples every live module each s.SampleEvery until s.RunFor, and
-// returns the recorded trace. Seed, Net, GoroutineTasks and CountWindow
-// belong to the simulator and are ignored; the cluster brings its own
-// network. The caller stops the cluster.
+// returns the recorded trace. Seed, Net and CountWindow belong to the
+// simulator and are ignored; the cluster brings its own network. The caller
+// stops the cluster.
 func RunLive(c *live.Cluster, s Setup) check.FDTrace {
 	if s.SampleEvery <= 0 {
 		s.SampleEvery = 5 * time.Millisecond

@@ -9,6 +9,10 @@ import (
 	"repro/internal/fd"
 	"repro/internal/fd/fdlab"
 	"repro/internal/fd/fdtest"
+	"repro/internal/fd/heartbeat"
+	"repro/internal/fd/neighbor"
+	"repro/internal/fd/omega"
+	"repro/internal/fd/ring"
 	"repro/internal/live"
 	"repro/internal/network"
 )
@@ -130,5 +134,38 @@ func TestPartialSyncHelper(t *testing.T) {
 	ps, ok := net.(network.PartiallySynchronous)
 	if !ok || ps.GST != 100*time.Millisecond || ps.Delta != 10*time.Millisecond {
 		t.Errorf("PartialSync = %#v", net)
+	}
+}
+
+// TestNanosecondPeriodDetectorsRun starts each detector whose check interval
+// defaults to Period/2 with a 1ns period: the derived interval must clamp to
+// 1ns (a tick loop needs a positive period) and the detectors must run.
+func TestNanosecondPeriodDetectorsRun(t *testing.T) {
+	cases := map[string]func(p dsys.Proc) any{
+		"heartbeat": func(p dsys.Proc) any { return heartbeat.Start(p, heartbeat.Options{Period: time.Nanosecond}) },
+		"ring":      func(p dsys.Proc) any { return ring.Start(p, ring.Options{Period: time.Nanosecond}) },
+		"neighbor":  func(p dsys.Proc) any { return neighbor.Start(p, neighbor.Options{Period: time.Nanosecond}) },
+		"omega-leaderbeat": func(p dsys.Proc) any {
+			return omega.StartLeaderBeat(p, omega.Options{Period: time.Nanosecond})
+		},
+		"omega-stable": func(p dsys.Proc) any { return omega.StartStable(p, omega.Options{Period: time.Nanosecond}) },
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			res := fdlab.Run(fdlab.Setup{
+				N:           3,
+				Seed:        1,
+				Net:         network.Reliable{Latency: network.Fixed(time.Nanosecond)},
+				Build:       build,
+				SampleEvery: time.Microsecond,
+				RunFor:      20 * time.Microsecond,
+			})
+			if got := len(res.Trace.Rec.Samples(1)); got < 10 {
+				t.Errorf("p1 sampled %d times in 20µs", got)
+			}
+			if sent := len(res.Messages.Events()); sent == 0 {
+				t.Error("no detector message was sent")
+			}
+		})
 	}
 }

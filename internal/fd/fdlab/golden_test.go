@@ -84,7 +84,7 @@ func TestGoldenDetectorDigests(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// One digest covers goldenSeeds runs, so a rarely taken branch has
 			// several schedules in which to show a divergence.
-			run := func(goroutines bool) (string, int, int) {
+			run := func(reference bool) (string, int, int) {
 				all := sha256.New()
 				retracted, leaders := 0, 0
 				for i := int64(0); i < goldenSeeds; i++ {
@@ -100,13 +100,12 @@ func TestGoldenDetectorDigests(t *testing.T) {
 						// p1 is everyone's initial leader, so its crash is
 						// the leader change.
 						Crashes: map[dsys.ProcessID]time.Duration{1: 600 * time.Millisecond},
-						Build: func(p dsys.Proc) any {
+						Build: onPath(reference, func(p dsys.Proc) any {
 							m, c := tc.build(p)
 							counters = append(counters, c)
 							return m
-						},
-						RunFor:         1500 * time.Millisecond,
-						GoroutineTasks: goroutines,
+						}),
+						RunFor: 1500 * time.Millisecond,
 					})
 					for _, c := range counters {
 						retracted += c.FalseSuspicions()
@@ -121,15 +120,15 @@ func TestGoldenDetectorDigests(t *testing.T) {
 				return hex.EncodeToString(all.Sum(nil)), retracted, leaders
 			}
 			cb, retracted, leaders := run(false)
-			gr, _, _ := run(true)
+			ref, _, _ := run(true)
 			if retracted == 0 {
 				t.Errorf("scenario retracted no false suspicion; it no longer exercises the back-off path")
 			}
 			if leaders < 2 {
 				t.Errorf("p%d trusted %d distinct leaders; the scenario needs a leader change", n, leaders)
 			}
-			if cb != gr {
-				t.Errorf("callback path %s vs goroutine path %s", cb, gr)
+			if cb != ref {
+				t.Errorf("callback path %s vs reference path %s", cb, ref)
 			}
 			if want := goldenDigests[tc.name]; cb != want {
 				t.Errorf("digest %s, golden %s", cb, want)

@@ -57,7 +57,8 @@ type Options struct {
 	// TimeoutIncrement is added to a process's timeout each time a false
 	// suspicion of it is corrected (PolicyAdditive). Default 2·Period.
 	TimeoutIncrement time.Duration
-	// CheckInterval is how often expiries are evaluated. Default Period/2.
+	// CheckInterval is how often expiries are evaluated. Default Period/2,
+	// at least 1ns.
 	CheckInterval time.Duration
 	// Adaptive disables timeout growth when false — the ablation of
 	// EXPERIMENTS.md showing eventual accuracy fail for timeouts below Δ.
@@ -79,7 +80,7 @@ func (o *Options) fill() {
 		o.TimeoutIncrement = 2 * o.Period
 	}
 	if o.CheckInterval <= 0 {
-		o.CheckInterval = o.Period / 2
+		o.CheckInterval = max(o.Period/2, time.Nanosecond)
 	}
 }
 

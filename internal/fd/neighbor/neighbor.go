@@ -44,7 +44,7 @@ type Options struct {
 	Period           time.Duration // default 10ms
 	InitialTimeout   time.Duration // default 3·Period
 	TimeoutIncrement time.Duration // default 2·Period
-	CheckInterval    time.Duration // default Period/2
+	CheckInterval    time.Duration // default Period/2, at least 1ns
 	WatchTTL         time.Duration // default 6·Period
 	WatchRenew       time.Duration // default WatchTTL/2
 }
@@ -60,7 +60,7 @@ func (o *Options) fill() {
 		o.TimeoutIncrement = 2 * o.Period
 	}
 	if o.CheckInterval <= 0 {
-		o.CheckInterval = o.Period / 2
+		o.CheckInterval = max(o.Period/2, time.Nanosecond)
 	}
 	if o.WatchTTL <= 0 {
 		o.WatchTTL = 6 * o.Period
@@ -109,9 +109,9 @@ func Start(p dsys.Proc, opt Options) *Detector {
 		}
 	}
 	d.pred = d.nearestPred()
-	p.Spawn("nb-beat", d.beatTask)
-	p.Spawn("nb-recv", d.recvTask)
-	p.Spawn("nb-check", d.checkTask)
+	dsys.SpawnTickLoop(p, "nb-beat", dsys.TickLoop{Period: opt.Period, Immediate: true, Fn: d.beatStep})
+	dsys.SpawnRecvLoop(p, "nb-recv", d.recvStep, KindBeat, KindWatch)
+	dsys.SpawnTickLoop(p, "nb-check", dsys.TickLoop{Period: opt.CheckInterval, Fn: d.checkStep})
 	return d
 }
 
@@ -173,81 +173,67 @@ func (d *Detector) setPred(p dsys.Proc, q dsys.ProcessID) {
 	p.Send(q, KindWatch, nil)
 }
 
-func (d *Detector) beatTask(p dsys.Proc) {
-	for {
-		d.mu.Lock()
-		targets := fd.Set{}
-		if s := d.nearestSucc(); s != dsys.None {
-			targets.Add(s)
+func (d *Detector) beatStep(p dsys.Proc) {
+	d.mu.Lock()
+	targets := fd.Set{}
+	if s := d.nearestSucc(); s != dsys.None {
+		targets.Add(s)
+	}
+	now := p.Now()
+	for w, exp := range d.watchers {
+		if exp <= now {
+			delete(d.watchers, w)
+		} else {
+			targets.Add(w)
 		}
-		now := p.Now()
-		for w, exp := range d.watchers {
-			if exp <= now {
-				delete(d.watchers, w)
-			} else {
-				targets.Add(w)
-			}
-		}
-		d.mu.Unlock()
-		for _, q := range targets.Members() {
-			p.Send(q, KindBeat, nil)
-		}
-		p.Sleep(d.opt.Period)
+	}
+	d.mu.Unlock()
+	for _, q := range targets.Members() {
+		p.Send(q, KindBeat, nil)
 	}
 }
 
-func (d *Detector) recvTask(p dsys.Proc) {
-	match := dsys.MatchFunc(func(m *dsys.Message) bool { return m.Kind == KindBeat || m.Kind == KindWatch })
-	for {
-		m, ok := p.Recv(match)
-		if !ok {
-			return
-		}
-		d.mu.Lock()
-		switch m.Kind {
-		case KindWatch:
-			d.watchers[m.From] = p.Now() + d.opt.WatchTTL
-		case KindBeat:
-			d.lastHeard[m.From] = p.Now()
-			if d.susp.Has(m.From) {
-				d.susp.Remove(m.From)
-				d.falseSusp++
-				d.timeout[m.From] += d.opt.TimeoutIncrement
-				if np := d.nearestPred(); np != d.pred {
-					d.setPred(p, np)
-				}
-			}
-		}
-		d.mu.Unlock()
-	}
-}
-
-func (d *Detector) checkTask(p dsys.Proc) {
-	for {
-		p.Sleep(d.opt.CheckInterval)
-		now := p.Now()
-		d.mu.Lock()
-		if d.pred == dsys.None {
-			if np := d.nearestPred(); np != dsys.None {
+func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	switch m.Kind {
+	case KindWatch:
+		d.watchers[m.From] = p.Now() + d.opt.WatchTTL
+	case KindBeat:
+		d.lastHeard[m.From] = p.Now()
+		if d.susp.Has(m.From) {
+			d.susp.Remove(m.From)
+			d.falseSusp++
+			d.timeout[m.From] += d.opt.TimeoutIncrement
+			if np := d.nearestPred(); np != d.pred {
 				d.setPred(p, np)
 			}
-			d.mu.Unlock()
-			continue
 		}
-		if now-d.lastHeard[d.pred] > d.timeout[d.pred] {
-			if !d.rewatched {
-				d.rewatched = true
-				d.lastHeard[d.pred] = now
-				d.lastWatch = now
-				p.Send(d.pred, KindWatch, nil)
-			} else {
-				d.susp.Add(d.pred)
-				d.setPred(p, d.nearestPred())
-			}
-		} else if d.pred != d.prev(d.self) && now-d.lastWatch >= d.opt.WatchRenew {
+	}
+}
+
+func (d *Detector) checkStep(p dsys.Proc) {
+	now := p.Now()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.pred == dsys.None {
+		if np := d.nearestPred(); np != dsys.None {
+			d.setPred(p, np)
+		}
+		return
+	}
+	if now-d.lastHeard[d.pred] > d.timeout[d.pred] {
+		if !d.rewatched {
+			d.rewatched = true
+			d.lastHeard[d.pred] = now
 			d.lastWatch = now
 			p.Send(d.pred, KindWatch, nil)
+		} else {
+			d.susp.Add(d.pred)
+			d.setPred(p, d.nearestPred())
 		}
-		d.mu.Unlock()
+	} else if d.pred != d.prev(d.self) && now-d.lastWatch >= d.opt.WatchRenew {
+		d.lastWatch = now
+		p.Send(d.pred, KindWatch, nil)
 	}
 }

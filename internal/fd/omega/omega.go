@@ -58,7 +58,7 @@ type Options struct {
 	// only). Default 2·Period.
 	TimeoutIncrement time.Duration
 	// CheckInterval is how often expiries are evaluated (LeaderBeat only).
-	// Default Period/2.
+	// Default Period/2, at least 1ns.
 	CheckInterval time.Duration
 }
 
@@ -73,7 +73,7 @@ func (o *Options) fill() {
 		o.TimeoutIncrement = 2 * o.Period
 	}
 	if o.CheckInterval <= 0 {
-		o.CheckInterval = o.Period / 2
+		o.CheckInterval = max(o.Period/2, time.Nanosecond)
 	}
 }
 
@@ -126,9 +126,9 @@ func StartLeaderBeat(p dsys.Proc, opt Options) *LeaderBeat {
 		}
 	}
 	d.last = d.trustedLocked()
-	p.Spawn("omega-beat", d.beatTask)
-	p.Spawn("omega-recv", d.recvTask)
-	p.Spawn("omega-check", d.checkTask)
+	dsys.SpawnTickLoop(p, "omega-beat", dsys.TickLoop{Period: opt.Period, Immediate: true, Fn: d.beatStep})
+	dsys.SpawnRecvLoop(p, "omega-recv", d.recvStep, KindLeaderBeat)
+	dsys.SpawnTickLoop(p, "omega-check", dsys.TickLoop{Period: opt.CheckInterval, Fn: d.checkStep})
 	return d
 }
 
@@ -175,66 +175,54 @@ func (d *LeaderBeat) noteChangeLocked() {
 	}
 }
 
-func (d *LeaderBeat) beatTask(p dsys.Proc) {
-	for {
-		d.mu.Lock()
-		isLeader := d.trustedLocked() == d.self
-		var attachment any
-		if isLeader && d.payloadFn != nil {
-			attachment = d.payloadFn()
-		}
-		d.mu.Unlock()
-		if isLeader {
-			pay := &BeatPayload{Attachment: attachment}
-			for _, q := range p.All() {
-				if q != d.self {
-					p.Send(q, KindLeaderBeat, pay)
-				}
-			}
-		}
-		p.Sleep(d.opt.Period)
+func (d *LeaderBeat) beatStep(p dsys.Proc) {
+	d.mu.Lock()
+	isLeader := d.trustedLocked() == d.self
+	var attachment any
+	if isLeader && d.payloadFn != nil {
+		attachment = d.payloadFn()
 	}
-}
-
-func (d *LeaderBeat) recvTask(p dsys.Proc) {
-	for {
-		m, ok := p.Recv(dsys.MatchKind(KindLeaderBeat))
-		if !ok {
-			return
-		}
-		pay := m.Payload.(*BeatPayload)
-		d.mu.Lock()
-		d.lastHeard[m.From] = p.Now()
-		if d.susp.Has(m.From) {
-			d.susp.Remove(m.From)
-			d.timeout[m.From] += d.opt.TimeoutIncrement
-			d.noteChangeLocked()
-		}
-		handlers := d.onBeacon
-		d.mu.Unlock()
-		for _, fn := range handlers {
-			fn(m.From, pay.Attachment)
+	d.mu.Unlock()
+	if isLeader {
+		pay := &BeatPayload{Attachment: attachment}
+		for _, q := range p.All() {
+			if q != d.self {
+				p.Send(q, KindLeaderBeat, pay)
+			}
 		}
 	}
 }
 
-func (d *LeaderBeat) checkTask(p dsys.Proc) {
-	for {
-		p.Sleep(d.opt.CheckInterval)
-		now := p.Now()
-		d.mu.Lock()
-		ldr := d.trustedLocked()
-		if ldr != dsys.None && ldr != d.self && now-d.lastHeard[ldr] > d.timeout[ldr] {
-			d.susp.Add(ldr)
-			// Grant the next candidate a fresh grace period: it does not
-			// broadcast until it learns it is leader, which takes time.
-			if nxt := d.trustedLocked(); nxt != dsys.None && nxt != d.self {
-				d.lastHeard[nxt] = now
-			}
-			d.noteChangeLocked()
-		}
-		d.mu.Unlock()
+func (d *LeaderBeat) recvStep(p dsys.Proc, m *dsys.Message) {
+	pay := m.Payload.(*BeatPayload)
+	d.mu.Lock()
+	d.lastHeard[m.From] = p.Now()
+	if d.susp.Has(m.From) {
+		d.susp.Remove(m.From)
+		d.timeout[m.From] += d.opt.TimeoutIncrement
+		d.noteChangeLocked()
 	}
+	handlers := d.onBeacon
+	d.mu.Unlock()
+	for _, fn := range handlers {
+		fn(m.From, pay.Attachment)
+	}
+}
+
+func (d *LeaderBeat) checkStep(p dsys.Proc) {
+	now := p.Now()
+	d.mu.Lock()
+	ldr := d.trustedLocked()
+	if ldr != dsys.None && ldr != d.self && now-d.lastHeard[ldr] > d.timeout[ldr] {
+		d.susp.Add(ldr)
+		// Grant the next candidate a fresh grace period: it does not
+		// broadcast until it learns it is leader, which takes time.
+		if nxt := d.trustedLocked(); nxt != dsys.None && nxt != d.self {
+			d.lastHeard[nxt] = now
+		}
+		d.noteChangeLocked()
+	}
+	d.mu.Unlock()
 }
 
 // FromSuspector is the gossip-based reduction Suspector → Ω.
@@ -274,8 +262,8 @@ func StartFromSuspector(p dsys.Proc, under fd.Suspector, opt Options) *FromSuspe
 		counters: make([]uint64, p.N()),
 	}
 	d.last = d.trustedLocked()
-	p.Spawn("omegafs-gossip", d.gossipTask)
-	p.Spawn("omegafs-recv", d.recvTask)
+	dsys.SpawnTickLoop(p, "omegafs-gossip", dsys.TickLoop{Period: opt.Period, Immediate: true, Fn: d.gossipStep})
+	dsys.SpawnRecvLoop(p, "omegafs-recv", d.recvStep, KindCounters)
 	return d
 }
 
@@ -303,46 +291,37 @@ func (d *FromSuspector) LeaderChanges() int {
 	return d.changes
 }
 
-func (d *FromSuspector) gossipTask(p dsys.Proc) {
-	for {
-		susp := d.under.Suspected()
-		d.mu.Lock()
-		for _, q := range susp.Members() {
-			d.counters[int(q)-1]++
+func (d *FromSuspector) gossipStep(p dsys.Proc) {
+	susp := d.under.Suspected()
+	d.mu.Lock()
+	for _, q := range susp.Members() {
+		d.counters[int(q)-1]++
+	}
+	snapshot := make([]uint64, d.n)
+	copy(snapshot, d.counters)
+	if t := d.trustedLocked(); t != d.last {
+		d.last = t
+		d.changes++
+	}
+	d.mu.Unlock()
+	for _, q := range p.All() {
+		if q != d.self {
+			p.Send(q, KindCounters, snapshot)
 		}
-		snapshot := make([]uint64, d.n)
-		copy(snapshot, d.counters)
-		if t := d.trustedLocked(); t != d.last {
-			d.last = t
-			d.changes++
-		}
-		d.mu.Unlock()
-		for _, q := range p.All() {
-			if q != d.self {
-				p.Send(q, KindCounters, snapshot)
-			}
-		}
-		p.Sleep(d.opt.Period)
 	}
 }
 
-func (d *FromSuspector) recvTask(p dsys.Proc) {
-	for {
-		m, ok := p.Recv(dsys.MatchKind(KindCounters))
-		if !ok {
-			return
+func (d *FromSuspector) recvStep(p dsys.Proc, m *dsys.Message) {
+	v := m.Payload.([]uint64)
+	d.mu.Lock()
+	for i := range d.counters {
+		if v[i] > d.counters[i] {
+			d.counters[i] = v[i]
 		}
-		v := m.Payload.([]uint64)
-		d.mu.Lock()
-		for i := range d.counters {
-			if v[i] > d.counters[i] {
-				d.counters[i] = v[i]
-			}
-		}
-		if t := d.trustedLocked(); t != d.last {
-			d.last = t
-			d.changes++
-		}
-		d.mu.Unlock()
 	}
+	if t := d.trustedLocked(); t != d.last {
+		d.last = t
+		d.changes++
+	}
+	d.mu.Unlock()
 }

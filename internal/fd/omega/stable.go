@@ -65,9 +65,9 @@ func StartStable(p dsys.Proc, opt Options) *Stable {
 		}
 	}
 	d.last = d.leaderLocked()
-	p.Spawn("omegastable-beat", d.beatTask)
-	p.Spawn("omegastable-recv", d.recvTask)
-	p.Spawn("omegastable-check", d.checkTask)
+	dsys.SpawnTickLoop(p, "omegastable-beat", dsys.TickLoop{Period: opt.Period, Immediate: true, Fn: d.beatStep})
+	dsys.SpawnRecvLoop(p, "omegastable-recv", d.recvStep, KindStableBeat)
+	dsys.SpawnTickLoop(p, "omegastable-check", dsys.TickLoop{Period: opt.CheckInterval, Fn: d.checkStep})
 	return d
 }
 
@@ -118,60 +118,48 @@ func (d *Stable) noteChangeLocked(p dsys.Proc) {
 	}
 }
 
-func (d *Stable) beatTask(p dsys.Proc) {
-	for {
-		d.mu.Lock()
-		isLeader := d.leaderLocked() == d.self
-		var vec []uint32
-		if isLeader {
-			vec = make([]uint32, d.n)
-			copy(vec, d.epoch)
-		}
-		d.mu.Unlock()
-		if isLeader {
-			for _, q := range p.All() {
-				if q != d.self {
-					p.Send(q, KindStableBeat, vec)
-				}
+func (d *Stable) beatStep(p dsys.Proc) {
+	d.mu.Lock()
+	isLeader := d.leaderLocked() == d.self
+	var vec []uint32
+	if isLeader {
+		vec = make([]uint32, d.n)
+		copy(vec, d.epoch)
+	}
+	d.mu.Unlock()
+	if isLeader {
+		for _, q := range p.All() {
+			if q != d.self {
+				p.Send(q, KindStableBeat, vec)
 			}
 		}
-		p.Sleep(d.opt.Period)
 	}
 }
 
-func (d *Stable) recvTask(p dsys.Proc) {
-	for {
-		m, ok := p.Recv(dsys.MatchKind(KindStableBeat))
-		if !ok {
-			return
+func (d *Stable) recvStep(p dsys.Proc, m *dsys.Message) {
+	vec := m.Payload.([]uint32)
+	d.mu.Lock()
+	d.lastHeard[m.From] = p.Now()
+	for i := range d.epoch {
+		if vec[i] > d.epoch[i] {
+			d.epoch[i] = vec[i]
 		}
-		vec := m.Payload.([]uint32)
-		d.mu.Lock()
-		d.lastHeard[m.From] = p.Now()
-		for i := range d.epoch {
-			if vec[i] > d.epoch[i] {
-				d.epoch[i] = vec[i]
-			}
-		}
+	}
+	d.noteChangeLocked(p)
+	d.mu.Unlock()
+}
+
+func (d *Stable) checkStep(p dsys.Proc) {
+	now := p.Now()
+	d.mu.Lock()
+	ldr := d.leaderLocked()
+	if ldr != d.self && now-d.lastHeard[ldr] > d.timeout[ldr] {
+		// Accuse the silent leader: its epoch grows (locally first;
+		// globally once our vector spreads) and it is permanently
+		// outranked by the accusation — no flapping back.
+		d.epoch[int(ldr)-1]++
+		d.timeout[ldr] += d.opt.TimeoutIncrement
 		d.noteChangeLocked(p)
-		d.mu.Unlock()
 	}
-}
-
-func (d *Stable) checkTask(p dsys.Proc) {
-	for {
-		p.Sleep(d.opt.CheckInterval)
-		now := p.Now()
-		d.mu.Lock()
-		ldr := d.leaderLocked()
-		if ldr != d.self && now-d.lastHeard[ldr] > d.timeout[ldr] {
-			// Accuse the silent leader: its epoch grows (locally first;
-			// globally once our vector spreads) and it is permanently
-			// outranked by the accusation — no flapping back.
-			d.epoch[int(ldr)-1]++
-			d.timeout[ldr] += d.opt.TimeoutIncrement
-			d.noteChangeLocked(p)
-		}
-		d.mu.Unlock()
-	}
+	d.mu.Unlock()
 }

@@ -55,7 +55,8 @@ type Options struct {
 	// TimeoutIncrement is added to a process's timeout each time a false
 	// suspicion of it is corrected. Default 2·Period.
 	TimeoutIncrement time.Duration
-	// CheckInterval is how often expiries are evaluated. Default Period/2.
+	// CheckInterval is how often expiries are evaluated. Default Period/2,
+	// at least 1ns.
 	CheckInterval time.Duration
 	// WatchTTL is how long a WATCH keeps the watcher on the sender's
 	// heartbeat list. Default 6·Period.
@@ -76,7 +77,7 @@ func (o *Options) fill() {
 		o.TimeoutIncrement = 2 * o.Period
 	}
 	if o.CheckInterval <= 0 {
-		o.CheckInterval = o.Period / 2
+		o.CheckInterval = max(o.Period/2, time.Nanosecond)
 	}
 	if o.WatchTTL <= 0 {
 		o.WatchTTL = 6 * o.Period

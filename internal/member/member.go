@@ -127,7 +127,7 @@ func Start(p dsys.Proc, cfg Config) *Service {
 		Consensus: cc,
 		Apply:     s.apply,
 	})
-	p.Spawn("member-evict", s.evictTask)
+	dsys.SpawnTickLoop(p, "member-evict", dsys.TickLoop{Period: s.cfg.Poll, Fn: s.evictStep})
 	return s
 }
 
@@ -194,39 +194,36 @@ func (s *Service) apply(_ int, cmd core.Command) {
 	}
 }
 
-// evictTask watches the detector and proposes evictions for members that
-// stay suspected past EvictAfter.
-func (s *Service) evictTask(p dsys.Proc) {
-	for {
-		p.Sleep(s.cfg.Poll)
-		now := p.Now()
-		susp := s.det.Suspected()
-		s.mu.Lock()
-		var submit []change
-		for _, m := range s.view.Members {
-			if m == s.self {
-				continue
-			}
-			if !susp.Has(m) {
-				delete(s.suspectSince, m)
-				continue
-			}
-			since, ok := s.suspectSince[m]
-			if !ok {
-				s.suspectSince[m] = now
-				continue
-			}
-			if now-since >= s.cfg.EvictAfter {
-				c := change{Target: m, ViewID: s.view.ID}
-				if !s.proposed[c] {
-					s.proposed[c] = true
-					submit = append(submit, c)
-				}
+// evictStep runs every Poll: it samples the detector and proposes evictions
+// for members that stay suspected past EvictAfter.
+func (s *Service) evictStep(p dsys.Proc) {
+	now := p.Now()
+	susp := s.det.Suspected()
+	s.mu.Lock()
+	var submit []change
+	for _, m := range s.view.Members {
+		if m == s.self {
+			continue
+		}
+		if !susp.Has(m) {
+			delete(s.suspectSince, m)
+			continue
+		}
+		since, ok := s.suspectSince[m]
+		if !ok {
+			s.suspectSince[m] = now
+			continue
+		}
+		if now-since >= s.cfg.EvictAfter {
+			c := change{Target: m, ViewID: s.view.ID}
+			if !s.proposed[c] {
+				s.proposed[c] = true
+				submit = append(submit, c)
 			}
 		}
-		s.mu.Unlock()
-		for _, c := range submit {
-			s.rep.Submit(c)
-		}
+	}
+	s.mu.Unlock()
+	for _, c := range submit {
+		s.rep.Submit(c)
 	}
 }

@@ -117,7 +117,7 @@ func StartNamespaceInc(p dsys.Proc, ns string, inc int64) *Module {
 		inc:       inc,
 		delivered: make(map[key]bool),
 	}
-	p.Spawn("rb-relay", m.relayTask)
+	dsys.SpawnRecvLoop(p, "rb-relay", m.receive, m.kind)
 	return m
 }
 
@@ -155,17 +155,6 @@ func (m *Module) Broadcast(p dsys.Proc, payload any) {
 	m.mu.Unlock()
 	for _, q := range m.all {
 		p.Send(q, m.kind, w)
-	}
-}
-
-func (m *Module) relayTask(p dsys.Proc) {
-	match := dsys.MatchKind(m.kind)
-	for {
-		msg, ok := p.Recv(match)
-		if !ok {
-			return
-		}
-		m.receive(p, msg)
 	}
 }
 

@@ -50,14 +50,13 @@ func TestArenaRecycleStress(t *testing.T) {
 				P: 0.5, MaxCopies: 4,
 				Under: network.FairLossy{P: 0.3, Under: network.Reliable{Latency: network.Uniform{Min: 100 * time.Microsecond, Max: 5 * time.Millisecond}}},
 			},
-			Seed:           77,
-			GoroutineTasks: goroutines,
+			Seed: 77,
 		})
 		received := 0
 		for i := 1; i <= n; i++ {
 			id := dsys.ProcessID(i)
 			rng := rand.New(rand.NewSource(int64(i)))
-			k.SpawnTickLoop(id, "blast", dsys.TickLoop{Period: 500 * time.Microsecond, Immediate: true, Fn: func(p dsys.Proc) {
+			blast := dsys.TickLoop{Period: 500 * time.Microsecond, Immediate: true, Fn: func(p dsys.Proc) {
 				// Stop sending well before the run's end so every delivery
 				// (max latency 5ms) lands or drops before the cutoff and the
 				// final live count checks a fully drained arena.
@@ -67,10 +66,15 @@ func TestArenaRecycleStress(t *testing.T) {
 				for j := 0; j < 4; j++ {
 					p.Send(dsys.ProcessID(1+rng.Intn(n)), "m", j)
 				}
-			}})
-			k.SpawnRecvLoop(id, "drain", func(p dsys.Proc, m *dsys.Message) {
-				received++
-			}, "m")
+			}}
+			drain := func(p dsys.Proc, m *dsys.Message) { received++ }
+			if goroutines {
+				k.Spawn(id, "blast", dsys.TickLoopTask(blast))
+				k.Spawn(id, "drain", dsys.RecvLoopTask(drain, "m"))
+			} else {
+				k.SpawnTickLoop(id, "blast", blast)
+				k.SpawnRecvLoop(id, "drain", drain, "m")
+			}
 			// A blocking consumer competing for the same kind: exercises the
 			// escape-to-heap path and timeout-abandoned parks.
 			k.Spawn(id, "block", func(p dsys.Proc) {

@@ -57,11 +57,6 @@ type Config struct {
 	Trace *trace.Collector
 	// Log receives task debug output (Proc.Logf). Optional.
 	Log io.Writer
-	// GoroutineTasks forces tasks spawned through SpawnRecvLoop and
-	// SpawnTickLoop onto the legacy blocking-goroutine path instead of the
-	// callback fast path. The schedule is identical either way — the
-	// differential tests compare whole runs across this flag to prove it.
-	GoroutineTasks bool
 }
 
 // Kernel is the simulation engine. Create with New, add initial tasks with
@@ -198,10 +193,6 @@ func (k *Kernel) spawnRecvLoop(p *proc, name string, fn dsys.RecvLoopFunc, kinds
 	if len(kinds) == 0 {
 		panic("sim: SpawnRecvLoop needs at least one message kind")
 	}
-	if k.cfg.GoroutineTasks {
-		k.spawn(p, name, dsys.RecvLoopTask(fn, kinds...))
-		return
-	}
 	kids := make([]int32, len(kinds))
 	for i, kind := range kinds {
 		kids[i] = dsys.KindID(kind)
@@ -215,10 +206,6 @@ func (k *Kernel) spawnTickLoop(p *proc, name string, loop dsys.TickLoop) {
 	}
 	if loop.Fn == nil {
 		panic("sim: SpawnTickLoop needs a body")
-	}
-	if k.cfg.GoroutineTasks {
-		k.spawn(p, name, dsys.TickLoopTask(loop))
-		return
 	}
 	k.spawnLoop(p, name, &loopTask{
 		tick: loop.Fn, setup: loop.Setup,

@@ -522,8 +522,7 @@ func (v taskView) Spawn(name string, fn dsys.TaskFunc) {
 }
 
 // SpawnRecvLoop implements dsys.LoopSpawner: the spawned loop runs as a
-// callback on the dispatch loop (no goroutine) unless
-// Config.GoroutineTasks forces the blocking expansion.
+// callback on the dispatch loop, with no goroutine.
 func (v taskView) SpawnRecvLoop(name string, fn dsys.RecvLoopFunc, kinds ...string) {
 	t := v.t
 	t.checkUnwind()
