@@ -95,29 +95,6 @@ type Kick struct {
 	Batch Batch
 }
 
-// Fetch is the payload of a state-transfer request: "send me your decided
-// entries starting at slot From, at most Limit of them".
-type Fetch struct {
-	From  int
-	Limit int
-}
-
-// StateEntry is one decided log slot inside a State chunk.
-type StateEntry struct {
-	Slot  int
-	Round int
-	Batch Batch
-}
-
-// State is one chunk of a state-transfer answer: the donor's contiguous
-// decided entries from slot From, plus High, the donor's decided frontier —
-// the requester keeps fetching until it has everything below High.
-type State struct {
-	From    int
-	High    int
-	Entries []StateEntry
-}
-
 // Config configures a Replica. The zero value is usable. Nothing here sets a
 // polling interval: the replica's driver blocks until a message gives it
 // something to do (see KindDone).
@@ -193,39 +170,25 @@ type Replica struct {
 	pendHead      int       // first live index of pending (amortized pop)
 	submitWoke    bool      // a Submit's wake-up is sent and the driver has not drained it yet
 	nextSeq       int64
-	decided       map[int]decision // by log slot
+	decided       map[int]decision // parked decisions: decided slots not yet applied, by slot
+	log           []decision       // applied slots' decisions; log[s-1] is slot s's
 	decidedHigh   int              // highest log slot seen decided
-	applied       []AppliedEntry
-	appliedSeen   map[cmdKey]bool // (Origin, Seq) already applied
-	applyNext     int             // next slot to apply (first not-yet-applied)
-	nextOpen      int             // next slot this replica will open an instance for
-	inflightSlot  int             // slot the current own-batch proposal went to (0 = none)
-	inflight      []Command       // the commands of that proposal
-	running       map[int]bool    // slots whose instance runner has not returned yet
-	kicks         map[int]Batch   // announced batches by slot, applyNext..; pruned on apply
-	kickHigh      int             // highest announced slot seen
-	transferStall int             // frontier at the last failed state transfer
-	kickKind      string          // KindKick, namespaced by the instance
-	fetchKind     string          // KindFetch, namespaced by the instance
-	stateKind     string          // KindState, namespaced by the instance
-	doneKind      string          // KindDone, namespaced by the instance
-	instPrefix    string          // instance-name prefix of log slots
+	seen          cmdSet           // identities of the applied commands
+	appliedLen    int              // number of applied commands
+	applyNext     int              // next slot to apply (first not-yet-applied)
+	nextOpen      int              // next slot this replica will open an instance for
+	inflightSlot  int              // slot the current own-batch proposal went to (0 = none)
+	inflight      []Command        // the commands of that proposal
+	running       map[int]bool     // slots whose instance runner has not returned yet
+	kicks         map[int]Batch    // announced batches by slot, applyNext..; pruned on apply
+	kickHigh      int              // highest announced slot seen
+	transferStall int              // frontier at the last failed state transfer
+	kickKind      string           // KindKick, namespaced by the instance
+	fetchKind     string           // KindFetch, namespaced by the instance
+	stateKind     string           // KindState, namespaced by the instance
+	doneKind      string           // KindDone, namespaced by the instance
+	instPrefix    string           // instance-name prefix of log slots
 }
-
-// decision is what a log slot decided and in which round.
-type decision struct {
-	round int
-	value any
-}
-
-// cmdKey is the identity a command is deduplicated by (see Command).
-type cmdKey struct {
-	origin dsys.ProcessID
-	seq    int64
-}
-
-// maxTransferChunk is the donor-side cap on entries per State reply.
-const maxTransferChunk = 4096
 
 // deferLag is how many slots behind the decided frontier a replica may be —
 // beyond its own pipeline window, which is legitimate in-flight work, not
@@ -233,22 +196,6 @@ const maxTransferChunk = 4096
 // a frontier-race behind (mirroring the responder's grace); at or beyond it
 // the replica defers coordination until its replay completes.
 const deferLag = 3
-
-// transferLag is how many slots behind the estimated decided frontier a
-// replica must be before it engages batch state transfer. A transfer is a
-// blocking network round trip in the log hot path, so small gaps stay on
-// the cheap probe path and only a genuine straggler (restart, partition)
-// pays for a fetch. The estimate already discounts pipelining: a kick for
-// slot k only proves slots up to k-Pipeline decided (the kicker may hold a
-// full window of undecided instances above that), so healthy replicas in
-// the middle of a deep pipeline are never mistaken for stragglers.
-const transferLag = 8
-
-// AppliedEntry is one applied log entry.
-type AppliedEntry struct {
-	Slot int
-	Cmd  Command
-}
 
 // StartReplica attaches a replica to p's process and starts its tasks.
 func StartReplica(p dsys.Proc, cfg Config) *Replica {
@@ -268,22 +215,22 @@ func StartReplica(p dsys.Proc, cfg Config) *Replica {
 		cfg.TransferTimeout = 250 * time.Millisecond
 	}
 	r := &Replica{
-		cfg:         cfg,
-		self:        p.ID(),
-		proc:        p,
-		det:         cfg.Detector,
-		decided:     make(map[int]decision),
-		appliedSeen: make(map[cmdKey]bool),
-		running:     make(map[int]bool),
-		kicks:       make(map[int]Batch),
-		nextSeq:     cfg.SeqBase,
-		applyNext:   1,
-		nextOpen:    1,
-		kickKind:    KindKick,
-		fetchKind:   KindFetch,
-		stateKind:   KindState,
-		doneKind:    KindDone,
-		instPrefix:  cfg.Consensus.Instance + "/log/",
+		cfg:        cfg,
+		self:       p.ID(),
+		proc:       p,
+		det:        cfg.Detector,
+		decided:    make(map[int]decision),
+		seen:       make(cmdSet),
+		running:    make(map[int]bool),
+		kicks:      make(map[int]Batch),
+		nextSeq:    cfg.SeqBase,
+		applyNext:  1,
+		nextOpen:   1,
+		kickKind:   KindKick,
+		fetchKind:  KindFetch,
+		stateKind:  KindState,
+		doneKind:   KindDone,
+		instPrefix: cfg.Consensus.Instance + "/log/",
 	}
 	if cfg.Consensus.Instance != "" {
 		suffix := "/" + cfg.Consensus.Instance
@@ -376,7 +323,7 @@ func (r *Replica) responderTask(p dsys.Proc) {
 			return false
 		}
 		r.mu.Lock()
-		_, dec := r.decided[s]
+		_, dec := r.decisionLocked(s)
 		ahead := s > r.applyNext+r.cfg.Pipeline
 		running := r.running[s]
 		r.mu.Unlock()
@@ -393,7 +340,7 @@ func (r *Replica) responderTask(p dsys.Proc) {
 		env := m.Payload.(consensus.Msg)
 		s := r.slotOf(env.Inst)
 		r.mu.Lock()
-		dec, isDec := r.decided[s]
+		dec, isDec := r.decisionLocked(s)
 		r.mu.Unlock()
 		switch {
 		case isDec:
@@ -417,134 +364,6 @@ func (r *Replica) responderTask(p dsys.Proc) {
 			}
 		}
 	}
-}
-
-// serveFetch answers a state-transfer request: for a Fetch it sends back
-// one State chunk holding the contiguous decided prefix starting at the
-// requested slot (stopping at the first gap or the chunk limit) plus this
-// replica's decided frontier. Serving is read-only and independent of the
-// driver's position, so even a replica that is itself replaying can donate
-// the prefix it already has.
-func (r *Replica) serveFetch(p dsys.Proc, m *dsys.Message) {
-	if m.From == p.ID() {
-		return
-	}
-	req, ok := m.Payload.(Fetch)
-	if !ok {
-		return
-	}
-	limit := req.Limit
-	if limit <= 0 || limit > maxTransferChunk {
-		limit = maxTransferChunk
-	}
-	resp := State{From: req.From}
-	r.mu.Lock()
-	resp.High = r.decidedHigh
-	for s := req.From; s > 0 && s <= r.decidedHigh && len(resp.Entries) < limit; s++ {
-		dec, ok := r.decided[s]
-		if !ok {
-			break
-		}
-		b, isBatch := dec.value.(Batch)
-		if !isBatch {
-			break
-		}
-		resp.Entries = append(resp.Entries, StateEntry{Slot: s, Round: dec.round, Batch: b})
-	}
-	r.mu.Unlock()
-	p.Send(m.From, r.stateKind, resp)
-}
-
-// installState records a chunk's decisions locally and returns how many were
-// new. Decisions are facts — installing one learned from any peer is always
-// safe — and the donor's frontier advances decidedHigh even when the chunk
-// itself is empty, so the requester knows how far it still has to fetch.
-func (r *Replica) installState(st State) int {
-	fresh := 0
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range st.Entries {
-		if _, dup := r.decided[e.Slot]; dup {
-			continue
-		}
-		r.decided[e.Slot] = decision{e.Round, e.Batch}
-		if e.Slot > r.decidedHigh {
-			r.decidedHigh = e.Slot
-		}
-		fresh++
-	}
-	if st.High > r.decidedHigh {
-		r.decidedHigh = st.High
-	}
-	return fresh
-}
-
-// nextGap returns the first slot >= from this replica has no decision for,
-// and the current decided frontier.
-func (r *Replica) nextGap(from int) (int, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := from
-	for s <= r.decidedHigh {
-		if _, ok := r.decided[s]; !ok {
-			break
-		}
-		s++
-	}
-	return s, r.decidedHigh
-}
-
-// donors lists the peers a state transfer should try, in order: the
-// detector's trusted process first (the likeliest to hold the full decided
-// prefix), then everyone else in id order, skipping this process and
-// currently suspected ones.
-func (r *Replica) donors(p dsys.Proc) []dsys.ProcessID {
-	susp := r.det.Suspected()
-	var out []dsys.ProcessID
-	if t := r.det.Trusted(); t != dsys.None && t != r.self && !susp.Has(t) {
-		out = append(out, t)
-	}
-	for _, q := range p.All() {
-		if q == r.self || susp.Has(q) || (len(out) > 0 && q == out[0]) {
-			continue
-		}
-		out = append(out, q)
-	}
-	return out
-}
-
-// stateTransfer fetches the decided range [slot, frontier] from peers in
-// chunked round trips, installing each chunk as it lands, and reports
-// whether it installed anything. A donor that times out or stops yielding
-// new entries is abandoned for the next one; when every donor has been
-// tried the caller falls back to slot-by-slot consensus probes.
-func (r *Replica) stateTransfer(p dsys.Proc, slot int) bool {
-	installed := false
-	match := dsys.MatchKind(r.stateKind)
-	for _, donor := range r.donors(p) {
-		for {
-			next, high := r.nextGap(slot)
-			if installed && next > high {
-				return true // every known slot fetched; the driver takes over
-			}
-			p.Send(donor, r.fetchKind, Fetch{From: next, Limit: r.cfg.TransferChunk})
-			m, ok := p.RecvTimeout(match, r.cfg.TransferTimeout)
-			if !ok {
-				break // donor silent (crashed or partitioned): next donor
-			}
-			// A late chunk from a previously abandoned donor may arrive here
-			// instead of the current donor's reply; installing it is still
-			// correct, and a no-progress answer just moves us along.
-			if r.installState(m.Payload.(State)) == 0 {
-				if next2, high2 := r.nextGap(slot); next2 > high2 {
-					return installed
-				}
-				break // donor knows no more than we do: next donor
-			}
-			installed = true
-		}
-	}
-	return installed
 }
 
 // Detector returns the replica's failure detector module.
@@ -584,34 +403,6 @@ func (r *Replica) PendingCount() int {
 	return len(r.pending) - r.pendHead
 }
 
-// Applied returns the applied (slot, command) records so far, in order.
-func (r *Replica) Applied() []AppliedEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]AppliedEntry, len(r.applied))
-	copy(out, r.applied)
-	return out
-}
-
-// AppliedLen returns the number of applied commands, len(Applied()) without
-// the copy — what a status report or a progress poll wants.
-func (r *Replica) AppliedLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.applied)
-}
-
-// AppliedValues returns just the applied command payloads, in log order.
-func (r *Replica) AppliedValues() []any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]any, len(r.applied))
-	for i, a := range r.applied {
-		out[i] = a.Cmd.Payload
-	}
-	return out
-}
-
 func (r *Replica) instance(slot int) string {
 	return r.instPrefix + strconv.Itoa(slot)
 }
@@ -626,31 +417,6 @@ func (r *Replica) slotOf(inst string) int {
 		return 0
 	}
 	return s
-}
-
-func (r *Replica) lookupDecided(slot int) (any, int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if dec, ok := r.decided[slot]; ok {
-		return dec.value, dec.round, true
-	}
-	return nil, 0, false
-}
-
-// recordDecision stores slot's decision unless one is already held, and
-// reports whether it was new. Decisions are facts: whichever source delivers
-// one first (decide broadcast, probe answer, state chunk) is as good as any.
-func (r *Replica) recordDecision(slot, round int, value any) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.decided[slot]; dup {
-		return false
-	}
-	r.decided[slot] = decision{round, value}
-	if slot > r.decidedHigh {
-		r.decidedHigh = slot
-	}
-	return true
 }
 
 // noteKick records a slot announcement: the batch (so an idle replica can
@@ -734,68 +500,6 @@ func (r *Replica) dropPendingLocked(seq int64) {
 	}
 }
 
-// drainApplies applies every contiguously decided slot from applyNext on, in
-// strict slot order — decisions that arrived out of order sit parked in the
-// decided map until the slots below them land. Only the driver task calls
-// this, so Apply callbacks are never concurrent. Completing a slot releases
-// the own-batch in-flight marker (also when a peer adopted our kicked batch
-// and it was decided — and applied — at some other slot) and prunes the
-// kick buffer.
-func (r *Replica) drainApplies() {
-	r.mu.Lock()
-	for {
-		dec, ok := r.decided[r.applyNext]
-		if !ok {
-			break
-		}
-		slot := r.applyNext
-		batch, _ := dec.value.(Batch)
-		for _, cmd := range batch.Cmds {
-			// Apply each (Origin, Seq) at most once. The same command can be
-			// decided in two slots: a replica idle at slot j that received a
-			// kick announcing a batch for slot k>j proposes it at j, while
-			// the kicker proposes it at k, and both instances can decide it.
-			key := cmdKey{cmd.Origin, cmd.Seq}
-			if !r.appliedSeen[key] {
-				r.appliedSeen[key] = true
-				r.applied = append(r.applied, AppliedEntry{Slot: slot, Cmd: cmd})
-				if apply := r.cfg.Apply; apply != nil {
-					r.mu.Unlock()
-					apply(slot, cmd)
-					r.mu.Lock()
-				}
-			}
-			if cmd.Origin == r.self {
-				r.dropPendingLocked(cmd.Seq)
-			}
-		}
-		delete(r.kicks, slot)
-		r.applyNext = slot + 1
-		if r.nextOpen < r.applyNext {
-			r.nextOpen = r.applyNext
-		}
-		if r.inflightSlot != 0 && r.applyNext > r.inflightSlot {
-			r.inflightSlot, r.inflight = 0, nil
-		}
-	}
-	// Early release: the in-flight chunk may have been fully applied below
-	// its slot (a peer adopted our kick at a lower slot); holding the marker
-	// until inflightSlot itself applies would stall fresh own proposals.
-	if r.inflightSlot != 0 {
-		all := true
-		for _, cmd := range r.inflight {
-			if !r.appliedSeen[cmdKey{cmd.Origin, cmd.Seq}] {
-				all = false
-				break
-			}
-		}
-		if all {
-			r.inflightSlot, r.inflight = 0, nil
-		}
-	}
-	r.mu.Unlock()
-}
-
 // openNext opens a consensus instance for the next slot if the pipeline
 // window has room and there is a reason to run it: our own pending commands
 // (at most one own batch in flight), a kick from another replica, or a
@@ -810,7 +514,7 @@ func (r *Replica) openNext(p dsys.Proc) bool {
 		r.mu.Unlock()
 		return false // window full: wait for applyNext to advance
 	}
-	if _, ok := r.decided[s]; ok {
+	if _, ok := r.decisionLocked(s); ok {
 		// Already decided (out-of-order arrival or installed state): no
 		// instance to run — drainApplies will consume it once contiguous.
 		r.nextOpen = s + 1

@@ -55,8 +55,8 @@ func TestDeliveryAllocatesNothing(t *testing.T) {
 	if len(order) != 3 || order[0] != 0 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("handlers ran as %v, want [0 2 3]", order)
 	}
-	// Room for the measured runs, so the slice and the dedup map do not grow
-	// inside them.
+	// Room for the measured runs, so the slice does not grow inside them. The
+	// dedup set of an in-order source extends one run in place.
 	order = make([]int, 0, 4096)
 	for i := 0; i < 2048; i++ {
 		deliver()

@@ -11,6 +11,14 @@
 //	           contagious even if the origin crashed mid-broadcast).
 //	Uniform integrity: every process R-delivers m at most once.
 //
+// Integrity is kept by remembering, per (origin, incarnation), which sequence
+// numbers were delivered. An origin numbers its broadcasts 1, 2, 3, … and a
+// receiver sees them nearly in order, so the set is stored as runs of
+// consecutive numbers (package runset): one run per incarnation once every
+// broadcast has arrived, plus a run per gap while reordering or loss leaves
+// one open. The set is exact — a run list is not a window or a low-water
+// mark — so integrity does not depend on how far out of order a copy arrives.
+//
 // The origin itself does not relay: it has just sent m to everyone, so its
 // relay would hand every peer a second copy over the same link. Agreement
 // never rested on it — if the origin is correct its first copies arrive, and
@@ -24,6 +32,7 @@ import (
 	"sync"
 
 	"repro/internal/dsys"
+	"repro/internal/runset"
 )
 
 // Kind is the message kind of reliable-broadcast transport messages (the
@@ -45,10 +54,10 @@ type Wire struct {
 	Payload any
 }
 
-type key struct {
+// source is one life of one origin: the scope its sequence numbers count in.
+type source struct {
 	origin dsys.ProcessID
 	inc    int64
-	seq    int
 }
 
 // Handler receives an R-delivered payload. It runs on the module's relay
@@ -66,7 +75,7 @@ type Module struct {
 
 	mu        sync.Mutex
 	seq       int
-	delivered map[key]bool
+	delivered map[source]*runset.Set // sequence numbers R-delivered, per source
 	// handlers is in registration order and copy-on-write: OnDeliver and
 	// cancel install a new slice, so a delivery reads the slice header under
 	// mu and calls the handlers without it, allocating nothing.
@@ -115,7 +124,7 @@ func StartNamespaceInc(p dsys.Proc, ns string, inc int64) *Module {
 		all:       p.All(),
 		kind:      kind,
 		inc:       inc,
-		delivered: make(map[key]bool),
+		delivered: make(map[source]*runset.Set),
 	}
 	dsys.SpawnRecvLoop(p, "rb-relay", m.receive, m.kind)
 	return m
@@ -158,17 +167,34 @@ func (m *Module) Broadcast(p dsys.Proc, payload any) {
 	}
 }
 
+// DeliveredRuns returns the size of the module's only per-broadcast state:
+// how many runs of sequence numbers the delivered set is stored as, and how
+// many (origin, incarnation) sources they belong to. The two are equal
+// whenever every source's broadcasts up to its latest have all arrived.
+func (m *Module) DeliveredRuns() (runs, sources int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, s := range m.delivered {
+		runs += s.Runs()
+	}
+	return runs, len(m.delivered)
+}
+
 // receive handles one transport message: on first receipt it relays, then
 // R-delivers to the handlers in registration order.
 func (m *Module) receive(p dsys.Proc, msg *dsys.Message) {
 	w := msg.Payload.(Wire)
-	k := key{w.Origin, w.Inc, w.Seq}
+	src := source{w.Origin, w.Inc}
 	m.mu.Lock()
-	if m.delivered[k] {
+	seen := m.delivered[src]
+	if seen == nil {
+		seen = new(runset.Set)
+		m.delivered[src] = seen
+	}
+	if !seen.Add(int64(w.Seq)) {
 		m.mu.Unlock()
 		return
 	}
-	m.delivered[k] = true
 	hs := m.handlers
 	m.mu.Unlock()
 	// Relay before delivering: if this process crashes right after acting on

@@ -195,13 +195,19 @@ func TestHandlerCancellation(t *testing.T) {
 	}
 }
 
+// TestManyOriginsInterleaved: every origin broadcasts over links that
+// reorder, everyone delivers everything once, and what each module keeps to
+// guarantee that is one run of sequence numbers per origin — the gaps
+// reordering opened have all closed.
 func TestManyOriginsInterleaved(t *testing.T) {
 	log := &deliveryLog{}
 	acts := map[dsys.ProcessID]func(dsys.Proc, *rbcast.Module){}
 	n := 6
+	mods := map[dsys.ProcessID]*rbcast.Module{}
 	for _, id := range dsys.Pids(n) {
 		id := id
 		acts[id] = func(p dsys.Proc, m *rbcast.Module) {
+			mods[id] = m
 			for i := 0; i < 5; i++ {
 				m.Broadcast(p, fmt.Sprintf("%v-%d", id, i))
 				p.Sleep(time.Duration(1+int(id)) * time.Millisecond)
@@ -213,6 +219,9 @@ func TestManyOriginsInterleaved(t *testing.T) {
 	for _, id := range dsys.Pids(n) {
 		if got := len(log.at(id)); got != n*5 {
 			t.Errorf("%v delivered %d, want %d", id, got, n*5)
+		}
+		if runs, sources := mods[id].DeliveredRuns(); runs != n || sources != n {
+			t.Errorf("%v keeps %d delivered runs over %d sources, want one run per origin (%d)", id, runs, sources, n)
 		}
 	}
 }
@@ -247,10 +256,12 @@ func TestRestartedOriginNotDeduplicated(t *testing.T) {
 	// Inc. Duplicates within one life must still be suppressed.
 	log := &deliveryLog{}
 	k := sim.New(sim.Config{N: 3, Network: reliable(), Seed: 9})
+	mods := map[dsys.ProcessID]*rbcast.Module{}
 	for _, id := range []dsys.ProcessID{2, 3} {
 		id := id
 		k.Spawn(id, "rb", func(p dsys.Proc) {
 			m := rbcast.Start(p)
+			mods[id] = m
 			m.OnDeliver(func(p dsys.Proc, origin dsys.ProcessID, payload any) {
 				log.add(delivery{at: p.ID(), origin: origin, payload: payload})
 			})
@@ -276,6 +287,9 @@ func TestRestartedOriginNotDeduplicated(t *testing.T) {
 		}
 		if len(got) != 2 || got[0] != "first-life" || got[1] != "second-life" {
 			t.Errorf("%v delivered %v, want [first-life second-life]", id, got)
+		}
+		if runs, sources := mods[id].DeliveredRuns(); runs != 2 || sources != 2 {
+			t.Errorf("%v keeps %d delivered runs over %d sources, want one run per life (2)", id, runs, sources)
 		}
 	}
 }
