@@ -5,14 +5,10 @@ import (
 	"time"
 )
 
-// TestKillRestartCrossProcess is the crash model the paper assumes, enacted
-// with real OS processes: SIGKILL one ecnode child (no goodbye, the kernel
-// tears its sockets down), assert the survivors' ring detector converges on
-// suspecting it, restart it on the SAME addresses, and assert the peer
-// writers reconnect with backoff and the detector converges back — the
-// restarted node agrees on the leader, nobody suspects anybody, and a
-// proposal through the restarted node commits.
-func TestKillRestartCrossProcess(t *testing.T) {
+// launch builds the binaries and launches o's cluster in a fresh directory,
+// stopped again when the test ends. Process tests are skipped under -short.
+func launch(t *testing.T, o GenOptions) *Cluster {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("spawns real processes; skipped in -short")
 	}
@@ -21,120 +17,63 @@ func TestKillRestartCrossProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build binaries: %v", err)
 	}
-	specs, err := Generate(dir, 3, DetectorRing, 10)
+	c, err := Launch(bins, dir, o)
 	if err != nil {
-		t.Fatalf("generate configs: %v", err)
+		t.Fatalf("launch: %v", err)
 	}
-	nodes := make([]*Node, len(specs))
-	for i, sp := range specs {
-		n, err := StartNode(bins.Ecnode, sp, dir)
-		if err != nil {
-			t.Fatalf("start node %d: %v", sp.Cfg.ID, err)
-		}
-		nodes[i] = n
-		defer n.Stop(2 * time.Second)
-	}
-	addrs := ClientAddrs(specs)
-	leader, err := AwaitAgreedLeader(addrs, 30*time.Second)
-	if err != nil {
-		t.Fatalf("cluster never converged: %v", err)
-	}
-	if leader != 1 {
-		t.Fatalf("agreed leader = %d, want 1 (ring trusts the smallest live id)", leader)
-	}
+	t.Cleanup(c.Stop)
+	return c
+}
 
+// propose commits value through node id or fails the test.
+func propose(t *testing.T, c *Cluster, id int, value string) {
+	t.Helper()
+	// The restarted node replays its log and rejoins the frontier first, so
+	// the timeout is generous.
+	if resp, err := ProposeValue(c.Addrs[id-1], value, 60*time.Second); err != nil || !resp.OK {
+		t.Fatalf("propose %q via node %d: ok=%v err=%v resp.Error=%q", value, id, resp.OK, err, resp.Error)
+	}
+}
+
+// TestKillRestartCrossProcess is the crash model the paper assumes, enacted
+// with real OS processes: SIGKILL one ecnode child (no goodbye, the kernel
+// tears its sockets down), assert the survivors' ring detector converges on
+// suspecting it, restart it on the SAME addresses, and assert the peer
+// writers reconnect with backoff and the detector converges back — the
+// restarted node agrees on the leader, nobody suspects anybody, it catches
+// up, a proposal through it commits, and the logs agree.
+func TestKillRestartCrossProcess(t *testing.T) {
+	c := launch(t, GenOptions{N: 3})
+	if c.Leader != 1 {
+		t.Fatalf("agreed leader = %d, want 1 (ring trusts the smallest live id)", c.Leader)
+	}
 	// Commit something through every node so the log is non-trivial.
-	for i, addr := range addrs {
-		if resp, err := ProposeValue(addr, "seed", 20*time.Second); err != nil || !resp.OK {
-			t.Fatalf("propose via node %d: ok=%v err=%v", i+1, resp.OK, err)
-		}
+	for id := 1; id <= 3; id++ {
+		propose(t, c, id, "seed")
 	}
 
-	// SIGKILL the follower node 2.
-	victim := 2
-	if err := nodes[victim-1].Kill(); err != nil {
+	const victim = 2 // a follower
+	if err := c.Node(victim).Kill(); err != nil {
 		t.Fatalf("kill node %d: %v", victim, err)
 	}
-	survivors := []string{addrs[0], addrs[2]}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		all := true
-		for _, addr := range survivors {
-			st, err := Status(addr, 2*time.Second)
-			if err != nil || !st.Suspects(victim) {
-				all = false
-				break
-			}
-		}
-		if all {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("survivors never suspected killed node %d", victim)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := c.AwaitSuspected(victim); err != nil {
+		t.Fatal(err)
 	}
-
 	// The majority must still commit while the victim is down.
-	if resp, err := ProposeValue(addrs[0], "during-crash", 20*time.Second); err != nil || !resp.OK {
-		t.Fatalf("propose with node %d down: ok=%v err=%v", victim, resp.OK, err)
-	}
+	propose(t, c, 1, "during-crash")
 
-	// Restart on the same addresses; the survivors' writers reconnect with
-	// backoff and the ring detector converges back.
-	if err := nodes[victim-1].Restart(); err != nil {
+	if err := c.Node(victim).Restart(); err != nil {
 		t.Fatalf("restart node %d: %v", victim, err)
 	}
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		good := true
-		for _, addr := range survivors {
-			st, err := Status(addr, 2*time.Second)
-			if err != nil || st.Suspects(victim) {
-				good = false
-				break
-			}
-		}
-		if good {
-			st, err := Status(addrs[victim-1], 2*time.Second)
-			good = err == nil && st.OK && st.Leader == leader && len(st.Suspected) == 0
-		}
-		if good {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster never reconverged after restarting node %d", victim)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := c.AwaitRejoined(victim); err != nil {
+		t.Fatal(err)
 	}
-
-	// A proposal through the restarted node must commit (it replays its log
-	// and rejoins the frontier first, so give it time).
-	resp, err := ProposeValue(addrs[victim-1], "after-restart", 60*time.Second)
-	if err != nil || !resp.OK {
-		t.Fatalf("propose via restarted node %d: ok=%v err=%v resp.Error=%q", victim, resp.OK, err, resp.Error)
+	if err := c.AwaitCaughtUp(victim); err != nil {
+		t.Fatal(err)
 	}
-
-	// All replicas agree on the common prefix of their logs.
-	logs := make([][]string, len(addrs))
-	for i, addr := range addrs {
-		if logs[i], err = FetchLog(addr, 10*time.Second); err != nil {
-			t.Fatalf("fetch log from node %d: %v", i+1, err)
-		}
-		if len(logs[i]) == 0 {
-			t.Fatalf("node %d has an empty log", i+1)
-		}
-	}
-	for i := 1; i < len(logs); i++ {
-		n := len(logs[0])
-		if len(logs[i]) < n {
-			n = len(logs[i])
-		}
-		for k := 0; k < n; k++ {
-			if logs[0][k] != logs[i][k] {
-				t.Fatalf("log divergence at slot %d: node1=%q node%d=%q", k+1, logs[0][k], i+1, logs[i][k])
-			}
-		}
+	propose(t, c, victim, "after-restart")
+	if err := c.CheckLogs(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -145,158 +84,62 @@ func TestKillRestartCrossProcess(t *testing.T) {
 // agree — plus proof that detector traffic really left TCP: every node's
 // status must report nonzero datagram counters.
 func TestKillRestartMixedTransport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes; skipped in -short")
-	}
-	dir := t.TempDir()
-	bins, err := Build(dir)
-	if err != nil {
-		t.Fatalf("build binaries: %v", err)
-	}
-	specs, err := GenerateCluster(dir, GenOptions{
-		N: 3, Detector: DetectorRing, PeriodMS: 10,
-		HeartbeatTransport: TransportUDP,
-	})
-	if err != nil {
-		t.Fatalf("generate configs: %v", err)
-	}
-	nodes := make([]*Node, len(specs))
-	for i, sp := range specs {
-		n, err := StartNode(bins.Ecnode, sp, dir)
-		if err != nil {
-			t.Fatalf("start node %d: %v", sp.Cfg.ID, err)
-		}
-		nodes[i] = n
-		defer n.Stop(2 * time.Second)
-	}
-	addrs := ClientAddrs(specs)
-	leader, err := AwaitAgreedLeader(addrs, 30*time.Second)
-	if err != nil {
-		t.Fatalf("cluster never converged over UDP heartbeats: %v", err)
-	}
-
-	// Heartbeats must demonstrably flow as datagrams on every node. An
-	// agreed leader is no proof that any beat has arrived yet (every node
+	c := launch(t, GenOptions{N: 3, HeartbeatTransport: TransportUDP})
+	// An agreed leader is no proof that any beat has arrived yet (every node
 	// trusts p1 from the start), so each node is polled until both of its
 	// counters move.
-	for i, addr := range addrs {
-		var st Response
-		var err error
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			st, err = Status(addr, 2*time.Second)
-			if err == nil && st.Transport != TransportUDP {
-				t.Fatalf("node %d reports transport %q, want %q", i+1, st.Transport, TransportUDP)
-			}
-			if err == nil && st.UDPOut > 0 && st.UDPIn > 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("node %d udp counters %d out / %d in after 10s (last status error: %v) — beats not on UDP",
-					i+1, st.UDPOut, st.UDPIn, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+	for id := 1; id <= 3; id++ {
+		awaitUDP(t, c, id)
 	}
+	propose(t, c, 1, "seed")
 
-	if resp, err := ProposeValue(addrs[0], "seed", 20*time.Second); err != nil || !resp.OK {
-		t.Fatalf("propose: ok=%v err=%v", resp.OK, err)
-	}
-
-	victim := 3 // a follower; the ring leader stays up
-	if err := nodes[victim-1].Kill(); err != nil {
+	const victim = 3 // a follower; the ring leader stays up
+	if err := c.Node(victim).Kill(); err != nil {
 		t.Fatalf("kill node %d: %v", victim, err)
 	}
-	survivors := []string{addrs[0], addrs[1]}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		all := true
-		for _, addr := range survivors {
-			st, err := Status(addr, 2*time.Second)
-			if err != nil || !st.Suspects(victim) {
-				all = false
-				break
-			}
-		}
-		if all {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("survivors never suspected killed node %d over UDP beats", victim)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := c.AwaitSuspected(victim); err != nil {
+		t.Fatal(err)
 	}
-
-	if err := nodes[victim-1].Restart(); err != nil {
+	if err := c.Node(victim).Restart(); err != nil {
 		t.Fatalf("restart node %d: %v", victim, err)
 	}
-	deadline = time.Now().Add(30 * time.Second)
+	if err := c.AwaitRejoined(victim); err != nil {
+		t.Fatal(err)
+	}
+	awaitUDP(t, c, victim)
+	propose(t, c, victim, "after-restart")
+	if err := c.CheckLogs(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// awaitUDP polls node id's status until it reports the UDP heartbeat
+// transport with both datagram counters nonzero.
+func awaitUDP(t *testing.T, c *Cluster, id int) {
+	t.Helper()
+	var st Response
+	var err error
+	deadline := time.Now().Add(10 * time.Second)
 	for {
-		good := true
-		for _, addr := range survivors {
-			st, err := Status(addr, 2*time.Second)
-			if err != nil || st.Suspects(victim) {
-				good = false
-				break
-			}
+		st, err = Status(c.Addrs[id-1], 2*time.Second)
+		if err == nil && st.Transport != TransportUDP {
+			t.Fatalf("node %d reports transport %q, want %q", id, st.Transport, TransportUDP)
 		}
-		if good {
-			st, err := Status(addrs[victim-1], 2*time.Second)
-			good = err == nil && st.OK && st.Leader == leader && len(st.Suspected) == 0 && st.UDPIn > 0
-		}
-		if good {
-			break
+		if err == nil && st.UDPOut > 0 && st.UDPIn > 0 {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("cluster never reconverged after restarting node %d", victim)
+			t.Fatalf("node %d udp counters %d out / %d in after 10s (last status error: %v) — beats not on UDP",
+				id, st.UDPOut, st.UDPIn, err)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-
-	if resp, err := ProposeValue(addrs[victim-1], "after-restart", 60*time.Second); err != nil || !resp.OK {
-		t.Fatalf("propose via restarted node %d: ok=%v err=%v resp.Error=%q", victim, resp.OK, err, resp.Error)
-	}
-	logs := make([][]string, len(addrs))
-	for i, addr := range addrs {
-		if logs[i], err = FetchLog(addr, 10*time.Second); err != nil {
-			t.Fatalf("fetch log from node %d: %v", i+1, err)
-		}
-	}
-	for i := 1; i < len(logs); i++ {
-		n := len(logs[0])
-		if len(logs[i]) < n {
-			n = len(logs[i])
-		}
-		for k := 0; k < n; k++ {
-			if logs[0][k] != logs[i][k] {
-				t.Fatalf("log divergence at slot %d: node1=%q node%d=%q", k+1, logs[0][k], i+1, logs[i][k])
-			}
-		}
 	}
 }
 
 // TestGracefulStop exercises the SIGTERM path: a node shuts down cleanly
 // within the grace period, without escalation to SIGKILL.
 func TestGracefulStop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes; skipped in -short")
-	}
-	dir := t.TempDir()
-	bins, err := Build(dir)
-	if err != nil {
-		t.Fatalf("build binaries: %v", err)
-	}
-	specs, err := Generate(dir, 1, DetectorRing, 10)
-	if err != nil {
-		t.Fatalf("generate configs: %v", err)
-	}
-	n, err := StartNode(bins.Ecnode, specs[0], dir)
-	if err != nil {
-		t.Fatalf("start node: %v", err)
-	}
-	if _, err := AwaitAgreedLeader(ClientAddrs(specs), 20*time.Second); err != nil {
-		t.Fatalf("node never came up: %v", err)
-	}
+	n := launch(t, GenOptions{N: 1}).Node(1)
 	if err := n.Stop(10 * time.Second); err != nil {
 		t.Fatalf("graceful stop escalated: %v", err)
 	}

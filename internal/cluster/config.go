@@ -1,9 +1,10 @@
 // Package cluster is the multi-process harness around cmd/ecnode and
-// cmd/ecload: node config files, the line-JSON client protocol, and a
-// launcher that builds the binaries, spawns real OS processes, kills them
-// (SIGKILL) and restarts them on the same addresses. Experiment E16, the
-// cross-process crash/restart tests and the CI smoke step are all built on
-// it.
+// cmd/ecload: node config files, the line-JSON client protocol, a launcher
+// that builds the binaries, spawns real OS processes, kills them (SIGKILL)
+// and restarts them on the same addresses, and the one kill/restart
+// scenario over a launched Cluster — the waits for suspicion, rejoin and
+// catch-up, and the log-agreement check. Experiments E16, E17 and E18 and
+// the cross-process crash/restart tests are all built on it.
 //
 // Everything "live" elsewhere in the repository runs all n processes inside
 // one OS process; this package is where the reproduction crosses real
@@ -206,27 +207,11 @@ type GenOptions struct {
 	HeartbeatTransport string
 }
 
-// Generate allocates 2n loopback ports (mesh + client per node), writes one
-// config file per node into dir (node1.json .. nodeN.json) and returns the
-// specs. Ports are reserved by binding and releasing ephemeral listeners, so
-// the addresses are fixed — which is what lets a killed node restart on the
-// SAME address, the scenario E16 exists to measure.
-func Generate(dir string, n int, detector string, periodMS int) ([]Spec, error) {
-	return GenerateCluster(dir, GenOptions{N: n, Detector: detector, PeriodMS: periodMS})
-}
-
-// GenerateTuned is Generate with explicit replicated-log throughput knobs:
-// maxBatch commands per slot and a pipeline-deep instance window (0 keeps
-// core's defaults; 1/1 is the unbatched, sequential baseline). E17's batch ×
-// pipeline cells are generated through this.
-func GenerateTuned(dir string, n int, detector string, periodMS, maxBatch, pipeline int) ([]Spec, error) {
-	return GenerateCluster(dir, GenOptions{
-		N: n, Detector: detector, PeriodMS: periodMS,
-		MaxBatch: maxBatch, Pipeline: pipeline,
-	})
-}
-
-// GenerateCluster is the general form Generate and GenerateTuned wrap. Mesh
+// GenerateCluster allocates 2n loopback ports (mesh + client per node),
+// writes one config file per node into dir (node1.json .. nodeN.json) and
+// returns the specs. Ports are reserved by binding and releasing ephemeral
+// listeners, so the addresses are fixed — which is what lets a killed node
+// restart on the SAME address, the scenario E16 exists to measure. Mesh
 // addresses are probed on TCP and UDP both, so a TransportUDP cluster can
 // bind its datagram sockets on the same host:port as the stream mesh.
 func GenerateCluster(dir string, o GenOptions) ([]Spec, error) {
@@ -268,15 +253,6 @@ func GenerateCluster(dir string, o GenOptions) ([]Spec, error) {
 		specs[i] = Spec{Cfg: cfg, Path: path}
 	}
 	return specs, nil
-}
-
-// ClientAddrs returns the client addresses of the given specs, in order.
-func ClientAddrs(specs []Spec) []string {
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Cfg.ClientAddr
-	}
-	return out
 }
 
 // freeAddrs reserves k distinct loopback host:port addresses by binding

@@ -46,9 +46,9 @@ type Node struct {
 	waited chan struct{} // closed when the reaper goroutine has Wait()ed
 }
 
-// StartNode launches an ecnode process for spec, with stdout+stderr
+// startNode launches an ecnode process for spec, with stdout+stderr
 // appended to a per-node log file in logDir.
-func StartNode(bin string, spec Spec, logDir string) (*Node, error) {
+func startNode(bin string, spec Spec, logDir string) (*Node, error) {
 	n := &Node{
 		Spec: spec,
 		bin:  bin,
@@ -88,12 +88,6 @@ func (n *Node) start() error {
 	n.waited = waited
 	return nil
 }
-
-// ClientAddr returns the node's client-protocol address.
-func (n *Node) ClientAddr() string { return n.Spec.Cfg.ClientAddr }
-
-// LogPath returns the path of the node's captured output.
-func (n *Node) LogPath() string { return n.log }
 
 // Running reports whether the node process is currently live.
 func (n *Node) Running() bool {
@@ -138,36 +132,6 @@ func (n *Node) Stop(grace time.Duration) error { return n.signalAndReap(syscall.
 // address, same client address. The survivors' peer writers are expected to
 // reconnect to it with backoff.
 func (n *Node) Restart() error { return n.start() }
-
-// AwaitAgreedLeader polls every client address until all nodes respond, none
-// suspects a live peer, and all report the same non-zero leader; it returns
-// that leader. It is the "cluster is up" barrier used before injecting
-// faults.
-func AwaitAgreedLeader(addrs []string, deadline time.Duration) (int, error) {
-	var lastErr error
-	limit := time.Now().Add(deadline)
-	for time.Now().Before(limit) {
-		leader := 0
-		ok := true
-		for _, addr := range addrs {
-			st, err := Status(addr, 2*time.Second)
-			if err != nil || !st.OK {
-				ok, lastErr = false, err
-				break
-			}
-			if st.Leader == 0 || len(st.Suspected) > 0 || (leader != 0 && st.Leader != leader) {
-				ok = false
-				break
-			}
-			leader = st.Leader
-		}
-		if ok && leader != 0 {
-			return leader, nil
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return 0, fmt.Errorf("cluster: no agreed leader within %v (last error: %v)", deadline, lastErr)
-}
 
 // LoadReport is the JSON summary cmd/ecload emits (-json): committed
 // operation count and rate, latency percentiles over successful operations,
@@ -244,13 +208,4 @@ func (l *Load) Wait() (LoadReport, error) {
 		return rep, fmt.Errorf("cluster: ecload report: %w", err)
 	}
 	return rep, nil
-}
-
-// RunLoad runs ecload in the foreground and returns its report.
-func RunLoad(bin string, addrs []string, d time.Duration, conc, rate int, dir string) (LoadReport, error) {
-	l, err := StartLoad(bin, addrs, d, conc, rate, dir)
-	if err != nil {
-		return LoadReport{}, err
-	}
-	return l.Wait()
 }

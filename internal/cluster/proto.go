@@ -51,8 +51,8 @@ type Response struct {
 	Entries []string `json:"entries,omitempty"`
 }
 
-// Suspects reports whether the status response lists id as suspected.
-func (r Response) Suspects(id int) bool {
+// suspects reports whether the status response lists id as suspected.
+func (r Response) suspects(id int) bool {
 	for _, s := range r.Suspected {
 		if s == id {
 			return true
@@ -131,8 +131,8 @@ func ProposeValue(addr, value string, timeout time.Duration) (Response, error) {
 	return oneShot(addr, Request{Op: "propose", Value: value}, timeout)
 }
 
-// FetchLog fetches a node's applied log payloads.
-func FetchLog(addr string, timeout time.Duration) ([]string, error) {
+// fetchLog fetches a node's applied log payloads.
+func fetchLog(addr string, timeout time.Duration) ([]string, error) {
 	resp, err := oneShot(addr, Request{Op: "log"}, timeout)
 	if err != nil {
 		return nil, err

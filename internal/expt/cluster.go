@@ -40,6 +40,9 @@ func E16ClusterKillRestart(quick bool) (*Table, error) {
 		Columns: []string{"phase", "victim", "detect", "recover", "catchup", "ops/s", "dip/s", "p50", "p99"},
 	}
 	n, loadDur, killAt := 5, 12*time.Second, 3*time.Second
+	if quick {
+		n, loadDur, killAt = 3, 6*time.Second, 2*time.Second
+	}
 	phases := []struct {
 		name   string
 		victim int // 1-based node id; 0 = no fault
@@ -47,17 +50,6 @@ func E16ClusterKillRestart(quick bool) (*Table, error) {
 		{"steady", 0},
 		{"follower-kill", n},
 		{"leader-kill", 1},
-	}
-	if quick {
-		n, loadDur, killAt = 3, 6*time.Second, 2*time.Second
-		phases = []struct {
-			name   string
-			victim int
-		}{
-			{"steady", 0},
-			{"follower-kill", n},
-			{"leader-kill", 1},
-		}
 	}
 	// catchupBound is the regression threshold on restart-to-caught-up: with
 	// batch state transfer it is a few round trips past the ~100ms restart
@@ -74,83 +66,37 @@ func E16ClusterKillRestart(quick bool) (*Table, error) {
 	if err != nil {
 		return t, err
 	}
-	specs, err := cluster.Generate(dir, n, cluster.DetectorRing, 10)
+	c, err := cluster.Launch(bins, dir, cluster.GenOptions{N: n})
 	if err != nil {
 		return t, err
 	}
-	nodes := make([]*cluster.Node, n)
-	for i, sp := range specs {
-		if nodes[i], err = cluster.StartNode(bins.Ecnode, sp, dir); err != nil {
-			return t, err
-		}
-		defer nodes[i].Stop(2 * time.Second)
-	}
-	addrs := cluster.ClientAddrs(specs)
-	leader, err := cluster.AwaitAgreedLeader(addrs, 60*time.Second)
-	if err != nil {
-		return t, err
-	}
+	defer c.Stop()
 
 	dips := map[string]int{}
 	for _, ph := range phases {
-		ld, lerr := cluster.StartLoad(bins.Ecload, addrs, loadDur, n, 100, dir)
+		ld, lerr := cluster.StartLoad(bins.Ecload, c.Addrs, loadDur, n, 100, dir)
 		if lerr != nil {
 			return t, lerr
 		}
 		detect, recov, catchup := time.Duration(-1), time.Duration(-1), time.Duration(-1)
 		if ph.victim != 0 {
-			var survivors []string
-			for i, a := range addrs {
-				if i != ph.victim-1 {
-					survivors = append(survivors, a)
-				}
-			}
 			time.Sleep(killAt)
 			killed := time.Now()
-			if kerr := nodes[ph.victim-1].Kill(); kerr != nil {
+			if kerr := c.Node(ph.victim).Kill(); kerr != nil {
 				return t, kerr
 			}
-			if awaitAll(15*time.Second, func() bool {
-				for _, a := range survivors {
-					st, serr := cluster.Status(a, time.Second)
-					if serr != nil || !st.Suspects(ph.victim) {
-						return false
-					}
-				}
-				return true
-			}) {
+			if c.AwaitSuspected(ph.victim) == nil {
 				detect = time.Since(killed)
 			}
 			time.Sleep(1500 * time.Millisecond)
-			if rerr := nodes[ph.victim-1].Restart(); rerr != nil {
+			restarted := time.Now()
+			if rerr := c.Node(ph.victim).Restart(); rerr != nil {
 				return t, rerr
 			}
-			restarted := time.Now()
-			if awaitAll(30*time.Second, func() bool {
-				for _, a := range survivors {
-					st, serr := cluster.Status(a, time.Second)
-					if serr != nil || st.Suspects(ph.victim) {
-						return false
-					}
-				}
-				st, serr := cluster.Status(addrs[ph.victim-1], time.Second)
-				return serr == nil && st.OK && st.Leader == leader && len(st.Suspected) == 0
-			}) {
+			if c.AwaitRejoined(ph.victim) == nil {
 				recov = time.Since(restarted)
 			}
-			if awaitAll(60*time.Second, func() bool {
-				vict, verr := cluster.Status(addrs[ph.victim-1], time.Second)
-				if verr != nil {
-					return false
-				}
-				for _, a := range survivors {
-					st, serr := cluster.Status(a, time.Second)
-					if serr != nil || vict.Applied < st.Applied {
-						return false
-					}
-				}
-				return vict.Applied > 0
-			}) {
+			if c.AwaitCaughtUp(ph.victim) == nil {
 				catchup = time.Since(restarted)
 			}
 		}
@@ -202,42 +148,15 @@ func E16ClusterKillRestart(quick bool) (*Table, error) {
 			dips[ph.name] = rep.MinInteriorSecond()
 		}
 		// Let the cluster settle before the next phase.
-		if _, werr := cluster.AwaitAgreedLeader(addrs, 60*time.Second); werr != nil && err == nil {
+		if _, werr := c.AwaitAgreedLeader(); werr != nil && err == nil {
 			err = checkf(false, "E16", "%s: %v", ph.name, werr)
 		}
 	}
 
-	// Replicated-log safety across all faults: every pair of replicas agrees
-	// on the common prefix of applied commands.
-	logs := make([][]string, n)
-	for i, a := range addrs {
-		l, ferr := cluster.FetchLog(a, 10*time.Second)
-		if ferr != nil {
-			if err == nil {
-				err = checkf(false, "E16", "p%d: log fetch failed: %v", i+1, ferr)
-			}
-			continue
-		}
-		logs[i] = l
-	}
-	agree := true
-	for i := 1; i < n && agree; i++ {
-		if logs[0] == nil || logs[i] == nil {
-			continue
-		}
-		m := len(logs[0])
-		if len(logs[i]) < m {
-			m = len(logs[i])
-		}
-		for k := 0; k < m; k++ {
-			if logs[0][k] != logs[i][k] {
-				agree = false
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = checkf(agree, "E16", "replicas diverged on the log prefix")
+	// Replicated-log safety across all faults: every replica's applied log
+	// is a prefix of the longest.
+	if aerr := c.CheckLogs(); err == nil {
+		err = checkf(aerr == nil, "E16", "%v", aerr)
 	}
 	// A killed leader must cost clients about what a killed follower does:
 	// its throughput floor may be at most ~2x worse (the floors are small
@@ -255,19 +174,6 @@ func E16ClusterKillRestart(quick bool) (*Table, error) {
 		"a restarted replica rejoins via batch state transfer (core.fetch/core.state chunks from a live donor) and defers leadership until caught up (self-mark in its ring beats), so the frontier never parks on a replaying node — before this path the leader-kill phase showed a multi-second zero-ops stall (~3.7s for ~450 slots of 1ms/slot probe replay)",
 	)
 	return t, err
-}
-
-// awaitAll polls cond every few milliseconds until it holds or the deadline
-// passes.
-func awaitAll(deadline time.Duration, cond func() bool) bool {
-	limit := time.Now().Add(deadline)
-	for time.Now().Before(limit) {
-		if cond() {
-			return true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return false
 }
 
 // msdOrTimeout renders a latency, or "timeout" for the -1 sentinel.

@@ -356,70 +356,38 @@ func e18ClusterPhase() (e18Cluster, error) {
 	if err != nil {
 		return ph, err
 	}
-	specs, err := cluster.GenerateCluster(dir, cluster.GenOptions{
-		N: 3, Detector: cluster.DetectorRing, PeriodMS: 10,
-		HeartbeatTransport: cluster.TransportUDP,
-	})
+	c, err := cluster.Launch(bins, dir, cluster.GenOptions{N: 3, HeartbeatTransport: cluster.TransportUDP})
 	if err != nil {
-		return ph, err
+		return ph, fmt.Errorf("E18: %w", err)
 	}
-	nodes := make([]*cluster.Node, len(specs))
-	for i, sp := range specs {
-		if nodes[i], err = cluster.StartNode(bins.Ecnode, sp, dir); err != nil {
-			return ph, err
-		}
-		defer nodes[i].Stop(2 * time.Second)
-	}
-	addrs := cluster.ClientAddrs(specs)
-	leader, err := cluster.AwaitAgreedLeader(addrs, 60*time.Second)
-	if err != nil {
-		return ph, fmt.Errorf("E18: cluster never converged over UDP beats: %w", err)
-	}
-	if resp, perr := cluster.ProposeValue(addrs[0], "e18-seed", 20*time.Second); perr != nil || !resp.OK {
+	defer c.Stop()
+	if resp, perr := cluster.ProposeValue(c.Addrs[0], "e18-seed", 20*time.Second); perr != nil || !resp.OK {
 		return ph, fmt.Errorf("E18: seed proposal failed: ok=%v err=%v", resp.OK, perr)
 	}
 
 	const victim = 3
-	survivors := []string{addrs[0], addrs[1]}
 	killed := time.Now()
-	if err := nodes[victim-1].Kill(); err != nil {
+	if err := c.Node(victim).Kill(); err != nil {
 		return ph, err
 	}
-	if !awaitAll(20*time.Second, func() bool {
-		for _, a := range survivors {
-			st, serr := cluster.Status(a, time.Second)
-			if serr != nil || !st.Suspects(victim) {
-				return false
-			}
-		}
-		return true
-	}) {
-		return ph, fmt.Errorf("E18: survivors never suspected the SIGKILLed node over UDP beats")
+	if err := c.AwaitSuspected(victim); err != nil {
+		return ph, fmt.Errorf("E18: %w", err)
 	}
 	ph.detect = time.Since(killed)
 
 	restarted := time.Now()
-	if err := nodes[victim-1].Restart(); err != nil {
+	if err := c.Node(victim).Restart(); err != nil {
 		return ph, err
 	}
-	if !awaitAll(30*time.Second, func() bool {
-		for _, a := range survivors {
-			st, serr := cluster.Status(a, time.Second)
-			if serr != nil || st.Suspects(victim) {
-				return false
-			}
-		}
-		st, serr := cluster.Status(addrs[victim-1], time.Second)
-		return serr == nil && st.OK && st.Leader == leader && len(st.Suspected) == 0
-	}) {
-		return ph, fmt.Errorf("E18: cluster never reconverged after restart")
+	if err := c.AwaitRejoined(victim); err != nil {
+		return ph, fmt.Errorf("E18: %w", err)
 	}
 	ph.recover = time.Since(restarted)
 
-	if resp, perr := cluster.ProposeValue(addrs[victim-1], "e18-after-restart", 60*time.Second); perr != nil || !resp.OK {
+	if resp, perr := cluster.ProposeValue(c.Addrs[victim-1], "e18-after-restart", 60*time.Second); perr != nil || !resp.OK {
 		return ph, fmt.Errorf("E18: proposal via restarted node failed: ok=%v err=%v", resp.OK, perr)
 	}
-	st, err := cluster.Status(addrs[victim-1], 2*time.Second)
+	st, err := cluster.Status(c.Addrs[victim-1], 2*time.Second)
 	if err != nil {
 		return ph, err
 	}
@@ -428,23 +396,8 @@ func e18ClusterPhase() (e18Cluster, error) {
 		return ph, fmt.Errorf("E18: heartbeats not demonstrably on UDP (transport=%q out=%d in=%d)",
 			st.Transport, ph.udpOut, ph.udpIn)
 	}
-	// Logs must agree on the common prefix.
-	logs := make([][]string, len(addrs))
-	for i, a := range addrs {
-		if logs[i], err = cluster.FetchLog(a, 10*time.Second); err != nil {
-			return ph, err
-		}
-	}
-	for i := 1; i < len(logs); i++ {
-		limit := len(logs[0])
-		if len(logs[i]) < limit {
-			limit = len(logs[i])
-		}
-		for k := 0; k < limit; k++ {
-			if logs[0][k] != logs[i][k] {
-				return ph, fmt.Errorf("E18: log divergence at slot %d: node1=%q node%d=%q", k+1, logs[0][k], i+1, logs[i][k])
-			}
-		}
+	if err := c.CheckLogs(); err != nil {
+		return ph, fmt.Errorf("E18: %w", err)
 	}
 	return ph, nil
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/fd/omega"
 	"repro/internal/fd/ring"
 	"repro/internal/fd/transform"
-	"repro/internal/member"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -133,23 +132,21 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 		})
 	}
 
-	// The replicated log: core's state server, the rbcast relay and member's
-	// evict loop are callback loops, core's log driver and instance runners
-	// block in Propose, and they share one ring detector — so the two kinds
-	// of task interleave on every step of a leader crash and hand-over.
+	// The replicated log: core's state server and the rbcast relay are
+	// callback loops, core's log driver and instance runners block in
+	// Propose, and they share one ring detector — so the two kinds of task
+	// interleave on every step of a leader crash and hand-over.
 	t.Run("replicated-log", func(t *testing.T) {
 		const n = 5
 		type result struct {
 			events  uint64
 			msgs    []trace.MsgEvent
 			applied map[dsys.ProcessID][]any
-			views   map[dsys.ProcessID][]member.View
 		}
 		run := func(reference bool) result {
 			col := trace.NewCollector()
 			k := sim.New(sim.Config{N: n, Network: fdlab.PartialSync(100*time.Millisecond, 5*time.Millisecond), Seed: 4301, Trace: col})
 			reps := make(map[dsys.ProcessID]*core.Replica, n)
-			svcs := make(map[dsys.ProcessID]*member.Service, n)
 			for _, id := range dsys.Pids(n) {
 				k.Spawn(id, "replica", func(p dsys.Proc) {
 					if reference {
@@ -157,7 +154,6 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 					}
 					det := ring.Start(p, ring.Options{Period: period})
 					reps[id] = core.StartReplica(p, core.Config{Detector: det})
-					svcs[id] = member.Start(p, member.Config{Detector: det})
 				})
 			}
 			// A steady stream from every process across the crash of p1,
@@ -171,10 +167,9 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 			}
 			k.CrashAt(1, 150*time.Millisecond)
 			k.Run(3 * time.Second)
-			res := result{events: k.Events(), msgs: col.Events(), applied: map[dsys.ProcessID][]any{}, views: map[dsys.ProcessID][]member.View{}}
+			res := result{events: k.Events(), msgs: col.Events(), applied: map[dsys.ProcessID][]any{}}
 			for _, id := range dsys.Pids(n) {
 				res.applied[id] = reps[id].AppliedValues()
-				res.views[id] = svcs[id].History()
 			}
 			return res
 		}
@@ -182,17 +177,11 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 		if got := len(cb.applied[2]); got < 60*(n-1) {
 			t.Errorf("p2 applied only %d commands; the run does not exercise the log", got)
 		}
-		if got := len(cb.views[2]); got < 2 {
-			t.Errorf("p2 installed %d views; the crashed leader was never evicted", got)
-		}
 		if cb.events != ref.events {
 			t.Errorf("event count: callback %d vs reference %d", cb.events, ref.events)
 		}
 		if !reflect.DeepEqual(cb.applied, ref.applied) {
 			t.Error("applied logs diverge between the callback and reference paths")
-		}
-		if !reflect.DeepEqual(cb.views, ref.views) {
-			t.Error("view histories diverge between the callback and reference paths")
 		}
 		sameMessages(t, cb.msgs, ref.msgs)
 	})
