@@ -104,28 +104,13 @@ func (t FDTrace) QoS() QoS {
 				}
 			}
 
-			// Detection latency: start of the final uninterrupted
-			// suspicion suffix.
 			if crashed {
-				det := time.Duration(-1)
-				for i := len(ss) - 1; i >= 0; i-- {
-					if !ss[i].Suspected.Has(target) {
-						break
-					}
-					det = ss[i].At
-				}
-				if det < 0 {
-					missed = true
-				} else {
-					lat := det - crashAt
-					if lat < 0 {
-						lat = 0 // suspected already before the crash
-					}
+				if lat, ok := detectionLatency(ss, target, crashAt); ok {
 					detSum += lat
-					if lat > q.WorstDetection {
-						q.WorstDetection = lat
-					}
+					q.WorstDetection = max(q.WorstDetection, lat)
 					detPairs++
+				} else {
+					missed = true
 				}
 			}
 		}
@@ -147,4 +132,41 @@ func (t FDTrace) QoS() QoS {
 		q.QueryAccuracy = float64(accurate) / float64(aliveQueries)
 	}
 	return q
+}
+
+// Detection returns the crash-detection latency of target alone: the
+// largest, over correct observers, of the time from target's crash to the
+// first sample of the observer's final uninterrupted suspicion of it — the
+// rule QoS applies to every pair. It returns -1 if target did not crash or
+// some correct observer does not suspect it permanently. Unlike QoS it
+// visits each observer's samples once, so it stays linear at large n.
+func (t FDTrace) Detection(target dsys.ProcessID) time.Duration {
+	crashAt, crashed := t.Crashed[target]
+	if !crashed {
+		return -1
+	}
+	var worst time.Duration
+	for _, p := range t.CorrectIDs() {
+		lat, ok := detectionLatency(t.Rec.Samples(p), target, crashAt)
+		if !ok {
+			return -1
+		}
+		worst = max(worst, lat)
+	}
+	return worst
+}
+
+// detectionLatency returns the time from crashAt to the start of the final
+// uninterrupted suspicion of target in ss, clamped at 0 when that suspicion
+// began before the crash, and false if the last sample does not suspect
+// target.
+func detectionLatency(ss []FDSample, target dsys.ProcessID, crashAt time.Duration) (time.Duration, bool) {
+	i := len(ss)
+	for i > 0 && ss[i-1].Suspected.Has(target) {
+		i--
+	}
+	if i == len(ss) {
+		return 0, false
+	}
+	return max(ss[i].At-crashAt, 0), true
 }

@@ -40,6 +40,59 @@ func TestQoSMissedCrash(t *testing.T) {
 	}
 }
 
+// TestDetection checks the single-target latency against hand-built traces
+// and against QoS().WorstDetection, which applies the same rule to every
+// (observer, crashed target) pair.
+func TestDetection(t *testing.T) {
+	crash := map[dsys.ProcessID]time.Duration{3: ms(40)}
+	cases := []struct {
+		name    string
+		scripts map[dsys.ProcessID][]scriptEntry
+		want    time.Duration
+	}{
+		{
+			// Every suspicion began before the crash (a false suspicion the
+			// crash made true): latency clamps to 0, not "never detected".
+			name: "suspected by all since before the crash",
+			scripts: map[dsys.ProcessID][]scriptEntry{
+				1: {{ms(10), []dsys.ProcessID{3}, 1}, {ms(50), []dsys.ProcessID{3}, 1}},
+				2: {{ms(20), []dsys.ProcessID{3}, 1}, {ms(50), []dsys.ProcessID{3}, 1}},
+			},
+			want: 0,
+		},
+		{
+			name: "one observer never suspects",
+			scripts: map[dsys.ProcessID][]scriptEntry{
+				1: {{ms(10), nil, 1}, {ms(50), []dsys.ProcessID{3}, 1}},
+				2: {{ms(10), nil, 1}, {ms(50), nil, 1}},
+			},
+			want: -1,
+		},
+		{
+			// p1 suspected p3 early, cleared, and resumed at 70ms; p2 has
+			// suspected it since before the crash. The worst observer wins.
+			name: "mixed observers",
+			scripts: map[dsys.ProcessID][]scriptEntry{
+				1: {{ms(10), []dsys.ProcessID{3}, 1}, {ms(50), nil, 1}, {ms(70), []dsys.ProcessID{3}, 1}, {ms(90), []dsys.ProcessID{3}, 1}},
+				2: {{ms(30), []dsys.ProcessID{3}, 1}, {ms(90), []dsys.ProcessID{3}, 1}},
+			},
+			want: ms(30),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := synth(3, crash, tc.scripts)
+			got := tr.Detection(3)
+			if got != tc.want {
+				t.Errorf("Detection = %v, want %v", got, tc.want)
+			}
+			if worst := tr.QoS().WorstDetection; got != worst {
+				t.Errorf("Detection = %v, QoS().WorstDetection = %v", got, worst)
+			}
+		})
+	}
+}
+
 func TestQoSMistakeEpisodes(t *testing.T) {
 	// p1 falsely suspects p2 (correct) twice: [10,30) and [50,60).
 	tr := synth(2, nil, map[dsys.ProcessID][]scriptEntry{

@@ -284,7 +284,7 @@ func E2TransformCorrectness(quick bool) (*Table, error) {
 		})
 		return cellResult{
 			v:   res.Trace.EventuallyPerfect(),
-			lat: detectionLatency(res, crashTarget, crashAt),
+			lat: res.Trace.Detection(crashTarget),
 		}
 	})
 	var err error
@@ -316,31 +316,6 @@ func theoremOneNet(n int, leader dsys.ProcessID, gst, delta time.Duration, loss 
 	}
 	other := network.FairLossy{P: 0.7, Under: network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 150 * time.Millisecond}}}
 	return network.PerLink{Default: other, Links: links}
-}
-
-// detectionLatency returns the time from the crash until the last correct
-// process started suspecting the crashed process (permanently, as of the
-// trace end), or -1 if some correct process never did.
-func detectionLatency(res fdlab.Result, crashed dsys.ProcessID, crashAt time.Duration) time.Duration {
-	worst := time.Duration(-1)
-	for _, p := range res.Trace.CorrectIDs() {
-		ss := res.Trace.Rec.Samples(p)
-		// Find the start of the final suffix in which crashed is suspected.
-		det := time.Duration(-1)
-		for i := len(ss) - 1; i >= 0; i-- {
-			if !ss[i].Suspected.Has(crashed) {
-				break
-			}
-			det = ss[i].At
-		}
-		if det < 0 {
-			return -1
-		}
-		if det-crashAt > worst {
-			worst = det - crashAt
-		}
-	}
-	return worst
 }
 
 // E3MessagesPerPeriod reproduces the cost analysis of Section 4: periodic
@@ -441,7 +416,7 @@ func E4DetectionLatency(quick bool) (*Table, error) {
 			RunFor:      crashAt + 4*time.Second,
 			SampleEvery: 2 * time.Millisecond,
 		})
-		return detectionLatency(res, victim, crashAt)
+		return res.Trace.Detection(victim)
 	})
 	var ringLat, tfLat []time.Duration
 	var err error

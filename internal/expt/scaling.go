@@ -136,7 +136,7 @@ func E14ScalingSweep(quick bool) (*Table, error) {
 		})
 		return scaleCell{
 			msgs:   float64(res.Messages.SentWithin(v.kinds...)) / float64(periods),
-			detect: detectionLatency(res, victim, crashAt),
+			detect: res.Trace.Detection(victim),
 			wall:   res.Wall,
 			events: res.Events,
 		}

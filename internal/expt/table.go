@@ -3,7 +3,7 @@
 // DESIGN.md and the recorded results in EXPERIMENTS.md). Each experiment
 // returns a Table for display and an error if the paper's qualitative shape
 // (who wins, by what factor, where behaviour changes) failed to reproduce —
-// the error is what the benchmarks in bench_test.go assert on.
+// the error is what the TestE<n> tests and cmd/ecrepro assert on.
 package expt
 
 import (

@@ -29,8 +29,7 @@ import (
 // machine-dependent; the in-experiment assertions are therefore shape checks
 // (frames drain, completeness holds) plus one exact one: the wire format is
 // fully specified, so the bytes the writers put on the wire must equal the
-// encoded size of the frames sent. The ratios against the deleted gob codec
-// are frozen in BENCH_PR5.json.
+// encoded size of the frames sent.
 func E15LiveThroughput(quick bool) (*Table, error) {
 	t := &Table{
 		ID:      "E15",
@@ -96,8 +95,7 @@ func E15LiveThroughput(quick bool) (*Table, error) {
 		"wall-clock run over real loopback sockets; throughput and allocation numbers are machine-dependent",
 		"cells run sequentially because allocs/msg is a process-global ReadMemStats delta",
 		"B/frame is gated exactly: bytes written must equal the summed wire.AppendFrame length of the flood's frames (Round i is a varint: a flood frame is 22 B for i < 64, 23 B above)",
-		fmt.Sprintf("detection columns come from the E13-style heartbeat scenario at n=%d; '-' rows ran throughput only", detN),
-		"the historical >=2x msgs/s and >=4x fewer allocs/msg ratios against the deleted per-frame gob codec are frozen in BENCH_PR5.json")
+		fmt.Sprintf("detection columns come from the E13-style heartbeat scenario at n=%d; '-' rows ran throughput only", detN))
 	return t, err
 }
 

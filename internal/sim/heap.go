@@ -7,8 +7,7 @@ import (
 // eventKind discriminates what an event does when it fires. The hot kinds
 // (message delivery, sleep/timeout timers) carry their operands in dedicated
 // event fields instead of a closure, so scheduling them allocates nothing
-// beyond the heap slot itself — see the allocs/event benchmarks in
-// bench_test.go.
+// beyond the heap slot itself — TestKernelAllocsPerEvent gates that.
 type eventKind uint8
 
 const (

@@ -433,22 +433,3 @@ func TestPartiallySynchronousNetworkBoundsPostGST(t *testing.T) {
 		t.Errorf("delivered %d of 100", len(lat))
 	}
 }
-
-func BenchmarkKernelPingPong(b *testing.B) {
-	k := New(reliableCfg(2, 1))
-	k.Spawn(1, "pinger", func(p dsys.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Send(2, "ping", nil)
-			p.Recv(dsys.MatchKind("pong"))
-		}
-	})
-	k.Spawn(2, "ponger", func(p dsys.Proc) {
-		for {
-			m, _ := p.Recv(dsys.MatchKind("ping"))
-			p.Send(m.From, "pong", nil)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.Run(time.Duration(1<<62 - 1))
-}

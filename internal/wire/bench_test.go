@@ -20,7 +20,6 @@ func benchFrames() []Frame {
 }
 
 // BenchmarkWireCodec measures the wire codec over that frame mix.
-// BENCH_PR5.json records the same cells against the deleted gob streams.
 func BenchmarkWireCodec(b *testing.B) {
 	frames := benchFrames()
 
