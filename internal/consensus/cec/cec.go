@@ -30,12 +30,19 @@
 // are folded into a single deterministic message dispatcher; behaviour is
 // identical because the tasks in the paper only react to received messages.
 // R-delivery reaches the dispatcher as a message too: the delivery handler
-// self-sends the decision as a KindDecided, so the Propose call waiting in
-// any phase wakes and returns at its R-delivery instant. A coordinator that
+// self-sends the decision as a KindDecided, so the instance waiting in any
+// phase wakes and returns at its R-delivery instant. A coordinator that
 // R-broadcast the decision waits for exactly that (its own copy is local,
 // Validity guarantees it) instead of opening another round. Options.Poll is
 // therefore only the interval at which waits re-read the detector and, after
 // ProbeAfter idle polls, repair message loss; no fault-free step waits on it.
+//
+// Because every step reacts to a message or an idle poll, one process's run
+// of an instance is a resumable state machine, Proposal: each Step handles
+// the message (or the idle poll) that ended the last wait and runs on to the
+// next one. Spawned with dsys.SpawnStep it is a step task, which the
+// simulator runs goroutine-free; Propose is the blocking driver over the
+// same machine, for callers that want to wait for the decision inline.
 //
 // With a stable detector (every correct process permanently trusts the same
 // correct leader) the algorithm decides in a single round — the property
@@ -44,6 +51,8 @@
 package cec
 
 import (
+	"slices"
+
 	"repro/internal/consensus"
 	"repro/internal/dsys"
 	"repro/internal/fd"
@@ -64,7 +73,7 @@ const (
 	// broadcast of the decision reaches everyone); they make the algorithm
 	// recover from message loss, e.g. transient partitions. A process also
 	// sends itself a KindDecided when it R-delivers the decision: that
-	// self-addressed copy is how the delivery reaches its waiting Propose.
+	// self-addressed copy is how the delivery reaches its waiting instance.
 	KindProbe   = "cec.probe"
 	KindDecided = "cec.decided"
 )
@@ -77,7 +86,30 @@ type Stats struct {
 	NacksSent int
 }
 
-type state struct {
+// phase is the wait a Proposal is in: each is one "wait until" loop of the
+// round, re-entered at its top after every message and every idle poll.
+type phase uint8
+
+const (
+	phStart     phase = iota // not started: the first Step subscribes to R-delivery
+	phRound                  // between rounds: open the next one
+	phCoord                  // Phase 0: adopt a coordinator
+	phTrust                  // merged Phases 0–1: trust someone
+	phEstimates              // Phase 2: the coordinator gathers estimates
+	phProposal               // Phase 3: wait for a proposition
+	phReplies                // Phase 4: the coordinator gathers acks and nacks
+	phDelivery               // the decision is R-broadcast: wait for our own copy
+	phDone
+)
+
+// Proposal is one process's run of one Uniform Consensus instance, as a
+// resumable state machine: Step is a dsys.StepFunc that returns when the
+// instance waits for its next message and finishes once this process has
+// decided. d must be a ◇C detector module of the same process, rb its
+// reliable-broadcast module; all processes of the instance must use the
+// same Options.Instance. On a process that crashes before deciding the task
+// is unwound by the runtime and never finishes.
+type Proposal struct {
 	p    dsys.Proc
 	d    fd.EventuallyConsistent
 	rb   *rbcast.Module
@@ -86,112 +118,165 @@ type state struct {
 	n    int
 	maj  int
 
+	ph       phase
 	r        int
+	coord    dsys.ProcessID // the current round's coordinator
+	idle     bool           // the last wait ended in an idle poll
 	estimate any
 	ts       int
 
 	// Cross-round message stores, filled by dispatch.
-	coordOf    map[int]dsys.ProcessID   // adopted coordinator per round
+	rounds     map[int]*round           // per round, created on first use
 	pending    map[int][]dsys.ProcessID // announcements for rounds not yet entered
-	ests       map[int]map[dsys.ProcessID]consensus.Msg
-	props      map[int]map[dsys.ProcessID]consensus.Msg
-	acks       map[int]map[dsys.ProcessID]bool
-	nacks      map[int]map[dsys.ProcessID]bool
-	propEstOf  map[int]any            // the non-null proposition this process sent per round
-	ackedOf    map[int]dsys.ProcessID // whose proposition we acknowledged per round
 	donePhase3 bool
 	idlePolls  int    // consecutive empty pump cycles, for catch-up probing
 	resend     func() // re-sends the current phase's messages on long idle
 	matchAll   dsys.MatchFunc
+	cancel     func() // ends the R-delivery subscription
 	decided    *consensus.Result
 	stats      Stats
 }
 
-// Propose runs one Uniform Consensus instance at this process, proposing v.
-// It blocks until this process decides and returns the decision. d must be a
-// ◇C detector module of the same process, rb its reliable-broadcast module.
-// All processes of the instance must use the same Options.Instance.
+// NewProposal prepares this process's run of one instance, proposing v. It
+// sends nothing until its first Step.
+func NewProposal(d fd.EventuallyConsistent, rb *rbcast.Module, v any, opt consensus.Options) *Proposal {
+	opt = opt.WithDefaults()
+	return &Proposal{
+		d: d, rb: rb, opt: opt,
+		estimate: v,
+		rounds:   make(map[int]*round),
+		pending:  make(map[int][]dsys.ProcessID),
+		matchAll: consensus.Match("cec.", opt.Instance),
+	}
+}
+
+// round is what this process adopted, sent and received in one round.
+type round struct {
+	coord    dsys.ProcessID // the adopted coordinator; None while there is none
+	propEst  any            // the non-null proposition this process sent,
+	proposed bool           // if it sent one
+	acked    dsys.ProcessID // whose proposition this process acknowledged
+	// from holds each process's messages, indexed by id-1; ests, acks and
+	// nacks count the processes that sent one.
+	from              []peerMsgs
+	ests, acks, nacks int
+}
+
+// peerMsgs is one process's messages in one round: the first estimate and
+// the first proposition it sent, and which kinds arrived (got* bits).
+type peerMsgs struct {
+	est, prop consensus.Msg
+	got       uint8
+}
+
+const (
+	gotEst uint8 = 1 << iota
+	gotProp
+	gotAck
+	gotNack
+)
+
+// round returns round r's record, creating it on first use.
+func (st *Proposal) round(r int) *round {
+	rd := st.rounds[r]
+	if rd == nil {
+		rd = &round{from: make([]peerMsgs, st.n)}
+		st.rounds[r] = rd
+	}
+	return rd
+}
+
+// Propose runs one Uniform Consensus instance at this process, proposing v,
+// and blocks until this process decides; it returns the decision. It drives
+// a Proposal on the calling task (see NewProposal for the arguments).
 //
 // Propose never returns on a process that crashes before deciding (the task
 // is unwound by the runtime).
 func Propose(p dsys.Proc, d fd.EventuallyConsistent, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-	return propose(p, d, rb, v, opt, nil)
+	return ProposeStats(p, d, rb, v, opt, nil)
 }
 
-// ProposeStats is Propose with run statistics reported into st.
-func ProposeStats(p dsys.Proc, d fd.EventuallyConsistent, rb *rbcast.Module, v any, opt consensus.Options, st *Stats) consensus.Result {
-	return propose(p, d, rb, v, opt, st)
+// ProposeStats is Propose with run statistics reported into stats (if
+// non-nil).
+func ProposeStats(p dsys.Proc, d fd.EventuallyConsistent, rb *rbcast.Module, v any, opt consensus.Options, stats *Stats) consensus.Result {
+	pr := NewProposal(d, rb, v, opt)
+	dsys.RunSteps(p, pr.Step)
+	if stats != nil {
+		*stats = pr.Stats()
+	}
+	res, _ := pr.Result()
+	return res
 }
 
-func propose(p dsys.Proc, d fd.EventuallyConsistent, rb *rbcast.Module, v any, opt consensus.Options, report *Stats) consensus.Result {
-	opt = opt.WithDefaults()
-	st := &state{
-		p: p, d: d, rb: rb, opt: opt,
-		self: p.ID(), n: p.N(), maj: dsys.Majority(p.N()),
-		estimate: v, ts: 0,
-		coordOf:   make(map[int]dsys.ProcessID),
-		pending:   make(map[int][]dsys.ProcessID),
-		ests:      make(map[int]map[dsys.ProcessID]consensus.Msg),
-		props:     make(map[int]map[dsys.ProcessID]consensus.Msg),
-		acks:      make(map[int]map[dsys.ProcessID]bool),
-		nacks:     make(map[int]map[dsys.ProcessID]bool),
-		propEstOf: make(map[int]any),
-		ackedOf:   make(map[int]dsys.ProcessID),
-		matchAll:  consensus.Match("cec.", opt.Instance),
+// Result returns this process's decision and true once it has decided (the
+// Proposal has finished).
+func (st *Proposal) Result() (consensus.Result, bool) {
+	if st.ph != phDone {
+		return consensus.Result{}, false
 	}
-	cancel := rb.OnDeliver(st.onRDeliver)
-	defer cancel()
-	for st.checkDecided() == nil {
-		st.runRound()
+	return *st.decided, true
+}
+
+// Stats returns the Proposal's run statistics so far.
+func (st *Proposal) Stats() Stats { return st.stats }
+
+// Step implements dsys.StepFunc: it handles m — the message that ended the
+// last wait, nil for the first step and for an idle poll — and runs the
+// instance on to its next wait, which is always one poll interval for any
+// message of the instance. Once this process has decided it finishes.
+func (st *Proposal) Step(p dsys.Proc, m *dsys.Message) dsys.Wait {
+	st.p = p
+	if st.ph == phStart {
+		st.self, st.n, st.maj = p.ID(), p.N(), dsys.Majority(p.N())
+		st.cancel = st.rb.OnDeliver(st.onRDeliver)
+		st.ph = phRound
+	} else {
+		st.idle = !st.pump(m)
 	}
-	if report != nil {
-		*report = st.stats
+	if !st.advance() {
+		return dsys.AwaitTimeout(st.matchAll, st.opt.Poll)
 	}
+	st.ph = phDone
+	st.cancel()
 	// Keep answering stragglers: under lossy links (outside the paper's
 	// model) the decision broadcast can be lost, and the relayers are gone
 	// once everyone here returns. The responder replies to any late
 	// instance message with the decision, making catch-up possible forever.
 	// Callers running many instances per process provide a shared responder
 	// instead (Options.NoResponder).
-	if !opt.NoResponder {
+	if !st.opt.NoResponder {
 		st.spawnResponder(p)
 	}
-	return *st.decided
+	return dsys.Finished
 }
 
 // spawnResponder starts the post-decision catch-up task.
-func (st *state) spawnResponder(p dsys.Proc) {
+func (st *Proposal) spawnResponder(p dsys.Proc) {
 	// The responder lives as long as the process: it copies what it needs so
 	// that the instance's round stores are not kept alive with it.
 	dec := *st.decided
 	inst, self, matchAll := st.opt.Instance, st.self, st.matchAll
-	match := dsys.MatchFunc(func(m *dsys.Message) bool {
+	wait := dsys.Await(dsys.MatchFunc(func(m *dsys.Message) bool {
 		// Never answer another responder. Our own KindDecided is the
-		// R-delivery wake-up of a Propose that had already decided another
+		// R-delivery wake-up of an instance that had already decided another
 		// way; it is taken (and dropped below) so it does not sit in the
 		// mailbox forever.
 		return matchAll(m) && (m.Kind != KindDecided || m.From == self)
-	})
-	p.Spawn("cec-responder", func(p dsys.Proc) {
-		for {
-			m, ok := p.Recv(match)
-			if !ok {
-				return
-			}
-			if m.From == p.ID() {
-				continue
-			}
+	}))
+	dsys.SpawnStep(p, "cec-responder", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+		if m != nil && m.From != p.ID() {
 			p.Send(m.From, KindDecided, consensus.Msg{Inst: inst, Round: dec.Round, Est: dec.Value})
 		}
+		return wait
 	})
 }
 
 // onRDeliver is the third task of Fig. 4: upon R-delivering a decide
 // request, decide accordingly. It runs on the reliable-broadcast relay task
-// and touches no state of the Propose task: it hands the decision over as a
+// and touches no state of the instance: it hands the decision over as a
 // self-addressed KindDecided, which never reaches a transport and which the
 // dispatcher treats like a decided peer's answer.
-func (st *state) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
+func (st *Proposal) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
 	dec, ok := payload.(consensus.Decide)
 	if !ok || dec.Inst != st.opt.Instance {
 		return
@@ -200,7 +285,7 @@ func (st *state) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
 }
 
 // checkDecided returns the decision once the dispatcher has seen one.
-func (st *state) checkDecided() *consensus.Result {
+func (st *Proposal) checkDecided() *consensus.Result {
 	if st.decided == nil && st.opt.PreDecided != nil {
 		if v, r, ok := st.opt.PreDecided(); ok {
 			st.decided = &consensus.Result{Value: v, Round: r, At: st.p.Now()}
@@ -209,11 +294,11 @@ func (st *state) checkDecided() *consensus.Result {
 	return st.decided
 }
 
-// pump waits up to the poll interval for one consensus message and
-// dispatches it, reporting whether a message was handled (false means the
-// full poll interval elapsed idle).
-func (st *state) pump() bool {
-	if m, ok := st.p.RecvTimeout(st.matchAll, st.opt.Poll); ok {
+// pump handles the outcome of one poll-interval wait for a consensus
+// message: it dispatches m, or counts an idle poll when m is nil. It reports
+// whether a message was handled.
+func (st *Proposal) pump(m *dsys.Message) bool {
+	if m != nil {
 		st.dispatch(m)
 		if m.Kind != KindProbe {
 			// Probes are not progress — they mean a peer is stuck. If they
@@ -241,12 +326,12 @@ func (st *state) pump() bool {
 	return false
 }
 
-func (st *state) send(to dsys.ProcessID, kind string, env consensus.Msg) {
+func (st *Proposal) send(to dsys.ProcessID, kind string, env consensus.Msg) {
 	env.Inst = st.opt.Instance
 	st.p.Send(to, kind, env)
 }
 
-func (st *state) sendAll(kind string, env consensus.Msg, includeSelf bool) {
+func (st *Proposal) sendAll(kind string, env consensus.Msg, includeSelf bool) {
 	for _, q := range st.p.All() {
 		if q != st.self || includeSelf {
 			st.send(q, kind, env)
@@ -254,18 +339,20 @@ func (st *state) sendAll(kind string, env consensus.Msg, includeSelf bool) {
 	}
 }
 
-func (st *state) sendNullEst(to dsys.ProcessID, round int) {
+func (st *Proposal) sendNullEst(to dsys.ProcessID, round int) {
 	st.send(to, KindEst, consensus.Msg{Round: round, Null: true})
 }
 
 // dispatch routes one received message into the round stores, implementing
 // the reactive behaviours of Fig. 4's first two tasks along the way.
-func (st *state) dispatch(m *dsys.Message) {
+func (st *Proposal) dispatch(m *dsys.Message) {
 	env := m.Payload.(consensus.Msg)
 	r := env.Round
+	rd := st.round(r)
+	from := &rd.from[m.From-1]
 	switch m.Kind {
 	case KindCoord:
-		if c, adopted := st.coordOf[r]; adopted {
+		if c := rd.coord; c != dsys.None {
 			if m.From != c {
 				// Another coordinator for a round we already have one for
 				// (current or previous): answer with a null estimate so it
@@ -289,21 +376,18 @@ func (st *state) dispatch(m *dsys.Message) {
 		}
 		st.pending[r] = append(st.pending[r], m.From)
 	case KindEst:
-		if st.ests[r] == nil {
-			st.ests[r] = make(map[dsys.ProcessID]consensus.Msg)
-		}
-		if _, dup := st.ests[r][m.From]; !dup {
-			st.ests[r][m.From] = env
+		if from.got&gotEst == 0 {
+			from.got |= gotEst
+			from.est = env
+			rd.ests++
 		}
 	case KindProp:
-		if st.props[r] == nil {
-			st.props[r] = make(map[dsys.ProcessID]consensus.Msg)
-		}
-		if _, dup := st.props[r][m.From]; !dup {
-			st.props[r][m.From] = env
+		if from.got&gotProp == 0 {
+			from.got |= gotProp
+			from.prop = env
 		}
 		if !env.Null && (r < st.r || (r == st.r && st.donePhase3)) {
-			if st.ackedOf[r] == m.From {
+			if rd.acked == m.From {
 				// A retransmission of the very proposition we adopted: our
 				// ack may have been the lost message, so repeat it. Nacking
 				// here would contradict the earlier ack and turn a
@@ -317,15 +401,15 @@ func (st *state) dispatch(m *dsys.Message) {
 			st.stats.NacksSent++
 		}
 	case KindAck:
-		if st.acks[r] == nil {
-			st.acks[r] = make(map[dsys.ProcessID]bool)
+		if from.got&gotAck == 0 {
+			from.got |= gotAck
+			rd.acks++
 		}
-		st.acks[r][m.From] = true
 	case KindNack:
-		if st.nacks[r] == nil {
-			st.nacks[r] = make(map[dsys.ProcessID]bool)
+		if from.got&gotNack == 0 {
+			from.got |= gotNack
+			rd.nacks++
 		}
-		st.nacks[r][m.From] = true
 	case KindDecided:
 		// Our own R-delivery or a decided peer's answer to a probe; the
 		// first one is the decision (uniform integrity: decide at most once).
@@ -335,226 +419,221 @@ func (st *state) dispatch(m *dsys.Message) {
 	}
 }
 
-// runRound executes one full round (Phases 0–4).
-func (st *state) runRound() {
-	st.r++
-	st.donePhase3 = false
-	st.resend = nil
-	st.stats.Rounds++
-	if st.opt.RoundProbe != nil {
-		st.opt.RoundProbe.Set(st.self, st.r)
-	}
-
-	var coord dsys.ProcessID
-	if st.opt.MergedPhase01 {
-		coord = st.mergedPhase01()
-	} else {
-		coord = st.phase0()
-		if st.checkDecided() != nil {
-			return
-		}
-		// ------------- Phase 1: estimate to the coordinator -------------
-		env := consensus.Msg{Round: st.r, Est: st.estimate, TS: st.ts}
-		st.send(coord, KindEst, env)
-		if coord != st.self {
-			c := coord
-			st.resend = func() { st.send(c, KindEst, env) }
-		}
-	}
-	if st.checkDecided() != nil {
-		return
-	}
-	r := st.r // Phase 0 may have jumped forward
-	if st.opt.RoundProbe != nil {
-		st.opt.RoundProbe.Set(st.self, st.r)
-	}
-
-	// ---------------- Phase 2: coordinator gathers estimates ------------
-	if coord == st.self {
-		st.waitReplies(r, st.ests)
-		if st.checkDecided() != nil {
-			return
-		}
-		var best *consensus.Msg
-		nonNull := 0
-		for _, q := range dsys.Pids(st.n) { // deterministic iteration
-			env, ok := st.ests[r][q]
-			if !ok || env.Null {
-				continue
+// advance runs the rounds (Phases 0–4) from the wait the instance is in
+// until it must wait for a message again (false) or has decided (true).
+// Every wait ends as soon as a decision is known, whatever the phase.
+func (st *Proposal) advance() bool {
+	for st.checkDecided() == nil {
+		switch st.ph {
+		case phRound:
+			st.r++
+			st.donePhase3 = false
+			st.resend = nil
+			st.stats.Rounds++
+			if st.opt.RoundProbe != nil {
+				st.opt.RoundProbe.Set(st.self, st.r)
 			}
-			nonNull++
-			if best == nil || env.TS > best.TS {
-				e := env
-				best = &e
+			st.ph = phCoord
+			if st.opt.MergedPhase01 {
+				st.ph = phTrust
 			}
-		}
-		var propMsg consensus.Msg
-		if nonNull >= st.maj {
-			st.propEstOf[r] = best.Est
-			propMsg = consensus.Msg{Round: r, Est: best.Est}
-		} else {
-			propMsg = consensus.Msg{Round: r, Null: true}
-		}
-		st.sendAll(KindProp, propMsg, true)
-		annMsg := consensus.Msg{Round: r}
-		st.resend = func() {
-			// Re-announce before re-proposing: a participant that missed the
-			// Phase 0 announcement (sent across its crash/restart window, say)
-			// is parked in Phase 0 and cannot act on a bare proposition — it
-			// would never answer, and the "every non-suspected process
-			// answered" wait rule would hang the instance on it. The
-			// announcement is idempotent at participants that did see it.
-			st.sendAll(KindCoord, annMsg, false)
-			st.sendAll(KindProp, propMsg, true)
-		}
-	}
 
-	// ---------------- Phase 3: wait for a proposition --------------------
-	// The detector-polled exits (suspicion, merged-mode trust change) act
-	// only after an IDLE poll cycle — a pump in which no message arrived.
-	// Besides matching the paper's "wait until" semantics (polled
-	// conditions have poll granularity), this paces rounds: a detector
-	// module that transiently trusts and suspects the same process (legal
-	// before the ◇C consistency clause kicks in) would otherwise let
-	// rounds complete back to back, each round fanning out ~n messages for
-	// every message consumed — an exponential message explosion in the
-	// merged variant, which has no announcement step to gate round starts.
-	idle := false
-	for {
-		if st.checkDecided() != nil {
-			st.donePhase3 = true
-			return
-		}
-		if from, env, ok := st.nonNullProp(r); ok {
-			// Adopt the proposition and acknowledge it — possibly to a
-			// coordinator other than our own.
-			st.estimate = env.Est
-			st.ts = r
-			st.ackedOf[r] = from
-			st.send(from, KindAck, consensus.Msg{Round: r})
-			break
-		}
-		if env, ok := st.props[r][coord]; ok && env.Null {
-			// Null proposition from our coordinator: move on.
-			break
-		}
-		if idle {
-			if coord != st.self && st.d.Suspected().Has(coord) {
-				st.send(coord, KindNack, consensus.Msg{Round: r})
-				st.stats.NacksSent++
-				break
+		case phCoord:
+			// Phase 0 of Fig. 3: become coordinator when the detector trusts
+			// us, otherwise adopt an announced coordinator (possibly of a
+			// later round, jumping to it).
+			if st.d.Trusted() == st.self {
+				st.round(st.r).coord = st.self
+				st.sendAll(KindCoord, consensus.Msg{Round: st.r}, false)
+				r := st.r
+				st.resend = func() { st.sendAll(KindCoord, consensus.Msg{Round: r}, false) }
+				st.coord = st.self
+			} else if st.coord = st.takePending(); st.coord == dsys.None {
+				return false
 			}
-			if st.opt.MergedPhase01 && st.d.Trusted() != coord {
-				// In the merged variant there are no coordinator
-				// announcements to chase: when trust moves away from the
-				// round's coordinator (it crashed without being suspected
-				// yet, or the election is still converging) this round
-				// cannot conclude for us — give it up and let the next
-				// round start under the new trustee. A non-null proposition
-				// from the old coordinator that arrives later is nacked by
-				// the dispatcher, so no coordinator blocks.
-				break
+			// ------------- Phase 1: estimate to the coordinator -------------
+			env := consensus.Msg{Round: st.r, Est: st.estimate, TS: st.ts}
+			st.send(st.coord, KindEst, env)
+			if c := st.coord; c != st.self {
+				st.resend = func() { st.send(c, KindEst, env) }
 			}
-		}
-		idle = !st.pump()
-	}
-	st.donePhase3 = true
+			st.enterPhase2()
 
-	// ---------------- Phase 4: coordinator gathers acks ------------------
-	if coord == st.self {
-		if _, proposed := st.propEstOf[r]; !proposed {
-			return
-		}
-		st.waitAckNack(r)
-		if st.checkDecided() != nil {
-			return
-		}
-		if st.opt.FirstMajorityCutoff && len(st.nacks[r]) > 0 {
-			// Ablation: Chandra–Toueg semantics — any nack in the first
-			// majority kills the round.
-			return
-		}
-		if len(st.acks[r]) >= st.maj {
-			// A majority adopted the proposition: R-broadcast the decision
-			// (even if some nacks arrived — the improvement over waiting
-			// for a unanimous first majority).
-			st.rb.Broadcast(st.p, consensus.Decide{
-				Inst:  st.opt.Instance,
-				Round: r,
-				Value: st.propEstOf[r],
-			})
-			// The broadcast's self-addressed copy is local, so our own
-			// R-delivery is certain and imminent: wait for it here. Opening
-			// round r+1 instead would announce a round for an instance that
-			// is already decided and draw an estimate and a KindDecided out
-			// of every peer.
-			for st.checkDecided() == nil {
-				st.pump()
+		case phTrust:
+			// The Section 5.4 variant: no coordinator announcements; every
+			// process sends its estimate directly to its trusted process and
+			// null estimates to everyone else, merging Phases 0 and 1 into
+			// one communication step at the price of Ω(n²) messages per
+			// round.
+			if st.coord = st.d.Trusted(); st.coord == dsys.None {
+				return false
 			}
-		}
-	}
-}
+			st.round(st.r).coord = st.coord
+			fanout := func(r int, c dsys.ProcessID, env consensus.Msg) func() {
+				return func() {
+					for _, q := range st.p.All() {
+						if q == c {
+							st.send(q, KindEst, env)
+						} else {
+							st.sendNullEst(q, r)
+						}
+					}
+				}
+			}(st.r, st.coord, consensus.Msg{Round: st.r, Est: st.estimate, TS: st.ts})
+			fanout()
+			st.resend = fanout
+			st.enterPhase2()
 
-// phase0 implements the announced-coordinator Phase 0 of Fig. 3 and returns
-// the adopted coordinator (possibly after jumping rounds). It returns None
-// only when interrupted by a decision.
-func (st *state) phase0() dsys.ProcessID {
-	for {
-		if st.checkDecided() != nil {
-			return dsys.None
-		}
-		if st.d.Trusted() == st.self {
-			// We consider ourselves leader: become coordinator of the
-			// current round and announce it.
-			st.coordOf[st.r] = st.self
-			st.sendAll(KindCoord, consensus.Msg{Round: st.r}, false)
-			r := st.r
-			st.resend = func() { st.sendAll(KindCoord, consensus.Msg{Round: r}, false) }
-			return st.self
-		}
-		if c := st.takePending(); c != dsys.None {
-			return c
-		}
-		st.pump()
-	}
-}
-
-// mergedPhase01 implements the Section 5.4 variant: no coordinator
-// announcements; every process sends its estimate directly to its trusted
-// process and null estimates to everyone else, merging Phases 0 and 1 into
-// one communication step at the price of Ω(n²) messages per round.
-func (st *state) mergedPhase01() dsys.ProcessID {
-	var coord dsys.ProcessID
-	for {
-		if st.checkDecided() != nil {
-			return dsys.None
-		}
-		if coord = st.d.Trusted(); coord != dsys.None {
-			break
-		}
-		st.pump()
-	}
-	st.coordOf[st.r] = coord
-	fanout := func(r int, c dsys.ProcessID, env consensus.Msg) func() {
-		return func() {
-			for _, q := range st.p.All() {
-				if q == c {
-					st.send(q, KindEst, env)
-				} else {
-					st.sendNullEst(q, r)
+		case phEstimates:
+			// ---------------- Phase 2: coordinator gathers estimates --------
+			r, rd := st.r, st.round(st.r)
+			if !st.repliesIn(rd.ests, gotEst) {
+				return false
+			}
+			var best *consensus.Msg
+			nonNull := 0
+			for _, q := range st.p.All() { // deterministic iteration
+				from := &rd.from[q-1]
+				if from.got&gotEst == 0 || from.est.Null {
+					continue
+				}
+				nonNull++
+				if best == nil || from.est.TS > best.TS {
+					best = &from.est
 				}
 			}
+			var propMsg consensus.Msg
+			if nonNull >= st.maj {
+				rd.propEst, rd.proposed = best.Est, true
+				propMsg = consensus.Msg{Round: r, Est: best.Est}
+			} else {
+				propMsg = consensus.Msg{Round: r, Null: true}
+			}
+			st.sendAll(KindProp, propMsg, true)
+			annMsg := consensus.Msg{Round: r}
+			st.resend = func() {
+				// Re-announce before re-proposing: a participant that missed
+				// the Phase 0 announcement (sent across its crash/restart
+				// window, say) is parked in Phase 0 and cannot act on a bare
+				// proposition — it would never answer, and the "every
+				// non-suspected process answered" wait rule would hang the
+				// instance on it. The announcement is idempotent at
+				// participants that did see it.
+				st.sendAll(KindCoord, annMsg, false)
+				st.sendAll(KindProp, propMsg, true)
+			}
+			st.ph, st.idle = phProposal, false
+
+		case phProposal:
+			// ---------------- Phase 3: wait for a proposition ----------------
+			if !st.phase3Over() {
+				return false
+			}
+			st.donePhase3 = true
+			st.ph = phRound
+			if st.round(st.r).proposed && st.coord == st.self {
+				st.ph = phReplies
+			}
+
+		case phReplies:
+			// ---------------- Phase 4: coordinator gathers acks --------------
+			r, rd := st.r, st.round(st.r)
+			if !st.repliesIn(rd.acks+rd.nacks, gotAck|gotNack) {
+				return false
+			}
+			st.ph = phRound
+			if st.opt.FirstMajorityCutoff && rd.nacks > 0 {
+				// Ablation: Chandra–Toueg semantics — any nack in the first
+				// majority kills the round.
+				continue
+			}
+			if rd.acks >= st.maj {
+				// A majority adopted the proposition: R-broadcast the decision
+				// (even if some nacks arrived — the improvement over waiting
+				// for a unanimous first majority).
+				st.rb.Broadcast(st.p, consensus.Decide{
+					Inst:  st.opt.Instance,
+					Round: r,
+					Value: rd.propEst,
+				})
+				// The broadcast's self-addressed copy is local, so our own
+				// R-delivery is certain and imminent: wait for it here.
+				// Opening round r+1 instead would announce a round for an
+				// instance that is already decided and draw an estimate and a
+				// KindDecided out of every peer.
+				st.ph = phDelivery
+			}
+
+		case phDelivery:
+			return false
 		}
-	}(st.r, coord, consensus.Msg{Round: st.r, Est: st.estimate, TS: st.ts})
-	fanout()
-	st.resend = fanout
-	return coord
+	}
+	return true
+}
+
+// enterPhase2 ends Phases 0–1: the round (which Phase 0 may have jumped) is
+// fixed, so it is reported, and the coordinator goes on to gather estimates
+// while everyone else waits for a proposition.
+func (st *Proposal) enterPhase2() {
+	if st.opt.RoundProbe != nil {
+		st.opt.RoundProbe.Set(st.self, st.r)
+	}
+	st.ph, st.idle = phProposal, false
+	if st.coord == st.self {
+		st.ph = phEstimates
+	}
+}
+
+// phase3Over evaluates the Phase 3 wait, acting on the condition that ends
+// it: adopting and acknowledging a non-null proposition (possibly from a
+// coordinator other than our own), a null proposition from our coordinator,
+// or — only after an idle poll cycle — suspicion of the coordinator (nacked)
+// or, in the merged variant, trust moving away from it.
+//
+// The detector-polled exits act only after an IDLE poll cycle. Besides
+// matching the paper's "wait until" semantics (polled conditions have poll
+// granularity), this paces rounds: a detector module that transiently
+// trusts and suspects the same process (legal before the ◇C consistency
+// clause kicks in) would otherwise let rounds complete back to back, each
+// round fanning out ~n messages for every message consumed — an exponential
+// message explosion in the merged variant, which has no announcement step to
+// gate round starts.
+func (st *Proposal) phase3Over() bool {
+	r, rd, coord := st.r, st.round(st.r), st.coord
+	if from, env, ok := rd.nonNullProp(st.p.All()); ok {
+		st.estimate = env.Est
+		st.ts = r
+		rd.acked = from
+		st.send(from, KindAck, consensus.Msg{Round: r})
+		return true
+	}
+	if c := &rd.from[coord-1]; c.got&gotProp != 0 && c.prop.Null {
+		return true
+	}
+	if !st.idle {
+		return false
+	}
+	if coord != st.self && st.d.Suspected().Has(coord) {
+		st.send(coord, KindNack, consensus.Msg{Round: r})
+		st.stats.NacksSent++
+		return true
+	}
+	// In the merged variant there are no coordinator announcements to chase:
+	// when trust moves away from the round's coordinator (it crashed without
+	// being suspected yet, or the election is still converging) this round
+	// cannot conclude for us — give it up and let the next round start under
+	// the new trustee. A non-null proposition from the old coordinator that
+	// arrives later is nacked by the dispatcher, so no coordinator blocks.
+	return st.opt.MergedPhase01 && st.d.Trusted() != coord
 }
 
 // takePending adopts a pending coordinator announcement for the current or a
 // later round, jumping rounds if needed (footnote 2). It returns the adopted
-// coordinator or None.
-func (st *state) takePending() dsys.ProcessID {
+// coordinator or None. The other announcers of the rounds it passes get null
+// estimates in ascending round order and, within a round, in arrival order,
+// so the sends (and the network draws tied to them) do not depend on map
+// iteration order.
+func (st *Proposal) takePending() dsys.ProcessID {
 	best := 0
 	for r := range st.pending {
 		if r >= st.r && r > best {
@@ -565,11 +644,15 @@ func (st *state) takePending() dsys.ProcessID {
 		return dsys.None
 	}
 	coord := st.pending[best][0]
-	for r, anns := range st.pending {
-		if r > best {
-			continue
+	rounds := make([]int, 0, 8) // on the stack unless more rounds are pending
+	for r := range st.pending {
+		if r <= best {
+			rounds = append(rounds, r)
 		}
-		for i, q := range anns {
+	}
+	slices.Sort(rounds)
+	for _, r := range rounds {
+		for i, q := range st.pending[r] {
 			if r == best && i == 0 {
 				continue // the adopted coordinator gets our real estimate
 			}
@@ -578,80 +661,37 @@ func (st *state) takePending() dsys.ProcessID {
 		delete(st.pending, r)
 	}
 	st.r = best
-	st.coordOf[best] = coord
+	st.round(best).coord = coord
 	return coord
 }
 
-// waitReplies implements the Phase 2 wait: a majority of replies AND — the
-// paper's rule, unless the FirstMajorityCutoff ablation is on — a reply from
-// every process the detector does not suspect.
-func (st *state) waitReplies(r int, store map[int]map[dsys.ProcessID]consensus.Msg) {
-	for {
-		if st.checkDecided() != nil {
-			return
-		}
-		if len(store[r]) >= st.maj {
-			if st.opt.FirstMajorityCutoff {
-				return
-			}
-			susp := st.d.Suspected()
-			all := true
-			for _, q := range dsys.Pids(st.n) {
-				if q == st.self {
-					continue
-				}
-				if _, got := store[r][q]; !got && !susp.Has(q) {
-					all = false
-					break
-				}
-			}
-			if all {
-				return
-			}
-		}
-		st.pump()
+// repliesIn is the Phase 2 and Phase 4 wait rule over the current round's
+// replies (got of them, each marked by one of the reply bits): a majority of
+// replies AND — the paper's rule, unless the FirstMajorityCutoff ablation is
+// on — a reply from every process the detector does not suspect.
+func (st *Proposal) repliesIn(got int, reply uint8) bool {
+	if got < st.maj {
+		return false
 	}
-}
-
-// waitAckNack implements the Phase 4 wait, counting ack and nack replies.
-func (st *state) waitAckNack(r int) {
-	for {
-		if st.checkDecided() != nil {
-			return
-		}
-		replied := func(q dsys.ProcessID) bool {
-			return st.acks[r][q] || st.nacks[r][q]
-		}
-		total := len(st.acks[r]) + len(st.nacks[r])
-		if total >= st.maj {
-			if st.opt.FirstMajorityCutoff {
-				return
-			}
-			susp := st.d.Suspected()
-			all := true
-			for _, q := range dsys.Pids(st.n) {
-				if q == st.self {
-					continue
-				}
-				if !replied(q) && !susp.Has(q) {
-					all = false
-					break
-				}
-			}
-			if all {
-				return
-			}
-		}
-		st.pump()
+	if st.opt.FirstMajorityCutoff {
+		return true
 	}
+	susp := st.d.Suspected()
+	from := st.round(st.r).from
+	for _, q := range st.p.All() {
+		if q != st.self && from[q-1].got&reply == 0 && !susp.Has(q) {
+			return false
+		}
+	}
+	return true
 }
 
 // nonNullProp returns the (unique, by Lemma 1) non-null proposition received
-// for round r, if any.
-func (st *state) nonNullProp(r int) (dsys.ProcessID, consensus.Msg, bool) {
-	for _, q := range dsys.Pids(st.n) {
-		if env, ok := st.props[r][q]; ok && !env.Null {
-			return q, env, true
+// in the round, if any, looking at the processes in the order given.
+func (rd *round) nonNullProp(all []dsys.ProcessID) (dsys.ProcessID, consensus.Msg, bool) {
+	for _, q := range all {
+		if from := &rd.from[q-1]; from.got&gotProp != 0 && !from.prop.Null {
+			return q, from.prop, true
 		}
 	}
 	return dsys.None, consensus.Msg{}, false

@@ -37,6 +37,14 @@
 // link delays at a follower (kick, announcement, estimate, proposition, ack,
 // decide), four at the leader. The timers that remain (consensus.Options.Poll,
 // ProbeAfter, TransferTimeout) only poll the detector and repair loss.
+//
+// Every task of a replica is a callback-shaped task (package dsys): the
+// driver, the per-slot instance runners (each a cec.Proposal) and the shared
+// responder are step tasks, resumable state machines that return what they
+// wait for next; the state server is a receive loop. The simulator runs
+// them all inline on its dispatch loop, so a simulated log starts no
+// goroutine once its replicas are set up; the live runtime runs the same
+// state machines through their blocking expansion, one goroutine each.
 package core
 
 import (
@@ -247,7 +255,7 @@ func StartReplica(p dsys.Proc, cfg Config) *Replica {
 	// restarted replica is not re-trusted — parking consensus coordination
 	// on a deaf process — before its replay completes. (Detectors without
 	// the hook, e.g. ec.FromPerfect over a plain heartbeat, keep the old
-	// behaviour; the shared responderTask still answers for the replaying
+	// behaviour; the shared responder still answers for the replaying
 	// replica.)
 	if ld, ok := r.det.(fd.LeadershipDeferrer); ok {
 		ld.SetReadiness(r.caughtUp)
@@ -269,8 +277,8 @@ func StartReplica(p dsys.Proc, cfg Config) *Replica {
 			dp.Send(dp.ID(), r.doneKind, nil)
 		}
 	})
-	p.Spawn("core-log", r.logTask)
-	p.Spawn("core-responder", r.responderTask)
+	dsys.SpawnStep(p, "core-log", newDriver(r).step)
+	dsys.SpawnStep(p, "core-responder", r.responder())
 	dsys.SpawnRecvLoop(p, "core-state", r.serveFetch, r.fetchKind)
 	return r
 }
@@ -285,19 +293,19 @@ func (r *Replica) caughtUp() bool {
 	return r.decidedHigh-r.applyNext < deferLag+r.cfg.Pipeline-1
 }
 
-// responderTask is the replica's single shared answering service for
-// consensus messages none of its instance runners is (or will soon be)
-// listening for. It plays two roles:
+// responder returns the step body of the replica's single shared answering
+// service for consensus messages none of its instance runners is (or will
+// soon be) listening for. It plays two roles:
 //
 //   - For slots already decided here it answers any late message with the
 //     decision, centralising what cec's per-instance responder would do —
 //     one everlasting task per slot would wake on every message arrival and
 //     make throughput decay with the log length (Options.NoResponder). It
-//     stands back while the slot's own runner is still inside Propose: that
+//     stands back while the slot's own runner is still deciding: that
 //     runner is waiting for the self-addressed KindDecided of its
 //     R-delivery, and taking it from under the runner would leave it parked
 //     until its next poll. Whatever the runner leaves behind is swept up
-//     here once it has returned.
+//     here once it has finished.
 //   - For slots beyond this replica's pipeline window it mirrors the
 //     reactive tasks of the paper's Fig. 4 (null estimates to coordinators,
 //     nacks to non-null propositions). Without that, a replica replaying its
@@ -308,9 +316,9 @@ func (r *Replica) caughtUp() bool {
 //     applyNext+Pipeline are excluded: those belong to instances this
 //     replica is running now or will open next (a peer's window runs at
 //     most one frontier-race ahead of ours), and answering them would steal
-//     messages from our own Propose calls.
-func (r *Replica) responderTask(p dsys.Proc) {
-	match := dsys.MatchFunc(func(m *dsys.Message) bool {
+//     messages from our own instances.
+func (r *Replica) responder() dsys.StepFunc {
+	wait := dsys.Await(dsys.MatchFunc(func(m *dsys.Message) bool {
 		if !strings.HasPrefix(m.Kind, "cec.") {
 			return false
 		}
@@ -328,14 +336,10 @@ func (r *Replica) responderTask(p dsys.Proc) {
 		running := r.running[s]
 		r.mu.Unlock()
 		return dec && !running || ahead
-	})
-	for {
-		m, ok := p.Recv(match)
-		if !ok {
-			return
-		}
-		if m.From == p.ID() {
-			continue
+	}))
+	return func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+		if m == nil || m.From == p.ID() {
+			return wait
 		}
 		env := m.Payload.(consensus.Msg)
 		s := r.slotOf(env.Inst)
@@ -363,6 +367,7 @@ func (r *Replica) responderTask(p dsys.Proc) {
 				p.Send(m.From, cec.KindNack, consensus.Msg{Inst: env.Inst, Round: env.Round})
 			}
 		}
+		return wait
 	}
 }
 
@@ -557,14 +562,15 @@ func (r *Replica) openNext(p dsys.Proc) bool {
 			}
 		}
 	}
-	p.Spawn("core-inst", func(p dsys.Proc) { r.runInstance(p, s, prop, behind) })
+	dsys.SpawnStep(p, "core-inst", r.runInstance(s, prop, behind))
 	return true
 }
 
-// runInstance is one slot's consensus instance, run on its own short-lived
-// task so the driver can keep up to Pipeline of them open at once. It
-// records the decision and wakes the driver; the driver applies.
-func (r *Replica) runInstance(p dsys.Proc, slot int, prop Batch, behind bool) {
+// runInstance returns the step body of one slot's consensus instance, run as
+// its own short-lived task so the driver can keep up to Pipeline of them
+// open at once. Once the instance decides, the task records the decision and
+// wakes the driver; the driver applies.
+func (r *Replica) runInstance(slot int, prop Batch, behind bool) dsys.StepFunc {
 	opt := r.cfg.Consensus
 	opt.Instance = r.instance(slot)
 	opt.PreDecided = func() (any, int, bool) { return r.lookupDecided(slot) }
@@ -580,118 +586,147 @@ func (r *Replica) runInstance(p dsys.Proc, slot int, prop Batch, behind bool) {
 			opt.Poll = 500 * time.Microsecond
 		}
 	}
-	// The replica's shared responderTask answers stragglers for every
-	// decided slot; per-instance responders would accumulate one task per
-	// slot forever.
+	// The replica's shared responder answers stragglers for every decided
+	// slot; per-instance responders would accumulate one task per slot
+	// forever.
 	opt.NoResponder = true
-	res := cec.Propose(p, r.det, r.rb, prop, opt)
-
-	// Propose may have learned the decision from a probe answer rather than
-	// the decide broadcast: record it so the responderTask can serve this
-	// slot, and wake the driver to apply it. When the broadcast got here
-	// first its handler has done both already.
-	fresh := r.recordDecision(slot, res.Round, res.Value)
-	r.mu.Lock()
-	delete(r.running, slot)
-	r.mu.Unlock()
-	if fresh {
-		p.Send(p.ID(), r.doneKind, nil)
+	pr := cec.NewProposal(r.det, r.rb, prop, opt)
+	return func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+		if w := pr.Step(p, m); !w.Done() {
+			return w
+		}
+		// The instance may have learned the decision from a probe answer
+		// rather than the decide broadcast: record it so the responder can
+		// serve this slot, and wake the driver to apply it. When the
+		// broadcast got here first its handler has done both already.
+		res, _ := pr.Result()
+		fresh := r.recordDecision(slot, res.Round, res.Value)
+		r.mu.Lock()
+		delete(r.running, slot)
+		r.mu.Unlock()
+		if fresh {
+			p.Send(p.ID(), r.doneKind, nil)
+		}
+		return dsys.Finished
 	}
 }
 
-// logTask is the replica's driver: it drains announcements, keeps the
-// pipeline window of instance runners filled, applies parked decisions in
-// slot order, and engages batch state transfer when genuinely behind.
-func (r *Replica) logTask(p dsys.Proc) {
-	matchKick := dsys.MatchKind(r.kickKind)
-	matchState := dsys.MatchKind(r.stateKind)
-	matchDone := dsys.MatchKind(r.doneKind)
+// driver is the replica's log driver, a step task: it drains
+// announcements, keeps the pipeline window of instance runners filled,
+// applies parked decisions in slot order, and engages batch state transfer
+// when genuinely behind. Each step handles the message that ended the wait
+// named by at.
+type driver struct {
+	r  *Replica
+	at driverWait
+	// The waits: a poll of each message kind the driver drains, a state
+	// chunk during a transfer, and any of the three kinds when idle.
+	kicks, states, dones, chunk, wake dsys.Wait
+	xfer                              transfer
+}
+
+// driverWait names the wait a driver step resumes from.
+type driverWait uint8
+
+const (
+	waitStart  driverWait = iota
+	pollKicks             // drain queued kicks
+	pollStates            // drain queued state chunks
+	pollDones             // drain queued wake-ups
+	waitChunk             // a state transfer awaits its chunk
+	waitWake              // idle until a kick, a state chunk or a wake-up
+)
+
+func newDriver(r *Replica) *driver {
 	kk, sk, dk := r.kickKind, r.stateKind, r.doneKind
-	matchWake := dsys.MatchFunc(func(m *dsys.Message) bool {
-		return m.Kind == kk || m.Kind == sk || m.Kind == dk
-	})
-	for {
+	return &driver{
+		r:      r,
+		kicks:  dsys.AwaitTimeout(dsys.MatchKind(kk), 0),
+		states: dsys.AwaitTimeout(dsys.MatchKind(sk), 0),
+		dones:  dsys.AwaitTimeout(dsys.MatchKind(dk), 0),
+		chunk:  dsys.AwaitTimeout(dsys.MatchKind(sk), r.cfg.TransferTimeout),
+		wake: dsys.Await(dsys.MatchFunc(func(m *dsys.Message) bool {
+			return m.Kind == kk || m.Kind == sk || m.Kind == dk
+		})),
+	}
+}
+
+func (d *driver) step(p dsys.Proc, m *dsys.Message) dsys.Wait {
+	r := d.r
+	switch d.at {
+	case pollKicks:
 		// Drain queued kicks, state chunks and wakeups first. Buffered
 		// messages no receiver takes pin the mailbox head — every later
 		// receive scans past them — so a busy replica would slow down in
 		// proportion to how long it has been busy. Stray State chunks (late
 		// answers from an abandoned transfer donor) carry decisions, which
 		// are facts: installing them is always right.
-		for {
-			m, ok := p.RecvTimeout(matchKick, 0)
-			if !ok {
-				break
-			}
+		if m != nil {
 			r.noteKick(m.Payload.(Kick))
+			return d.kicks
 		}
-		for {
-			m, ok := p.RecvTimeout(matchState, 0)
-			if !ok {
-				break
-			}
+		d.at = pollStates
+		return d.states
+	case pollStates:
+		if m != nil {
 			r.installState(m.Payload.(State))
+			return d.states
 		}
-		for {
-			if _, ok := p.RecvTimeout(matchDone, 0); !ok {
-				break
-			}
+		d.at = pollDones
+		return d.dones
+	case pollDones:
+		if m != nil {
+			return d.dones
 		}
 		// Every wake-up sent so far is drained, and the buffer is read below:
 		// from here on a Submit must send a new one.
 		r.mu.Lock()
 		r.submitWoke = false
 		r.mu.Unlock()
-
-		// Batch catch-up: when the decided frontier is well past our first
-		// gap (we restarted, or missed decisions while partitioned away),
-		// fetch the whole decided range from a peer in a few round trips
-		// instead of replaying it one consensus probe per slot. A kick for
-		// slot k proves slots up to k-Pipeline decided (the kicker holds at
-		// most a window of undecided instances), so announcements reveal the
-		// frontier even when the decide broadcasts themselves were missed —
-		// discounted by the window so a healthy pipelined replica is never
-		// dragged into a blocking fetch. After a transfer that made no
-		// progress, don't retry until the frontier moves again (the per-slot
-		// probe path remains the fallback).
-		if !r.cfg.NoStateTransfer {
-			r.mu.Lock()
-			frontier := r.decidedHigh
-			if kf := r.kickHigh - r.cfg.Pipeline; kf > frontier {
-				frontier = kf
-			}
-			stalled := frontier <= r.transferStall
-			r.mu.Unlock()
-			gap, _ := r.nextGap(r.applyNextNow())
-			if frontier-gap >= transferLag && !stalled {
-				if !r.stateTransfer(p, gap) {
-					r.mu.Lock()
-					if frontier > r.transferStall {
-						r.transferStall = frontier
-					}
-					r.mu.Unlock()
-				}
-			}
+		if !r.cfg.NoStateTransfer && r.beginTransfer(p, &d.xfer) {
+			return d.fetch(p)
 		}
-
-		r.drainApplies()
-		for r.openNext(p) {
+		return d.settle(p)
+	case waitChunk:
+		if r.fetched(&d.xfer, m) {
+			return d.fetch(p)
 		}
-
-		// Wait for a reason to do more. Everything re-checked above changes
-		// only on one of these: a slot announcement, a state chunk, or a
-		// KindDone from whoever recorded a decision or submitted a command.
-		// There is no timer here — a stall would be a missing wake-up.
-		m, ok := p.Recv(matchWake)
-		if !ok {
-			return
-		}
+		r.endTransfer(&d.xfer)
+		return d.settle(p)
+	case waitWake:
 		switch m.Kind {
-		case kk:
+		case r.kickKind:
 			r.noteKick(m.Payload.(Kick))
-		case sk:
+		case r.stateKind:
 			r.installState(m.Payload.(State))
 		}
 	}
+	d.at = pollKicks
+	return d.kicks
+}
+
+// fetch asks the transfer's current donor for the next chunk and waits for
+// it, or, when the transfer is over, ends it and settles.
+func (d *driver) fetch(p dsys.Proc) dsys.Wait {
+	if d.r.fetchNext(p, &d.xfer) {
+		d.at = waitChunk
+		return d.chunk
+	}
+	d.r.endTransfer(&d.xfer)
+	return d.settle(p)
+}
+
+// settle applies what is decided, opens what the window allows, and waits
+// for a reason to do more. Everything re-checked here changes only on one
+// of the wake kinds: a slot announcement, a state chunk, or a KindDone from
+// whoever recorded a decision or submitted a command. There is no timer — a
+// stall would be a missing wake-up.
+func (d *driver) settle(p dsys.Proc) dsys.Wait {
+	d.r.drainApplies()
+	for d.r.openNext(p) {
+	}
+	d.at = waitWake
+	return d.wake
 }
 
 // applyNextNow returns the current apply frontier.

@@ -131,36 +131,91 @@ func (r *Replica) donors(p dsys.Proc) []dsys.ProcessID {
 	return out
 }
 
-// stateTransfer fetches the decided range [slot, frontier] from peers in
-// chunked round trips, installing each chunk as it lands, and reports
-// whether it installed anything. A donor that times out or stops yielding
-// new entries is abandoned for the next one; when every donor has been
-// tried the caller falls back to slot-by-slot consensus probes.
-func (r *Replica) stateTransfer(p dsys.Proc, slot int) bool {
-	installed := false
-	match := dsys.MatchKind(r.stateKind)
-	for _, donor := range r.donors(p) {
-		for {
-			next, high := r.nextGap(slot)
-			if installed && next > high {
-				return true // every known slot fetched; the driver takes over
-			}
-			p.Send(donor, r.fetchKind, Fetch{From: next, Limit: r.cfg.TransferChunk})
-			m, ok := p.RecvTimeout(match, r.cfg.TransferTimeout)
-			if !ok {
-				break // donor silent (crashed or partitioned): next donor
-			}
-			// A late chunk from a previously abandoned donor may arrive here
-			// instead of the current donor's reply; installing it is still
-			// correct, and a no-progress answer just moves us along.
-			if r.installState(m.Payload.(State)) == 0 {
-				if next2, high2 := r.nextGap(slot); next2 > high2 {
-					return installed
-				}
-				break // donor knows no more than we do: next donor
-			}
-			installed = true
-		}
+// transfer is one batch state transfer in progress: the decided range from
+// the first gap on is fetched from peers in chunked round trips, each chunk
+// installed as it lands. A donor that times out or stops yielding new
+// entries is abandoned for the next one; when every donor has been tried
+// the driver falls back to slot-by-slot consensus probes.
+type transfer struct {
+	slot      int              // the first gap when the transfer began
+	frontier  int              // the estimated decided frontier it began for
+	donors    []dsys.ProcessID // the peers still to try, current first
+	installed bool             // some chunk brought a new decision
+}
+
+// beginTransfer reports whether the replica should fetch the decided range
+// now, and if so prepares x. When the decided frontier is well past our
+// first gap (we restarted, or missed decisions while partitioned away), a
+// few round trips fetch the whole range instead of replaying it one
+// consensus probe per slot. A kick for slot k proves slots up to k-Pipeline
+// decided (the kicker holds at most a window of undecided instances), so
+// announcements reveal the frontier even when the decide broadcasts
+// themselves were missed — discounted by the window so a healthy pipelined
+// replica is never dragged into a fetch. After a transfer that made no
+// progress, it does not retry until the frontier moves again (the per-slot
+// probe path remains the fallback).
+func (r *Replica) beginTransfer(p dsys.Proc, x *transfer) bool {
+	r.mu.Lock()
+	frontier := r.decidedHigh
+	if kf := r.kickHigh - r.cfg.Pipeline; kf > frontier {
+		frontier = kf
 	}
-	return installed
+	stalled := frontier <= r.transferStall
+	r.mu.Unlock()
+	gap, _ := r.nextGap(r.applyNextNow())
+	if frontier-gap < transferLag || stalled {
+		return false
+	}
+	*x = transfer{slot: gap, frontier: frontier, donors: r.donors(p)}
+	return true
+}
+
+// fetchNext asks x's current donor for the next chunk and reports true, or
+// reports false when the transfer is over: every known slot is fetched, or
+// no donor is left.
+func (r *Replica) fetchNext(p dsys.Proc, x *transfer) bool {
+	if len(x.donors) == 0 {
+		return false
+	}
+	next, high := r.nextGap(x.slot)
+	if x.installed && next > high {
+		return false // every known slot fetched; the driver takes over
+	}
+	p.Send(x.donors[0], r.fetchKind, Fetch{From: next, Limit: r.cfg.TransferChunk})
+	return true
+}
+
+// fetched handles the answer to x's last request — m is nil when the donor
+// stayed silent for TransferTimeout — and reports whether the transfer goes
+// on.
+func (r *Replica) fetched(x *transfer, m *dsys.Message) bool {
+	switch {
+	case m == nil:
+		x.donors = x.donors[1:] // donor silent (crashed or partitioned): next donor
+	case r.installState(m.Payload.(State)) > 0:
+		// A late chunk from a previously abandoned donor may arrive here
+		// instead of the current donor's reply; installing it is still
+		// correct.
+		x.installed = true
+	default:
+		// A no-progress answer moves us along.
+		if next, high := r.nextGap(x.slot); next > high {
+			return false
+		}
+		x.donors = x.donors[1:] // donor knows no more than we do: next donor
+	}
+	return true
+}
+
+// endTransfer records a transfer that installed nothing, so the driver does
+// not retry it until the frontier moves.
+func (r *Replica) endTransfer(x *transfer) {
+	if x.installed {
+		return
+	}
+	r.mu.Lock()
+	if x.frontier > r.transferStall {
+		r.transferStall = x.frontier
+	}
+	r.mu.Unlock()
 }

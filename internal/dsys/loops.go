@@ -14,8 +14,16 @@ import "time"
 // TickLoopTask, so the two spellings behave identically everywhere; the
 // expansion is also the reference the simulator's differential tests hold
 // the fast path to. Every receive and periodic loop in the repository is
-// declared this way; Spawn is for bodies that genuinely block mid-step,
-// such as a consensus Propose.
+// declared this way.
+//
+// The third shape, the step task, is for bodies that wait mid-step — a
+// consensus instance waiting for a phase's replies, a log driver waiting for
+// its next wake-up. Its body is a resumable state machine: each call of its
+// StepFunc runs until the body would block and returns what it waits for
+// next (a Wait). SpawnStep runs it the same two ways: as a callback under a
+// LoopSpawner, and elsewhere through RunSteps, its blocking expansion, where
+// every Wait becomes one Recv or RecvTimeout. Spawn remains for bodies
+// written against the blocking primitives directly.
 
 // RecvLoopFunc is the body of a receive loop: called once per received
 // message, in delivery order. The message is only valid for the duration of
@@ -45,13 +53,44 @@ type TickLoop struct {
 	Fn TickLoopFunc
 }
 
-// LoopSpawner is the optional runtime fast path for loop tasks. Runtimes
-// whose Proc implements it (the simulator's) run the loops as callbacks on
-// the scheduler; SpawnRecvLoop/SpawnTickLoop probe for it and otherwise fall
-// back to spawning the blocking expansion.
+// StepFunc is the body of a step task. It is called once per resumption with
+// the message that ended the previous wait — nil on the first call and when
+// a timed wait elapsed — and returns what the task waits for next. Like a
+// receive loop's message, m is only valid for the duration of the call.
+type StepFunc func(p Proc, m *Message) Wait
+
+// Wait is what a step task waits for after a step: the first message
+// matching Match, for at most Timeout when Timed. The zero Wait, Finished,
+// ends the task.
+type Wait struct {
+	Match   Matcher
+	Timed   bool
+	Timeout time.Duration
+}
+
+// Finished is the Wait that ends a step task.
+var Finished Wait
+
+// Await waits for a message matching match, like Recv.
+func Await(match Matcher) Wait { return Wait{Match: match} }
+
+// AwaitTimeout waits for a message matching match for at most d, like
+// RecvTimeout: a non-positive d only takes an already buffered match.
+func AwaitTimeout(match Matcher, d time.Duration) Wait {
+	return Wait{Match: match, Timed: true, Timeout: d}
+}
+
+// Done reports whether w ends the task.
+func (w Wait) Done() bool { return w.Match == nil }
+
+// LoopSpawner is the optional runtime fast path for loop and step tasks.
+// Runtimes whose Proc implements it (the simulator's) run them as callbacks
+// on the scheduler; SpawnRecvLoop/SpawnTickLoop/SpawnStep probe for it and
+// otherwise fall back to spawning the blocking expansion.
 type LoopSpawner interface {
 	SpawnRecvLoop(name string, fn RecvLoopFunc, kinds ...string)
 	SpawnTickLoop(name string, loop TickLoop)
+	SpawnStep(name string, step StepFunc)
 }
 
 // SpawnRecvLoop spawns a task of p's process that calls fn once per received
@@ -85,6 +124,17 @@ func SpawnTickLoop(p Proc, name string, loop TickLoop) {
 		return
 	}
 	p.Spawn(name, TickLoopTask(loop))
+}
+
+// SpawnStep spawns a step task of p's process. Scheduling is identical to
+// spawning a task that calls RunSteps(p, step), the blocking expansion, but
+// runtimes implementing LoopSpawner run it goroutine-free.
+func SpawnStep(p Proc, name string, step StepFunc) {
+	if ls, ok := p.(LoopSpawner); ok {
+		ls.SpawnStep(name, step)
+		return
+	}
+	p.Spawn(name, func(p Proc) { RunSteps(p, step) })
 }
 
 // RecvLoopTask expands a receive loop into the equivalent blocking task
@@ -131,6 +181,24 @@ func TickLoopTask(loop TickLoop) TaskFunc {
 		for {
 			loop.Fn(p)
 			p.Sleep(loop.Period)
+		}
+	}
+}
+
+// RunSteps runs step on the calling task until it is finished, blocking in
+// p's Recv or RecvTimeout for each Wait it returns — the blocking expansion,
+// for callers that drive a state machine inline (cec.Propose).
+func RunSteps(p Proc, step StepFunc) {
+	var m *Message
+	for {
+		w := step(p, m)
+		switch {
+		case w.Done():
+			return
+		case w.Timed:
+			m, _ = p.RecvTimeout(w.Match, w.Timeout)
+		default:
+			m, _ = p.Recv(w.Match)
 		}
 	}
 }

@@ -59,6 +59,8 @@ func (p *stepProc) SpawnTickLoop(name string, loop dsys.TickLoop) {
 	p.tick[name] = loop.Fn
 }
 
+func (p *stepProc) SpawnStep(string, dsys.StepFunc) { panic("stepProc: loop tasks only") }
+
 // deliver hands one message to the named receive loop.
 func (p *stepProc) deliver(loop string, from dsys.ProcessID, kind string, payload any) {
 	p.msg = dsys.Message{From: from, To: p.id, Kind: kind, Payload: payload, SentAt: p.now}

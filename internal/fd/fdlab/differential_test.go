@@ -2,10 +2,13 @@ package fdlab_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/consensus"
+	"repro/internal/consensus/cec"
 	"repro/internal/core"
 	"repro/internal/dsys"
 	"repro/internal/fd/amplify"
@@ -16,15 +19,18 @@ import (
 	"repro/internal/fd/omega"
 	"repro/internal/fd/ring"
 	"repro/internal/fd/transform"
+	"repro/internal/network"
+	"repro/internal/rbcast"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// referenceProc hides the kernel's dsys.LoopSpawner, so SpawnRecvLoop and
-// SpawnTickLoop fall back to their blocking expansions (dsys.RecvLoopTask,
-// dsys.TickLoopTask) — the path every runtime without the fast path takes.
-// It re-wraps the handle of every task it spawns, so loops spawned from
-// inside a task (a TickLoop.Setup companion, a module started later) take
+// referenceProc hides the kernel's dsys.LoopSpawner, so SpawnRecvLoop,
+// SpawnTickLoop and SpawnStep fall back to their blocking expansions
+// (dsys.RecvLoopTask, dsys.TickLoopTask, dsys.RunSteps) — the path every
+// runtime without the fast path takes. It re-wraps the handle of every task
+// it spawns, so tasks spawned from inside a task (a TickLoop.Setup
+// companion, a module started later, a consensus instance's responder) take
 // the reference path too.
 type referenceProc struct{ dsys.Proc }
 
@@ -39,6 +45,35 @@ func onPath(reference bool, build func(p dsys.Proc) any) func(p dsys.Proc) any {
 		return build
 	}
 	return func(p dsys.Proc) any { return build(referenceProc{p}) }
+}
+
+// scheduleWitnesses counts, in a consensus run's message log, the nacks and
+// the round jumps: a process sending its real estimate for round r > 1
+// without having sent one for round r-1 adopted a later round's coordinator
+// from a pending announcement.
+func scheduleWitnesses(msgs []trace.MsgEvent) (nacks, jumps int) {
+	estimated := map[dsys.ProcessID]map[int]bool{}
+	for _, e := range msgs {
+		env, ok := e.Payload.(consensus.Msg)
+		switch {
+		case !ok:
+		case e.Kind == cec.KindNack:
+			nacks++
+		case e.Kind == cec.KindEst && !env.Null:
+			if estimated[e.From] == nil {
+				estimated[e.From] = map[int]bool{}
+			}
+			estimated[e.From][env.Round] = true
+		}
+	}
+	for _, rounds := range estimated {
+		for r := range rounds {
+			if r > 1 && !rounds[r-1] {
+				jumps++
+			}
+		}
+	}
+	return nacks, jumps
 }
 
 // sameMessages fails the test at the first entry where two message logs
@@ -57,17 +92,20 @@ func sameMessages(t *testing.T, cb, ref []trace.MsgEvent) {
 
 // TestCallbackGoroutineDifferential is the execution-scheme differential test
 // backing the kernel's goroutine-free fast path: every run must be
-// bit-identical whether its loop tasks run as resumable callbacks on the
-// kernel goroutine (the default) or as their blocking expansions, each on
-// its own goroutine (referenceProc). The experiment tables are a function of
+// bit-identical whether its loop and step tasks run as resumable callbacks
+// on the kernel goroutine (the default) or as their blocking expansions,
+// each on its own goroutine (referenceProc). The experiment tables are a function of
 // the sampled detector outputs and the message log, so equality here is
 // what keeps every table byte-identical across the two schemes.
 //
-// The setups cover each loop shape the modules use: immediate and
-// sleep-first tick loops, single- and multi-kind receive loops, and the
-// Setup-hook spawn (transform's Task 4 inside Task 3's loop), under partial
-// synchrony chosen to force false suspicions, retractions and list adoptions
-// — the paths where a divergence in scheduling order would surface.
+// The setups cover each task shape the modules use: immediate and
+// sleep-first tick loops, single- and multi-kind receive loops, the
+// Setup-hook spawn (transform's Task 4 inside Task 3's loop), and step tasks
+// waiting on kind and predicate matchers with and without timeouts (cec's
+// instances and responders, core's driver), under partial synchrony or
+// flapping detectors chosen to force false suspicions, retractions, list
+// adoptions, nacks and round jumps — the paths where a divergence in
+// scheduling order would surface.
 func TestCallbackGoroutineDifferential(t *testing.T) {
 	period := 10 * time.Millisecond
 	cases := []struct {
@@ -132,10 +170,96 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 		})
 	}
 
-	// The replicated log: core's state server and the rbcast relay are
-	// callback loops, core's log driver and instance runners block in
-	// Propose, and they share one ring detector — so the two kinds of task
-	// interleave on every step of a leader crash and hand-over.
+	// Standalone consensus instances: each process's cec.Proposal is a step
+	// task, and its responder another. Until GST every detector module is
+	// re-randomised every few milliseconds — random trusted process, random
+	// suspects — so coordinators compete, rounds abort with nacks and
+	// participants jump rounds through pending announcements; after GST all
+	// trust p1 and one round gets through.
+	for _, tc := range []struct {
+		name string
+		seed int64
+		opt  consensus.Options
+	}{
+		{"cec", 4415, consensus.Options{}},
+		{"cec-merged", 4421, consensus.Options{MergedPhase01: true}},
+		{"cec-cutoff", 4434, consensus.Options{FirstMajorityCutoff: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 5
+			const gst = 150 * time.Millisecond
+			type result struct {
+				events  uint64
+				msgs    []trace.MsgEvent
+				decided map[dsys.ProcessID]consensus.Result
+			}
+			run := func(reference bool) result {
+				col := trace.NewCollector()
+				net := network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 12 * time.Millisecond}}
+				k := sim.New(sim.Config{N: n, Network: net, Seed: tc.seed, Trace: col})
+				dets := fdtest.NewCluster(n, 1)
+				props := make(map[dsys.ProcessID]*cec.Proposal, n)
+				for _, id := range dsys.Pids(n) {
+					k.Spawn(id, "consensus", func(p dsys.Proc) {
+						if reference {
+							p = referenceProc{p}
+						}
+						props[id] = cec.NewProposal(dets.At(id), rbcast.Start(p), fmt.Sprintf("v%v", id), tc.opt)
+						dsys.SpawnStep(p, "cec", props[id].Step)
+					})
+				}
+				rng := rand.New(rand.NewSource(tc.seed))
+				k.Every(5*time.Millisecond, 5*time.Millisecond, func(now time.Duration) {
+					for _, id := range dsys.Pids(n) {
+						var trusted dsys.ProcessID = 1
+						var susp []dsys.ProcessID
+						if now < gst {
+							trusted = dsys.ProcessID(rng.Intn(n) + 1)
+							for _, q := range dsys.Pids(n) {
+								if rng.Intn(3) == 0 {
+									susp = append(susp, q)
+								}
+							}
+						}
+						dets.At(id).SetTrusted(trusted)
+						dets.At(id).SetSuspected(susp...)
+					}
+				})
+				k.Run(time.Second)
+				res := result{events: k.Events(), msgs: col.Events(), decided: map[dsys.ProcessID]consensus.Result{}}
+				for _, id := range dsys.Pids(n) {
+					if d, ok := props[id].Result(); ok {
+						res.decided[id] = d
+					}
+				}
+				return res
+			}
+			cb, ref := run(false), run(true)
+			if len(cb.decided) != n {
+				t.Errorf("%d of %d processes decided", len(cb.decided), n)
+			}
+			nacks, jumps := scheduleWitnesses(cb.msgs)
+			if nacks == 0 {
+				t.Error("no round was nacked; the detector does not flap enough")
+			}
+			if jumps == 0 && !tc.opt.MergedPhase01 {
+				t.Error("no process jumped a round through a pending announcement")
+			}
+			if cb.events != ref.events {
+				t.Errorf("event count: callback %d vs reference %d", cb.events, ref.events)
+			}
+			if !reflect.DeepEqual(cb.decided, ref.decided) {
+				t.Errorf("decisions diverge: callback %v vs reference %v", cb.decided, ref.decided)
+			}
+			sameMessages(t, cb.msgs, ref.msgs)
+		})
+	}
+
+	// The replicated log: core's log driver, instance runners and shared
+	// responder are step tasks, its state server and the rbcast relay
+	// receive loops, and they share one ring detector — so every kind of
+	// callback task interleaves on every step of a leader crash and
+	// hand-over.
 	t.Run("replicated-log", func(t *testing.T) {
 		const n = 5
 		type result struct {

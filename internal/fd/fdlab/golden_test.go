@@ -8,6 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
+	"repro/internal/consensus"
+	"repro/internal/consensus/cec"
+	"repro/internal/core"
 	"repro/internal/dsys"
 	"repro/internal/fd"
 	"repro/internal/fd/ec"
@@ -17,6 +21,9 @@ import (
 	"repro/internal/fd/ring"
 	"repro/internal/fd/transform"
 	"repro/internal/network"
+	"repro/internal/rbcast"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // goldenDigests pins the behaviour of the three scalable detectors event for
@@ -137,6 +144,133 @@ func TestGoldenDetectorDigests(t *testing.T) {
 	}
 }
 
+// goldenLogDigests pins the replicated log — core's driver, instance runners
+// and responders, cec and rbcast over a ring detector — event for event. Each
+// value is the SHA-256 of one seeded run's message log, sampled detector
+// outputs, every replica's applied log and the kernel's event count,
+// computed while cec's Propose and core's driver still blocked on goroutines
+// (with cec's pending announcements already answered in round order). Moving
+// those bodies onto the kernel's callback path must reproduce these runs
+// exactly, on the callback path and on the reference path alike.
+var goldenLogDigests = map[string]string{
+	"steady":       "947b6032aebe8c5583b456bf8284fb807c4a9830c9cd356b9d5140cfa9381bff",
+	"lossy":        "19a99ca72ac54f3c387d875ffd1c03a9972359982ea8d8529032a7758a85d02a",
+	"leader-crash": "83e99d906d105b963f54f3d230d2453df7f3d1c02f7ccdb6fe73e256419c5002",
+	"cut-off":      "01308b0aa241974b09b74f0d2a66e30b01dd009b875295791713ed3315deeae0",
+}
+
+// TestGoldenLogDigests runs an n=5 replicated log under four conditions that
+// between them drive the log driver, the slot runners and the responders
+// through their loss, crash and catch-up paths: (a) a fault-free steady
+// stream; (b) 4% loss, so idle waits probe and retransmit; (c) the leader
+// crashing mid-stream, so rounds change coordinator; (d) p5 cut off for
+// longer than transferLag slots and then healed, so it catches up by state
+// transfer.
+func TestGoldenLogDigests(t *testing.T) {
+	const n = 5
+	links := network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 3 * time.Millisecond}}
+	cases := []struct {
+		name    string
+		seed    int64
+		net     network.Network
+		crash   dsys.ProcessID
+		witness func(col *trace.Collector) string
+	}{
+		{"steady", 5201, links, dsys.None, func(col *trace.Collector) string {
+			if col.Sent(cec.KindProbe)+col.Sent(cec.KindNack) != 0 {
+				return "fault-free run probed or nacked"
+			}
+			return ""
+		}},
+		{"lossy", 5210, network.FairLossy{P: 0.04, Under: links}, dsys.None, func(col *trace.Collector) string {
+			if col.Sent(cec.KindProbe) == 0 {
+				return "no idle wait probed"
+			}
+			return ""
+		}},
+		{"leader-crash", 5203, links, 1, func(col *trace.Collector) string {
+			if col.Sent(cec.KindNack) == 0 {
+				return "no round was nacked after the leader crash"
+			}
+			return ""
+		}},
+		{"cut-off", 5211, network.Partitioned{Under: links, GroupA: map[dsys.ProcessID]bool{5: true}, From: 200 * time.Millisecond, Until: 320 * time.Millisecond}, dsys.None, func(col *trace.Collector) string {
+			if col.Sent(core.KindFetch) == 0 {
+				return "p5 did not catch up by state transfer"
+			}
+			return ""
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(reference bool) (string, *trace.Collector, map[dsys.ProcessID]int) {
+				col := trace.NewCollector()
+				k := sim.New(sim.Config{N: n, Network: tc.net, Seed: tc.seed, Trace: col})
+				rec := check.NewFDRecorder(n)
+				reps := make(map[dsys.ProcessID]*core.Replica, n)
+				for _, id := range dsys.Pids(n) {
+					k.Spawn(id, "replica", func(p dsys.Proc) {
+						build := onPath(reference, func(p dsys.Proc) any {
+							d := ring.Start(p, ring.Options{Period: 10 * time.Millisecond})
+							reps[id] = core.StartReplica(p, core.Config{Detector: d})
+							return d
+						})
+						rec.SetProbe(id, check.ProbeOf(build(p)))
+					})
+				}
+				// Every live process submits one command per millisecond for
+				// 600 ms, from kernel hooks as a client would.
+				seq := 0
+				k.Every(20*time.Millisecond, time.Millisecond, func(now time.Duration) {
+					if now >= 620*time.Millisecond {
+						return
+					}
+					seq++
+					for _, id := range dsys.Pids(n) {
+						if !k.Crashed(id) {
+							reps[id].Submit(fmt.Sprintf("%v-%d", id, seq))
+						}
+					}
+				})
+				if tc.crash != dsys.None {
+					k.CrashAt(tc.crash, 300*time.Millisecond)
+				}
+				rec.Attach(k, 5*time.Millisecond, 5*time.Millisecond)
+				k.Run(1500 * time.Millisecond)
+
+				h := sha256.New()
+				digestRun(h, fdlab.Result{Trace: check.FDTrace{N: n, Rec: rec}, Messages: col})
+				applied := make(map[dsys.ProcessID]int, n)
+				for _, id := range dsys.Pids(n) {
+					log := reps[id].Applied()
+					applied[id] = len(log)
+					for _, e := range log {
+						fmt.Fprintf(h, "%d %d %d %d %v\n", id, e.Slot, e.Cmd.Origin, e.Cmd.Seq, e.Cmd.Payload)
+					}
+				}
+				fmt.Fprintf(h, "events %d\n", k.Events())
+				return hex.EncodeToString(h.Sum(nil)), col, applied
+			}
+			cb, col, applied := run(false)
+			ref, _, _ := run(true)
+			if why := tc.witness(col); why != "" {
+				t.Errorf("scenario no longer exercises its path: %s", why)
+			}
+			for _, id := range dsys.Pids(n) {
+				if id != tc.crash && applied[id] != applied[n] {
+					t.Errorf("%v applied %d commands, p%d %d", id, applied[id], n, applied[n])
+				}
+			}
+			if cb != ref {
+				t.Errorf("callback path %s vs reference path %s", cb, ref)
+			}
+			if want := goldenLogDigests[tc.name]; cb != want {
+				t.Errorf("digest %s, golden %s", cb, want)
+			}
+		})
+	}
+}
+
 // digestRun hashes a run's message log and sampled detector outputs into h.
 func digestRun(h hash.Hash, res fdlab.Result) {
 	for _, e := range res.Messages.Events() {
@@ -151,8 +285,9 @@ func digestRun(h hash.Hash, res fdlab.Result) {
 	}
 }
 
-// writePayload renders the payload shapes the detectors send; a nil and an
-// empty suspect list hash alike, as they encode alike on the wire.
+// writePayload renders the payload shapes the detectors and the replicated
+// log send; a nil and an empty suspect list hash alike, as they encode alike
+// on the wire.
 func writePayload(h hash.Hash, payload any) {
 	switch v := payload.(type) {
 	case nil:
@@ -162,6 +297,8 @@ func writePayload(h hash.Hash, payload any) {
 	case *omega.BeatPayload:
 		fmt.Fprint(h, "beat:")
 		writePayload(h, v.Attachment)
+	case consensus.Msg, core.Kick, core.Fetch, core.State, rbcast.Wire:
+		fmt.Fprintf(h, "%T%+v", v, v)
 	default:
 		panic(fmt.Sprintf("golden digest: unhashed payload type %T", payload))
 	}

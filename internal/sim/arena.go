@@ -13,7 +13,7 @@ import "repro/internal/dsys"
 // Reference protocol. A slot's refs counts the outstanding claims on it:
 // one per scheduled delivery copy (duplicating networks schedule several
 // copies of one send), transferred on delivery to whatever consumes the
-// copy — the receive buffer entry, or the callback loop task processing it.
+// copy — the receive buffer entry, or the callback task processing it.
 // Each claim is released with exactly one unref (crashed-destination
 // discard, callback completion, or escape). Consumers that outlive kernel
 // dispatch — blocking tasks, whose Recv hands the message to arbitrary

@@ -35,9 +35,9 @@ func TestArenaGenerationCatchesStaleHandle(t *testing.T) {
 
 // TestArenaRecycleStress is the -race stress test for message-slot reuse:
 // duplicated deliveries sharing one refcounted slot, crashes unreffing whole
-// buffers mid-flight, callback receive loops consuming in place, blocking
-// tasks escaping messages to the heap, and receive timeouts abandoning
-// parked matches — all while slots recycle constantly. The kernel panics on
+// buffers mid-flight, callback receive loops and step tasks consuming in
+// place, blocking tasks escaping messages to the heap, and receive timeouts
+// abandoning parked matches — all while slots recycle constantly. The kernel panics on
 // any generation mismatch at fire time, so surviving the run proves no
 // recycled slot was ever observed through a stale handle; the final live
 // count proves every reference was returned.
@@ -52,7 +52,7 @@ func TestArenaRecycleStress(t *testing.T) {
 			},
 			Seed: 77,
 		})
-		received := 0
+		received, stepped := 0, 0
 		for i := 1; i <= n; i++ {
 			id := dsys.ProcessID(i)
 			rng := rand.New(rand.NewSource(int64(i)))
@@ -63,9 +63,10 @@ func TestArenaRecycleStress(t *testing.T) {
 				if p.Now() > 150*time.Millisecond {
 					return
 				}
-				for j := 0; j < 4; j++ {
+				for j := 0; j < 3; j++ {
 					p.Send(dsys.ProcessID(1+rng.Intn(n)), "m", j)
 				}
+				p.Send(dsys.ProcessID(1+rng.Intn(n)), "s", 3)
 			}}
 			drain := func(p dsys.Proc, m *dsys.Message) { received++ }
 			if goroutines {
@@ -84,14 +85,34 @@ func TestArenaRecycleStress(t *testing.T) {
 					}
 				}
 			})
+			// A step task, sole consumer of kind "s", alternating zero-timeout
+			// polls on the kind with timed waits on a predicate: exercises a
+			// woken or buffer-taken slot held until the step returns, and
+			// released when a crash finds the task parked.
+			isS := dsys.MatchFunc(func(m *dsys.Message) bool { return m.Kind == "s" })
+			poll := false
+			step := func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+				if m != nil {
+					stepped += m.Payload.(int) / 3 // touch the payload in its slot
+				}
+				if poll = !poll; poll {
+					return dsys.AwaitTimeout(dsys.MatchKind("s"), 0)
+				}
+				return dsys.AwaitTimeout(isS, 2*time.Millisecond)
+			}
+			if goroutines {
+				k.Spawn(id, "step", func(p dsys.Proc) { dsys.RunSteps(p, step) })
+			} else {
+				k.spawnLoop(k.procAt(id), "step", &loopTask{step: step, wakeSlot: -1})
+			}
 		}
 		// Crashes drop whole processes with full buffers and parked tasks.
 		for i := 0; i < 6; i++ {
 			k.CrashAt(dsys.ProcessID(2*i+1), time.Duration(20+10*i)*time.Millisecond)
 		}
 		k.Run(200 * time.Millisecond)
-		if received == 0 {
-			t.Fatal("stress run delivered nothing; the workload is not exercising the arena")
+		if received == 0 || stepped == 0 {
+			t.Fatalf("stress run delivered %d messages to loops and blocking tasks, %d to step tasks; the workload is not exercising the arena", received, stepped)
 		}
 		if live := k.arena.live(); live != 0 {
 			t.Errorf("goroutines=%v: arena retains %d live slots after the run; some reference was never returned", goroutines, live)

@@ -11,9 +11,9 @@
 // reproducible and the property tests exact.
 //
 // Blocking tasks run as goroutines under a baton-passing scheduler; tasks
-// declared as receive or tick loops (dsys.SpawnRecvLoop/SpawnTickLoop) run
-// goroutine-free as callbacks on the dispatch loop — same schedule, zero
-// context switches (see Kernel).
+// declared as receive or tick loops or as step tasks (dsys.SpawnRecvLoop,
+// SpawnTickLoop, SpawnStep) run goroutine-free as callbacks on the dispatch
+// loop — same schedule, zero context switches (see Kernel).
 //
 // Virtual time is a time.Duration since the start of the run. Timers,
 // message latencies and crashes are events in a priority queue; when no task
@@ -69,7 +69,7 @@ type Config struct {
 // loop (dispatch). A parking task runs the loop inline and hands the baton
 // directly to the next task, so a park/wake cycle costs one channel handoff
 // instead of the two of a dedicated scheduler goroutine, and re-selecting
-// the task that just parked costs none. Callback loop tasks go further:
+// the task that just parked costs none. Callback tasks go further:
 // they have no goroutine, so the baton holder runs their body inline at the
 // exact point the task would otherwise have been resumed — the dominant
 // park/deliver/park cycle costs zero switches. The order in which events
@@ -214,8 +214,8 @@ func (k *Kernel) spawnTickLoop(p *proc, name string, loop dsys.TickLoop) {
 	})
 }
 
-// spawnLoop registers a callback loop task: same id allocation, task-table
-// entry and initial runq position as a blocking spawn, but no goroutine.
+// spawnLoop registers a callback task: same id allocation, task-table entry
+// and initial runq position as a blocking spawn, but no goroutine.
 func (k *Kernel) spawnLoop(p *proc, name string, lp *loopTask) {
 	if k.stopping || p.crashed {
 		return
@@ -305,7 +305,7 @@ func (k *Kernel) Run(until time.Duration) time.Duration {
 // goroutine (a selected task, or the Run goroutine at end of run); a parking
 // caller then blocks on its own resume channel.
 //
-// Callback loop tasks never take the baton: when selected, their body runs
+// Callback tasks never take the baton: when selected, their body runs
 // inline right here and the loop continues. That happens at exactly the
 // points a blocking task would have been handed the baton, so the schedule
 // — and therefore every run — is unchanged.
@@ -387,12 +387,13 @@ func (k *Kernel) dispatch(self *task) bool {
 	return false
 }
 
-// runLoop executes one scheduling turn of a callback loop task inline: a
-// woken receive loop processes its wake message and then drains every
-// buffered match (exactly what the blocking loop's next Recv calls would
-// have consumed without yielding), a tick loop runs setup/one tick; the
-// task then re-parks. No events fire and no other task runs while the body
-// executes, just as when a blocking task holds the baton.
+// runLoop executes one scheduling turn of a callback task inline: a woken
+// receive loop processes its wake message and then drains every buffered
+// match (exactly what the blocking loop's next Recv calls would have
+// consumed without yielding), a tick loop runs setup/one tick, a step task
+// steps until it must wait; the task then re-parks. No events fire and no
+// other task runs while the body executes, just as when a blocking task
+// holds the baton.
 func (k *Kernel) runLoop(t *task) {
 	t.state = taskRunning
 	defer func() {
@@ -409,9 +410,12 @@ func (k *Kernel) runLoop(t *task) {
 			t.p.taskFinished(k)
 		}
 	}()
-	if t.loop.recv != nil {
+	switch {
+	case t.loop.recv != nil:
 		k.runRecvLoop(t)
-	} else {
+	case t.loop.step != nil:
+		k.runStep(t)
+	default:
 		k.runTickLoop(t)
 	}
 }
@@ -451,6 +455,49 @@ func (k *Kernel) runTickLoop(t *task) {
 	}
 	lp.tick(v)
 	k.parkTick(t)
+}
+
+// runStep resumes a step task with the message that woke it (nil at its
+// first step and after a timeout) and follows each Wait it returns exactly
+// as the blocking expansion's Recv or RecvTimeout would: a buffered match is
+// taken and stepped on without yielding, a non-positive timeout steps on at
+// once with no message, and otherwise the task parks in the matcher's lane
+// with one evTimeout for a positive timeout. The message a step is handed
+// keeps its arena slot until that step returns.
+func (k *Kernel) runStep(t *task) {
+	lp := t.loop
+	v := taskView{t}
+	m := t.wakeMsg
+	t.wakeMsg, t.wakeTimeout = nil, false
+	for {
+		w := lp.step(v, m)
+		if lp.wakeSlot >= 0 {
+			k.arena.unref(lp.wakeSlot)
+			lp.wakeSlot = -1
+		}
+		if w.Done() {
+			// Drop the body, and with it the state machine: a finished task
+			// stays reachable from the task table and stale timers for a
+			// while.
+			lp.step = nil
+			t.state = taskDone
+			t.p.taskFinished(k)
+			return
+		}
+		if m, lp.wakeSlot = t.p.takeMatch(w.Match); m != nil {
+			continue
+		}
+		if w.Timed && w.Timeout <= 0 {
+			continue
+		}
+		t.parkGen++
+		t.p.parkOn(t, w.Match)
+		if w.Timed {
+			k.scheduleTimer(k.now+w.Timeout, evTimeout, t, t.parkGen)
+		}
+		t.state = taskParked
+		return
+	}
 }
 
 // parkTick parks a tick loop until its next period timer, in the same order
@@ -547,7 +594,8 @@ func ready(t *task) *task {
 //
 // Parked tasks are indexed by what they wait for: tasks parked on a
 // dsys.KindMatcher and callback receive loops sit in per-kind lanes,
-// everything else in the generic predicate lane (all in creation order).
+// everything else in the generic predicate lane (all in creation order;
+// step tasks sit where their Wait's matcher puts them).
 // The winner under the old linear scan over p.tasks was the lowest-id
 // parked matching task; that is exactly the lower of the kind lane's head
 // and the first matching generic predicate with a smaller id, so the common
@@ -557,7 +605,7 @@ func ready(t *task) *task {
 //
 // The delivery's arena reference moves to whatever takes the message: a
 // blocking task gets a heap copy (escape releases the reference), a
-// callback loop holds it until its body has run, a buffered entry keeps it
+// callback task holds it until its body has run, a buffered entry keeps it
 // until taken, and a crashed destination releases it on the spot.
 func (k *Kernel) deliver(h, kid int32, s *msgSlot) *task {
 	m := &s.m
@@ -578,21 +626,26 @@ func (k *Kernel) deliver(h, kid int32, s *msgSlot) *task {
 			break
 		}
 		if t.match.Match(m) {
-			t.wakeMsg = k.arena.escape(h)
-			return ready(t)
+			return k.wake(t, h, m)
 		}
 	}
 	if kt != nil {
-		if kt.loop != nil {
-			kt.wakeMsg = m
-			kt.loop.wakeSlot = h
-		} else {
-			kt.wakeMsg = k.arena.escape(h)
-		}
-		return ready(kt)
+		return k.wake(kt, h, m)
 	}
 	p.bufAdd(h, kid)
 	return nil
+}
+
+// wake hands the message m in arena slot h to the parked task t and makes
+// it runnable.
+func (k *Kernel) wake(t *task, h int32, m *dsys.Message) *task {
+	if t.loop != nil {
+		t.wakeMsg = m
+		t.loop.wakeSlot = h
+	} else {
+		t.wakeMsg = k.arena.escape(h)
+	}
+	return ready(t)
 }
 
 func (k *Kernel) crash(p *proc) {
@@ -630,12 +683,13 @@ func (k *Kernel) unwindTask(t *task, kind unwindKind) {
 	}
 	t.unwind = kind
 	if lp := t.loop; lp != nil {
-		// Callback loop tasks have no goroutine to handshake: release any
-		// pending wake message and mark the task done on the spot.
+		// Callback tasks have no goroutine to handshake: release any pending
+		// wake message and mark the task done on the spot.
 		if lp.wakeSlot >= 0 {
 			k.arena.unref(lp.wakeSlot)
 			lp.wakeSlot = -1
 		}
+		lp.step = nil
 		t.wakeMsg = nil
 		t.state = taskDone
 		t.match = nil

@@ -37,10 +37,12 @@ type unwindPanic struct{ kind unwindKind }
 //
 // Tasks come in two execution flavors. Blocking tasks (Spawn) run as
 // goroutines under the baton-passing scheduler and may suspend anywhere.
-// Callback loop tasks (SpawnRecvLoop/SpawnTickLoop, loop != nil) have no
-// goroutine at all: the dispatch loop runs their body inline at exactly the
-// points where it would have resumed the equivalent blocking task, so a
-// park/deliver/park cycle costs zero context switches.
+// Callback tasks — receive and tick loops and step tasks (SpawnRecvLoop,
+// SpawnTickLoop, SpawnStep; loop != nil) — have no goroutine at all: the
+// dispatch loop runs their body inline at exactly the points where it would
+// have resumed the equivalent blocking task, so a park/deliver/park cycle
+// costs zero context switches. A step task parks in the same lanes, with
+// the same timers, as a blocking task in Recv or RecvTimeout.
 type task struct {
 	id   int
 	name string
@@ -56,7 +58,7 @@ type task struct {
 	// wrapper then rings the bell instead of continuing the dispatch loop.
 	unwindSync bool
 
-	// loop marks a callback loop task and holds its state.
+	// loop marks a callback task and holds its state.
 	loop *loopTask
 
 	// Park bookkeeping. parkGen distinguishes park sessions so a stale
@@ -80,28 +82,36 @@ type task struct {
 	cachedLane  *kindLane
 }
 
-// loopTask is the state of a callback loop task — the goroutine-free fast
-// path. A receive loop (recv != nil) parks in the kind lanes of all its
-// kinds; a tick loop (tick != nil) parks on its period timer.
+// loopTask is the state of a callback task — the goroutine-free fast path.
+// A receive loop (recv != nil) parks in the kind lanes of all its kinds; a
+// tick loop (tick != nil) parks on its period timer; a step task (step !=
+// nil) parks on the matcher and timeout of the Wait its last step returned.
+//
+// The small fields sit together at the end so the struct stays in the 96-byte
+// size class: populations of thousands of processes keep several loop tasks
+// each.
 type loopTask struct {
 	// Receive loops.
 	recv  dsys.RecvLoopFunc
 	kinds []int32
-	// lanes caches the kind lanes of kinds (resolved at first park) and
-	// parked records whether the task currently sits in them.
-	lanes  []*kindLane
-	parked bool
-	// wakeSlot is the arena handle under task.wakeMsg while a delivered
-	// message waits for the loop body to run; -1 when none. The delivery's
-	// arena reference is held until the body returns.
-	wakeSlot int32
+	// lanes caches the kind lanes of kinds (resolved at first park); parked
+	// records whether the task currently sits in them.
+	lanes []*kindLane
+
+	// Step tasks.
+	step dsys.StepFunc
 
 	// Tick loops.
-	tick      dsys.TickLoopFunc
-	setup     func(dsys.Proc)
-	period    time.Duration
-	immediate bool
-	started   bool
+	tick   dsys.TickLoopFunc
+	setup  func(dsys.Proc)
+	period time.Duration
+
+	// wakeSlot is the arena handle under task.wakeMsg while a delivered or
+	// taken message waits for the body to run; -1 when none. The arena
+	// reference is held until the body returns.
+	wakeSlot           int32
+	parked             bool
+	immediate, started bool
 }
 
 // kindLane is the ordered set of tasks of one process parked on one message
@@ -330,13 +340,11 @@ func (p *proc) parkLoop(t *task) {
 
 // unpark removes t from its dispatch lane(s), if it is in any.
 func (p *proc) unpark(t *task) {
-	if lp := t.loop; lp != nil {
-		if lp.parked {
-			for _, lane := range lp.lanes {
-				lane.tasks = laneRemove(lane.tasks, t)
-			}
-			lp.parked = false
+	if lp := t.loop; lp != nil && lp.parked {
+		for _, lane := range lp.lanes {
+			lane.tasks = laneRemove(lane.tasks, t)
 		}
+		lp.parked = false
 		return
 	}
 	if lane := t.parkLane; lane != nil {
@@ -536,6 +544,13 @@ func (v taskView) SpawnTickLoop(name string, loop dsys.TickLoop) {
 	t.p.k.spawnTickLoop(t.p, name, loop)
 }
 
+// SpawnStep implements dsys.LoopSpawner.
+func (v taskView) SpawnStep(name string, step dsys.StepFunc) {
+	t := v.t
+	t.checkUnwind()
+	t.p.k.spawnLoop(t.p, name, &loopTask{step: step, wakeSlot: -1})
+}
+
 func (v taskView) Logf(format string, args ...any) {
 	t := v.t
 	k := t.p.k
@@ -553,12 +568,12 @@ func (t *task) checkUnwind() {
 	}
 }
 
-// checkBlocking rejects blocking primitives on callback loop tasks, which
-// run inline on the dispatch loop and must never suspend. The panic
-// surfaces through Kernel.runLoop as a fatal task error.
+// checkBlocking rejects blocking primitives on callback tasks, which run
+// inline on the dispatch loop and must never suspend. The panic surfaces
+// through Kernel.runLoop as a fatal task error.
 func (t *task) checkBlocking() {
 	if t.loop != nil {
-		panic(fmt.Sprintf("sim: callback loop task %v/%s called a blocking primitive; use a blocking Spawn task instead", t.p.id, t.name))
+		panic(fmt.Sprintf("sim: callback task %v/%s called a blocking primitive; return a dsys.Wait from a step task instead", t.p.id, t.name))
 	}
 }
 
