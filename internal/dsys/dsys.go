@@ -46,10 +46,15 @@ type Message struct {
 	SentAt time.Duration
 }
 
-// Matcher selects messages from a process's receive buffer. Match must be a
-// pure function of the message (no side effects): runtimes may call it
-// speculatively against buffered or newly arrived messages, or not at all
-// when a faster dispatch path (see KindMatcher) answers the question.
+// Matcher selects the messages a receiving task accepts. Match must have no
+// side effects. Both runtimes evaluate it at two points only: on arrival,
+// against each parked receiver's matcher in spawn order (the first task
+// that accepts gets the message), and on the buffered messages, in arrival
+// order, when a task calls Recv/RecvTimeout. A matcher may read state that
+// changes over time, but a parked receiver is not re-offered buffered
+// messages when its answer changes; it sees them at its next receive. A
+// runtime may skip the call when a faster dispatch path (see KindMatcher)
+// answers the question.
 type Matcher interface {
 	// Match reports whether the matcher accepts m.
 	Match(m *Message) bool

@@ -9,6 +9,14 @@
 // Unlike the simulator, runs are not reproducible (goroutine scheduling and
 // wall-clock timing are real); the property checkers still apply via
 // check.FDRecorder.AddSample.
+//
+// Receive dispatch follows the simulator's rule. A delivery goes to the
+// earliest-spawned parked task of its destination whose matcher accepts it,
+// and wakes that task's goroutine only; with no such task it is buffered.
+// A receive first takes the earliest buffered match and otherwise parks. A
+// parked task is not re-offered buffered messages when its matcher's answer
+// changes: matchers run on arrival for parked receivers, and on the buffer
+// when a receiver asks.
 package live
 
 import (
@@ -94,6 +102,9 @@ type Cluster struct {
 	timers       map[*time.Timer]dsys.ProcessID
 	timersClosed bool
 
+	// taskSeq numbers tasks in spawn order, the receive dispatch's priority.
+	taskSeq atomic.Uint64
+
 	stopOnce sync.Once
 }
 
@@ -105,9 +116,9 @@ type lproc struct {
 	c       *Cluster
 	id      dsys.ProcessID
 	mu      sync.Mutex
-	cond    *sync.Cond
 	buf     []*dsys.Message // pending messages; buf[head:] is live
 	head    int
+	parked  []*task // receivers waiting for a delivery, in spawn order
 	crashed bool
 	stopped bool
 	// dead mirrors crashed||stopped for the Send fast path, which would
@@ -121,6 +132,24 @@ type lproc struct {
 	done       chan struct{}
 	rng        *rand.Rand
 	rngMu      sync.Mutex
+}
+
+// task is one live task: its process, its name and its state in the receive
+// dispatch. timer is touched only by the task's own goroutine.
+type task struct {
+	p    *lproc
+	name string
+	seq  uint64 // spawn order: of two parked tasks accepting a delivery, the lower wins
+	// match and parked are guarded by p.mu: while parked, the task is in
+	// p.parked and deliveries are offered to match.
+	match  dsys.Matcher
+	parked bool
+	// hand carries the one delivery handed to the task while it was parked,
+	// or nil when its process crashed or stopped, which unwinds it. A parked
+	// task receives from hand alone, cheaper than a select with done. Its
+	// capacity of one lets Inject hand over under p.mu without blocking.
+	hand  chan *dsys.Message
+	timer *time.Timer // RecvTimeout's deadline, reused across calls
 }
 
 // killLocked marks done for closing exactly once. The caller must hold
@@ -150,14 +179,12 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	c.procs = make([]*lproc, cfg.N)
 	for i := range c.procs {
-		p := &lproc{
+		c.procs[i] = &lproc{
 			c:    c,
 			id:   dsys.ProcessID(i + 1),
 			done: make(chan struct{}),
 			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(0x9e3779b97f4a7c15*uint64(i+1)))),
 		}
-		p.cond = sync.NewCond(&p.mu)
-		c.procs[i] = p
 	}
 	if cfg.Transport != nil {
 		cfg.Transport.Start(c.Inject)
@@ -167,7 +194,7 @@ func NewCluster(cfg Config) *Cluster {
 
 // Spawn starts a task of process id as a goroutine.
 func (c *Cluster) Spawn(id dsys.ProcessID, name string, fn dsys.TaskFunc) {
-	p := c.proc(id)
+	t := &task{p: c.proc(id), name: name, seq: c.taskSeq.Add(1), hand: make(chan *dsys.Message, 1)}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -178,12 +205,12 @@ func (c *Cluster) Spawn(id dsys.ProcessID, name string, fn dsys.TaskFunc) {
 				}
 			}
 		}()
-		fn(taskView{p: p, name: name})
+		fn(taskView{t})
 	}()
 }
 
 // Crash permanently crashes process id: its tasks are unwound at their next
-// blocking primitive and its messages stop flowing. The first Crash of id
+// blocking primitive (a parked one at once) and its messages stop flowing. The first Crash of id
 // reaches the transport, unless the cluster was already stopped.
 func (c *Cluster) Crash(id dsys.ProcessID) {
 	p := c.proc(id)
@@ -192,6 +219,7 @@ func (c *Cluster) Crash(id dsys.ProcessID) {
 	p.crashed = true
 	p.dead.Store(true)
 	p.buf, p.head = nil, 0
+	p.unparkAllLocked()
 	shouldClose := p.killLocked()
 	p.mu.Unlock()
 	if shouldClose {
@@ -204,7 +232,6 @@ func (c *Cluster) Crash(id dsys.ProcessID) {
 		c.cfg.Transport.Crash(id)
 	}
 	c.stopTimers(func(to dsys.ProcessID) bool { return to == id })
-	p.cond.Broadcast()
 	c.cfg.Trace.OnCrash(id, time.Since(c.start))
 }
 
@@ -248,12 +275,12 @@ func (c *Cluster) Stop() {
 			p.mu.Lock()
 			p.stopped = true
 			p.dead.Store(true)
+			p.unparkAllLocked()
 			shouldClose := p.killLocked()
 			p.mu.Unlock()
 			if shouldClose {
 				close(p.done)
 			}
-			p.cond.Broadcast()
 		}
 		c.timersMu.Lock()
 		c.timersClosed = true
@@ -277,17 +304,14 @@ func (c *Cluster) proc(id dsys.ProcessID) *lproc {
 }
 
 // taskView implements dsys.Proc for one live task.
-type taskView struct {
-	p    *lproc
-	name string
-}
+type taskView struct{ t *task }
 
 var _ dsys.Proc = taskView{}
 
-func (v taskView) ID() dsys.ProcessID    { return v.p.id }
-func (v taskView) N() int                { return len(v.p.c.procs) }
-func (v taskView) All() []dsys.ProcessID { return v.p.c.pids }
-func (v taskView) Now() time.Duration    { return time.Since(v.p.c.start) }
+func (v taskView) ID() dsys.ProcessID    { return v.t.p.id }
+func (v taskView) N() int                { return len(v.t.p.c.procs) }
+func (v taskView) All() []dsys.ProcessID { return v.t.p.c.pids }
+func (v taskView) Now() time.Duration    { return time.Since(v.t.p.c.start) }
 
 func (v taskView) Rand() *rand.Rand {
 	// The per-process source is shared by its tasks; per-call locking makes
@@ -295,7 +319,7 @@ func (v taskView) Rand() *rand.Rand {
 	// anyway). A fresh Rand wrapping a locked source would allocate per
 	// call; instead we expose the shared one guarded by the process lock
 	// through lockedRand.
-	return rand.New(&lockedSource{p: v.p})
+	return rand.New(&lockedSource{p: v.t.p})
 }
 
 // lockedSource guards the process source. It implements rand.Source64 so
@@ -324,7 +348,7 @@ func (s *lockedSource) Seed(seed int64) {
 }
 
 func (v taskView) Send(to dsys.ProcessID, kind string, payload any) {
-	p := v.p
+	p := v.t.p
 	c := p.c
 	// Lock-free liveness check: a Send racing a concurrent Crash could
 	// already slip past the old mutexed check before the crash landed, so the
@@ -393,6 +417,11 @@ func (c *Cluster) injectAfter(delay time.Duration, m *dsys.Message) {
 // dropped for a destination that does not exist, has crashed or has
 // stopped. A message without a send time (SentAt does not cross a
 // transport's wire) is stamped with its arrival time.
+//
+// The message goes to the earliest-spawned parked task whose matcher accepts
+// it, and only that task's goroutine wakes; otherwise it is buffered. The
+// matchers run here, under the destination's lock, as they do when a
+// receiver scans the buffer.
 func (c *Cluster) Inject(m *dsys.Message) {
 	if m.To < 1 || int(m.To) > len(c.procs) {
 		return
@@ -407,52 +436,140 @@ func (c *Cluster) Inject(m *dsys.Message) {
 		return
 	}
 	c.cfg.Trace.OnDeliver(m)
+	for i, t := range dst.parked {
+		if t.match.Match(m) {
+			dst.unparkAt(i)
+			t.hand <- m
+			return
+		}
+	}
 	dst.buf = append(dst.buf, m)
-	dst.cond.Broadcast()
 }
 
 func (v taskView) Recv(match dsys.Matcher) (*dsys.Message, bool) {
-	p := v.p
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	t := v.t
+	if m := t.takeOrPark(match, true); m != nil {
+		return m, true
+	}
+	if m := <-t.hand; m != nil {
+		return m, true
+	}
+	panic(unwind{})
+}
+
+// RecvTimeout is Recv with a deadline. A non-positive d only takes an already
+// buffered match and starts no timer.
+func (v taskView) RecvTimeout(match dsys.Matcher, d time.Duration) (*dsys.Message, bool) {
+	t := v.t
+	deadline := time.Now().Add(d)
+	if m := t.takeOrPark(match, d > 0); m != nil || d <= 0 {
+		return m, m != nil
+	}
+	tm := t.timer
+	if tm == nil {
+		tm = time.NewTimer(d)
+		t.timer = tm
+	} else {
+		tm.Reset(d)
+	}
 	for {
-		if p.crashed || p.stopped {
-			panic(unwind{})
-		}
-		if m := p.takeLocked(match); m != nil {
+		select {
+		case m := <-t.hand:
+			t.stopTimer()
+			if m == nil {
+				panic(unwind{})
+			}
 			return m, true
+		case <-tm.C:
+			if rest := time.Until(deadline); rest > 0 {
+				// An expiry left over from an earlier call's timer.
+				tm.Reset(rest)
+				continue
+			}
+			if t.expire() {
+				return nil, false
+			}
+			// A delivery was handed over before the deadline won the lock.
+			return <-t.hand, true
 		}
-		p.cond.Wait()
 	}
 }
 
-func (v taskView) RecvTimeout(match dsys.Matcher, d time.Duration) (*dsys.Message, bool) {
-	p := v.p
-	deadline := time.Now().Add(d)
-	// The callback must broadcast while holding p.mu: an unlocked broadcast
-	// can fire between the waiter's deadline check and its cond.Wait enqueue
-	// and be lost, leaving the waiter blocked far past its deadline until
-	// some unrelated message happens to arrive.
-	timer := time.AfterFunc(d, func() {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	})
-	defer timer.Stop()
+// takeOrPark removes and returns the earliest buffered message matching
+// match. With none, it parks t on match if park is set and returns nil. A
+// task of a dead process is unwound.
+func (t *task) takeOrPark(match dsys.Matcher, park bool) *dsys.Message {
+	p := t.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		if p.crashed || p.stopped {
-			panic(unwind{})
-		}
-		if m := p.takeLocked(match); m != nil {
-			return m, true
-		}
-		if !time.Now().Before(deadline) {
-			return nil, false
-		}
-		p.cond.Wait()
+	if p.crashed || p.stopped {
+		panic(unwind{})
 	}
+	if m := p.takeLocked(match); m != nil {
+		return m
+	}
+	if park {
+		t.match, t.parked = match, true
+		i := len(p.parked)
+		for i > 0 && p.parked[i-1].seq > t.seq {
+			i--
+		}
+		p.parked = append(p.parked, nil)
+		copy(p.parked[i+1:], p.parked[i:])
+		p.parked[i] = t
+	}
+	return nil
+}
+
+// expire settles a deadline against a racing hand-off under p.mu. It reports
+// true, and unparks t, if no delivery reached t first; otherwise the
+// delivery is in t.hand.
+func (t *task) expire() bool {
+	p := t.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.crashed || p.stopped {
+		panic(unwind{})
+	}
+	if !t.parked {
+		return false
+	}
+	for i, q := range p.parked {
+		if q == t {
+			p.unparkAt(i)
+			break
+		}
+	}
+	return true
+}
+
+// stopTimer stops the deadline timer and drains an expiry that beat Stop.
+func (t *task) stopTimer() {
+	if !t.timer.Stop() {
+		select {
+		case <-t.timer.C:
+		default:
+		}
+	}
+}
+
+// unparkAllLocked releases every parked task of a crashed or stopped
+// process: each is handed nil, which unwinds it.
+func (p *lproc) unparkAllLocked() {
+	for _, t := range p.parked {
+		t.match, t.parked = nil, false
+		t.hand <- nil
+	}
+	p.parked = nil
+}
+
+// unparkAt removes the parked task at index i, keeping spawn order.
+func (p *lproc) unparkAt(i int) {
+	t := p.parked[i]
+	t.match, t.parked = nil, false
+	copy(p.parked[i:], p.parked[i+1:])
+	p.parked[len(p.parked)-1] = nil
+	p.parked = p.parked[:len(p.parked)-1]
 }
 
 // takeLocked removes and returns the first buffered message matching match.
@@ -501,25 +618,27 @@ func (v taskView) Sleep(d time.Duration) {
 	defer t.Stop()
 	select {
 	case <-t.C:
-	case <-v.p.done:
+	case <-v.t.p.done:
 		panic(unwind{})
 	}
 }
 
 func (v taskView) Spawn(name string, fn dsys.TaskFunc) {
-	v.p.mu.Lock()
-	dead := v.p.crashed || v.p.stopped
-	v.p.mu.Unlock()
+	p := v.t.p
+	p.mu.Lock()
+	dead := p.crashed || p.stopped
+	p.mu.Unlock()
 	if dead {
 		panic(unwind{})
 	}
-	v.p.c.Spawn(v.p.id, name, fn)
+	p.c.Spawn(p.id, name, fn)
 }
 
 func (v taskView) Logf(format string, args ...any) {
-	w := v.p.c.cfg.Log
+	p := v.t.p
+	w := p.c.cfg.Log
 	if w == nil {
 		return
 	}
-	fmt.Fprintf(w, "%10v %v/%s: %s\n", time.Since(v.p.c.start).Round(time.Millisecond), v.p.id, v.name, fmt.Sprintf(format, args...))
+	fmt.Fprintf(w, "%10v %v/%s: %s\n", time.Since(p.c.start).Round(time.Millisecond), p.id, v.t.name, fmt.Sprintf(format, args...))
 }

@@ -91,7 +91,9 @@ func init() {
 			encBatch(e, m.Batch)
 		},
 		func(d *Decoder) any {
-			return core.Kick{Slot: d.Int(), Batch: decBatch(d)}
+			k := core.Kick{Slot: d.Int()}
+			k.Batch, _ = decBatch(d)
+			return k
 		})
 	// State-transfer request (decided-range fetch).
 	Register(core.Fetch{},
@@ -126,20 +128,19 @@ func init() {
 				return st
 			}
 			for i := 0; i < n && d.Err() == nil; i++ {
-				st.Entries = append(st.Entries, core.StateEntry{
-					Slot:  d.Int(),
-					Round: d.Int(),
-					Batch: decBatch(d),
-				})
+				en := core.StateEntry{Slot: d.Int(), Round: d.Int()}
+				en.Batch, _ = decBatch(d)
+				st.Entries = append(st.Entries, en)
 			}
 			return st
 		})
 	// Command batch: the value a log slot decides — it rides inside
-	// consensus.Msg.Est / consensus.Decide.Value on every instance message.
-	// Appended after the PR-7 types to keep earlier wire ids stable.
+	// consensus.Msg.Est / consensus.Decide.Value on every instance message,
+	// which is why decBatch memoizes it (memo.go). Appended after the PR-7
+	// types to keep earlier wire ids stable.
 	Register(core.Batch{},
 		func(e *Encoder, v any) { encBatch(e, v.(core.Batch)) },
-		func(d *Decoder) any { return decBatch(d) })
+		decBatchValue)
 }
 
 func encCommand(e *Encoder, c core.Command) {
@@ -152,24 +153,11 @@ func decCommand(d *Decoder) core.Command {
 	return core.Command{Origin: d.PID(), Seq: d.Varint(), Payload: d.Value()}
 }
 
-// encBatch/decBatch encode a slot's command batch inline (no nested tags);
-// the count is bounded by sliceCap so a hostile frame cannot force a huge
-// allocation.
+// encBatch encodes a slot's command batch inline (no nested tags); decBatch
+// (memo.go) mirrors it.
 func encBatch(e *Encoder, b core.Batch) {
 	e.Uvarint(uint64(len(b.Cmds)))
 	for _, c := range b.Cmds {
 		encCommand(e, c)
 	}
-}
-
-func decBatch(d *Decoder) core.Batch {
-	n, ok := d.sliceCap(d.Uvarint())
-	if !ok || n == 0 {
-		return core.Batch{}
-	}
-	var b core.Batch
-	for i := 0; i < n && d.Err() == nil; i++ {
-		b.Cmds = append(b.Cmds, decCommand(d))
-	}
-	return b
 }

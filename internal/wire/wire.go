@@ -285,7 +285,10 @@ type Decoder struct {
 	buf   []byte
 	off   int
 	depth int
-	err   error
+	// peak is the deepest nesting reached so far, so a memoized batch can
+	// record how deep its own values nest (see batchMemo).
+	peak int
+	err  error
 }
 
 // Reset arms the decoder to read from buf.
@@ -388,7 +391,19 @@ func (d *Decoder) Value() any {
 		d.fail("nesting too deep")
 		return nil
 	}
-	defer func() { d.depth-- }()
+	if d.depth > d.peak {
+		d.peak = d.depth
+	}
+	// The depth is restored on return rather than in a defer: decoding never
+	// panics, and a per-value defer was a visible share of the live receive
+	// path.
+	v := d.value()
+	d.depth--
+	return v
+}
+
+// value reads the tag and body of one value; Value owns the depth count.
+func (d *Decoder) value() any {
 	switch tag := d.byte(); tag {
 	case tagNil:
 		return nil
