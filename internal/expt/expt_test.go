@@ -1,13 +1,24 @@
 package expt
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // The experiment functions are exercised end to end in quick mode; each test
 // asserts the paper's qualitative shape reproduced (the error channel) and
-// that the table rendered.
+// that the table rendered. The tables of experiments with no wall-clock
+// cells (every one the registry does not mark WallClock) must also match
+// testdata/<ID>.golden byte for byte: a refactor that claims to keep the
+// tables unchanged is checked here. After a change that is meant to move a
+// table, regenerate the files with
+//
+//	go test -run 'TestE([1-9]|1[0-2]|19)$' ./internal/expt -update
+
+var update = flag.Bool("update", false, "rewrite testdata/<ID>.golden from the quick-mode tables")
 
 func runExp(t *testing.T, name string, fn func(bool) (*Table, error)) *Table {
 	t.Helper()
@@ -22,7 +33,35 @@ func runExp(t *testing.T, name string, fn func(bool) (*Table, error)) *Table {
 		t.Fatalf("%s: table did not render properly:\n%s", name, out)
 	}
 	t.Logf("\n%s", out)
+	for _, e := range Experiments() {
+		if e.ID == name && !e.WallClock {
+			checkGolden(t, name, out)
+		}
+	}
 	return tb
+}
+
+// checkGolden compares a rendered table with testdata/<name>.golden, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, name, out string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (generate it with -update)", name, err)
+	}
+	if out != string(want) {
+		t.Errorf("%s: table differs from %s:\n%s", name, path, firstDiff(string(want), out))
+	}
 }
 
 func TestE1(t *testing.T)  { runExp(t, "E1", E1ClassProperties) }

@@ -51,7 +51,8 @@ func TestAllParallelDeterminism(t *testing.T) {
 	}
 }
 
-// firstDiff returns the line around the first byte where a and b diverge.
+// firstDiff returns the text around the first byte where want (a) and got
+// (b) diverge.
 func firstDiff(a, b string) string {
 	n := len(a)
 	if len(b) < n {
@@ -72,7 +73,7 @@ func firstDiff(a, b string) string {
 	if hib > len(b) {
 		hib = len(b)
 	}
-	return "sequential: ..." + a[lo:hia] + "...\nparallel:   ..." + b[lo:hib] + "..."
+	return "want: ..." + a[lo:hia] + "...\ngot:  ..." + b[lo:hib] + "..."
 }
 
 func TestRunTrialsOrderAndCoverage(t *testing.T) {
