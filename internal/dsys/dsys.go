@@ -5,15 +5,22 @@
 // local clocks and randomness.
 //
 // Algorithms are expressed as one or more tasks per process (the paper's
-// "Task 1", "Task 2", ... style). A task is an ordinary Go function that
-// blocks in Recv/Sleep primitives of its Proc handle. Two runtimes implement
-// Proc: the deterministic discrete-event simulator (package sim) and the
-// real-time goroutine runtime (package live).
+// "Task 1", "Task 2", ... style). Almost every task is a step task: a
+// resumable state machine (StepFunc) that runs one step per message or
+// timer and returns what it waits for next (Wait). Receive loops ("upon
+// receiving m do ...") and periodic loops ("every Φ do ...") are step tasks
+// too (RecvLoopStep, TickLoopStep). The simulator runs step tasks as
+// callbacks; elsewhere they run through RunSteps, their one blocking
+// expansion into the Proc primitives Recv, RecvTimeout and Sleep. Spawn
+// runs a body written directly against those primitives. Two runtimes
+// implement Proc: the deterministic discrete-event simulator (package sim)
+// and the real-time goroutine runtime (package live).
 package dsys
 
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -68,27 +75,18 @@ type MatchFunc func(*Message) bool
 // Match implements Matcher.
 func (f MatchFunc) Match(m *Message) bool { return f(m) }
 
-// KindMatcher is the optional fast-dispatch interface: a Matcher that
-// accepts exactly the messages of one kind, and nothing else. Runtimes probe
+// KindMatcher is a Matcher that accepts exactly the messages of a fixed set
+// of kinds and carries their interned ids (see KindID). Runtimes probe
 // matchers for it so they can index parked tasks and receive buffers by
-// message kind and dispatch the common case in O(1) instead of scanning
-// every parked predicate; arbitrary MatchFuncs keep the linear slow path.
+// kind id and dispatch the common case in O(1) instead of scanning every
+// parked predicate; arbitrary MatchFuncs keep the linear slow path.
+// MatchKind and MatchKinds build them.
 type KindMatcher interface {
 	Matcher
-	// MatchedKind returns the one message kind the matcher accepts.
-	MatchedKind() string
+	// KindIDs returns the interned ids of the accepted kinds, without
+	// repeats. Callers must not modify the slice.
+	KindIDs() []int32
 }
-
-// KindMatch is the Matcher accepting exactly the messages of one kind. It
-// implements KindMatcher, so receives through it take the runtimes'
-// kind-indexed fast path.
-type KindMatch string
-
-// Match implements Matcher.
-func (k KindMatch) Match(m *Message) bool { return m.Kind == string(k) }
-
-// MatchedKind implements KindMatcher.
-func (k KindMatch) MatchedKind() string { return string(k) }
 
 // MatchAny accepts every message.
 var MatchAny Matcher = MatchFunc(func(*Message) bool { return true })
@@ -124,8 +122,8 @@ type Proc interface {
 	// removes it from the buffer and returns it. The returned flag is false
 	// only when the task is being unwound (crash or stop); in that case the
 	// runtime unwinds the task before the caller can observe it, so callers
-	// may ignore the flag. Matchers implementing KindMatcher (such as
-	// MatchKind's result) dispatch through the runtime's kind index.
+	// may ignore the flag. Matchers implementing KindMatcher (MatchKind's
+	// and MatchKinds' results) dispatch through the runtime's kind index.
 	Recv(match Matcher) (*Message, bool)
 	// RecvTimeout is Recv with a deadline d from now. It returns ok=false
 	// with a nil message if the deadline elapses first.
@@ -159,23 +157,30 @@ func Pids(n int) []ProcessID {
 
 // ParseCrashes parses a crash schedule "id@duration,..." (e.g.
 // "2@300ms,5@600ms") over processes 1..n; the empty string is no crashes.
+// Each process appears at most once and crash times are not negative.
 func ParseCrashes(s string, n int) (map[ProcessID]time.Duration, error) {
 	out := map[ProcessID]time.Duration{}
 	if s == "" {
 		return out, nil
 	}
 	for _, part := range strings.Split(s, ",") {
-		var id int
-		var at string
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d@%s", &id, &at); err != nil {
+		idText, at, ok := strings.Cut(strings.TrimSpace(part), "@")
+		id, err := strconv.Atoi(idText)
+		if !ok || err != nil {
 			return nil, fmt.Errorf("bad crash spec %q (want id@duration)", part)
 		}
 		d, err := time.ParseDuration(at)
 		if err != nil {
 			return nil, fmt.Errorf("bad crash time in %q: %v", part, err)
 		}
+		if d < 0 {
+			return nil, fmt.Errorf("negative crash time in %q", part)
+		}
 		if id < 1 || id > n {
-			return nil, fmt.Errorf("crash id %d out of range 1..%d", id, n)
+			return nil, fmt.Errorf("crash id %d in %q out of range 1..%d", id, part, n)
+		}
+		if _, dup := out[ProcessID(id)]; dup {
+			return nil, fmt.Errorf("process %d crashes twice (%q)", id, part)
 		}
 		out[ProcessID(id)] = d
 	}

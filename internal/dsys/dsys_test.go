@@ -20,6 +20,9 @@ func TestParseCrashes(t *testing.T) {
 		{in: "2", err: true},
 		{in: "0@1s", err: true},
 		{in: "6@1s", err: true},
+		{in: "2@-5ms", err: true},
+		{in: "2@300ms,2@100ms", err: true},
+		{in: "2@300ms 7", err: true},
 	}
 	for _, tc := range cases {
 		got, err := ParseCrashes(tc.in, n)

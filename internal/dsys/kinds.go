@@ -1,6 +1,8 @@
 package dsys
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -17,81 +19,77 @@ import (
 // numeric values (they vary with which packages ran first), only on their
 // stability and density.
 //
-// The table is published copy-on-write through an atomic pointer so the hot
-// read path is one plain map lookup with no locking.
-type kindTable struct {
-	ids      map[string]int32
-	matchers map[string]KindMatcher
-}
-
+// The table maps each kind to its matcher, which holds the id. It is
+// published copy-on-write through an atomic pointer so the hot read path is
+// one plain map lookup with no locking.
 var (
-	kinds   atomic.Pointer[kindTable]
+	kinds   atomic.Pointer[map[string]*kindMatcher]
 	kindsMu sync.Mutex
 )
 
-// KindIDMatcher is the optional extension of KindMatcher for matchers that
-// carry their kind's interned id, letting runtimes index dispatch structures
-// without a string lookup. MatchKind's result implements it.
-type KindIDMatcher interface {
-	KindMatcher
-	// MatchedKindID returns KindID(MatchedKind()).
-	MatchedKindID() int32
-}
-
-// internedKind is the matcher MatchKind returns: a KindMatch that also knows
-// its interned id.
-type internedKind struct {
-	kind string
-	id   int32
+// kindMatcher is the one KindMatcher implementation: the kinds it accepts
+// and their interned ids, index for index.
+type kindMatcher struct {
+	kinds []string
+	ids   []int32
 }
 
 // Match implements Matcher.
-func (k internedKind) Match(m *Message) bool { return m.Kind == k.kind }
+func (k *kindMatcher) Match(m *Message) bool {
+	for _, kind := range k.kinds {
+		if m.Kind == kind {
+			return true
+		}
+	}
+	return false
+}
 
-// MatchedKind implements KindMatcher.
-func (k internedKind) MatchedKind() string { return k.kind }
+// KindIDs implements KindMatcher.
+func (k *kindMatcher) KindIDs() []int32 { return k.ids }
 
-// MatchedKindID implements KindIDMatcher.
-func (k internedKind) MatchedKindID() int32 { return k.id }
-
-// intern returns the id and memoized matcher of kind, registering it on
-// first sight.
-func intern(kind string) (int32, KindMatcher) {
+// intern returns the memoized single-kind matcher of kind, registering the
+// kind on first sight.
+func intern(kind string) *kindMatcher {
 	if t := kinds.Load(); t != nil {
-		if id, ok := t.ids[kind]; ok {
-			return id, t.matchers[kind]
+		if m, ok := (*t)[kind]; ok {
+			return m
 		}
 	}
 	kindsMu.Lock()
 	defer kindsMu.Unlock()
-	old := kinds.Load()
-	if old != nil {
-		if id, ok := old.ids[kind]; ok {
-			return id, old.matchers[kind]
+	var next map[string]*kindMatcher
+	if old := kinds.Load(); old != nil {
+		if m, ok := (*old)[kind]; ok {
+			return m
 		}
+		next = maps.Clone(*old)
+	} else {
+		next = map[string]*kindMatcher{}
 	}
-	next := &kindTable{ids: make(map[string]int32), matchers: make(map[string]KindMatcher)}
-	if old != nil {
-		for k, v := range old.ids {
-			next.ids[k] = v
-		}
-		for k, v := range old.matchers {
-			next.matchers[k] = v
-		}
-	}
-	id := int32(len(next.ids))
-	next.ids[kind] = id
-	next.matchers[kind] = internedKind{kind: kind, id: id}
-	kinds.Store(next)
-	return id, next.matchers[kind]
+	m := &kindMatcher{kinds: []string{kind}, ids: []int32{int32(len(next))}}
+	next[kind] = m
+	kinds.Store(&next)
+	return m
 }
 
 // MatchKind returns the matcher accepting any message of the given kind.
 // The returned value is interned: calling MatchKind in a hot receive loop
-// allocates nothing after the first call for a kind. It implements
-// KindIDMatcher.
-func MatchKind(kind string) KindMatcher {
-	_, m := intern(kind)
+// allocates nothing after the first call for a kind.
+func MatchKind(kind string) KindMatcher { return intern(kind) }
+
+// MatchKinds returns the matcher accepting any message of one of the given
+// kinds; for a single kind it is MatchKind's. Repeated kinds count once.
+func MatchKinds(kinds ...string) KindMatcher {
+	if len(kinds) == 1 {
+		return MatchKind(kinds[0])
+	}
+	m := &kindMatcher{}
+	for _, kind := range kinds {
+		id := KindID(kind)
+		if !slices.Contains(m.ids, id) {
+			m.kinds, m.ids = append(m.kinds, kind), append(m.ids, id)
+		}
+	}
 	return m
 }
 
@@ -99,7 +97,4 @@ func MatchKind(kind string) KindMatcher {
 // kind on first sight. Ids are stable for the life of the process and
 // contiguous from 0, so they can index arrays; their numeric values carry no
 // meaning beyond that.
-func KindID(kind string) int32 {
-	id, _ := intern(kind)
-	return id
-}
+func KindID(kind string) int32 { return intern(kind).ids[0] }

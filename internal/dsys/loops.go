@@ -2,28 +2,21 @@ package dsys
 
 import "time"
 
-// The two dominant task shapes in this repository's algorithms are the
-// receive loop ("upon receiving m of kind K do ...") and the periodic loop
-// ("every Φ do ..."). Written as blocking TaskFuncs they force the runtime
-// to give each one a suspendable execution context (a goroutine under the
-// simulator); declared through SpawnRecvLoop/SpawnTickLoop they expose their
-// structure, and a runtime implementing LoopSpawner can run them as
-// resumable callbacks with no context at all — the simulator's
-// goroutine-free fast path. Runtimes without the fast path (the live
-// cluster) run the equivalent blocking expansion, RecvLoopTask or
-// TickLoopTask, so the two spellings behave identically everywhere; the
-// expansion is also the reference the simulator's differential tests hold
-// the fast path to. Every receive and periodic loop in the repository is
-// declared this way.
-//
-// The third shape, the step task, is for bodies that wait mid-step — a
-// consensus instance waiting for a phase's replies, a log driver waiting for
-// its next wake-up. Its body is a resumable state machine: each call of its
-// StepFunc runs until the body would block and returns what it waits for
-// next (a Wait). SpawnStep runs it the same two ways: as a callback under a
-// LoopSpawner, and elsewhere through RunSteps, its blocking expansion, where
-// every Wait becomes one Recv or RecvTimeout. Spawn remains for bodies
-// written against the blocking primitives directly.
+// Every task of the repository's algorithms that is not written as a
+// blocking TaskFunc is a step task: a resumable state machine whose StepFunc
+// runs until the body would block and returns what it waits for next (a
+// Wait). That one shape covers all three the algorithms use: a receive loop
+// ("upon receiving m of kind K do ...", RecvLoopStep) waits for its kinds
+// after every message, a periodic loop ("every Φ do ...", TickLoopStep)
+// sleeps a period after every tick, and a consensus instance or log driver
+// waits mid-phase for whatever its state needs. Declared this way a task
+// exposes its structure, and a runtime implementing LoopSpawner runs it as
+// a callback with no execution context at all — the simulator's
+// goroutine-free fast path. Everywhere else it runs through RunSteps, the
+// one blocking expansion, where every Wait becomes one Recv, RecvTimeout or
+// Sleep; the expansion is also the reference the simulator's differential
+// tests hold the callbacks to. Spawn remains for bodies written against the
+// blocking primitives directly.
 
 // RecvLoopFunc is the body of a receive loop: called once per received
 // message, in delivery order. The message is only valid for the duration of
@@ -55,13 +48,14 @@ type TickLoop struct {
 
 // StepFunc is the body of a step task. It is called once per resumption with
 // the message that ended the previous wait — nil on the first call and when
-// a timed wait elapsed — and returns what the task waits for next. Like a
-// receive loop's message, m is only valid for the duration of the call.
+// a timed wait or a sleep elapsed — and returns what the task waits for
+// next. Like a receive loop's message, m is only valid for the duration of
+// the call.
 type StepFunc func(p Proc, m *Message) Wait
 
 // Wait is what a step task waits for after a step: the first message
-// matching Match, for at most Timeout when Timed. The zero Wait, Finished,
-// ends the task.
+// matching Match, for at most Timeout when Timed; with a nil Match and Timed
+// set, Timeout to pass (a sleep). The zero Wait, Finished, ends the task.
 type Wait struct {
 	Match   Matcher
 	Timed   bool
@@ -80,50 +74,18 @@ func AwaitTimeout(match Matcher, d time.Duration) Wait {
 	return Wait{Match: match, Timed: true, Timeout: d}
 }
 
+// Sleep waits for d to pass, like Proc.Sleep: a non-positive d still yields.
+func Sleep(d time.Duration) Wait { return Wait{Timed: true, Timeout: d} }
+
 // Done reports whether w ends the task.
-func (w Wait) Done() bool { return w.Match == nil }
+func (w Wait) Done() bool { return w.Match == nil && !w.Timed }
 
-// LoopSpawner is the optional runtime fast path for loop and step tasks.
-// Runtimes whose Proc implements it (the simulator's) run them as callbacks
-// on the scheduler; SpawnRecvLoop/SpawnTickLoop/SpawnStep probe for it and
-// otherwise fall back to spawning the blocking expansion.
+// LoopSpawner is the optional runtime fast path for step tasks. Runtimes
+// whose Proc implements it (the simulator's) run them as callbacks on the
+// scheduler; SpawnStep and the loop spawners probe for it and otherwise
+// spawn the blocking expansion RunSteps.
 type LoopSpawner interface {
-	SpawnRecvLoop(name string, fn RecvLoopFunc, kinds ...string)
-	SpawnTickLoop(name string, loop TickLoop)
 	SpawnStep(name string, step StepFunc)
-}
-
-// SpawnRecvLoop spawns a task of p's process that calls fn once per received
-// message of any of the given kinds, in delivery order. Scheduling (task
-// creation order, wake order, buffered-message order) is identical to
-// spawning the blocking expansion RecvLoopTask(fn, kinds...), but runtimes
-// implementing LoopSpawner run it goroutine-free.
-func SpawnRecvLoop(p Proc, name string, fn RecvLoopFunc, kinds ...string) {
-	if len(kinds) == 0 {
-		panic("dsys: SpawnRecvLoop needs at least one message kind")
-	}
-	if ls, ok := p.(LoopSpawner); ok {
-		ls.SpawnRecvLoop(name, fn, kinds...)
-		return
-	}
-	p.Spawn(name, RecvLoopTask(fn, kinds...))
-}
-
-// SpawnTickLoop spawns a periodic task of p's process. Scheduling is
-// identical to spawning the blocking expansion TickLoopTask(loop), but
-// runtimes implementing LoopSpawner run it goroutine-free.
-func SpawnTickLoop(p Proc, name string, loop TickLoop) {
-	if loop.Period <= 0 {
-		panic("dsys: SpawnTickLoop needs a positive period")
-	}
-	if loop.Fn == nil {
-		panic("dsys: SpawnTickLoop needs a body")
-	}
-	if ls, ok := p.(LoopSpawner); ok {
-		ls.SpawnTickLoop(name, loop)
-		return
-	}
-	p.Spawn(name, TickLoopTask(loop))
 }
 
 // SpawnStep spawns a step task of p's process. Scheduling is identical to
@@ -137,57 +99,64 @@ func SpawnStep(p Proc, name string, step StepFunc) {
 	p.Spawn(name, func(p Proc) { RunSteps(p, step) })
 }
 
-// RecvLoopTask expands a receive loop into the equivalent blocking task
-// body: a single-kind loop receives through the interned KindMatcher (the
-// kind-indexed fast dispatch path), a multi-kind loop through a predicate
-// over the kinds (the generic lane), exactly as the hand-written originals
-// did.
-func RecvLoopTask(fn RecvLoopFunc, kinds ...string) TaskFunc {
-	var match Matcher
-	if len(kinds) == 1 {
-		match = MatchKind(kinds[0])
-	} else {
-		ks := append([]string(nil), kinds...)
-		match = MatchFunc(func(m *Message) bool {
-			for _, k := range ks {
-				if m.Kind == k {
-					return true
-				}
-			}
-			return false
-		})
+// SpawnRecvLoop spawns the step task RecvLoopStep(fn, kinds...) on p's
+// process: fn runs once per received message of any of the given kinds, in
+// delivery order.
+func SpawnRecvLoop(p Proc, name string, fn RecvLoopFunc, kinds ...string) {
+	SpawnStep(p, name, RecvLoopStep(fn, kinds...))
+}
+
+// SpawnTickLoop spawns the step task TickLoopStep(loop) on p's process.
+func SpawnTickLoop(p Proc, name string, loop TickLoop) {
+	SpawnStep(p, name, TickLoopStep(loop))
+}
+
+// RecvLoopStep returns the step function of a receive loop: it waits for a
+// message of any of the given kinds (through MatchKinds, the kind-indexed
+// dispatch path) and calls fn on each.
+func RecvLoopStep(fn RecvLoopFunc, kinds ...string) StepFunc {
+	if len(kinds) == 0 {
+		panic("dsys: a receive loop needs at least one message kind")
 	}
-	return func(p Proc) {
-		for {
-			m, ok := p.Recv(match)
-			if !ok {
-				return
-			}
+	wait := Await(MatchKinds(kinds...))
+	return func(p Proc, m *Message) Wait {
+		if m != nil {
 			fn(p, m)
 		}
+		return wait
 	}
 }
 
-// TickLoopTask expands a periodic loop into the equivalent blocking task
-// body.
-func TickLoopTask(loop TickLoop) TaskFunc {
-	return func(p Proc) {
-		if loop.Setup != nil {
-			loop.Setup(p)
+// TickLoopStep returns the step function of a periodic loop: Setup on the
+// first step, then a tick and a sleep of one period per step (a sleep first
+// unless Immediate).
+func TickLoopStep(loop TickLoop) StepFunc {
+	if loop.Period <= 0 {
+		panic("dsys: a tick loop needs a positive period")
+	}
+	if loop.Fn == nil {
+		panic("dsys: a tick loop needs a body")
+	}
+	started := false
+	return func(p Proc, _ *Message) Wait {
+		if !started {
+			started = true
+			if loop.Setup != nil {
+				loop.Setup(p)
+			}
+			if !loop.Immediate {
+				return Sleep(loop.Period)
+			}
 		}
-		if !loop.Immediate {
-			p.Sleep(loop.Period)
-		}
-		for {
-			loop.Fn(p)
-			p.Sleep(loop.Period)
-		}
+		loop.Fn(p)
+		return Sleep(loop.Period)
 	}
 }
 
 // RunSteps runs step on the calling task until it is finished, blocking in
-// p's Recv or RecvTimeout for each Wait it returns — the blocking expansion,
-// for callers that drive a state machine inline (cec.Propose).
+// p's Recv, RecvTimeout or Sleep for each Wait it returns — the blocking
+// expansion of a step task, for runtimes without the callback path and for
+// callers that drive a state machine inline (cec.Propose).
 func RunSteps(p Proc, step StepFunc) {
 	var m *Message
 	for {
@@ -195,6 +164,9 @@ func RunSteps(p Proc, step StepFunc) {
 		switch {
 		case w.Done():
 			return
+		case w.Match == nil:
+			p.Sleep(w.Timeout)
+			m = nil
 		case w.Timed:
 			m, _ = p.RecvTimeout(w.Match, w.Timeout)
 		default:

@@ -132,7 +132,11 @@ func runThroughputCell(n, perPair int) (throughputResult, error) {
 	// Drain every delivery so receive buffers stay flat; otherwise the
 	// unread backlog's growth would be billed to allocs/msg.
 	for _, id := range pids {
-		m.Spawn(id, "drain", dsys.RecvLoopTask(func(dsys.Proc, *dsys.Message) {}, "flood"))
+		m.Spawn(id, "drain", func(p dsys.Proc) {
+			for {
+				p.Recv(dsys.MatchKind("flood"))
+			}
+		})
 	}
 	flood := func(task string, count int) *sync.WaitGroup {
 		var wg sync.WaitGroup

@@ -14,17 +14,18 @@ import (
 )
 
 // stepProc is a dsys.Proc with no runtime behind it: as a dsys.LoopSpawner it
-// records the loop bodies a detector declares, so a test can call the steps
-// one by one at times of its choosing, and its Send only counts. Nothing in
-// it allocates, so testing.AllocsPerRun over a step measures the detector.
+// takes the first step of each step task a detector declares (a tick loop's
+// Setup and, if Immediate, its first tick) and records the step function,
+// so a test can call the steps one by one at times of its choosing, and its
+// Send only counts. Nothing in it allocates, so testing.AllocsPerRun over a
+// step measures the detector and the loop's step wrapper.
 type stepProc struct {
-	id   dsys.ProcessID
-	all  []dsys.ProcessID
-	now  time.Duration
-	sent int
-	tick map[string]dsys.TickLoopFunc
-	recv map[string]dsys.RecvLoopFunc
-	msg  dsys.Message // the one envelope deliver reuses
+	id    dsys.ProcessID
+	all   []dsys.ProcessID
+	now   time.Duration
+	sent  int
+	steps map[string]dsys.StepFunc
+	msg   dsys.Message // the one envelope deliver reuses
 }
 
 var (
@@ -33,7 +34,7 @@ var (
 )
 
 func newStepProc(id dsys.ProcessID, n int) *stepProc {
-	return &stepProc{id: id, all: dsys.Pids(n), tick: map[string]dsys.TickLoopFunc{}, recv: map[string]dsys.RecvLoopFunc{}}
+	return &stepProc{id: id, all: dsys.Pids(n), steps: map[string]dsys.StepFunc{}}
 }
 
 func (p *stepProc) ID() dsys.ProcessID                      { return p.id }
@@ -43,28 +44,25 @@ func (p *stepProc) Now() time.Duration                      { return p.now }
 func (p *stepProc) Rand() *rand.Rand                        { panic("stepProc: no randomness") }
 func (p *stepProc) Send(dsys.ProcessID, string, any)        { p.sent++ }
 func (p *stepProc) Sleep(time.Duration)                     { panic("stepProc: steps do not block") }
-func (p *stepProc) Spawn(string, dsys.TaskFunc)             { panic("stepProc: loop tasks only") }
+func (p *stepProc) Spawn(string, dsys.TaskFunc)             { panic("stepProc: step tasks only") }
 func (p *stepProc) Logf(string, ...any)                     {}
 func (p *stepProc) Recv(dsys.Matcher) (*dsys.Message, bool) { panic("stepProc: steps do not block") }
 func (p *stepProc) RecvTimeout(dsys.Matcher, time.Duration) (*dsys.Message, bool) {
 	panic("stepProc: steps do not block")
 }
 
-func (p *stepProc) SpawnRecvLoop(name string, fn dsys.RecvLoopFunc, _ ...string) { p.recv[name] = fn }
-
-func (p *stepProc) SpawnTickLoop(name string, loop dsys.TickLoop) {
-	if loop.Setup != nil {
-		loop.Setup(p)
-	}
-	p.tick[name] = loop.Fn
+func (p *stepProc) SpawnStep(name string, step dsys.StepFunc) {
+	step(p, nil)
+	p.steps[name] = step
 }
 
-func (p *stepProc) SpawnStep(string, dsys.StepFunc) { panic("stepProc: loop tasks only") }
+// tick resumes the named tick loop after its sleep: one tick.
+func (p *stepProc) tick(loop string) { p.steps[loop](p, nil) }
 
 // deliver hands one message to the named receive loop.
 func (p *stepProc) deliver(loop string, from dsys.ProcessID, kind string, payload any) {
 	p.msg = dsys.Message{From: from, To: p.id, Kind: kind, Payload: payload, SentAt: p.now}
-	p.recv[loop](p, &p.msg)
+	p.steps[loop](p, &p.msg)
 }
 
 // TestSteadyStateStepsAllocateNothing runs each detector's periodic and
@@ -94,12 +92,12 @@ func TestSteadyStateStepsAllocateNothing(t *testing.T) {
 		d := ring.Start(p, ring.Options{Period: period})
 		onePeriod := func() {
 			p.now += period / 2
-			p.tick["ring-check"](p)
+			p.tick("ring-check")
 			p.now += period / 2
 			p.deliver("ring-recv", 2, ring.KindBeat, suspects)
 			p.deliver("ring-recv", 4, ring.KindWatch, nil)
-			p.tick["ring-check"](p)
-			p.tick["ring-beat"](p)
+			p.tick("ring-check")
+			p.tick("ring-beat")
 		}
 		onePeriod()
 		wantOnly(t, d.Suspected())
@@ -118,15 +116,15 @@ func TestSteadyStateStepsAllocateNothing(t *testing.T) {
 			d := heartbeat.Start(p, heartbeat.Options{Period: period, Policy: policy})
 			onePeriod := func() {
 				p.now += period / 2
-				p.tick["hb-check"](p)
+				p.tick("hb-check")
 				p.now += period / 2
 				for _, q := range p.all {
 					if q != p.id && q != crashed {
 						p.deliver("hb-recv", q, heartbeat.KindAlive, nil)
 					}
 				}
-				p.tick["hb-check"](p)
-				p.tick["hb-send"](p)
+				p.tick("hb-check")
+				p.tick("hb-send")
 			}
 			for i := 0; i < 5; i++ { // past the initial timeout: p5 is suspected
 				onePeriod()
@@ -142,16 +140,16 @@ func TestSteadyStateStepsAllocateNothing(t *testing.T) {
 		d := transform.Start(p, fdtest.NewScripted(1), transform.Options{Period: period})
 		onePeriod := func() {
 			p.now += period / 2
-			p.tick["tp-task34"](p)
+			p.tick("tp-task34")
 			p.now += period / 2
 			for _, q := range p.all {
 				if q != p.id && q != crashed {
 					p.deliver("tp-task4", q, transform.KindAlive, nil)
 				}
 			}
-			p.tick["tp-task34"](p)
-			p.tick["tp-task2"](p)
-			p.tick["tp-task1"](p)
+			p.tick("tp-task34")
+			p.tick("tp-task2")
+			p.tick("tp-task1")
 		}
 		for i := 0; i < 5; i++ {
 			onePeriod()
@@ -170,12 +168,12 @@ func TestSteadyStateStepsAllocateNothing(t *testing.T) {
 		d := transform.Start(p, fdtest.NewScripted(1), transform.Options{Period: period})
 		onePeriod := func() {
 			p.now += period / 2
-			p.tick["tp-task34"](p)
+			p.tick("tp-task34")
 			p.now += period / 2
 			p.deliver("tp-task5", 1, transform.KindList, suspects)
-			p.tick["tp-task34"](p)
-			p.tick["tp-task2"](p)
-			p.tick["tp-task1"](p)
+			p.tick("tp-task34")
+			p.tick("tp-task2")
+			p.tick("tp-task1")
 		}
 		onePeriod()
 		wantOnly(t, d.Suspected())

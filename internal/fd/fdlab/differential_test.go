@@ -25,10 +25,10 @@ import (
 	"repro/internal/trace"
 )
 
-// referenceProc hides the kernel's dsys.LoopSpawner, so SpawnRecvLoop,
-// SpawnTickLoop and SpawnStep fall back to their blocking expansions
-// (dsys.RecvLoopTask, dsys.TickLoopTask, dsys.RunSteps) — the path every
-// runtime without the fast path takes. It re-wraps the handle of every task
+// referenceProc hides the kernel's dsys.LoopSpawner, so every step task —
+// SpawnStep's, and the receive and tick loops SpawnRecvLoop and
+// SpawnTickLoop build — falls back to its one blocking expansion,
+// dsys.RunSteps: the path every runtime without the fast path takes. It re-wraps the handle of every task
 // it spawns, so tasks spawned from inside a task (a TickLoop.Setup
 // companion, a module started later, a consensus instance's responder) take
 // the reference path too.
@@ -92,9 +92,9 @@ func sameMessages(t *testing.T, cb, ref []trace.MsgEvent) {
 
 // TestCallbackGoroutineDifferential is the execution-scheme differential test
 // backing the kernel's goroutine-free fast path: every run must be
-// bit-identical whether its loop and step tasks run as resumable callbacks
-// on the kernel goroutine (the default) or as their blocking expansions,
-// each on its own goroutine (referenceProc). The experiment tables are a function of
+// bit-identical whether its step tasks run as resumable callbacks on the
+// kernel goroutine (the default) or through their blocking expansion
+// RunSteps, each on its own goroutine (referenceProc). The experiment tables are a function of
 // the sampled detector outputs and the message log, so equality here is
 // what keeps every table byte-identical across the two schemes.
 //

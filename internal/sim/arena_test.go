@@ -70,8 +70,9 @@ func TestArenaRecycleStress(t *testing.T) {
 			}}
 			drain := func(p dsys.Proc, m *dsys.Message) { received++ }
 			if goroutines {
-				k.Spawn(id, "blast", dsys.TickLoopTask(blast))
-				k.Spawn(id, "drain", dsys.RecvLoopTask(drain, "m"))
+				blastStep, drainStep := dsys.TickLoopStep(blast), dsys.RecvLoopStep(drain, "m")
+				k.Spawn(id, "blast", func(p dsys.Proc) { dsys.RunSteps(p, blastStep) })
+				k.Spawn(id, "drain", func(p dsys.Proc) { dsys.RunSteps(p, drainStep) })
 			} else {
 				k.SpawnTickLoop(id, "blast", blast)
 				k.SpawnRecvLoop(id, "drain", drain, "m")
@@ -103,7 +104,7 @@ func TestArenaRecycleStress(t *testing.T) {
 			if goroutines {
 				k.Spawn(id, "step", func(p dsys.Proc) { dsys.RunSteps(p, step) })
 			} else {
-				k.spawnLoop(k.procAt(id), "step", &loopTask{step: step, wakeSlot: -1})
+				k.spawnStep(k.procAt(id), "step", step)
 			}
 		}
 		// Crashes drop whole processes with full buffers and parked tasks.

@@ -10,10 +10,10 @@
 // are therefore bit-identical, which makes the experiments in EXPERIMENTS.md
 // reproducible and the property tests exact.
 //
-// Blocking tasks run as goroutines under a baton-passing scheduler; tasks
-// declared as receive or tick loops or as step tasks (dsys.SpawnRecvLoop,
-// SpawnTickLoop, SpawnStep) run goroutine-free as callbacks on the dispatch
-// loop — same schedule, zero context switches (see Kernel).
+// Blocking tasks run as goroutines under a baton-passing scheduler; step
+// tasks (dsys.SpawnStep, and the receive and tick loops dsys.SpawnRecvLoop
+// and SpawnTickLoop build from steps) run goroutine-free as callbacks on the
+// dispatch loop — same schedule, zero context switches (see Kernel).
 //
 // Virtual time is a time.Duration since the start of the run. Timers,
 // message latencies and crashes are events in a priority queue; when no task
@@ -166,16 +166,16 @@ func (k *Kernel) Spawn(id dsys.ProcessID, name string, fn dsys.TaskFunc) {
 	k.spawn(k.procAt(id), name, fn)
 }
 
-// SpawnRecvLoop adds a callback receive-loop task to process id (see
-// dsys.SpawnRecvLoop).
+// SpawnRecvLoop adds a receive loop to process id as a callback step task
+// (see dsys.SpawnRecvLoop).
 func (k *Kernel) SpawnRecvLoop(id dsys.ProcessID, name string, fn dsys.RecvLoopFunc, kinds ...string) {
-	k.spawnRecvLoop(k.procAt(id), name, fn, kinds)
+	k.spawnStep(k.procAt(id), name, dsys.RecvLoopStep(fn, kinds...))
 }
 
-// SpawnTickLoop adds a callback tick-loop task to process id (see
-// dsys.SpawnTickLoop).
+// SpawnTickLoop adds a periodic loop to process id as a callback step task
+// (see dsys.SpawnTickLoop).
 func (k *Kernel) SpawnTickLoop(id dsys.ProcessID, name string, loop dsys.TickLoop) {
-	k.spawnTickLoop(k.procAt(id), name, loop)
+	k.spawnStep(k.procAt(id), name, dsys.TickLoopStep(loop))
 }
 
 func (k *Kernel) spawn(p *proc, name string, fn dsys.TaskFunc) {
@@ -189,39 +189,14 @@ func (k *Kernel) spawn(p *proc, name string, fn dsys.TaskFunc) {
 	t.start(fn)
 }
 
-func (k *Kernel) spawnRecvLoop(p *proc, name string, fn dsys.RecvLoopFunc, kinds []string) {
-	if len(kinds) == 0 {
-		panic("sim: SpawnRecvLoop needs at least one message kind")
-	}
-	kids := make([]int32, len(kinds))
-	for i, kind := range kinds {
-		kids[i] = dsys.KindID(kind)
-	}
-	k.spawnLoop(p, name, &loopTask{recv: fn, kinds: kids, wakeSlot: -1})
-}
-
-func (k *Kernel) spawnTickLoop(p *proc, name string, loop dsys.TickLoop) {
-	if loop.Period <= 0 {
-		panic("sim: SpawnTickLoop needs a positive period")
-	}
-	if loop.Fn == nil {
-		panic("sim: SpawnTickLoop needs a body")
-	}
-	k.spawnLoop(p, name, &loopTask{
-		tick: loop.Fn, setup: loop.Setup,
-		period: loop.Period, immediate: loop.Immediate,
-		wakeSlot: -1,
-	})
-}
-
-// spawnLoop registers a callback task: same id allocation, task-table entry
-// and initial runq position as a blocking spawn, but no goroutine.
-func (k *Kernel) spawnLoop(p *proc, name string, lp *loopTask) {
+// spawnStep registers a callback step task: same id allocation, task-table
+// entry and initial runq position as a blocking spawn, but no goroutine.
+func (k *Kernel) spawnStep(p *proc, name string, step dsys.StepFunc) {
 	if k.stopping || p.crashed {
 		return
 	}
 	k.taskID++
-	t := &task{id: k.taskID, name: name, p: p, state: taskRunnable, loop: lp}
+	t := &task{id: k.taskID, name: name, p: p, state: taskRunnable, loop: &loopTask{step: step, wakeSlot: -1}}
 	p.tasks = append(p.tasks, t)
 	k.runq = append(k.runq, t)
 }
@@ -387,101 +362,61 @@ func (k *Kernel) dispatch(self *task) bool {
 	return false
 }
 
-// runLoop executes one scheduling turn of a callback task inline: a woken
-// receive loop processes its wake message and then drains every buffered
-// match (exactly what the blocking loop's next Recv calls would have
-// consumed without yielding), a tick loop runs setup/one tick, a step task
-// steps until it must wait; the task then re-parks. No events fire and no
-// other task runs while the body executes, just as when a blocking task
-// holds the baton.
+// runLoop executes one scheduling turn of a callback task inline: it
+// resumes the step function with the message that woke it (nil at its first
+// step and after a timeout or sleep) and follows each Wait the step returns
+// exactly as the blocking expansion's Recv, RecvTimeout or Sleep would. A
+// buffered match is taken and stepped on without yielding (so a woken
+// receive loop drains every buffered match, as the blocking loop's next Recv
+// calls would), a non-positive timeout steps on at once with no message, a
+// sleep parks on one evSleep scheduled after the step returned, and
+// otherwise the task parks in its matcher's lanes with one evTimeout for a
+// positive timeout. The message a step is handed keeps its arena slot until
+// that step returns. No events fire and no other task runs while the step
+// executes, just as when a blocking task holds the baton.
 func (k *Kernel) runLoop(t *task) {
 	t.state = taskRunning
+	lp := t.loop
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(unwindPanic); !ok && k.fatal == nil {
 				k.fatal = fmt.Errorf("sim: task %v/%s panicked: %v\n%s", t.p.id, t.name, r, debug.Stack())
 			}
-			if t.loop.wakeSlot >= 0 {
-				k.arena.unref(t.loop.wakeSlot)
-				t.loop.wakeSlot = -1
+			if lp.wakeSlot >= 0 {
+				k.arena.unref(lp.wakeSlot)
+				lp.wakeSlot = -1
 			}
 			t.wakeMsg = nil
 			t.state = taskDone
 			t.p.taskFinished(k)
 		}
 	}()
-	switch {
-	case t.loop.recv != nil:
-		k.runRecvLoop(t)
-	case t.loop.step != nil:
-		k.runStep(t)
-	default:
-		k.runTickLoop(t)
-	}
-}
-
-func (k *Kernel) runRecvLoop(t *task) {
-	lp := t.loop
-	v := taskView{t}
-	m, h := t.wakeMsg, lp.wakeSlot
-	t.wakeMsg, lp.wakeSlot = nil, -1
-	for {
-		if m == nil {
-			m, h = t.p.takeKids(lp.kinds)
-			if m == nil {
-				break
-			}
-		}
-		lp.recv(v, m)
-		k.arena.unref(h)
-		m = nil
-	}
-	t.state = taskParked
-	t.p.parkLoop(t)
-}
-
-func (k *Kernel) runTickLoop(t *task) {
-	lp := t.loop
-	v := taskView{t}
-	if !lp.started {
-		lp.started = true
-		if lp.setup != nil {
-			lp.setup(v)
-		}
-		if !lp.immediate {
-			k.parkTick(t)
-			return
-		}
-	}
-	lp.tick(v)
-	k.parkTick(t)
-}
-
-// runStep resumes a step task with the message that woke it (nil at its
-// first step and after a timeout) and follows each Wait it returns exactly
-// as the blocking expansion's Recv or RecvTimeout would: a buffered match is
-// taken and stepped on without yielding, a non-positive timeout steps on at
-// once with no message, and otherwise the task parks in the matcher's lane
-// with one evTimeout for a positive timeout. The message a step is handed
-// keeps its arena slot until that step returns.
-func (k *Kernel) runStep(t *task) {
-	lp := t.loop
 	v := taskView{t}
 	m := t.wakeMsg
-	t.wakeMsg, t.wakeTimeout = nil, false
+	t.wakeMsg = nil
 	for {
 		w := lp.step(v, m)
 		if lp.wakeSlot >= 0 {
 			k.arena.unref(lp.wakeSlot)
 			lp.wakeSlot = -1
 		}
-		if w.Done() {
+		switch {
+		case w.Done():
 			// Drop the body, and with it the state machine: a finished task
 			// stays reachable from the task table and stale timers for a
 			// while.
 			lp.step = nil
 			t.state = taskDone
 			t.p.taskFinished(k)
+			return
+		case w.Match == nil:
+			d := w.Timeout
+			if d <= 0 {
+				d = 1 // yield, as Sleep does
+			}
+			t.parkGen++
+			k.scheduleTimer(k.now+d, evSleep, t, t.parkGen)
+			t.state = taskParked
 			return
 		}
 		if m, lp.wakeSlot = t.p.takeMatch(w.Match); m != nil {
@@ -498,15 +433,6 @@ func (k *Kernel) runStep(t *task) {
 		t.state = taskParked
 		return
 	}
-}
-
-// parkTick parks a tick loop until its next period timer, in the same order
-// a blocking task's Sleep would have: body first, then timer scheduling, so
-// event sequence numbers are unchanged.
-func (k *Kernel) parkTick(t *task) {
-	t.parkGen++
-	k.scheduleTimer(k.now+t.loop.period, evSleep, t, t.parkGen)
-	t.state = taskParked
 }
 
 // fire executes one popped event. It returns the single task the event made
@@ -528,9 +454,6 @@ func (k *Kernel) fire(ev event) *task {
 		// is recognized by its park generation and ignored.
 		t := ev.t
 		if t.state == taskParked && t.parkGen == ev.gen {
-			if ev.kind == evTimeout {
-				t.wakeTimeout = true
-			}
 			t.p.unpark(t)
 			t.state = taskRunnable
 			t.match = nil
@@ -592,10 +515,10 @@ func ready(t *task) *task {
 // the parked task that would have matched it first in task-creation order,
 // otherwise into the process buffer.
 //
-// Parked tasks are indexed by what they wait for: tasks parked on a
-// dsys.KindMatcher and callback receive loops sit in per-kind lanes,
-// everything else in the generic predicate lane (all in creation order;
-// step tasks sit where their Wait's matcher puts them).
+// Parked tasks are indexed by what they wait for: a task parked on a
+// dsys.KindMatcher sits in the lane of each of its kinds, every other in the
+// generic predicate lane (all in creation order; step tasks sit where their
+// Wait's matcher puts them).
 // The winner under the old linear scan over p.tasks was the lowest-id
 // parked matching task; that is exactly the lower of the kind lane's head
 // and the first matching generic predicate with a smaller id, so the common

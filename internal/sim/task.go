@@ -37,18 +37,18 @@ type unwindPanic struct{ kind unwindKind }
 //
 // Tasks come in two execution flavors. Blocking tasks (Spawn) run as
 // goroutines under the baton-passing scheduler and may suspend anywhere.
-// Callback tasks — receive and tick loops and step tasks (SpawnRecvLoop,
-// SpawnTickLoop, SpawnStep; loop != nil) — have no goroutine at all: the
-// dispatch loop runs their body inline at exactly the points where it would
-// have resumed the equivalent blocking task, so a park/deliver/park cycle
-// costs zero context switches. A step task parks in the same lanes, with
-// the same timers, as a blocking task in Recv or RecvTimeout.
+// Callback tasks — step tasks, receive and tick loops included (SpawnStep,
+// SpawnRecvLoop, SpawnTickLoop; loop != nil) — have no goroutine at all:
+// the dispatch loop runs their step inline at exactly the points where it
+// would have resumed the equivalent blocking task, so a park/deliver/park
+// cycle costs zero context switches. A step task parks in the same lanes,
+// with the same timers, as a blocking task in Recv, RecvTimeout or Sleep.
 type task struct {
 	id   int
 	name string
 	p    *proc
 
-	// resume is the baton channel of a blocking task; nil for callback loop
+	// resume is the baton channel of a blocking task; nil for callback
 	// tasks.
 	resume chan struct{}
 	state  taskState
@@ -62,56 +62,26 @@ type task struct {
 	loop *loopTask
 
 	// Park bookkeeping. parkGen distinguishes park sessions so a stale
-	// timer cannot wake a later park. While the task waits in Recv or
-	// RecvTimeout, match holds its matcher and the task sits in one of the
-	// process's two dispatch lanes: parkLane points at its per-kind lane
-	// when the matcher is a dsys.KindMatcher, parkAny marks the generic
-	// lane. Holding the lane pointer lets unpark remove the task without a
-	// single map operation.
-	parkGen     uint32
-	match       dsys.Matcher
-	parkLane    *kindLane
-	parkAny     bool
-	wakeMsg     *dsys.Message
-	wakeTimeout bool
-
-	// cachedMatch/cachedLane memoize the lane of the matcher this task last
-	// parked on: a task looping over Recv(MatchKind(k)) with the interned
-	// matcher then skips the lane lookup entirely.
-	cachedMatch dsys.Matcher
-	cachedLane  *kindLane
+	// timer cannot wake a later park. While the task waits for a message,
+	// match holds its matcher and the task sits in the process's dispatch
+	// lanes: parkKids holds the kind ids of a dsys.KindMatcher — the
+	// matcher's own slice, so parking allocates nothing — and the task sits
+	// in the lane of each; parkAny marks the generic lane instead.
+	parkGen  uint32
+	match    dsys.Matcher
+	parkKids []int32
+	parkAny  bool
+	wakeMsg  *dsys.Message
 }
 
-// loopTask is the state of a callback task — the goroutine-free fast path.
-// A receive loop (recv != nil) parks in the kind lanes of all its kinds; a
-// tick loop (tick != nil) parks on its period timer; a step task (step !=
-// nil) parks on the matcher and timeout of the Wait its last step returned.
-//
-// The small fields sit together at the end so the struct stays in the 96-byte
-// size class: populations of thousands of processes keep several loop tasks
-// each.
+// loopTask is the state of a callback task — the goroutine-free fast path:
+// its step function, which parks it on the Wait it returns.
 type loopTask struct {
-	// Receive loops.
-	recv  dsys.RecvLoopFunc
-	kinds []int32
-	// lanes caches the kind lanes of kinds (resolved at first park); parked
-	// records whether the task currently sits in them.
-	lanes []*kindLane
-
-	// Step tasks.
 	step dsys.StepFunc
-
-	// Tick loops.
-	tick   dsys.TickLoopFunc
-	setup  func(dsys.Proc)
-	period time.Duration
-
 	// wakeSlot is the arena handle under task.wakeMsg while a delivered or
-	// taken message waits for the body to run; -1 when none. The arena
-	// reference is held until the body returns.
-	wakeSlot           int32
-	parked             bool
-	immediate, started bool
+	// taken message waits for the step to run; -1 when none. The arena
+	// reference is held until the step returns.
+	wakeSlot int32
 }
 
 // kindLane is the ordered set of tasks of one process parked on one message
@@ -164,15 +134,6 @@ func (p *proc) randSrc() *rand.Rand {
 	return p.rng
 }
 
-// kindIDOf resolves a KindMatcher's interned kind id, skipping the string
-// lookup when the matcher carries its id (MatchKind's result does).
-func kindIDOf(km dsys.KindMatcher) int32 {
-	if ki, ok := km.(dsys.KindIDMatcher); ok {
-		return ki.MatchedKindID()
-	}
-	return dsys.KindID(km.MatchedKind())
-}
-
 // bufAdd appends a delivered message to the receive buffer and its kind
 // index, taking over the delivery's arena reference.
 func (p *proc) bufAdd(h, kid int32) {
@@ -218,8 +179,8 @@ func (p *proc) takeKid(kid int32) (*dsys.Message, int32) {
 }
 
 // takeKids removes and returns the earliest-arrived buffered message among
-// the given kinds — the drain step of callback receive loops, equivalent to
-// the arrival-order scan a blocking multi-kind predicate Recv performs.
+// the given kinds — the message an arrival-order scan with the equivalent
+// predicate would take.
 func (p *proc) takeKids(kids []int32) (*dsys.Message, int32) {
 	if len(kids) == 1 {
 		return p.takeKid(kids[0])
@@ -247,14 +208,14 @@ func (p *proc) takeKids(kids []int32) (*dsys.Message, int32) {
 }
 
 // takeMatch removes and returns the first buffered message satisfying
-// match: by kind index when the matcher declares its kind, otherwise by
+// match: by kind index when the matcher declares its kinds, otherwise by
 // scanning arrival order.
 func (p *proc) takeMatch(match dsys.Matcher) (*dsys.Message, int32) {
 	if km, ok := match.(dsys.KindMatcher); ok {
 		if p.byKid == nil {
 			return nil, -1 // nothing was ever buffered
 		}
-		return p.takeKid(kindIDOf(km))
+		return p.takeKids(km.KindIDs())
 	}
 	for i, e := range p.buf {
 		if e.slot >= 0 && match.Match(&p.k.arena.slot(e.slot).m) {
@@ -301,56 +262,34 @@ func (p *proc) lane(kid int32) *kindLane {
 	return l
 }
 
-// parkOn registers t in the dispatch lane its matcher selects. Called on
-// the task's own goroutine just before it parks; the goroutine holds the
-// scheduling baton until the park completes, so lane updates never race.
+// parkOn registers t in the dispatch lanes its matcher selects: the lane of
+// every kind of a dsys.KindMatcher, otherwise the generic lane. A task in
+// several kind lanes wins a delivery exactly when it would from the generic
+// lane, as the lowest-id parked matching task (see Kernel.deliver). Called
+// by the task's own goroutine or its callback just before it parks, while
+// it holds the scheduling baton, so lane updates never race.
 func (p *proc) parkOn(t *task, match dsys.Matcher) {
 	t.match = match
 	if km, ok := match.(dsys.KindMatcher); ok {
-		lane := t.cachedLane
-		if lane == nil || t.cachedMatch != match {
-			lane = p.lane(kindIDOf(km))
-			t.cachedMatch, t.cachedLane = match, lane
+		t.parkKids = km.KindIDs()
+		for _, kid := range t.parkKids {
+			lane := p.lane(kid)
+			lane.tasks = laneInsert(lane.tasks, t)
 		}
-		lane.tasks = laneInsert(lane.tasks, t)
-		t.parkLane = lane
 		return
 	}
 	t.parkAny = true
 	p.anyParked = laneInsert(p.anyParked, t)
 }
 
-// parkLoop re-parks a callback receive loop in the kind lanes of all its
-// kinds. Sitting in every lane reproduces exactly the wake-priority the
-// blocking multi-kind predicate had from the generic lane: the winner of a
-// delivery is still the lowest-id parked matching task (see Kernel.deliver).
-func (p *proc) parkLoop(t *task) {
-	lp := t.loop
-	if lp.lanes == nil {
-		lp.lanes = make([]*kindLane, len(lp.kinds))
-		for i, kid := range lp.kinds {
-			lp.lanes[i] = p.lane(kid)
-		}
-	}
-	for _, lane := range lp.lanes {
-		lane.tasks = laneInsert(lane.tasks, t)
-	}
-	lp.parked = true
-}
-
-// unpark removes t from its dispatch lane(s), if it is in any.
+// unpark removes t from its dispatch lanes, if it is in any.
 func (p *proc) unpark(t *task) {
-	if lp := t.loop; lp != nil && lp.parked {
-		for _, lane := range lp.lanes {
-			lane.tasks = laneRemove(lane.tasks, t)
-		}
-		lp.parked = false
-		return
-	}
-	if lane := t.parkLane; lane != nil {
+	for _, kid := range t.parkKids {
+		lane := p.kindLanes[kid]
 		lane.tasks = laneRemove(lane.tasks, t)
-		t.parkLane = nil
-	} else if t.parkAny {
+	}
+	t.parkKids = nil
+	if t.parkAny {
 		p.anyParked = laneRemove(p.anyParked, t)
 		t.parkAny = false
 	}
@@ -506,7 +445,6 @@ func (v taskView) RecvTimeout(match dsys.Matcher, d time.Duration) (*dsys.Messag
 	t.park()
 	m := t.wakeMsg
 	t.wakeMsg = nil
-	t.wakeTimeout = false
 	return m, m != nil
 }
 
@@ -529,26 +467,12 @@ func (v taskView) Spawn(name string, fn dsys.TaskFunc) {
 	t.p.k.spawn(t.p, name, fn)
 }
 
-// SpawnRecvLoop implements dsys.LoopSpawner: the spawned loop runs as a
+// SpawnStep implements dsys.LoopSpawner: the spawned step task runs as a
 // callback on the dispatch loop, with no goroutine.
-func (v taskView) SpawnRecvLoop(name string, fn dsys.RecvLoopFunc, kinds ...string) {
-	t := v.t
-	t.checkUnwind()
-	t.p.k.spawnRecvLoop(t.p, name, fn, kinds)
-}
-
-// SpawnTickLoop implements dsys.LoopSpawner.
-func (v taskView) SpawnTickLoop(name string, loop dsys.TickLoop) {
-	t := v.t
-	t.checkUnwind()
-	t.p.k.spawnTickLoop(t.p, name, loop)
-}
-
-// SpawnStep implements dsys.LoopSpawner.
 func (v taskView) SpawnStep(name string, step dsys.StepFunc) {
 	t := v.t
 	t.checkUnwind()
-	t.p.k.spawnLoop(t.p, name, &loopTask{step: step, wakeSlot: -1})
+	t.p.k.spawnStep(t.p, name, step)
 }
 
 func (v taskView) Logf(format string, args ...any) {
