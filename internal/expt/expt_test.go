@@ -13,10 +13,12 @@ import (
 // that the table rendered. The tables of experiments with no wall-clock
 // cells (every one the registry does not mark WallClock) must also match
 // testdata/<ID>.golden byte for byte: a refactor that claims to keep the
-// tables unchanged is checked here. After a change that is meant to move a
-// table, regenerate the files with
+// tables unchanged is checked here. Two WallClock experiments have a
+// deterministic part that is pinned the same way: E14's columns up to
+// detect (E14.golden) and E18's simulated matrix (E18-sim.golden). After a
+// change that is meant to move a table, regenerate the files with
 //
-//	go test -run 'TestE([1-9]|1[0-2]|19)$' ./internal/expt -update
+//	go test -run 'TestE([1-9]|1[0-2]|14|18Sim|19)$' ./internal/expt -update
 
 var update = flag.Bool("update", false, "rewrite testdata/<ID>.golden from the quick-mode tables")
 
@@ -26,9 +28,7 @@ func runExp(t *testing.T, name string, fn func(bool) (*Table, error)) *Table {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	var sb strings.Builder
-	tb.Fprint(&sb)
-	out := sb.String()
+	out := render(tb)
 	if !strings.Contains(out, tb.ID) || len(tb.Rows) == 0 {
 		t.Fatalf("%s: table did not render properly:\n%s", name, out)
 	}
@@ -39,6 +39,13 @@ func runExp(t *testing.T, name string, fn func(bool) (*Table, error)) *Table {
 		}
 	}
 	return tb
+}
+
+// render returns the table as Fprint prints it.
+func render(tb *Table) string {
+	var sb strings.Builder
+	tb.Fprint(&sb)
+	return sb.String()
 }
 
 // checkGolden compares a rendered table with testdata/<name>.golden, or
@@ -77,7 +84,19 @@ func TestE10(t *testing.T) { runExp(t, "E10", E10ConsensusSoak) }
 func TestE11(t *testing.T) { runExp(t, "E11", E11StabilityWindow) }
 func TestE12(t *testing.T) { runExp(t, "E12", E12DetectorQoS) }
 func TestE13(t *testing.T) { runExp(t, "E13", E13MeshChaos) }
-func TestE14(t *testing.T) { runExp(t, "E14", E14ScalingSweep) }
+
+// TestE14 also pins E14's deterministic columns — n, detector, msgs/period,
+// expected and detect — leaving out wall and events/s.
+func TestE14(t *testing.T) {
+	tb := runExp(t, "E14", E14ScalingSweep)
+	det := *tb
+	det.Columns = tb.Columns[:5]
+	det.Rows = nil
+	for _, row := range tb.Rows {
+		det.Rows = append(det.Rows, row[:5])
+	}
+	checkGolden(t, "E14", render(&det))
+}
 
 // TestE19 is the soak's quick smoke: 90 seconds of virtual time through the
 // same churn + GST-oscillation machinery the full hours-long soak uses.
@@ -100,6 +119,16 @@ func TestE18(t *testing.T) {
 		t.Skip("spawns real processes; skipped in -short")
 	}
 	runExp(t, "E18", E18ScenarioMatrix)
+}
+
+// TestE18Sim pins E18's simulated matrix, which TestE18 (skipped in -short
+// for its process phase) would otherwise be the only test to run.
+func TestE18Sim(t *testing.T) {
+	tb := e18Table()
+	if err := e18SimMatrix(tb, true); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "E18-sim", render(tb))
 }
 
 // TestTableNonASCIIAlignment is the regression for pad measuring width in

@@ -44,52 +44,8 @@ import (
 //     SIGKILLed follower, reconverge after its restart, and the datagram
 //     counters must prove the beats actually left TCP.
 func E18ScenarioMatrix(quick bool) (*Table, error) {
-	t := &Table{
-		ID:      "E18",
-		Title:   "Adversarial scenario matrix: detector QoS under loss, dup, reorder, skew and restarts (supplementary; sim n=8 + live UDP)",
-		Claim:   "supplement to Section 4: adversity degrades the Chen QoS figures (λ_M, T_M, P_A, detection time) smoothly, never the eventual properties; zero-adversity cells are perfect",
-		Columns: []string{"scenario", "detector", "detect avg", "λ_M /s", "T_M", "P_A", "ok"},
-	}
-	scenarios := simScenarios(quick)
-	dets := simDetectors()
-
-	// Part 1: the simulated matrix, one private kernel per cell, fanned
-	// across the worker pool. Cell (i,j) = scenario i × detector j.
-	type cellResult struct {
-		qos      check.QoS
-		detected bool
-	}
-	cells := runTrials(len(scenarios)*len(dets), func(k int) cellResult {
-		sc, d := scenarios[k/len(dets)], dets[k%len(dets)]
-		q := runSimScenario(sc, d, int64(1800+k), quick)
-		return cellResult{qos: q, detected: q.WorstDetection >= 0}
-	})
-	var err error
-	for i, sc := range scenarios {
-		for j, d := range dets {
-			c := cells[i*len(dets)+j]
-			ok := c.detected
-			if sc.zero {
-				ok = ok && c.qos.Mistakes == 0 && c.qos.QueryAccuracy == 1 &&
-					c.qos.WorstDetection <= e18DetectBound
-			}
-			t.AddRow(sc.name, d.name, detCell(c.qos), fmt.Sprintf("%.3f", c.qos.MistakeRate),
-				msd(c.qos.AvgMistakeDuration), fmt.Sprintf("%.4f", c.qos.QueryAccuracy), mark(ok))
-			if err == nil {
-				err = checkf(c.detected, "E18", "%s × %s: crash never permanently detected", sc.name, d.name)
-			}
-			if err == nil && sc.zero {
-				err = checkf(c.qos.Mistakes == 0 && c.qos.QueryAccuracy == 1,
-					"E18", "%s × %s: zero-adversity cell not mistake-free (λ_M=%g P_A=%g)",
-					sc.name, d.name, c.qos.MistakeRate, c.qos.QueryAccuracy)
-				if err == nil {
-					err = checkf(c.qos.WorstDetection <= e18DetectBound,
-						"E18", "%s × %s: zero-adversity detection %v exceeds bound %v",
-						sc.name, d.name, c.qos.WorstDetection, e18DetectBound)
-				}
-			}
-		}
-	}
+	t := e18Table()
+	err := e18SimMatrix(t, quick)
 
 	// Part 2: live rows on the real datagram transport. The clean row is the
 	// wall-clock zero-adversity gate; the adversarial row injects the
@@ -148,6 +104,60 @@ func E18ScenarioMatrix(quick bool) (*Table, error) {
 		fmt.Sprintf("cluster phase: 3 ecnode processes with heartbeat_transport=udp — follower suspected %v after SIGKILL, reconverged %v after restart, udp counters %d out / %d in on the restarted node",
 			msd(ph.detect), msd(ph.recover), ph.udpOut, ph.udpIn))
 	return t, err
+}
+
+// e18Table is E18's empty table: title, claim and columns.
+func e18Table() *Table {
+	return &Table{
+		ID:      "E18",
+		Title:   "Adversarial scenario matrix: detector QoS under loss, dup, reorder, skew and restarts (supplementary; sim n=8 + live UDP)",
+		Claim:   "supplement to Section 4: adversity degrades the Chen QoS figures (λ_M, T_M, P_A, detection time) smoothly, never the eventual properties; zero-adversity cells are perfect",
+		Columns: []string{"scenario", "detector", "detect avg", "λ_M /s", "T_M", "P_A", "ok"},
+	}
+}
+
+// e18SimMatrix adds E18's simulated matrix to t, one private kernel per
+// cell fanned across the worker pool, and returns the first failed gate.
+// Cell (i,j) = scenario i × detector j.
+func e18SimMatrix(t *Table, quick bool) error {
+	scenarios := simScenarios(quick)
+	dets := simDetectors()
+	type cellResult struct {
+		qos      check.QoS
+		detected bool
+	}
+	cells := runTrials(len(scenarios)*len(dets), func(k int) cellResult {
+		sc, d := scenarios[k/len(dets)], dets[k%len(dets)]
+		q := runSimScenario(sc, d, int64(1800+k), quick)
+		return cellResult{qos: q, detected: q.WorstDetection >= 0}
+	})
+	var err error
+	for i, sc := range scenarios {
+		for j, d := range dets {
+			c := cells[i*len(dets)+j]
+			ok := c.detected
+			if sc.zero {
+				ok = ok && c.qos.Mistakes == 0 && c.qos.QueryAccuracy == 1 &&
+					c.qos.WorstDetection <= e18DetectBound
+			}
+			t.AddRow(sc.name, d.name, detCell(c.qos), fmt.Sprintf("%.3f", c.qos.MistakeRate),
+				msd(c.qos.AvgMistakeDuration), fmt.Sprintf("%.4f", c.qos.QueryAccuracy), mark(ok))
+			if err == nil {
+				err = checkf(c.detected, "E18", "%s × %s: crash never permanently detected", sc.name, d.name)
+			}
+			if err == nil && sc.zero {
+				err = checkf(c.qos.Mistakes == 0 && c.qos.QueryAccuracy == 1,
+					"E18", "%s × %s: zero-adversity cell not mistake-free (λ_M=%g P_A=%g)",
+					sc.name, d.name, c.qos.MistakeRate, c.qos.QueryAccuracy)
+				if err == nil {
+					err = checkf(c.qos.WorstDetection <= e18DetectBound,
+						"E18", "%s × %s: zero-adversity detection %v exceeds bound %v",
+						sc.name, d.name, c.qos.WorstDetection, e18DetectBound)
+				}
+			}
+		}
+	}
+	return err
 }
 
 // e18DetectBound gates detection latency of the deterministic zero-adversity
