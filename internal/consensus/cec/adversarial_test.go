@@ -6,12 +6,10 @@ import (
 	"time"
 
 	"repro/internal/consensus"
-	"repro/internal/consensus/cec"
 	"repro/internal/consensus/conslab"
 	"repro/internal/dsys"
 	"repro/internal/fd/fdtest"
 	"repro/internal/network"
-	"repro/internal/rbcast"
 	"repro/internal/sim"
 )
 
@@ -52,10 +50,8 @@ func TestSafetyUnderAdversarialDetectors(t *testing.T) {
 			Seed:    seed,
 			Net:     network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 12 * time.Millisecond}},
 			Crashes: crashes,
-			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-				return cec.Propose(p, c.At(p.ID()), rb, v, opt)
-			},
-			RunFor: time.Second,
+			Run:     cecAlgo.Scripted(c),
+			RunFor:  time.Second,
 			Before: func(k *sim.Kernel) {
 				k.Every(5*time.Millisecond, 5*time.Millisecond, func(time.Duration) {
 					mutateRandomly(c, rng, n)
@@ -96,12 +92,10 @@ func TestSafetyUnderAdversarialDetectorsMerged(t *testing.T) {
 		c := fdtest.NewCluster(n, 1)
 		rng := rand.New(rand.NewSource(seed*131 + 7))
 		res := conslab.Run(conslab.Setup{
-			N:    n,
-			Seed: seed,
-			Net:  network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 10 * time.Millisecond}},
-			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-				return cec.Propose(p, c.At(p.ID()), rb, v, opt)
-			},
+			N:      n,
+			Seed:   seed,
+			Net:    network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 10 * time.Millisecond}},
+			Run:    cecAlgo.Scripted(c),
 			Opt:    consensus.Options{MergedPhase01: true},
 			RunFor: time.Second,
 			Before: func(k *sim.Kernel) {
@@ -131,12 +125,10 @@ func TestEventualStabilizationRecoversLiveness(t *testing.T) {
 	c := fdtest.NewCluster(n, 1)
 	rng := rand.New(rand.NewSource(99))
 	res := conslab.Run(conslab.Setup{
-		N:    n,
-		Seed: 99,
-		Net:  network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 10 * time.Millisecond}},
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return cec.Propose(p, c.At(p.ID()), rb, v, opt)
-		},
+		N:      n,
+		Seed:   99,
+		Net:    network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 10 * time.Millisecond}},
+		Run:    cecAlgo.Scripted(c),
 		RunFor: 10 * time.Second,
 		Before: func(k *sim.Kernel) {
 			k.Every(5*time.Millisecond, 5*time.Millisecond, func(now time.Duration) {

@@ -9,28 +9,18 @@ import (
 	"repro/internal/consensus/conslab"
 	"repro/internal/dsys"
 	"repro/internal/fd/fdtest"
-	"repro/internal/fd/ring"
 	"repro/internal/network"
 	"repro/internal/rbcast"
 	"repro/internal/sim"
 )
 
-// scriptedRunner runs cec over a scripted detector cluster.
-func scriptedRunner(c *fdtest.Cluster) conslab.Runner {
-	return func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-		return cec.Propose(p, c.At(p.ID()), rb, v, opt)
-	}
-}
-
-// ringRunner runs cec over a real ring ◇C detector per process.
-func ringRunner(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-	d := ring.Start(p, ring.Options{})
-	return cec.Propose(p, d, rb, v, opt)
-}
+// cecAlgo is cec's catalog entry: Scripted runs it over a scripted detector
+// cluster, Paired over a real ring ◇C detector per process.
+var cecAlgo = conslab.MustAlgorithm("cec")
 
 func TestDecidesFailureFreeStableDetector(t *testing.T) {
 	c := fdtest.NewCluster(5, 1)
-	res := conslab.Run(conslab.Setup{N: 5, Seed: 1, Run: scriptedRunner(c)})
+	res := conslab.Run(conslab.Setup{N: 5, Seed: 1, Run: cecAlgo.Scripted(c)})
 	if err := res.Verify(5); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +38,7 @@ func TestDecidesWithRealRingDetector(t *testing.T) {
 		N:    5,
 		Seed: 2,
 		Net:  network.PartiallySynchronous{GST: 50 * time.Millisecond, Delta: 5 * time.Millisecond},
-		Run:  ringRunner,
+		Run:  cecAlgo.Paired,
 	})
 	if err := res.Verify(5); err != nil {
 		t.Fatal(err)
@@ -65,7 +55,7 @@ func TestToleratesMinorityCrashes(t *testing.T) {
 			4: 10 * time.Millisecond,
 			5: 25 * time.Millisecond,
 		},
-		Run: ringRunner,
+		Run: cecAlgo.Paired,
 	})
 	if err := res.Verify(5); err != nil {
 		t.Fatal(err)
@@ -82,7 +72,7 @@ func TestToleratesLeaderCrash(t *testing.T) {
 		Crashes: map[dsys.ProcessID]time.Duration{
 			1: 15 * time.Millisecond,
 		},
-		Run: ringRunner,
+		Run: cecAlgo.Paired,
 	})
 	if err := res.Verify(5); err != nil {
 		t.Fatal(err)
@@ -102,7 +92,7 @@ func TestLeaderChangeMidRun(t *testing.T) {
 	res := conslab.Run(conslab.Setup{
 		N:    5,
 		Seed: 5,
-		Run:  scriptedRunner(c),
+		Run:  cecAlgo.Scripted(c),
 		Before: func(k *sim.Kernel) {
 			k.ScheduleFunc(100*time.Millisecond, func(time.Duration) {
 				c.SetTrustedEverywhere(2)
@@ -126,7 +116,7 @@ func TestDecidesDespiteMinorityNacks(t *testing.T) {
 	c := fdtest.NewCluster(5, 1)
 	c.At(4).Suspect(1)
 	c.At(5).Suspect(1)
-	res := conslab.Run(conslab.Setup{N: 5, Seed: 6, Run: scriptedRunner(c)})
+	res := conslab.Run(conslab.Setup{N: 5, Seed: 6, Run: cecAlgo.Scripted(c)})
 	if err := res.Verify(5); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +135,7 @@ func TestBlockedByMajorityOfNacks(t *testing.T) {
 	res := conslab.Run(conslab.Setup{
 		N:    5,
 		Seed: 7,
-		Run:  scriptedRunner(c),
+		Run:  cecAlgo.Scripted(c),
 		Before: func(k *sim.Kernel) {
 			k.ScheduleFunc(200*time.Millisecond, func(time.Duration) {
 				c.At(3).Unsuspect(1)
@@ -174,7 +164,7 @@ func TestAllSelfTrustingStillDecides(t *testing.T) {
 	res := conslab.Run(conslab.Setup{
 		N:    5,
 		Seed: 8,
-		Run:  scriptedRunner(c),
+		Run:  cecAlgo.Scripted(c),
 		Before: func(k *sim.Kernel) {
 			k.ScheduleFunc(300*time.Millisecond, func(time.Duration) {
 				c.SetTrustedEverywhere(1)
@@ -196,7 +186,7 @@ func TestAgreementUnderConflictingSelfTrustForever(t *testing.T) {
 	c := fdtest.NewCluster(5, 1)
 	c.At(2).SetTrusted(2)
 	c.At(4).SetTrusted(2)
-	res := conslab.Run(conslab.Setup{N: 5, Seed: 9, Run: scriptedRunner(c), RunFor: 5 * time.Second})
+	res := conslab.Run(conslab.Setup{N: 5, Seed: 9, Run: cecAlgo.Scripted(c), RunFor: 5 * time.Second})
 	// Termination may or may not happen for everyone; verify only safety.
 	if n := res.Log.DecidedCount(); n > 0 {
 		var ref any
@@ -215,7 +205,7 @@ func TestAgreementUnderConflictingSelfTrustForever(t *testing.T) {
 func TestUniformValidityWithIdenticalProposals(t *testing.T) {
 	props := map[dsys.ProcessID]any{1: "x", 2: "x", 3: "x"}
 	c := fdtest.NewCluster(3, 2)
-	res := conslab.Run(conslab.Setup{N: 3, Seed: 10, Proposals: props, Run: scriptedRunner(c)})
+	res := conslab.Run(conslab.Setup{N: 3, Seed: 10, Proposals: props, Run: cecAlgo.Scripted(c)})
 	if err := res.Verify(3); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +224,7 @@ func TestMinimalMajoritySize(t *testing.T) {
 		Crashes: map[dsys.ProcessID]time.Duration{
 			2: 30 * time.Millisecond,
 		},
-		Run: ringRunner,
+		Run: cecAlgo.Paired,
 	})
 	if err := res.Verify(3); err != nil {
 		t.Fatal(err)
@@ -243,7 +233,7 @@ func TestMinimalMajoritySize(t *testing.T) {
 
 func TestSingleProcessDecidesImmediately(t *testing.T) {
 	c := fdtest.NewCluster(1, 1)
-	res := conslab.Run(conslab.Setup{N: 1, Seed: 12, Run: scriptedRunner(c)})
+	res := conslab.Run(conslab.Setup{N: 1, Seed: 12, Run: cecAlgo.Scripted(c)})
 	if err := res.Verify(1); err != nil {
 		t.Fatal(err)
 	}
@@ -278,14 +268,14 @@ func TestStatsCountRounds(t *testing.T) {
 func TestSuccessiveInstancesAreIsolated(t *testing.T) {
 	// Two consensus instances back to back on the same processes and the
 	// same rbcast modules, distinguished only by Options.Instance.
-	c := fdtest.NewCluster(3, 1)
+	scripted := cecAlgo.Scripted(fdtest.NewCluster(3, 1))
 	log2values := make(map[dsys.ProcessID]any)
 	res := conslab.Run(conslab.Setup{
 		N:    3,
 		Seed: 14,
 		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			first := cec.Propose(p, c.At(p.ID()), rb, v, consensus.Options{Instance: "slot-1"})
-			second := cec.Propose(p, c.At(p.ID()), rb, "second-"+first.Value.(string), consensus.Options{Instance: "slot-2"})
+			first := scripted(p, rb, v, consensus.Options{Instance: "slot-1"})
+			second := scripted(p, rb, "second-"+first.Value.(string), consensus.Options{Instance: "slot-2"})
 			log2values[p.ID()] = second.Value
 			return first
 		},
@@ -309,7 +299,7 @@ func TestSuccessiveInstancesAreIsolated(t *testing.T) {
 
 func TestDecisionTimeRecorded(t *testing.T) {
 	c := fdtest.NewCluster(3, 1)
-	res := conslab.Run(conslab.Setup{N: 3, Seed: 15, Run: scriptedRunner(c)})
+	res := conslab.Run(conslab.Setup{N: 3, Seed: 15, Run: cecAlgo.Scripted(c)})
 	d, ok := res.Log.Decided(2)
 	if !ok || d.At <= 0 {
 		t.Errorf("decision time not recorded: %+v ok=%v", d, ok)
@@ -325,7 +315,7 @@ func TestDeterministicConsensusRuns(t *testing.T) {
 			Crashes: map[dsys.ProcessID]time.Duration{
 				2: 40 * time.Millisecond,
 			},
-			Run: ringRunner,
+			Run: cecAlgo.Paired,
 		})
 		d, _ := res.Log.Decided(1)
 		return res.Messages.TotalSent(), d.At, d.Value
@@ -354,7 +344,7 @@ func TestManySeedsSoak(t *testing.T) {
 			Seed:    seed,
 			Net:     network.PartiallySynchronous{GST: 50 * time.Millisecond, Delta: 10 * time.Millisecond, PreGST: network.Uniform{Min: 0, Max: 60 * time.Millisecond}},
 			Crashes: crashes,
-			Run:     ringRunner,
+			Run:     cecAlgo.Paired,
 		})
 		if err := res.Verify(n); err != nil {
 			t.Fatalf("seed %d (crashes %v): %v", seed, crashes, err)

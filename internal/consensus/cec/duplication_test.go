@@ -33,7 +33,7 @@ func TestConsensusToleratesDuplicatedMessages(t *testing.T) {
 			Seed:    seed,
 			Net:     net,
 			Crashes: crashes,
-			Run:     ringRunner,
+			Run:     cecAlgo.Paired,
 		})
 		if err := res.Verify(5); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -33,7 +33,7 @@ func TestProposeReturnsAtRDelivery(t *testing.T) {
 			Net:  network.Reliable{Latency: network.Fixed(time.Millisecond)},
 			Opt:  consensus.Options{Poll: time.Second},
 			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-				r := cec.Propose(p, c.At(p.ID()), rb, v, opt)
+				r := cecAlgo.Scripted(c)(p, rb, v, opt)
 				returned[p.ID()] = p.Now()
 				return r
 			},

@@ -10,7 +10,6 @@ import (
 	"repro/internal/consensus/conslab"
 	"repro/internal/dsys"
 	"repro/internal/fd/fdtest"
-	"repro/internal/fd/ring"
 	"repro/internal/network"
 	"repro/internal/rbcast"
 )
@@ -36,10 +35,8 @@ func TestConsensusOverFairLossyLinks(t *testing.T) {
 			Seed:    seed,
 			Net:     net,
 			Crashes: crashes,
-			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-				return cec.Propose(p, ring.Start(p, ring.Options{}), rb, v, opt)
-			},
-			RunFor: 60 * time.Second,
+			Run:     cecAlgo.Paired,
+			RunFor:  60 * time.Second,
 		})
 		if err := res.Verify(5); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -55,12 +52,10 @@ func TestHeavyLossEventuallyDecides(t *testing.T) {
 		Under: network.PartiallySynchronous{GST: 0, Delta: 8 * time.Millisecond},
 	}
 	res := conslab.Run(conslab.Setup{
-		N:    5,
-		Seed: 77,
-		Net:  net,
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return cec.Propose(p, ring.Start(p, ring.Options{}), rb, v, opt)
-		},
+		N:      5,
+		Seed:   77,
+		Net:    net,
+		Run:    cecAlgo.Paired,
 		RunFor: 120 * time.Second,
 	})
 	if err := res.Verify(5); err != nil {
@@ -100,7 +95,7 @@ func TestSingleLostMessageRepaired(t *testing.T) {
 				Opt:     consensus.Options{Poll: 2 * time.Millisecond},
 				Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
 					p.Sleep(time.Duration(p.Rand().Int63n(int64(3 * time.Millisecond))))
-					return cec.Propose(p, c.At(p.ID()), rb, v, opt)
+					return cecAlgo.Scripted(c)(p, rb, v, opt)
 				},
 				RunFor: 60 * time.Second,
 			})

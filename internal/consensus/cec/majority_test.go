@@ -4,14 +4,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/consensus"
-	"repro/internal/consensus/cec"
 	"repro/internal/consensus/conslab"
 	"repro/internal/dsys"
 	"repro/internal/fd/fdtest"
-	"repro/internal/fd/ring"
 	"repro/internal/network"
-	"repro/internal/rbcast"
 )
 
 // TestHalfCrashesBlockButStaySafe exercises the paper's necessity remark
@@ -28,9 +24,7 @@ func TestHalfCrashesBlockButStaySafe(t *testing.T) {
 			3: 5 * time.Millisecond,
 			4: 5 * time.Millisecond,
 		},
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return cec.Propose(p, ring.Start(p, ring.Options{}), rb, v, opt)
-		},
+		Run:    cecAlgo.Paired,
 		RunFor: 3 * time.Second,
 	})
 	if got := res.Log.DecidedCount(); got != 0 {
@@ -50,9 +44,7 @@ func TestBareMajoritySurvivesAndDecides(t *testing.T) {
 		Crashes: map[dsys.ProcessID]time.Duration{
 			4: 5 * time.Millisecond, // f = 1 = MaxFaulty(4)
 		},
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return cec.Propose(p, ring.Start(p, ring.Options{}), rb, v, opt)
-		},
+		Run: cecAlgo.Paired,
 	})
 	if err := res.Verify(n); err != nil {
 		t.Fatal(err)
@@ -70,9 +62,7 @@ func TestUniformAgreementWithDecidingCrasher(t *testing.T) {
 		N:    5,
 		Seed: 3,
 		Net:  network.Reliable{Latency: network.Fixed(time.Millisecond)},
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return cec.Propose(p, c.At(p.ID()), rb, v, opt)
-		},
+		Run:  cecAlgo.Scripted(c),
 		Crashes: map[dsys.ProcessID]time.Duration{
 			// The coordinator decides at ~5-6ms (see E5); crash right after.
 			1: 7 * time.Millisecond,

@@ -4,13 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/consensus"
-	"repro/internal/consensus/cec"
 	"repro/internal/consensus/conslab"
 	"repro/internal/dsys"
-	"repro/internal/fd/ring"
 	"repro/internal/network"
-	"repro/internal/rbcast"
 )
 
 // TestPartitionMajoritySideDecides cuts {p4, p5} off from {p1, p2, p3} for a
@@ -28,12 +24,10 @@ func TestPartitionMajoritySideDecides(t *testing.T) {
 		Until:  800 * time.Millisecond,
 	}
 	res := conslab.Run(conslab.Setup{
-		N:    n,
-		Seed: 1,
-		Net:  net,
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return cec.Propose(p, ring.Start(p, ring.Options{}), rb, v, opt)
-		},
+		N:      n,
+		Seed:   1,
+		Net:    net,
+		Run:    cecAlgo.Paired,
 		RunFor: 6 * time.Second,
 	})
 	if err := res.Verify(n); err != nil {
@@ -75,9 +69,7 @@ func TestMinorityPartitionWithCrashesStaysSafe(t *testing.T) {
 		Crashes: map[dsys.ProcessID]time.Duration{
 			3: 50 * time.Millisecond, // majority side loses a member: 2+2 split
 		},
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return cec.Propose(p, ring.Start(p, ring.Options{}), rb, v, opt)
-		},
+		Run:    cecAlgo.Paired,
 		RunFor: 8 * time.Second,
 	})
 	if err := res.Verify(n); err != nil {

@@ -5,13 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/consensus"
 	"repro/internal/consensus/cec"
 	"repro/internal/consensus/conslab"
 	"repro/internal/dsys"
 	"repro/internal/fd/fdtest"
 	"repro/internal/network"
-	"repro/internal/rbcast"
 	"repro/internal/sim"
 )
 
@@ -42,9 +40,7 @@ func TestLostAnnouncementRecoveredByReproposal(t *testing.T) {
 		N:    n,
 		Seed: 21,
 		Net:  drop,
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return cec.Propose(p, c.At(p.ID()), rb, v, opt)
-		},
+		Run:  cecAlgo.Scripted(c),
 		Before: func(k *sim.Kernel) {
 			// The suspicion clears just after p1 proposed — before p2's ack
 			// arrives — so Phase 4's wait rule re-includes p3.

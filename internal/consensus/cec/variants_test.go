@@ -10,7 +10,6 @@ import (
 	"repro/internal/dsys"
 	"repro/internal/fd/fdtest"
 	"repro/internal/network"
-	"repro/internal/rbcast"
 	"repro/internal/sim"
 )
 
@@ -19,7 +18,7 @@ func TestMergedVariantDecidesStableDetector(t *testing.T) {
 	res := conslab.Run(conslab.Setup{
 		N:    5,
 		Seed: 1,
-		Run:  scriptedRunner(c),
+		Run:  cecAlgo.Scripted(c),
 		Opt:  consensus.Options{MergedPhase01: true},
 	})
 	if err := res.Verify(5); err != nil {
@@ -48,7 +47,7 @@ func TestMergedVariantSurvivesLeaderChange(t *testing.T) {
 	res := conslab.Run(conslab.Setup{
 		N:    5,
 		Seed: 2,
-		Run:  scriptedRunner(c),
+		Run:  cecAlgo.Scripted(c),
 		Opt:  consensus.Options{MergedPhase01: true},
 		Before: func(k *sim.Kernel) {
 			k.ScheduleFunc(100*time.Millisecond, func(time.Duration) {
@@ -70,7 +69,7 @@ func TestMergedVariantWithCrashes(t *testing.T) {
 			4: 5 * time.Millisecond,
 			5: 8 * time.Millisecond,
 		},
-		Run: scriptedRunner(c),
+		Run: cecAlgo.Scripted(c),
 		Opt: consensus.Options{MergedPhase01: true},
 		Before: func(k *sim.Kernel) {
 			// The scripted detector must deliver completeness by hand.
@@ -99,12 +98,10 @@ func TestFirstMajorityCutoffLosesRoundsToNacks(t *testing.T) {
 			c.At(4).Suspect(1)
 			c.At(5).Suspect(1)
 			res := conslab.Run(conslab.Setup{
-				N:    5,
-				Seed: seed,
-				Net:  network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 5 * time.Millisecond}},
-				Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-					return cec.Propose(p, c.At(p.ID()), rb, v, opt)
-				},
+				N:      5,
+				Seed:   seed,
+				Net:    network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 5 * time.Millisecond}},
+				Run:    cecAlgo.Scripted(c),
 				Opt:    consensus.Options{FirstMajorityCutoff: cutoff},
 				RunFor: 2 * time.Second,
 			})

@@ -9,17 +9,14 @@ import (
 	"repro/internal/consensus/ctc"
 	"repro/internal/dsys"
 	"repro/internal/fd/fdtest"
-	"repro/internal/fd/heartbeat"
 	"repro/internal/fd/ring"
 	"repro/internal/network"
 	"repro/internal/rbcast"
 )
 
-func scriptedRunner(c *fdtest.Cluster) conslab.Runner {
-	return func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-		return ctc.Propose(p, c.At(p.ID()), rb, v, opt)
-	}
-}
+// ctcAlgo is ctc's catalog entry: Scripted runs it over a scripted detector
+// cluster, Paired over a heartbeat ◇P detector per process.
+var ctcAlgo = conslab.MustAlgorithm("ctc")
 
 func ringRunner(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
 	d := ring.Start(p, ring.Options{})
@@ -42,7 +39,7 @@ func TestCoordinatorRotation(t *testing.T) {
 
 func TestDecidesFailureFree(t *testing.T) {
 	c := fdtest.NewCluster(5, 1) // trusted unused by ctc; suspicions empty
-	res := conslab.Run(conslab.Setup{N: 5, Seed: 1, Run: scriptedRunner(c)})
+	res := conslab.Run(conslab.Setup{N: 5, Seed: 1, Run: ctcAlgo.Scripted(c)})
 	if err := res.Verify(5); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +121,7 @@ func TestSingleNackBlocksRound(t *testing.T) {
 				if p.ID() == 1 {
 					return ctc.ProposeStats(p, c.At(p.ID()), rb, v, opt, stats)
 				}
-				return ctc.Propose(p, c.At(p.ID()), rb, v, opt)
+				return ctcAlgo.Scripted(c)(p, rb, v, opt)
 			},
 		})
 		if err := res.Verify(5); err != nil {
@@ -146,7 +143,7 @@ func TestRotationWaitsForUnsuspectedCoordinator(t *testing.T) {
 	for _, id := range dsys.Pids(5) {
 		c.At(id).Suspect(1, 2, 3)
 	}
-	res := conslab.Run(conslab.Setup{N: 5, Seed: 5, Run: scriptedRunner(c)})
+	res := conslab.Run(conslab.Setup{N: 5, Seed: 5, Run: ctcAlgo.Scripted(c)})
 	if err := res.Verify(5); err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +153,14 @@ func TestRotationWaitsForUnsuspectedCoordinator(t *testing.T) {
 }
 
 func TestSuccessiveInstances(t *testing.T) {
-	c := fdtest.NewCluster(3, 1)
+	scripted := ctcAlgo.Scripted(fdtest.NewCluster(3, 1))
 	second := make(map[dsys.ProcessID]any)
 	res := conslab.Run(conslab.Setup{
 		N:    3,
 		Seed: 6,
 		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			first := ctc.Propose(p, c.At(p.ID()), rb, v, consensus.Options{Instance: "a"})
-			res2 := ctc.Propose(p, c.At(p.ID()), rb, v, consensus.Options{Instance: "b"})
+			first := scripted(p, rb, v, consensus.Options{Instance: "a"})
+			res2 := scripted(p, rb, v, consensus.Options{Instance: "b"})
 			second[p.ID()] = res2.Value
 			return first
 		},
@@ -192,10 +189,7 @@ func TestSoakManySeeds(t *testing.T) {
 			Seed:    seed,
 			Net:     network.PartiallySynchronous{GST: 40 * time.Millisecond, Delta: 10 * time.Millisecond, PreGST: network.Uniform{Min: 0, Max: 50 * time.Millisecond}},
 			Crashes: crashes,
-			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-				d := heartbeat.Start(p, heartbeat.Options{})
-				return ctc.Propose(p, d, rb, v, opt)
-			},
+			Run:     ctcAlgo.Paired,
 		})
 		if err := res.Verify(n); err != nil {
 			t.Fatalf("seed %d (crashes %v): %v", seed, crashes, err)

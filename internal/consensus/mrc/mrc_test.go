@@ -9,26 +9,18 @@ import (
 	"repro/internal/consensus/mrc"
 	"repro/internal/dsys"
 	"repro/internal/fd/fdtest"
-	"repro/internal/fd/omega"
 	"repro/internal/network"
 	"repro/internal/rbcast"
 	"repro/internal/sim"
 )
 
-func scriptedRunner(c *fdtest.Cluster) conslab.Runner {
-	return func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-		return mrc.Propose(p, c.At(p.ID()), rb, v, opt)
-	}
-}
-
-func omegaRunner(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-	d := omega.StartLeaderBeat(p, omega.Options{})
-	return mrc.Propose(p, d, rb, v, opt)
-}
+// mrcAlgo is mrc's catalog entry: Scripted runs it over a scripted detector
+// cluster, Paired over a LeaderBeat Ω detector per process.
+var mrcAlgo = conslab.MustAlgorithm("mrc")
 
 func TestDecidesOneRoundUnderStableLeader(t *testing.T) {
 	c := fdtest.NewCluster(5, 2)
-	res := conslab.Run(conslab.Setup{N: 5, Seed: 1, Run: scriptedRunner(c)})
+	res := conslab.Run(conslab.Setup{N: 5, Seed: 1, Run: mrcAlgo.Scripted(c)})
 	if err := res.Verify(5); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +38,7 @@ func TestDecidesWithRealOmega(t *testing.T) {
 		N:    5,
 		Seed: 2,
 		Net:  network.PartiallySynchronous{GST: 50 * time.Millisecond, Delta: 5 * time.Millisecond},
-		Run:  omegaRunner,
+		Run:  mrcAlgo.Paired,
 	})
 	if err := res.Verify(5); err != nil {
 		t.Fatal(err)
@@ -61,7 +53,7 @@ func TestToleratesLeaderCrash(t *testing.T) {
 		Crashes: map[dsys.ProcessID]time.Duration{
 			1: 10 * time.Millisecond, // LeaderBeat's first leader
 		},
-		Run: omegaRunner,
+		Run: mrcAlgo.Paired,
 	})
 	if err := res.Verify(5); err != nil {
 		t.Fatal(err)
@@ -77,7 +69,7 @@ func TestToleratesMaxCrashes(t *testing.T) {
 			1: 15 * time.Millisecond,
 			3: 40 * time.Millisecond,
 		},
-		Run: omegaRunner,
+		Run: mrcAlgo.Paired,
 	})
 	if err := res.Verify(5); err != nil {
 		t.Fatal(err)
@@ -95,7 +87,7 @@ func TestSplitLeaderViewsBlockButStaySafe(t *testing.T) {
 	res := conslab.Run(conslab.Setup{
 		N:    5,
 		Seed: 5,
-		Run:  scriptedRunner(c),
+		Run:  mrcAlgo.Scripted(c),
 		Before: func(k *sim.Kernel) {
 			k.ScheduleFunc(200*time.Millisecond, func(time.Duration) {
 				c.SetTrustedEverywhere(1)
@@ -150,7 +142,7 @@ func TestQuadraticMessagesPerRound(t *testing.T) {
 	// n→n too (everyone announces proposal or no-proposal): 3n² per round.
 	n := 6
 	c := fdtest.NewCluster(n, 1)
-	res := conslab.Run(conslab.Setup{N: n, Seed: 6, Run: scriptedRunner(c)})
+	res := conslab.Run(conslab.Setup{N: n, Seed: 6, Run: mrcAlgo.Scripted(c)})
 	if err := res.Verify(n); err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +156,14 @@ func TestQuadraticMessagesPerRound(t *testing.T) {
 }
 
 func TestSuccessiveInstances(t *testing.T) {
-	c := fdtest.NewCluster(3, 1)
+	scripted := mrcAlgo.Scripted(fdtest.NewCluster(3, 1))
 	second := make(map[dsys.ProcessID]any)
 	res := conslab.Run(conslab.Setup{
 		N:    3,
 		Seed: 7,
 		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			first := mrc.Propose(p, c.At(p.ID()), rb, v, consensus.Options{Instance: "a"})
-			res2 := mrc.Propose(p, c.At(p.ID()), rb, v, consensus.Options{Instance: "b"})
+			first := scripted(p, rb, v, consensus.Options{Instance: "a"})
+			res2 := scripted(p, rb, v, consensus.Options{Instance: "b"})
 			second[p.ID()] = res2.Value
 			return first
 		},
@@ -200,7 +192,7 @@ func TestSoakManySeeds(t *testing.T) {
 			Seed:    seed,
 			Net:     network.PartiallySynchronous{GST: 40 * time.Millisecond, Delta: 10 * time.Millisecond, PreGST: network.Uniform{Min: 0, Max: 50 * time.Millisecond}},
 			Crashes: crashes,
-			Run:     omegaRunner,
+			Run:     mrcAlgo.Paired,
 		})
 		if err := res.Verify(n); err != nil {
 			t.Fatalf("seed %d (crashes %v): %v", seed, crashes, err)
@@ -215,7 +207,7 @@ func TestDeterministic(t *testing.T) {
 			Seed:    42,
 			Net:     network.PartiallySynchronous{GST: 30 * time.Millisecond, Delta: 8 * time.Millisecond},
 			Crashes: map[dsys.ProcessID]time.Duration{2: 20 * time.Millisecond},
-			Run:     omegaRunner,
+			Run:     mrcAlgo.Paired,
 		})
 		return res.Messages.TotalSent(), res.Log.MaxRound()
 	}

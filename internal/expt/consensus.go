@@ -9,59 +9,17 @@ import (
 	"repro/internal/consensus/cec"
 	"repro/internal/consensus/conslab"
 	"repro/internal/consensus/ctc"
-	"repro/internal/consensus/mrc"
 	"repro/internal/dsys"
 	"repro/internal/fd/fdtest"
 	"repro/internal/network"
-	"repro/internal/rbcast"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// algos enumerates the three compared protocols with scripted-detector
-// runners. For cec and ctc the detector cluster carries trusted + suspected;
-// for mrc only trusted is used.
-type algo struct {
-	name   string
-	phases int // communication steps per round, by construction
-	run    func(c *fdtest.Cluster) conslab.Runner
-	kinds  []string // protocol message kinds (excluding reliable broadcast)
-}
-
-func algorithms() []algo {
-	return []algo{
-		{
-			name:   "◇C (this paper)",
-			phases: 5,
-			run: func(c *fdtest.Cluster) conslab.Runner {
-				return func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-					return cec.Propose(p, c.At(p.ID()), rb, v, opt)
-				}
-			},
-			kinds: []string{cec.KindCoord, cec.KindEst, cec.KindProp, cec.KindAck, cec.KindNack},
-		},
-		{
-			name:   "CT ◇S (rotating)",
-			phases: 4,
-			run: func(c *fdtest.Cluster) conslab.Runner {
-				return func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-					return ctc.Propose(p, c.At(p.ID()), rb, v, opt)
-				}
-			},
-			kinds: []string{ctc.KindEst, ctc.KindProp, ctc.KindAck, ctc.KindNack},
-		},
-		{
-			name:   "MR Ω (leader)",
-			phases: 3,
-			run: func(c *fdtest.Cluster) conslab.Runner {
-				return func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-					return mrc.Propose(p, c.At(p.ID()), rb, v, opt)
-				}
-			},
-			kinds: []string{mrc.KindLdr, mrc.KindProp, mrc.KindAck},
-		},
-	}
-}
+// algoLabels are the table labels of conslab.Algorithms(), in order. The
+// experiments run the algorithms over scripted detectors: for cec and ctc
+// the cluster carries trusted + suspected; for mrc only trusted is used.
+var algoLabels = []string{"◇C (this paper)", "CT ◇S (rotating)", "MR Ω (leader)"}
 
 // roundMessages counts protocol messages of the given kinds whose envelope
 // belongs to round r.
@@ -96,7 +54,7 @@ func E5RoundCosts(quick bool) (*Table, error) {
 	if quick {
 		ns = []int{3, 5, 9}
 	}
-	algos := algorithms()
+	algos := conslab.Algorithms()
 	results := runTrials(len(ns)*len(algos), func(i int) conslab.Result {
 		n, a := ns[i/len(algos)], algos[i%len(algos)]
 		c := fdtest.NewCluster(n, 1)
@@ -104,20 +62,20 @@ func E5RoundCosts(quick bool) (*Table, error) {
 			N:    n,
 			Seed: 500,
 			Net:  network.Reliable{Latency: network.Fixed(time.Millisecond)},
-			Run:  a.run(c),
+			Run:  a.Scripted(c),
 		})
 	})
 	var err error
 	for ni, n := range ns {
 		for ai, a := range algos {
-			res := results[ni*len(algos)+ai]
+			res, name := results[ni*len(algos)+ai], algoLabels[ai]
 			if verr := res.Verify(n); verr != nil && err == nil {
-				err = fmt.Errorf("E5 %s n=%d: %w", a.name, n, verr)
+				err = fmt.Errorf("E5 %s n=%d: %w", name, n, verr)
 			}
-			msgs := roundMessages(res.Messages, 1, a.kinds)
+			msgs := roundMessages(res.Messages, 1, a.Kinds)
 			var formula string
 			var lo, hi int
-			switch a.phases {
+			switch a.Phases {
 			case 5:
 				formula = fmt.Sprintf("4n = %d", 4*n)
 				lo, hi = 4*n-2, 4*n
@@ -128,11 +86,11 @@ func E5RoundCosts(quick bool) (*Table, error) {
 				formula = fmt.Sprintf("3n² = %d", 3*n*n)
 				lo, hi = 3*n*n, 3*n*n
 			}
-			t.AddRow(n, a.name, a.phases, msgs, formula, msd(res.Log.LastDecisionAt()), res.Log.MaxRound())
+			t.AddRow(n, name, a.Phases, msgs, formula, msd(res.Log.LastDecisionAt()), res.Log.MaxRound())
 			if err == nil {
 				err = firstErr(
-					checkf(res.Log.MaxRound() == 1, "E5", "%s n=%d decided in round %d", a.name, n, res.Log.MaxRound()),
-					checkf(msgs >= lo && msgs <= hi, "E5", "%s n=%d: %d round-1 msgs, want %d..%d", a.name, n, msgs, lo, hi),
+					checkf(res.Log.MaxRound() == 1, "E5", "%s n=%d decided in round %d", name, n, res.Log.MaxRound()),
+					checkf(msgs >= lo && msgs <= hi, "E5", "%s n=%d: %d round-1 msgs, want %d..%d", name, n, msgs, lo, hi),
 				)
 			}
 		}
@@ -159,7 +117,7 @@ func E6RoundsAfterStability(quick bool) (*Table, error) {
 		ns = []int{5}
 	}
 	stabAt := 150 * time.Millisecond
-	algos := algorithms()
+	algos := conslab.Algorithms()
 	type e6Trial struct {
 		n  int
 		li int
@@ -207,7 +165,7 @@ func E6RoundsAfterStability(quick bool) (*Table, error) {
 			N:    n,
 			Seed: int64(600 + tr.li),
 			Net:  network.Reliable{Latency: network.Fixed(time.Millisecond)},
-			Run:  a.run(c),
+			Run:  a.Scripted(c),
 			Opt:  consensus.Options{RoundProbe: probe},
 			Before: func(k *sim.Kernel) {
 				k.ScheduleFunc(stabAt, func(time.Duration) {
@@ -234,7 +192,7 @@ func E6RoundsAfterStability(quick bool) (*Table, error) {
 			},
 		})
 		if verr := res.Verify(n); verr != nil {
-			return e6Result{verr: fmt.Errorf("E6 %s n=%d leader=%v: %w", a.name, n, leader, verr)}
+			return e6Result{verr: fmt.Errorf("E6 %s n=%d leader=%v: %w", algoLabels[mi], n, leader, verr)}
 		}
 		after := res.Log.MaxRound() - roundAtStab
 		if after < 0 {
@@ -245,16 +203,16 @@ func E6RoundsAfterStability(quick bool) (*Table, error) {
 	var err error
 	idx := 0
 	for _, n := range ns {
+		// One measure per algorithm, in algoLabels order.
 		type measure struct {
-			name            string
 			paper           string
 			rounds          []int
 			wantMax, wantLo int
 		}
 		measures := []*measure{
-			{name: "◇C (this paper)", paper: "1", wantMax: 2},
-			{name: "CT ◇S (rotating)", paper: fmt.Sprintf("up to %d", n), wantMax: n + 1, wantLo: n - 1},
-			{name: "MR Ω (leader)", paper: "1", wantMax: 2},
+			{paper: "1", wantMax: 2},
+			{paper: fmt.Sprintf("up to %d", n), wantMax: n + 1, wantLo: n - 1},
+			{paper: "1", wantMax: 2},
 		}
 		for li := 1; li <= n; li++ {
 			for mi := range algos {
@@ -269,7 +227,8 @@ func E6RoundsAfterStability(quick bool) (*Table, error) {
 				measures[mi].rounds = append(measures[mi].rounds, r.after)
 			}
 		}
-		for _, m := range measures {
+		for mi, m := range measures {
+			name := algoLabels[mi]
 			mn, mx, sum := m.rounds[0], m.rounds[0], 0
 			for _, r := range m.rounds {
 				if r < mn {
@@ -281,11 +240,11 @@ func E6RoundsAfterStability(quick bool) (*Table, error) {
 				sum += r
 			}
 			avg := float64(sum) / float64(len(m.rounds))
-			t.AddRow(n, m.name, mn, fmt.Sprintf("%.1f", avg), mx, m.paper)
+			t.AddRow(n, name, mn, fmt.Sprintf("%.1f", avg), mx, m.paper)
 			if err == nil {
 				err = firstErr(
-					checkf(mx <= m.wantMax, "E6", "%s n=%d: worst case %d rounds after stability, want ≤ %d", m.name, n, mx, m.wantMax),
-					checkf(mx >= m.wantLo, "E6", "%s n=%d: worst case %d rounds after stability, want ≥ %d", m.name, n, mx, m.wantLo),
+					checkf(mx <= m.wantMax, "E6", "%s n=%d: worst case %d rounds after stability, want ≤ %d", name, n, mx, m.wantMax),
+					checkf(mx >= m.wantLo, "E6", "%s n=%d: worst case %d rounds after stability, want ≥ %d", name, n, mx, m.wantLo),
 				)
 			}
 		}
@@ -312,7 +271,7 @@ func E7NackTolerance(quick bool) (*Table, error) {
 		ks = []int{0, 1, 2}
 	}
 	horizon := 2 * time.Second
-	algos := algorithms()
+	algos := conslab.Algorithms()
 	type e7Result struct {
 		decidedCount int
 		round        int
@@ -344,7 +303,7 @@ func E7NackTolerance(quick bool) (*Table, error) {
 			N:      n,
 			Seed:   int64(700 + k),
 			Net:    net,
-			Run:    a.run(c),
+			Run:    a.Scripted(c),
 			RunFor: horizon,
 		})
 		return e7Result{decidedCount: res.Log.DecidedCount(), round: res.Log.MaxRound()}
@@ -392,7 +351,7 @@ func E8MergedPhaseTradeoff(quick bool) (*Table, error) {
 	if quick {
 		ns = []int{4, 8}
 	}
-	kinds := []string{cec.KindCoord, cec.KindEst, cec.KindProp, cec.KindAck, cec.KindNack}
+	cecAlgo := conslab.MustAlgorithm("cec")
 	results := runTrials(len(ns)*2, func(i int) conslab.Result {
 		n, merged := ns[i/2], i%2 == 1
 		c := fdtest.NewCluster(n, 1)
@@ -400,10 +359,8 @@ func E8MergedPhaseTradeoff(quick bool) (*Table, error) {
 			N:    n,
 			Seed: 800,
 			Net:  network.Reliable{Latency: network.Fixed(time.Millisecond)},
-			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-				return cec.Propose(p, c.At(p.ID()), rb, v, opt)
-			},
-			Opt: consensus.Options{MergedPhase01: merged},
+			Run:  cecAlgo.Scripted(c),
+			Opt:  consensus.Options{MergedPhase01: merged},
 		})
 	})
 	var err error
@@ -414,7 +371,7 @@ func E8MergedPhaseTradeoff(quick bool) (*Table, error) {
 			if verr := res.Verify(n); verr != nil && err == nil {
 				err = fmt.Errorf("E8 merged=%v n=%d: %w", merged, n, verr)
 			}
-			msgs := roundMessages(res.Messages, 1, kinds)
+			msgs := roundMessages(res.Messages, 1, cecAlgo.Kinds)
 			counts[vi] = msgs
 			name, phases := "announced (Fig. 3)", 5
 			if merged {
@@ -461,9 +418,7 @@ func E9AllSelfTrust(quick bool) (*Table, error) {
 			N:    n,
 			Seed: 900,
 			Net:  network.Reliable{Latency: network.Fixed(time.Millisecond)},
-			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-				return cec.Propose(p, c.At(p.ID()), rb, v, opt)
-			},
+			Run:  conslab.MustAlgorithm("cec").Scripted(c),
 			Before: func(k *sim.Kernel) {
 				if selfTrust {
 					// Heal after round 1's Phase 0 has fired everywhere.

@@ -6,16 +6,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/dsys"
-	"repro/internal/fd"
-	"repro/internal/fd/amplify"
-	"repro/internal/fd/ec"
 	"repro/internal/fd/fdlab"
-	"repro/internal/fd/fdtest"
-	"repro/internal/fd/heartbeat"
-	"repro/internal/fd/neighbor"
-	"repro/internal/fd/omega"
-	"repro/internal/fd/ring"
-	"repro/internal/fd/transform"
 	"repro/internal/network"
 )
 
@@ -42,141 +33,31 @@ func E1ClassProperties(quick bool) (*Table, error) {
 	if quick {
 		runFor = 3 * time.Second
 	}
-	type row struct {
-		name  string
-		build func(p dsys.Proc) any
-		// wants: map property name -> required truth value (only the ones
-		// the class definition pins down).
-		class string
-		want  func(tr check.FDTrace) error
-	}
-	rows := []row{
-		{
-			name:  "heartbeat (◇P)",
-			build: func(p dsys.Proc) any { return heartbeat.Start(p, heartbeat.Options{}) },
-			class: "◇P",
-			want: func(tr check.FDTrace) error {
-				return checkf(tr.EventuallyPerfect().Holds, "E1", "heartbeat is not ◇P")
-			},
-		},
-		{
-			name:  "ring (◇C native)",
-			build: func(p dsys.Proc) any { return ring.Start(p, ring.Options{}) },
-			class: "◇C",
-			want: func(tr check.FDTrace) error {
-				return checkf(tr.EventuallyConsistent().Holds, "E1", "ring is not ◇C")
-			},
-		},
-		{
-			name:  "neighbor (◇Q)",
-			build: func(p dsys.Proc) any { return neighbor.Start(p, neighbor.Options{}) },
-			class: "◇Q, not ◇P",
-			want: func(tr check.FDTrace) error {
-				return firstErr(
-					checkf(tr.WeakCompleteness().Holds, "E1", "neighbor lacks weak completeness"),
-					checkf(tr.EventualStrongAccuracy().Holds, "E1", "neighbor lacks eventual strong accuracy"),
-					// ◇Q's defining gap: crashed processes are suspected by
-					// some, not all, correct processes.
-					checkf(!tr.StrongCompleteness().Holds, "E1", "neighbor unexpectedly achieved strong completeness"),
-				)
-			},
-		},
-		{
-			name: "amplified neighbor (◇Q→◇P)",
-			build: func(p dsys.Proc) any {
-				nb := neighbor.Start(p, neighbor.Options{})
-				return amplify.Start(p, nb, amplify.Options{})
-			},
-			class: "◇P",
-			want: func(tr check.FDTrace) error {
-				return checkf(tr.EventuallyPerfect().Holds, "E1", "amplified neighbor is not ◇P")
-			},
-		},
-		{
-			name:  "leaderbeat (Ω)",
-			build: func(p dsys.Proc) any { return omega.StartLeaderBeat(p, omega.Options{}) },
-			class: "Ω",
-			want: func(tr check.FDTrace) error {
-				return checkf(tr.OmegaProperty().Holds, "E1", "leaderbeat is not Ω")
-			},
-		},
-		{
-			name: "gossip Ω over heartbeat",
-			build: func(p dsys.Proc) any {
-				hb := heartbeat.Start(p, heartbeat.Options{})
-				return omega.StartFromSuspector(p, hb, omega.Options{})
-			},
-			class: "Ω",
-			want: func(tr check.FDTrace) error {
-				return checkf(tr.OmegaProperty().Holds, "E1", "gossip reduction is not Ω")
-			},
-		},
-		{
-			name: "◇C from ◇P (first non-suspected)",
-			build: func(p dsys.Proc) any {
-				hb := heartbeat.Start(p, heartbeat.Options{})
-				return ec.FromPerfect{S: hb, N: p.N()}
-			},
-			class: "◇C",
-			want: func(tr check.FDTrace) error {
-				return checkf(tr.EventuallyConsistent().Holds, "E1", "FromPerfect is not ◇C")
-			},
-		},
-		{
-			name: "◇C from Ω (suspect all but leader)",
-			build: func(p dsys.Proc) any {
-				om := omega.StartLeaderBeat(p, omega.Options{})
-				return ec.FromLeader{L: om, N: p.N()}
-			},
-			class: "◇C, not ◇P",
-			want: func(tr check.FDTrace) error {
-				return firstErr(
-					checkf(tr.EventuallyConsistent().Holds, "E1", "FromLeader is not ◇C"),
-					// The paper's accuracy observation: this construction
-					// cannot be ◇P — it suspects all correct processes but
-					// one.
-					checkf(!tr.EventualStrongAccuracy().Holds, "E1", "FromLeader unexpectedly achieved eventual strong accuracy"),
-				)
-			},
-		},
-		{
-			name: "◇C from ◇Q/◇W (amplify + gossip Ω + compose)",
-			build: func(p dsys.Proc) any {
-				// The full Section 3 route for building ◇C on a weakly
-				// complete detector: amplify ◇W/◇Q completeness to ◇S/◇P,
-				// derive Ω by gossip, and compose.
-				nb := neighbor.Start(p, neighbor.Options{})
-				amp := amplify.Start(p, nb, amplify.Options{})
-				om := omega.StartFromSuspector(p, amp, omega.Options{})
-				return ec.Compose{S: amp, L: om}
-			},
-			class: "◇C",
-			want: func(tr check.FDTrace) error {
-				return checkf(tr.EventuallyConsistent().Holds, "E1", "◇W route is not ◇C")
-			},
-		},
-		{
-			name: "transform over ring (Fig. 2 → ◇P)",
-			build: func(p dsys.Proc) any {
-				r := ring.Start(p, ring.Options{})
-				return fdPair{Suspector: transform.Start(p, r, transform.Options{}), LeaderOracle: r}
-			},
-			class: "◇P",
-			want: func(tr check.FDTrace) error {
-				return checkf(tr.EventuallyPerfect().Holds, "E1", "transform over ring is not ◇P")
-			},
-		},
-		{
-			name: "piggybacked transform over Ω",
-			build: func(p dsys.Proc) any {
-				om := omega.StartLeaderBeat(p, omega.Options{})
-				return fdPair{Suspector: transform.Start(p, om, transform.Options{Piggyback: om}), LeaderOracle: om}
-			},
-			class: "◇P",
-			want: func(tr check.FDTrace) error {
-				return checkf(tr.EventuallyPerfect().Holds, "E1", "piggybacked transform is not ◇P")
-			},
-		},
+	// Each row names the class properties its construction must have and,
+	// where the paper separates it from a stronger class, one it must lack.
+	type prop func(check.FDTrace) check.Verdict
+	isP, isC, isOmega := check.FDTrace.EventuallyPerfect, check.FDTrace.EventuallyConsistent, check.FDTrace.OmegaProperty
+	rows := []struct {
+		name, stack, class string
+		has                []prop
+		lacks              prop
+	}{
+		{"heartbeat (◇P)", "heartbeat", "◇P", []prop{isP}, nil},
+		{"ring (◇C native)", "ring", "◇C", []prop{isC}, nil},
+		// ◇Q's defining gap: crashed processes are suspected by some, not
+		// all, correct processes.
+		{"neighbor (◇Q)", "neighbor", "◇Q, not ◇P",
+			[]prop{check.FDTrace.WeakCompleteness, check.FDTrace.EventualStrongAccuracy}, check.FDTrace.StrongCompleteness},
+		{"amplified neighbor (◇Q→◇P)", "amplified-neighbor", "◇P", []prop{isP}, nil},
+		{"leaderbeat (Ω)", "leaderbeat", "Ω", []prop{isOmega}, nil},
+		{"gossip Ω over heartbeat", "gossip", "Ω", []prop{isOmega}, nil},
+		{"◇C from ◇P (first non-suspected)", "from-perfect", "◇C", []prop{isC}, nil},
+		// The paper's accuracy observation: ◇C from Ω cannot be ◇P — it
+		// suspects all correct processes but one.
+		{"◇C from Ω (suspect all but leader)", "from-leader", "◇C, not ◇P", []prop{isC}, check.FDTrace.EventualStrongAccuracy},
+		{"◇C from ◇Q/◇W (amplify + gossip Ω + compose)", "weak-route", "◇C", []prop{isC}, nil},
+		{"transform over ring (Fig. 2 → ◇P)", "transform", "◇P", []prop{isP}, nil},
+		{"piggybacked transform over Ω", "piggyback", "◇P", []prop{isP}, nil},
 	}
 	type classTrial struct {
 		cells []any
@@ -192,7 +73,7 @@ func E1ClassProperties(quick bool) (*Table, error) {
 				2: 300 * time.Millisecond,
 				5: 600 * time.Millisecond,
 			},
-			Build:  r.build,
+			Build:  fdlab.MustStack(r.stack).Build(0),
 			RunFor: runFor,
 		})
 		tr := res.Trace
@@ -205,7 +86,14 @@ func E1ClassProperties(quick bool) (*Table, error) {
 		for _, v := range verdicts {
 			cells = append(cells, vcell(v))
 		}
-		return classTrial{cells: cells, rerr: r.want(tr)}
+		var rerr error
+		for _, has := range r.has {
+			rerr = firstErr(rerr, checkf(has(tr).Holds, "E1", "%s lacks a property of %s", r.name, r.class))
+		}
+		if r.lacks != nil {
+			rerr = firstErr(rerr, checkf(!r.lacks(tr).Holds, "E1", "%s has a property %s rules out", r.name, r.class))
+		}
+		return classTrial{cells: cells, rerr: rerr}
 	})
 	var err error
 	for i, res := range results {
@@ -219,14 +107,6 @@ func E1ClassProperties(quick bool) (*Table, error) {
 		t.AddRow(append(res.cells, verdict)...)
 	}
 	return t, err
-}
-
-// fdPair exposes a Suspector and a LeaderOracle from different modules as
-// one probe target (the transform provides the suspect list, the underlying
-// detector the leader).
-type fdPair struct {
-	fd.Suspector
-	fd.LeaderOracle
 }
 
 // E2TransformCorrectness reproduces Theorem 1: the Fig. 2 transformation
@@ -272,13 +152,11 @@ func E2TransformCorrectness(quick bool) (*Table, error) {
 		crashTarget := dsys.ProcessID(c.n - 1)
 		crashAt := c.gst + 300*time.Millisecond
 		res := fdlab.Run(fdlab.Setup{
-			N:       c.n,
-			Seed:    c.seed,
-			Net:     theoremOneNet(c.n, 1, c.gst, 10*time.Millisecond, c.loss),
-			Crashes: map[dsys.ProcessID]time.Duration{crashTarget: crashAt},
-			Build: func(p dsys.Proc) any {
-				return transform.Start(p, fdtest.NewScripted(1), transform.Options{})
-			},
+			N:           c.n,
+			Seed:        c.seed,
+			Net:         theoremOneNet(c.n, 1, c.gst, 10*time.Millisecond, c.loss),
+			Crashes:     map[dsys.ProcessID]time.Duration{crashTarget: crashAt},
+			Build:       fdlab.MustStack("transform-scripted").Build(0),
 			RunFor:      6 * time.Second,
 			SampleEvery: 2 * time.Millisecond,
 		})
@@ -334,44 +212,28 @@ func E3MessagesPerPeriod(quick bool) (*Table, error) {
 	period := 10 * time.Millisecond
 	winFrom, winTo := 500*time.Millisecond, 1000*time.Millisecond
 	periods := int((winTo - winFrom) / period)
-	// One trial per (n, detector variant): the largest-n heartbeat run is the
+	// One trial per (n, detector stack): the largest-n heartbeat run is the
 	// long pole, so the sweep is flattened for the worker pool rather than
 	// fanned per n.
-	variants := []struct {
-		seed  int64
-		build func(p dsys.Proc) any
-		kinds []string
-	}{
-		{300, func(p dsys.Proc) any { return heartbeat.Start(p, heartbeat.Options{Period: period}) },
-			[]string{heartbeat.KindAlive}},
-		{301, func(p dsys.Proc) any { return ring.Start(p, ring.Options{Period: period}) },
-			[]string{ring.KindBeat, ring.KindWatch}},
-		{302, func(p dsys.Proc) any {
-			return transform.Start(p, fdtest.NewScripted(1), transform.Options{Period: period})
-		}, []string{transform.KindAlive, transform.KindList}},
-		{303, func(p dsys.Proc) any {
-			om := omega.StartLeaderBeat(p, omega.Options{Period: period})
-			return transform.Start(p, om, transform.Options{Period: period, Piggyback: om})
-		}, []string{transform.KindAlive, transform.KindList, omega.KindLeaderBeat}},
-	}
+	stacks := []string{"heartbeat", "ring", "transform-scripted", "piggyback"}
 	net := network.Reliable{Latency: network.Fixed(time.Millisecond)}
-	results := runTrials(len(ns)*len(variants), func(i int) float64 {
-		n, v := ns[i/len(variants)], variants[i%len(variants)]
-		res := fdlab.Run(fdlab.Setup{N: n, Seed: v.seed, Net: net, RunFor: winTo, Build: v.build})
-		return float64(res.Messages.SentBetween(winFrom, winTo, v.kinds...)) / float64(periods)
+	results := runTrials(len(ns)*len(stacks), func(i int) float64 {
+		n, si := ns[i/len(stacks)], i%len(stacks)
+		st := fdlab.MustStack(stacks[si])
+		res := fdlab.Run(fdlab.Setup{N: n, Seed: int64(300 + si), Net: net, RunFor: winTo, Build: st.Build(period)})
+		return float64(res.Messages.SentBetween(winFrom, winTo, st.Kinds...)) / float64(periods)
 	})
 	var err error
 	for ni, n := range ns {
-		hbM, rgM, tfM, pgM := results[ni*4], results[ni*4+1], results[ni*4+2], results[ni*4+3]
-		t.AddRow(n, hbM, n*n-n, rgM, n, tfM, 2*(n-1), pgM, 2*(n-1))
-		if err == nil {
-			err = firstErr(
-				checkf(int(hbM) == n*n-n, "E3", "CT ◇P n=%d: %v msgs/period, want %d", n, hbM, n*n-n),
-				checkf(int(rgM) == n, "E3", "ring n=%d: %v msgs/period, want %d", n, rgM, n),
-				checkf(int(tfM) == 2*(n-1), "E3", "transform n=%d: %v msgs/period, want %d", n, tfM, 2*(n-1)),
-				checkf(int(pgM) == 2*(n-1), "E3", "piggyback stack n=%d: %v msgs/period, want %d", n, pgM, 2*(n-1)),
-			)
+		cells := []any{n}
+		for si, s := range stacks {
+			got, want := results[ni*len(stacks)+si], fdlab.MustStack(s).PerPeriod(n)
+			cells = append(cells, got, want)
+			if err == nil {
+				err = checkf(int(got) == want, "E3", "%s n=%d: %v msgs/period, want %d", s, n, got, want)
+			}
 		}
+		t.AddRow(cells...)
 	}
 	t.Notes = append(t.Notes,
 		"ring detector is the optimized variant carrying lists on its single heartbeat chain (n/period); the DISC'99 ◇P ring the paper quotes at 2n sends beats and lists separately",
@@ -396,23 +258,14 @@ func E4DetectionLatency(quick bool) (*Table, error) {
 	}
 	crashAt := 500 * time.Millisecond
 	net := network.Reliable{Latency: network.Fixed(time.Millisecond)}
-	builders := []struct {
-		seed  int64
-		build func(p dsys.Proc) any
-	}{
-		{400, func(p dsys.Proc) any { return heartbeat.Start(p, heartbeat.Options{}) }},
-		{401, func(p dsys.Proc) any { return ring.Start(p, ring.Options{}) }},
-		{402, func(p dsys.Proc) any {
-			return transform.Start(p, fdtest.NewScripted(1), transform.Options{})
-		}},
-	}
-	lats := runTrials(len(ns)*len(builders), func(i int) time.Duration {
-		n, b := ns[i/len(builders)], builders[i%len(builders)]
+	stacks := []string{"heartbeat", "ring", "transform-scripted"}
+	lats := runTrials(len(ns)*len(stacks), func(i int) time.Duration {
+		n, si := ns[i/len(stacks)], i%len(stacks)
 		victim := dsys.ProcessID(n / 2)
 		res := fdlab.Run(fdlab.Setup{
-			N: n, Seed: b.seed, Net: net,
+			N: n, Seed: int64(400 + si), Net: net,
 			Crashes:     map[dsys.ProcessID]time.Duration{victim: crashAt},
-			Build:       b.build,
+			Build:       fdlab.MustStack(stacks[si]).Build(0),
 			RunFor:      crashAt + 4*time.Second,
 			SampleEvery: 2 * time.Millisecond,
 		})

@@ -124,8 +124,8 @@ func TestE18(t *testing.T) {
 // TestE18Sim pins E18's simulated matrix, which TestE18 (skipped in -short
 // for its process phase) would otherwise be the only test to run.
 func TestE18Sim(t *testing.T) {
-	tb := e18Table()
-	if err := e18SimMatrix(tb, true); err != nil {
+	tb, err := e18SimMatrix(true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "E18-sim", render(tb))

@@ -68,10 +68,8 @@ func E19LongHorizonSoak(quick bool) (*Table, error) {
 	}
 	res := fdlab.Run(fdlab.Setup{
 		N: n, Seed: 1900, Net: net,
-		Crashes: crashes,
-		Build: func(p dsys.Proc) any {
-			return heartbeat.Start(p, heartbeat.Options{Period: period})
-		},
+		Crashes:     crashes,
+		Build:       fdlab.MustStack("heartbeat").Build(period),
 		SampleEvery: sampleEvery,
 		RunFor:      runFor,
 	})

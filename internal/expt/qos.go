@@ -5,13 +5,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/dsys"
-	"repro/internal/fd/amplify"
 	"repro/internal/fd/fdlab"
-	"repro/internal/fd/fdtest"
-	"repro/internal/fd/heartbeat"
-	"repro/internal/fd/neighbor"
-	"repro/internal/fd/ring"
-	"repro/internal/fd/transform"
 	"repro/internal/network"
 )
 
@@ -43,24 +37,11 @@ func E12DetectorQoS(quick bool) (*Table, error) {
 		PreGST: network.Uniform{Min: 0, Max: 60 * time.Millisecond},
 	}
 	period := 10 * time.Millisecond
-	rows := []struct {
-		name  string
-		perT  int
-		build func(p dsys.Proc) any
-	}{
-		{"heartbeat ◇P", n * (n - 1), func(p dsys.Proc) any {
-			return heartbeat.Start(p, heartbeat.Options{Period: period})
-		}},
-		{"ring ◇C", n, func(p dsys.Proc) any {
-			return ring.Start(p, ring.Options{Period: period})
-		}},
-		{"transform over scripted ◇C", 2 * (n - 1), func(p dsys.Proc) any {
-			return transform.Start(p, fdtest.NewScripted(1), transform.Options{Period: period})
-		}},
-		{"amplified neighbor ◇Q→◇P", n + n*(n-1), func(p dsys.Proc) any {
-			nb := neighbor.Start(p, neighbor.Options{Period: period})
-			return amplify.Start(p, nb, amplify.Options{Period: period})
-		}},
+	rows := []struct{ name, stack string }{
+		{"heartbeat ◇P", "heartbeat"},
+		{"ring ◇C", "ring"},
+		{"transform over scripted ◇C", "transform-scripted"},
+		{"amplified neighbor ◇Q→◇P", "amplified-neighbor"},
 	}
 	qos := runTrials(len(rows), func(i int) check.QoS {
 		res := fdlab.Run(fdlab.Setup{
@@ -68,7 +49,7 @@ func E12DetectorQoS(quick bool) (*Table, error) {
 			Seed:        int64(1200 + i),
 			Net:         net,
 			Crashes:     map[dsys.ProcessID]time.Duration{dsys.ProcessID(n / 2): crashAt},
-			Build:       rows[i].build,
+			Build:       fdlab.MustStack(rows[i].stack).Build(period),
 			RunFor:      runFor,
 			SampleEvery: 2 * time.Millisecond,
 		})
@@ -81,7 +62,7 @@ func E12DetectorQoS(quick bool) (*Table, error) {
 		if q.WorstDetection >= 0 {
 			worst, avg = msd(q.WorstDetection), msd(q.AvgDetection)
 		}
-		t.AddRow(r.name, r.perT, worst, avg, q.Mistakes, msd(q.AvgMistakeDuration))
+		t.AddRow(r.name, fdlab.MustStack(r.stack).PerPeriod(n), worst, avg, q.Mistakes, msd(q.AvgMistakeDuration))
 		if err == nil {
 			err = checkf(q.WorstDetection >= 0, "E12", "%s never detected the crash", r.name)
 		}

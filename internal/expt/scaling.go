@@ -6,10 +6,6 @@ import (
 
 	"repro/internal/dsys"
 	"repro/internal/fd/fdlab"
-	"repro/internal/fd/fdtest"
-	"repro/internal/fd/heartbeat"
-	"repro/internal/fd/ring"
-	"repro/internal/fd/transform"
 	"repro/internal/network"
 )
 
@@ -65,33 +61,19 @@ func E14ScalingSweep(quick bool) (*Table, error) {
 	variants := []struct {
 		name  string
 		seed  int64
-		build func(p dsys.Proc) any
-		kinds []string
+		stack fdlab.Stack
 		// runFor is the virtual run length as a function of n: timeout-based
 		// detectors settle a few timeouts after the crash regardless of n,
 		// while the ring needs Θ(n) periods for the suspicion to propagate
 		// hop by hop.
 		runFor func(n int) time.Duration
-		// expected is the closed-form steady-state msgs/period.
-		expected func(n int) int
 	}{
-		{"CT ◇P (heartbeat)", 1400,
-			func(p dsys.Proc) any { return heartbeat.Start(p, heartbeat.Options{Period: period}) },
-			[]string{heartbeat.KindAlive},
-			func(int) time.Duration { return crashAt + 200*time.Millisecond },
-			func(n int) int { return n*n - n }},
-		{"ring ◇C", 1401,
-			func(p dsys.Proc) any { return ring.Start(p, ring.Options{Period: period}) },
-			[]string{ring.KindBeat, ring.KindWatch},
-			func(n int) time.Duration { return crashAt + time.Duration(2*n)*period + time.Second },
-			func(n int) int { return n }},
-		{"transform over scripted ◇C", 1402,
-			func(p dsys.Proc) any {
-				return transform.Start(p, fdtest.NewScripted(1), transform.Options{Period: period})
-			},
-			[]string{transform.KindAlive, transform.KindList},
-			func(int) time.Duration { return crashAt + 200*time.Millisecond },
-			func(n int) int { return 2 * (n - 1) }},
+		{"CT ◇P (heartbeat)", 1400, fdlab.MustStack("heartbeat"),
+			func(int) time.Duration { return crashAt + 200*time.Millisecond }},
+		{"ring ◇C", 1401, fdlab.MustStack("ring"),
+			func(n int) time.Duration { return crashAt + time.Duration(2*n)*period + time.Second }},
+		{"transform over scripted ◇C", 1402, fdlab.MustStack("transform-scripted"),
+			func(int) time.Duration { return crashAt + 200*time.Millisecond }},
 	}
 	// Which variants run at a given n: the Θ(n²) CT heartbeat is capped at
 	// n=256 — beyond that, one steady-state window alone costs tens of
@@ -129,13 +111,13 @@ func E14ScalingSweep(quick bool) (*Table, error) {
 		res := fdlab.Run(fdlab.Setup{
 			N: n, Seed: v.seed, Net: net,
 			Crashes:     map[dsys.ProcessID]time.Duration{victim: crashAt},
-			Build:       v.build,
+			Build:       v.stack.Build(period),
 			RunFor:      v.runFor(n),
 			SampleEvery: sampleEvery,
 			CountWindow: [2]time.Duration{winFrom, winTo},
 		})
 		return scaleCell{
-			msgs:   float64(res.Messages.SentWithin(v.kinds...)) / float64(periods),
+			msgs:   float64(res.Messages.SentWithin(v.stack.Kinds...)) / float64(periods),
 			detect: res.Trace.Detection(victim),
 			wall:   res.Wall,
 			events: res.Events,
@@ -153,11 +135,12 @@ func E14ScalingSweep(quick bool) (*Table, error) {
 			}
 			c := cells[ci]
 			ci++
-			t.AddRow(n, v.name, fmt.Sprintf("%.0f", c.msgs), v.expected(n),
+			want := v.stack.PerPeriod(n)
+			t.AddRow(n, v.name, fmt.Sprintf("%.0f", c.msgs), want,
 				msd(c.detect), msd(c.wall), eventsPerSec(c.events, c.wall))
 			if err == nil {
 				err = firstErr(
-					checkf(int(c.msgs) == v.expected(n), "E14", "%s n=%d: %.0f msgs/period, want %d", v.name, n, c.msgs, v.expected(n)),
+					checkf(int(c.msgs) == want, "E14", "%s n=%d: %.0f msgs/period, want %d", v.name, n, c.msgs, want),
 					checkf(c.detect >= 0, "E14", "%s n=%d: crash of %v not detected", v.name, n, dsys.ProcessID(n/2)),
 				)
 			}

@@ -10,10 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dsys"
 	"repro/internal/fd/fdlab"
-	"repro/internal/fd/fdtest"
 	"repro/internal/fd/heartbeat"
-	"repro/internal/fd/ring"
-	"repro/internal/fd/transform"
 	"repro/internal/live"
 	"repro/internal/netfault"
 	"repro/internal/network"
@@ -44,8 +41,7 @@ import (
 //     SIGKILLed follower, reconverge after its restart, and the datagram
 //     counters must prove the beats actually left TCP.
 func E18ScenarioMatrix(quick bool) (*Table, error) {
-	t := e18Table()
-	err := e18SimMatrix(t, quick)
+	t, err := e18SimMatrix(quick)
 
 	// Part 2: live rows on the real datagram transport. The clean row is the
 	// wall-clock zero-adversity gate; the adversarial row injects the
@@ -106,29 +102,28 @@ func E18ScenarioMatrix(quick bool) (*Table, error) {
 	return t, err
 }
 
-// e18Table is E18's empty table: title, claim and columns.
-func e18Table() *Table {
-	return &Table{
+// e18SimMatrix returns E18's table holding only the simulated matrix, one
+// private kernel per cell fanned across the worker pool, and the first
+// failed gate. Cell (i,j) = scenario i × detector j.
+func e18SimMatrix(quick bool) (*Table, error) {
+	t := &Table{
 		ID:      "E18",
 		Title:   "Adversarial scenario matrix: detector QoS under loss, dup, reorder, skew and restarts (supplementary; sim n=8 + live UDP)",
 		Claim:   "supplement to Section 4: adversity degrades the Chen QoS figures (λ_M, T_M, P_A, detection time) smoothly, never the eventual properties; zero-adversity cells are perfect",
 		Columns: []string{"scenario", "detector", "detect avg", "λ_M /s", "T_M", "P_A", "ok"},
 	}
-}
-
-// e18SimMatrix adds E18's simulated matrix to t, one private kernel per
-// cell fanned across the worker pool, and returns the first failed gate.
-// Cell (i,j) = scenario i × detector j.
-func e18SimMatrix(t *Table, quick bool) error {
 	scenarios := simScenarios(quick)
-	dets := simDetectors()
+	// The matrix's columns: a label and an fdlab stack each.
+	dets := []struct{ name, stack string }{
+		{"heartbeat ◇P", "heartbeat"}, {"ring ◇C", "ring"}, {"transform ◇C→◇P", "transform-scripted"},
+	}
 	type cellResult struct {
 		qos      check.QoS
 		detected bool
 	}
 	cells := runTrials(len(scenarios)*len(dets), func(k int) cellResult {
 		sc, d := scenarios[k/len(dets)], dets[k%len(dets)]
-		q := runSimScenario(sc, d, int64(1800+k), quick)
+		q := runSimScenario(sc, fdlab.MustStack(d.stack), int64(1800+k), quick)
 		return cellResult{qos: q, detected: q.WorstDetection >= 0}
 	})
 	var err error
@@ -157,7 +152,7 @@ func e18SimMatrix(t *Table, quick bool) error {
 			}
 		}
 	}
-	return err
+	return t, err
 }
 
 // e18DetectBound gates detection latency of the deterministic zero-adversity
@@ -256,30 +251,9 @@ func simScenarios(quick bool) []simScenario {
 	return all
 }
 
-// simDetector is one column of the matrix.
-type simDetector struct {
-	name string
-	// build constructs the detector on p with the given heartbeat period.
-	build func(p dsys.Proc, period time.Duration) any
-}
-
-func simDetectors() []simDetector {
-	return []simDetector{
-		{"heartbeat ◇P", func(p dsys.Proc, period time.Duration) any {
-			return heartbeat.Start(p, heartbeat.Options{Period: period})
-		}},
-		{"ring ◇C", func(p dsys.Proc, period time.Duration) any {
-			return ring.Start(p, ring.Options{Period: period})
-		}},
-		{"transform ◇C→◇P", func(p dsys.Proc, period time.Duration) any {
-			return transform.Start(p, fdtest.NewScripted(1), transform.Options{Period: period})
-		}},
-	}
-}
-
-// runSimScenario runs one matrix cell: n=8, the scenario's network and timer
-// skew, one crash, QoS over the sampled trace.
-func runSimScenario(sc simScenario, d simDetector, seed int64, quick bool) check.QoS {
+// runSimScenario runs one matrix cell: stack on n=8, the scenario's network
+// and timer skew, one crash, QoS over the sampled trace.
+func runSimScenario(sc simScenario, stack fdlab.Stack, seed int64, quick bool) check.QoS {
 	const (
 		n       = 8
 		period  = 10 * time.Millisecond
@@ -300,7 +274,7 @@ func runSimScenario(sc simScenario, d simDetector, seed int64, quick bool) check
 			if sc.skew != nil {
 				pp = time.Duration(float64(period) * sc.skew(p.ID(), n))
 			}
-			return d.build(p, pp)
+			return stack.Start(p, pp)
 		},
 		RunFor:      runFor,
 		SampleEvery: 2 * time.Millisecond,

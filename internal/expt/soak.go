@@ -4,18 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/consensus"
-	"repro/internal/consensus/cec"
 	"repro/internal/consensus/conslab"
-	"repro/internal/consensus/ctc"
-	"repro/internal/consensus/mrc"
 	"repro/internal/dsys"
 	"repro/internal/fd/fdtest"
-	"repro/internal/fd/heartbeat"
-	"repro/internal/fd/omega"
-	"repro/internal/fd/ring"
 	"repro/internal/network"
-	"repro/internal/rbcast"
 	"repro/internal/sim"
 )
 
@@ -33,29 +25,20 @@ func E10ConsensusSoak(quick bool) (*Table, error) {
 	if quick {
 		trials = 10
 	}
-	runners := []struct {
-		name string
-		run  conslab.Runner
-	}{
-		{"◇C over ring ◇C", func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return cec.Propose(p, ring.Start(p, ring.Options{}), rb, v, opt)
-		}},
-		{"CT over heartbeat ◇P", func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return ctc.Propose(p, heartbeat.Start(p, heartbeat.Options{}), rb, v, opt)
-		}},
-		{"MR over LeaderBeat Ω", func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return mrc.Propose(p, omega.StartLeaderBeat(p, omega.Options{}), rb, v, opt)
-		}},
-	}
-	// One trial per (runner, seed), each with its own kernel; fanned across
-	// the worker pool and reduced in deterministic (runner, seed) order.
+	// Each algorithm runs over the detector it is paired with, in
+	// conslab.Algorithms() order.
+	names := []string{"◇C over ring ◇C", "CT over heartbeat ◇P", "MR over LeaderBeat Ω"}
+	algos := conslab.Algorithms()
+	// One trial per (algorithm, seed), each with its own kernel; fanned
+	// across the worker pool and reduced in deterministic (algorithm, seed)
+	// order.
 	type soakTrial struct {
 		verr   error
 		rounds int
 		dec    time.Duration
 	}
-	results := runTrials(len(runners)*trials, func(i int) soakTrial {
-		r := runners[i/trials]
+	results := runTrials(len(algos)*trials, func(i int) soakTrial {
+		a, name := algos[i/trials], names[i/trials]
 		seed := int64(i % trials)
 		n := 5 + 2*int(seed%2) // alternate n=5, n=7
 		crashes := map[dsys.ProcessID]time.Duration{}
@@ -73,15 +56,15 @@ func E10ConsensusSoak(quick bool) (*Table, error) {
 				PreGST: network.Uniform{Min: 0, Max: 70 * time.Millisecond},
 			},
 			Crashes: crashes,
-			Run:     r.run,
+			Run:     a.Paired,
 		})
 		if verr := res.Verify(n); verr != nil {
-			return soakTrial{verr: fmt.Errorf("E10 %s seed %d: %w", r.name, seed, verr)}
+			return soakTrial{verr: fmt.Errorf("E10 %s seed %d: %w", name, seed, verr)}
 		}
 		return soakTrial{rounds: res.Log.MaxRound(), dec: res.Log.LastDecisionAt()}
 	})
 	var err error
-	for ri, r := range runners {
+	for ri, name := range names {
 		violations, sumRounds, maxRounds := 0, 0, 0
 		var sumDec time.Duration
 		for seed := 0; seed < trials; seed++ {
@@ -105,9 +88,9 @@ func E10ConsensusSoak(quick bool) (*Table, error) {
 			avgR = fmt.Sprintf("%.1f", float64(sumRounds)/float64(okTrials))
 			avgD = msd(sumDec / time.Duration(okTrials))
 		}
-		t.AddRow(r.name, trials, violations, avgR, maxRounds, avgD)
+		t.AddRow(name, trials, violations, avgR, maxRounds, avgD)
 		if err == nil {
-			err = checkf(violations == 0, "E10", "%s: %d violations", r.name, violations)
+			err = checkf(violations == 0, "E10", "%s: %d violations", name, violations)
 		}
 	}
 	return t, err
@@ -158,12 +141,10 @@ func E11StabilityWindow(quick bool) (*Table, error) {
 		}
 		unstable()
 		res := conslab.Run(conslab.Setup{
-			N:    n,
-			Seed: 1100,
-			Net:  network.Reliable{Latency: network.Fixed(time.Millisecond)},
-			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-				return cec.Propose(p, c.At(p.ID()), rb, v, opt)
-			},
+			N:      n,
+			Seed:   1100,
+			Net:    network.Reliable{Latency: network.Fixed(time.Millisecond)},
+			Run:    conslab.MustAlgorithm("cec").Scripted(c),
 			RunFor: 2 * time.Second,
 			Before: func(k *sim.Kernel) {
 				k.ScheduleFunc(windowStart, func(time.Duration) { stable() })

@@ -9,8 +9,6 @@ import (
 	"repro/internal/fd/ec"
 	"repro/internal/fd/fdlab"
 	"repro/internal/fd/fdtest"
-	"repro/internal/fd/heartbeat"
-	"repro/internal/fd/omega"
 )
 
 func TestFromLeaderSuspectsEveryoneElse(t *testing.T) {
@@ -85,10 +83,7 @@ func TestFromPerfectOverHeartbeatIsEventuallyConsistent(t *testing.T) {
 		Crashes: map[dsys.ProcessID]time.Duration{
 			1: 300 * time.Millisecond,
 		},
-		Build: func(p dsys.Proc) any {
-			hb := heartbeat.Start(p, heartbeat.Options{})
-			return ec.FromPerfect{S: hb, N: p.N()}
-		},
+		Build:  fdlab.MustStack("from-perfect").Build(0),
 		RunFor: 3 * time.Second,
 	})
 	v := res.Trace.EventuallyConsistent()
@@ -110,10 +105,7 @@ func TestFromLeaderOverOmegaIsEventuallyConsistent(t *testing.T) {
 		Crashes: map[dsys.ProcessID]time.Duration{
 			1: 200 * time.Millisecond,
 		},
-		Build: func(p dsys.Proc) any {
-			om := omega.StartLeaderBeat(p, omega.Options{})
-			return ec.FromLeader{L: om, N: p.N()}
-		},
+		Build:  fdlab.MustStack("from-leader").Build(0),
 		RunFor: 3 * time.Second,
 	})
 	v := res.Trace.EventuallyConsistent()

@@ -11,14 +11,9 @@ import (
 	"repro/internal/consensus/cec"
 	"repro/internal/core"
 	"repro/internal/dsys"
-	"repro/internal/fd/amplify"
 	"repro/internal/fd/fdlab"
 	"repro/internal/fd/fdtest"
-	"repro/internal/fd/heartbeat"
-	"repro/internal/fd/neighbor"
-	"repro/internal/fd/omega"
 	"repro/internal/fd/ring"
-	"repro/internal/fd/transform"
 	"repro/internal/network"
 	"repro/internal/rbcast"
 	"repro/internal/sim"
@@ -98,9 +93,11 @@ func sameMessages(t *testing.T, cb, ref []trace.MsgEvent) {
 // the sampled detector outputs and the message log, so equality here is
 // what keeps every table byte-identical across the two schemes.
 //
-// The setups cover each task shape the modules use: immediate and
-// sleep-first tick loops, single- and multi-kind receive loops, the
-// Setup-hook spawn (transform's Task 4 inside Task 3's loop), and step tasks
+// The detector half runs every stack of fdlab's catalog, piggybacked lists
+// riding LeaderBeat and the ◇C compositions included. The setups cover each
+// task shape the modules use: immediate and sleep-first tick loops, single-
+// and multi-kind receive loops, the Setup-hook spawn (transform's Task 4
+// inside Task 3's loop), and step tasks
 // waiting on kind and predicate matchers with and without timeouts (cec's
 // instances and responders, core's driver), under partial synchrony or
 // flapping detectors chosen to force false suspicions, retractions, list
@@ -108,48 +105,25 @@ func sameMessages(t *testing.T, cb, ref []trace.MsgEvent) {
 // scheduling order would surface.
 func TestCallbackGoroutineDifferential(t *testing.T) {
 	period := 10 * time.Millisecond
-	cases := []struct {
-		name  string
-		seed  int64
-		build func(p dsys.Proc) any
-	}{
-		{"heartbeat", 4201, func(p dsys.Proc) any {
-			return heartbeat.Start(p, heartbeat.Options{Period: period})
-		}},
-		{"ring", 4202, func(p dsys.Proc) any {
-			return ring.Start(p, ring.Options{Period: period})
-		}},
-		{"transform", 4203, func(p dsys.Proc) any {
-			return transform.Start(p, fdtest.NewScripted(1), transform.Options{Period: period})
-		}},
-		{"omega-leaderbeat", 4204, func(p dsys.Proc) any {
-			return omega.StartLeaderBeat(p, omega.Options{Period: period})
-		}},
-		{"omega-stable", 4205, func(p dsys.Proc) any {
-			return omega.StartStable(p, omega.Options{Period: period})
-		}},
-		{"omega-fromsuspector", 4206, func(p dsys.Proc) any {
-			return omega.StartFromSuspector(p, heartbeat.Start(p, heartbeat.Options{Period: period}), omega.Options{Period: period})
-		}},
-		{"neighbor", 4207, func(p dsys.Proc) any {
-			return neighbor.Start(p, neighbor.Options{Period: period})
-		}},
-		{"amplify", 4208, func(p dsys.Proc) any {
-			return amplify.Start(p, neighbor.Start(p, neighbor.Options{Period: period}), amplify.Options{Period: period})
-		}},
+	// One seed per catalog stack; the eight stacks older than the catalog
+	// keep the seeds they ran under.
+	seeds := map[string]int64{
+		"heartbeat": 4201, "ring": 4202, "transform-scripted": 4203, "leaderbeat": 4204,
+		"stable": 4205, "gossip": 4206, "neighbor": 4207, "amplified-neighbor": 4208,
+		"piggyback": 4209, "transform": 4210, "from-perfect": 4211, "from-leader": 4212, "weak-route": 4213,
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, st := range fdlab.Stacks() {
+		t.Run(subtest(st.Name), func(t *testing.T) {
 			run := func(reference bool) fdlab.Result {
 				return fdlab.Run(fdlab.Setup{
 					N:    8,
-					Seed: tc.seed,
+					Seed: seeds[st.Name],
 					// GST after several periods with Δ above the initial
 					// timeout: pre-GST delays cause false suspicions and
 					// retractions before the run settles.
 					Net:     fdlab.PartialSync(300*time.Millisecond, 35*time.Millisecond),
 					Crashes: map[dsys.ProcessID]time.Duration{3: 600 * time.Millisecond},
-					Build:   onPath(reference, tc.build),
+					Build:   onPath(reference, st.Build(period)),
 					RunFor:  1200 * time.Millisecond,
 				})
 			}

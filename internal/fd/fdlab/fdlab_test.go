@@ -9,10 +9,6 @@ import (
 	"repro/internal/fd"
 	"repro/internal/fd/fdlab"
 	"repro/internal/fd/fdtest"
-	"repro/internal/fd/heartbeat"
-	"repro/internal/fd/neighbor"
-	"repro/internal/fd/omega"
-	"repro/internal/fd/ring"
 	"repro/internal/live"
 	"repro/internal/network"
 )
@@ -137,26 +133,29 @@ func TestPartialSyncHelper(t *testing.T) {
 	}
 }
 
-// TestNanosecondPeriodDetectorsRun starts each detector whose check interval
-// defaults to Period/2 with a 1ns period: the derived interval must clamp to
-// 1ns (a tick loop needs a positive period) and the detectors must run.
-func TestNanosecondPeriodDetectorsRun(t *testing.T) {
-	cases := map[string]func(p dsys.Proc) any{
-		"heartbeat": func(p dsys.Proc) any { return heartbeat.Start(p, heartbeat.Options{Period: time.Nanosecond}) },
-		"ring":      func(p dsys.Proc) any { return ring.Start(p, ring.Options{Period: time.Nanosecond}) },
-		"neighbor":  func(p dsys.Proc) any { return neighbor.Start(p, neighbor.Options{Period: time.Nanosecond}) },
-		"omega-leaderbeat": func(p dsys.Proc) any {
-			return omega.StartLeaderBeat(p, omega.Options{Period: time.Nanosecond})
-		},
-		"omega-stable": func(p dsys.Proc) any { return omega.StartStable(p, omega.Options{Period: time.Nanosecond}) },
+// subtest names a catalog stack's subtests. Four stacks had subtests before
+// the catalog named them, and those keep their names.
+func subtest(stack string) string {
+	if old, ok := map[string]string{
+		"leaderbeat": "omega-leaderbeat", "stable": "omega-stable",
+		"gossip": "omega-fromsuspector", "amplified-neighbor": "amplify",
+	}[stack]; ok {
+		return old
 	}
-	for name, build := range cases {
-		t.Run(name, func(t *testing.T) {
+	return stack
+}
+
+// TestNanosecondPeriodDetectorsRun starts every catalog stack with a 1ns
+// period: each check interval that defaults to Period/2 must clamp to 1ns
+// (a tick loop needs a positive period) and the stacks must run.
+func TestNanosecondPeriodDetectorsRun(t *testing.T) {
+	for _, st := range fdlab.Stacks() {
+		t.Run(subtest(st.Name), func(t *testing.T) {
 			res := fdlab.Run(fdlab.Setup{
 				N:           3,
 				Seed:        1,
 				Net:         network.Reliable{Latency: network.Fixed(time.Nanosecond)},
-				Build:       build,
+				Build:       st.Build(time.Nanosecond),
 				SampleEvery: time.Microsecond,
 				RunFor:      20 * time.Microsecond,
 			})

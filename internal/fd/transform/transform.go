@@ -76,7 +76,7 @@ func (o *Options) fill() {
 		o.TimeoutIncrement = 2 * o.Period
 	}
 	if o.CheckInterval <= 0 {
-		o.CheckInterval = o.Period / 2
+		o.CheckInterval = max(o.Period/2, time.Nanosecond)
 	}
 }
 
