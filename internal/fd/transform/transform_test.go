@@ -226,9 +226,10 @@ func TestAdoptionIgnoresNonTrustedSenders(t *testing.T) {
 func TestFalseSuspicionRetractionGrowsTimeout(t *testing.T) {
 	// High pre-GST latency causes the leader to falsely suspect processes;
 	// Task 4 must retract and the system must stabilize.
+	const seed = 8
 	res := fdlab.Run(fdlab.Setup{
 		N:    4,
-		Seed: 8,
+		Seed: seed,
 		Net:  network.PartiallySynchronous{GST: 800 * time.Millisecond, Delta: 10 * time.Millisecond, PreGST: network.Uniform{Min: 0, Max: 150 * time.Millisecond}},
 		Build: func(p dsys.Proc) any {
 			return transform.Start(p, fdtest.NewScripted(1), transform.Options{})
@@ -240,6 +241,8 @@ func TestFalseSuspicionRetractionGrowsTimeout(t *testing.T) {
 	}
 	leader := res.Modules[dsys.ProcessID(1)].(*transform.Detector)
 	if leader.FalseSuspicions() == 0 {
-		t.Skip("scenario produced no false suspicions under this seed")
+		// The run is deterministic: no false suspicion means the schedule
+		// of seed 8 moved, and the test no longer tests a retraction.
+		t.Fatalf("seed %d produced no false suspicion at the leader; the scenario's schedule changed", seed)
 	}
 }

@@ -4,18 +4,21 @@ import (
 	"time"
 )
 
-// eventKind discriminates what an event does when it fires. The hot kinds
-// (message delivery, sleep/timeout timers) carry their operands in dedicated
-// event fields instead of a closure, so scheduling them allocates nothing
-// beyond the heap slot itself — TestKernelAllocsPerEvent gates that.
+// eventKind discriminates what an event does when it fires. Every kind
+// carries its operands in the event's three integer fields, so an event holds
+// no pointer: scheduling one allocates nothing beyond the slot it is filed in,
+// and the wheel's arrays are memory the garbage collector never scans —
+// TestKernelAllocsPerEvent and TestEventIsPointerFree gate both.
 type eventKind uint8
 
 const (
-	// evFunc runs fn — the generic cold path (harness hooks, crashes, Every).
+	// evFunc runs the pending hook in slot msg of the kernel's hook table —
+	// the generic cold path (harness hooks, crashes, Every).
 	evFunc eventKind = iota
 	// evDeliver delivers msg to its destination process.
 	evDeliver
-	// evSleep wakes task t if it is still parked in park generation gen.
+	// evSleep wakes the task with handle (msg, kid) if it is still parked in
+	// park generation gen.
 	evSleep
 	// evTimeout is evSleep plus marking the wake as a timeout expiry.
 	evTimeout
@@ -27,21 +30,25 @@ const (
 type event struct {
 	at  time.Duration
 	seq uint64
-
-	fn func() // evFunc
-	t  *task  // evSleep, evTimeout
-	// msg is the arena handle of an evDeliver's in-flight message and kid
-	// its interned kind id (dsys.KindID), saving deliver the string lookup.
+	// msg is an index whose table depends on the kind: the arena handle of
+	// an evDeliver's in-flight message, the task-table slot of a timer's task
+	// (see Kernel.tasks), or the hook-table slot of an evFunc.
 	msg int32
+	// kid is an evDeliver's interned kind id (dsys.KindID), saving deliver
+	// the string lookup, and a timer's task id, truncated, as the generation
+	// of its task-table slot: a timer left by a finished task names an id
+	// the slot no longer holds, so it cannot wake the task that reuses the
+	// slot (wrapping would need 2^32 tasks spawned while the timer is
+	// pending).
 	kid int32
-	// gen guards the two recycling schemes: for evSleep/evTimeout it is the
-	// park generation (a stale timer for an earlier park is ignored), for
-	// evDeliver the arena slot generation at scheduling time (a mismatch at
-	// fire is a stale holder and panics). uint32 keeps the event at 48 bytes
-	// (wrapping would need 2^32 parks of one task, or recycles of one slot,
-	// in a single run — orders of magnitude beyond the longest soak); events
-	// flow through slot arrays, cascades and the due-set heap by value, so
-	// their size is a direct memory-bandwidth and allocation cost.
+	// gen guards the two other recycling schemes: for evSleep/evTimeout it
+	// is the park generation (a stale timer for an earlier park is ignored),
+	// for evDeliver the arena slot generation at scheduling time (a mismatch
+	// at fire is a stale holder and panics). uint32 keeps the event at 32
+	// bytes (wrapping would need 2^32 parks of one task, or recycles of one
+	// slot, in a single run — orders of magnitude beyond the longest soak);
+	// events flow through slot arrays, cascades and the due-set heap by
+	// value, so their size is a direct memory-bandwidth and allocation cost.
 	gen  uint32
 	kind eventKind
 }
@@ -82,7 +89,6 @@ func (h *eventHeap) pop() event {
 	top := h.es[0]
 	last := len(h.es) - 1
 	h.es[0] = h.es[last]
-	h.es[last] = event{} // release closure and message references
 	h.es = h.es[:last]
 	i := 0
 	for {

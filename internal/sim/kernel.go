@@ -10,10 +10,15 @@
 // are therefore bit-identical, which makes the experiments in EXPERIMENTS.md
 // reproducible and the property tests exact.
 //
-// Blocking tasks run as goroutines under a baton-passing scheduler; step
+// Blocking tasks run on goroutines under a baton-passing scheduler; step
 // tasks (dsys.SpawnStep, and the receive and tick loops dsys.SpawnRecvLoop
 // and SpawnTickLoop build from steps) run goroutine-free as callbacks on the
-// dispatch loop — same schedule, zero context switches (see Kernel).
+// dispatch loop — same schedule, zero context switches (see Kernel). A
+// blocking task starts lazily, when it is first selected, and the goroutine
+// of a finished task is reused for the next task that has never run, so a
+// population's set-up tasks that never block share one goroutine. A finished
+// task is dropped by the kernel at once, so a run's memory tracks its pending
+// events and unfinished tasks.
 //
 // Virtual time is a time.Duration since the start of the run. Timers,
 // message latencies and crashes are events in a priority queue; when no task
@@ -69,13 +74,21 @@ type Config struct {
 // loop (dispatch). A parking task runs the loop inline and hands the baton
 // directly to the next task, so a park/wake cycle costs one channel handoff
 // instead of the two of a dedicated scheduler goroutine, and re-selecting
-// the task that just parked costs none. Callback tasks go further:
+// the task that just parked costs none. A blocking task gets its goroutine
+// lazily: the first time it is selected, a goroutine whose own task has just
+// finished runs its body in place, and only a parked task or the Run
+// goroutine starts a fresh one (handTo). Callback tasks go further:
 // they have no goroutine, so the baton holder runs their body inline at the
 // exact point the task would otherwise have been resumed — the dominant
 // park/deliver/park cycle costs zero switches. The order in which events
 // fire and tasks run is exactly the order the old dedicated-goroutine
 // scheduler produced; only the goroutine executing each body differs, which
 // no simulated code can observe.
+//
+// Events hold no pointers (see event): a timer names its task by a handle
+// into the task table, and a hook event its closure by a slot of the hook
+// table. A task leaves the task table and its process's task list the moment
+// it finishes, and a hook its slot the moment it fires.
 type Kernel struct {
 	cfg    Config
 	now    time.Duration
@@ -103,6 +116,13 @@ type Kernel struct {
 	pids   []dsys.ProcessID
 	netRNG *rand.Rand
 	events uint64
+	// tasks is the task table: slot h holds the unfinished task with handle
+	// h. A timer names its task by the slot and the task's id, which serves
+	// as the slot's generation: a timer left by a finished task can never
+	// wake a later task reusing the slot.
+	tasks table[*task]
+	// hooks holds the closures of pending evFunc events.
+	hooks table[func()]
 	// lastKind/lastKid memoize the most recent Send kind's interned id.
 	// Everything that sends is serialized on the baton (kernel goroutine or
 	// the one running task), so a plain field is race-free, and a protocol's
@@ -182,23 +202,64 @@ func (k *Kernel) spawn(p *proc, name string, fn dsys.TaskFunc) {
 	if k.stopping || p.crashed {
 		return
 	}
-	k.taskID++
-	t := &task{id: k.taskID, name: name, p: p, resume: make(chan struct{}), state: taskRunnable}
-	p.tasks = append(p.tasks, t)
-	k.runq = append(k.runq, t)
-	t.start(fn)
+	k.add(&task{name: name, p: p, body: fn})
 }
 
 // spawnStep registers a callback step task: same id allocation, task-table
-// entry and initial runq position as a blocking spawn, but no goroutine.
+// entry and initial runq position as a blocking spawn, and no goroutine ever.
 func (k *Kernel) spawnStep(p *proc, name string, step dsys.StepFunc) {
 	if k.stopping || p.crashed {
 		return
 	}
+	k.add(&task{name: name, p: p, loop: &loopTask{step: step, wakeSlot: -1}})
+}
+
+// add gives a new task its id and handle, appends it to its process's task
+// list and queues it to run.
+func (k *Kernel) add(t *task) {
 	k.taskID++
-	t := &task{id: k.taskID, name: name, p: p, state: taskRunnable, loop: &loopTask{step: step, wakeSlot: -1}}
-	p.tasks = append(p.tasks, t)
+	t.id = k.taskID
+	t.state = taskRunnable
+	t.h = k.tasks.add(t)
+	t.p.addTask(t)
 	k.runq = append(k.runq, t)
+}
+
+// finish retires t: it leaves its process's task list and the task table at
+// once, orphaning any timer it left pending.
+func (k *Kernel) finish(t *task) {
+	t.state = taskDone
+	t.match = nil
+	t.p.removeTask(t)
+	k.tasks.remove(t.h)
+}
+
+// table holds values under int32 handles, so that events can name them
+// without a pointer. A removed value's handle is reused by the next add, so
+// the table is as long as the most values it ever held at once.
+type table[T any] struct {
+	slots []T
+	free  []int32
+}
+
+func (tb *table[T]) add(v T) int32 {
+	if n := len(tb.free); n > 0 {
+		h := tb.free[n-1]
+		tb.free = tb.free[:n-1]
+		tb.slots[h] = v
+		return h
+	}
+	tb.slots = append(tb.slots, v)
+	return int32(len(tb.slots) - 1)
+}
+
+// remove vacates slot h and returns the value it held.
+func (tb *table[T]) remove(h int32) T {
+	v := tb.slots[h]
+	var zero T
+	tb.slots[h] = zero
+	tb.free = append(tb.free, h)
+	return v
 }
 
 // CrashAt schedules a permanent crash of process id at time at. All tasks of
@@ -310,13 +371,7 @@ func (k *Kernel) dispatch(self *task) bool {
 				k.runLoop(t)
 				continue
 			}
-			t.state = taskRunning
-			k.current = t
-			if t == self {
-				return true // zero-switch fast path: the parked caller won
-			}
-			t.resume <- struct{}{}
-			return false
+			return k.handTo(t, self)
 		}
 		if k.eq.Len() == 0 {
 			break // quiescent
@@ -341,13 +396,7 @@ func (k *Kernel) dispatch(self *task) bool {
 					k.runLoop(t)
 					continue
 				}
-				t.state = taskRunning
-				k.current = t
-				if t == self {
-					return true
-				}
-				t.resume <- struct{}{}
-				return false
+				return k.handTo(t, self)
 			}
 			k.runq = append(k.runq, t)
 		}
@@ -359,6 +408,29 @@ func (k *Kernel) dispatch(self *task) bool {
 		return true
 	}
 	k.main <- struct{}{}
+	return false
+}
+
+// handTo gives the baton to blocking task t, which the dispatch loop running
+// on self's goroutine (nil: the Run goroutine) has just selected, and reports
+// whether the caller keeps running: because t is self, parked and now resumed
+// with no switch at all, or because self has finished and its goroutine,
+// free now, is to run t — which has never run — in place. A parked t is
+// resumed on its own goroutine; a never-run t selected by a parked task or
+// the Run goroutine gets a fresh goroutine.
+func (k *Kernel) handTo(t, self *task) bool {
+	t.state = taskRunning
+	k.current = t
+	switch {
+	case t == self:
+		return true // zero-switch fast path: the parked caller won
+	case t.resume != nil:
+		t.resume <- struct{}{}
+	case self != nil && self.state == taskDone:
+		return true
+	default:
+		go k.runTasks(t)
+	}
 	return false
 }
 
@@ -387,8 +459,7 @@ func (k *Kernel) runLoop(t *task) {
 				lp.wakeSlot = -1
 			}
 			t.wakeMsg = nil
-			t.state = taskDone
-			t.p.taskFinished(k)
+			k.finish(t)
 		}
 	}()
 	v := taskView{t}
@@ -402,12 +473,7 @@ func (k *Kernel) runLoop(t *task) {
 		}
 		switch {
 		case w.Done():
-			// Drop the body, and with it the state machine: a finished task
-			// stays reachable from the task table and stale timers for a
-			// while.
-			lp.step = nil
-			t.state = taskDone
-			t.p.taskFinished(k)
+			k.finish(t)
 			return
 		case w.Match == nil:
 			d := w.Timeout
@@ -442,7 +508,7 @@ func (k *Kernel) runLoop(t *task) {
 func (k *Kernel) fire(ev event) *task {
 	switch ev.kind {
 	case evFunc:
-		ev.fn()
+		k.hooks.remove(ev.msg)()
 	case evDeliver:
 		s := k.arena.slot(ev.msg)
 		if s.gen != ev.gen {
@@ -450,9 +516,13 @@ func (k *Kernel) fire(ev event) *task {
 		}
 		return k.deliver(ev.msg, ev.kid, s)
 	case evSleep, evTimeout:
-		// A stale timer (the task was woken by a message or re-parked since)
-		// is recognized by its park generation and ignored.
-		t := ev.t
+		// A stale timer (the task has finished since, or was woken by a
+		// message or re-parked) is recognized by the task id or the park
+		// generation and ignored.
+		t := k.tasks.slots[ev.msg]
+		if t == nil || int32(t.id) != ev.kid {
+			return nil
+		}
 		if t.state == taskParked && t.parkGen == ev.gen {
 			t.p.unpark(t)
 			t.state = taskRunnable
@@ -473,8 +543,9 @@ func (k *Kernel) schedule(at time.Duration, e event) {
 	k.eq.push(e)
 }
 
+// scheduleEvent enqueues the hook fn, held in the hook table until it fires.
 func (k *Kernel) scheduleEvent(at time.Duration, fn func()) {
-	k.schedule(at, event{kind: evFunc, fn: fn})
+	k.schedule(at, event{kind: evFunc, msg: k.hooks.add(fn)})
 }
 
 // kindID is dsys.KindID memoized through the kernel's one-entry cache (see
@@ -497,9 +568,10 @@ func (k *Kernel) scheduleDeliver(at time.Duration, h int32, gen uint32, kid int3
 }
 
 // scheduleTimer enqueues a task wake-up (Sleep or RecvTimeout) without
-// allocating a closure — the per-timer fast path.
+// allocating a closure — the per-timer fast path. The event names t by its
+// handle: its task-table slot and its id (see Kernel.tasks).
 func (k *Kernel) scheduleTimer(at time.Duration, kind eventKind, t *task, gen uint32) {
-	k.schedule(at, event{kind: kind, t: t, gen: gen})
+	k.schedule(at, event{kind: kind, msg: t.h, kid: int32(t.id), gen: gen})
 }
 
 // ready makes a parked task runnable without enqueueing it; the dispatch
@@ -577,9 +649,7 @@ func (k *Kernel) crash(p *proc) {
 	}
 	p.crashed = true
 	k.cfg.Trace.OnCrash(p.id, k.now)
-	for _, t := range p.tasks {
-		k.unwindTask(t, unwindCrash)
-	}
+	k.unwindTasks(p, unwindCrash)
 	// Release the buffered backlog's arena references before dropping the
 	// buffer: the process is dead, but its slots must recycle (long chaos
 	// soaks crash many processes, each possibly holding a backlog).
@@ -588,11 +658,24 @@ func (k *Kernel) crash(p *proc) {
 			k.arena.unref(e.slot)
 		}
 	}
-	// Nothing will ever read the process's buffers or task table again, so
-	// release them too.
-	p.buf, p.byKid, p.kindLanes, p.anyParked, p.tasks = nil, nil, nil, nil, nil
+	// Nothing will ever read the process's buffers again, so release them
+	// too. The task list is empty but for a task unwound later (see
+	// unwindTask), which leaves it when it finishes.
+	p.buf, p.byKid, p.kindLanes, p.anyParked = nil, nil, nil, nil
 	p.bufDead = 0
-	p.doneTasks = 0
+}
+
+// unwindTasks unwinds every unfinished task of p, in creation order. Each
+// finishes during its own unwind and leaves the list — except the task whose
+// goroutine holds the baton, which finishes once control returns to its park
+// (see unwindTask). None can be added while p is crashed or the run is
+// stopping.
+func (k *Kernel) unwindTasks(p *proc, kind unwindKind) {
+	for t := p.first; t != nil; {
+		next := t.next
+		k.unwindTask(t, kind)
+		t = next
+	}
 }
 
 func (k *Kernel) unwindTask(t *task, kind unwindKind) {
@@ -607,15 +690,19 @@ func (k *Kernel) unwindTask(t *task, kind unwindKind) {
 	t.unwind = kind
 	if lp := t.loop; lp != nil {
 		// Callback tasks have no goroutine to handshake: release any pending
-		// wake message and mark the task done on the spot.
+		// wake message and finish the task on the spot.
 		if lp.wakeSlot >= 0 {
 			k.arena.unref(lp.wakeSlot)
 			lp.wakeSlot = -1
 		}
-		lp.step = nil
 		t.wakeMsg = nil
-		t.state = taskDone
-		t.match = nil
+		k.finish(t)
+		return
+	}
+	if t.resume == nil {
+		// A blocking task that has never run has no goroutine either: it
+		// never will run.
+		k.finish(t)
 		return
 	}
 	if t == k.current {
@@ -635,9 +722,7 @@ func (k *Kernel) unwindTask(t *task, kind unwindKind) {
 func (k *Kernel) unwindAll() {
 	k.stopping = true
 	for _, p := range k.procs {
-		for i := 0; i < len(p.tasks); i++ { // tasks cannot grow while stopping
-			k.unwindTask(p.tasks[i], unwindStop)
-		}
+		k.unwindTasks(p, unwindStop)
 	}
 }
 

@@ -35,10 +35,13 @@ type unwindPanic struct{ kind unwindKind }
 // the whole kernel runs at a time; switches happen only inside kernel
 // primitives, so runs are deterministic.
 //
-// Tasks come in two execution flavors. Blocking tasks (Spawn) run as
-// goroutines under the baton-passing scheduler and may suspend anywhere.
-// Callback tasks — step tasks, receive and tick loops included (SpawnStep,
-// SpawnRecvLoop, SpawnTickLoop; loop != nil) — have no goroutine at all:
+// Tasks come in two execution flavors. Blocking tasks (Spawn) run on
+// goroutines under the baton-passing scheduler and may suspend anywhere. A
+// blocking task has no goroutine until the dispatch loop first selects it;
+// then the goroutine of a task that has just finished runs its body in place,
+// or a fresh goroutine starts (see Kernel.handTo). Callback tasks — step
+// tasks, receive and tick loops included (SpawnStep, SpawnRecvLoop,
+// SpawnTickLoop; loop != nil) — have no goroutine at all:
 // the dispatch loop runs their step inline at exactly the points where it
 // would have resumed the equivalent blocking task, so a park/deliver/park
 // cycle costs zero context switches. A step task parks in the same lanes,
@@ -47,20 +50,21 @@ type task struct {
 	id   int
 	name string
 	p    *proc
+	// prev and next link the process's task list (proc.first) in creation
+	// order.
+	prev, next *task
 
-	// resume is the baton channel of a blocking task; nil for callback
-	// tasks.
+	// body is a blocking task's function.
+	body dsys.TaskFunc
+	// resume is the baton channel of the goroutine running a blocking task;
+	// nil until the task first runs, and always nil for callback tasks.
 	resume chan struct{}
-	state  taskState
-	unwind unwindKind
-	// unwindSync is set by Kernel.unwindTask when another goroutine holds the
-	// baton and blocks on the bell until this task's wrapper finishes; the
-	// wrapper then rings the bell instead of continuing the dispatch loop.
-	unwindSync bool
-
 	// loop marks a callback task and holds its state.
 	loop *loopTask
 
+	// h is the task's slot in the kernel's task table, the handle its timer
+	// events name it by (see Kernel.tasks).
+	h int32
 	// Park bookkeeping. parkGen distinguishes park sessions so a stale
 	// timer cannot wake a later park. While the task waits for a message,
 	// match holds its matcher and the task sits in the process's dispatch
@@ -70,8 +74,16 @@ type task struct {
 	parkGen  uint32
 	match    dsys.Matcher
 	parkKids []int32
-	parkAny  bool
 	wakeMsg  *dsys.Message
+	parkAny  bool
+
+	// The one-byte fields come last, so the record packs into 136 bytes.
+	state  taskState
+	unwind unwindKind
+	// unwindSync is set by Kernel.unwindTask when another goroutine holds the
+	// baton and blocks on the bell until this task's wrapper finishes; the
+	// wrapper then rings the bell instead of continuing the dispatch loop.
+	unwindSync bool
 }
 
 // loopTask is the state of a callback task — the goroutine-free fast path:
@@ -120,9 +132,10 @@ type proc struct {
 	kindLanes []*kindLane
 	anyParked []*task
 
-	tasks     []*task // in creation order; compacted as tasks finish
-	doneTasks int     // number of taskDone entries still in tasks
-	crashed   bool
+	// first and last end the list of the process's unfinished tasks, in
+	// creation order; a task leaves it the moment it finishes.
+	first, last *task
+	crashed     bool
 }
 
 // randSrc returns the process-local random source, seeding it on first use
@@ -323,26 +336,31 @@ func laneRemove(lane []*task, t *task) []*task {
 	return lane
 }
 
-// taskFinished records that one of p's tasks reached taskDone and compacts
-// the task table once done entries dominate, so long soaks spawning a task
-// per consensus slot keep a flat task table (and crash/unwind never walk
-// thousands of dead entries). Creation order of the survivors is preserved.
-func (p *proc) taskFinished(k *Kernel) {
-	p.doneTasks++
-	if k.stopping || p.doneTasks <= 32 || p.doneTasks*2 <= len(p.tasks) {
-		return
+// addTask appends t to the process's task list.
+func (p *proc) addTask(t *task) {
+	t.prev = p.last
+	if p.last != nil {
+		p.last.next = t
+	} else {
+		p.first = t
 	}
-	live := p.tasks[:0]
-	for _, t := range p.tasks {
-		if t.state != taskDone {
-			live = append(live, t)
-		}
+	p.last = t
+}
+
+// removeTask unlinks t from the process's task list in O(1), keeping the
+// survivors in creation order.
+func (p *proc) removeTask(t *task) {
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		p.first = t.next
 	}
-	for i := len(live); i < len(p.tasks); i++ {
-		p.tasks[i] = nil
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		p.last = t.prev
 	}
-	p.tasks = live
-	p.doneTasks = 0
+	t.prev, t.next = nil, nil
 }
 
 // taskView is the dsys.Proc handle given to a task. Each task gets its own
@@ -515,36 +533,42 @@ func (t *task) park() {
 	}
 }
 
-// start launches the task goroutine. The goroutine waits for its first
-// scheduling before running fn. When it finishes (normally, by unwind, or by
-// user panic) it either rings the bell — answering a synchronous unwind
-// handshake — or, if it still holds the baton, continues the dispatch loop.
-func (t *task) start(fn dsys.TaskFunc) {
-	go func() {
-		<-t.resume
-		defer func() {
-			k := t.p.k
-			if r := recover(); r != nil {
-				if _, ok := r.(unwindPanic); !ok {
-					// A real bug in algorithm code: surface it on the Run
-					// goroutine with the original stack attached.
-					k.fatal = fmt.Errorf("sim: task %v/%s panicked: %v\n%s", t.p.id, t.name, r, debug.Stack())
-				}
+// runTasks is the body of a task goroutine, started by Kernel.handTo with
+// the baton for the never-run blocking task t. It runs t and then, in place,
+// every never-run task the dispatch loop selects once the previous one has
+// finished; it exits when the baton leaves it with no task of its own.
+func (k *Kernel) runTasks(t *task) {
+	resume := make(chan struct{})
+	for t != nil {
+		t.resume = resume
+		t = k.runTask(t)
+	}
+}
+
+// runTask runs blocking task t's body on the calling goroutine, which holds
+// the baton. When the body ends (normally, by unwind, or by user panic) the
+// task finishes; then the goroutine either rings the bell — answering a
+// synchronous unwind handshake — or continues the dispatch loop, returning
+// the never-run task the loop selected for it to run next, or nil.
+func (k *Kernel) runTask(t *task) (next *task) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(unwindPanic); !ok {
+				// A real bug in algorithm code: surface it on the Run
+				// goroutine with the original stack attached.
+				k.fatal = fmt.Errorf("sim: task %v/%s panicked: %v\n%s", t.p.id, t.name, r, debug.Stack())
 			}
-			t.state = taskDone
-			t.match = nil
-			if t.unwindSync {
-				// Kernel.unwindTask holds the baton and waits for us.
-				k.bell <- struct{}{}
-				return
-			}
-			// We hold the baton: account the finished task, keep scheduling.
-			t.p.taskFinished(k)
-			k.dispatch(t)
-		}()
-		if t.unwind != unwindNone {
+		}
+		k.finish(t)
+		if t.unwindSync {
+			// Kernel.unwindTask holds the baton and waits for us.
+			k.bell <- struct{}{}
 			return
 		}
-		fn(taskView{t})
+		if k.dispatch(t) {
+			next = k.current
+		}
 	}()
+	t.body(taskView{t})
+	return nil
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // TestTaskTableStaysBounded spawns 10,000 short-lived tasks on one process
-// and checks the task table is compacted as they finish: without compaction
-// every done task would pin an entry (and its closure and wake message) for
-// the whole run, and crash/unwind would walk thousands of dead slots.
+// and checks that finished tasks leave both the process's task list and the
+// kernel's task table at once: otherwise every done task would pin an entry
+// (and its closure and wake message) for the whole run, and crash/unwind
+// would walk thousands of dead entries. At most the spawner and one child are
+// ever unfinished, so neither may grow past two entries.
 func TestTaskTableStaysBounded(t *testing.T) {
 	k := New(reliableCfg(1, 1))
 	done := 0
@@ -25,22 +27,30 @@ func TestTaskTableStaysBounded(t *testing.T) {
 	})
 	maxLen := 0
 	k.Every(time.Millisecond, time.Millisecond, func(time.Duration) {
-		if n := len(k.procAt(1).tasks); n > maxLen {
-			maxLen = n
-		}
+		maxLen = max(maxLen, len(taskList(k.procAt(1))))
 	})
 	k.Run(time.Minute)
 	if done != 10000 {
 		t.Fatalf("only %d of 10000 tasks ran", done)
 	}
-	// Compaction triggers once >32 entries are done and dominate the table,
-	// so the steady-state ceiling is roughly twice that threshold.
-	if maxLen > 128 {
-		t.Errorf("task table grew to %d entries mid-run; compaction is not keeping it flat", maxLen)
+	if maxLen > 2 {
+		t.Errorf("task list grew to %d entries mid-run; finished tasks are not leaving it", maxLen)
 	}
-	if n := len(k.procAt(1).tasks); n > 128 {
-		t.Errorf("task table retains %d entries after the run", n)
+	if n := len(taskList(k.procAt(1))); n != 0 {
+		t.Errorf("task list retains %d entries after the run", n)
 	}
+	if n := len(k.tasks.slots); n > 2 {
+		t.Errorf("task table grew to %d slots; finished tasks' handles are not recycled", n)
+	}
+}
+
+// taskList returns p's unfinished tasks in list order.
+func taskList(p *proc) []*task {
+	var ts []*task
+	for t := p.first; t != nil; t = t.next {
+		ts = append(ts, t)
+	}
+	return ts
 }
 
 // TestDeliveryNeverMatchesDoneTask parks a task on a kind, lets it time out

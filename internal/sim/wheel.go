@@ -103,9 +103,9 @@ func (q *eventQueue) Len() int { return q.size }
 const slotCap = 4
 
 // bufPool holds the event arrays no slot or due set is using, by size class.
-// Invariant: every pooled array is empty, holds only zero events (no message,
-// task or closure pointer outlives its firing there) and has exactly its
-// class's capacity. An array of class c is allocated only when none is free,
+// Invariant: every pooled array is empty and has exactly its class's
+// capacity. Events hold no pointers, so a served entry needs no zeroing to
+// release anything. An array of class c is allocated only when none is free,
 // so per class they number at most the peak simultaneous demand, and since a
 // slot moves up one class only when full, the classes below a slot's array
 // add at most its own capacity again.
@@ -139,14 +139,10 @@ func (p *bufPool) get(c int) []event {
 }
 
 // put takes back an array whose events have been copied elsewhere or served.
-// It zeroes es[:len(es)]; a caller that knows its array already holds only
-// zero events (the due set: pop clears each entry) passes it re-sliced to
-// length 0 and pays nothing.
 func (p *bufPool) put(es []event) {
 	if cap(es) == 0 {
 		return
 	}
-	clear(es)
 	c := bits.Len(uint(cap(es)/slotCap)) - 1
 	p.free[c] = append(p.free[c], es[:0])
 }
@@ -237,15 +233,14 @@ func (q *eventQueue) drainSlot0(s int64) {
 // dueSet is cur's implementation: the due events of the level-0 slot being
 // drained, served in exact (at, seq) order. A slot's events were appended in
 // seq order, so fill's insertion sort is near-linear, and serving is a head
-// index walk — no sift swaps of 48-byte events and no pointer write barriers,
-// which is what made the old all-heap due set the hottest line of
-// send-saturated profiles. The rare event pushed mid-drain for the slot still
+// index walk — no sift swaps of events, which is what made the old all-heap
+// due set the hottest line of send-saturated profiles. The rare event pushed mid-drain for the slot still
 // being drained (a sub-tick delay; the kernel clamps at >= now) lands in the
 // spill heap and merges in by the same total order, so pop order is
 // bit-identical to the old heap's.
 type dueSet struct {
 	// run is the sorted slot content, in the array the slot collected it in;
-	// run[head:] is the unserved remainder and run[:head] is zeroed.
+	// run[head:] is the unserved remainder.
 	run  []event
 	head int
 	// spill holds events pushed below curEnd after fill, heap-ordered.
@@ -272,8 +267,7 @@ func (d *dueSet) fill(es []event) {
 	}
 }
 
-// release gives up the exhausted run's array; pop has zeroed every entry of
-// it. Only valid when Len() == 0.
+// release gives up the exhausted run's array. Only valid when Len() == 0.
 func (d *dueSet) release() []event {
 	es := d.run[:0]
 	d.run, d.head = nil, 0
@@ -306,7 +300,6 @@ func (d *dueSet) pop() event {
 		return d.spill.pop()
 	}
 	e := d.run[d.head]
-	d.run[d.head] = event{} // release closure and message references
 	d.head++
 	return e
 }
