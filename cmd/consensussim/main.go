@@ -56,6 +56,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = fmt.Errorf("-loss %v: want a probability in [0,1)", *loss)
 	case !(*dup >= 0 && *dup <= 1):
 		err = fmt.Errorf("-dup %v: want a probability in [0,1]", *dup)
+	case *runFor <= 0:
+		err = fmt.Errorf("-for %v: want a positive duration", *runFor)
+	case *delta <= 0:
+		err = fmt.Errorf("-delta %v: want a positive bound", *delta)
+	case *gst < 0:
+		err = fmt.Errorf("-gst %v: want a time at or after 0", *gst)
 	default:
 		if crashes, err = dsys.ParseCrashes(*crash, *n); err != nil {
 			err = fmt.Errorf("-crash: %w", err)

@@ -22,6 +22,11 @@ func TestRejectsBadInput(t *testing.T) {
 		{"-algos", "cec,,ctc"},
 		{"-algos", "cec,paxos"},
 		{"-crash", "1@1ms,1@2ms"},
+		{"-for", "0s"},
+		{"-for", "-1s"},
+		{"-delta", "0"},
+		{"-delta", "-5ms"},
+		{"-gst", "-1s"},
 	} {
 		t.Run(strings.Join(args, "="), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -62,6 +62,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = fmt.Errorf("-n %d: want at least 1 process", *n)
 	case *period <= 0:
 		err = fmt.Errorf("-period %v: want a positive period", *period)
+	case *runFor <= 0:
+		err = fmt.Errorf("-for %v: want a positive duration", *runFor)
+	case *delta <= 0:
+		err = fmt.Errorf("-delta %v: want a positive bound", *delta)
+	case *gst < 0:
+		err = fmt.Errorf("-gst %v: want a time at or after 0", *gst)
 	default:
 		if crashes, err = dsys.ParseCrashes(*crash, *n); err != nil {
 			err = fmt.Errorf("-crash: %w", err)

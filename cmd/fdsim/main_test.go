@@ -18,6 +18,11 @@ func TestRejectsBadInput(t *testing.T) {
 		{"-period", "0"},
 		{"-detector", "nope"},
 		{"-crash", "9@1ms"},
+		{"-for", "0s"},
+		{"-for", "-1s"},
+		{"-delta", "0"},
+		{"-delta", "-5ms"},
+		{"-gst", "-1s"},
 	} {
 		t.Run(strings.Join(args, "="), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

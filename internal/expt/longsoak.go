@@ -24,8 +24,9 @@ import (
 //
 // The run is also the simulator's long-horizon stress: a single kernel
 // advances through hours of virtual time — hundreds of millions of timer
-// ticks through every level of the timing wheel, with the event arena
-// recycling the same few thousand slots throughout — which is the workload
+// ticks through the event queue's FIFOs, a horizon event resident in its
+// heap throughout, and the event arena recycling the same few thousand
+// slots — which is the workload
 // the goroutine-free fast path and the arena exist for. The table is fully
 // deterministic (wall-clock cost goes to stderr like every experiment's).
 func E19LongHorizonSoak(quick bool) (*Table, error) {

@@ -34,7 +34,7 @@ type scaleCell struct {
 // ~65k messages per 10ms period) and
 // reports, per (n, detector): steady-state msgs/period against the closed
 // form, detection latency of a mid-ring crash, and the simulator's wall-clock
-// and events/s for that run (the kernel-scaling numbers the timing-wheel
+// and events/s for that run (the kernel-scaling numbers the constant-delay
 // event queue and kind-indexed dispatch exist for).
 func E14ScalingSweep(quick bool) (*Table, error) {
 	t := &Table{

@@ -63,7 +63,7 @@ var kernelWorkloads = []kernelWorkload{
 		}
 		return k
 	}, runFor: 2 * time.Second, ceiling: 2.852},
-	// timer: every event is a tick-loop fire — wheel pop, callback, wheel
+	// timer: every event is a tick-loop fire — FIFO pop, callback, FIFO
 	// push — with no goroutine handoff. This is the cycle every detector's
 	// periodic send/check task runs on.
 	{name: "timer", build: func() *Kernel {

@@ -7,8 +7,8 @@ import "repro/internal/dsys"
 // by a dense int32 handle; delivery events carry the handle (and the slot's
 // generation at scheduling time) instead of a pointer, and a slot returns to
 // the free list the moment its last reference is gone — reuse is keyed by
-// the wheel's pop, so a steady-state workload recycles a bounded working set
-// of slots and allocates nothing per message.
+// the event queue's pop, so a steady-state workload recycles a bounded
+// working set of slots and allocates nothing per message.
 //
 // Reference protocol. A slot's refs counts the outstanding claims on it:
 // one per scheduled delivery copy (duplicating networks schedule several

@@ -7,7 +7,7 @@ import (
 // eventKind discriminates what an event does when it fires. Every kind
 // carries its operands in the event's three integer fields, so an event holds
 // no pointer: scheduling one allocates nothing beyond the slot it is filed in,
-// and the wheel's arrays are memory the garbage collector never scans —
+// and the queue's chunks and heap are memory the collector never scans —
 // TestKernelAllocsPerEvent and TestEventIsPointerFree gate both.
 type eventKind uint8
 
@@ -47,8 +47,8 @@ type event struct {
 	// at fire is a stale holder and panics). uint32 keeps the event at 32
 	// bytes (wrapping would need 2^32 parks of one task, or recycles of one
 	// slot, in a single run — orders of magnitude beyond the longest soak);
-	// events flow through slot arrays, cascades and the due-set heap by
-	// value, so their size is a direct memory-bandwidth and allocation cost.
+	// events flow through the queue's chunks and heap by value, so their
+	// size is a direct memory-bandwidth and allocation cost.
 	gen  uint32
 	kind eventKind
 }
@@ -63,11 +63,14 @@ type eventHeap struct {
 
 func (h *eventHeap) Len() int { return len(h.es) }
 
-func (h *eventHeap) less(i, j int) bool {
-	if h.es[i].at != h.es[j].at {
-		return h.es[i].at < h.es[j].at
+func (h *eventHeap) less(i, j int) bool { return eventBefore(h.es[i], h.es[j]) }
+
+// eventBefore reports whether a fires strictly before b in (at, seq) order.
+func eventBefore(a, b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h.es[i].seq < h.es[j].seq
+	return a.seq < b.seq
 }
 
 func (h *eventHeap) push(e event) {

@@ -21,8 +21,11 @@
 // events and unfinished tasks.
 //
 // Virtual time is a time.Duration since the start of the run. Timers,
-// message latencies and crashes are events in a priority queue; when no task
-// is runnable the clock jumps to the next event.
+// message latencies and crashes are events, popped in (at, seq) order; when
+// no task is runnable the clock jumps to the next event. Almost every event
+// fires a constant delay after it is scheduled — a timer period, a fixed
+// link latency — so the queue keeps such events in a few constant-delay
+// FIFOs, already in order, and only the rest in a heap (see eventQueue).
 package sim
 
 import (
@@ -540,7 +543,7 @@ func (k *Kernel) schedule(at time.Duration, e event) {
 	k.seq++
 	e.at = at
 	e.seq = k.seq
-	k.eq.push(e)
+	k.eq.push(e, at-k.now)
 }
 
 // scheduleEvent enqueues the hook fn, held in the hook table until it fires.

@@ -12,9 +12,9 @@ import (
 )
 
 // TestEventIsPointerFree pins the event record at 32 bytes with no field the
-// garbage collector would have to scan: the timing wheel holds one per
+// garbage collector would have to scan: the event queue holds one per
 // pending timer and in-flight message, so a pointer field would make every
-// slot array scanned memory and every store a write barrier.
+// ring and the heap scanned memory and every store a write barrier.
 func TestEventIsPointerFree(t *testing.T) {
 	if size := unsafe.Sizeof(event{}); size != 32 {
 		t.Errorf("event is %d bytes, want 32", size)
