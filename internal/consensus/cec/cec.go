@@ -78,7 +78,7 @@ const (
 	KindDecided = "cec.decided"
 )
 
-// Stats reports per-run counters of one process's Propose call.
+// Stats reports per-run counters of one process's Proposal.
 type Stats struct {
 	// Rounds is the number of rounds this process entered.
 	Rounds int

@@ -241,15 +241,13 @@ func TestSingleProcessDecidesImmediately(t *testing.T) {
 
 func TestStatsCountRounds(t *testing.T) {
 	c := fdtest.NewCluster(3, 1)
-	stats := make(map[dsys.ProcessID]*cec.Stats)
-	for _, id := range dsys.Pids(3) {
-		stats[id] = &cec.Stats{}
-	}
+	props := make(map[dsys.ProcessID]*cec.Proposal)
 	res := conslab.Run(conslab.Setup{
 		N:    3,
 		Seed: 13,
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return cec.ProposeStats(p, c.At(p.ID()), rb, v, opt, stats[p.ID()])
+		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+			props[p.ID()] = cec.NewProposal(c.At(p.ID()), rb, v, opt)
+			return props[p.ID()]
 		},
 	})
 	if err := res.Verify(3); err != nil {
@@ -260,8 +258,8 @@ func TestStatsCountRounds(t *testing.T) {
 	if got := res.Log.MaxRound(); got != 1 {
 		t.Errorf("decision round %d, want 1", got)
 	}
-	if stats[1].Rounds > 2 {
-		t.Errorf("coordinator entered %d rounds, want at most 2", stats[1].Rounds)
+	if got := props[1].Stats().Rounds; got > 2 {
+		t.Errorf("coordinator entered %d rounds, want at most 2", got)
 	}
 }
 
@@ -269,27 +267,32 @@ func TestSuccessiveInstancesAreIsolated(t *testing.T) {
 	// Two consensus instances back to back on the same processes and the
 	// same rbcast modules, distinguished only by Options.Instance.
 	scripted := cecAlgo.Scripted(fdtest.NewCluster(3, 1))
-	log2values := make(map[dsys.ProcessID]any)
+	second := make(map[dsys.ProcessID]consensus.Proposal)
 	res := conslab.Run(conslab.Setup{
 		N:    3,
 		Seed: 14,
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			first := scripted(p, rb, v, consensus.Options{Instance: "slot-1"})
-			second := scripted(p, rb, "second-"+first.Value.(string), consensus.Options{Instance: "slot-2"})
-			log2values[p.ID()] = second.Value
-			return first
+		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+			return conslab.Successive(scripted(p, rb, v, consensus.Options{Instance: "slot-1"}), func(first consensus.Result) consensus.Proposal {
+				second[p.ID()] = scripted(p, rb, "second-"+first.Value.(string), consensus.Options{Instance: "slot-2"})
+				return second[p.ID()]
+			})
 		},
 	})
 	if err := res.Verify(3); err != nil {
 		t.Fatal(err)
 	}
-	want := log2values[dsys.ProcessID(1)]
+	values := make(map[dsys.ProcessID]any)
+	for id, pr := range second {
+		d, _ := pr.Result()
+		values[id] = d.Value
+	}
+	want := values[dsys.ProcessID(1)]
 	if want == nil {
 		t.Fatal("instance 2 never decided at p1")
 	}
 	for _, id := range dsys.Pids(3) {
-		if log2values[id] != want {
-			t.Errorf("instance 2 disagreement: %v vs %v", log2values[id], want)
+		if values[id] != want {
+			t.Errorf("instance 2 disagreement: %v vs %v", values[id], want)
 		}
 	}
 	if want != "second-v1" {

@@ -17,25 +17,25 @@ import (
 )
 
 // TestProposeReturnsAtRDelivery: with 1 ms links, a stable leader and Poll
-// set to a whole second, every Propose returns at the instant its process
+// set to a whole second, every Proposal finishes at the instant its process
 // R-delivers the decision — the coordinator's at 4 ms (announce, estimate,
 // propose, ack), the participants' one hop later — and the coordinator,
 // having R-broadcast, opens no second round. Before R-delivery woke the
-// waiting Propose, participants returned at their next poll and the
+// waiting instance, participants finished at their next poll and the
 // coordinator announced round 2 to an instance that was already decided.
 func TestProposeReturnsAtRDelivery(t *testing.T) {
 	for _, n := range []int{3, 5, 7} {
 		c := fdtest.NewCluster(n, 1)
-		returned := map[dsys.ProcessID]time.Duration{}
+		timers := map[dsys.ProcessID]*timed{}
 		res := conslab.Run(conslab.Setup{
 			N:    n,
 			Seed: 1,
 			Net:  network.Reliable{Latency: network.Fixed(time.Millisecond)},
 			Opt:  consensus.Options{Poll: time.Second},
-			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-				r := cecAlgo.Scripted(c)(p, rb, v, opt)
-				returned[p.ID()] = p.Now()
-				return r
+			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+				pr := &timed{Proposal: cecAlgo.Scripted(c)(p, rb, v, opt)}
+				timers[p.ID()] = pr
+				return pr
 			},
 			RunFor: 10 * time.Second,
 		})
@@ -48,8 +48,8 @@ func TestProposeReturnsAtRDelivery(t *testing.T) {
 			if id == 1 {
 				want = 4 * time.Millisecond
 			}
-			if d.At != want || returned[id] != want {
-				t.Errorf("n=%d: %v R-delivered at %v and returned at %v, want both %v", n, id, d.At, returned[id], want)
+			if d.At != want || timers[id].done != want {
+				t.Errorf("n=%d: %v R-delivered at %v and finished at %v, want both %v", n, id, d.At, timers[id].done, want)
 			}
 		}
 		for _, e := range res.Messages.Events() {
@@ -68,7 +68,7 @@ func TestProposeReturnsAtRDelivery(t *testing.T) {
 // left in it. With per-instance responders those take whatever arrives after
 // the decision (including an R-delivery wake-up nobody waited for any more);
 // with NoResponder there must be nothing to take in a fault-free run, and
-// Propose must not have spawned anything.
+// the instances must not have spawned anything.
 func TestSequentialInstancesLeaveNoMessages(t *testing.T) {
 	const n, instances = 3, 200
 	for _, noResponder := range []bool{false, true} {
@@ -80,27 +80,43 @@ func TestSequentialInstancesLeaveNoMessages(t *testing.T) {
 		spawned := map[dsys.ProcessID]int{}
 		var lastAt time.Duration
 		for _, id := range dsys.Pids(n) {
-			id := id
-			k.Spawn(id, "consensus", func(p dsys.Proc) {
-				rb := rbcast.Start(p)
-				cp := spawnCounter{Proc: p, n: new(int)}
-				for i := 0; i < instances; i++ {
-					opt := consensus.Options{Instance: fmt.Sprintf("i%d", i), Poll: time.Second, NoResponder: noResponder}
-					res := cec.Propose(cp, c.At(id), rb, fmt.Sprintf("v%d-%d", id, i), opt)
-					if res.Value != fmt.Sprintf("v1-%d", i) {
+			// One step task per process runs the instances one after the
+			// other, sleeps a second and then takes whatever is buffered.
+			var rb *rbcast.Module
+			var pr *cec.Proposal
+			i, sweeping, count := 0, false, new(int)
+			k.SpawnStep(id, "consensus", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+				switch {
+				case rb == nil:
+					rb = rbcast.Start(p)
+				case sweeping:
+					if m == nil {
+						return dsys.Finished
+					}
+					left[id]++
+					return dsys.AwaitTimeout(dsys.MatchAny, 0)
+				case i == instances: // the second has passed
+					sweeping = true
+					return dsys.AwaitTimeout(dsys.MatchAny, 0)
+				}
+				cp := spawnCounter{Proc: p, n: count}
+				for ; i < instances; i++ {
+					if pr == nil {
+						opt := consensus.Options{Instance: fmt.Sprintf("i%d", i), Poll: time.Second, NoResponder: noResponder}
+						pr, m = cec.NewProposal(c.At(id), rb, fmt.Sprintf("v%d-%d", id, i), opt), nil
+					}
+					if w := pr.Step(cp, m); !w.Done() {
+						return w
+					}
+					if res, _ := pr.Result(); res.Value != fmt.Sprintf("v1-%d", i) {
 						t.Errorf("%v decided %v in instance %d, want the leader's proposal", id, res.Value, i)
 					}
 					decided[id]++
 					lastAt = p.Now()
+					pr = nil
 				}
-				spawned[id] = *cp.n
-				p.Sleep(time.Second)
-				for {
-					if _, ok := p.RecvTimeout(dsys.MatchAny, 0); !ok {
-						return
-					}
-					left[id]++
-				}
+				spawned[id] = *count
+				return dsys.Sleep(time.Second)
 			})
 		}
 		k.Run(time.Minute)
@@ -116,7 +132,7 @@ func TestSequentialInstancesLeaveNoMessages(t *testing.T) {
 				want = 0
 			}
 			if spawned[id] != want {
-				t.Errorf("NoResponder=%v: Propose spawned %d tasks at %v, want %d", noResponder, spawned[id], id, want)
+				t.Errorf("NoResponder=%v: the instances spawned %d tasks at %v, want %d", noResponder, spawned[id], id, want)
 			}
 		}
 		// 200 instances of five link delays each: no step waited for the poll.
@@ -126,13 +142,34 @@ func TestSequentialInstancesLeaveNoMessages(t *testing.T) {
 	}
 }
 
-// spawnCounter counts the tasks spawned through it.
+// spawnCounter counts the step tasks spawned through it.
 type spawnCounter struct {
 	dsys.Proc
 	n *int
 }
 
-func (sc spawnCounter) Spawn(name string, fn dsys.TaskFunc) {
+func (sc spawnCounter) SpawnStep(name string, step dsys.StepFunc) {
 	*sc.n++
-	sc.Proc.Spawn(name, fn)
+	dsys.SpawnStep(sc.Proc, name, step)
+}
+
+// timed wraps a Proposal: it sleeps delay before the Proposal's first step
+// and records in done the time the Proposal finished.
+type timed struct {
+	consensus.Proposal
+	delay time.Duration
+	done  time.Duration
+}
+
+func (t *timed) Step(p dsys.Proc, m *dsys.Message) dsys.Wait {
+	if t.delay > 0 {
+		d := t.delay
+		t.delay = 0
+		return dsys.Sleep(d)
+	}
+	w := t.Proposal.Step(p, m)
+	if w.Done() {
+		t.done = p.Now()
+	}
+	return w
 }

@@ -7,36 +7,39 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/consensus/cec"
 	"repro/internal/dsys"
-	"repro/internal/fd/ring"
-	"repro/internal/network"
+	"repro/internal/fd/fdtest"
+	"repro/internal/live"
 	"repro/internal/rbcast"
-	"repro/internal/sim"
 )
 
-// Three processes run the paper's ◇C consensus over the ring detector; with
-// a stable detector the decision lands in round 1 and is the leader's
-// proposal.
+// Three processes of the goroutine runtime run the paper's ◇C consensus,
+// each calling Propose, the blocking driver, on its own task. With a stable
+// detector — every process trusts p1 and suspects nobody — the decision
+// lands in round 1 and is the leader's proposal. On the simulator the same
+// instance runs as a step task: spawn NewProposal's Step with
+// dsys.SpawnStep.
 func ExamplePropose() {
-	k := sim.New(sim.Config{
-		N:       3,
-		Network: network.Reliable{Latency: network.Fixed(time.Millisecond)},
-		Seed:    1,
-	})
-	decided := make([]consensus.Result, 4)
+	c := live.NewCluster(live.Config{N: 3})
+	defer c.Stop()
+	dets := fdtest.NewCluster(3, 1)
+	decided := make(chan consensus.Result, 3)
 	for _, id := range dsys.Pids(3) {
-		id := id
-		k.Spawn(id, "main", func(p dsys.Proc) {
-			det := ring.Start(p, ring.Options{})
+		c.Spawn(id, "main", func(p dsys.Proc) {
 			rb := rbcast.Start(p)
-			decided[id] = cec.Propose(p, det, rb, fmt.Sprintf("proposal-%v", id), consensus.Options{})
+			decided <- cec.Propose(p, dets.At(id), rb, fmt.Sprintf("proposal-%v", id), consensus.Options{})
 		})
 	}
-	k.Run(time.Second)
-	for _, id := range dsys.Pids(3) {
-		fmt.Printf("%v decided %v in round %d\n", id, decided[id].Value, decided[id].Round)
+	for range 3 {
+		select {
+		case res := <-decided:
+			fmt.Printf("decided %v in round %d\n", res.Value, res.Round)
+		case <-time.After(10 * time.Second):
+			fmt.Println("no decision")
+			return
+		}
 	}
 	// Output:
-	// p1 decided proposal-p1 in round 1
-	// p2 decided proposal-p1 in round 1
-	// p3 decided proposal-p1 in round 1
+	// decided proposal-p1 in round 1
+	// decided proposal-p1 in round 1
+	// decided proposal-p1 in round 1
 }

@@ -93,9 +93,9 @@ func TestSingleLostMessageRepaired(t *testing.T) {
 				N: n, Seed: seed, Net: net,
 				Crashes: map[dsys.ProcessID]time.Duration{3: 0},
 				Opt:     consensus.Options{Poll: 2 * time.Millisecond},
-				Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-					p.Sleep(time.Duration(p.Rand().Int63n(int64(3 * time.Millisecond))))
-					return cecAlgo.Scripted(c)(p, rb, v, opt)
+				Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+					delay := time.Duration(p.Rand().Int63n(int64(3 * time.Millisecond)))
+					return &timed{Proposal: cecAlgo.Scripted(c)(p, rb, v, opt), delay: delay}
 				},
 				RunFor: 60 * time.Second,
 			})

@@ -6,9 +6,9 @@
 //	mr — a Mostefaoui–Raynal-style Ω leader-based algorithm
 //
 // All three solve Uniform Consensus assuming a majority of correct processes
-// (f < n/2). Each is exposed as a single blocking Propose function run by a
-// process task; it returns the decided value and the round in which the
-// process decided.
+// (f < n/2). Each exposes one process's run of an instance as a resumable
+// state machine, a Proposal, run as a step task; its Result is the decided
+// value and the round in which the process decided.
 package consensus
 
 import (
@@ -47,7 +47,16 @@ func Match(prefix, inst string) dsys.MatchFunc {
 	}
 }
 
-// Result is the outcome of a Propose call.
+// Proposal is one process's run of one consensus instance: Step is the
+// dsys.StepFunc of its step task, and Result reports the decision once the
+// task has finished. The Proposal types of packages cec, ctc and mrc
+// implement it.
+type Proposal interface {
+	Step(p dsys.Proc, m *dsys.Message) dsys.Wait
+	Result() (Result, bool)
+}
+
+// Result is the outcome of one process's Proposal.
 type Result struct {
 	// Value is the decided value.
 	Value any

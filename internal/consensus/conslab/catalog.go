@@ -42,27 +42,27 @@ type Algorithm struct {
 func Algorithms() []Algorithm {
 	return []Algorithm{
 		algorithm("cec", "◇C consensus over ring ◇C (this paper)", 5,
-			[]string{cec.KindCoord, cec.KindEst, cec.KindProp, cec.KindAck, cec.KindNack}, cec.Propose,
+			[]string{cec.KindCoord, cec.KindEst, cec.KindProp, cec.KindAck, cec.KindNack}, cec.NewProposal,
 			func(p dsys.Proc) fd.EventuallyConsistent { return ring.Start(p, ring.Options{}) }),
 		algorithm("ctc", "Chandra–Toueg ◇S over heartbeat ◇P", 4,
-			[]string{ctc.KindEst, ctc.KindProp, ctc.KindAck, ctc.KindNack}, ctc.Propose,
+			[]string{ctc.KindEst, ctc.KindProp, ctc.KindAck, ctc.KindNack}, ctc.NewProposal,
 			func(p dsys.Proc) fd.Suspector { return heartbeat.Start(p, heartbeat.Options{}) }),
 		algorithm("mrc", "MR-style Ω consensus over LeaderBeat Ω", 3,
-			[]string{mrc.KindLdr, mrc.KindProp, mrc.KindAck}, mrc.Propose,
+			[]string{mrc.KindLdr, mrc.KindProp, mrc.KindAck}, mrc.NewProposal,
 			func(p dsys.Proc) fd.LeaderOracle { return omega.StartLeaderBeat(p, omega.Options{}) }),
 	}
 }
 
-// algorithm builds a catalog entry from an algorithm's Propose, whose
+// algorithm builds a catalog entry from an algorithm's NewProposal, whose
 // detector has type D, and the constructor of its paired detector. A
 // scripted detector implements every detector interface, so it serves as
 // any D.
-func algorithm[D any](name, title string, phases int, kinds []string,
-	propose func(dsys.Proc, D, *rbcast.Module, any, consensus.Options) consensus.Result,
+func algorithm[D any, P consensus.Proposal](name, title string, phases int, kinds []string,
+	newProposal func(D, *rbcast.Module, any, consensus.Options) P,
 	paired func(p dsys.Proc) D) Algorithm {
 	over := func(det func(p dsys.Proc) D) Runner {
-		return func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			return propose(p, det(p), rb, v, opt)
+		return func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+			return newProposal(det(p), rb, v, opt)
 		}
 	}
 	return Algorithm{Name: name, Title: title, Phases: phases, Kinds: kinds, Paired: over(paired),

@@ -18,10 +18,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Runner executes one consensus algorithm at one process and returns its
-// decision. Implementations typically construct the process's failure
-// detector (or capture a scripted one) and call the algorithm's Propose.
-type Runner func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result
+// Runner prepares one consensus algorithm's run at one process and returns
+// it as a Proposal, not yet stepped. Implementations typically construct the
+// process's failure detector on p (or capture a scripted one) and call the
+// algorithm's NewProposal.
+type Runner func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal
 
 // Setup describes one consensus run.
 type Setup struct {
@@ -74,11 +75,22 @@ func Run(s Setup) Result {
 		if !ok {
 			v = fmt.Sprintf("v%d", id)
 		}
-		k.Spawn(id, "consensus", func(p dsys.Proc) {
-			rb := rbcast.Start(p)
-			log.Propose(id, v)
-			res := s.Run(p, rb, v, s.Opt)
-			log.Decide(id, res.Value, res.At, res.Round)
+		// One step task per process: its first step starts the process's
+		// reliable broadcast, records the proposal and builds the run, and
+		// every step, that first one included, steps the run; the decision
+		// is recorded when the run finishes.
+		var pr consensus.Proposal
+		k.SpawnStep(id, "consensus", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+			if pr == nil {
+				rb := rbcast.Start(p)
+				log.Propose(id, v)
+				pr = s.Run(p, rb, v, s.Opt)
+			}
+			w := pr.Step(p, m)
+			if res, ok := pr.Result(); ok && w.Done() {
+				log.Decide(id, res.Value, res.At, res.Round)
+			}
+			return w
 		})
 	}
 	for id, at := range s.Crashes {
@@ -89,4 +101,34 @@ func Run(s Setup) Result {
 	}
 	end := k.Run(s.RunFor)
 	return Result{Log: log, Messages: col, End: end, Crashed: col.Crashed()}
+}
+
+// Successive runs two instances back to back on one task: first, then —
+// starting in the step where first finishes — the Proposal next builds from
+// first's decision. Its Result is first's, once both have finished.
+func Successive(first consensus.Proposal, next func(consensus.Result) consensus.Proposal) consensus.Proposal {
+	return &successive{cur: first, next: next}
+}
+
+type successive struct {
+	cur   consensus.Proposal
+	next  func(consensus.Result) consensus.Proposal
+	first consensus.Result
+}
+
+func (s *successive) Step(p dsys.Proc, m *dsys.Message) dsys.Wait {
+	w := s.cur.Step(p, m)
+	if !w.Done() || s.next == nil {
+		return w
+	}
+	s.first, _ = s.cur.Result()
+	s.cur, s.next = s.next(s.first), nil
+	return s.cur.Step(p, nil)
+}
+
+func (s *successive) Result() (consensus.Result, bool) {
+	if _, ok := s.cur.Result(); !ok || s.next != nil {
+		return consensus.Result{}, false
+	}
+	return s.first, true
 }

@@ -11,10 +11,34 @@ import (
 	"repro/internal/sim"
 )
 
-// echoRunner decides its own proposal instantly — enough to test the lab's
-// bookkeeping without a real algorithm.
-func echoRunner(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-	return consensus.Result{Value: v, Round: 1, At: p.Now()}
+// echo decides its own proposal after sleeping for wait — at once when wait
+// is zero — which is enough to test the lab's bookkeeping without a real
+// algorithm.
+type echo struct {
+	v    any
+	wait time.Duration
+	res  *consensus.Result
+}
+
+func (e *echo) Step(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+	if e.wait > 0 {
+		w := e.wait
+		e.wait = 0
+		return dsys.Sleep(w)
+	}
+	e.res = &consensus.Result{Value: e.v, Round: 1, At: p.Now()}
+	return dsys.Finished
+}
+
+func (e *echo) Result() (consensus.Result, bool) {
+	if e.res == nil {
+		return consensus.Result{}, false
+	}
+	return *e.res, true
+}
+
+func echoRunner(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+	return &echo{v: v}
 }
 
 func TestDefaultProposalsAndRecording(t *testing.T) {
@@ -56,9 +80,8 @@ func TestCrashesPreventDecisionRecording(t *testing.T) {
 		Crashes: map[dsys.ProcessID]time.Duration{
 			2: time.Millisecond,
 		},
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			p.Sleep(10 * time.Millisecond) // p2 crashes during this sleep
-			return consensus.Result{Value: "same", Round: 1, At: p.Now()}
+		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+			return &echo{v: v, wait: 10 * time.Millisecond} // p2 crashes during the sleep
 		},
 		Proposals: map[dsys.ProcessID]any{1: "same", 2: "same", 3: "same"},
 	})

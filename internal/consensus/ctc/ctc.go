@@ -22,6 +22,11 @@
 // n−1 rounds away (Theorem 3); and Phase 4 stops at the first majority of
 // replies, so a single nack in that majority prevents the decision even when
 // a majority of acks would eventually arrive.
+//
+// One process's run of an instance is a resumable state machine, Proposal,
+// on package cec's pattern: each Step handles the message (or the idle
+// poll) that ended the last wait and runs on to the next one. Spawned with
+// dsys.SpawnStep it is a step task.
 package ctc
 
 import (
@@ -45,7 +50,7 @@ func Coordinator(r, n int) dsys.ProcessID {
 	return dsys.ProcessID((r-1)%n + 1)
 }
 
-// Stats reports per-run counters of one process's Propose call.
+// Stats reports per-run counters of one process's Proposal.
 type Stats struct {
 	// Rounds is the number of rounds this process entered.
 	Rounds int
@@ -62,7 +67,26 @@ type reply struct {
 	ack  bool
 }
 
-type state struct {
+// phase is the wait a Proposal is in: each is one "wait until" loop of the
+// round, re-entered at its top after every message and every idle poll.
+type phase uint8
+
+const (
+	phStart     phase = iota // not started: the first Step subscribes to R-delivery
+	phRound                  // between rounds: open the next one
+	phEstimates              // Phase 2: the coordinator gathers estimates
+	phProposal               // Phase 3: wait for the coordinator's proposal
+	phReplies                // Phase 4: the coordinator gathers replies
+	phDone
+)
+
+// Proposal is one process's run of one Uniform Consensus instance, as a
+// resumable state machine on cec.Proposal's pattern: Step is a
+// dsys.StepFunc that returns when the instance waits for its next message
+// and finishes once this process has decided. d is the process's ◇S
+// suspector, rb its reliable-broadcast module. On a process that crashes
+// before deciding the task is unwound by the runtime and never finishes.
+type Proposal struct {
 	p    dsys.Proc
 	d    fd.Suspector
 	rb   *rbcast.Module
@@ -71,57 +95,75 @@ type state struct {
 	n    int
 	maj  int
 
+	ph       phase
 	r        int
+	coord    dsys.ProcessID // the current round's coordinator
 	estimate any
 	ts       int
 
-	ests      map[int]map[dsys.ProcessID]consensus.Msg
-	props     map[int]map[dsys.ProcessID]consensus.Msg
-	replies   map[int][]reply // in arrival order — "first majority" semantics
-	replied   map[int]map[dsys.ProcessID]bool
-	matchAll  dsys.MatchFunc
+	ests     map[int]map[dsys.ProcessID]consensus.Msg
+	props    map[int]map[dsys.ProcessID]consensus.Msg
+	replies  map[int][]reply // in arrival order — "first majority" semantics
+	replied  map[int]map[dsys.ProcessID]bool
+	matchAll dsys.MatchFunc
+	// decidedCh carries the R-delivered decision from the relay task, which
+	// on the live runtime is another goroutine.
 	decidedCh chan consensus.Result
+	cancel    func() // ends the R-delivery subscription
 	decided   *consensus.Result
 	stats     Stats
 }
 
-// Propose runs one Uniform Consensus instance at this process, proposing v,
-// using the ◇S suspector d. It blocks until this process decides.
-func Propose(p dsys.Proc, d fd.Suspector, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-	return propose(p, d, rb, v, opt, nil)
-}
-
-// ProposeStats is Propose with run statistics reported into st.
-func ProposeStats(p dsys.Proc, d fd.Suspector, rb *rbcast.Module, v any, opt consensus.Options, st *Stats) consensus.Result {
-	return propose(p, d, rb, v, opt, st)
-}
-
-func propose(p dsys.Proc, d fd.Suspector, rb *rbcast.Module, v any, opt consensus.Options, report *Stats) consensus.Result {
+// NewProposal prepares this process's run of one instance, proposing v. It
+// sends nothing until its first Step.
+func NewProposal(d fd.Suspector, rb *rbcast.Module, v any, opt consensus.Options) *Proposal {
 	opt = opt.WithDefaults()
-	st := &state{
-		p: p, d: d, rb: rb, opt: opt,
-		self: p.ID(), n: p.N(), maj: dsys.Majority(p.N()),
-		estimate: v,
-		ests:     make(map[int]map[dsys.ProcessID]consensus.Msg),
-		props:    make(map[int]map[dsys.ProcessID]consensus.Msg),
-		replies:  make(map[int][]reply),
-		replied:  make(map[int]map[dsys.ProcessID]bool),
-		matchAll: consensus.Match("ctc.", opt.Instance),
-
+	return &Proposal{
+		d: d, rb: rb, opt: opt,
+		estimate:  v,
+		ests:      make(map[int]map[dsys.ProcessID]consensus.Msg),
+		props:     make(map[int]map[dsys.ProcessID]consensus.Msg),
+		replies:   make(map[int][]reply),
+		replied:   make(map[int]map[dsys.ProcessID]bool),
+		matchAll:  consensus.Match("ctc.", opt.Instance),
 		decidedCh: make(chan consensus.Result, 1),
 	}
-	cancel := rb.OnDeliver(st.onRDeliver)
-	defer cancel()
-	for st.checkDecided() == nil {
-		st.runRound()
-	}
-	if report != nil {
-		*report = st.stats
-	}
-	return *st.decided
 }
 
-func (st *state) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
+// Result returns this process's decision and true once it has decided (the
+// Proposal has finished).
+func (st *Proposal) Result() (consensus.Result, bool) {
+	if st.ph != phDone {
+		return consensus.Result{}, false
+	}
+	return *st.decided, true
+}
+
+// Stats returns the Proposal's run statistics so far.
+func (st *Proposal) Stats() Stats { return st.stats }
+
+// Step implements dsys.StepFunc: it handles m — the message that ended the
+// last wait, nil for the first step and for an idle poll — and runs the
+// instance on to its next wait, which is always one poll interval for any
+// message of the instance. Once this process has decided it finishes.
+func (st *Proposal) Step(p dsys.Proc, m *dsys.Message) dsys.Wait {
+	st.p = p
+	if st.ph == phStart {
+		st.self, st.n, st.maj = p.ID(), p.N(), dsys.Majority(p.N())
+		st.cancel = st.rb.OnDeliver(st.onRDeliver)
+		st.ph = phRound
+	} else if m != nil {
+		st.dispatch(m)
+	}
+	if !st.advance() {
+		return dsys.AwaitTimeout(st.matchAll, st.opt.Poll)
+	}
+	st.ph = phDone
+	st.cancel()
+	return dsys.Finished
+}
+
+func (st *Proposal) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
 	dec, ok := payload.(consensus.Decide)
 	if !ok || dec.Inst != st.opt.Instance {
 		return
@@ -132,7 +174,7 @@ func (st *state) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
 	}
 }
 
-func (st *state) checkDecided() *consensus.Result {
+func (st *Proposal) checkDecided() *consensus.Result {
 	if st.decided != nil {
 		return st.decided
 	}
@@ -149,18 +191,12 @@ func (st *state) checkDecided() *consensus.Result {
 	return st.decided
 }
 
-func (st *state) pump() {
-	if m, ok := st.p.RecvTimeout(st.matchAll, st.opt.Poll); ok {
-		st.dispatch(m)
-	}
-}
-
-func (st *state) send(to dsys.ProcessID, kind string, env consensus.Msg) {
+func (st *Proposal) send(to dsys.ProcessID, kind string, env consensus.Msg) {
 	env.Inst = st.opt.Instance
 	st.p.Send(to, kind, env)
 }
 
-func (st *state) dispatch(m *dsys.Message) {
+func (st *Proposal) dispatch(m *dsys.Message) {
 	env := m.Payload.(consensus.Msg)
 	r := env.Round
 	switch m.Kind {
@@ -189,87 +225,96 @@ func (st *state) dispatch(m *dsys.Message) {
 	}
 }
 
-func (st *state) runRound() {
-	st.r++
-	r := st.r
-	st.stats.Rounds++
-	if st.opt.RoundProbe != nil {
-		st.opt.RoundProbe.Set(st.self, r)
-	}
-	coord := Coordinator(r, st.n)
-
-	// Phase 1: estimates to the rotating coordinator.
-	st.send(coord, KindEst, consensus.Msg{Round: r, Est: st.estimate, TS: st.ts})
-
-	// Phase 2: the coordinator gathers a majority of estimates (its own
-	// included) and relays the one with the largest timestamp.
-	if coord == st.self {
-		for len(st.ests[r]) < st.maj {
-			if st.checkDecided() != nil {
-				return
-			}
-			st.pump()
-		}
-		var best *consensus.Msg
-		for _, q := range dsys.Pids(st.n) {
-			env, ok := st.ests[r][q]
-			if !ok {
-				continue
-			}
-			if best == nil || env.TS > best.TS {
-				e := env
-				best = &e
-			}
-		}
-		for _, q := range dsys.Pids(st.n) {
-			st.send(q, KindProp, consensus.Msg{Round: r, Est: best.Est})
-		}
-	}
-
-	// Phase 3: wait for the coordinator's proposal or suspect it.
+// advance runs the rounds from the wait the instance is in until it must
+// wait for a message again (false) or has decided (true).
+func (st *Proposal) advance() bool {
 	for {
-		if st.checkDecided() != nil {
-			return
-		}
-		if env, ok := st.props[r][coord]; ok {
-			st.estimate = env.Est
-			st.ts = r
-			st.send(coord, KindAck, consensus.Msg{Round: r})
-			break
-		}
-		if coord != st.self && st.d.Suspected().Has(coord) {
-			st.send(coord, KindNack, consensus.Msg{Round: r})
-			st.stats.NacksSent++
-			break
-		}
-		st.pump()
-	}
-
-	// Phase 4: the coordinator inspects the FIRST majority of replies and
-	// decides only if all of them are acks.
-	if coord == st.self {
-		for len(st.replies[r]) < st.maj {
+		r := st.r
+		switch st.ph {
+		case phRound:
 			if st.checkDecided() != nil {
-				return
+				return true
 			}
-			st.pump()
-		}
-		first := st.replies[r][:st.maj]
-		allAck := true
-		for _, rep := range first {
-			if !rep.ack {
-				allAck = false
-				break
+			st.r++
+			r = st.r
+			st.stats.Rounds++
+			if st.opt.RoundProbe != nil {
+				st.opt.RoundProbe.Set(st.self, r)
 			}
-		}
-		if allAck {
-			st.rb.Broadcast(st.p, consensus.Decide{
-				Inst:  st.opt.Instance,
-				Round: r,
-				Value: st.estimate,
-			})
-		} else {
-			st.stats.BlockedByNack++
+			st.coord = Coordinator(r, st.n)
+
+			// Phase 1: estimates to the rotating coordinator.
+			st.send(st.coord, KindEst, consensus.Msg{Round: r, Est: st.estimate, TS: st.ts})
+			st.ph = phProposal
+			if st.coord == st.self {
+				st.ph = phEstimates
+			}
+
+		case phEstimates:
+			// Phase 2: the coordinator gathers a majority of estimates (its
+			// own included) and relays the one with the largest timestamp.
+			if len(st.ests[r]) < st.maj {
+				return st.checkDecided() != nil
+			}
+			var best *consensus.Msg
+			for _, q := range dsys.Pids(st.n) {
+				env, ok := st.ests[r][q]
+				if !ok {
+					continue
+				}
+				if best == nil || env.TS > best.TS {
+					e := env
+					best = &e
+				}
+			}
+			for _, q := range dsys.Pids(st.n) {
+				st.send(q, KindProp, consensus.Msg{Round: r, Est: best.Est})
+			}
+			st.ph = phProposal
+
+		case phProposal:
+			// Phase 3: wait for the coordinator's proposal or suspect it.
+			if st.checkDecided() != nil {
+				return true
+			}
+			if env, ok := st.props[r][st.coord]; ok {
+				st.estimate = env.Est
+				st.ts = r
+				st.send(st.coord, KindAck, consensus.Msg{Round: r})
+			} else if st.coord != st.self && st.d.Suspected().Has(st.coord) {
+				st.send(st.coord, KindNack, consensus.Msg{Round: r})
+				st.stats.NacksSent++
+			} else {
+				return false
+			}
+			st.ph = phRound
+			if st.coord == st.self {
+				st.ph = phReplies
+			}
+
+		case phReplies:
+			// Phase 4: the coordinator inspects the FIRST majority of
+			// replies and decides only if all of them are acks.
+			if len(st.replies[r]) < st.maj {
+				return st.checkDecided() != nil
+			}
+			allAck := true
+			for _, rep := range st.replies[r][:st.maj] {
+				if !rep.ack {
+					allAck = false
+					break
+				}
+			}
+			if allAck {
+				st.rb.Broadcast(st.p, consensus.Decide{
+					Inst:  st.opt.Instance,
+					Round: r,
+					Value: st.estimate,
+				})
+			} else {
+				st.stats.BlockedByNack++
+			}
+			st.ph = phRound
 		}
 	}
 }

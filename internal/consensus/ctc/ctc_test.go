@@ -18,9 +18,8 @@ import (
 // cluster, Paired over a heartbeat ◇P detector per process.
 var ctcAlgo = conslab.MustAlgorithm("ctc")
 
-func ringRunner(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-	d := ring.Start(p, ring.Options{})
-	return ctc.Propose(p, d, rb, v, opt)
+func ringRunner(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+	return ctc.NewProposal(ring.Start(p, ring.Options{}), rb, v, opt)
 }
 
 func TestCoordinatorRotation(t *testing.T) {
@@ -112,17 +111,11 @@ func TestSingleNackBlocksRound(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		c := fdtest.NewCluster(5, 1)
 		c.At(3).Suspect(1)
-		stats := &ctc.Stats{}
 		res := conslab.Run(conslab.Setup{
 			N:    5,
 			Seed: seed,
 			Net:  network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 5 * time.Millisecond}},
-			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-				if p.ID() == 1 {
-					return ctc.ProposeStats(p, c.At(p.ID()), rb, v, opt, stats)
-				}
-				return ctcAlgo.Scripted(c)(p, rb, v, opt)
-			},
+			Run:  ctcAlgo.Scripted(c),
 		})
 		if err := res.Verify(5); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -154,22 +147,26 @@ func TestRotationWaitsForUnsuspectedCoordinator(t *testing.T) {
 
 func TestSuccessiveInstances(t *testing.T) {
 	scripted := ctcAlgo.Scripted(fdtest.NewCluster(3, 1))
-	second := make(map[dsys.ProcessID]any)
+	second := make(map[dsys.ProcessID]consensus.Proposal)
 	res := conslab.Run(conslab.Setup{
 		N:    3,
 		Seed: 6,
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			first := scripted(p, rb, v, consensus.Options{Instance: "a"})
-			res2 := scripted(p, rb, v, consensus.Options{Instance: "b"})
-			second[p.ID()] = res2.Value
-			return first
+		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+			return conslab.Successive(scripted(p, rb, v, consensus.Options{Instance: "a"}), func(consensus.Result) consensus.Proposal {
+				second[p.ID()] = scripted(p, rb, v, consensus.Options{Instance: "b"})
+				return second[p.ID()]
+			})
 		},
 	})
 	if err := res.Verify(3); err != nil {
 		t.Fatal(err)
 	}
+	want, ok := second[1].Result()
+	if !ok {
+		t.Fatal("instance b never decided at p1")
+	}
 	for _, id := range dsys.Pids(3) {
-		if second[id] != second[dsys.ProcessID(1)] {
+		if got, _ := second[id].Result(); got.Value != want.Value {
 			t.Errorf("instance b disagreement at %v", id)
 		}
 	}

@@ -31,6 +31,11 @@
 // unanimously named by a majority (two majorities intersect, and the common
 // sender named one leader), so non-⊥ phase-3 values are unique per round and
 // the Chandra–Toueg locking argument applies verbatim.
+//
+// One process's run of an instance is a resumable state machine, Proposal,
+// on package cec's pattern: each Step handles the message (or the idle
+// poll) that ended the last wait and runs on to the next one. Spawned with
+// dsys.SpawnStep it is a step task.
 package mrc
 
 import (
@@ -47,7 +52,7 @@ const (
 	KindAck  = "mrc.ack"  // Phase 3: obtained value or ⊥
 )
 
-// Stats reports per-run counters of one process's Propose call.
+// Stats reports per-run counters of one process's Proposal.
 type Stats struct {
 	// Rounds is the number of rounds this process entered.
 	Rounds int
@@ -69,7 +74,26 @@ type arrival struct {
 	env  consensus.Msg
 }
 
-type state struct {
+// phase is the wait a Proposal is in: each is one "wait until" loop of the
+// round, re-entered at its top after every message and every idle poll.
+type phase uint8
+
+const (
+	phStart     phase = iota // not started: the first Step subscribes to R-delivery
+	phRound                  // between rounds: open the next one
+	phLeaders                // Phase 1: the first majority of leader messages
+	phCandidate              // Phase 2: the candidate's proposal
+	phReplies                // Phase 3: the first majority of obtained values
+	phDone
+)
+
+// Proposal is one process's run of one Uniform Consensus instance, as a
+// resumable state machine on cec.Proposal's pattern: Step is a
+// dsys.StepFunc that returns when the instance waits for its next message
+// and finishes once this process has decided. d is the process's Ω oracle,
+// rb its reliable-broadcast module. On a process that crashes before
+// deciding the task is unwound by the runtime and never finishes.
+type Proposal struct {
 	p    dsys.Proc
 	d    fd.LeaderOracle
 	rb   *rbcast.Module
@@ -78,52 +102,71 @@ type state struct {
 	n    int
 	maj  int
 
+	ph       phase
 	r        int
+	cand     dsys.ProcessID // the round's candidate named by our first majority
 	estimate any
 	ts       int
 
-	byKind    map[string]map[int][]arrival // kind -> round -> arrivals in order
-	seen      map[string]map[int]map[dsys.ProcessID]bool
-	matchAll  dsys.MatchFunc
+	byKind   map[string]map[int][]arrival // kind -> round -> arrivals in order
+	seen     map[string]map[int]map[dsys.ProcessID]bool
+	matchAll dsys.MatchFunc
+	// decidedCh carries the R-delivered decision from the relay task, which
+	// on the live runtime is another goroutine.
 	decidedCh chan consensus.Result
+	cancel    func() // ends the R-delivery subscription
 	decided   *consensus.Result
 	stats     Stats
 }
 
-// Propose runs one Uniform Consensus instance at this process, proposing v,
-// using the Ω oracle d. It blocks until this process decides.
-func Propose(p dsys.Proc, d fd.LeaderOracle, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-	return propose(p, d, rb, v, opt, nil)
-}
-
-// ProposeStats is Propose with run statistics reported into st.
-func ProposeStats(p dsys.Proc, d fd.LeaderOracle, rb *rbcast.Module, v any, opt consensus.Options, st *Stats) consensus.Result {
-	return propose(p, d, rb, v, opt, st)
-}
-
-func propose(p dsys.Proc, d fd.LeaderOracle, rb *rbcast.Module, v any, opt consensus.Options, report *Stats) consensus.Result {
+// NewProposal prepares this process's run of one instance, proposing v. It
+// sends nothing until its first Step.
+func NewProposal(d fd.LeaderOracle, rb *rbcast.Module, v any, opt consensus.Options) *Proposal {
 	opt = opt.WithDefaults()
-	st := &state{
-		p: p, d: d, rb: rb, opt: opt,
-		self: p.ID(), n: p.N(), maj: dsys.Majority(p.N()),
+	return &Proposal{
+		d: d, rb: rb, opt: opt,
 		estimate:  v,
 		byKind:    make(map[string]map[int][]arrival),
 		seen:      make(map[string]map[int]map[dsys.ProcessID]bool),
 		matchAll:  consensus.Match("mrc.", opt.Instance),
 		decidedCh: make(chan consensus.Result, 1),
 	}
-	cancel := rb.OnDeliver(st.onRDeliver)
-	defer cancel()
-	for st.checkDecided() == nil {
-		st.runRound()
-	}
-	if report != nil {
-		*report = st.stats
-	}
-	return *st.decided
 }
 
-func (st *state) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
+// Result returns this process's decision and true once it has decided (the
+// Proposal has finished).
+func (st *Proposal) Result() (consensus.Result, bool) {
+	if st.ph != phDone {
+		return consensus.Result{}, false
+	}
+	return *st.decided, true
+}
+
+// Stats returns the Proposal's run statistics so far.
+func (st *Proposal) Stats() Stats { return st.stats }
+
+// Step implements dsys.StepFunc: it handles m — the message that ended the
+// last wait, nil for the first step and for an idle poll — and runs the
+// instance on to its next wait, which is always one poll interval for any
+// message of the instance. Once this process has decided it finishes.
+func (st *Proposal) Step(p dsys.Proc, m *dsys.Message) dsys.Wait {
+	st.p = p
+	if st.ph == phStart {
+		st.self, st.n, st.maj = p.ID(), p.N(), dsys.Majority(p.N())
+		st.cancel = st.rb.OnDeliver(st.onRDeliver)
+		st.ph = phRound
+	} else if m != nil {
+		st.dispatch(m)
+	}
+	if !st.advance() {
+		return dsys.AwaitTimeout(st.matchAll, st.opt.Poll)
+	}
+	st.ph = phDone
+	st.cancel()
+	return dsys.Finished
+}
+
+func (st *Proposal) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
 	dec, ok := payload.(consensus.Decide)
 	if !ok || dec.Inst != st.opt.Instance {
 		return
@@ -134,7 +177,7 @@ func (st *state) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
 	}
 }
 
-func (st *state) checkDecided() *consensus.Result {
+func (st *Proposal) checkDecided() *consensus.Result {
 	if st.decided != nil {
 		return st.decided
 	}
@@ -151,13 +194,7 @@ func (st *state) checkDecided() *consensus.Result {
 	return st.decided
 }
 
-func (st *state) pump() {
-	if m, ok := st.p.RecvTimeout(st.matchAll, st.opt.Poll); ok {
-		st.dispatch(m)
-	}
-}
-
-func (st *state) dispatch(m *dsys.Message) {
+func (st *Proposal) dispatch(m *dsys.Message) {
 	env := m.Payload.(consensus.Msg)
 	if st.byKind[m.Kind] == nil {
 		st.byKind[m.Kind] = make(map[int][]arrival)
@@ -173,129 +210,137 @@ func (st *state) dispatch(m *dsys.Message) {
 	st.byKind[m.Kind][env.Round] = append(st.byKind[m.Kind][env.Round], arrival{from: m.From, env: env})
 }
 
-func (st *state) broadcast(kind string, env consensus.Msg) {
+func (st *Proposal) broadcast(kind string, env consensus.Msg) {
 	env.Inst = st.opt.Instance
 	for _, q := range st.p.All() {
 		st.p.Send(q, kind, env)
 	}
 }
 
-// firstMaj returns the first majority of arrivals of kind for round r,
-// waiting as needed. It returns nil if a decision interrupted the wait.
-func (st *state) firstMaj(kind string, r int) []arrival {
-	for {
-		if st.checkDecided() != nil {
-			return nil
-		}
-		if as := st.byKind[kind][r]; len(as) >= st.maj {
-			return as[:st.maj]
-		}
-		st.pump()
+// firstMaj returns the first majority of arrivals of kind for the current
+// round, or nil while fewer have arrived.
+func (st *Proposal) firstMaj(kind string) []arrival {
+	if as := st.byKind[kind][st.r]; len(as) >= st.maj {
+		return as[:st.maj]
 	}
+	return nil
 }
 
-func (st *state) runRound() {
-	st.r++
-	r := st.r
-	st.stats.Rounds++
-	if st.opt.RoundProbe != nil {
-		st.opt.RoundProbe.Set(st.self, r)
-	}
-
-	// Phase 1: broadcast our leader's identity and our estimate.
-	myLeader := st.d.Trusted()
-	st.broadcast(KindLdr, consensus.Msg{Round: r, Est: LdrInfo{Leader: myLeader, Est: st.estimate}, TS: st.ts})
-	p1 := st.firstMaj(KindLdr, r)
-	if p1 == nil {
-		return
-	}
-
-	// The process unanimously named by the first majority (if any) is this
-	// round's coordinator candidate in our view.
-	cand := p1[0].env.Est.(LdrInfo).Leader
-	for _, a := range p1[1:] {
-		if a.env.Est.(LdrInfo).Leader != cand {
-			cand = dsys.None
-			break
-		}
-	}
-
-	// Phase 2: if we were unanimously named by our own first majority we
-	// propose the largest-timestamp estimate from it; otherwise we announce
-	// that we have nothing to propose. Either way we broadcast, so nobody
-	// waits on us in vain.
-	if cand == st.self {
-		best := p1[0]
-		for _, a := range p1[1:] {
-			if a.env.TS > best.env.TS {
-				best = a
+// advance runs the rounds from the wait the instance is in until it must
+// wait for a message again (false) or has decided (true). Every wait ends
+// as soon as a decision is known.
+func (st *Proposal) advance() bool {
+	for st.checkDecided() == nil {
+		r := st.r
+		switch st.ph {
+		case phRound:
+			st.r++
+			r = st.r
+			st.stats.Rounds++
+			if st.opt.RoundProbe != nil {
+				st.opt.RoundProbe.Set(st.self, r)
 			}
-		}
-		st.broadcast(KindProp, consensus.Msg{Round: r, Est: best.env.Est.(LdrInfo).Est})
-	} else {
-		st.broadcast(KindProp, consensus.Msg{Round: r, Null: true})
-	}
+			// Phase 1: broadcast our leader's identity and our estimate.
+			myLeader := st.d.Trusted()
+			st.broadcast(KindLdr, consensus.Msg{Round: r, Est: LdrInfo{Leader: myLeader, Est: st.estimate}, TS: st.ts})
+			st.ph = phLeaders
 
-	// Wait for the phase-2 message of our candidate; with no candidate the
-	// obtained value is ⊥ immediately. If our Ω leader moves away from the
-	// candidate (it crashed, or the election is still unstable) we also
-	// give up with ⊥ — Ω gives us no suspect set to consult.
-	var obtained any
-	haveV := false
-	if cand != dsys.None {
-		for {
-			if st.checkDecided() != nil {
-				return
+		case phLeaders:
+			p1 := st.firstMaj(KindLdr)
+			if p1 == nil {
+				return false
 			}
-			if env, ok := st.from(KindProp, r, cand); ok {
-				if !env.Null {
-					obtained = env.Est
-					haveV = true
+			// The process unanimously named by the first majority (if any)
+			// is this round's coordinator candidate in our view.
+			st.cand = p1[0].env.Est.(LdrInfo).Leader
+			for _, a := range p1[1:] {
+				if a.env.Est.(LdrInfo).Leader != st.cand {
+					st.cand = dsys.None
+					break
 				}
-				break
 			}
-			if st.d.Trusted() != cand {
-				break
+			// Phase 2: if we were unanimously named by our own first
+			// majority we propose the largest-timestamp estimate from it;
+			// otherwise we announce that we have nothing to propose. Either
+			// way we broadcast, so nobody waits on us in vain.
+			if st.cand == st.self {
+				best := p1[0]
+				for _, a := range p1[1:] {
+					if a.env.TS > best.env.TS {
+						best = a
+					}
+				}
+				st.broadcast(KindProp, consensus.Msg{Round: r, Est: best.env.Est.(LdrInfo).Est})
+			} else {
+				st.broadcast(KindProp, consensus.Msg{Round: r, Null: true})
 			}
-			st.pump()
+			if st.cand == dsys.None {
+				// With no candidate the obtained value is ⊥ immediately.
+				st.phase3(nil, false)
+				continue
+			}
+			st.ph = phCandidate
+
+		case phCandidate:
+			// Wait for the phase-2 message of our candidate. If our Ω leader
+			// moves away from the candidate (it crashed, or the election is
+			// still unstable) we give up with ⊥ — Ω gives us no suspect set
+			// to consult.
+			if env, ok := st.from(KindProp, r, st.cand); ok {
+				st.phase3(env.Est, !env.Null)
+			} else if st.d.Trusted() != st.cand {
+				st.phase3(nil, false)
+			} else {
+				return false
+			}
+
+		case phReplies:
+			// Inspect the first majority of phase-3 messages.
+			p3 := st.firstMaj(KindAck)
+			if p3 == nil {
+				return false
+			}
+			var v any
+			sawV, sawBottom := false, false
+			for _, a := range p3 {
+				if a.env.Null {
+					sawBottom = true
+				} else {
+					v = a.env.Est
+					sawV = true
+				}
+			}
+			switch {
+			case sawV && !sawBottom:
+				st.rb.Broadcast(st.p, consensus.Decide{Inst: st.opt.Instance, Round: r, Value: v})
+			case sawV:
+				st.stats.BlockedByBottom++
+				st.estimate = v
+				st.ts = r
+			}
+			st.ph = phRound
 		}
 	}
-	if haveV {
+	return true
+}
+
+// phase3 ends Phase 2 with the obtained value (haveV) or ⊥ and opens Phase
+// 3: it broadcasts what was obtained and waits for the first majority.
+func (st *Proposal) phase3(obtained any, haveV bool) {
+	if !haveV {
+		obtained = nil
+	} else {
 		// Adopt on acknowledgement, as in Chandra–Toueg: the value is
 		// locked before the ack is visible to anyone.
 		st.estimate = obtained
-		st.ts = r
+		st.ts = st.r
 	}
-
-	// Phase 3: broadcast the obtained value (or ⊥) and inspect the first
-	// majority of phase-3 messages.
-	st.broadcast(KindAck, consensus.Msg{Round: r, Est: obtained, Null: !haveV})
-	p3 := st.firstMaj(KindAck, r)
-	if p3 == nil {
-		return
-	}
-	var v any
-	sawV, sawBottom := false, false
-	for _, a := range p3 {
-		if a.env.Null {
-			sawBottom = true
-		} else {
-			v = a.env.Est
-			sawV = true
-		}
-	}
-	switch {
-	case sawV && !sawBottom:
-		st.rb.Broadcast(st.p, consensus.Decide{Inst: st.opt.Instance, Round: r, Value: v})
-	case sawV:
-		st.stats.BlockedByBottom++
-		st.estimate = v
-		st.ts = r
-	}
+	st.broadcast(KindAck, consensus.Msg{Round: st.r, Est: obtained, Null: !haveV})
+	st.ph = phReplies
 }
 
 // from returns the arrival of kind for round r sent by q, if received.
-func (st *state) from(kind string, r int, q dsys.ProcessID) (consensus.Msg, bool) {
+func (st *Proposal) from(kind string, r int, q dsys.ProcessID) (consensus.Msg, bool) {
 	for _, a := range st.byKind[kind][r] {
 		if a.from == q {
 			return a.env, true

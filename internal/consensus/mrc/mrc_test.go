@@ -109,22 +109,21 @@ func TestBottomInFirstMajorityBlocksRound(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		c := fdtest.NewCluster(5, 1)
 		c.At(3).SetTrusted(3) // permanent dissenter
-		stats := make(map[dsys.ProcessID]*mrc.Stats)
+		props := make(map[dsys.ProcessID]*mrc.Proposal)
 		res := conslab.Run(conslab.Setup{
 			N:    5,
 			Seed: seed,
 			Net:  network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 5 * time.Millisecond}},
-			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-				st := &mrc.Stats{}
-				stats[p.ID()] = st
-				return mrc.ProposeStats(p, c.At(p.ID()), rb, v, opt, st)
+			Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+				props[p.ID()] = mrc.NewProposal(c.At(p.ID()), rb, v, opt)
+				return props[p.ID()]
 			},
 		})
 		if err := res.Verify(5); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, st := range stats {
-			if st.BlockedByBottom > 0 {
+		for _, pr := range props {
+			if pr.Stats().BlockedByBottom > 0 {
 				sawBlock = true
 			}
 		}
@@ -157,22 +156,26 @@ func TestQuadraticMessagesPerRound(t *testing.T) {
 
 func TestSuccessiveInstances(t *testing.T) {
 	scripted := mrcAlgo.Scripted(fdtest.NewCluster(3, 1))
-	second := make(map[dsys.ProcessID]any)
+	second := make(map[dsys.ProcessID]consensus.Proposal)
 	res := conslab.Run(conslab.Setup{
 		N:    3,
 		Seed: 7,
-		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-			first := scripted(p, rb, v, consensus.Options{Instance: "a"})
-			res2 := scripted(p, rb, v, consensus.Options{Instance: "b"})
-			second[p.ID()] = res2.Value
-			return first
+		Run: func(p dsys.Proc, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+			return conslab.Successive(scripted(p, rb, v, consensus.Options{Instance: "a"}), func(consensus.Result) consensus.Proposal {
+				second[p.ID()] = scripted(p, rb, v, consensus.Options{Instance: "b"})
+				return second[p.ID()]
+			})
 		},
 	})
 	if err := res.Verify(3); err != nil {
 		t.Fatal(err)
 	}
+	want, ok := second[1].Result()
+	if !ok {
+		t.Fatal("instance b never decided at p1")
+	}
 	for _, id := range dsys.Pids(3) {
-		if second[id] != second[dsys.ProcessID(1)] {
+		if got, _ := second[id].Result(); got.Value != want.Value {
 			t.Errorf("instance b disagreement at %v", id)
 		}
 	}

@@ -1,18 +1,25 @@
 package fdlab_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/consensus"
 	"repro/internal/consensus/cec"
+	"repro/internal/consensus/ctc"
+	"repro/internal/consensus/mrc"
 	"repro/internal/core"
 	"repro/internal/dsys"
 	"repro/internal/fd/fdlab"
 	"repro/internal/fd/fdtest"
+	"repro/internal/fd/omega"
 	"repro/internal/fd/ring"
 	"repro/internal/network"
 	"repro/internal/rbcast"
@@ -42,14 +49,18 @@ func onPath(reference bool, build func(p dsys.Proc) any) func(p dsys.Proc) any {
 	return func(p dsys.Proc) any { return build(referenceProc{p}) }
 }
 
-// scheduleWitnesses counts, in a consensus run's message log, the nacks and
-// the round jumps: a process sending its real estimate for round r > 1
-// without having sent one for round r-1 adopted a later round's coordinator
-// from a pending announcement.
-func scheduleWitnesses(msgs []trace.MsgEvent) (nacks, jumps int) {
+// scheduleWitnesses counts, in a consensus run's message log, cec's nacks
+// and round jumps, and the messages of any algorithm sent for a round past
+// the first: a process sending its real estimate for round r > 1 without
+// having sent one for round r-1 adopted a later round's coordinator from a
+// pending announcement.
+func scheduleWitnesses(msgs []trace.MsgEvent) (nacks, jumps, late int) {
 	estimated := map[dsys.ProcessID]map[int]bool{}
 	for _, e := range msgs {
 		env, ok := e.Payload.(consensus.Msg)
+		if ok && env.Round > 1 {
+			late++
+		}
 		switch {
 		case !ok:
 		case e.Kind == cec.KindNack:
@@ -68,7 +79,61 @@ func scheduleWitnesses(msgs []trace.MsgEvent) (nacks, jumps int) {
 			}
 		}
 	}
-	return nacks, jumps
+	return nacks, jumps, late
+}
+
+// pinnedDigests holds each scenario's scenarioDigest.
+var pinnedDigests = map[string]string{
+	"heartbeat":           "13880383b4173d959cb6793a42dd29ee0dd82a231611b49234f97a30c1bb65d2",
+	"ring":                "5920ab993e1a41e1f5556a30bae08a128c3f5c866fef70187cc64b2aceceefba",
+	"neighbor":            "6987e6753c5dfcaaad00332842ac25a6747e451707f0c51b2a4b4f8b505222b4",
+	"amplify":             "d4f7b533dbf5a0943b54f35c204bf4844bcce1919daa8d967c65d2a6236e0e23",
+	"omega-leaderbeat":    "d614b98d78872a5ac5617a706bd40fd9fc13e6f453a851cad6785d8954e9df20",
+	"omega-stable":        "7e7c08d4cd64f5169d8869aa67b8f9ec98764d26538978cf731e7cca06132211",
+	"omega-fromsuspector": "d212c2d81f140325f9fbf9c6a1d7d5a93b478a50b6721fe78b4d5d66e896e4ec",
+	"from-perfect":        "7111921b180e7070743dc23f3b3ba9b648ac4c58e8e5ed482e6dac22aae7369b",
+	"from-leader":         "4b9b595db74cc3ac397cf0a03a5ae73987930c9f89237b284ddd28b5e25927f9",
+	"weak-route":          "fc482cb76ee744b9437ca4924288f68b2a12538e50e9556aa5144e9bed73a0f8",
+	"transform":           "db100c5304f61c7c25bd58a8013b2517e9e8091cf0e29ade9453329877b76bad",
+	"transform-scripted":  "dccec5b2e0d5acd17159a2d6621431f15531c845ad8daa2084d8cb8b03a09f45",
+	"piggyback":           "9599492826072b11b8107e0c7c24d4c8cee6a34c732ecc2a64803cbca66e3bce",
+	"cec":                 "924f1338b3b815c0fd9d32770fc8d6cedb09d653473ef0fd009019ac63416015",
+	"cec-merged":          "89bd91d97a58b86f2f1e131474451176fc4ca5c1d6647e7b54886354464a2d57",
+	"cec-cutoff":          "75198e4950e6b36d24988e07474c84f8f35b62e06a140687a2889f09f91fe371",
+	"ctc":                 "0184a10cbe0255e8b322e64289ef9e537f120a5569ad218dfda12edfb4ae885c",
+	"mrc":                 "2d9fbeaf19b22ecc37f4c51078071a337e6efc52e66b180b6e5a29bf1d3d218a",
+	"replicated-log":      "9db8a401ed17fe2ab7e633ab730334429890ad3938e5545a80631be607626d22",
+}
+
+// checkPinned fails the test unless digest is the scenario's pinned one.
+func checkPinned(t *testing.T, name, digest string) {
+	t.Helper()
+	if want := pinnedDigests[name]; digest != want {
+		t.Errorf("digest %s, pinned %s", digest, want)
+	}
+}
+
+// scenarioDigest is the SHA-256 of a run's event count, its message log and
+// the run's outcomes, each printed with %+v.
+func scenarioDigest(events uint64, msgs []trace.MsgEvent, outcomes ...any) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "events %d\n", events)
+	for _, e := range msgs {
+		fmt.Fprintf(h, "%d %d %d %s %s %t\n", e.At, e.From, e.To, e.Kind, payloadText(e.Payload), e.Dropped)
+	}
+	for _, o := range outcomes {
+		fmt.Fprintf(h, "%+v\n", o)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// payloadText renders a message payload: its type and its fields, through
+// the one pointer payload the detectors send.
+func payloadText(v any) string {
+	if b, ok := v.(*omega.BeatPayload); ok {
+		return "beat:" + payloadText(b.Attachment)
+	}
+	return fmt.Sprintf("%T%+v", v, v)
 }
 
 // sameMessages fails the test at the first entry where two message logs
@@ -141,6 +206,11 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 				}
 			}
 			sameMessages(t, cb.Messages.Events(), ref.Messages.Events())
+			samples := make([][]check.FDSample, 0, 8)
+			for _, id := range dsys.Pids(8) {
+				samples = append(samples, cb.Trace.Rec.Samples(id))
+			}
+			checkPinned(t, subtest(st.Name), scenarioDigest(cb.Events, cb.Messages.Events(), cb.End, samples))
 		})
 	}
 
@@ -150,14 +220,24 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 	// suspects — so coordinators compete, rounds abort with nacks and
 	// participants jump rounds through pending announcements; after GST all
 	// trust p1 and one round gets through.
+	cecProposal := func(d *fdtest.Scripted, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+		return cec.NewProposal(d, rb, v, opt)
+	}
 	for _, tc := range []struct {
-		name string
-		seed int64
-		opt  consensus.Options
+		name        string
+		seed        int64
+		opt         consensus.Options
+		newProposal func(d *fdtest.Scripted, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal
 	}{
-		{"cec", 4415, consensus.Options{}},
-		{"cec-merged", 4421, consensus.Options{MergedPhase01: true}},
-		{"cec-cutoff", 4434, consensus.Options{FirstMajorityCutoff: true}},
+		{"cec", 4415, consensus.Options{}, cecProposal},
+		{"cec-merged", 4421, consensus.Options{MergedPhase01: true}, cecProposal},
+		{"cec-cutoff", 4434, consensus.Options{FirstMajorityCutoff: true}, cecProposal},
+		{"ctc", 4441, consensus.Options{}, func(d *fdtest.Scripted, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+			return ctc.NewProposal(d, rb, v, opt)
+		}},
+		{"mrc", 4452, consensus.Options{}, func(d *fdtest.Scripted, rb *rbcast.Module, v any, opt consensus.Options) consensus.Proposal {
+			return mrc.NewProposal(d, rb, v, opt)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 5
@@ -172,14 +252,14 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 				net := network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 12 * time.Millisecond}}
 				k := sim.New(sim.Config{N: n, Network: net, Seed: tc.seed, Trace: col})
 				dets := fdtest.NewCluster(n, 1)
-				props := make(map[dsys.ProcessID]*cec.Proposal, n)
+				props := make(map[dsys.ProcessID]consensus.Proposal, n)
 				for _, id := range dsys.Pids(n) {
 					k.Spawn(id, "consensus", func(p dsys.Proc) {
 						if reference {
 							p = referenceProc{p}
 						}
-						props[id] = cec.NewProposal(dets.At(id), rbcast.Start(p), fmt.Sprintf("v%v", id), tc.opt)
-						dsys.SpawnStep(p, "cec", props[id].Step)
+						props[id] = tc.newProposal(dets.At(id), rbcast.Start(p), fmt.Sprintf("v%v", id), tc.opt)
+						dsys.SpawnStep(p, tc.name, props[id].Step)
 					})
 				}
 				rng := rand.New(rand.NewSource(tc.seed))
@@ -212,12 +292,17 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 			if len(cb.decided) != n {
 				t.Errorf("%d of %d processes decided", len(cb.decided), n)
 			}
-			nacks, jumps := scheduleWitnesses(cb.msgs)
-			if nacks == 0 {
-				t.Error("no round was nacked; the detector does not flap enough")
+			nacks, jumps, late := scheduleWitnesses(cb.msgs)
+			if late == 0 {
+				t.Error("every process decided in round 1; the detector does not flap enough")
 			}
-			if jumps == 0 && !tc.opt.MergedPhase01 {
-				t.Error("no process jumped a round through a pending announcement")
+			if strings.HasPrefix(tc.name, "cec") {
+				if nacks == 0 {
+					t.Error("no round was nacked; the detector does not flap enough")
+				}
+				if jumps == 0 && !tc.opt.MergedPhase01 {
+					t.Error("no process jumped a round through a pending announcement")
+				}
 			}
 			if cb.events != ref.events {
 				t.Errorf("event count: callback %d vs reference %d", cb.events, ref.events)
@@ -226,6 +311,7 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 				t.Errorf("decisions diverge: callback %v vs reference %v", cb.decided, ref.decided)
 			}
 			sameMessages(t, cb.msgs, ref.msgs)
+			checkPinned(t, tc.name, scenarioDigest(cb.events, cb.msgs, cb.decided))
 		})
 	}
 
@@ -282,5 +368,6 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 			t.Error("applied logs diverge between the callback and reference paths")
 		}
 		sameMessages(t, cb.msgs, ref.msgs)
+		checkPinned(t, "replicated-log", scenarioDigest(cb.events, cb.msgs, cb.applied))
 	})
 }

@@ -189,16 +189,20 @@ func (k *Kernel) Spawn(id dsys.ProcessID, name string, fn dsys.TaskFunc) {
 	k.spawn(k.procAt(id), name, fn)
 }
 
-// SpawnRecvLoop adds a receive loop to process id as a callback step task
-// (see dsys.SpawnRecvLoop).
-func (k *Kernel) SpawnRecvLoop(id dsys.ProcessID, name string, fn dsys.RecvLoopFunc, kinds ...string) {
-	k.spawnStep(k.procAt(id), name, dsys.RecvLoopStep(fn, kinds...))
+// SpawnStep adds a step task to process id (see dsys.SpawnStep). It may be
+// called before Run or from harness hooks during the run.
+func (k *Kernel) SpawnStep(id dsys.ProcessID, name string, step dsys.StepFunc) {
+	k.spawnStep(k.procAt(id), name, step)
 }
 
-// SpawnTickLoop adds a periodic loop to process id as a callback step task
-// (see dsys.SpawnTickLoop).
+// SpawnRecvLoop adds a receive loop to process id (see dsys.SpawnRecvLoop).
+func (k *Kernel) SpawnRecvLoop(id dsys.ProcessID, name string, fn dsys.RecvLoopFunc, kinds ...string) {
+	k.SpawnStep(id, name, dsys.RecvLoopStep(fn, kinds...))
+}
+
+// SpawnTickLoop adds a periodic loop to process id (see dsys.SpawnTickLoop).
 func (k *Kernel) SpawnTickLoop(id dsys.ProcessID, name string, loop dsys.TickLoop) {
-	k.spawnStep(k.procAt(id), name, dsys.TickLoopStep(loop))
+	k.SpawnStep(id, name, dsys.TickLoopStep(loop))
 }
 
 func (k *Kernel) spawn(p *proc, name string, fn dsys.TaskFunc) {
