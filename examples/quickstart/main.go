@@ -41,21 +41,39 @@ func main() {
 	var decisions []done
 
 	for _, id := range dsys.Pids(n) {
-		id := id
-		k.Spawn(id, "main", func(p dsys.Proc) {
-			// Each process attaches a ◇C detector module and a reliable
-			// broadcast module, then proposes its own value.
-			det := ring.Start(p, ring.Options{})
-			rb := rbcast.Start(p)
-
-			res := cec.Propose(p, det, rb, fmt.Sprintf("value-of-%v", id), consensus.Options{Instance: "demo-1"})
-			decisions = append(decisions, done{id, "demo-1", res.Value, res.Round, res.At})
-
-			// Second instance, after p1 (the initial leader) has crashed:
-			// the detector elects p2 and consensus still completes.
-			p.Sleep(300 * time.Millisecond)
-			res = cec.Propose(p, det, rb, fmt.Sprintf("second-%v", id), consensus.Options{Instance: "demo-2"})
-			decisions = append(decisions, done{id, "demo-2", res.Value, res.Round, res.At})
+		// Each process runs one step task: its first step attaches a ◇C
+		// detector module and a reliable broadcast module and proposes the
+		// process's own value; when that instance has decided the task sleeps
+		// 300ms, and then it runs a second instance. On the simulator a task
+		// waits by returning a dsys.Wait from its step, so a proposal is
+		// stepped, not called.
+		var det *ring.Detector
+		var rb *rbcast.Module
+		var pr *cec.Proposal
+		inst, sleeping := 0, false // the instance running (1 or 2), and the pause between them
+		k.SpawnStep(id, "main", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+			switch {
+			case inst == 0:
+				det = ring.Start(p, ring.Options{})
+				rb = rbcast.Start(p)
+				inst = 1
+				pr = cec.NewProposal(det, rb, fmt.Sprintf("value-of-%v", id), consensus.Options{Instance: "demo-1"})
+			case sleeping:
+				// Second instance, after p1 (the initial leader) has crashed:
+				// the detector elects p2 and consensus still completes.
+				inst, sleeping = 2, false
+				pr = cec.NewProposal(det, rb, fmt.Sprintf("second-%v", id), consensus.Options{Instance: "demo-2"})
+			}
+			if w := pr.Step(p, m); !w.Done() {
+				return w
+			}
+			res, _ := pr.Result()
+			decisions = append(decisions, done{id, fmt.Sprintf("demo-%d", inst), res.Value, res.Round, res.At})
+			if inst == 2 {
+				return dsys.Finished
+			}
+			sleeping = true
+			return dsys.Sleep(300 * time.Millisecond)
 		})
 	}
 

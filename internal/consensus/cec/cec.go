@@ -40,9 +40,10 @@
 // Because every step reacts to a message or an idle poll, one process's run
 // of an instance is a resumable state machine, Proposal: each Step handles
 // the message (or the idle poll) that ended the last wait and runs on to the
-// next one. Spawned with dsys.SpawnStep it is a step task, which the
-// simulator runs goroutine-free; Propose is the blocking driver over the
-// same machine, for callers that want to wait for the decision inline.
+// next one. Spawned with dsys.SpawnStep it is a step task, the only kind
+// the simulator runs; Propose is the blocking driver over the same machine,
+// for callers on the live runtime that want to wait for the decision
+// inline.
 //
 // With a stable detector (every correct process permanently trusts the same
 // correct leader) the algorithm decides in a single round — the property
@@ -188,22 +189,15 @@ func (st *Proposal) round(r int) *round {
 
 // Propose runs one Uniform Consensus instance at this process, proposing v,
 // and blocks until this process decides; it returns the decision. It drives
-// a Proposal on the calling task (see NewProposal for the arguments).
+// a Proposal on the calling task (see NewProposal for the arguments) with
+// dsys.RunSteps, so it needs a runtime with blocking primitives (package
+// live); on the simulator, step the Proposal instead.
 //
 // Propose never returns on a process that crashes before deciding (the task
 // is unwound by the runtime).
 func Propose(p dsys.Proc, d fd.EventuallyConsistent, rb *rbcast.Module, v any, opt consensus.Options) consensus.Result {
-	return ProposeStats(p, d, rb, v, opt, nil)
-}
-
-// ProposeStats is Propose with run statistics reported into stats (if
-// non-nil).
-func ProposeStats(p dsys.Proc, d fd.EventuallyConsistent, rb *rbcast.Module, v any, opt consensus.Options, stats *Stats) consensus.Result {
 	pr := NewProposal(d, rb, v, opt)
 	dsys.RunSteps(p, pr.Step)
-	if stats != nil {
-		*stats = pr.Stats()
-	}
 	res, _ := pr.Result()
 	return res
 }

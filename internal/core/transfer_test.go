@@ -185,21 +185,25 @@ func TestOutOfOrderDecisionsParkUntilGapFills(t *testing.T) {
 		}
 		return core.State{From: entries[0].Slot, High: high, Entries: entries}
 	}
-	k.Spawn(1, "injector", func(p dsys.Proc) {
-		p.Sleep(30 * time.Millisecond)
-		// Slots 2 and 3 first; slot 1 only 65ms later.
-		for _, q := range p.All() {
-			p.Send(q, core.KindState, chunk(
-				core.StateEntry{Slot: 2, Round: 1, Batch: core.Batch{Cmds: []core.Command{cmd(102, "c2")}}},
-				core.StateEntry{Slot: 3, Round: 1, Batch: core.Batch{Cmds: []core.Command{cmd(103, "c3")}}},
-			))
-		}
-		p.Sleep(65 * time.Millisecond)
-		for _, q := range p.All() {
-			p.Send(q, core.KindState, chunk(
-				core.StateEntry{Slot: 1, Round: 1, Batch: core.Batch{Cmds: []core.Command{cmd(101, "c1")}}},
-			))
-		}
+	// Slots 2 and 3 at 30ms; slot 1 only 65ms later.
+	k.ScheduleFunc(30*time.Millisecond, func(time.Duration) {
+		k.Spawn(1, "injector", func(p dsys.Proc) {
+			for _, q := range p.All() {
+				p.Send(q, core.KindState, chunk(
+					core.StateEntry{Slot: 2, Round: 1, Batch: core.Batch{Cmds: []core.Command{cmd(102, "c2")}}},
+					core.StateEntry{Slot: 3, Round: 1, Batch: core.Batch{Cmds: []core.Command{cmd(103, "c3")}}},
+				))
+			}
+		})
+	})
+	k.ScheduleFunc(95*time.Millisecond, func(time.Duration) {
+		k.Spawn(1, "injector", func(p dsys.Proc) {
+			for _, q := range p.All() {
+				p.Send(q, core.KindState, chunk(
+					core.StateEntry{Slot: 1, Round: 1, Batch: core.Batch{Cmds: []core.Command{cmd(101, "c1")}}},
+				))
+			}
+		})
 	})
 	// While slot 1 is missing, the later decisions must sit parked.
 	k.ScheduleFunc(90*time.Millisecond, func(time.Duration) {
@@ -306,11 +310,12 @@ func TestCrashMidPipelineWindowConverges(t *testing.T) {
 func TestKickedCommandAppliedOnce(t *testing.T) {
 	k, reps, _ := cluster(3, 13, reliable(), nil)
 	x := core.Command{Origin: 9, Seq: 999, Payload: "X"}
-	k.Spawn(1, "injector", func(p dsys.Proc) {
-		p.Sleep(30 * time.Millisecond)
-		for _, q := range p.All() {
-			p.Send(q, core.KindKick, core.Kick{Slot: 2, Batch: core.Batch{Cmds: []core.Command{x}}})
-		}
+	k.ScheduleFunc(30*time.Millisecond, func(time.Duration) {
+		k.Spawn(1, "injector", func(p dsys.Proc) {
+			for _, q := range p.All() {
+				p.Send(q, core.KindKick, core.Kick{Slot: 2, Batch: core.Batch{Cmds: []core.Command{x}}})
+			}
+		})
 	})
 	k.ScheduleFunc(300*time.Millisecond, func(time.Duration) {
 		reps[1].Submit("Y")

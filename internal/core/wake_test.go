@@ -52,11 +52,20 @@ type censusProc struct {
 	c *census
 }
 
-func (cp censusProc) Spawn(name string, fn dsys.TaskFunc) {
-	cp.Proc.Spawn(name, func(p dsys.Proc) {
-		cp.c.add(name, 1)
-		defer cp.c.add(name, -1)
-		fn(censusProc{p, cp.c})
+// SpawnStep counts a step task alive from its first step until it
+// finishes.
+func (cp censusProc) SpawnStep(name string, step dsys.StepFunc) {
+	started := false
+	dsys.SpawnStep(cp.Proc, name, func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+		if !started {
+			started = true
+			cp.c.add(name, 1)
+		}
+		w := step(censusProc{p, cp.c}, m)
+		if w.Done() {
+			cp.c.add(name, -1)
+		}
+		return w
 	})
 }
 
@@ -211,14 +220,20 @@ func TestSequentialSlotsLeaveNothingBehind(t *testing.T) {
 	left := map[dsys.ProcessID]int{}
 	for _, id := range dsys.Pids(n) {
 		id := id
-		ec.k.Spawn(id, "sweep", func(p dsys.Proc) {
-			p.Sleep(9 * time.Second)
-			for {
-				if _, ok := p.RecvTimeout(dsys.MatchAny, 0); !ok {
-					return
-				}
+		// Sleep 9 s, then take whatever is buffered.
+		sweeping := false
+		ec.k.SpawnStep(id, "sweep", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+			switch {
+			case !sweeping && p.Now() == 0:
+				return dsys.Sleep(9 * time.Second)
+			case !sweeping:
+				sweeping = true
+			case m == nil:
+				return dsys.Finished
+			default:
 				left[id]++
 			}
+			return dsys.AwaitTimeout(dsys.MatchAny, 0)
 		})
 	}
 	ec.k.ScheduleFunc(10*time.Millisecond, func(time.Duration) { submit() })

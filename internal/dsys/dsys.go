@@ -9,12 +9,13 @@
 // resumable state machine (StepFunc) that runs one step per message or
 // timer and returns what it waits for next (Wait). Receive loops ("upon
 // receiving m do ...") and periodic loops ("every Φ do ...") are step tasks
-// too (RecvLoopStep, TickLoopStep). The simulator runs step tasks as
-// callbacks; elsewhere they run through RunSteps, their one blocking
-// expansion into the Proc primitives Recv, RecvTimeout and Sleep. Spawn
-// runs a body written directly against those primitives. Two runtimes
-// implement Proc: the deterministic discrete-event simulator (package sim)
-// and the real-time goroutine runtime (package live).
+// too (RecvLoopStep, TickLoopStep). Two runtimes implement Proc: the
+// deterministic discrete-event simulator (package sim), which runs step
+// tasks only, as callbacks, and the real-time goroutine runtime (package
+// live), which runs them through RunSteps, their one blocking expansion into
+// the Proc primitives Recv, RecvTimeout and Sleep. Those primitives exist
+// for the live runtime: on the simulator they fail the run, and Spawn's body
+// runs once, as a single step.
 package dsys
 
 import (
@@ -91,9 +92,10 @@ type KindMatcher interface {
 // MatchAny accepts every message.
 var MatchAny Matcher = MatchFunc(func(*Message) bool { return true })
 
-// TaskFunc is the body of a task. It runs until it returns, the process
-// crashes, or the run is stopped; in the latter two cases the runtime unwinds
-// the task from inside a blocking primitive.
+// TaskFunc is the body of a task. On the live runtime it runs until it
+// returns, the process crashes, or the run is stopped; in the latter two
+// cases the runtime unwinds the task from inside a blocking primitive. On
+// the simulator it runs once, as one step, and must not block.
 type TaskFunc func(Proc)
 
 // Proc is a task's handle to its process and to the system. All methods are
@@ -124,14 +126,19 @@ type Proc interface {
 	// runtime unwinds the task before the caller can observe it, so callers
 	// may ignore the flag. Matchers implementing KindMatcher (MatchKind's
 	// and MatchKinds' results) dispatch through the runtime's kind index.
+	// Live runtime only: on the simulator a step task returns Await(match)
+	// instead, and Recv fails the run.
 	Recv(match Matcher) (*Message, bool)
 	// RecvTimeout is Recv with a deadline d from now. It returns ok=false
-	// with a nil message if the deadline elapses first.
+	// with a nil message if the deadline elapses first. Live runtime only:
+	// on the simulator a step task returns AwaitTimeout(match, d) instead.
 	RecvTimeout(match Matcher, d time.Duration) (*Message, bool)
-	// Sleep suspends the task for d.
+	// Sleep suspends the task for d. Live runtime only: on the simulator a
+	// step task returns Sleep(d) instead.
 	Sleep(d time.Duration)
 	// Spawn starts a new task of the same process. Spawned tasks are
-	// unwound together with the process.
+	// unwound together with the process. On the simulator fn runs once, as
+	// one step; spawn a step task with SpawnStep to wait.
 	Spawn(name string, fn TaskFunc)
 	// Logf records a debug log line tagged with the process and time.
 	Logf(format string, args ...any)

@@ -11,12 +11,11 @@ import "time"
 // sleeps a period after every tick, and a consensus instance or log driver
 // waits mid-phase for whatever its state needs. Declared this way a task
 // exposes its structure, and a runtime implementing LoopSpawner runs it as
-// a callback with no execution context at all — the simulator's
-// goroutine-free fast path. Everywhere else it runs through RunSteps, the
-// one blocking expansion, where every Wait becomes one Recv, RecvTimeout or
-// Sleep; the expansion is also the reference the simulator's differential
-// tests hold the callbacks to. Spawn remains for bodies written against the
-// blocking primitives directly.
+// a callback with no execution context at all — the simulator, which runs
+// nothing else. Everywhere else it runs through RunSteps, the one blocking
+// expansion, where every Wait becomes one Recv, RecvTimeout or Sleep. Spawn
+// remains for bodies written against the blocking primitives directly,
+// which only the live runtime can run.
 
 // RecvLoopFunc is the body of a receive loop: called once per received
 // message, in delivery order. The message is only valid for the duration of
@@ -80,8 +79,8 @@ func Sleep(d time.Duration) Wait { return Wait{Timed: true, Timeout: d} }
 // Done reports whether w ends the task.
 func (w Wait) Done() bool { return w.Match == nil && !w.Timed }
 
-// LoopSpawner is the optional runtime fast path for step tasks. Runtimes
-// whose Proc implements it (the simulator's) run them as callbacks on the
+// LoopSpawner is the optional runtime path for step tasks. Runtimes whose
+// Proc implements it (the simulator's) run them as callbacks on the
 // scheduler; SpawnStep and the loop spawners probe for it and otherwise
 // spawn the blocking expansion RunSteps.
 type LoopSpawner interface {
@@ -90,7 +89,7 @@ type LoopSpawner interface {
 
 // SpawnStep spawns a step task of p's process. Scheduling is identical to
 // spawning a task that calls RunSteps(p, step), the blocking expansion, but
-// runtimes implementing LoopSpawner run it goroutine-free.
+// runtimes implementing LoopSpawner run it as a callback.
 func SpawnStep(p Proc, name string, step StepFunc) {
 	if ls, ok := p.(LoopSpawner); ok {
 		ls.SpawnStep(name, step)
@@ -155,8 +154,9 @@ func TickLoopStep(loop TickLoop) StepFunc {
 
 // RunSteps runs step on the calling task until it is finished, blocking in
 // p's Recv, RecvTimeout or Sleep for each Wait it returns — the blocking
-// expansion of a step task, for runtimes without the callback path and for
-// callers that drive a state machine inline (cec.Propose).
+// expansion of a step task, for runtimes without the callback path (package
+// live) and for callers there that drive a state machine inline
+// (cec.Propose).
 func RunSteps(p Proc, step StepFunc) {
 	var m *Message
 	for {

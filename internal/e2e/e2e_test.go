@@ -43,21 +43,24 @@ func TestFullStackCoexistence(t *testing.T) {
 	})
 	rec := check.NewFDRecorder(n)
 	replicas := make(map[dsys.ProcessID]*core.Replica, n)
-	standalone := make(map[dsys.ProcessID]consensus.Result, n)
+	props := make(map[dsys.ProcessID]*cec.Proposal, n)
 
+	// Each node is one step task: its first step starts every layer, and
+	// every step runs the standalone consensus instance.
 	for _, id := range dsys.Pids(n) {
-		id := id
-		k.Spawn(id, "node", func(p dsys.Proc) {
-			det := ring.Start(p, ring.Options{})
-			tp := transform.Start(p, det, transform.Options{})
-			rec.SetProbe(id, check.FDProbe{Suspected: tp.Suspected, Trusted: det.Trusted})
-			replicas[id] = core.StartReplica(p, core.Config{
-				Detector:  det,
-				Consensus: consensus.Options{Instance: "log"},
-			})
-			rb := rbcast.Start(p)
-			standalone[id] = cec.Propose(p, det, rb, fmt.Sprintf("sa-%v", id),
-				consensus.Options{Instance: "standalone"})
+		k.SpawnStep(id, "node", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+			if props[id] == nil {
+				det := ring.Start(p, ring.Options{})
+				tp := transform.Start(p, det, transform.Options{})
+				rec.SetProbe(id, check.FDProbe{Suspected: tp.Suspected, Trusted: det.Trusted})
+				replicas[id] = core.StartReplica(p, core.Config{
+					Detector:  det,
+					Consensus: consensus.Options{Instance: "log"},
+				})
+				props[id] = cec.NewProposal(det, rbcast.Start(p), fmt.Sprintf("sa-%v", id),
+					consensus.Options{Instance: "standalone"})
+			}
+			return props[id].Step(p, m)
 		})
 	}
 	rec.Attach(k, 5*time.Millisecond, 5*time.Millisecond)
@@ -99,13 +102,13 @@ func TestFullStackCoexistence(t *testing.T) {
 	}
 
 	// Layer 3: the standalone consensus instance agreed.
-	ref := standalone[dsys.ProcessID(1)]
-	if ref.Value == nil {
+	ref, ok := props[1].Result()
+	if !ok {
 		t.Fatal("standalone consensus never decided at p1")
 	}
 	for _, id := range []dsys.ProcessID{2, 3, 4} {
-		if standalone[id].Value != ref.Value {
-			t.Errorf("standalone consensus disagreement at %v: %v vs %v", id, standalone[id].Value, ref.Value)
+		if got, _ := props[id].Result(); got.Value != ref.Value {
+			t.Errorf("standalone consensus disagreement at %v: %v vs %v", id, got.Value, ref.Value)
 		}
 	}
 

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -26,28 +25,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// referenceProc hides the kernel's dsys.LoopSpawner, so every step task —
-// SpawnStep's, and the receive and tick loops SpawnRecvLoop and
-// SpawnTickLoop build — falls back to its one blocking expansion,
-// dsys.RunSteps: the path every runtime without the fast path takes. It re-wraps the handle of every task
-// it spawns, so tasks spawned from inside a task (a TickLoop.Setup
-// companion, a module started later, a consensus instance's responder) take
-// the reference path too.
-type referenceProc struct{ dsys.Proc }
-
-func (r referenceProc) Spawn(name string, fn dsys.TaskFunc) {
-	r.Proc.Spawn(name, func(p dsys.Proc) { fn(referenceProc{p}) })
-}
-
-// onPath runs build on the reference path when reference is set and on the
-// kernel's callback path otherwise.
-func onPath(reference bool, build func(p dsys.Proc) any) func(p dsys.Proc) any {
-	if !reference {
-		return build
-	}
-	return func(p dsys.Proc) any { return build(referenceProc{p}) }
-}
 
 // scheduleWitnesses counts, in a consensus run's message log, cec's nacks
 // and round jumps, and the messages of any algorithm sent for a round past
@@ -82,7 +59,9 @@ func scheduleWitnesses(msgs []trace.MsgEvent) (nacks, jumps, late int) {
 	return nacks, jumps, late
 }
 
-// pinnedDigests holds each scenario's scenarioDigest.
+// pinnedDigests holds each scenario's scenarioDigest, recorded while the
+// simulator still had its blocking execution path and both schemes produced
+// these runs message for message (see TestCallbackGoroutineDifferential).
 var pinnedDigests = map[string]string{
 	"heartbeat":           "13880383b4173d959cb6793a42dd29ee0dd82a231611b49234f97a30c1bb65d2",
 	"ring":                "5920ab993e1a41e1f5556a30bae08a128c3f5c866fef70187cc64b2aceceefba",
@@ -136,38 +115,28 @@ func payloadText(v any) string {
 	return fmt.Sprintf("%T%+v", v, v)
 }
 
-// sameMessages fails the test at the first entry where two message logs
-// differ.
-func sameMessages(t *testing.T, cb, ref []trace.MsgEvent) {
-	t.Helper()
-	if len(cb) != len(ref) {
-		t.Fatalf("message log length: callback %d vs reference %d", len(cb), len(ref))
-	}
-	for i := range cb {
-		if !reflect.DeepEqual(cb[i], ref[i]) {
-			t.Fatalf("message log diverges at entry %d: callback %+v vs reference %+v", i, cb[i], ref[i])
-		}
-	}
-}
-
-// TestCallbackGoroutineDifferential is the execution-scheme differential test
-// backing the kernel's goroutine-free fast path: every run must be
-// bit-identical whether its step tasks run as resumable callbacks on the
-// kernel goroutine (the default) or through their blocking expansion
-// RunSteps, each on its own goroutine (referenceProc). The experiment tables are a function of
-// the sampled detector outputs and the message log, so equality here is
-// what keeps every table byte-identical across the two schemes.
+// TestCallbackGoroutineDifferential holds the simulator's one execution
+// scheme — step tasks run as callbacks on the dispatch loop — to the runs
+// its retired twin produced. Until the simulator's blocking path was
+// deleted, every scenario below ran twice, once as callbacks and once with
+// every step task on its own goroutine through its blocking expansion
+// dsys.RunSteps, and the two had to agree event for event; the digests in
+// pinnedDigests are those shared runs. The experiment tables are a function
+// of the sampled detector outputs and the message log, so a digest that
+// still matches keeps every table byte-identical. dsys.TestRunStepsExpansion
+// now holds RunSteps to the Wait semantics, and live.TestDispatchMatchesSimulator
+// holds the live runtime's dispatch to the simulator's.
 //
 // The detector half runs every stack of fdlab's catalog, piggybacked lists
 // riding LeaderBeat and the ◇C compositions included. The setups cover each
 // task shape the modules use: immediate and sleep-first tick loops, single-
 // and multi-kind receive loops, the Setup-hook spawn (transform's Task 4
-// inside Task 3's loop), and step tasks
-// waiting on kind and predicate matchers with and without timeouts (cec's
-// instances and responders, core's driver), under partial synchrony or
-// flapping detectors chosen to force false suspicions, retractions, list
-// adoptions, nacks and round jumps — the paths where a divergence in
-// scheduling order would surface.
+// inside Task 3's loop), and step tasks waiting on kind and predicate
+// matchers with and without timeouts (the consensus instances and cec's
+// responders, core's driver), under partial synchrony or flapping detectors
+// chosen to force false suspicions, retractions, list adoptions, nacks and
+// round jumps — the paths where a divergence in scheduling order would
+// surface.
 func TestCallbackGoroutineDifferential(t *testing.T) {
 	period := 10 * time.Millisecond
 	// One seed per catalog stack; the eight stacks older than the catalog
@@ -179,43 +148,27 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 	}
 	for _, st := range fdlab.Stacks() {
 		t.Run(subtest(st.Name), func(t *testing.T) {
-			run := func(reference bool) fdlab.Result {
-				return fdlab.Run(fdlab.Setup{
-					N:    8,
-					Seed: seeds[st.Name],
-					// GST after several periods with Δ above the initial
-					// timeout: pre-GST delays cause false suspicions and
-					// retractions before the run settles.
-					Net:     fdlab.PartialSync(300*time.Millisecond, 35*time.Millisecond),
-					Crashes: map[dsys.ProcessID]time.Duration{3: 600 * time.Millisecond},
-					Build:   onPath(reference, st.Build(period)),
-					RunFor:  1200 * time.Millisecond,
-				})
-			}
-			cb, ref := run(false), run(true)
-			if cb.Events != ref.Events {
-				t.Errorf("event count: callback %d vs reference %d", cb.Events, ref.Events)
-			}
-			if cb.End != ref.End {
-				t.Errorf("end time: callback %v vs reference %v", cb.End, ref.End)
-			}
-			for _, id := range dsys.Pids(8) {
-				a, b := cb.Trace.Rec.Samples(id), ref.Trace.Rec.Samples(id)
-				if !reflect.DeepEqual(a, b) {
-					t.Errorf("process %v: sampled detector outputs diverge (%d vs %d samples)", id, len(a), len(b))
-				}
-			}
-			sameMessages(t, cb.Messages.Events(), ref.Messages.Events())
+			res := fdlab.Run(fdlab.Setup{
+				N:    8,
+				Seed: seeds[st.Name],
+				// GST after several periods with Δ above the initial
+				// timeout: pre-GST delays cause false suspicions and
+				// retractions before the run settles.
+				Net:     fdlab.PartialSync(300*time.Millisecond, 35*time.Millisecond),
+				Crashes: map[dsys.ProcessID]time.Duration{3: 600 * time.Millisecond},
+				Build:   st.Build(period),
+				RunFor:  1200 * time.Millisecond,
+			})
 			samples := make([][]check.FDSample, 0, 8)
 			for _, id := range dsys.Pids(8) {
-				samples = append(samples, cb.Trace.Rec.Samples(id))
+				samples = append(samples, res.Trace.Rec.Samples(id))
 			}
-			checkPinned(t, subtest(st.Name), scenarioDigest(cb.Events, cb.Messages.Events(), cb.End, samples))
+			checkPinned(t, subtest(st.Name), scenarioDigest(res.Events, res.Messages.Events(), res.End, samples))
 		})
 	}
 
-	// Standalone consensus instances: each process's cec.Proposal is a step
-	// task, and its responder another. Until GST every detector module is
+	// Standalone consensus instances: each process's Proposal is a step
+	// task, and cec's responder another. Until GST every detector module is
 	// re-randomised every few milliseconds — random trusted process, random
 	// suspects — so coordinators compete, rounds abort with nacks and
 	// participants jump rounds through pending announcements; after GST all
@@ -242,57 +195,46 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 5
 			const gst = 150 * time.Millisecond
-			type result struct {
-				events  uint64
-				msgs    []trace.MsgEvent
-				decided map[dsys.ProcessID]consensus.Result
+			col := trace.NewCollector()
+			net := network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 12 * time.Millisecond}}
+			k := sim.New(sim.Config{N: n, Network: net, Seed: tc.seed, Trace: col})
+			dets := fdtest.NewCluster(n, 1)
+			props := make(map[dsys.ProcessID]consensus.Proposal, n)
+			for _, id := range dsys.Pids(n) {
+				k.Spawn(id, "consensus", func(p dsys.Proc) {
+					props[id] = tc.newProposal(dets.At(id), rbcast.Start(p), fmt.Sprintf("v%v", id), tc.opt)
+					dsys.SpawnStep(p, tc.name, props[id].Step)
+				})
 			}
-			run := func(reference bool) result {
-				col := trace.NewCollector()
-				net := network.Reliable{Latency: network.Uniform{Min: time.Millisecond, Max: 12 * time.Millisecond}}
-				k := sim.New(sim.Config{N: n, Network: net, Seed: tc.seed, Trace: col})
-				dets := fdtest.NewCluster(n, 1)
-				props := make(map[dsys.ProcessID]consensus.Proposal, n)
+			rng := rand.New(rand.NewSource(tc.seed))
+			k.Every(5*time.Millisecond, 5*time.Millisecond, func(now time.Duration) {
 				for _, id := range dsys.Pids(n) {
-					k.Spawn(id, "consensus", func(p dsys.Proc) {
-						if reference {
-							p = referenceProc{p}
-						}
-						props[id] = tc.newProposal(dets.At(id), rbcast.Start(p), fmt.Sprintf("v%v", id), tc.opt)
-						dsys.SpawnStep(p, tc.name, props[id].Step)
-					})
-				}
-				rng := rand.New(rand.NewSource(tc.seed))
-				k.Every(5*time.Millisecond, 5*time.Millisecond, func(now time.Duration) {
-					for _, id := range dsys.Pids(n) {
-						var trusted dsys.ProcessID = 1
-						var susp []dsys.ProcessID
-						if now < gst {
-							trusted = dsys.ProcessID(rng.Intn(n) + 1)
-							for _, q := range dsys.Pids(n) {
-								if rng.Intn(3) == 0 {
-									susp = append(susp, q)
-								}
+					var trusted dsys.ProcessID = 1
+					var susp []dsys.ProcessID
+					if now < gst {
+						trusted = dsys.ProcessID(rng.Intn(n) + 1)
+						for _, q := range dsys.Pids(n) {
+							if rng.Intn(3) == 0 {
+								susp = append(susp, q)
 							}
 						}
-						dets.At(id).SetTrusted(trusted)
-						dets.At(id).SetSuspected(susp...)
 					}
-				})
-				k.Run(time.Second)
-				res := result{events: k.Events(), msgs: col.Events(), decided: map[dsys.ProcessID]consensus.Result{}}
-				for _, id := range dsys.Pids(n) {
-					if d, ok := props[id].Result(); ok {
-						res.decided[id] = d
-					}
+					dets.At(id).SetTrusted(trusted)
+					dets.At(id).SetSuspected(susp...)
 				}
-				return res
+			})
+			k.Run(time.Second)
+			decided := map[dsys.ProcessID]consensus.Result{}
+			for _, id := range dsys.Pids(n) {
+				if d, ok := props[id].Result(); ok {
+					decided[id] = d
+				}
 			}
-			cb, ref := run(false), run(true)
-			if len(cb.decided) != n {
-				t.Errorf("%d of %d processes decided", len(cb.decided), n)
+			if len(decided) != n {
+				t.Errorf("%d of %d processes decided", len(decided), n)
 			}
-			nacks, jumps, late := scheduleWitnesses(cb.msgs)
+			msgs := col.Events()
+			nacks, jumps, late := scheduleWitnesses(msgs)
 			if late == 0 {
 				t.Error("every process decided in round 1; the detector does not flap enough")
 			}
@@ -304,14 +246,7 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 					t.Error("no process jumped a round through a pending announcement")
 				}
 			}
-			if cb.events != ref.events {
-				t.Errorf("event count: callback %d vs reference %d", cb.events, ref.events)
-			}
-			if !reflect.DeepEqual(cb.decided, ref.decided) {
-				t.Errorf("decisions diverge: callback %v vs reference %v", cb.decided, ref.decided)
-			}
-			sameMessages(t, cb.msgs, ref.msgs)
-			checkPinned(t, tc.name, scenarioDigest(cb.events, cb.msgs, cb.decided))
+			checkPinned(t, tc.name, scenarioDigest(k.Events(), msgs, decided))
 		})
 	}
 
@@ -322,52 +257,33 @@ func TestCallbackGoroutineDifferential(t *testing.T) {
 	// hand-over.
 	t.Run("replicated-log", func(t *testing.T) {
 		const n = 5
-		type result struct {
-			events  uint64
-			msgs    []trace.MsgEvent
-			applied map[dsys.ProcessID][]any
+		col := trace.NewCollector()
+		k := sim.New(sim.Config{N: n, Network: fdlab.PartialSync(100*time.Millisecond, 5*time.Millisecond), Seed: 4301, Trace: col})
+		reps := make(map[dsys.ProcessID]*core.Replica, n)
+		for _, id := range dsys.Pids(n) {
+			k.Spawn(id, "replica", func(p dsys.Proc) {
+				det := ring.Start(p, ring.Options{Period: period})
+				reps[id] = core.StartReplica(p, core.Config{Detector: det})
+			})
 		}
-		run := func(reference bool) result {
-			col := trace.NewCollector()
-			k := sim.New(sim.Config{N: n, Network: fdlab.PartialSync(100*time.Millisecond, 5*time.Millisecond), Seed: 4301, Trace: col})
-			reps := make(map[dsys.ProcessID]*core.Replica, n)
-			for _, id := range dsys.Pids(n) {
-				k.Spawn(id, "replica", func(p dsys.Proc) {
-					if reference {
-						p = referenceProc{p}
-					}
-					det := ring.Start(p, ring.Options{Period: period})
-					reps[id] = core.StartReplica(p, core.Config{Detector: det})
-				})
-			}
-			// A steady stream from every process across the crash of p1,
-			// everyone's initial leader.
-			for i := range 60 {
-				k.ScheduleFunc(time.Duration(20+5*i)*time.Millisecond, func(time.Duration) {
-					for _, id := range dsys.Pids(n) {
-						reps[id].Submit(fmt.Sprintf("%v-%d", id, i))
-					}
-				})
-			}
-			k.CrashAt(1, 150*time.Millisecond)
-			k.Run(3 * time.Second)
-			res := result{events: k.Events(), msgs: col.Events(), applied: map[dsys.ProcessID][]any{}}
-			for _, id := range dsys.Pids(n) {
-				res.applied[id] = reps[id].AppliedValues()
-			}
-			return res
+		// A steady stream from every process across the crash of p1,
+		// everyone's initial leader.
+		for i := range 60 {
+			k.ScheduleFunc(time.Duration(20+5*i)*time.Millisecond, func(time.Duration) {
+				for _, id := range dsys.Pids(n) {
+					reps[id].Submit(fmt.Sprintf("%v-%d", id, i))
+				}
+			})
 		}
-		cb, ref := run(false), run(true)
-		if got := len(cb.applied[2]); got < 60*(n-1) {
+		k.CrashAt(1, 150*time.Millisecond)
+		k.Run(3 * time.Second)
+		applied := map[dsys.ProcessID][]any{}
+		for _, id := range dsys.Pids(n) {
+			applied[id] = reps[id].AppliedValues()
+		}
+		if got := len(applied[2]); got < 60*(n-1) {
 			t.Errorf("p2 applied only %d commands; the run does not exercise the log", got)
 		}
-		if cb.events != ref.events {
-			t.Errorf("event count: callback %d vs reference %d", cb.events, ref.events)
-		}
-		if !reflect.DeepEqual(cb.applied, ref.applied) {
-			t.Error("applied logs diverge between the callback and reference paths")
-		}
-		sameMessages(t, cb.msgs, ref.msgs)
-		checkPinned(t, "replicated-log", scenarioDigest(cb.events, cb.msgs, cb.applied))
+		checkPinned(t, "replicated-log", scenarioDigest(k.Events(), col.Events(), applied))
 	})
 }

@@ -91,7 +91,7 @@ func TestGoldenDetectorDigests(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// One digest covers goldenSeeds runs, so a rarely taken branch has
 			// several schedules in which to show a divergence.
-			run := func(reference bool) (string, int, int) {
+			run := func() (string, int, int) {
 				all := sha256.New()
 				retracted, leaders := 0, 0
 				for i := int64(0); i < goldenSeeds; i++ {
@@ -107,11 +107,11 @@ func TestGoldenDetectorDigests(t *testing.T) {
 						// p1 is everyone's initial leader, so its crash is
 						// the leader change.
 						Crashes: map[dsys.ProcessID]time.Duration{1: 600 * time.Millisecond},
-						Build: onPath(reference, func(p dsys.Proc) any {
+						Build: func(p dsys.Proc) any {
 							m, c := tc.build(p)
 							counters = append(counters, c)
 							return m
-						}),
+						},
 						RunFor: 1500 * time.Millisecond,
 					})
 					for _, c := range counters {
@@ -126,19 +126,15 @@ func TestGoldenDetectorDigests(t *testing.T) {
 				}
 				return hex.EncodeToString(all.Sum(nil)), retracted, leaders
 			}
-			cb, retracted, leaders := run(false)
-			ref, _, _ := run(true)
+			digest, retracted, leaders := run()
 			if retracted == 0 {
 				t.Errorf("scenario retracted no false suspicion; it no longer exercises the back-off path")
 			}
 			if leaders < 2 {
 				t.Errorf("p%d trusted %d distinct leaders; the scenario needs a leader change", n, leaders)
 			}
-			if cb != ref {
-				t.Errorf("callback path %s vs reference path %s", cb, ref)
-			}
-			if want := goldenDigests[tc.name]; cb != want {
-				t.Errorf("digest %s, golden %s", cb, want)
+			if want := goldenDigests[tc.name]; digest != want {
+				t.Errorf("digest %s, golden %s", digest, want)
 			}
 		})
 	}
@@ -149,9 +145,8 @@ func TestGoldenDetectorDigests(t *testing.T) {
 // value is the SHA-256 of one seeded run's message log, sampled detector
 // outputs, every replica's applied log and the kernel's event count,
 // computed while cec's Propose and core's driver still blocked on goroutines
-// (with cec's pending announcements already answered in round order). Moving
-// those bodies onto the kernel's callback path must reproduce these runs
-// exactly, on the callback path and on the reference path alike.
+// (with cec's pending announcements already answered in round order). Their
+// step machines reproduce these runs exactly.
 var goldenLogDigests = map[string]string{
 	"steady":       "947b6032aebe8c5583b456bf8284fb807c4a9830c9cd356b9d5140cfa9381bff",
 	"lossy":        "19a99ca72ac54f3c387d875ffd1c03a9972359982ea8d8529032a7758a85d02a",
@@ -203,19 +198,16 @@ func TestGoldenLogDigests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(reference bool) (string, *trace.Collector, map[dsys.ProcessID]int) {
+			run := func() (string, *trace.Collector, map[dsys.ProcessID]int) {
 				col := trace.NewCollector()
 				k := sim.New(sim.Config{N: n, Network: tc.net, Seed: tc.seed, Trace: col})
 				rec := check.NewFDRecorder(n)
 				reps := make(map[dsys.ProcessID]*core.Replica, n)
 				for _, id := range dsys.Pids(n) {
 					k.Spawn(id, "replica", func(p dsys.Proc) {
-						build := onPath(reference, func(p dsys.Proc) any {
-							d := ring.Start(p, ring.Options{Period: 10 * time.Millisecond})
-							reps[id] = core.StartReplica(p, core.Config{Detector: d})
-							return d
-						})
-						rec.SetProbe(id, check.ProbeOf(build(p)))
+						d := ring.Start(p, ring.Options{Period: 10 * time.Millisecond})
+						reps[id] = core.StartReplica(p, core.Config{Detector: d})
+						rec.SetProbe(id, check.ProbeOf(d))
 					})
 				}
 				// Every live process submits one command per millisecond for
@@ -251,8 +243,7 @@ func TestGoldenLogDigests(t *testing.T) {
 				fmt.Fprintf(h, "events %d\n", k.Events())
 				return hex.EncodeToString(h.Sum(nil)), col, applied
 			}
-			cb, col, applied := run(false)
-			ref, _, _ := run(true)
+			digest, col, applied := run()
 			if why := tc.witness(col); why != "" {
 				t.Errorf("scenario no longer exercises its path: %s", why)
 			}
@@ -261,11 +252,8 @@ func TestGoldenLogDigests(t *testing.T) {
 					t.Errorf("%v applied %d commands, p%d %d", id, applied[id], n, applied[n])
 				}
 			}
-			if cb != ref {
-				t.Errorf("callback path %s vs reference path %s", cb, ref)
-			}
-			if want := goldenLogDigests[tc.name]; cb != want {
-				t.Errorf("digest %s, golden %s", cb, want)
+			if want := goldenLogDigests[tc.name]; digest != want {
+				t.Errorf("digest %s, golden %s", digest, want)
 			}
 		})
 	}

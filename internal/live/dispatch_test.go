@@ -31,11 +31,29 @@ type scriptMsg struct {
 	id   int
 }
 
-func (r scriptRecv) receive(p dsys.Proc) (*dsys.Message, bool) {
+// wait is the receiver's one wait: dsys.RunSteps turns it into the
+// receive on live.
+func (r scriptRecv) wait() dsys.Wait {
 	if r.timeout > 0 {
-		return p.RecvTimeout(r.match, r.timeout)
+		return dsys.AwaitTimeout(r.match, r.timeout)
 	}
-	return p.Recv(r.match)
+	return dsys.Await(r.match)
+}
+
+// step is the receiver as a step task: one wait, and got records the
+// message that ended it.
+func (r scriptRecv) step(got func(name string, m *dsys.Message)) dsys.StepFunc {
+	waited := false
+	return func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+		if !waited {
+			waited = true
+			return r.wait()
+		}
+		if m != nil {
+			got(r.name, m)
+		}
+		return dsys.Finished
+	}
 }
 
 // testScript has two parked receivers accepting the first delivery and a
@@ -53,24 +71,25 @@ func testScript() dispatchScript {
 	}
 }
 
-// runScriptSim runs the script on the simulator: process 2 sends the
-// messages to process 1 a millisecond apart.
+// runScriptSim runs the script on the simulator, each receiver as a step
+// task: process 2 sends the messages to process 1 a millisecond apart.
 func runScriptSim(sc dispatchScript) map[string]int {
 	k := sim.New(sim.Config{N: 2, Network: network.Reliable{Latency: network.Fixed(time.Millisecond)}})
 	got := map[string]int{}
 	for _, r := range sc.recvs {
-		r := r
-		k.Spawn(1, r.name, func(p dsys.Proc) {
-			if m, ok := r.receive(p); ok {
-				got[r.name] = m.Payload.(int)
-			}
-		})
+		k.SpawnStep(1, r.name, r.step(func(name string, m *dsys.Message) { got[name] = m.Payload.(int) }))
 	}
-	k.Spawn(2, "sender", func(p dsys.Proc) {
-		for _, m := range sc.msgs {
-			p.Sleep(time.Millisecond)
+	sent := 0
+	k.SpawnStep(2, "sender", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+		if sent > 0 {
+			m := sc.msgs[sent-1]
 			p.Send(1, m.kind, m.id)
 		}
+		if sent == len(sc.msgs) {
+			return dsys.Finished
+		}
+		sent++
+		return dsys.Sleep(time.Millisecond)
 	})
 	k.Run(time.Second)
 	return got
@@ -84,14 +103,12 @@ func runScriptLive(t *testing.T, sc dispatchScript) (map[string]int, int) {
 	var mu sync.Mutex
 	got := map[string]int{}
 	for _, r := range sc.recvs {
-		r := r
-		c.Spawn(1, r.name, func(p dsys.Proc) {
-			if m, ok := r.receive(p); ok {
-				mu.Lock()
-				got[r.name] = m.Payload.(int)
-				mu.Unlock()
-			}
+		step := r.step(func(name string, m *dsys.Message) {
+			mu.Lock()
+			got[name] = m.Payload.(int)
+			mu.Unlock()
 		})
+		c.Spawn(1, r.name, func(p dsys.Proc) { dsys.RunSteps(p, step) })
 	}
 	waitFor(t, "receivers to park", func() bool {
 		_, parked := c.Mailbox(1)

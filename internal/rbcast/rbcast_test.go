@@ -42,20 +42,39 @@ func (l *deliveryLog) at(id dsys.ProcessID) []delivery {
 	return out
 }
 
-// setup wires n processes with rbcast modules and a delivery log; act runs
-// on process 1 after a short delay.
-func setup(n int, seed int64, net network.Network, log *deliveryLog, acts map[dsys.ProcessID]func(p dsys.Proc, m *rbcast.Module)) *sim.Kernel {
+// act builds the steps a process takes with its rbcast module once the
+// module is started.
+type act func(m *rbcast.Module) dsys.StepFunc
+
+// once is the act that runs f in one step.
+func once(f func(p dsys.Proc, m *rbcast.Module)) act {
+	return func(m *rbcast.Module) dsys.StepFunc {
+		return func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+			f(p, m)
+			return dsys.Finished
+		}
+	}
+}
+
+// setup wires n processes with rbcast modules and a delivery log: each
+// process's set-up task starts its module and then runs the process's act,
+// if it has one, as the rest of the task.
+func setup(n int, seed int64, net network.Network, log *deliveryLog, acts map[dsys.ProcessID]act) *sim.Kernel {
 	k := sim.New(sim.Config{N: n, Network: net, Seed: seed, Trace: trace.NewCollector()})
 	for _, id := range dsys.Pids(n) {
-		id := id
-		k.Spawn(id, "rb-setup", func(p dsys.Proc) {
-			m := rbcast.Start(p)
-			m.OnDeliver(func(p dsys.Proc, origin dsys.ProcessID, payload any) {
-				log.add(delivery{at: p.ID(), origin: origin, payload: payload})
-			})
-			if act := acts[id]; act != nil {
-				act(p, m)
+		var steps dsys.StepFunc
+		k.SpawnStep(id, "rb-setup", func(p dsys.Proc, msg *dsys.Message) dsys.Wait {
+			if steps == nil {
+				m := rbcast.Start(p)
+				m.OnDeliver(func(p dsys.Proc, origin dsys.ProcessID, payload any) {
+					log.add(delivery{at: p.ID(), origin: origin, payload: payload})
+				})
+				if acts[id] == nil {
+					return dsys.Finished
+				}
+				steps = acts[id](m)
 			}
+			return steps(p, msg)
 		})
 	}
 	return k
@@ -67,8 +86,8 @@ func reliable() network.Network {
 
 func TestBroadcastReachesEveryoneIncludingSelf(t *testing.T) {
 	log := &deliveryLog{}
-	k := setup(4, 1, reliable(), log, map[dsys.ProcessID]func(dsys.Proc, *rbcast.Module){
-		1: func(p dsys.Proc, m *rbcast.Module) { m.Broadcast(p, "hello") },
+	k := setup(4, 1, reliable(), log, map[dsys.ProcessID]act{
+		1: once(func(p dsys.Proc, m *rbcast.Module) { m.Broadcast(p, "hello") }),
 	})
 	k.Run(time.Second)
 	for _, id := range dsys.Pids(4) {
@@ -81,15 +100,15 @@ func TestBroadcastReachesEveryoneIncludingSelf(t *testing.T) {
 
 func TestUniformIntegrityNoDuplicateDeliveries(t *testing.T) {
 	log := &deliveryLog{}
-	k := setup(5, 2, reliable(), log, map[dsys.ProcessID]func(dsys.Proc, *rbcast.Module){
-		1: func(p dsys.Proc, m *rbcast.Module) {
+	k := setup(5, 2, reliable(), log, map[dsys.ProcessID]act{
+		1: once(func(p dsys.Proc, m *rbcast.Module) {
 			for i := 0; i < 10; i++ {
 				m.Broadcast(p, i)
 			}
-		},
-		3: func(p dsys.Proc, m *rbcast.Module) {
+		}),
+		3: once(func(p dsys.Proc, m *rbcast.Module) {
 			m.Broadcast(p, "from-3")
-		},
+		}),
 	})
 	k.Run(time.Second)
 	for _, id := range dsys.Pids(5) {
@@ -125,8 +144,8 @@ func TestAgreementWhenOriginReachesOnePeer(t *testing.T) {
 	}
 	for _, originCrashes := range []bool{true, false} {
 		log := &deliveryLog{}
-		k := setup(5, 3, net, log, map[dsys.ProcessID]func(dsys.Proc, *rbcast.Module){
-			1: func(p dsys.Proc, m *rbcast.Module) { m.Broadcast(p, "contagious") },
+		k := setup(5, 3, net, log, map[dsys.ProcessID]act{
+			1: once(func(p dsys.Proc, m *rbcast.Module) { m.Broadcast(p, "contagious") }),
 		})
 		if originCrashes {
 			k.CrashAt(1, 5*time.Millisecond)
@@ -175,18 +194,25 @@ func TestBroadcastCostsNMinusOneSquared(t *testing.T) {
 func TestHandlerCancellation(t *testing.T) {
 	log := &deliveryLog{}
 	var cancels []func()
-	k := setup(3, 4, reliable(), log, map[dsys.ProcessID]func(dsys.Proc, *rbcast.Module){
-		2: func(p dsys.Proc, m *rbcast.Module) {
+	k := setup(3, 4, reliable(), log, map[dsys.ProcessID]act{
+		2: once(func(p dsys.Proc, m *rbcast.Module) {
 			// A second handler that must never fire once cancelled.
 			cancel := m.OnDeliver(func(p dsys.Proc, origin dsys.ProcessID, payload any) {
 				t.Errorf("cancelled handler fired with %v", payload)
 			})
 			cancels = append(cancels, cancel)
 			cancel()
-		},
-		1: func(p dsys.Proc, m *rbcast.Module) {
-			p.Sleep(10 * time.Millisecond)
-			m.Broadcast(p, "late")
+		}),
+		1: func(m *rbcast.Module) dsys.StepFunc {
+			slept := false
+			return func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+				if !slept {
+					slept = true
+					return dsys.Sleep(10 * time.Millisecond)
+				}
+				m.Broadcast(p, "late")
+				return dsys.Finished
+			}
 		},
 	})
 	k.Run(time.Second)
@@ -201,16 +227,20 @@ func TestHandlerCancellation(t *testing.T) {
 // reordering opened have all closed.
 func TestManyOriginsInterleaved(t *testing.T) {
 	log := &deliveryLog{}
-	acts := map[dsys.ProcessID]func(dsys.Proc, *rbcast.Module){}
+	acts := map[dsys.ProcessID]act{}
 	n := 6
 	mods := map[dsys.ProcessID]*rbcast.Module{}
 	for _, id := range dsys.Pids(n) {
-		id := id
-		acts[id] = func(p dsys.Proc, m *rbcast.Module) {
+		acts[id] = func(m *rbcast.Module) dsys.StepFunc {
 			mods[id] = m
-			for i := 0; i < 5; i++ {
+			i := 0
+			return func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+				if i == 5 {
+					return dsys.Finished
+				}
 				m.Broadcast(p, fmt.Sprintf("%v-%d", id, i))
-				p.Sleep(time.Duration(1+int(id)) * time.Millisecond)
+				i++
+				return dsys.Sleep(time.Duration(1+int(id)) * time.Millisecond)
 			}
 		}
 	}
@@ -229,18 +259,16 @@ func TestManyOriginsInterleaved(t *testing.T) {
 func TestForeignHandlePanics(t *testing.T) {
 	k := sim.New(sim.Config{N: 2, Network: reliable(), Seed: 6})
 	var m1 *rbcast.Module
-	k.Spawn(1, "a", func(p dsys.Proc) {
-		m1 = rbcast.Start(p)
-		p.Sleep(time.Hour)
-	})
-	k.Spawn(2, "b", func(p dsys.Proc) {
-		p.Sleep(time.Millisecond)
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for foreign task handle")
-			}
-		}()
-		m1.Broadcast(p, "bad")
+	k.Spawn(1, "a", func(p dsys.Proc) { m1 = rbcast.Start(p) })
+	k.ScheduleFunc(time.Millisecond, func(time.Duration) {
+		k.Spawn(2, "b", func(p dsys.Proc) {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic for foreign task handle")
+				}
+			}()
+			m1.Broadcast(p, "bad")
+		})
 	})
 	k.Run(10 * time.Millisecond)
 }
@@ -265,19 +293,21 @@ func TestRestartedOriginNotDeduplicated(t *testing.T) {
 			m.OnDeliver(func(p dsys.Proc, origin dsys.ProcessID, payload any) {
 				log.add(delivery{at: p.ID(), origin: origin, payload: payload})
 			})
-			p.Sleep(time.Hour)
 		})
 	}
-	k.Spawn(1, "two-lives", func(p dsys.Proc) {
-		send := func(w rbcast.Wire) {
-			for _, q := range []dsys.ProcessID{2, 3} {
-				p.Send(q, rbcast.Kind, w)
-			}
+	send := func(p dsys.Proc, w rbcast.Wire) {
+		for _, q := range []dsys.ProcessID{2, 3} {
+			p.Send(q, rbcast.Kind, w)
 		}
-		send(rbcast.Wire{Origin: 1, Inc: 100, Seq: 1, Payload: "first-life"})
-		p.Sleep(10 * time.Millisecond)
-		send(rbcast.Wire{Origin: 1, Inc: 100, Seq: 1, Payload: "first-life"}) // retransmission: a duplicate
-		send(rbcast.Wire{Origin: 1, Inc: 200, Seq: 1, Payload: "second-life"})
+	}
+	k.Spawn(1, "first-life", func(p dsys.Proc) {
+		send(p, rbcast.Wire{Origin: 1, Inc: 100, Seq: 1, Payload: "first-life"})
+	})
+	k.ScheduleFunc(10*time.Millisecond, func(time.Duration) {
+		k.Spawn(1, "second-life", func(p dsys.Proc) {
+			send(p, rbcast.Wire{Origin: 1, Inc: 100, Seq: 1, Payload: "first-life"}) // retransmission: a duplicate
+			send(p, rbcast.Wire{Origin: 1, Inc: 200, Seq: 1, Payload: "second-life"})
+		})
 	})
 	k.Run(time.Second)
 	for _, id := range []dsys.ProcessID{2, 3} {

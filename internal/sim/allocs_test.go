@@ -27,9 +27,8 @@ type kernelWorkload struct {
 // Each run builds one kernel and runs it once, so setup is part of the count.
 var kernelWorkloads = []kernelWorkload{
 	// send: 8 processes forward tokens around a ring from receive-loop
-	// callbacks, so nearly every event is a message delivery executed
-	// without a goroutine handoff — arena slot out, callback, arena slot
-	// back. This is the deliver/park cycle every detector's receive task
+	// callbacks, so nearly every event is a message delivery — arena slot
+	// out, callback, arena slot back. This is the deliver/park cycle every detector's receive task
 	// runs on.
 	{name: "send", build: func() *Kernel {
 		const n = 8
@@ -39,32 +38,14 @@ var kernelWorkloads = []kernelWorkload{
 			k.SpawnRecvLoop(id, "flood", func(p dsys.Proc, m *dsys.Message) {
 				p.Send(next, "ping", nil)
 			}, "ping")
-			// One token per process, as in send-goroutine: n tokens
-			// circulate the ring concurrently.
+			// One token per process: n tokens circulate the ring
+			// concurrently.
 			k.Spawn(id, "seed", func(p dsys.Proc) { p.Send(next, "ping", nil) })
 		}
 		return k
 	}, runFor: 2 * time.Second, ceiling: 0.0500},
-	// send-goroutine: the same flood on the blocking goroutine path, still
-	// used by tasks that genuinely block: each delivery crosses a channel
-	// handoff between the kernel goroutine and the task goroutine, and each
-	// received message is copied out of the arena.
-	{name: "send-goroutine", build: func() *Kernel {
-		const n = 8
-		k := New(reliableCfg(n, 1))
-		for _, id := range dsys.Pids(n) {
-			k.Spawn(id, "flood", func(p dsys.Proc) {
-				next := dsys.ProcessID(int(p.ID())%n + 1)
-				for i := 0; ; i++ {
-					p.Send(next, "ping", i)
-					p.Recv(dsys.MatchKind("ping"))
-				}
-			})
-		}
-		return k
-	}, runFor: 2 * time.Second, ceiling: 2.852},
 	// timer: every event is a tick-loop fire — FIFO pop, callback, FIFO
-	// push — with no goroutine handoff. This is the cycle every detector's
+	// push. This is the cycle every detector's
 	// periodic send/check task runs on.
 	{name: "timer", build: func() *Kernel {
 		const n = 4
@@ -79,22 +60,6 @@ var kernelWorkloads = []kernelWorkload{
 		}
 		return k
 	}, runFor: 2 * time.Second, ceiling: 0.0355},
-	// timer-goroutine: the same timer flood on the blocking goroutine path:
-	// every Sleep and RecvTimeout expiry resumes a parked goroutine through a
-	// channel handoff.
-	{name: "timer-goroutine", build: func() *Kernel {
-		const n = 4
-		k := New(reliableCfg(n, 1))
-		for _, id := range dsys.Pids(n) {
-			k.Spawn(id, "timers", func(p dsys.Proc) {
-				for {
-					p.Sleep(time.Millisecond)
-					p.RecvTimeout(dsys.MatchKind("never"), time.Millisecond)
-				}
-			})
-		}
-		return k
-	}, runFor: 2 * time.Second, ceiling: 0.0161},
 	// scale: E14's population sizes running a ring-heartbeat-shaped workload
 	// — a 10ms tick loop sending a beat to the ring successor, consumed by a
 	// receive-loop callback — so events split between timer fires and

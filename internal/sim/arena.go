@@ -13,13 +13,11 @@ import "repro/internal/dsys"
 // Reference protocol. A slot's refs counts the outstanding claims on it:
 // one per scheduled delivery copy (duplicating networks schedule several
 // copies of one send), transferred on delivery to whatever consumes the
-// copy — the receive buffer entry, or the callback task processing it.
+// copy — the receive buffer entry, or the task whose step it is handed to.
 // Each claim is released with exactly one unref (crashed-destination
-// discard, callback completion, or escape). Consumers that outlive kernel
-// dispatch — blocking tasks, whose Recv hands the message to arbitrary
-// algorithm code — never see the slot at all: escape copies the message to
-// the heap and releases the reference, so a recycled slot can only ever be
-// observed by kernel code, which checks generations.
+// discard, or the step's return). A step sees the message only while it
+// runs (dsys.StepFunc), so a recycled slot can only ever be observed by
+// kernel code, which checks generations.
 //
 // Generations. release increments the slot's generation; a delivery event
 // whose recorded generation no longer matches its slot's is a stale holder —
@@ -94,18 +92,6 @@ func (a *msgArena) recycle(h int32, s *msgSlot) {
 	s.gen++
 	s.m = dsys.Message{}
 	a.free = append(a.free, h)
-}
-
-// escape copies slot h's message to the heap for a consumer that outlives
-// kernel dispatch (a blocking task's Recv) and releases the reference. This
-// is the only way a message leaves the arena, and it costs the same single
-// allocation the pre-arena kernel paid at Send.
-func (a *msgArena) escape(h int32) *dsys.Message {
-	s := a.slot(h)
-	m := new(dsys.Message)
-	*m = s.m
-	a.unref(h)
-	return m
 }
 
 // live returns the number of slots currently checked out.

@@ -36,13 +36,13 @@ func TestArenaGenerationCatchesStaleHandle(t *testing.T) {
 // TestArenaRecycleStress is the -race stress test for message-slot reuse:
 // duplicated deliveries sharing one refcounted slot, crashes unreffing whole
 // buffers mid-flight, callback receive loops and step tasks consuming in
-// place, blocking tasks escaping messages to the heap, and receive timeouts
-// abandoning parked matches — all while slots recycle constantly. The kernel panics on
+// place, and timed waits abandoning parked matches — all while slots
+// recycle constantly. The kernel panics on
 // any generation mismatch at fire time, so surviving the run proves no
 // recycled slot was ever observed through a stale handle; the final live
 // count proves every reference was returned.
 func TestArenaRecycleStress(t *testing.T) {
-	for _, goroutines := range []bool{false, true} {
+	{
 		const n = 12
 		k := New(Config{
 			N: n,
@@ -69,22 +69,15 @@ func TestArenaRecycleStress(t *testing.T) {
 				p.Send(dsys.ProcessID(1+rng.Intn(n)), "s", 3)
 			}}
 			drain := func(p dsys.Proc, m *dsys.Message) { received++ }
-			if goroutines {
-				blastStep, drainStep := dsys.TickLoopStep(blast), dsys.RecvLoopStep(drain, "m")
-				k.Spawn(id, "blast", func(p dsys.Proc) { dsys.RunSteps(p, blastStep) })
-				k.Spawn(id, "drain", func(p dsys.Proc) { dsys.RunSteps(p, drainStep) })
-			} else {
-				k.SpawnTickLoop(id, "blast", blast)
-				k.SpawnRecvLoop(id, "drain", drain, "m")
-			}
-			// A blocking consumer competing for the same kind: exercises the
-			// escape-to-heap path and timeout-abandoned parks.
-			k.Spawn(id, "block", func(p dsys.Proc) {
-				for {
-					if m, ok := p.RecvTimeout(dsys.MatchKind("m"), 3*time.Millisecond); ok {
-						received += int(m.Payload.(int)) * 0 // touch the escaped payload
-					}
+			k.SpawnTickLoop(id, "blast", blast)
+			k.SpawnRecvLoop(id, "drain", drain, "m")
+			// A timed consumer competing for the same kind: exercises
+			// timeout-abandoned parks.
+			k.SpawnStep(id, "timed", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+				if m != nil {
+					received += m.Payload.(int) * 0 // touch the payload in its slot
 				}
+				return dsys.AwaitTimeout(dsys.MatchKind("m"), 3*time.Millisecond)
 			})
 			// A step task, sole consumer of kind "s", alternating zero-timeout
 			// polls on the kind with timed waits on a predicate: exercises a
@@ -101,11 +94,7 @@ func TestArenaRecycleStress(t *testing.T) {
 				}
 				return dsys.AwaitTimeout(isS, 2*time.Millisecond)
 			}
-			if goroutines {
-				k.Spawn(id, "step", func(p dsys.Proc) { dsys.RunSteps(p, step) })
-			} else {
-				k.spawnStep(k.procAt(id), "step", step)
-			}
+			k.SpawnStep(id, "step", step)
 		}
 		// Crashes drop whole processes with full buffers and parked tasks.
 		for i := 0; i < 6; i++ {
@@ -113,10 +102,10 @@ func TestArenaRecycleStress(t *testing.T) {
 		}
 		k.Run(200 * time.Millisecond)
 		if received == 0 || stepped == 0 {
-			t.Fatalf("stress run delivered %d messages to loops and blocking tasks, %d to step tasks; the workload is not exercising the arena", received, stepped)
+			t.Fatalf("stress run delivered %d messages of kind m, %d of kind s; the workload is not exercising the arena", received, stepped)
 		}
 		if live := k.arena.live(); live != 0 {
-			t.Errorf("goroutines=%v: arena retains %d live slots after the run; some reference was never returned", goroutines, live)
+			t.Errorf("arena retains %d live slots after the run; some reference was never returned", live)
 		}
 	}
 }

@@ -17,16 +17,16 @@ func kindsPred(kinds ...string) dsys.Matcher {
 }
 
 // dispatchScenario runs three waiters on p1, spawned at 10ms in this order:
-// A, a blocking Recv on {a, b} that naps 5ms after each message; B, a
-// receive loop on loopKinds; C, a blocking Recv on a predicate accepting a
-// or b that naps 3ms after each message. p2 sends a, b and unrelated c
-// messages (1ms latency): seven arrive at 1ms and sit in the buffer until
-// the waiters start, the rest arrive while A and C alternate between parked
-// and napping. With reference set, every waiter matches through a
-// predicate and B is a blocking loop: the generic lane, whose dispatch is
-// the plain scan for the lowest-id parked matching task and whose takes
-// scan the buffer in arrival order. It returns who took what, when, and the
-// kinds left in p1's buffer.
+// A, a step task waiting on {a, b} that naps 5ms after each message; B, a
+// receive loop on loopKinds; C, a step task waiting on a predicate
+// accepting a or b that naps 3ms after each message. p2 sends a, b and
+// unrelated c messages (1ms latency): seven arrive at 1ms and sit in the
+// buffer until the waiters start, the rest arrive while A and C alternate
+// between parked and napping. With reference set, every waiter matches
+// through a predicate: the generic lane, whose dispatch is the plain scan
+// for the lowest-id parked matching task and whose takes scan the buffer in
+// arrival order. It returns who took what, when, and the kinds left in p1's
+// buffer.
 func dispatchScenario(reference bool, loopKinds []string) (log, left []string) {
 	k := New(reliableCfg(2, 1))
 	took := func(who string) dsys.RecvLoopFunc {
@@ -34,39 +34,47 @@ func dispatchScenario(reference bool, loopKinds []string) (log, left []string) {
 			log = append(log, fmt.Sprintf("%s:%s%d@%v", who, m.Kind, m.Payload, p.Now()))
 		}
 	}
-	blocking := func(who string, match dsys.Matcher, nap time.Duration) dsys.TaskFunc {
-		return func(p dsys.Proc) {
-			for {
-				m, _ := p.Recv(match)
+	waiter := func(who string, match dsys.Matcher, nap time.Duration) dsys.StepFunc {
+		return func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+			if m != nil {
 				took(who)(p, m)
 				if nap > 0 {
-					p.Sleep(nap)
+					return dsys.Sleep(nap)
 				}
 			}
+			return dsys.Await(match)
 		}
 	}
-	k.Spawn(1, "spawner", func(p dsys.Proc) {
-		p.Sleep(10 * time.Millisecond)
-		if reference {
-			p.Spawn("A", blocking("A", kindsPred("a", "b"), 5*time.Millisecond))
-			p.Spawn("B", blocking("B", kindsPred(loopKinds...), 0))
+	k.SpawnStep(1, "spawner", script(
+		sleep(10*time.Millisecond),
+		then(func(p dsys.Proc, _ *dsys.Message) {
+			if reference {
+				dsys.SpawnStep(p, "A", waiter("A", kindsPred("a", "b"), 5*time.Millisecond))
+				dsys.SpawnStep(p, "B", waiter("B", kindsPred(loopKinds...), 0))
+			} else {
+				dsys.SpawnStep(p, "A", waiter("A", dsys.MatchKinds("a", "b"), 5*time.Millisecond))
+				dsys.SpawnRecvLoop(p, "B", took("B"), loopKinds...)
+			}
+			dsys.SpawnStep(p, "C", waiter("C", kindsPred("a", "b"), 3*time.Millisecond))
+		}),
+	))
+	late := []struct {
+		at   time.Duration // arrival at p1
+		kind string
+	}{{11, "b"}, {16, "a"}, {17, "c"}, {18, "b"}, {23, "a"}}
+	i := -1
+	k.SpawnStep(2, "sender", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+		if i < 0 {
+			for j, kind := range []string{"c", "b", "a", "c", "b", "a", "b"} {
+				p.Send(1, kind, j)
+			}
 		} else {
-			p.Spawn("A", blocking("A", dsys.MatchKinds("a", "b"), 5*time.Millisecond))
-			dsys.SpawnRecvLoop(p, "B", took("B"), loopKinds...)
+			p.Send(1, late[i].kind, 7+i)
 		}
-		p.Spawn("C", blocking("C", kindsPred("a", "b"), 3*time.Millisecond))
-	})
-	k.Spawn(2, "sender", func(p dsys.Proc) {
-		for i, kind := range []string{"c", "b", "a", "c", "b", "a", "b"} {
-			p.Send(1, kind, i)
+		if i++; i == len(late) {
+			return dsys.Finished
 		}
-		for i, s := range []struct {
-			at   time.Duration // arrival at p1
-			kind string
-		}{{11, "b"}, {16, "a"}, {17, "c"}, {18, "b"}, {23, "a"}} {
-			p.Sleep(s.at*time.Millisecond - time.Millisecond - p.Now())
-			p.Send(1, s.kind, 7+i)
-		}
+		return dsys.Sleep(late[i].at*time.Millisecond - time.Millisecond - p.Now())
 	})
 	k.Run(40 * time.Millisecond)
 	p := k.procAt(1)
@@ -83,8 +91,8 @@ func dispatchScenario(reference bool, loopKinds []string) (log, left []string) {
 // multi-kind dsys.KindMatcher, which parks in the kind lane of each of its
 // kinds, wins exactly the deliveries the generic lane's scan would give it
 // (the lowest-id parked matching task), and that its buffered takes follow
-// arrival order across its kinds — for a blocking Recv and for a receive
-// loop alike.
+// arrival order across its kinds — for a step task and for a receive loop
+// alike.
 func TestMultiKindDispatchMatchesPredicateScan(t *testing.T) {
 	// With B on {a, b}, B is always parked and outranks C, so C gets
 	// nothing. At 10ms A takes the earliest buffered a/b (b1; c0 is
@@ -116,45 +124,27 @@ func TestMultiKindDispatchMatchesPredicateScan(t *testing.T) {
 }
 
 // TestStepSleepMatchesProcSleep checks that a step task's dsys.Sleep waits
-// advance virtual time exactly as Proc.Sleep does, a non-positive sleep
-// included (it yields 1ns), with one event per sleep.
+// advance virtual time exactly as the simulator's Proc.Sleep did before the
+// blocking primitives were removed (the instants in want), a non-positive
+// sleep included (it yields 1ns), with one event per sleep.
 func TestStepSleepMatchesProcSleep(t *testing.T) {
 	naps := []time.Duration{0, 3 * time.Millisecond, -time.Second, time.Nanosecond, 0}
-	run := func(step bool) (woke []time.Duration, events uint64) {
-		k := New(reliableCfg(1, 1))
-		if step {
-			i := 0
-			k.Spawn(1, "spawner", func(p dsys.Proc) {
-				dsys.SpawnStep(p, "sleeper", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
-					woke = append(woke, p.Now())
-					if i == len(naps) {
-						return dsys.Finished
-					}
-					i++
-					return dsys.Sleep(naps[i-1])
-				})
-			})
-		} else {
-			k.Spawn(1, "spawner", func(p dsys.Proc) {
-				p.Spawn("sleeper", func(p dsys.Proc) {
-					woke = append(woke, p.Now())
-					for _, d := range naps {
-						p.Sleep(d)
-						woke = append(woke, p.Now())
-					}
-				})
-			})
-		}
-		k.Run(time.Second)
-		return woke, k.Events()
-	}
+	k := New(reliableCfg(1, 1))
+	var woke []time.Duration
+	i := 0
+	k.Spawn(1, "spawner", func(p dsys.Proc) {
+		dsys.SpawnStep(p, "sleeper", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+			woke = append(woke, p.Now())
+			if i == len(naps) {
+				return dsys.Finished
+			}
+			i++
+			return dsys.Sleep(naps[i-1])
+		})
+	})
+	k.Run(time.Second)
 	want := []time.Duration{0, 1, 1 + 3*time.Millisecond, 2 + 3*time.Millisecond, 3 + 3*time.Millisecond, 4 + 3*time.Millisecond}
-	stepWoke, stepEvents := run(true)
-	procWoke, procEvents := run(false)
-	if !reflect.DeepEqual(procWoke, want) {
-		t.Fatalf("Proc.Sleep woke at %v, want %v", procWoke, want)
-	}
-	if !reflect.DeepEqual(stepWoke, procWoke) || stepEvents != procEvents {
-		t.Errorf("step task woke at %v after %d events; Proc.Sleep at %v after %d", stepWoke, stepEvents, procWoke, procEvents)
+	if !reflect.DeepEqual(woke, want) || k.Events() != uint64(len(naps)) {
+		t.Errorf("step task woke at %v after %d events, want %v after %d", woke, k.Events(), want, len(naps))
 	}
 }

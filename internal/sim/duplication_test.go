@@ -24,13 +24,7 @@ func TestDuplicatingNetworkDeliversCopies(t *testing.T) {
 			p.Send(2, "m", i)
 		}
 	})
-	k.Spawn(2, "recv", func(p dsys.Proc) {
-		for {
-			if _, ok := p.Recv(dsys.MatchKind("m")); ok {
-				received++
-			}
-		}
-	})
+	k.SpawnRecvLoop(2, "recv", func(dsys.Proc, *dsys.Message) { received++ }, "m")
 	k.Run(time.Second)
 	if received != 30 {
 		t.Errorf("received %d copies, want exactly 30 (P=1, MaxCopies=3)", received)
@@ -52,13 +46,7 @@ func TestDuplicatingZeroProbabilityIsSingleCopy(t *testing.T) {
 			p.Send(2, "m", i)
 		}
 	})
-	k.Spawn(2, "recv", func(p dsys.Proc) {
-		for {
-			if _, ok := p.Recv(dsys.MatchKind("m")); ok {
-				received++
-			}
-		}
-	})
+	k.SpawnRecvLoop(2, "recv", func(dsys.Proc, *dsys.Message) { received++ }, "m")
 	k.Run(time.Second)
 	if received != 20 {
 		t.Errorf("received %d, want 20", received)
@@ -74,13 +62,7 @@ func TestSelfSendBypassesDuplication(t *testing.T) {
 	received := 0
 	k.Spawn(1, "self", func(p dsys.Proc) {
 		p.Send(1, "m", nil)
-		p.Spawn("recv", func(p dsys.Proc) {
-			for {
-				if _, ok := p.Recv(dsys.MatchKind("m")); ok {
-					received++
-				}
-			}
-		})
+		dsys.SpawnRecvLoop(p, "recv", func(dsys.Proc, *dsys.Message) { received++ }, "m")
 	})
 	k.Run(100 * time.Millisecond)
 	if received != 1 {

@@ -64,8 +64,8 @@ func TestEveryWithBadPeriodPanics(t *testing.T) {
 
 func TestCrashAlreadyCrashedIsNoop(t *testing.T) {
 	k := New(reliableCfg(2, 1))
-	k.Spawn(1, "idle", func(p dsys.Proc) { p.Sleep(time.Hour) })
-	k.Spawn(2, "idle", func(p dsys.Proc) { p.Sleep(time.Hour) })
+	k.SpawnStep(1, "idle", script(sleep(time.Hour)))
+	k.SpawnStep(2, "idle", script(sleep(time.Hour)))
 	k.CrashAt(1, time.Millisecond)
 	k.CrashAt(1, 2*time.Millisecond) // double crash
 	k.Run(10 * time.Millisecond)
@@ -76,34 +76,42 @@ func TestCrashAlreadyCrashedIsNoop(t *testing.T) {
 
 func TestNestedSpawnsUnwindOnCrash(t *testing.T) {
 	k := New(reliableCfg(1, 1))
-	defersRun := 0
-	k.Spawn(1, "root", func(p dsys.Proc) {
-		defer func() { defersRun++ }()
-		p.Spawn("child", func(p dsys.Proc) {
-			defer func() { defersRun++ }()
-			p.Spawn("grandchild", func(p dsys.Proc) {
-				defer func() { defersRun++ }()
-				p.Sleep(time.Hour)
-			})
-			p.Sleep(time.Hour)
-		})
-		p.Sleep(time.Hour)
-	})
+	resumed := 0
+	// nest spawns a task that spawns depth more below it, then sleeps past
+	// the crash; a task resumed after its process crashed counts.
+	var nest func(depth int) dsys.StepFunc
+	nest = func(depth int) dsys.StepFunc {
+		return script(
+			func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+				if depth > 0 {
+					dsys.SpawnStep(p, "child", nest(depth-1))
+				}
+				return dsys.Sleep(time.Hour)
+			},
+			then(func(dsys.Proc, *dsys.Message) { resumed++ }),
+		)
+	}
+	k.SpawnStep(1, "root", nest(2))
+	var before, after int
+	k.ScheduleFunc(time.Millisecond, func(time.Duration) { before = len(taskList(k.procAt(1))) })
 	k.CrashAt(1, 5*time.Millisecond)
-	k.Run(20 * time.Millisecond)
-	if defersRun != 3 {
-		t.Errorf("defersRun = %d, want 3 (all nested tasks unwound)", defersRun)
+	k.ScheduleFunc(5*time.Millisecond, func(time.Duration) { after = len(taskList(k.procAt(1))) })
+	k.Run(2 * time.Hour)
+	if before != 3 || after != 0 {
+		t.Errorf("process listed %d tasks before the crash and %d after, want 3 and 0", before, after)
+	}
+	if resumed != 0 {
+		t.Errorf("%d tasks resumed after their process crashed", resumed)
 	}
 }
 
 func TestSpawnFromHarnessDuringRun(t *testing.T) {
 	k := New(reliableCfg(2, 1))
 	got := false
-	k.Spawn(2, "recv", func(p dsys.Proc) {
-		if _, ok := p.Recv(dsys.MatchKind("late")); ok {
-			got = true
-		}
-	})
+	k.SpawnStep(2, "recv", script(
+		func(dsys.Proc, *dsys.Message) dsys.Wait { return dsys.Await(dsys.MatchKind("late")) },
+		then(func(_ dsys.Proc, m *dsys.Message) { got = m != nil }),
+	))
 	k.ScheduleFunc(10*time.Millisecond, func(time.Duration) {
 		k.Spawn(1, "late-task", func(p dsys.Proc) {
 			p.Send(2, "late", nil)
@@ -124,12 +132,9 @@ func TestMessagesPreserveFIFOPerLinkWithFixedLatency(t *testing.T) {
 			p.Send(2, "seq", i)
 		}
 	})
-	k.Spawn(2, "r", func(p dsys.Proc) {
-		for len(got) < 50 {
-			m, _ := p.Recv(dsys.MatchKind("seq"))
-			got = append(got, m.Payload.(int))
-		}
-	})
+	k.SpawnRecvLoop(2, "r", func(_ dsys.Proc, m *dsys.Message) {
+		got = append(got, m.Payload.(int))
+	}, "seq")
 	k.Run(time.Second)
 	for i, v := range got {
 		if v != i {
@@ -148,18 +153,18 @@ func TestReorderingUnderVariableLatency(t *testing.T) {
 	}
 	k := New(cfg)
 	var got []int
-	k.Spawn(1, "s", func(p dsys.Proc) {
-		for i := 0; i < 100; i++ {
-			p.Send(2, "seq", i)
-			p.Sleep(time.Millisecond)
+	sent := 0
+	k.SpawnStep(1, "s", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+		if sent == 100 {
+			return dsys.Finished
 		}
+		p.Send(2, "seq", sent)
+		sent++
+		return dsys.Sleep(time.Millisecond)
 	})
-	k.Spawn(2, "r", func(p dsys.Proc) {
-		for len(got) < 100 {
-			m, _ := p.Recv(dsys.MatchKind("seq"))
-			got = append(got, m.Payload.(int))
-		}
-	})
+	k.SpawnRecvLoop(2, "r", func(_ dsys.Proc, m *dsys.Message) {
+		got = append(got, m.Payload.(int))
+	}, "seq")
 	k.Run(5 * time.Second)
 	inOrder := true
 	for i, v := range got {
@@ -179,20 +184,18 @@ func TestManyProcessesScale(t *testing.T) {
 	k := New(Config{N: n, Network: network.Reliable{Latency: network.Fixed(time.Millisecond)}, Seed: 1})
 	delivered := 0
 	for _, id := range dsys.Pids(n) {
-		id := id
-		k.Spawn(id, "node", func(p dsys.Proc) {
-			p.Spawn("recv", func(p dsys.Proc) {
-				for {
-					if _, ok := p.Recv(dsys.MatchAny); ok {
-						delivered++
-					}
-				}
-			})
-			next := dsys.ProcessID(int(id)%n + 1)
-			for i := 0; i < 10; i++ {
-				p.Send(next, "g", i)
-				p.Sleep(5 * time.Millisecond)
+		next := dsys.ProcessID(int(id)%n + 1)
+		i := 0
+		k.SpawnStep(id, "node", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+			if i == 0 {
+				dsys.SpawnRecvLoop(p, "recv", func(dsys.Proc, *dsys.Message) { delivered++ }, "g")
 			}
+			if i == 10 {
+				return dsys.Finished
+			}
+			p.Send(next, "g", i)
+			i++
+			return dsys.Sleep(5 * time.Millisecond)
 		})
 	}
 	k.Run(time.Second)

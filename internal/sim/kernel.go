@@ -1,24 +1,21 @@
 // Package sim is a deterministic discrete-event simulator for asynchronous
 // message-passing distributed algorithms.
 //
-// Algorithms are written in the blocking style of the paper's pseudo-code
-// ("wait until ...") as tasks — ordinary Go functions blocking in the
-// primitives of dsys.Proc. The kernel schedules tasks cooperatively:
-// exactly one task runs at a time, control switches only inside kernel
-// primitives, simultaneous events fire in scheduling order, and all
-// randomness flows from a single seed. Two runs with the same configuration
-// are therefore bit-identical, which makes the experiments in EXPERIMENTS.md
-// reproducible and the property tests exact.
-//
-// Blocking tasks run on goroutines under a baton-passing scheduler; step
-// tasks (dsys.SpawnStep, and the receive and tick loops dsys.SpawnRecvLoop
-// and SpawnTickLoop build from steps) run goroutine-free as callbacks on the
-// dispatch loop — same schedule, zero context switches (see Kernel). A
-// blocking task starts lazily, when it is first selected, and the goroutine
-// of a finished task is reused for the next task that has never run, so a
-// population's set-up tasks that never block share one goroutine. A finished
-// task is dropped by the kernel at once, so a run's memory tracks its pending
-// events and unfinished tasks.
+// Algorithms run as step tasks (dsys.StepFunc): resumable state machines
+// that take one step per message or timer and return what they wait for
+// next (dsys.Wait), the shape of the paper's "wait until ..." and of an I/O
+// automaton. The receive and tick loops dsys.SpawnRecvLoop and SpawnTickLoop
+// build are step tasks too. The kernel runs every step as a callback on its
+// dispatch loop, on the Run goroutine: exactly one task runs at a time, and
+// only between events; simultaneous events fire in scheduling order, and
+// all randomness flows from a single seed. Two runs with the same
+// configuration are therefore bit-identical, which makes the experiments in
+// EXPERIMENTS.md reproducible and the property tests exact. A task cannot
+// suspend mid-step: the blocking primitives of dsys.Proc — Recv,
+// RecvTimeout and Sleep, which the live runtime implements — fail the run,
+// and Spawn runs its body once, as a single step. A finished task is dropped
+// by the kernel at once, so a run's memory tracks its pending events and
+// unfinished tasks.
 //
 // Virtual time is a time.Duration since the start of the run. Timers,
 // message latencies and crashes are events, popped in (at, seq) order; when
@@ -68,25 +65,10 @@ type Config struct {
 }
 
 // Kernel is the simulation engine. Create with New, add initial tasks with
-// Spawn, inject faults with CrashAt, then call Run. Kernel is not safe for
-// concurrent use; everything happens on the caller's goroutine plus the
-// cooperative task goroutines.
-//
-// Scheduling is baton-passing: exactly one goroutine at a time — the Run
-// caller or one blocking task — holds the baton and executes the dispatch
-// loop (dispatch). A parking task runs the loop inline and hands the baton
-// directly to the next task, so a park/wake cycle costs one channel handoff
-// instead of the two of a dedicated scheduler goroutine, and re-selecting
-// the task that just parked costs none. A blocking task gets its goroutine
-// lazily: the first time it is selected, a goroutine whose own task has just
-// finished runs its body in place, and only a parked task or the Run
-// goroutine starts a fresh one (handTo). Callback tasks go further:
-// they have no goroutine, so the baton holder runs their body inline at the
-// exact point the task would otherwise have been resumed — the dominant
-// park/deliver/park cycle costs zero switches. The order in which events
-// fire and tasks run is exactly the order the old dedicated-goroutine
-// scheduler produced; only the goroutine executing each body differs, which
-// no simulated code can observe.
+// SpawnStep (or Spawn, for a body that runs once), inject faults with
+// CrashAt, then call Run. Kernel is not safe for concurrent use: Run
+// executes the dispatch loop, every task step and every hook on the calling
+// goroutine, and starts no other.
 //
 // Events hold no pointers (see event): a timer names its task by a handle
 // into the task table, and a hook event its closure by a slot of the hook
@@ -107,18 +89,10 @@ type Kernel struct {
 	// growslice source in profiles).
 	runq     []*task
 	runqHead int
-	// current is the task whose goroutine holds the baton (nil when the Run
-	// goroutine holds it).
-	current *task
-	// main wakes the Run goroutine when the run is over (quiescence,
-	// deadline, or a fatal task panic).
-	main chan struct{}
-	// bell answers the synchronous unwind handshake of unwindTask.
-	bell   chan struct{}
-	procs  []*proc
-	pids   []dsys.ProcessID
-	netRNG *rand.Rand
-	events uint64
+	procs    []*proc
+	pids     []dsys.ProcessID
+	netRNG   *rand.Rand
+	events   uint64
 	// tasks is the task table: slot h holds the unfinished task with handle
 	// h. A timer names its task by the slot and the task's id, which serves
 	// as the slot's generation: a timer left by a finished task can never
@@ -127,14 +101,13 @@ type Kernel struct {
 	// hooks holds the closures of pending evFunc events.
 	hooks table[func()]
 	// lastKind/lastKid memoize the most recent Send kind's interned id.
-	// Everything that sends is serialized on the baton (kernel goroutine or
-	// the one running task), so a plain field is race-free, and a protocol's
+	// Everything that sends runs on the Run goroutine, so a plain field is
+	// race-free, and a protocol's
 	// sends are overwhelmingly runs of one kind — this turns dsys.KindID's
 	// two map lookups per send into a string compare of equal literals.
 	lastKind string
 	lastKid  int32
-	// stopping marks the final unwind phase; primitives refuse to block and
-	// sends become no-ops.
+	// stopping marks the end of the run: spawns and sends become no-ops.
 	stopping bool
 	ran      bool
 	fatal    error
@@ -150,8 +123,6 @@ func New(cfg Config) *Kernel {
 	}
 	k := &Kernel{
 		cfg:  cfg,
-		main: make(chan struct{}),
-		bell: make(chan struct{}),
 		pids: dsys.Pids(cfg.N),
 	}
 	k.procs = make([]*proc, cfg.N)
@@ -183,8 +154,9 @@ func (k *Kernel) Events() uint64 { return k.events }
 // N returns the number of processes.
 func (k *Kernel) N() int { return k.cfg.N }
 
-// Spawn adds a blocking task to process id. It may be called before Run
-// (initial tasks) or from harness hooks during the run.
+// Spawn adds to process id a task whose one step runs fn: fn must not call
+// the blocking primitives. It may be called before Run (initial tasks) or
+// from harness hooks during the run.
 func (k *Kernel) Spawn(id dsys.ProcessID, name string, fn dsys.TaskFunc) {
 	k.spawn(k.procAt(id), name, fn)
 }
@@ -206,29 +178,22 @@ func (k *Kernel) SpawnTickLoop(id dsys.ProcessID, name string, loop dsys.TickLoo
 }
 
 func (k *Kernel) spawn(p *proc, name string, fn dsys.TaskFunc) {
-	if k.stopping || p.crashed {
-		return
-	}
-	k.add(&task{name: name, p: p, body: fn})
+	k.spawnStep(p, name, func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+		fn(p)
+		return dsys.Finished
+	})
 }
 
-// spawnStep registers a callback step task: same id allocation, task-table
-// entry and initial runq position as a blocking spawn, and no goroutine ever.
+// spawnStep gives a new step task its id and handle, appends it to its
+// process's task list and queues it to run.
 func (k *Kernel) spawnStep(p *proc, name string, step dsys.StepFunc) {
 	if k.stopping || p.crashed {
 		return
 	}
-	k.add(&task{name: name, p: p, loop: &loopTask{step: step, wakeSlot: -1}})
-}
-
-// add gives a new task its id and handle, appends it to its process's task
-// list and queues it to run.
-func (k *Kernel) add(t *task) {
 	k.taskID++
-	t.id = k.taskID
-	t.state = taskRunnable
+	t := &task{id: k.taskID, name: name, p: p, step: step, wakeSlot: -1}
 	t.h = k.tasks.add(t)
-	t.p.addTask(t)
+	p.addTask(t)
 	k.runq = append(k.runq, t)
 }
 
@@ -319,9 +284,10 @@ func (k *Kernel) Correct() []dsys.ProcessID {
 }
 
 // Run executes the simulation until virtual time `until`, until no event or
-// runnable task remains (quiescence), or until a task panics — in which case
-// Run re-panics with the task's stack. Run then unwinds every remaining task
-// and returns the final virtual time. Run may be called only once.
+// runnable task remains (quiescence), or until a task panics or calls a
+// blocking primitive — in which case Run panics with the task's error and
+// stack. Run then finishes every remaining task and returns the final
+// virtual time. Run may be called only once.
 func (k *Kernel) Run(until time.Duration) time.Duration {
 	if k.ran {
 		panic("sim: Run called twice")
@@ -329,40 +295,19 @@ func (k *Kernel) Run(until time.Duration) time.Duration {
 	k.ran = true
 	k.until = until
 	defer func() { totalEvents.Add(k.events) }()
-	if !k.dispatch(nil) {
-		<-k.main
-	}
-	k.unwindAll()
+	k.dispatch()
+	k.finishAll()
 	if k.fatal != nil {
 		panic(k.fatal)
 	}
 	return k.now
 }
 
-// dispatch runs the scheduler loop on the calling goroutine — the baton
-// holder — until control belongs elsewhere. self is the task whose goroutine
-// is calling (nil for the Run goroutine). It returns true when the caller
-// itself should continue running: self was selected to run next, self has a
-// pending unwind to deliver (its park panics), or — for the Run goroutine —
-// the run is over. It returns false when the baton was handed to another
-// goroutine (a selected task, or the Run goroutine at end of run); a parking
-// caller then blocks on its own resume channel.
-//
-// Callback tasks never take the baton: when selected, their body runs
-// inline right here and the loop continues. That happens at exactly the
-// points a blocking task would have been handed the baton, so the schedule
-// — and therefore every run — is unchanged.
-//
-// The loop body is identical to the old dedicated-goroutine scheduler: runq
-// in FIFO order first, then the earliest pending event. Only the goroutine
-// executing it changes, so runs stay bit-identical.
-func (k *Kernel) dispatch(self *task) bool {
+// dispatch runs the scheduler loop until the run is over (quiescence,
+// deadline, or a fatal task panic): runq in FIFO order first, then the
+// earliest pending event. A selected task's step runs right here.
+func (k *Kernel) dispatch() {
 	for k.fatal == nil {
-		if self != nil && self.unwind != unwindNone && self.state == taskParked {
-			// An event this loop fired (a crash of self's process) wants to
-			// unwind the calling task; return to its park, which panics.
-			return true
-		}
 		if k.runqHead < len(k.runq) {
 			t := k.runq[k.runqHead]
 			k.runq[k.runqHead] = nil
@@ -371,22 +316,18 @@ func (k *Kernel) dispatch(self *task) bool {
 				k.runq = k.runq[:0]
 				k.runqHead = 0
 			}
-			if t.state != taskRunnable {
-				continue
+			if t.state == taskRunnable {
+				k.runStep(t)
 			}
-			if t.loop != nil {
-				k.runLoop(t)
-				continue
-			}
-			return k.handTo(t, self)
+			continue
 		}
 		if k.eq.Len() == 0 {
-			break // quiescent
+			return // quiescent
 		}
 		ev, ok := k.eq.popDue(k.until)
 		if !ok {
 			k.now = k.until
-			break
+			return
 		}
 		if ev.at > k.now {
 			k.now = ev.at
@@ -397,75 +338,34 @@ func (k *Kernel) dispatch(self *task) bool {
 		if t := k.fire(ev); t != nil {
 			// The event woke exactly one task. With an empty runq the next
 			// loop iteration would select it immediately — skip the queue
-			// round-trip and select it here (same order, less bookkeeping).
+			// round-trip and run it here (same order, less bookkeeping).
 			if k.runqHead == len(k.runq) {
-				if t.loop != nil {
-					k.runLoop(t)
-					continue
-				}
-				return k.handTo(t, self)
+				k.runStep(t)
+				continue
 			}
 			k.runq = append(k.runq, t)
 		}
 	}
-	// The run is over (quiescence, deadline, or a fatal task panic): the
-	// baton goes back to the Run goroutine.
-	k.current = nil
-	if self == nil {
-		return true
-	}
-	k.main <- struct{}{}
-	return false
 }
 
-// handTo gives the baton to blocking task t, which the dispatch loop running
-// on self's goroutine (nil: the Run goroutine) has just selected, and reports
-// whether the caller keeps running: because t is self, parked and now resumed
-// with no switch at all, or because self has finished and its goroutine,
-// free now, is to run t — which has never run — in place. A parked t is
-// resumed on its own goroutine; a never-run t selected by a parked task or
-// the Run goroutine gets a fresh goroutine.
-func (k *Kernel) handTo(t, self *task) bool {
+// runStep executes one scheduling turn of task t: it resumes the step
+// function with the message that woke it (nil at its first step and after
+// a timeout or sleep) and follows each Wait the step returns. A buffered
+// match is taken and stepped on at once (so a woken receive loop drains
+// every buffered match in one turn), a non-positive timeout steps on at once
+// with no message, a sleep parks on one evSleep scheduled after the step
+// returned, and otherwise the task parks in its matcher's lanes with one
+// evTimeout for a positive timeout. The message a step is handed keeps its
+// arena slot until that step returns. No events fire and no other task runs
+// while the step executes. A panicking step fails the run.
+func (k *Kernel) runStep(t *task) {
 	t.state = taskRunning
-	k.current = t
-	switch {
-	case t == self:
-		return true // zero-switch fast path: the parked caller won
-	case t.resume != nil:
-		t.resume <- struct{}{}
-	case self != nil && self.state == taskDone:
-		return true
-	default:
-		go k.runTasks(t)
-	}
-	return false
-}
-
-// runLoop executes one scheduling turn of a callback task inline: it
-// resumes the step function with the message that woke it (nil at its first
-// step and after a timeout or sleep) and follows each Wait the step returns
-// exactly as the blocking expansion's Recv, RecvTimeout or Sleep would. A
-// buffered match is taken and stepped on without yielding (so a woken
-// receive loop drains every buffered match, as the blocking loop's next Recv
-// calls would), a non-positive timeout steps on at once with no message, a
-// sleep parks on one evSleep scheduled after the step returned, and
-// otherwise the task parks in its matcher's lanes with one evTimeout for a
-// positive timeout. The message a step is handed keeps its arena slot until
-// that step returns. No events fire and no other task runs while the step
-// executes, just as when a blocking task holds the baton.
-func (k *Kernel) runLoop(t *task) {
-	t.state = taskRunning
-	lp := t.loop
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(unwindPanic); !ok && k.fatal == nil {
+			if k.fatal == nil {
 				k.fatal = fmt.Errorf("sim: task %v/%s panicked: %v\n%s", t.p.id, t.name, r, debug.Stack())
 			}
-			if lp.wakeSlot >= 0 {
-				k.arena.unref(lp.wakeSlot)
-				lp.wakeSlot = -1
-			}
-			t.wakeMsg = nil
+			k.release(t)
 			k.finish(t)
 		}
 	}()
@@ -473,11 +373,8 @@ func (k *Kernel) runLoop(t *task) {
 	m := t.wakeMsg
 	t.wakeMsg = nil
 	for {
-		w := lp.step(v, m)
-		if lp.wakeSlot >= 0 {
-			k.arena.unref(lp.wakeSlot)
-			lp.wakeSlot = -1
-		}
+		w := t.step(v, m)
+		k.release(t)
 		switch {
 		case w.Done():
 			k.finish(t)
@@ -485,14 +382,14 @@ func (k *Kernel) runLoop(t *task) {
 		case w.Match == nil:
 			d := w.Timeout
 			if d <= 0 {
-				d = 1 // yield, as Sleep does
+				d = 1 // always yield, so busy loops cannot stall virtual time
 			}
 			t.parkGen++
 			k.scheduleTimer(k.now+d, evSleep, t, t.parkGen)
 			t.state = taskParked
 			return
 		}
-		if m, lp.wakeSlot = t.p.takeMatch(w.Match); m != nil {
+		if m, t.wakeSlot = t.p.takeMatch(w.Match); m != nil {
 			continue
 		}
 		if w.Timed && w.Timeout <= 0 {
@@ -506,6 +403,15 @@ func (k *Kernel) runLoop(t *task) {
 		t.state = taskParked
 		return
 	}
+}
+
+// release drops the arena reference of the message t was handed, if any.
+func (k *Kernel) release(t *task) {
+	if t.wakeSlot >= 0 {
+		k.arena.unref(t.wakeSlot)
+		t.wakeSlot = -1
+	}
+	t.wakeMsg = nil
 }
 
 // fire executes one popped event. It returns the single task the event made
@@ -531,10 +437,7 @@ func (k *Kernel) fire(ev event) *task {
 			return nil
 		}
 		if t.state == taskParked && t.parkGen == ev.gen {
-			t.p.unpark(t)
-			t.state = taskRunnable
-			t.match = nil
-			return t
+			return ready(t)
 		}
 	}
 	return nil
@@ -574,7 +477,7 @@ func (k *Kernel) scheduleDeliver(at time.Duration, h int32, gen uint32, kid int3
 	k.schedule(at, event{kind: evDeliver, msg: h, gen: gen, kid: kid})
 }
 
-// scheduleTimer enqueues a task wake-up (Sleep or RecvTimeout) without
+// scheduleTimer enqueues a task wake-up (a sleep or a timed wait) without
 // allocating a closure — the per-timer fast path. The event names t by its
 // handle: its task-table slot and its id (see Kernel.tasks).
 func (k *Kernel) scheduleTimer(at time.Duration, kind eventKind, t *task, gen uint32) {
@@ -606,9 +509,8 @@ func ready(t *task) *task {
 // message was buffered or dropped), made runnable but not yet enqueued.
 //
 // The delivery's arena reference moves to whatever takes the message: a
-// blocking task gets a heap copy (escape releases the reference), a
-// callback task holds it until its body has run, a buffered entry keeps it
-// until taken, and a crashed destination releases it on the spot.
+// task holds it until its step has run, a buffered entry keeps it until
+// taken, and a crashed destination releases it on the spot.
 func (k *Kernel) deliver(h, kid int32, s *msgSlot) *task {
 	m := &s.m
 	p := k.procAt(m.To)
@@ -641,12 +543,7 @@ func (k *Kernel) deliver(h, kid int32, s *msgSlot) *task {
 // wake hands the message m in arena slot h to the parked task t and makes
 // it runnable.
 func (k *Kernel) wake(t *task, h int32, m *dsys.Message) *task {
-	if t.loop != nil {
-		t.wakeMsg = m
-		t.loop.wakeSlot = h
-	} else {
-		t.wakeMsg = k.arena.escape(h)
-	}
+	t.wakeMsg, t.wakeSlot = m, h
 	return ready(t)
 }
 
@@ -656,7 +553,7 @@ func (k *Kernel) crash(p *proc) {
 	}
 	p.crashed = true
 	k.cfg.Trace.OnCrash(p.id, k.now)
-	k.unwindTasks(p, unwindCrash)
+	k.finishTasks(p)
 	// Release the buffered backlog's arena references before dropping the
 	// buffer: the process is dead, but its slots must recycle (long chaos
 	// soaks crash many processes, each possibly holding a backlog).
@@ -666,70 +563,31 @@ func (k *Kernel) crash(p *proc) {
 		}
 	}
 	// Nothing will ever read the process's buffers again, so release them
-	// too. The task list is empty but for a task unwound later (see
-	// unwindTask), which leaves it when it finishes.
+	// too.
 	p.buf, p.byKid, p.kindLanes, p.anyParked = nil, nil, nil, nil
 	p.bufDead = 0
 }
 
-// unwindTasks unwinds every unfinished task of p, in creation order. Each
-// finishes during its own unwind and leaves the list — except the task whose
-// goroutine holds the baton, which finishes once control returns to its park
-// (see unwindTask). None can be added while p is crashed or the run is
-// stopping.
-func (k *Kernel) unwindTasks(p *proc, kind unwindKind) {
+// finishTasks finishes every unfinished task of p, in creation order,
+// releasing any message a task was woken with. None can be added while p is
+// crashed or the run is stopping, and none is running: crashes and the end
+// of the run happen between steps.
+func (k *Kernel) finishTasks(p *proc) {
 	for t := p.first; t != nil; {
 		next := t.next
-		k.unwindTask(t, kind)
+		if t.state == taskParked {
+			p.unpark(t)
+		}
+		k.release(t)
+		k.finish(t)
 		t = next
 	}
 }
 
-func (k *Kernel) unwindTask(t *task, kind unwindKind) {
-	switch t.state {
-	case taskDone:
-		return
-	case taskRunning:
-		panic("sim: unwinding a running task")
-	case taskParked:
-		t.p.unpark(t)
-	}
-	t.unwind = kind
-	if lp := t.loop; lp != nil {
-		// Callback tasks have no goroutine to handshake: release any pending
-		// wake message and finish the task on the spot.
-		if lp.wakeSlot >= 0 {
-			k.arena.unref(lp.wakeSlot)
-			lp.wakeSlot = -1
-		}
-		t.wakeMsg = nil
-		k.finish(t)
-		return
-	}
-	if t.resume == nil {
-		// A blocking task that has never run has no goroutine either: it
-		// never will run.
-		k.finish(t)
-		return
-	}
-	if t == k.current {
-		// t's goroutine holds the baton right now: it parked and is executing
-		// the dispatch loop that fired the crash event unwinding it. It cannot
-		// be handshaken — its resume channel has no receiver. dispatch notices
-		// the pending unwind once the current event finishes and returns
-		// control to t's park, which unwinds it there with the baton kept.
-		return
-	}
-	t.unwindSync = true
-	t.state = taskRunning
-	t.resume <- struct{}{}
-	<-k.bell
-}
-
-func (k *Kernel) unwindAll() {
+func (k *Kernel) finishAll() {
 	k.stopping = true
 	for _, p := range k.procs {
-		k.unwindTasks(p, unwindStop)
+		k.finishTasks(p)
 	}
 }
 

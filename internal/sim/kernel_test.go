@@ -19,26 +19,49 @@ func reliableCfg(n int, seed int64) Config {
 	}
 }
 
+// script is a step task that runs steps in order, one per resumption: each
+// is handed the message that ended the previous step's wait (nil after a
+// timeout or a sleep), and the task finishes after the last step's wait.
+func script(steps ...dsys.StepFunc) dsys.StepFunc {
+	next := 0
+	return func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+		if next == len(steps) {
+			return dsys.Finished
+		}
+		next++
+		return steps[next-1](p, m)
+	}
+}
+
+// sleep is the step that sleeps for d.
+func sleep(d time.Duration) dsys.StepFunc {
+	return func(dsys.Proc, *dsys.Message) dsys.Wait { return dsys.Sleep(d) }
+}
+
+// then is the last step of a script: it runs fn and finishes the task.
+func then(fn func(p dsys.Proc, m *dsys.Message)) dsys.StepFunc {
+	return func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+		fn(p, m)
+		return dsys.Finished
+	}
+}
+
 func TestPingPong(t *testing.T) {
 	k := New(reliableCfg(2, 1))
 	var got []string
-	k.Spawn(1, "pinger", func(p dsys.Proc) {
-		for i := 0; i < 3; i++ {
-			p.Send(2, "ping", i)
-			m, ok := p.Recv(dsys.MatchKind("pong"))
-			if !ok {
-				t.Error("pinger unwound unexpectedly")
-				return
-			}
+	k.SpawnStep(1, "pinger", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+		if m != nil {
 			got = append(got, fmt.Sprintf("pong%d@%v", m.Payload.(int), p.Now()))
 		}
-	})
-	k.Spawn(2, "ponger", func(p dsys.Proc) {
-		for {
-			m, _ := p.Recv(dsys.MatchKind("ping"))
-			p.Send(m.From, "pong", m.Payload)
+		if len(got) == 3 {
+			return dsys.Finished
 		}
+		p.Send(2, "ping", len(got))
+		return dsys.Await(dsys.MatchKind("pong"))
 	})
+	k.SpawnRecvLoop(2, "ponger", func(p dsys.Proc, m *dsys.Message) {
+		p.Send(m.From, "pong", m.Payload)
+	}, "ping")
 	k.Run(time.Second)
 	want := []string{"pong0@2ms", "pong1@4ms", "pong2@6ms"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -49,11 +72,16 @@ func TestPingPong(t *testing.T) {
 func TestSleepAdvancesVirtualTime(t *testing.T) {
 	k := New(reliableCfg(1, 1))
 	var at []time.Duration
-	k.Spawn(1, "sleeper", func(p dsys.Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(10 * time.Millisecond)
+	started := false
+	k.SpawnStep(1, "sleeper", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+		if started {
 			at = append(at, p.Now())
 		}
+		started = true
+		if len(at) == 5 {
+			return dsys.Finished
+		}
+		return dsys.Sleep(10 * time.Millisecond)
 	})
 	end := k.Run(time.Second)
 	if len(at) != 5 || at[4] != 50*time.Millisecond {
@@ -68,24 +96,30 @@ func TestSleepAdvancesVirtualTime(t *testing.T) {
 func TestRecvTimeout(t *testing.T) {
 	k := New(reliableCfg(2, 1))
 	var timedOut, received bool
-	k.Spawn(1, "waiter", func(p dsys.Proc) {
-		if _, ok := p.RecvTimeout(dsys.MatchKind("never"), 5*time.Millisecond); !ok {
-			timedOut = true
-		}
-		if p.Now() != 5*time.Millisecond {
-			t.Errorf("timeout fired at %v, want 5ms", p.Now())
-		}
-		if m, ok := p.RecvTimeout(dsys.MatchKind("hello"), time.Second); ok {
-			received = true
-			if m.From != 2 {
-				t.Errorf("from %v", m.From)
+	k.SpawnStep(1, "waiter", script(
+		func(dsys.Proc, *dsys.Message) dsys.Wait {
+			return dsys.AwaitTimeout(dsys.MatchKind("never"), 5*time.Millisecond)
+		},
+		func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+			timedOut = m == nil
+			if p.Now() != 5*time.Millisecond {
+				t.Errorf("timeout fired at %v, want 5ms", p.Now())
 			}
-		}
-	})
-	k.Spawn(2, "sender", func(p dsys.Proc) {
-		p.Sleep(20 * time.Millisecond)
-		p.Send(1, "hello", nil)
-	})
+			return dsys.AwaitTimeout(dsys.MatchKind("hello"), time.Second)
+		},
+		then(func(p dsys.Proc, m *dsys.Message) {
+			if m != nil {
+				received = true
+				if m.From != 2 {
+					t.Errorf("from %v", m.From)
+				}
+			}
+		}),
+	))
+	k.SpawnStep(2, "sender", script(
+		sleep(20*time.Millisecond),
+		then(func(p dsys.Proc, _ *dsys.Message) { p.Send(1, "hello", nil) }),
+	))
 	k.Run(time.Second)
 	if !timedOut || !received {
 		t.Errorf("timedOut=%v received=%v", timedOut, received)
@@ -95,21 +129,32 @@ func TestRecvTimeout(t *testing.T) {
 func TestRecvTimeoutStaleTimerDoesNotWakeLaterPark(t *testing.T) {
 	k := New(reliableCfg(2, 1))
 	wakes := 0
-	k.Spawn(1, "waiter", func(p dsys.Proc) {
-		// First wait is satisfied by a message well before its long timeout.
-		if _, ok := p.RecvTimeout(dsys.MatchKind("a"), 100*time.Millisecond); !ok {
-			t.Error("expected message a")
-		}
-		// Second wait must time out at its own deadline, not at the stale one.
-		start := p.Now()
-		if _, ok := p.RecvTimeout(dsys.MatchKind("b"), 300*time.Millisecond); ok {
-			t.Error("unexpected message b")
-		}
-		if p.Now()-start != 300*time.Millisecond {
-			t.Errorf("second wait lasted %v, want 300ms", p.Now()-start)
-		}
-		wakes++
-	})
+	var start time.Duration
+	k.SpawnStep(1, "waiter", script(
+		// The first wait is satisfied by a message well before its long
+		// timeout.
+		func(dsys.Proc, *dsys.Message) dsys.Wait {
+			return dsys.AwaitTimeout(dsys.MatchKind("a"), 100*time.Millisecond)
+		},
+		// The second wait must time out at its own deadline, not at the
+		// stale one.
+		func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+			if m == nil {
+				t.Error("expected message a")
+			}
+			start = p.Now()
+			return dsys.AwaitTimeout(dsys.MatchKind("b"), 300*time.Millisecond)
+		},
+		then(func(p dsys.Proc, m *dsys.Message) {
+			if m != nil {
+				t.Error("unexpected message b")
+			}
+			if p.Now()-start != 300*time.Millisecond {
+				t.Errorf("second wait lasted %v, want 300ms", p.Now()-start)
+			}
+			wakes++
+		}),
+	))
 	k.Spawn(2, "sender", func(p dsys.Proc) {
 		p.Send(1, "a", nil)
 	})
@@ -126,13 +171,16 @@ func TestBufferedMessageMatchedLater(t *testing.T) {
 		p.Send(1, "second", nil)
 		p.Send(1, "first", nil)
 	})
-	k.Spawn(1, "recv", func(p dsys.Proc) {
-		p.Sleep(50 * time.Millisecond) // both messages get buffered
-		m1, _ := p.Recv(dsys.MatchKind("first"))
-		order = append(order, m1.Kind)
-		m2, _ := p.Recv(dsys.MatchKind("second"))
-		order = append(order, m2.Kind)
-	})
+	record := func(_ dsys.Proc, m *dsys.Message) { order = append(order, m.Kind) }
+	k.SpawnStep(1, "recv", script(
+		sleep(50*time.Millisecond), // both messages get buffered
+		func(dsys.Proc, *dsys.Message) dsys.Wait { return dsys.Await(dsys.MatchKind("first")) },
+		func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+			record(p, m)
+			return dsys.Await(dsys.MatchKind("second"))
+		},
+		then(record),
+	))
 	k.Run(time.Second)
 	if strings.Join(order, ",") != "first,second" {
 		t.Errorf("order %v", order)
@@ -142,11 +190,13 @@ func TestBufferedMessageMatchedLater(t *testing.T) {
 func TestSelfSendDelivers(t *testing.T) {
 	k := New(reliableCfg(1, 1))
 	ok := false
-	k.Spawn(1, "self", func(p dsys.Proc) {
-		p.Send(1, "note", 42)
-		m, _ := p.Recv(dsys.MatchKind("note"))
-		ok = m.Payload.(int) == 42 && m.From == 1
-	})
+	k.SpawnStep(1, "self", script(
+		func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+			p.Send(1, "note", 42)
+			return dsys.Await(dsys.MatchKind("note"))
+		},
+		then(func(_ dsys.Proc, m *dsys.Message) { ok = m.Payload.(int) == 42 && m.From == 1 }),
+	))
 	k.Run(time.Second)
 	if !ok {
 		t.Error("self send not delivered")
@@ -158,26 +208,20 @@ func TestCrashUnwindsTasksAndSilencesProcess(t *testing.T) {
 	cfg := reliableCfg(2, 1)
 	cfg.Trace = col
 	k := New(cfg)
-	deferRan := false
-	k.Spawn(1, "chatty", func(p dsys.Proc) {
-		defer func() { deferRan = true }()
-		for {
-			p.Send(2, "beat", nil)
-			p.Sleep(10 * time.Millisecond)
-		}
+	k.SpawnTickLoop(1, "chatty", dsys.TickLoop{
+		Period:    10 * time.Millisecond,
+		Immediate: true,
+		Fn:        func(p dsys.Proc) { p.Send(2, "beat", nil) },
 	})
+	k.SpawnRecvLoop(1, "listen", func(dsys.Proc, *dsys.Message) {}, "never")
 	var beats int
-	k.Spawn(2, "count", func(p dsys.Proc) {
-		for {
-			if _, ok := p.Recv(dsys.MatchKind("beat")); ok {
-				beats++
-			}
-		}
-	})
+	k.SpawnRecvLoop(2, "count", func(dsys.Proc, *dsys.Message) { beats++ }, "beat")
 	k.CrashAt(1, 35*time.Millisecond)
+	var left []*task
+	k.ScheduleFunc(36*time.Millisecond, func(time.Duration) { left = taskList(k.procAt(1)) })
 	k.Run(200 * time.Millisecond)
-	if !deferRan {
-		t.Error("crashed task's defers did not run")
+	if len(left) != 0 {
+		t.Errorf("crashed process still lists %d tasks", len(left))
 	}
 	if beats != 4 { // sends at 0,10,20,30ms
 		t.Errorf("beats = %d, want 4", beats)
@@ -195,13 +239,13 @@ func TestMessagesToCrashedProcessDiscarded(t *testing.T) {
 	cfg := reliableCfg(2, 1)
 	cfg.Trace = col
 	k := New(cfg)
-	k.Spawn(1, "sender", func(p dsys.Proc) {
-		p.Sleep(20 * time.Millisecond)
-		p.Send(2, "late", nil)
-	})
-	k.Spawn(2, "idle", func(p dsys.Proc) {
-		p.Recv(dsys.MatchAny)
-	})
+	k.SpawnStep(1, "sender", script(
+		sleep(20*time.Millisecond),
+		then(func(p dsys.Proc, _ *dsys.Message) { p.Send(2, "late", nil) }),
+	))
+	k.SpawnStep(2, "idle", script(
+		func(dsys.Proc, *dsys.Message) dsys.Wait { return dsys.Await(dsys.MatchAny) },
+	))
 	k.CrashAt(2, 10*time.Millisecond)
 	k.Run(100 * time.Millisecond)
 	if col.Sent("late") != 1 {
@@ -216,14 +260,14 @@ func TestSpawnedTasksShareMailbox(t *testing.T) {
 	k := New(reliableCfg(2, 1))
 	var gotA, gotB string
 	k.Spawn(1, "main", func(p dsys.Proc) {
-		p.Spawn("taskA", func(p dsys.Proc) {
-			m, _ := p.Recv(dsys.MatchKind("a"))
-			gotA = m.Kind
-		})
-		p.Spawn("taskB", func(p dsys.Proc) {
-			m, _ := p.Recv(dsys.MatchKind("b"))
-			gotB = m.Kind
-		})
+		dsys.SpawnStep(p, "taskA", script(
+			func(dsys.Proc, *dsys.Message) dsys.Wait { return dsys.Await(dsys.MatchKind("a")) },
+			then(func(_ dsys.Proc, m *dsys.Message) { gotA = m.Kind }),
+		))
+		dsys.SpawnStep(p, "taskB", script(
+			func(dsys.Proc, *dsys.Message) dsys.Wait { return dsys.Await(dsys.MatchKind("b")) },
+			then(func(_ dsys.Proc, m *dsys.Message) { gotB = m.Kind }),
+		))
 	})
 	k.Spawn(2, "sender", func(p dsys.Proc) {
 		p.Send(1, "b", nil)
@@ -246,18 +290,17 @@ func TestDeterminism(t *testing.T) {
 		}
 		k := New(cfg)
 		for _, id := range dsys.Pids(4) {
-			k.Spawn(id, "gossip", func(p dsys.Proc) {
-				for i := 0; i < 20; i++ {
-					to := dsys.ProcessID(p.Rand().Intn(p.N()) + 1)
-					p.Send(to, "g", i)
-					p.Sleep(time.Duration(p.Rand().Intn(5)+1) * time.Millisecond)
+			i := 0
+			k.SpawnStep(id, "gossip", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+				if i == 20 {
+					return dsys.Finished
 				}
+				to := dsys.ProcessID(p.Rand().Intn(p.N()) + 1)
+				p.Send(to, "g", i)
+				i++
+				return dsys.Sleep(time.Duration(p.Rand().Intn(5)+1) * time.Millisecond)
 			})
-			k.Spawn(id, "sink", func(p dsys.Proc) {
-				for {
-					p.Recv(dsys.MatchKind("g"))
-				}
-			})
+			k.SpawnRecvLoop(id, "sink", func(dsys.Proc, *dsys.Message) {}, "g")
 		}
 		k.CrashAt(3, 40*time.Millisecond)
 		k.Run(500 * time.Millisecond)
@@ -279,18 +322,18 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 			Trace:   col,
 		}
 		k := New(cfg)
-		k.Spawn(1, "s", func(p dsys.Proc) {
-			for i := 0; i < 10; i++ {
-				p.Send(2, "m", i)
-				p.Recv(dsys.MatchKind("ack")) // send times now depend on latencies
+		i := 0
+		k.SpawnStep(1, "s", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+			if i == 10 {
+				return dsys.Finished
 			}
+			p.Send(2, "m", i)
+			i++
+			return dsys.Await(dsys.MatchKind("ack")) // send times now depend on latencies
 		})
-		k.Spawn(2, "r", func(p dsys.Proc) {
-			for {
-				m, _ := p.Recv(dsys.MatchKind("m"))
-				p.Send(m.From, "ack", nil)
-			}
-		})
+		k.SpawnRecvLoop(2, "r", func(p dsys.Proc, m *dsys.Message) {
+			p.Send(m.From, "ack", nil)
+		}, "m")
 		k.Run(time.Second)
 		return fmt.Sprint(col.Events())
 	}
@@ -302,12 +345,7 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 func TestRunStopsAtDeadline(t *testing.T) {
 	k := New(reliableCfg(1, 1))
 	ticks := 0
-	k.Spawn(1, "ticker", func(p dsys.Proc) {
-		for {
-			p.Sleep(time.Millisecond)
-			ticks++
-		}
-	})
+	k.SpawnTickLoop(1, "ticker", dsys.TickLoop{Period: time.Millisecond, Fn: func(dsys.Proc) { ticks++ }})
 	end := k.Run(10 * time.Millisecond)
 	if end != 10*time.Millisecond {
 		t.Errorf("end = %v", end)
@@ -319,10 +357,10 @@ func TestRunStopsAtDeadline(t *testing.T) {
 
 func TestTaskPanicSurfacesWithContext(t *testing.T) {
 	k := New(reliableCfg(1, 1))
-	k.Spawn(1, "boom", func(p dsys.Proc) {
-		p.Sleep(time.Millisecond)
-		panic("kaboom")
-	})
+	k.SpawnStep(1, "boom", script(
+		sleep(time.Millisecond),
+		then(func(dsys.Proc, *dsys.Message) { panic("kaboom") }),
+	))
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -338,7 +376,7 @@ func TestTaskPanicSurfacesWithContext(t *testing.T) {
 
 func TestScheduleFuncAndEvery(t *testing.T) {
 	k := New(reliableCfg(1, 1))
-	k.Spawn(1, "idle", func(p dsys.Proc) { p.Sleep(time.Hour) })
+	k.SpawnStep(1, "idle", script(sleep(time.Hour)))
 	var funcAt time.Duration
 	k.ScheduleFunc(7*time.Millisecond, func(now time.Duration) { funcAt = now })
 	var everyAt []time.Duration
@@ -357,7 +395,7 @@ func TestScheduleFuncAndEvery(t *testing.T) {
 
 func TestCorrectReflectsCrashes(t *testing.T) {
 	k := New(reliableCfg(3, 1))
-	k.Spawn(1, "idle", func(p dsys.Proc) { p.Sleep(time.Hour) })
+	k.SpawnStep(1, "idle", script(sleep(time.Hour)))
 	k.CrashAt(2, time.Millisecond)
 	k.Run(10 * time.Millisecond)
 	got := fmt.Sprint(k.Correct())
@@ -369,11 +407,12 @@ func TestCorrectReflectsCrashes(t *testing.T) {
 func TestZeroAndNegativeSleepStillYields(t *testing.T) {
 	k := New(reliableCfg(1, 1))
 	n := 0
-	k.Spawn(1, "spin", func(p dsys.Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(0)
-			n++
+	k.SpawnStep(1, "spin", func(dsys.Proc, *dsys.Message) dsys.Wait {
+		if n == 100 {
+			return dsys.Finished
 		}
+		n++
+		return dsys.Sleep(time.Duration(n%2) - 1) // 0 and -1 alternately
 	})
 	end := k.Run(time.Second)
 	if n != 100 {
@@ -387,12 +426,18 @@ func TestZeroAndNegativeSleepStillYields(t *testing.T) {
 func TestRecvTimeoutZeroReturnsImmediately(t *testing.T) {
 	k := New(reliableCfg(1, 1))
 	called := false
-	k.Spawn(1, "t", func(p dsys.Proc) {
-		if _, ok := p.RecvTimeout(dsys.MatchAny, 0); ok {
-			t.Error("expected no message")
-		}
-		called = true
-	})
+	k.SpawnStep(1, "t", script(
+		func(dsys.Proc, *dsys.Message) dsys.Wait { return dsys.AwaitTimeout(dsys.MatchAny, 0) },
+		then(func(p dsys.Proc, m *dsys.Message) {
+			if m != nil {
+				t.Error("expected no message")
+			}
+			if p.Now() != 0 {
+				t.Errorf("a zero timeout resumed the task at %v", p.Now())
+			}
+			called = true
+		}),
+	))
 	k.Run(time.Second)
 	if !called {
 		t.Error("task did not complete")
@@ -410,24 +455,24 @@ func TestPartiallySynchronousNetworkBoundsPostGST(t *testing.T) {
 	}
 	k := New(cfg)
 	var lat []time.Duration
-	k.Spawn(1, "s", func(p dsys.Proc) {
-		for i := 0; i < 100; i++ {
-			p.Send(2, "m", p.Now())
-			p.Sleep(5 * time.Millisecond)
+	sent := 0
+	k.SpawnStep(1, "s", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+		if sent == 100 {
+			return dsys.Finished
 		}
+		p.Send(2, "m", p.Now())
+		sent++
+		return dsys.Sleep(5 * time.Millisecond)
 	})
-	k.Spawn(2, "r", func(p dsys.Proc) {
-		for {
-			m, _ := p.Recv(dsys.MatchAny)
-			lat = append(lat, p.Now()-m.SentAt)
-			if m.SentAt >= gst && p.Now()-m.SentAt > delta {
-				t.Errorf("post-GST message took %v > Δ=%v", p.Now()-m.SentAt, delta)
-			}
-			if m.SentAt < gst && p.Now() > gst+delta {
-				t.Errorf("pre-GST message arrived at %v, after GST+Δ", p.Now())
-			}
+	k.SpawnRecvLoop(2, "r", func(p dsys.Proc, m *dsys.Message) {
+		lat = append(lat, p.Now()-m.SentAt)
+		if m.SentAt >= gst && p.Now()-m.SentAt > delta {
+			t.Errorf("post-GST message took %v > Δ=%v", p.Now()-m.SentAt, delta)
 		}
-	})
+		if m.SentAt < gst && p.Now() > gst+delta {
+			t.Errorf("pre-GST message arrived at %v, after GST+Δ", p.Now())
+		}
+	}, "m")
 	k.Run(time.Second)
 	if len(lat) != 100 {
 		t.Errorf("delivered %d of 100", len(lat))

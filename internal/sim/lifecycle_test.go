@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -47,78 +48,90 @@ func holdsPointer(rt reflect.Type) bool {
 	return false
 }
 
-// TestNeverBlockingTasksShareOneGoroutine spawns 1,000 blocking tasks that
-// return without ever blocking — the shape of a population's set-up tasks —
-// and checks they run on one goroutine between them: each starts lazily, on
-// the goroutine whose task has just finished.
-func TestNeverBlockingTasksShareOneGoroutine(t *testing.T) {
+// TestKernelStartsNoGoroutine runs 1,000 Spawn bodies — the shape of a
+// population's set-up tasks — a receive loop, a sleeping step task, and a
+// task spawned from a hook and crashed before the dispatch loop selects it.
+// The goroutine count read inside a Spawn body, inside a step and after Run
+// must equal the count before Run: every task runs on the Run goroutine. The
+// crashed task must never run and must leave the task list and the task
+// table like any finished task.
+func TestKernelStartsNoGoroutine(t *testing.T) {
 	const n = 1000
 	k := New(reliableCfg(10, 1))
-	before := runtime.NumGoroutine()
-	peak, ran := 0, 0
-	ids := map[string]bool{}
+	var counts []int
+	sample := func() { counts = append(counts, runtime.NumGoroutine()) }
+	ran := 0
 	for i := 0; i < n; i++ {
 		k.Spawn(dsys.ProcessID(i%10+1), "setup", func(p dsys.Proc) {
 			ran++
-			peak = max(peak, runtime.NumGoroutine())
-			ids[goroutineID()] = true
+			sample()
+			p.Send(p.ID()%10+1, "x", nil)
 		})
 	}
-	if got := runtime.NumGoroutine() - before; got > 0 {
-		t.Errorf("spawning %d tasks started %d goroutines before Run", n, got)
-	}
-	k.Run(time.Second)
-	if ran != n {
-		t.Fatalf("%d of %d tasks ran", ran, n)
-	}
-	if extra := peak - before; extra > 1 {
-		t.Errorf("tasks raised the goroutine count by %d during the run, want at most 1", extra)
-	}
-	if len(ids) != 1 {
-		t.Errorf("tasks ran on %d goroutines, want 1", len(ids))
-	}
-}
-
-// goroutineID returns the calling goroutine's id, read from the header line
-// of its stack trace ("goroutine 7 [running]:").
-func goroutineID() string {
-	buf := make([]byte, 64)
-	buf = buf[:runtime.Stack(buf, false)]
-	f := strings.Fields(string(buf))
-	if len(f) < 2 || f[0] != "goroutine" {
-		panic("unexpected stack header: " + string(buf))
-	}
-	return f[1]
-}
-
-// TestCrashBeforeFirstSelectionStartsNoGoroutine spawns a blocking task and
-// crashes its process before the dispatch loop ever selects it: the task
-// must never run and never get a goroutine, and it must leave the task list
-// and the task table like any finished task.
-func TestCrashBeforeFirstSelectionStartsNoGoroutine(t *testing.T) {
-	k := New(reliableCfg(2, 1))
-	ran := false
-	k.ScheduleFunc(time.Millisecond, func(time.Duration) {
-		before := runtime.NumGoroutine()
-		k.Spawn(1, "never-selected", func(p dsys.Proc) { ran = true })
-		if got := runtime.NumGoroutine() - before; got != 0 {
-			t.Errorf("Spawn started %d goroutines", got)
-		}
-		k.crash(k.procAt(1))
-		if got := runtime.NumGoroutine() - before; got != 0 {
-			t.Errorf("crashing the process started %d goroutines", got)
-		}
-		if ts := taskList(k.procAt(1)); len(ts) != 0 {
-			t.Errorf("crashed process still lists %d tasks", len(ts))
-		}
+	k.SpawnRecvLoop(3, "loop", func(dsys.Proc, *dsys.Message) { sample() }, "x")
+	k.SpawnStep(4, "sleeper", script(sleep(time.Millisecond), then(func(dsys.Proc, *dsys.Message) { sample() })))
+	crashedRan := false
+	var leftTasks int
+	k.ScheduleFunc(2*time.Millisecond, func(time.Duration) {
+		k.Spawn(5, "never-selected", func(p dsys.Proc) { crashedRan = true })
+		k.crash(k.procAt(5))
+		leftTasks = len(taskList(k.procAt(5)))
 	})
+	before := runtime.NumGoroutine()
 	k.Run(time.Second)
-	if ran {
+	sample()
+	if ran != n {
+		t.Fatalf("%d of %d Spawn bodies ran", ran, n)
+	}
+	if len(counts) != n+100+2 {
+		t.Fatalf("%d samples, want %d", len(counts), n+100+2)
+	}
+	for i, c := range counts {
+		if c != before {
+			t.Fatalf("sample %d read %d goroutines, %d before Run", i, c, before)
+		}
+	}
+	if crashedRan {
 		t.Error("task ran after its process crashed")
+	}
+	if leftTasks != 0 {
+		t.Errorf("crashed process still lists %d tasks", leftTasks)
 	}
 	for h, tk := range k.tasks.slots {
 		if tk != nil {
 			t.Errorf("task table slot %d still holds %s", h, tk.name)
+		}
+	}
+}
+
+// TestBlockingPrimitivesFailTheRun calls each blocking primitive from a
+// Spawn body and from a step: the run must stop with an error naming the
+// process, the task and the primitive, and pointing to dsys.Wait.
+func TestBlockingPrimitivesFailTheRun(t *testing.T) {
+	prims := map[string]func(p dsys.Proc){
+		"Recv":        func(p dsys.Proc) { p.Recv(dsys.MatchAny) },
+		"RecvTimeout": func(p dsys.Proc) { p.RecvTimeout(dsys.MatchAny, time.Millisecond) },
+		"Sleep":       func(p dsys.Proc) { p.Sleep(time.Millisecond) },
+	}
+	for prim, call := range prims {
+		for _, from := range []string{"body", "step"} {
+			t.Run(prim+"-from-"+from, func(t *testing.T) {
+				k := New(reliableCfg(2, 1))
+				if from == "body" {
+					k.Spawn(2, "blocker", call)
+				} else {
+					k.SpawnStep(2, "blocker", script(sleep(time.Millisecond), then(func(p dsys.Proc, _ *dsys.Message) { call(p) })))
+				}
+				defer func() {
+					msg := fmt.Sprint(recover())
+					for _, want := range []string{"p2/blocker called " + prim + ",", "dsys.Wait"} {
+						if !strings.Contains(msg, want) {
+							t.Errorf("Run panicked with %q, want it to contain %q", msg, want)
+						}
+					}
+				}()
+				k.Run(time.Second)
+			})
 		}
 	}
 }
@@ -131,20 +144,27 @@ func TestCrashBeforeFirstSelectionStartsNoGoroutine(t *testing.T) {
 func TestStaleTimerIgnoredAfterHandleReuse(t *testing.T) {
 	k := New(reliableCfg(2, 1))
 	var first, second *task
-	k.Spawn(1, "early", func(p dsys.Proc) {
-		first = taskOf(p)
-		if _, ok := p.RecvTimeout(dsys.MatchKind("go"), 10*time.Millisecond); !ok {
-			t.Error("early task timed out instead of receiving go")
-		}
-	})
+	k.SpawnStep(1, "early", script(
+		func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+			first = taskOf(p)
+			return dsys.AwaitTimeout(dsys.MatchKind("go"), 10*time.Millisecond)
+		},
+		then(func(_ dsys.Proc, m *dsys.Message) {
+			if m == nil {
+				t.Error("early task timed out instead of receiving go")
+			}
+		}),
+	))
 	k.Spawn(2, "sender", func(p dsys.Proc) { p.Send(1, "go", nil) })
 	woken := false
 	k.ScheduleFunc(2*time.Millisecond, func(time.Duration) {
-		k.Spawn(1, "late", func(p dsys.Proc) {
-			second = taskOf(p)
-			p.Recv(dsys.MatchKind("never"))
-			woken = true
-		})
+		k.SpawnStep(1, "late", script(
+			func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+				second = taskOf(p)
+				return dsys.Await(dsys.MatchKind("never"))
+			},
+			then(func(dsys.Proc, *dsys.Message) { woken = true }),
+		))
 	})
 	k.Run(time.Second)
 	if second == nil {
@@ -161,22 +181,15 @@ func TestStaleTimerIgnoredAfterHandleReuse(t *testing.T) {
 	}
 }
 
-// TestFinishedTaskLeavesTaskList checks that a finished task — blocking or
-// step — leaves its process's task list and the task table at the instant it
-// finishes, with the survivors still in creation order.
+// TestFinishedTaskLeavesTaskList checks that a finished task — a Spawn body
+// or a step task — leaves its process's task list and the task table at the
+// instant it finishes, with the survivors still in creation order.
 func TestFinishedTaskLeavesTaskList(t *testing.T) {
 	k := New(reliableCfg(1, 1))
-	k.Spawn(1, "a", func(p dsys.Proc) { p.Sleep(time.Hour) })
-	k.Spawn(1, "done-blocking", func(p dsys.Proc) { p.Sleep(time.Millisecond) })
-	k.Spawn(1, "b", func(p dsys.Proc) { p.Sleep(time.Hour) })
-	slept := false
-	k.spawnStep(k.procAt(1), "done-step", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
-		if !slept {
-			slept = true
-			return dsys.Sleep(time.Millisecond)
-		}
-		return dsys.Finished
-	})
+	k.SpawnStep(1, "a", script(sleep(time.Hour)))
+	k.Spawn(1, "done-body", func(p dsys.Proc) {})
+	k.SpawnStep(1, "b", script(sleep(time.Hour)))
+	k.SpawnStep(1, "done-step", script(sleep(time.Millisecond)))
 	k.SpawnRecvLoop(1, "c", func(p dsys.Proc, m *dsys.Message) {}, "never")
 	var names []string
 	// One nanosecond after both finished: nothing else has run since.

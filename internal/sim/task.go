@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/dsys"
@@ -19,33 +18,14 @@ const (
 	taskDone
 )
 
-type unwindKind uint8
-
-const (
-	unwindNone unwindKind = iota
-	unwindCrash
-	unwindStop
-)
-
-// unwindPanic is thrown inside blocking primitives to unwind a task when its
-// process crashes or the run stops. It never escapes the task wrapper.
-type unwindPanic struct{ kind unwindKind }
-
-// task is one cooperative thread of a simulated process. Exactly one task in
-// the whole kernel runs at a time; switches happen only inside kernel
-// primitives, so runs are deterministic.
-//
-// Tasks come in two execution flavors. Blocking tasks (Spawn) run on
-// goroutines under the baton-passing scheduler and may suspend anywhere. A
-// blocking task has no goroutine until the dispatch loop first selects it;
-// then the goroutine of a task that has just finished runs its body in place,
-// or a fresh goroutine starts (see Kernel.handTo). Callback tasks — step
-// tasks, receive and tick loops included (SpawnStep, SpawnRecvLoop,
-// SpawnTickLoop; loop != nil) — have no goroutine at all:
-// the dispatch loop runs their step inline at exactly the points where it
-// would have resumed the equivalent blocking task, so a park/deliver/park
-// cycle costs zero context switches. A step task parks in the same lanes,
-// with the same timers, as a blocking task in Recv, RecvTimeout or Sleep.
+// task is one cooperative thread of a simulated process: a step task, run
+// as a callback on the dispatch loop. Exactly one task in the whole kernel
+// runs at a time, and only between events, so runs are deterministic. A
+// task's step runs when the dispatch loop selects it, returns the dsys.Wait
+// it parks on — in its matcher's lanes, with one timer for a timed wait or a
+// sleep — and runs again, with the message that woke it, when the loop
+// next selects it. A task spawned with Spawn is a step task whose one step
+// runs its body.
 type task struct {
 	id   int
 	name string
@@ -53,18 +33,15 @@ type task struct {
 	// prev and next link the process's task list (proc.first) in creation
 	// order.
 	prev, next *task
-
-	// body is a blocking task's function.
-	body dsys.TaskFunc
-	// resume is the baton channel of the goroutine running a blocking task;
-	// nil until the task first runs, and always nil for callback tasks.
-	resume chan struct{}
-	// loop marks a callback task and holds its state.
-	loop *loopTask
+	step       dsys.StepFunc
 
 	// h is the task's slot in the kernel's task table, the handle its timer
 	// events name it by (see Kernel.tasks).
 	h int32
+	// wakeSlot is the arena handle under wakeMsg while a delivered or taken
+	// message waits for the step to run; -1 when none. The arena reference is
+	// held until the step returns.
+	wakeSlot int32
 	// Park bookkeeping. parkGen distinguishes park sessions so a stale
 	// timer cannot wake a later park. While the task waits for a message,
 	// match holds its matcher and the task sits in the process's dispatch
@@ -76,24 +53,7 @@ type task struct {
 	parkKids []int32
 	wakeMsg  *dsys.Message
 	parkAny  bool
-
-	// The one-byte fields come last, so the record packs into 136 bytes.
-	state  taskState
-	unwind unwindKind
-	// unwindSync is set by Kernel.unwindTask when another goroutine holds the
-	// baton and blocks on the bell until this task's wrapper finishes; the
-	// wrapper then rings the bell instead of continuing the dispatch loop.
-	unwindSync bool
-}
-
-// loopTask is the state of a callback task — the goroutine-free fast path:
-// its step function, which parks it on the Wait it returns.
-type loopTask struct {
-	step dsys.StepFunc
-	// wakeSlot is the arena handle under task.wakeMsg while a delivered or
-	// taken message waits for the step to run; -1 when none. The arena
-	// reference is held until the step returns.
-	wakeSlot int32
+	state    taskState
 }
 
 // kindLane is the ordered set of tasks of one process parked on one message
@@ -159,7 +119,7 @@ func (p *proc) bufAdd(h, kid int32) {
 
 // takeAt removes buf[i], leaving a hole, and returns the message still in
 // its arena slot plus the slot handle; the caller inherits the entry's arena
-// reference and must unref (or escape) when done with the message. Stale
+// reference and must unref when done with the message. Stale
 // index entries pointing at the hole are skipped lazily; compactBuf reclaims
 // the holes themselves.
 func (p *proc) takeAt(i int) (*dsys.Message, int32) {
@@ -279,8 +239,7 @@ func (p *proc) lane(kid int32) *kindLane {
 // every kind of a dsys.KindMatcher, otherwise the generic lane. A task in
 // several kind lanes wins a delivery exactly when it would from the generic
 // lane, as the lowest-id parked matching task (see Kernel.deliver). Called
-// by the task's own goroutine or its callback just before it parks, while
-// it holds the scheduling baton, so lane updates never race.
+// on the dispatch loop once the task's step has returned.
 func (p *proc) parkOn(t *task, match dsys.Matcher) {
 	t.match = match
 	if km, ok := match.(dsys.KindMatcher); ok {
@@ -381,10 +340,9 @@ func (v taskView) Now() time.Duration    { return v.t.p.k.now }
 func (v taskView) Rand() *rand.Rand      { return v.t.p.randSrc() }
 
 func (v taskView) Send(to dsys.ProcessID, kind string, payload any) {
-	t := v.t
-	p := t.p
+	p := v.t.p
 	k := p.k
-	if t.unwind != unwindNone || p.crashed || k.stopping {
+	if p.crashed || k.stopping {
 		return
 	}
 	if to < 1 || int(to) > len(k.procs) {
@@ -431,66 +389,25 @@ func (v taskView) Send(to dsys.ProcessID, kind string, payload any) {
 	k.scheduleDeliver(k.now+delay, h, s.gen, kid)
 }
 
-func (v taskView) Recv(match dsys.Matcher) (*dsys.Message, bool) {
-	t := v.t
-	t.checkUnwind()
-	t.checkBlocking()
-	if m, h := t.p.takeMatch(match); m != nil {
-		return t.p.k.arena.escape(h), true
-	}
-	t.parkGen++
-	t.p.parkOn(t, match)
-	t.park()
-	m := t.wakeMsg
-	t.wakeMsg = nil
-	return m, m != nil
+// Recv, RecvTimeout and Sleep would suspend the task mid-step, which the
+// simulator cannot do: each fails the run (see blocked).
+func (v taskView) Recv(dsys.Matcher) (*dsys.Message, bool) { panic(v.t.blocked("Recv")) }
+
+func (v taskView) RecvTimeout(dsys.Matcher, time.Duration) (*dsys.Message, bool) {
+	panic(v.t.blocked("RecvTimeout"))
 }
 
-func (v taskView) RecvTimeout(match dsys.Matcher, d time.Duration) (*dsys.Message, bool) {
-	t := v.t
-	t.checkUnwind()
-	t.checkBlocking()
-	if m, h := t.p.takeMatch(match); m != nil {
-		return t.p.k.arena.escape(h), true
-	}
-	if d <= 0 {
-		return nil, false
-	}
-	k := t.p.k
-	t.parkGen++
-	t.p.parkOn(t, match)
-	k.scheduleTimer(k.now+d, evTimeout, t, t.parkGen)
-	t.park()
-	m := t.wakeMsg
-	t.wakeMsg = nil
-	return m, m != nil
-}
+func (v taskView) Sleep(time.Duration) { panic(v.t.blocked("Sleep")) }
 
-func (v taskView) Sleep(d time.Duration) {
-	t := v.t
-	t.checkUnwind()
-	t.checkBlocking()
-	if d <= 0 {
-		d = 1 // always yield so busy loops cannot stall virtual time
-	}
-	k := t.p.k
-	t.parkGen++
-	k.scheduleTimer(k.now+d, evSleep, t, t.parkGen)
-	t.park()
-}
-
+// Spawn adds a task whose one step runs fn.
 func (v taskView) Spawn(name string, fn dsys.TaskFunc) {
-	t := v.t
-	t.checkUnwind()
-	t.p.k.spawn(t.p, name, fn)
+	v.t.p.k.spawn(v.t.p, name, fn)
 }
 
 // SpawnStep implements dsys.LoopSpawner: the spawned step task runs as a
-// callback on the dispatch loop, with no goroutine.
+// callback on the dispatch loop.
 func (v taskView) SpawnStep(name string, step dsys.StepFunc) {
-	t := v.t
-	t.checkUnwind()
-	t.p.k.spawnStep(t.p, name, step)
+	v.t.p.k.spawnStep(v.t.p, name, step)
 }
 
 func (v taskView) Logf(format string, args ...any) {
@@ -502,73 +419,8 @@ func (v taskView) Logf(format string, args ...any) {
 	fmt.Fprintf(k.cfg.Log, "%10v %v/%s: %s\n", k.now, t.p.id, t.name, fmt.Sprintf(format, args...))
 }
 
-// checkUnwind aborts the task if it is being unwound; it protects against
-// blocking primitives called from deferred functions during unwinding.
-func (t *task) checkUnwind() {
-	if t.unwind != unwindNone || t.p.k.stopping {
-		panic(unwindPanic{unwindStop})
-	}
-}
-
-// checkBlocking rejects blocking primitives on callback tasks, which run
-// inline on the dispatch loop and must never suspend. The panic surfaces
-// through Kernel.runLoop as a fatal task error.
-func (t *task) checkBlocking() {
-	if t.loop != nil {
-		panic(fmt.Sprintf("sim: callback task %v/%s called a blocking primitive; return a dsys.Wait from a step task instead", t.p.id, t.name))
-	}
-}
-
-// park suspends the task until it is woken. The parking goroutine keeps the
-// baton and runs the dispatch loop inline; it only blocks on its resume
-// channel when the loop hands the baton to another goroutine. On resume it
-// converts a pending unwind into a panic that the task wrapper recovers.
-func (t *task) park() {
-	t.state = taskParked
-	if !t.p.k.dispatch(t) {
-		<-t.resume
-	}
-	if t.unwind != unwindNone {
-		panic(unwindPanic{t.unwind})
-	}
-}
-
-// runTasks is the body of a task goroutine, started by Kernel.handTo with
-// the baton for the never-run blocking task t. It runs t and then, in place,
-// every never-run task the dispatch loop selects once the previous one has
-// finished; it exits when the baton leaves it with no task of its own.
-func (k *Kernel) runTasks(t *task) {
-	resume := make(chan struct{})
-	for t != nil {
-		t.resume = resume
-		t = k.runTask(t)
-	}
-}
-
-// runTask runs blocking task t's body on the calling goroutine, which holds
-// the baton. When the body ends (normally, by unwind, or by user panic) the
-// task finishes; then the goroutine either rings the bell — answering a
-// synchronous unwind handshake — or continues the dispatch loop, returning
-// the never-run task the loop selected for it to run next, or nil.
-func (k *Kernel) runTask(t *task) (next *task) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(unwindPanic); !ok {
-				// A real bug in algorithm code: surface it on the Run
-				// goroutine with the original stack attached.
-				k.fatal = fmt.Errorf("sim: task %v/%s panicked: %v\n%s", t.p.id, t.name, r, debug.Stack())
-			}
-		}
-		k.finish(t)
-		if t.unwindSync {
-			// Kernel.unwindTask holds the baton and waits for us.
-			k.bell <- struct{}{}
-			return
-		}
-		if k.dispatch(t) {
-			next = k.current
-		}
-	}()
-	t.body(taskView{t})
-	return nil
+// blocked is the error that fails a run whose task called the blocking
+// primitive prim: a task waits by returning a dsys.Wait from its step.
+func (t *task) blocked(prim string) error {
+	return fmt.Errorf("sim: task %v/%s called %s, which blocks; the simulator runs step tasks only, which wait by returning a dsys.Wait", t.p.id, t.name, prim)
 }

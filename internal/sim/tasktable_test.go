@@ -16,14 +16,14 @@ import (
 func TestTaskTableStaysBounded(t *testing.T) {
 	k := New(reliableCfg(1, 1))
 	done := 0
-	k.Spawn(1, "spawner", func(p dsys.Proc) {
-		for i := 0; i < 10000; i++ {
-			p.Spawn("child", func(p dsys.Proc) {
-				p.Sleep(time.Microsecond)
-				done++
-			})
-			p.Sleep(2 * time.Microsecond)
+	spawned := 0
+	k.SpawnStep(1, "spawner", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+		if spawned == 10000 {
+			return dsys.Finished
 		}
+		dsys.SpawnStep(p, "child", script(sleep(time.Microsecond), then(func(dsys.Proc, *dsys.Message) { done++ })))
+		spawned++
+		return dsys.Sleep(2 * time.Microsecond)
 	})
 	maxLen := 0
 	k.Every(time.Millisecond, time.Millisecond, func(time.Duration) {
@@ -59,21 +59,26 @@ func taskList(p *proc) []*task {
 // it stays buffered for the next task that asks.
 func TestDeliveryNeverMatchesDoneTask(t *testing.T) {
 	k := New(reliableCfg(2, 1))
-	k.Spawn(1, "short-lived", func(p dsys.Proc) {
-		if m, ok := p.RecvTimeout(dsys.MatchKind("evt"), time.Millisecond); ok {
-			t.Errorf("short-lived task received %q before its timeout", m.Kind)
-		}
-	})
-	k.Spawn(2, "sender", func(p dsys.Proc) {
-		p.Sleep(5 * time.Millisecond) // well after the first task finished
-		p.Send(1, "evt", nil)
-	})
+	k.SpawnStep(1, "short-lived", script(
+		func(dsys.Proc, *dsys.Message) dsys.Wait {
+			return dsys.AwaitTimeout(dsys.MatchKind("evt"), time.Millisecond)
+		},
+		then(func(_ dsys.Proc, m *dsys.Message) {
+			if m != nil {
+				t.Errorf("short-lived task received %q before its timeout", m.Kind)
+			}
+		}),
+	))
+	k.SpawnStep(2, "sender", script(
+		sleep(5*time.Millisecond), // well after the first task finished
+		then(func(p dsys.Proc, _ *dsys.Message) { p.Send(1, "evt", nil) }),
+	))
 	var got string
-	k.Spawn(1, "late", func(p dsys.Proc) {
-		p.Sleep(10 * time.Millisecond)
-		m, _ := p.Recv(dsys.MatchKind("evt"))
-		got = m.Kind
-	})
+	k.SpawnStep(1, "late", script(
+		sleep(10*time.Millisecond),
+		func(dsys.Proc, *dsys.Message) dsys.Wait { return dsys.Await(dsys.MatchKind("evt")) },
+		then(func(_ dsys.Proc, m *dsys.Message) { got = m.Kind }),
+	))
 	k.Run(time.Second)
 	if got != "evt" {
 		t.Fatalf("late task got %q, want the buffered evt message", got)
@@ -91,11 +96,18 @@ func TestConsumedBufferEntriesReleased(t *testing.T) {
 			p.Send(1, "x", i)
 		}
 	})
-	k.Spawn(1, "recv", func(p dsys.Proc) {
-		p.Sleep(10 * time.Millisecond) // let every message buffer first
-		for i := 0; i < 100; i++ {
-			p.Recv(dsys.MatchKind("x"))
+	took := 0
+	k.SpawnStep(1, "recv", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+		if m != nil {
+			took++
 		}
+		switch {
+		case p.Now() == 0:
+			return dsys.Sleep(10 * time.Millisecond) // let every message buffer first
+		case took == 100:
+			return dsys.Finished
+		}
+		return dsys.Await(dsys.MatchKind("x"))
 	})
 	k.Run(time.Second)
 	for i, e := range k.procAt(1).buf {
