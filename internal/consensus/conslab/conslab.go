@@ -75,10 +75,10 @@ func Run(s Setup) Result {
 		if !ok {
 			v = fmt.Sprintf("v%d", id)
 		}
-		// One step task per process: its first step starts the process's
-		// reliable broadcast, records the proposal and builds the run, and
-		// every step, that first one included, steps the run; the decision
-		// is recorded when the run finishes.
+		// One step task per process. Its first step starts the reliable
+		// broadcast, records the proposal and builds the run, and steps the
+		// run in the same turn, so the time-0 sends keep their order; the
+		// decision is recorded when the run finishes.
 		var pr consensus.Proposal
 		k.SpawnStep(id, "consensus", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
 			if pr == nil {
@@ -87,7 +87,8 @@ func Run(s Setup) Result {
 				pr = s.Run(p, rb, v, s.Opt)
 			}
 			w := pr.Step(p, m)
-			if res, ok := pr.Result(); ok && w.Done() {
+			if w.Done() {
+				res, _ := pr.Result()
 				log.Decide(id, res.Value, res.At, res.Round)
 			}
 			return w

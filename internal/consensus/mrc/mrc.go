@@ -99,7 +99,6 @@ type Proposal struct {
 	rb   *rbcast.Module
 	opt  consensus.Options
 	self dsys.ProcessID
-	n    int
 	maj  int
 
 	ph       phase
@@ -152,7 +151,7 @@ func (st *Proposal) Stats() Stats { return st.stats }
 func (st *Proposal) Step(p dsys.Proc, m *dsys.Message) dsys.Wait {
 	st.p = p
 	if st.ph == phStart {
-		st.self, st.n, st.maj = p.ID(), p.N(), dsys.Majority(p.N())
+		st.self, st.maj = p.ID(), dsys.Majority(p.N())
 		st.cancel = st.rb.OnDeliver(st.onRDeliver)
 		st.ph = phRound
 	} else if m != nil {

@@ -124,8 +124,9 @@ func payloadText(v any) string {
 // pinnedDigests are those shared runs. The experiment tables are a function
 // of the sampled detector outputs and the message log, so a digest that
 // still matches keeps every table byte-identical. dsys.TestRunStepsExpansion
-// now holds RunSteps to the Wait semantics, and live.TestDispatchMatchesSimulator
-// holds the live runtime's dispatch to the simulator's.
+// now holds RunSteps to the Wait semantics, and
+// live.TestDispatchMatchesSimulator holds the live runtime's dispatch to the
+// simulator's.
 //
 // The detector half runs every stack of fdlab's catalog, piggybacked lists
 // riding LeaderBeat and the ◇C compositions included. The setups cover each

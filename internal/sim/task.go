@@ -33,7 +33,8 @@ type task struct {
 	// prev and next link the process's task list (proc.first) in creation
 	// order.
 	prev, next *task
-	step       dsys.StepFunc
+	// step is the task's body, called once per resumption.
+	step dsys.StepFunc
 
 	// h is the task's slot in the kernel's task table, the handle its timer
 	// events name it by (see Kernel.tasks).
@@ -52,8 +53,9 @@ type task struct {
 	match    dsys.Matcher
 	parkKids []int32
 	wakeMsg  *dsys.Message
-	parkAny  bool
-	state    taskState
+	// The one-byte fields come last, so the record packs into 128 bytes.
+	parkAny bool
+	state   taskState
 }
 
 // kindLane is the ordered set of tasks of one process parked on one message
