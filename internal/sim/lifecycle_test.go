@@ -48,14 +48,11 @@ func holdsPointer(rt reflect.Type) bool {
 	return false
 }
 
-// TestKernelStartsNoGoroutine runs 1,000 Spawn bodies — the shape of a
-// population's set-up tasks — a receive loop, a sleeping step task, and a
-// task spawned from a hook and crashed before the dispatch loop selects it.
-// The goroutine count read inside a Spawn body, inside a step and after Run
-// must equal the count before Run: every task runs on the Run goroutine. The
-// crashed task must never run and must leave the task list and the task
-// table like any finished task.
-func TestKernelStartsNoGoroutine(t *testing.T) {
+// TestNeverBlockingTasksShareOneGoroutine runs 1,000 Spawn bodies — the
+// shape of a population's set-up tasks — a receive loop and a sleeping step
+// task. The goroutine count read inside a Spawn body, inside a step and after
+// Run must equal the count before Run: every task runs on the Run goroutine.
+func TestNeverBlockingTasksShareOneGoroutine(t *testing.T) {
 	const n = 1000
 	k := New(reliableCfg(10, 1))
 	var counts []int
@@ -70,13 +67,6 @@ func TestKernelStartsNoGoroutine(t *testing.T) {
 	}
 	k.SpawnRecvLoop(3, "loop", func(dsys.Proc, *dsys.Message) { sample() }, "x")
 	k.SpawnStep(4, "sleeper", script(sleep(time.Millisecond), then(func(dsys.Proc, *dsys.Message) { sample() })))
-	crashedRan := false
-	var leftTasks int
-	k.ScheduleFunc(2*time.Millisecond, func(time.Duration) {
-		k.Spawn(5, "never-selected", func(p dsys.Proc) { crashedRan = true })
-		k.crash(k.procAt(5))
-		leftTasks = len(taskList(k.procAt(5)))
-	})
 	before := runtime.NumGoroutine()
 	k.Run(time.Second)
 	sample()
@@ -91,11 +81,32 @@ func TestKernelStartsNoGoroutine(t *testing.T) {
 			t.Fatalf("sample %d read %d goroutines, %d before Run", i, c, before)
 		}
 	}
-	if crashedRan {
+}
+
+// TestCrashBeforeFirstSelectionStartsNoGoroutine spawns a task from a hook
+// and crashes its process before the dispatch loop ever selects it: neither
+// step starts a goroutine, the task never runs, and it leaves the task list
+// and the task table like any finished task.
+func TestCrashBeforeFirstSelectionStartsNoGoroutine(t *testing.T) {
+	k := New(reliableCfg(2, 1))
+	ran := false
+	k.ScheduleFunc(time.Millisecond, func(time.Duration) {
+		before := runtime.NumGoroutine()
+		k.Spawn(1, "never-selected", func(p dsys.Proc) { ran = true })
+		if got := runtime.NumGoroutine() - before; got != 0 {
+			t.Errorf("Spawn started %d goroutines", got)
+		}
+		k.crash(k.procAt(1))
+		if got := runtime.NumGoroutine() - before; got != 0 {
+			t.Errorf("crashing the process started %d goroutines", got)
+		}
+		if ts := taskList(k.procAt(1)); len(ts) != 0 {
+			t.Errorf("crashed process still lists %d tasks", len(ts))
+		}
+	})
+	k.Run(time.Second)
+	if ran {
 		t.Error("task ran after its process crashed")
-	}
-	if leftTasks != 0 {
-		t.Errorf("crashed process still lists %d tasks", leftTasks)
 	}
 	for h, tk := range k.tasks.slots {
 		if tk != nil {
