@@ -1,8 +1,8 @@
 // TCP cluster: the paper's full stack — ring ◇C detector, reliable
 // broadcast, ◇C consensus — over REAL TCP loopback sockets (package tcpnet),
-// with transport faults injected on purpose. Five processes listen on
-// ephemeral ports, dial a full mesh, elect a leader and agree while 3% of
-// frames are dropped; then the leader is crashed AND every connection is
+// with faults injected on purpose. Five processes listen on ephemeral
+// ports, dial a full mesh, elect a leader and agree while the link model
+// drops 3% of messages; then the leader is crashed AND every connection is
 // forcibly reset, and the survivors reconnect and agree again.
 //
 // Run with (takes a few wall-clock seconds):
@@ -21,7 +21,7 @@ import (
 	"repro/internal/consensus/cec"
 	"repro/internal/dsys"
 	"repro/internal/fd/ring"
-	"repro/internal/netfault"
+	"repro/internal/network"
 	"repro/internal/rbcast"
 	"repro/internal/tcpnet"
 	"repro/internal/trace"
@@ -30,10 +30,11 @@ import (
 func main() {
 	const n = 5
 	col := trace.NewCollector()
-	// Fair-lossy links on purpose: every frame has a 3% chance to vanish.
-	// The detectors and consensus are built for exactly this.
-	faults := &tcpnet.Faults{Knobs: netfault.Knobs{Seed: 1, DropP: 0.03}}
-	mesh, err := tcpnet.New(tcpnet.Config{N: n, Trace: col, Faults: faults})
+	// Fair-lossy links on purpose: every message has a 3% chance to vanish,
+	// planned by the same network model the simulator runs. The detectors
+	// and consensus are built for exactly this.
+	lossy := network.FairLossy{P: 0.03, Under: network.Reliable{Latency: network.Fixed(0)}}
+	mesh, err := tcpnet.New(tcpnet.Config{N: n, Trace: col, Network: lossy, Seed: 1})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tcpcluster: %v\n", err)
 		os.Exit(1)
@@ -88,7 +89,7 @@ func main() {
 		o := <-results
 		fmt.Printf("  instance 2: %v decided %v (round %d)\n", o.id, o.res.Value, o.res.Round)
 	}
-	fmt.Printf("total messages over TCP: %d\n", col.TotalSent())
+	fmt.Printf("total messages sent: %d, dropped by the link model: %d\n", col.TotalSent(), col.TotalDropped())
 	fmt.Printf("transport events:")
 	for _, ev := range col.LinkEventNames() {
 		fmt.Printf(" %s=%d", ev, col.LinkEvents(ev))

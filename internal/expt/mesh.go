@@ -9,15 +9,16 @@ import (
 	"repro/internal/fd/fdlab"
 	"repro/internal/fd/heartbeat"
 	"repro/internal/live"
-	"repro/internal/netfault"
+	"repro/internal/network"
 	"repro/internal/tcpnet"
 	"repro/internal/trace"
 )
 
 // E13MeshChaos is a supplementary experiment on the real TCP transport: the
 // heartbeat ◇P detector runs over loopback sockets (package tcpnet) while
-// the mesh injects transport faults — fair-lossy frame drops, duplication,
-// and forced connection resets with reconnect — and one process crashes.
+// the cluster's network model drops and duplicates messages (fair-lossy
+// links), the mesh forces connection resets with reconnect, and one process
+// crashes.
 // It is the live counterpart of E12: the detector's completeness must
 // survive every scenario (the transport's reconnect keeps links fair-lossy
 // instead of going permanently dark), with faults costing detection latency
@@ -30,14 +31,15 @@ func E13MeshChaos(quick bool) (*Table, error) {
 		Claim:   "supplement to Section 4: on a fair-lossy, reconnecting transport the detector keeps strong completeness; faults only cost latency and mistakes",
 		Columns: []string{"faults", "completeness", "worst detection", "mistakes", "drops", "resets", "redials"},
 	}
+	lossy := network.FairLossy{P: 0.05, Under: network.Reliable{Latency: network.Fixed(0)}}
 	scenarios := []struct {
 		name   string
-		faults *tcpnet.Faults
+		cfg    tcpnet.Config
 		resets bool
 	}{
-		{"none", nil, false},
-		{"5% drop + 5% dup", &tcpnet.Faults{Knobs: netfault.Knobs{Seed: 5, DropP: 0.05, DupP: 0.05}}, false},
-		{"5% drop + conn resets", &tcpnet.Faults{Knobs: netfault.Knobs{Seed: 7, DropP: 0.05}, ResetP: 0.01}, true},
+		{"none", tcpnet.Config{}, false},
+		{"5% drop + 5% dup", tcpnet.Config{Seed: 5, Network: network.Duplicating{P: 0.05, MaxCopies: 2, Under: lossy}}, false},
+		{"5% drop + conn resets", tcpnet.Config{Seed: 7, Network: lossy, ResetP: 0.01}, true},
 	}
 	if quick {
 		scenarios = scenarios[1:] // skip the clean baseline in quick mode
@@ -50,7 +52,7 @@ func E13MeshChaos(quick bool) (*Table, error) {
 		rerr error
 	}
 	results := runTrials(len(scenarios), func(i int) meshTrial {
-		res, rerr := runMeshScenario(scenarios[i].faults, scenarios[i].resets)
+		res, rerr := runMeshScenario(scenarios[i].cfg, scenarios[i].resets)
 		return meshTrial{res: res, rerr: rerr}
 	})
 	var err error
@@ -87,12 +89,13 @@ type meshScenarioResult struct {
 }
 
 // runMeshScenario runs the live heartbeat scenario (runLiveHeartbeat) on a
-// fresh 4-process TCP mesh with the given faults, forcing a reset of every
+// fresh 4-process TCP mesh with cfg's faults, forcing a reset of every
 // connection each 300ms when asked.
-func runMeshScenario(faults *tcpnet.Faults, forcedResets bool) (meshScenarioResult, error) {
+func runMeshScenario(cfg tcpnet.Config, forcedResets bool) (meshScenarioResult, error) {
 	const n = 4
 	col := &trace.Collector{}
-	m, err := tcpnet.New(tcpnet.Config{N: n, Trace: col, Faults: faults})
+	cfg.N, cfg.Trace = n, col
+	m, err := tcpnet.New(cfg)
 	if err != nil {
 		return meshScenarioResult{}, fmt.Errorf("E13: %w", err)
 	}
@@ -118,7 +121,7 @@ func runMeshScenario(faults *tcpnet.Faults, forcedResets bool) (meshScenarioResu
 	return meshScenarioResult{
 		completeness: tr.StrongCompleteness(),
 		qos:          tr.QoS(),
-		drops:        col.LinkEvents("tcp.drop"),
+		drops:        col.TotalDropped(),
 		resets:       col.LinkEvents("tcp.reset"),
 		redials:      col.LinkEvents("tcp.dial"),
 	}, nil

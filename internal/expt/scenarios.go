@@ -12,7 +12,6 @@ import (
 	"repro/internal/fd/fdlab"
 	"repro/internal/fd/heartbeat"
 	"repro/internal/live"
-	"repro/internal/netfault"
 	"repro/internal/network"
 	"repro/internal/trace"
 	"repro/internal/udpnet"
@@ -33,9 +32,10 @@ import (
 //     the zero-adversity cells must be perfect (no mistakes, P_A = 1,
 //     detection within e18DetectBound);
 //  2. live rows on the real UDP datagram transport (package udpnet), where
-//     loss/dup/reorder are injected by the transport itself and heartbeats
-//     are genuinely lost rather than TCP-retransmitted — completeness must
-//     survive, wall-clock numbers are machine-dependent;
+//     loss/dup/jitter come from the cluster's network model, reordering
+//     from the transport, and heartbeats are genuinely lost rather than
+//     TCP-retransmitted — completeness must survive, wall-clock numbers are
+//     machine-dependent;
 //  3. a mixed-transport kill/restart phase on real ecnode OS processes
 //     (ring beats over UDP, consensus over TCP): survivors must suspect a
 //     SIGKILLed follower, reconverge after its restart, and the datagram
@@ -44,26 +44,25 @@ func E18ScenarioMatrix(quick bool) (*Table, error) {
 	t, err := e18SimMatrix(quick)
 
 	// Part 2: live rows on the real datagram transport. The clean row is the
-	// wall-clock zero-adversity gate; the adversarial row injects the
-	// transport's own loss+dup+reorder knobs.
+	// wall-clock zero-adversity gate; the adversarial row plans loss, dup and
+	// jitter with a network model and has the transport reorder.
 	liveRows := []struct {
-		name   string
-		faults *udpnet.Faults
-		clean  bool
+		name  string
+		model network.Network
+		udp   udpnet.Config
+		clean bool
 	}{
-		{"live udp: clean", &udpnet.Faults{Knobs: netfault.Knobs{Seed: 18}}, true},
-		{"live udp: 20% loss + dup + reorder", &udpnet.Faults{
-			Knobs:         netfault.Knobs{Seed: 19, DropP: 0.2, DupP: 0.2},
-			ReorderP:      0.3,
-			ReorderWindow: 30 * time.Millisecond,
-			Jitter:        3 * time.Millisecond,
-		}, false},
+		{"live udp: clean", nil, udpnet.Config{}, true},
+		{"live udp: 20% loss + dup + reorder",
+			network.Duplicating{P: 0.2, MaxCopies: 2, Under: network.FairLossy{
+				P: 0.2, Under: network.Reliable{Latency: network.Uniform{Max: 3 * time.Millisecond}}}},
+			udpnet.Config{Seed: 19, ReorderP: 0.3, ReorderWindow: 30 * time.Millisecond}, false},
 	}
 	// The rows run one after the other, like E15's cells: the clean row gates
 	// zero false suspicions on wall-clock timeouts, so it does not share the
 	// cores with a second mesh.
 	for _, lr := range liveRows {
-		res, rerr := runUDPScenario(lr.faults)
+		res, rerr := runUDPScenario(lr.model, lr.udp)
 		if rerr != nil {
 			return t, rerr
 		}
@@ -291,15 +290,17 @@ type udpScenarioResult struct {
 }
 
 // runUDPScenario runs the live heartbeat scenario (runLiveHeartbeat) on a
-// 4-process cluster over the UDP datagram transport.
-func runUDPScenario(faults *udpnet.Faults) (udpScenarioResult, error) {
+// 4-process cluster over the UDP datagram transport cfg describes, with
+// model planning its messages (nil: none).
+func runUDPScenario(model network.Network, cfg udpnet.Config) (udpScenarioResult, error) {
 	const n = 4
 	col := &trace.Collector{}
-	tr, err := udpnet.NewTransport(udpnet.Config{N: n, Trace: col, Faults: faults})
+	cfg.N, cfg.Trace = n, col
+	tr, err := udpnet.NewTransport(cfg)
 	if err != nil {
 		return udpScenarioResult{}, fmt.Errorf("E18: %w", err)
 	}
-	c := live.NewCluster(live.Config{N: n, Trace: col, Transport: tr})
+	c := live.NewCluster(live.Config{N: n, Network: model, Seed: cfg.Seed, Trace: col, Transport: tr})
 	defer c.Stop()
 	// InitialTimeout 5 periods: headroom against scheduler stalls so the
 	// clean row's "no false suspicions" gate measures the transport, not the
@@ -310,8 +311,8 @@ func runUDPScenario(faults *udpnet.Faults) (udpScenarioResult, error) {
 	return udpScenarioResult{
 		completeness: ft.StrongCompleteness(),
 		qos:          ft.QoS(),
-		drops:        col.LinkEvents("udp.drop"),
-		dups:         col.LinkEvents("udp.dup"),
+		drops:        col.TotalDropped(),
+		dups:         col.LinkEvents("live.dup"),
 		reorders:     col.LinkEvents("udp.reorder"),
 	}, nil
 }

@@ -20,7 +20,7 @@ import (
 	"repro/internal/fd/heartbeat"
 	"repro/internal/fd/omega"
 	"repro/internal/fd/ring"
-	"repro/internal/netfault"
+	"repro/internal/network"
 	"repro/internal/rbcast"
 	"repro/internal/tcpnet"
 	"repro/internal/trace"
@@ -33,8 +33,8 @@ func TestChaosSoakMesh(t *testing.T) {
 		period  = 10 * time.Millisecond
 	)
 	col := &trace.Collector{} // counters only; the run is chatty
-	faults := &tcpnet.Faults{Knobs: netfault.Knobs{Seed: 42, DropP: 0.05}, ResetP: 0.005}
-	m, err := tcpnet.New(tcpnet.Config{N: n, Trace: col, Faults: faults})
+	m, err := tcpnet.New(tcpnet.Config{N: n, Trace: col, Seed: 42, ResetP: 0.005,
+		Network: network.FairLossy{P: 0.05, Under: network.Reliable{Latency: network.Fixed(0)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestChaosSoakMesh(t *testing.T) {
 			decided = append(decided, r)
 		case <-timeout:
 			t.Fatalf("only %d of %d correct processes decided under chaos (drops=%d resets=%d dials=%d)",
-				len(decided), n-1, col.LinkEvents("tcp.drop"), col.LinkEvents("tcp.reset"), col.LinkEvents("tcp.dial"))
+				len(decided), n-1, col.TotalDropped(), col.LinkEvents("tcp.reset"), col.LinkEvents("tcp.dial"))
 		}
 	}
 	for _, r := range decided[1:] {
@@ -146,7 +146,7 @@ func TestChaosSoakMesh(t *testing.T) {
 
 	// The chaos must actually have happened, and recovery must be visible:
 	// every reset is eventually followed by a successful redial.
-	if col.LinkEvents("tcp.drop") == 0 {
+	if col.TotalDropped() == 0 {
 		t.Error("no frames dropped — fault injection inert")
 	}
 	if col.LinkEvents("tcp.reset") == 0 {

@@ -157,13 +157,16 @@ func (t Timing) EventsPerSec() float64 {
 }
 
 // LinkEvent is one transport-level event on a directed link: a connection
-// established, broken, or reset, a frame dropped by fault injection or queue
-// overflow, a malformed frame rejected. Event names are defined by the
-// transport; package tcpnet uses "tcp.dial" / "tcp.dialfail" (connection
+// established, broken, or reset, a frame dropped by queue overflow, a
+// malformed frame rejected, a message duplicated. Event names are defined by the
+// runtime: package live uses "live.dup" (an extra copy its network model
+// planned); package tcpnet uses "tcp.dial" / "tcp.dialfail" (connection
 // attempts), "tcp.break" (write error), "tcp.reset" (forced reset),
-// "tcp.drop" / "tcp.dup" / "tcp.cut" (injected faults), "tcp.overflow"
-// (bounded queue shed its oldest frame), "tcp.lost" (frame abandoned after
-// a failed retry), and "tcp.badframe" (malformed or out-of-range frame).
+// "tcp.overflow" (bounded queue shed its oldest frame), "tcp.lost" (frame
+// abandoned after a failed retry), "tcp.unencodable" (payload wire cannot
+// encode) and "tcp.badframe" (malformed or out-of-range frame); package
+// udpnet uses the "udp." events its Config.Trace lists. Messages the network
+// model drops are counted by OnSend, not here.
 type LinkEvent struct {
 	At    time.Duration
 	Event string
@@ -335,6 +338,12 @@ func (c *Collector) Dropped(kind string) int {
 // TotalSent returns the number of messages sent across all kinds.
 func (c *Collector) TotalSent() int {
 	return c.sent.total()
+}
+
+// TotalDropped returns the number of messages lost in transit across all
+// kinds.
+func (c *Collector) TotalDropped() int {
+	return c.dropped.total()
 }
 
 // TotalDelivered returns the number of messages delivered across all kinds.

@@ -8,21 +8,21 @@ import (
 
 	"repro/internal/dsys"
 	"repro/internal/live"
-	"repro/internal/netfault"
+	"repro/internal/network"
 	"repro/internal/trace"
 	"repro/internal/udpnet"
 	"repro/internal/wire"
 )
 
-// udpCluster runs a live cluster over an all-UDP transport, stopped when the
-// test ends.
-func udpCluster(t *testing.T, cfg udpnet.Config) (*udpnet.Transport, *live.Cluster) {
+// udpCluster runs a live cluster over an all-UDP transport, with model
+// planning its messages (nil: none), stopped when the test ends.
+func udpCluster(t *testing.T, cfg udpnet.Config, model network.Network) (*udpnet.Transport, *live.Cluster) {
 	t.Helper()
 	tr, err := udpnet.NewTransport(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := live.NewCluster(live.Config{N: cfg.N, Trace: cfg.Trace, Transport: tr})
+	c := live.NewCluster(live.Config{N: cfg.N, Network: model, Seed: cfg.Seed, Trace: cfg.Trace, Transport: tr})
 	t.Cleanup(c.Stop)
 	return tr, c
 }
@@ -96,7 +96,7 @@ func TestUnsendableFrameLabelled(t *testing.T) {
 				t.Fatalf("AppendDatagram error %v, want it to say %q", err, tc.errText)
 			}
 			col := trace.NewCollector()
-			tr, c := udpCluster(t, udpnet.Config{N: 2, Trace: col})
+			tr, c := udpCluster(t, udpnet.Config{N: 2, Trace: col}, nil)
 			got := make(chan any, 4)
 			c.Spawn(2, "recv", func(p dsys.Proc) {
 				for {
@@ -130,10 +130,11 @@ func TestUnsendableFrameLabelled(t *testing.T) {
 	}
 }
 
-func TestMeshDeliveryAndPartition(t *testing.T) {
-	col := trace.NewCollector()
-	faults := &udpnet.Faults{Knobs: netfault.Knobs{Seed: 3}}
-	tr, c := udpCluster(t, udpnet.Config{N: 2, Trace: col, Faults: faults})
+// TestMeshDelivery: datagrams flow between two processes and the transport
+// counts them. Partitions are a network model's business, checked on every
+// carrier by tcpnet's transport contract table.
+func TestMeshDelivery(t *testing.T) {
+	tr, c := udpCluster(t, udpnet.Config{N: 2}, nil)
 	got := make(chan int, 4096)
 	c.Spawn(2, "recv", func(p dsys.Proc) {
 		for {
@@ -151,25 +152,6 @@ func TestMeshDeliveryAndPartition(t *testing.T) {
 	case <-got:
 	case <-time.After(10 * time.Second):
 		t.Fatal("no datagrams delivered")
-	}
-	faults.Partition(1, 2)
-	time.Sleep(50 * time.Millisecond) // drain in-flight datagrams
-	for len(got) > 0 {
-		<-got
-	}
-	select {
-	case v := <-got:
-		t.Fatalf("datagram %d crossed the partition", v)
-	case <-time.After(150 * time.Millisecond):
-	}
-	if col.LinkEvents("udp.cut") == 0 {
-		t.Error("no udp.cut traced while partitioned")
-	}
-	faults.Heal(1, 2)
-	select {
-	case <-got:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no traffic after heal")
 	}
 	if sent, rcvd, bytes := tr.Stats(); sent == 0 || rcvd == 0 || bytes == 0 {
 		t.Errorf("Stats() = %d/%d/%d, want all nonzero", sent, rcvd, bytes)
@@ -224,7 +206,7 @@ func TestSingleProcessPair(t *testing.T) {
 
 // Crash closes the victim's socket and stops traffic both ways.
 func TestTransportCrash(t *testing.T) {
-	tr, c := udpCluster(t, udpnet.Config{N: 2})
+	tr, c := udpCluster(t, udpnet.Config{N: 2}, nil)
 	var mu sync.Mutex
 	count := 0
 	c.Spawn(2, "recv", func(p dsys.Proc) {
@@ -264,77 +246,16 @@ func TestTransportCrash(t *testing.T) {
 	}
 }
 
-// An asymmetric per-direction delay holds back one direction only: with
-// SetDelay(1->2, 300ms) the 2->1 path stays fast while 1->2 lags by the
-// configured delay. Both directions start sending at the same time, so the
-// first arrivals must be separated by most of the delay.
-func TestAsymmetricDelay(t *testing.T) {
-	faults := &udpnet.Faults{Knobs: netfault.Knobs{Seed: 5}}
-	_, c := udpCluster(t, udpnet.Config{N: 2, Faults: faults})
-	faults.SetDelay(1, 2, 300*time.Millisecond)
-
-	var mu sync.Mutex
-	first := map[dsys.ProcessID]time.Duration{}
-	start := time.Now()
-	arrival := func(self dsys.ProcessID) func(p dsys.Proc) {
-		return func(p dsys.Proc) {
-			p.Recv(dsys.MatchKind("ping"))
-			mu.Lock()
-			if _, ok := first[self]; !ok {
-				first[self] = time.Since(start)
-			}
-			mu.Unlock()
-			for {
-				p.Recv(dsys.MatchKind("ping"))
-			}
-		}
-	}
-	c.Spawn(1, "recv", arrival(1))
-	c.Spawn(2, "recv", arrival(2))
-	for _, id := range []dsys.ProcessID{1, 2} {
-		id := id
-		c.Spawn(id, "send", func(p dsys.Proc) {
-			for {
-				p.Send(3-id, "ping", 0)
-				p.Sleep(10 * time.Millisecond)
-			}
-		})
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		_, ok1 := first[1]
-		_, ok2 := first[2]
-		mu.Unlock()
-		if ok1 && ok2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("arrivals incomplete")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	mu.Lock()
-	fast, slow := first[1], first[2] // at p1: fast 2->1 path; at p2: delayed 1->2 path
-	mu.Unlock()
-	if slow-fast < 150*time.Millisecond {
-		t.Errorf("asymmetric delay not visible: fast direction first at %v, delayed at %v", fast, slow)
-	}
-}
-
-// Construction must reject out-of-range knobs through the shared netfault
-// validation path.
+// Construction must reject out-of-range reordering knobs.
 func TestBadKnobsRejected(t *testing.T) {
-	bad := []*udpnet.Faults{
-		{Knobs: netfault.Knobs{DropP: 1.5}},
-		{Knobs: netfault.Knobs{DupP: -0.1}},
-		{ReorderP: 2},
-		{ReorderWindow: -time.Second},
-		{Jitter: -time.Millisecond},
+	bad := []udpnet.Config{
+		{N: 2, ReorderP: 2},
+		{N: 2, ReorderP: -0.1},
+		{N: 2, ReorderWindow: -time.Second},
 	}
-	for i, fa := range bad {
-		if _, err := udpnet.NewTransport(udpnet.Config{N: 2, Faults: fa}); err == nil {
-			t.Errorf("case %d: bad faults accepted", i)
+	for i, cfg := range bad {
+		if _, err := udpnet.NewTransport(cfg); err == nil {
+			t.Errorf("case %d: bad knobs accepted", i)
 		}
 	}
 }
