@@ -24,6 +24,8 @@ type kernelWorkload struct {
 // The ceilings are the allocs/event gate CI applied before this test existed,
 // carried over unchanged: max(1.5 × the value the repository's committed
 // benchmark baseline recorded for the workload at commit 1ae84ab, 0.01).
+// broadcast, added later, has the same rule applied to its measured value
+// (0.0009-0.0010 allocs/event on a 2-core x86-64 host).
 // Each run builds one kernel and runs it once, so setup is part of the count.
 var kernelWorkloads = []kernelWorkload{
 	// send: 8 processes forward tokens around a ring from receive-loop
@@ -60,6 +62,29 @@ var kernelWorkloads = []kernelWorkload{
 		}
 		return k
 	}, runFor: 2 * time.Second, ceiling: 0.0355},
+	// broadcast: all-to-all heartbeats at n = 64 — a 10ms tick loop sending
+	// one beat to every other process, consumed by a receive-loop callback —
+	// so nearly every event delivers one copy of a slot shared by the
+	// burst's 63 copies. This is the cycle the heartbeat ◇P runs on.
+	{name: "broadcast", build: func() *Kernel {
+		const n = 64
+		k := New(reliableCfg(n, 1))
+		for _, id := range dsys.Pids(n) {
+			k.SpawnTickLoop(id, "beat", dsys.TickLoop{
+				Period:    10 * time.Millisecond,
+				Immediate: true,
+				Fn: func(p dsys.Proc) {
+					for _, q := range p.All() {
+						if q != id {
+							p.Send(q, "beat", nil)
+						}
+					}
+				},
+			})
+			k.SpawnRecvLoop(id, "sink", func(p dsys.Proc, m *dsys.Message) {}, "beat")
+		}
+		return k
+	}, runFor: 2 * time.Second, ceiling: 0.0100},
 	// scale: E14's population sizes running a ring-heartbeat-shaped workload
 	// — a 10ms tick loop sending a beat to the ring successor, consumed by a
 	// receive-loop callback — so events split between timer fires and

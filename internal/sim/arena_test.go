@@ -2,11 +2,13 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/dsys"
 	"repro/internal/network"
+	"repro/internal/trace"
 )
 
 // TestArenaGenerationCatchesStaleHandle checks the stale-holder defence at
@@ -112,9 +114,10 @@ func TestArenaRecycleStress(t *testing.T) {
 
 // TestArenaBoundedOverLongRun is the leak test for the arena: a run firing
 // ~10M events must keep the arena's capacity at the in-flight peak — a few
-// hundred slots for this workload — not grow with the event count. Before
+// dozen slots for this workload — not grow with the event count. Before
 // the free-list design, every send allocated; a regression that loses slots
-// (a missed unref) shows up here as capacity tracking the total send count.
+// (a missed unref) shows up here as capacity tracking the total send count,
+// and one that stops sharing a broadcast's slot as a capacity of ~1k.
 func TestArenaBoundedOverLongRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10M-event run")
@@ -148,10 +151,227 @@ func TestArenaBoundedOverLongRun(t *testing.T) {
 	if live := k.arena.live(); live != 0 {
 		t.Errorf("arena retains %d live slots after the run", live)
 	}
-	// In-flight peak: n·(n−1) messages per 1ms latency window ≈ 1k slots,
-	// plus chunk-granularity slack. 4096 slots (16 chunks) is an order of
-	// magnitude below anything that grows with the 5M sends of this run.
-	if cap := k.arena.capacity(); cap > 4096 {
-		t.Errorf("arena grew to %d slots for a ~1k in-flight peak; capacity must track the peak, not the send count", cap)
+	// In-flight peak: n broadcasts per 1ms latency window, each one slot
+	// shared by its n−1 copies, so 32 slots. One chunk (256 slots) bounds
+	// it; n·(n−1) ≈ 1k slots would mean the copies no longer share.
+	if cap := k.arena.capacity(); cap > msgChunkSize {
+		t.Errorf("arena grew to %d slots for a peak of %d broadcasts in flight; capacity must track the peak, not the send count", cap, n)
+	}
+}
+
+// countingNet is a duplicating network that counts the copies it plans.
+type countingNet struct {
+	network.Duplicating
+	copies *int
+}
+
+func (c countingNet) PlanCopies(from, to dsys.ProcessID, kind string, now time.Duration, rng *rand.Rand) []time.Duration {
+	d := c.Duplicating.PlanCopies(from, to, kind, now, rng)
+	*c.copies += len(d)
+	return d
+}
+
+// refsHeld sums the references on every slot the arena has carved; a free
+// slot holds none.
+func refsHeld(a *msgArena) int {
+	sum := 0
+	for h := int32(0); h < a.used; h++ {
+		sum += int(a.slot(h).refs)
+	}
+	return sum
+}
+
+// TestBroadcastSharesOneSlot checks that a step's sends of one message share
+// one arena slot — and only those: a different kind, payload, sender or step
+// takes a new slot. Under a duplicating, lossy network the shared slot's
+// references count the copies exactly, and every receiver sees its own
+// destination and the sender's shared fields.
+func TestBroadcastSharesOneSlot(t *testing.T) {
+	const n = 8
+	shared := any([]dsys.ProcessID{3, 5}) // boxed once, as a detector's suspect list is
+	other := any([]dsys.ProcessID{3, 5})  // the same value, boxed again
+	others := func(p dsys.Proc) []dsys.ProcessID {
+		var out []dsys.ProcessID
+		for _, q := range p.All() {
+			if q != p.ID() {
+				out = append(out, q)
+			}
+		}
+		return out
+	}
+
+	t.Run("one step", func(t *testing.T) {
+		k := New(reliableCfg(n, 1))
+		var live []int
+		broadcast := func(p dsys.Proc, kind string, payload any) {
+			for _, q := range others(p) {
+				p.Send(q, kind, payload)
+			}
+			live = append(live, k.arena.live())
+		}
+		step := 0
+		k.SpawnStep(1, "sender", func(p dsys.Proc, _ *dsys.Message) dsys.Wait {
+			if step++; step == 2 {
+				broadcast(p, "b", nil) // a new step
+				return dsys.Finished
+			}
+			broadcast(p, "b", shared)
+			broadcast(p, "b", shared) // same kind and payload: same slot
+			broadcast(p, "c", shared) // another kind
+			broadcast(p, "b", other)  // an equal value boxed apart
+			broadcast(p, "b", nil)
+			broadcast(p, "b", nil)
+			return dsys.AwaitTimeout(dsys.MatchKind("none"), 0) // step again, at once
+		})
+		k.Spawn(2, "other sender", func(p dsys.Proc) { broadcast(p, "b", nil) })
+		type seen struct {
+			to, from   dsys.ProcessID
+			kind       string
+			sentAt     time.Duration
+			isShared   bool
+			nilPayload bool
+		}
+		var got []seen
+		for _, id := range dsys.Pids(n) {
+			k.SpawnRecvLoop(id, "recv", func(p dsys.Proc, m *dsys.Message) {
+				got = append(got, seen{m.To, m.From, m.Kind, m.SentAt, samePayload(m.Payload, shared), m.Payload == nil})
+				if m.To != p.ID() {
+					t.Errorf("p%d received a message addressed to p%d", p.ID(), m.To)
+				}
+			}, "b", "c")
+		}
+		k.Run(time.Second)
+		if want := []int{1, 1, 2, 3, 4, 4, 5, 6}; !reflect.DeepEqual(live, want) {
+			t.Errorf("live slots after each broadcast: %v, want %v", live, want)
+		}
+		if live := k.arena.live(); live != 0 {
+			t.Errorf("arena retains %d live slots after the run", live)
+		}
+		// 7 broadcasts of n−1 copies each; the first two carry shared from
+		// p1 to every other process, in send order.
+		if len(got) != 8*(n-1) {
+			t.Fatalf("received %d copies, want %d", len(got), 8*(n-1))
+		}
+		for i, to := range dsys.Pids(n)[1:] {
+			for _, g := range []seen{got[i], got[n-1+i]} {
+				if want := (seen{to, 1, "b", 0, true, false}); g != want {
+					t.Errorf("copy to p%d read %+v, want %+v", to, g, want)
+				}
+			}
+		}
+	})
+
+	t.Run("duplicating", func(t *testing.T) {
+		planned, received := 0, 0
+		k := New(Config{
+			N: n,
+			Network: countingNet{network.Duplicating{
+				P: 0.5, MaxCopies: 4,
+				Under: network.FairLossy{P: 0.3, Under: network.Reliable{Latency: network.Uniform{Min: 100 * time.Microsecond, Max: 5 * time.Millisecond}}},
+			}, &planned},
+			Seed: 5,
+		})
+		for _, id := range dsys.Pids(n) {
+			k.SpawnTickLoop(id, "beat", dsys.TickLoop{Period: time.Millisecond, Immediate: true, Fn: func(p dsys.Proc) {
+				if p.Now() < 50*time.Millisecond {
+					for _, q := range p.All() {
+						p.Send(q, "b", shared) // self included: a self-send shares the slot too
+					}
+					planned++ // the self-send, which bypasses the network
+				}
+			}})
+			k.SpawnRecvLoop(id, "recv", func(p dsys.Proc, m *dsys.Message) {
+				received++
+				if m.To != p.ID() || !samePayload(m.Payload, shared) {
+					t.Errorf("p%d received %+v", p.ID(), *m)
+				}
+			}, "b")
+		}
+		// Between steps every outstanding copy is an event in the queue
+		// (the receive loops leave nothing buffered), each holding one
+		// reference.
+		checks := 0
+		k.Every(500*time.Microsecond, 700*time.Microsecond, func(time.Duration) {
+			if held, want := refsHeld(&k.arena), planned-received; held != want {
+				t.Errorf("at %v: slots hold %d references for %d outstanding copies", k.Now(), held, want)
+			}
+			checks++
+		})
+		k.Run(100 * time.Millisecond)
+		if received == 0 || received != planned || checks == 0 {
+			t.Errorf("received %d of %d planned copies over %d checks", received, planned, checks)
+		}
+		if live := k.arena.live(); live != 0 {
+			t.Errorf("arena retains %d live slots after the run", live)
+		}
+		// One slot per beat's broadcast, and at most n·6 beats in flight (one
+		// per process per 1 ms, latencies up to 5 ms).
+		if cap := k.arena.capacity(); cap > msgChunkSize {
+			t.Errorf("arena grew to %d slots for at most %d broadcasts in flight", cap, n*6)
+		}
+	})
+}
+
+// TestStepMessageIsPrivate checks that the message a step is handed is its
+// own copy: a receiver that overwrites its message does not change what a
+// later receiver of the same shared slot sees, through the kind lane or a
+// generic matcher, and a step's message is intact after the step's own
+// sends.
+func TestStepMessageIsPrivate(t *testing.T) {
+	const n = 5
+	payload := any([]dsys.ProcessID{2})
+	k := New(Config{
+		N:       n,
+		Network: network.Reliable{Latency: network.Fixed(time.Millisecond)},
+		Seed:    3,
+		Trace:   trace.NewCollector(),
+	})
+	k.Spawn(1, "broadcast", func(p dsys.Proc) {
+		for _, q := range p.All()[1:] {
+			p.Send(q, "b", payload)
+		}
+	})
+	intact := func(p dsys.Proc, m *dsys.Message) {
+		if m.From != 1 || m.To != p.ID() || m.Kind != "b" || m.SentAt != 0 || !samePayload(m.Payload, payload) {
+			t.Errorf("p%d received %+v", p.ID(), *m)
+		}
+	}
+	scribble := func(m *dsys.Message) {
+		*m = dsys.Message{From: 9, To: 9, Kind: "x", SentAt: time.Hour, Payload: "scribbled"}
+	}
+	received := 0
+	for _, id := range []dsys.ProcessID{2, 3} {
+		k.SpawnRecvLoop(id, "scribbler", func(p dsys.Proc, m *dsys.Message) {
+			intact(p, m)
+			scribble(m)
+			received++
+		}, "b")
+	}
+	isB := dsys.MatchFunc(func(m *dsys.Message) bool { return m.Kind == "b" })
+	k.SpawnStep(4, "generic", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+		if m == nil {
+			return dsys.Await(isB)
+		}
+		intact(p, m)
+		scribble(m)
+		received++
+		return dsys.Finished
+	})
+	k.SpawnStep(5, "sender", func(p dsys.Proc, m *dsys.Message) dsys.Wait {
+		if m == nil {
+			return dsys.Await(dsys.MatchKind("b"))
+		}
+		intact(p, m)
+		for _, q := range p.All() {
+			p.Send(q, "echo", m.Payload)
+			p.Send(q, "c", nil)
+		}
+		intact(p, m)
+		received++
+		return dsys.Finished
+	})
+	k.Run(time.Second)
+	if received != n-1 {
+		t.Errorf("%d of %d receivers ran", received, n-1)
 	}
 }

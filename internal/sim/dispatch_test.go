@@ -80,7 +80,7 @@ func dispatchScenario(reference bool, loopKinds []string) (log, left []string) {
 	p := k.procAt(1)
 	for _, e := range p.buf {
 		if e.slot >= 0 {
-			m := &k.arena.slot(e.slot).m
+			m := k.message(k.arena.slot(e.slot), p.id)
 			left = append(left, fmt.Sprintf("%s%d", m.Kind, m.Payload))
 		}
 	}

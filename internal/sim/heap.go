@@ -15,7 +15,7 @@ const (
 	// evFunc runs the pending hook in slot msg of the kernel's hook table —
 	// the generic cold path (harness hooks, crashes, Every).
 	evFunc eventKind = iota
-	// evDeliver delivers msg to its destination process.
+	// evDeliver delivers the message in arena slot msg to process kid.
 	evDeliver
 	// evSleep wakes the task with handle (msg, kid) if it is still parked in
 	// park generation gen.
@@ -34,8 +34,9 @@ type event struct {
 	// an evDeliver's in-flight message, the task-table slot of a timer's task
 	// (see Kernel.tasks), or the hook-table slot of an evFunc.
 	msg int32
-	// kid is an evDeliver's interned kind id (dsys.KindID), saving deliver
-	// the string lookup, and a timer's task id, truncated, as the generation
+	// kid is an evDeliver's destination process — the one thing its copy
+	// does not share with the other copies in the arena slot — and a
+	// timer's task id, truncated, as the generation
 	// of its task-table slot: a timer left by a finished task names an id
 	// the slot no longer holds, so it cannot wake the task that reuses the
 	// slot (wrapping would need 2^32 tasks spawned while the timer is

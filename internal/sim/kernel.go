@@ -107,6 +107,17 @@ type Kernel struct {
 	// two map lookups per send into a string compare of equal literals.
 	lastKind string
 	lastKid  int32
+	// kindNames names every kind id this kernel has sent (kid → kind),
+	// filled by kindID: arena slots hold the id only.
+	kindNames []string
+	// share is the arena handle of the running step's latest send, which
+	// the step's next send of the same message reuses (see sendSlot); -1
+	// outside a step and before the step's first send.
+	share int32
+	// msg is the message the kernel has materialised last (see message):
+	// the one the running step was handed, or the one a generic-lane
+	// matcher is looking at between steps.
+	msg dsys.Message
 	// stopping marks the end of the run: spawns and sends become no-ops.
 	stopping bool
 	ran      bool
@@ -122,8 +133,9 @@ func New(cfg Config) *Kernel {
 		panic("sim: Config.Network is required")
 	}
 	k := &Kernel{
-		cfg:  cfg,
-		pids: dsys.Pids(cfg.N),
+		cfg:   cfg,
+		pids:  dsys.Pids(cfg.N),
+		share: -1,
 	}
 	k.procs = make([]*proc, cfg.N)
 	for i := range k.procs {
@@ -303,6 +315,12 @@ func (k *Kernel) Run(until time.Duration) time.Duration {
 	return k.now
 }
 
+// runqKeep is the largest runq capacity a drained runq keeps. A set-up
+// burst spawns every process's tasks at once — thousands at large n — and
+// afterwards a handful of tasks are runnable at a time, so an array sized for
+// the burst would otherwise stay allocated for the whole run.
+const runqKeep = 1024
+
 // dispatch runs the scheduler loop until the run is over (quiescence,
 // deadline, or a fatal task panic): runq in FIFO order first, then the
 // earliest pending event. A selected task's step runs right here.
@@ -314,6 +332,9 @@ func (k *Kernel) dispatch() {
 			k.runqHead++
 			if k.runqHead == len(k.runq) {
 				k.runq = k.runq[:0]
+				if cap(k.runq) > runqKeep {
+					k.runq = nil
+				}
 				k.runqHead = 0
 			}
 			if t.state == taskRunnable {
@@ -355,9 +376,10 @@ func (k *Kernel) dispatch() {
 // every buffered match in one turn), a non-positive timeout steps on at once
 // with no message, a sleep parks on one evSleep scheduled after the step
 // returned, and otherwise the task parks in its matcher's lanes with one
-// evTimeout for a positive timeout. The message a step is handed keeps its
-// arena slot until that step returns. No events fire and no other task runs
-// while the step executes. A panicking step fails the run.
+// evTimeout for a positive timeout. The message a step is handed is
+// materialised from its arena slot, which it keeps until that step returns.
+// No events fire and no other task runs while the step executes. A
+// panicking step fails the run.
 func (k *Kernel) runStep(t *task) {
 	t.state = taskRunning
 	defer func() {
@@ -365,15 +387,19 @@ func (k *Kernel) runStep(t *task) {
 			if k.fatal == nil {
 				k.fatal = fmt.Errorf("sim: task %v/%s panicked: %v\n%s", t.p.id, t.name, r, debug.Stack())
 			}
+			k.share = -1
 			k.release(t)
 			k.finish(t)
 		}
 	}()
 	v := taskView{t}
-	m := t.wakeMsg
-	t.wakeMsg = nil
 	for {
+		var m *dsys.Message
+		if t.wakeSlot >= 0 {
+			m = k.message(k.arena.slot(t.wakeSlot), t.p.id)
+		}
 		w := t.step(v, m)
+		k.share = -1
 		k.release(t)
 		switch {
 		case w.Done():
@@ -389,7 +415,7 @@ func (k *Kernel) runStep(t *task) {
 			t.state = taskParked
 			return
 		}
-		if m, t.wakeSlot = t.p.takeMatch(w.Match); m != nil {
+		if t.wakeSlot = t.p.takeMatch(w.Match); t.wakeSlot >= 0 {
 			continue
 		}
 		if w.Timed && w.Timeout <= 0 {
@@ -411,7 +437,19 @@ func (k *Kernel) release(t *task) {
 		k.arena.unref(t.wakeSlot)
 		t.wakeSlot = -1
 	}
-	t.wakeMsg = nil
+}
+
+// copyOf builds the copy of the message in slot s addressed to process to.
+func (k *Kernel) copyOf(s *msgSlot, to dsys.ProcessID) dsys.Message {
+	return dsys.Message{From: dsys.ProcessID(s.from), To: to, Kind: k.kindNames[s.kid], Payload: s.payload, SentAt: s.sentAt}
+}
+
+// message materialises the copy of slot s addressed to process to into
+// k.msg and returns it. Each call rebuilds every field from the slot, so
+// what one receiver did to its message is gone by the next.
+func (k *Kernel) message(s *msgSlot, to dsys.ProcessID) *dsys.Message {
+	k.msg = k.copyOf(s, to)
+	return &k.msg
 }
 
 // fire executes one popped event. It returns the single task the event made
@@ -427,7 +465,7 @@ func (k *Kernel) fire(ev event) *task {
 		if s.gen != ev.gen {
 			panic(fmt.Sprintf("sim: stale delivery event observed recycled arena slot %d (slot gen %d, event gen %d)", ev.msg, s.gen, ev.gen))
 		}
-		return k.deliver(ev.msg, ev.kid, s)
+		return k.deliver(ev.msg, dsys.ProcessID(ev.kid), s)
 	case evSleep, evTimeout:
 		// A stale timer (the task has finished since, or was woken by a
 		// message or re-parked) is recognized by the task id or the park
@@ -467,14 +505,48 @@ func (k *Kernel) kindID(kind string) int32 {
 	}
 	id := dsys.KindID(kind)
 	k.lastKind, k.lastKid = kind, id
+	for int(id) >= len(k.kindNames) {
+		k.kindNames = append(k.kindNames, "")
+	}
+	k.kindNames[id] = kind
 	return id
 }
 
-// scheduleDeliver enqueues a message delivery without allocating anything —
-// the per-send fast path. The event records the slot's generation so a
-// stale holder of a recycled slot is caught at fire time.
-func (k *Kernel) scheduleDeliver(at time.Duration, h int32, gen uint32, kid int32) {
-	k.schedule(at, event{kind: evDeliver, msg: h, gen: gen, kid: kid})
+// sendSlot returns the arena slot for a send of kind kid and payload by
+// process from: the slot of the running step's previous send when that
+// carries the same message (same sender, kind and boxed payload, see
+// samePayload), otherwise a fresh one. A shared slot gains one reference
+// per copy the caller schedules, exactly as a duplicated send's copies do.
+// A previous send whose copies were all dropped left its slot on the free
+// list with no reference, so it is not shared.
+func (k *Kernel) sendSlot(from dsys.ProcessID, kid int32, payload any) (int32, *msgSlot) {
+	if k.share >= 0 {
+		s := k.arena.slot(k.share)
+		if s.kid == kid && s.from == int32(from) && s.sentAt == k.now && s.refs > 0 && samePayload(s.payload, payload) {
+			return k.share, s
+		}
+	}
+	h, s := k.arena.alloc()
+	s.payload, s.sentAt, s.from, s.kid = payload, k.now, int32(from), kid
+	k.share = h
+	return h, s
+}
+
+// sendCopy schedules one delivery of slot h to process to at time at,
+// taking a reference for it.
+func (k *Kernel) sendCopy(at time.Duration, h int32, s *msgSlot, to dsys.ProcessID) {
+	s.refs++
+	k.schedule(at, event{kind: evDeliver, msg: h, gen: s.gen, kid: int32(to)})
+}
+
+// traceSend reports one copy's send to the trace collector, if there is one.
+// The copy is built on the stack: k.msg may hold the sending step's message.
+func (k *Kernel) traceSend(s *msgSlot, to dsys.ProcessID, dropped bool) {
+	if k.cfg.Trace == nil {
+		return
+	}
+	m := k.copyOf(s, to)
+	k.cfg.Trace.OnSend(&m, dropped)
 }
 
 // scheduleTimer enqueues a task wake-up (a sleep or a timed wait) without
@@ -493,9 +565,9 @@ func ready(t *task) *task {
 	return t
 }
 
-// deliver hands the message in arena slot h to its destination: directly to
-// the parked task that would have matched it first in task-creation order,
-// otherwise into the process buffer.
+// deliver hands the copy of the message in arena slot h addressed to
+// process to: directly to the parked task that would have matched it first
+// in task-creation order, otherwise into the process buffer.
 //
 // Parked tasks are indexed by what they wait for: a task parked on a
 // dsys.KindMatcher sits in the lane of each of its kinds, every other in the
@@ -511,14 +583,19 @@ func ready(t *task) *task {
 // The delivery's arena reference moves to whatever takes the message: a
 // task holds it until its step has run, a buffered entry keeps it until
 // taken, and a crashed destination releases it on the spot.
-func (k *Kernel) deliver(h, kid int32, s *msgSlot) *task {
-	m := &s.m
-	p := k.procAt(m.To)
+func (k *Kernel) deliver(h int32, to dsys.ProcessID, s *msgSlot) *task {
+	p := k.procAt(to)
 	if p.crashed {
 		k.arena.unref(h)
 		return nil
 	}
-	k.cfg.Trace.OnDeliver(m)
+	// The copy is materialised only for a trace hook or a generic matcher.
+	var m *dsys.Message
+	if k.cfg.Trace != nil {
+		m = k.message(s, to)
+		k.cfg.Trace.OnDeliver(m)
+	}
+	kid := s.kid
 	var kt *task
 	if int(kid) < len(p.kindLanes) {
 		if lane := p.kindLanes[kid]; lane != nil && len(lane.tasks) > 0 {
@@ -529,21 +606,24 @@ func (k *Kernel) deliver(h, kid int32, s *msgSlot) *task {
 		if kt != nil && t.id > kt.id {
 			break
 		}
+		if m == nil {
+			m = k.message(s, to)
+		}
 		if t.match.Match(m) {
-			return k.wake(t, h, m)
+			return k.wake(t, h)
 		}
 	}
 	if kt != nil {
-		return k.wake(kt, h, m)
+		return k.wake(kt, h)
 	}
 	p.bufAdd(h, kid)
 	return nil
 }
 
-// wake hands the message m in arena slot h to the parked task t and makes
-// it runnable.
-func (k *Kernel) wake(t *task, h int32, m *dsys.Message) *task {
-	t.wakeMsg, t.wakeSlot = m, h
+// wake hands the message in arena slot h to the parked task t and makes it
+// runnable.
+func (k *Kernel) wake(t *task, h int32) *task {
+	t.wakeSlot = h
 	return ready(t)
 }
 

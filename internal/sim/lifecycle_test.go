@@ -28,6 +28,27 @@ func TestEventIsPointerFree(t *testing.T) {
 	}
 }
 
+// TestMsgSlotSize pins the message arena's slot at 40 bytes with nothing a
+// copy of the message does not share: no kind name (the slot holds the
+// interned id) and no destination (each delivery event carries its own).
+// Every in-flight message costs one slot, so a field added here is paid once
+// per message in flight.
+func TestMsgSlotSize(t *testing.T) {
+	if size := unsafe.Sizeof(msgSlot{}); size != 40 {
+		t.Errorf("msgSlot is %d bytes, want 40", size)
+	}
+	rt := reflect.TypeOf(msgSlot{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		if f.Type.Kind() == reflect.String {
+			t.Errorf("msgSlot field %s is a string; the slot holds the kind's interned id", f.Name)
+		}
+		if strings.EqualFold(f.Name, "to") {
+			t.Errorf("msgSlot has a destination field %s; the delivery event carries it", f.Name)
+		}
+	}
+}
+
 // holdsPointer reports whether a value of type rt contains anything the
 // garbage collector must trace.
 func holdsPointer(rt reflect.Type) bool {

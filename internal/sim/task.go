@@ -39,9 +39,9 @@ type task struct {
 	// h is the task's slot in the kernel's task table, the handle its timer
 	// events name it by (see Kernel.tasks).
 	h int32
-	// wakeSlot is the arena handle under wakeMsg while a delivered or taken
-	// message waits for the step to run; -1 when none. The arena reference is
-	// held until the step returns.
+	// wakeSlot is the arena handle of the message a delivery or a take
+	// handed the task, from then until its step returns; -1 when none. The
+	// step's *dsys.Message is materialised from it (see Kernel.message).
 	wakeSlot int32
 	// Park bookkeeping. parkGen distinguishes park sessions so a stale
 	// timer cannot wake a later park. While the task waits for a message,
@@ -52,7 +52,6 @@ type task struct {
 	parkGen  uint32
 	match    dsys.Matcher
 	parkKids []int32
-	wakeMsg  *dsys.Message
 	// The one-byte fields come last, so the record packs into 128 bytes.
 	parkAny bool
 	state   taskState
@@ -119,24 +118,24 @@ func (p *proc) bufAdd(h, kid int32) {
 	p.byKid[kid] = append(p.byKid[kid], int32(len(p.buf)-1))
 }
 
-// takeAt removes buf[i], leaving a hole, and returns the message still in
-// its arena slot plus the slot handle; the caller inherits the entry's arena
-// reference and must unref when done with the message. Stale
-// index entries pointing at the hole are skipped lazily; compactBuf reclaims
-// the holes themselves.
-func (p *proc) takeAt(i int) (*dsys.Message, int32) {
+// takeAt removes buf[i], leaving a hole, and returns the arena handle of
+// its message; the caller inherits the entry's arena reference and must
+// unref when done with the message. Stale index entries pointing at the hole
+// are skipped lazily; compactBuf reclaims the holes themselves.
+func (p *proc) takeAt(i int) int32 {
 	h := p.buf[i].slot
 	p.buf[i] = bufEntry{slot: -1}
 	p.bufDead++
 	p.compactBuf()
-	return &p.k.arena.slot(h).m, h
+	return h
 }
 
-// takeKid removes and returns the oldest buffered message of the given kind
-// — the O(1) fast path of receive dispatch.
-func (p *proc) takeKid(kid int32) (*dsys.Message, int32) {
+// takeKid removes the oldest buffered message of the given kind and returns
+// its arena handle, -1 if there is none — the O(1) fast path of receive
+// dispatch.
+func (p *proc) takeKid(kid int32) int32 {
 	if int(kid) >= len(p.byKid) {
-		return nil, -1
+		return -1
 	}
 	q := p.byKid[kid]
 	for len(q) > 0 {
@@ -150,13 +149,13 @@ func (p *proc) takeKid(kid int32) (*dsys.Message, int32) {
 	if q != nil {
 		p.byKid[kid] = q
 	}
-	return nil, -1
+	return -1
 }
 
-// takeKids removes and returns the earliest-arrived buffered message among
-// the given kinds — the message an arrival-order scan with the equivalent
-// predicate would take.
-func (p *proc) takeKids(kids []int32) (*dsys.Message, int32) {
+// takeKids removes the earliest-arrived buffered message among the given
+// kinds — the message an arrival-order scan with the equivalent predicate
+// would take — and returns its arena handle, -1 if there is none.
+func (p *proc) takeKids(kids []int32) int32 {
 	if len(kids) == 1 {
 		return p.takeKid(kids[0])
 	}
@@ -176,28 +175,30 @@ func (p *proc) takeKids(kids []int32) (*dsys.Message, int32) {
 		}
 	}
 	if best < 0 {
-		return nil, -1
+		return -1
 	}
 	p.byKid[bestKid] = p.byKid[bestKid][1:]
 	return p.takeAt(int(best))
 }
 
-// takeMatch removes and returns the first buffered message satisfying
-// match: by kind index when the matcher declares its kinds, otherwise by
-// scanning arrival order.
-func (p *proc) takeMatch(match dsys.Matcher) (*dsys.Message, int32) {
+// takeMatch removes the first buffered message satisfying match and
+// returns its arena handle, -1 if there is none: by kind index when the
+// matcher declares its kinds, otherwise by scanning arrival order with each
+// message materialised for the matcher.
+func (p *proc) takeMatch(match dsys.Matcher) int32 {
 	if km, ok := match.(dsys.KindMatcher); ok {
 		if p.byKid == nil {
-			return nil, -1 // nothing was ever buffered
+			return -1 // nothing was ever buffered
 		}
 		return p.takeKids(km.KindIDs())
 	}
+	k := p.k
 	for i, e := range p.buf {
-		if e.slot >= 0 && match.Match(&p.k.arena.slot(e.slot).m) {
+		if e.slot >= 0 && match.Match(k.message(k.arena.slot(e.slot), p.id)) {
 			return p.takeAt(i)
 		}
 	}
-	return nil, -1
+	return -1
 }
 
 // compactBuf squeezes the holes out of the buffer once they outnumber the
@@ -350,45 +351,31 @@ func (v taskView) Send(to dsys.ProcessID, kind string, payload any) {
 	if to < 1 || int(to) > len(k.procs) {
 		panic(fmt.Sprintf("sim: %v sent %q to invalid process %v", p.id, kind, to))
 	}
-	kid := k.kindID(kind)
-	h, s := k.arena.alloc()
-	s.m = dsys.Message{From: p.id, To: to, Kind: kind, Payload: payload, SentAt: k.now}
-	m := &s.m
+	// The copies of one message share its slot, and the last one consumed
+	// recycles it; a slot left with no copy (all dropped) recycles now.
+	h, s := k.sendSlot(p.id, k.kindID(kind), payload)
 	if to == p.id {
-		k.cfg.Trace.OnSend(m, false)
-		s.refs = 1
-		k.scheduleDeliver(k.now+k.cfg.SelfDelay, h, s.gen, kid)
+		k.traceSend(s, to, false)
+		k.sendCopy(k.now+k.cfg.SelfDelay, h, s, to)
 		return
 	}
-	// Networks supporting duplication deliver one copy per planned latency;
-	// the copies share the slot and the last consumed one recycles it.
+	// Networks supporting duplication deliver one copy per planned latency.
 	if mn, ok := k.cfg.Network.(network.MultiNetwork); ok {
 		copies := mn.PlanCopies(p.id, to, kind, k.now, k.netRand())
-		k.cfg.Trace.OnSend(m, len(copies) == 0)
-		if len(copies) == 0 {
-			k.arena.recycle(h, s)
-			return
-		}
-		s.refs = int32(len(copies))
+		k.traceSend(s, to, len(copies) == 0)
 		for _, delay := range copies {
-			if delay < 0 {
-				delay = 0
-			}
-			k.scheduleDeliver(k.now+delay, h, s.gen, kid)
+			k.sendCopy(k.now+max(delay, 0), h, s, to)
 		}
-		return
+	} else {
+		delay, drop := k.cfg.Network.Plan(p.id, to, kind, k.now, k.netRand())
+		k.traceSend(s, to, drop)
+		if !drop {
+			k.sendCopy(k.now+max(delay, 0), h, s, to)
+		}
 	}
-	delay, drop := k.cfg.Network.Plan(p.id, to, kind, k.now, k.netRand())
-	k.cfg.Trace.OnSend(m, drop)
-	if drop {
+	if s.refs == 0 {
 		k.arena.recycle(h, s)
-		return
 	}
-	if delay < 0 {
-		delay = 0
-	}
-	s.refs = 1
-	k.scheduleDeliver(k.now+delay, h, s.gen, kid)
 }
 
 // Recv, RecvTimeout and Sleep would suspend the task mid-step, which the
