@@ -33,7 +33,10 @@ import (
 // is handed to. Each claim is released with exactly one unref
 // (crashed-destination discard, or the step's return). A step sees the
 // message only while it runs (dsys.StepFunc), so a recycled slot can only
-// ever be observed by kernel code, which checks generations.
+// ever be observed by kernel code, which checks generations. At the end of
+// a run the only claims left are pending deliveries and buffered messages:
+// Run releases those and panics if any slot is still checked out (see
+// Kernel.checkLeaks), then drops the arena.
 //
 // Generations. recycle increments the slot's generation; a delivery event
 // whose recorded generation no longer matches its slot's is a stale holder —

@@ -41,8 +41,8 @@ func TestArenaGenerationCatchesStaleHandle(t *testing.T) {
 // place, and timed waits abandoning parked matches — all while slots
 // recycle constantly. The kernel panics on
 // any generation mismatch at fire time, so surviving the run proves no
-// recycled slot was ever observed through a stale handle; the final live
-// count proves every reference was returned.
+// recycled slot was ever observed through a stale handle; the live count at
+// the horizon proves every reference was returned.
 func TestArenaRecycleStress(t *testing.T) {
 	{
 		const n = 12
@@ -102,12 +102,14 @@ func TestArenaRecycleStress(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			k.CrashAt(dsys.ProcessID(2*i+1), time.Duration(20+10*i)*time.Millisecond)
 		}
+		live := -1
+		k.ScheduleFunc(200*time.Millisecond, func(time.Duration) { live = k.arena.live() })
 		k.Run(200 * time.Millisecond)
 		if received == 0 || stepped == 0 {
 			t.Fatalf("stress run delivered %d messages of kind m, %d of kind s; the workload is not exercising the arena", received, stepped)
 		}
-		if live := k.arena.live(); live != 0 {
-			t.Errorf("arena retains %d live slots after the run; some reference was never returned", live)
+		if live != 0 {
+			t.Errorf("arena retains %d live slots at the end of the run; some reference was never returned", live)
 		}
 	}
 }
@@ -144,17 +146,19 @@ func TestArenaBoundedOverLongRun(t *testing.T) {
 	}
 	// n·(n−1) deliveries plus n timer fires per virtual ms ≈ 1k events/ms:
 	// 10s of virtual time is ~10M events.
+	live, capacity := -1, 0
+	k.ScheduleFunc(10*time.Second, func(time.Duration) { live, capacity = k.arena.live(), k.arena.capacity() })
 	k.Run(10 * time.Second)
 	if ev := k.Events(); ev < 10_000_000 {
 		t.Fatalf("run fired only %d events; the leak bound below assumes ~10M", ev)
 	}
-	if live := k.arena.live(); live != 0 {
-		t.Errorf("arena retains %d live slots after the run", live)
+	if live != 0 {
+		t.Errorf("arena retains %d live slots at the end of the run", live)
 	}
 	// In-flight peak: n broadcasts per 1ms latency window, each one slot
 	// shared by its n−1 copies, so 32 slots. One chunk (256 slots) bounds
 	// it; n·(n−1) ≈ 1k slots would mean the copies no longer share.
-	if cap := k.arena.capacity(); cap > msgChunkSize {
+	if cap := capacity; cap > msgChunkSize {
 		t.Errorf("arena grew to %d slots for a peak of %d broadcasts in flight; capacity must track the peak, not the send count", cap, n)
 	}
 }
@@ -240,12 +244,14 @@ func TestBroadcastSharesOneSlot(t *testing.T) {
 				}
 			}, "b", "c")
 		}
+		left := -1
+		k.ScheduleFunc(time.Second, func(time.Duration) { left = k.arena.live() })
 		k.Run(time.Second)
 		if want := []int{1, 1, 2, 3, 4, 4, 5, 6}; !reflect.DeepEqual(live, want) {
 			t.Errorf("live slots after each broadcast: %v, want %v", live, want)
 		}
-		if live := k.arena.live(); live != 0 {
-			t.Errorf("arena retains %d live slots after the run", live)
+		if left != 0 {
+			t.Errorf("arena retains %d live slots at the end of the run", left)
 		}
 		// 7 broadcasts of n−1 copies each; the first two carry shared from
 		// p1 to every other process, in send order.
@@ -297,16 +303,18 @@ func TestBroadcastSharesOneSlot(t *testing.T) {
 			}
 			checks++
 		})
+		live, capacity := -1, 0
+		k.ScheduleFunc(100*time.Millisecond, func(time.Duration) { live, capacity = k.arena.live(), k.arena.capacity() })
 		k.Run(100 * time.Millisecond)
 		if received == 0 || received != planned || checks == 0 {
 			t.Errorf("received %d of %d planned copies over %d checks", received, planned, checks)
 		}
-		if live := k.arena.live(); live != 0 {
-			t.Errorf("arena retains %d live slots after the run", live)
+		if live != 0 {
+			t.Errorf("arena retains %d live slots at the end of the run", live)
 		}
 		// One slot per beat's broadcast, and at most n·6 beats in flight (one
 		// per process per 1 ms, latencies up to 5 ms).
-		if cap := k.arena.capacity(); cap > msgChunkSize {
+		if cap := capacity; cap > msgChunkSize {
 			t.Errorf("arena grew to %d slots for at most %d broadcasts in flight", cap, n*6)
 		}
 	})

@@ -26,7 +26,8 @@ func kindsPred(kinds ...string) dsys.Matcher {
 // through a predicate: the generic lane, whose dispatch is the plain scan
 // for the lowest-id parked matching task and whose takes scan the buffer in
 // arrival order. It returns who took what, when, and the kinds left in p1's
-// buffer.
+// buffer at the horizon, read by a hook there: nothing else happens at 40ms,
+// and once Run returns the buffer is gone.
 func dispatchScenario(reference bool, loopKinds []string) (log, left []string) {
 	k := New(reliableCfg(2, 1))
 	took := func(who string) dsys.RecvLoopFunc {
@@ -76,14 +77,16 @@ func dispatchScenario(reference bool, loopKinds []string) (log, left []string) {
 		}
 		return dsys.Sleep(late[i].at*time.Millisecond - time.Millisecond - p.Now())
 	})
-	k.Run(40 * time.Millisecond)
-	p := k.procAt(1)
-	for _, e := range p.buf {
-		if e.slot >= 0 {
-			m := k.message(k.arena.slot(e.slot), p.id)
-			left = append(left, fmt.Sprintf("%s%d", m.Kind, m.Payload))
+	k.ScheduleFunc(40*time.Millisecond, func(time.Duration) {
+		p := k.procAt(1)
+		for _, e := range p.buf {
+			if e.slot >= 0 {
+				m := k.message(k.arena.slot(e.slot), p.id)
+				left = append(left, fmt.Sprintf("%s%d", m.Kind, m.Payload))
+			}
 		}
-	}
+	})
+	k.Run(40 * time.Millisecond)
 	return log, left
 }
 

@@ -15,7 +15,8 @@
 // RecvTimeout and Sleep, which the live runtime implements — fail the run,
 // and Spawn runs its body once, as a single step. A finished task is dropped
 // by the kernel at once, so a run's memory tracks its pending events and
-// unfinished tasks.
+// unfinished tasks; once Run returns, it keeps only the run's results (see
+// Kernel.Run).
 //
 // Virtual time is a time.Duration since the start of the run. Timers,
 // message latencies and crashes are events, popped in (at, seq) order; when
@@ -251,6 +252,7 @@ func (tb *table[T]) remove(h int32) T {
 // arrival, and it never sends again. Crashing an already-crashed process is
 // a no-op.
 func (k *Kernel) CrashAt(id dsys.ProcessID, at time.Duration) {
+	k.beforeEnd("CrashAt")
 	p := k.procAt(id)
 	k.scheduleEvent(at, func() { k.crash(p) })
 }
@@ -259,12 +261,14 @@ func (k *Kernel) CrashAt(id dsys.ProcessID, at time.Duration) {
 // it is intended for harness hooks such as sampling detector output or
 // injecting load. fn runs before any task scheduled at the same instant.
 func (k *Kernel) ScheduleFunc(at time.Duration, fn func(now time.Duration)) {
+	k.beforeEnd("ScheduleFunc")
 	k.scheduleEvent(at, func() { fn(k.now) })
 }
 
 // Every runs fn at start, start+period, start+2·period, ... for the rest of
 // the run.
 func (k *Kernel) Every(start, period time.Duration, fn func(now time.Duration)) {
+	k.beforeEnd("Every")
 	if period <= 0 {
 		panic("sim: Every period must be positive")
 	}
@@ -276,6 +280,14 @@ func (k *Kernel) Every(start, period time.Duration, fn func(now time.Duration)) 
 		k.scheduleEvent(next, tick)
 	}
 	k.scheduleEvent(start, tick)
+}
+
+// beforeEnd panics if the run is over: an event scheduled then could never
+// fire, and the queue it would go to has been given back.
+func (k *Kernel) beforeEnd(op string) {
+	if k.stopping {
+		panic("sim: " + op + " called after Run")
+	}
 }
 
 // Crashed reports whether process id has crashed.
@@ -300,6 +312,15 @@ func (k *Kernel) Correct() []dsys.ProcessID {
 // blocking primitive — in which case Run panics with the task's error and
 // stack. Run then finishes every remaining task and returns the final
 // virtual time. Run may be called only once.
+//
+// A run that did not fail ends with a leak check: every reference on the
+// message arena must be held by a pending delivery or a buffered message,
+// and no task may be left in the task table; otherwise Run panics. Then the
+// kernel gives back its dispatch machinery, pending events and buffered
+// messages included, so a caller that keeps the kernel, or a dsys.Proc of
+// one of its tasks, keeps only the results: Now, Events, N, Crashed and
+// Correct read as they did when the run ended. CrashAt, ScheduleFunc and
+// Every panic after Run, and Spawn and Send do nothing.
 func (k *Kernel) Run(until time.Duration) time.Duration {
 	if k.ran {
 		panic("sim: Run called twice")
@@ -309,10 +330,62 @@ func (k *Kernel) Run(until time.Duration) time.Duration {
 	defer func() { totalEvents.Add(k.events) }()
 	k.dispatch()
 	k.finishAll()
+	if k.fatal == nil {
+		k.checkLeaks()
+	}
+	k.freeDispatch()
 	if k.fatal != nil {
 		panic(k.fatal)
 	}
 	return k.now
+}
+
+// checkLeaks releases the arena reference of every pending delivery and
+// buffered message, draining the queue, and panics unless that empties the
+// arena and the task table is empty too. A missed unref, or a slot never
+// recycled, leaves a slot checked out; a task that finished without leaving
+// the table leaves its slot occupied.
+func (k *Kernel) checkLeaks() {
+	for _, t := range k.tasks.slots {
+		if t != nil {
+			panic(fmt.Sprintf("sim: TASK LEAK: task %v/%s is still in the task table after the run", t.p.id, t.name))
+		}
+	}
+	for k.eq.Len() > 0 {
+		ev, _ := k.eq.popDue(1<<63 - 1)
+		if ev.kind != evDeliver {
+			continue
+		}
+		if s := k.arena.slot(ev.msg); s.gen != ev.gen {
+			panic(fmt.Sprintf("sim: pending delivery names recycled arena slot %d (slot gen %d, event gen %d)", ev.msg, s.gen, ev.gen))
+		}
+		k.arena.unref(ev.msg)
+	}
+	for _, p := range k.procs {
+		for _, e := range p.buf {
+			if e.slot >= 0 {
+				k.arena.unref(e.slot)
+			}
+		}
+	}
+	if live := k.arena.live(); live != 0 {
+		panic(fmt.Sprintf("sim: ARENA LEAK: %d message slots are checked out with no pending delivery or buffered message holding them", live))
+	}
+}
+
+// freeDispatch gives back everything only the dispatch loop could use: the
+// event queue, the message arena, the task and hook tables, the run queue,
+// the processes' buffers and lanes, the last materialised message (which
+// would pin its payload) and the network's random source.
+func (k *Kernel) freeDispatch() {
+	k.eq = eventQueue{}
+	k.arena = msgArena{}
+	k.tasks, k.hooks = table[*task]{}, table[func()]{}
+	k.runq, k.runqHead = nil, 0
+	for _, p := range k.procs {
+		p.dropBuffers()
+	}
+	k.msg, k.netRNG = dsys.Message{}, nil
 }
 
 // runqKeep is the largest runq capacity a drained runq keeps. A set-up
@@ -644,8 +717,7 @@ func (k *Kernel) crash(p *proc) {
 	}
 	// Nothing will ever read the process's buffers again, so release them
 	// too.
-	p.buf, p.byKid, p.kindLanes, p.anyParked = nil, nil, nil, nil
-	p.bufDead = 0
+	p.dropBuffers()
 }
 
 // finishTasks finishes every unfinished task of p, in creation order,

@@ -124,15 +124,15 @@ func TestCrashBeforeFirstSelectionStartsNoGoroutine(t *testing.T) {
 		if ts := taskList(k.procAt(1)); len(ts) != 0 {
 			t.Errorf("crashed process still lists %d tasks", len(ts))
 		}
+		for h, tk := range k.tasks.slots {
+			if tk != nil {
+				t.Errorf("task table slot %d still holds %s", h, tk.name)
+			}
+		}
 	})
 	k.Run(time.Second)
 	if ran {
 		t.Error("task ran after its process crashed")
-	}
-	for h, tk := range k.tasks.slots {
-		if tk != nil {
-			t.Errorf("task table slot %d still holds %s", h, tk.name)
-		}
 	}
 }
 
@@ -215,7 +215,8 @@ func TestStaleTimerIgnoredAfterHandleReuse(t *testing.T) {
 
 // TestFinishedTaskLeavesTaskList checks that a finished task — a Spawn body
 // or a step task — leaves its process's task list and the task table at the
-// instant it finishes, with the survivors still in creation order.
+// instant it finishes, with the survivors still in creation order. The
+// survivors leave both when the run ends, or Run's leak check panics.
 func TestFinishedTaskLeavesTaskList(t *testing.T) {
 	k := New(reliableCfg(1, 1))
 	k.SpawnStep(1, "a", script(sleep(time.Hour)))
@@ -224,26 +225,147 @@ func TestFinishedTaskLeavesTaskList(t *testing.T) {
 	k.SpawnStep(1, "done-step", script(sleep(time.Millisecond)))
 	k.SpawnRecvLoop(1, "c", func(p dsys.Proc, m *dsys.Message) {}, "never")
 	var names []string
+	live := 0
 	// One nanosecond after both finished: nothing else has run since.
 	k.ScheduleFunc(time.Millisecond+1, func(time.Duration) {
 		for _, tk := range taskList(k.procAt(1)) {
 			names = append(names, tk.name)
+		}
+		for _, tk := range k.tasks.slots {
+			if tk != nil {
+				live++
+			}
 		}
 	})
 	k.Run(time.Second)
 	if got, want := names, []string{"a", "b", "c"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("task list after two tasks finished = %v, want %v", got, want)
 	}
-	live := 0
-	for _, tk := range k.tasks.slots {
-		if tk != nil {
-			live++
-		}
+	if live != 3 {
+		t.Errorf("%d task-table slots occupied by the three unfinished tasks", live)
 	}
-	if live != 0 {
-		t.Errorf("%d task-table slots still occupied after the run", live)
+	if ts := taskList(k.procAt(1)); len(ts) != 0 {
+		t.Errorf("task list retains %d entries after the run", len(ts))
 	}
 }
 
 // taskOf returns the task behind a task's dsys.Proc handle.
 func taskOf(p dsys.Proc) *task { return p.(taskView).t }
+
+// TestFinishedKernelHoldsOnlyResults ends a run with deliveries pending,
+// messages left unmatched in a buffer, tasks parked in both dispatch lanes
+// and a hook due after the horizon. Once Run returns, the kernel must hold
+// none of its dispatch machinery, and Now, Events, N, Crashed and Correct
+// must read what a hook read at the horizon.
+func TestFinishedKernelHoldsOnlyResults(t *testing.T) {
+	const n = 4
+	horizon := 10*time.Millisecond + 500*time.Microsecond // no other event is due then
+	k := New(reliableCfg(n, 1))
+	k.SpawnTickLoop(1, "beat", dsys.TickLoop{Period: time.Millisecond, Immediate: true, Fn: func(p dsys.Proc) {
+		for _, q := range p.All()[1:] {
+			p.Send(q, "beat", p.Now())
+		}
+		p.Send(3, "other", nil)
+	}})
+	k.SpawnRecvLoop(2, "sink", func(dsys.Proc, *dsys.Message) {}, "beat")
+	never := dsys.MatchFunc(func(*dsys.Message) bool { return false })
+	k.SpawnStep(3, "generic", func(dsys.Proc, *dsys.Message) dsys.Wait { return dsys.Await(never) })
+	k.SpawnStep(3, "kind", func(dsys.Proc, *dsys.Message) dsys.Wait { return dsys.Await(dsys.MatchKind("none")) })
+	k.CrashAt(4, 5*time.Millisecond)
+	k.Every(0, 2*time.Millisecond, func(time.Duration) {})
+	k.ScheduleFunc(time.Hour, func(time.Duration) { t.Error("a hook after the horizon fired") })
+
+	type results struct {
+		now     time.Duration
+		events  uint64
+		crashed []bool
+		correct []dsys.ProcessID
+	}
+	read := func() results {
+		r := results{now: k.Now(), events: k.Events(), correct: k.Correct()}
+		for _, id := range dsys.Pids(n) {
+			r.crashed = append(r.crashed, k.Crashed(id))
+		}
+		return r
+	}
+	var atHorizon results
+	k.ScheduleFunc(horizon, func(time.Duration) {
+		atHorizon = read()
+		p3 := k.procAt(3)
+		if k.eq.Len() == 0 || len(p3.buf) == 0 || len(p3.anyParked) == 0 || len(p3.kindLanes) == 0 {
+			t.Errorf("at the horizon: %d pending events, %d buffered at p3, %d generic and %d kind lanes; the scenario leaves nothing behind",
+				k.eq.Len(), len(p3.buf), len(p3.anyParked), len(p3.kindLanes))
+		}
+	})
+	end := k.Run(horizon)
+
+	if got := read(); end != atHorizon.now || !reflect.DeepEqual(got, atHorizon) || k.N() != n {
+		t.Errorf("after Run: end %v, %+v, N %d; at the horizon: %+v, N %d", end, got, k.N(), atHorizon, n)
+	}
+	if want := []bool{false, false, false, true}; !reflect.DeepEqual(atHorizon.crashed, want) {
+		t.Errorf("crashed at the horizon: %v, want %v", atHorizon.crashed, want)
+	}
+	for name, v := range map[string]any{
+		"event queue": k.eq, "message arena": k.arena, "task table": k.tasks, "hook table": k.hooks,
+		"run queue": k.runq, "last message": k.msg, "network random source": k.netRNG,
+	} {
+		if !reflect.ValueOf(v).IsZero() {
+			t.Errorf("finished kernel still holds its %s", name)
+		}
+	}
+	for _, p := range k.procs {
+		if p.buf != nil || p.byKid != nil || p.kindLanes != nil || p.anyParked != nil {
+			t.Errorf("finished kernel still holds p%d's buffer or dispatch lanes", p.id)
+		}
+	}
+}
+
+// TestSchedulingAfterRunPanics checks that CrashAt, ScheduleFunc and Every
+// fail loudly once Run has returned, as a second Run does: the event they
+// would schedule could never fire.
+func TestSchedulingAfterRunPanics(t *testing.T) {
+	calls := map[string]func(k *Kernel){
+		"CrashAt":      func(k *Kernel) { k.CrashAt(1, time.Second) },
+		"ScheduleFunc": func(k *Kernel) { k.ScheduleFunc(time.Second, func(time.Duration) {}) },
+		"Every":        func(k *Kernel) { k.Every(time.Second, time.Second, func(time.Duration) {}) },
+	}
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) {
+			k := New(reliableCfg(2, 1))
+			call(k) // before Run: scheduled normally
+			k.Run(time.Millisecond)
+			defer func() {
+				if msg, want := fmt.Sprint(recover()), "sim: "+name+" called after Run"; msg != want {
+					t.Errorf("%s after Run panicked with %q, want %q", name, msg, want)
+				}
+			}()
+			call(k)
+		})
+	}
+}
+
+// TestRunCatchesLeaks plants each kind of leak the end-of-run check looks
+// for: Run must panic naming it.
+func TestRunCatchesLeaks(t *testing.T) {
+	leaks := map[string]struct {
+		plant func(k *Kernel)
+		want  string
+	}{
+		"reference nothing holds": {func(k *Kernel) { _, s := k.arena.alloc(); s.refs = 1 }, "ARENA LEAK"},
+		"slot never recycled":     {func(k *Kernel) { k.arena.alloc() }, "ARENA LEAK"},
+		"task left in the table":  {func(k *Kernel) { k.tasks.add(&task{name: "ghost", p: k.procAt(1)}) }, "TASK LEAK: task p1/ghost"},
+	}
+	for name, leak := range leaks {
+		t.Run(name, func(t *testing.T) {
+			k := New(reliableCfg(2, 1))
+			k.Spawn(1, "send", func(p dsys.Proc) { p.Send(2, "x", nil) }) // left buffered: not a leak
+			k.ScheduleFunc(time.Millisecond, func(time.Duration) { leak.plant(k) })
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, leak.want) {
+					t.Errorf("Run panicked with %q, want it to contain %q", msg, leak.want)
+				}
+			}()
+			k.Run(time.Second)
+		})
+	}
+}

@@ -18,18 +18,22 @@ import "time"
 //
 // Policy, all constants: a delay gets a FIFO when it repeats, that is when
 // it is pushed again while among the last seenSize distinct delays sent to
-// the heap; there are fifoCount FIFOs, picked by a linear scan; a drained FIFO can be reassigned to a new delay. Every other
-// event — a random link latency, a one-off hook, a far-future horizon — goes
-// to the heap, which therefore holds only that residue. The caller must
-// never push with a smaller now than an earlier push (the kernel's clock
-// never goes back), or a FIFO would lose its order; the kernel's
-// POP ORDER VIOLATION panic is the runtime check.
+// the heap; there are fifoCount FIFOs, picked by a linear scan; a drained
+// FIFO can be reassigned to a new delay. Every other event — a random link
+// latency, a one-off hook, a far-future horizon — goes to the heap, which
+// therefore holds only that residue. The caller must never push with a
+// smaller now than an earlier push (the kernel's clock never goes back), or
+// a FIFO would lose its order; the kernel's POP ORDER VIOLATION panic is the
+// runtime check.
 type eventQueue struct {
 	fifos [fifoCount]fifo
 	// fifos[:used] have been assigned a delay at some point.
 	used int
 	rest eventHeap
-	// spare lists the chunks no FIFO is using.
+	// spare lists the chunks no FIFO is using, kept for the FIFOs' next
+	// growth while the run lasts: the chunks number the FIFOs' peak, and a
+	// finished kernel drops them with the rest of the queue (see
+	// Kernel.freeDispatch).
 	spare *chunk
 	// seen is a ring of the latest distinct delays pushed to the heap, next
 	// its oldest entry. They are stored complemented, so the zero value

@@ -108,6 +108,14 @@ func (p *proc) randSrc() *rand.Rand {
 	return p.rng
 }
 
+// dropBuffers releases the receive buffer, its kind index and the dispatch
+// lanes of a process that will never receive again. The buffered messages'
+// arena references must be released first, or the arena dropped with them.
+func (p *proc) dropBuffers() {
+	p.buf, p.byKid, p.kindLanes, p.anyParked = nil, nil, nil, nil
+	p.bufDead = 0
+}
+
 // bufAdd appends a delivered message to the receive buffer and its kind
 // index, taking over the delivery's arena reference.
 func (p *proc) bufAdd(h, kid int32) {
