@@ -477,6 +477,13 @@ func (r *Replica) takeChunkLocked(s int) Batch {
 	return Batch{Cmds: cmds}
 }
 
+// pendingKeep is the largest pending capacity a drained buffer keeps. It
+// sits above the steady backlog of a busy replica (a few hundred commands
+// between drains under a steady stream), so steady load reuses one array;
+// a burst of submits grows the array far past that, and the replica would
+// otherwise keep the burst's array for the rest of its life.
+const pendingKeep = 1024
+
 // dropPendingLocked removes one applied own command from the pending buffer.
 // Applied own commands always form a prefix of the submit order (chunks are
 // head prefixes and batches apply in order), so this is an O(1) head pop in
@@ -495,6 +502,15 @@ func (r *Replica) dropPendingLocked(seq int64) {
 			r.pending = r.pending[:len(r.pending)-1]
 		}
 		break
+	}
+	if r.pendHead == len(r.pending) {
+		// Drained: reuse the array from the start, unless a burst grew it
+		// past pendingKeep.
+		r.pending, r.pendHead = r.pending[:0], 0
+		if cap(r.pending) > pendingKeep {
+			r.pending = nil
+		}
+		return
 	}
 	// Amortized compaction keeps the buffer from retaining applied prefixes.
 	if r.pendHead > 256 && r.pendHead*2 >= len(r.pending) {

@@ -44,3 +44,13 @@ func (r *Replica) ParkedLen() int {
 
 // DeliveredRuns reads the replica's broadcast module's dedup state.
 func (r *Replica) DeliveredRuns() (runs, sources int) { return r.rb.DeliveredRuns() }
+
+// PendingKeep is the largest capacity a drained pending buffer keeps.
+const PendingKeep = pendingKeep
+
+// PendingCap returns the capacity of the pending buffer's array.
+func (r *Replica) PendingCap() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return cap(r.pending)
+}

@@ -86,13 +86,6 @@ func (d *Stable) LeaderChanges() int {
 	return d.changes
 }
 
-// Epoch returns the known accusation count of q.
-func (d *Stable) Epoch(q dsys.ProcessID) uint32 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.epoch[int(q)-1]
-}
-
 // leaderLocked returns the minimum candidate under (epoch, id).
 func (d *Stable) leaderLocked() dsys.ProcessID {
 	best := 0

@@ -21,3 +21,28 @@ func (c *Cluster) BacklogKinds(id dsys.ProcessID) map[string]int {
 	}
 	return out
 }
+
+// MailboxKeep is the largest capacity a drained mailbox keeps.
+const MailboxKeep = mailboxKeep
+
+// MailboxCap reports the capacity of process id's mailbox array.
+func (c *Cluster) MailboxCap(id dsys.ProcessID) int {
+	p := c.proc(id)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return cap(p.buf)
+}
+
+// Seeded reports which random sources exist: the network model's, and each
+// process's by id-1.
+func (c *Cluster) Seeded() (net bool, procs []bool) {
+	c.netMu.Lock()
+	net = c.rng != nil
+	c.netMu.Unlock()
+	for _, p := range c.procs {
+		p.rngMu.Lock()
+		procs = append(procs, p.rng != nil)
+		p.rngMu.Unlock()
+	}
+	return net, procs
+}

@@ -100,7 +100,7 @@ type Cluster struct {
 	pids  []dsys.ProcessID
 	procs []*lproc
 	netMu sync.Mutex
-	rng   *rand.Rand
+	rng   *rand.Rand // the network model's source; nil until the first Plan (see netRand)
 	wg    sync.WaitGroup
 
 	// timers tracks the in-flight delayed-delivery timers (Send with a
@@ -141,7 +141,7 @@ type lproc struct {
 	// (while holding mu) is the one that closes the channel.
 	doneClosed bool
 	done       chan struct{}
-	rng        *rand.Rand
+	rng        *rand.Rand // nil until the first draw (see randLocked)
 	rngMu      sync.Mutex
 }
 
@@ -185,17 +185,11 @@ func NewCluster(cfg Config) *Cluster {
 		cfg:    cfg,
 		start:  time.Now(),
 		pids:   dsys.Pids(cfg.N),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		timers: make(map[*time.Timer]dsys.ProcessID),
 	}
 	c.procs = make([]*lproc, cfg.N)
 	for i := range c.procs {
-		c.procs[i] = &lproc{
-			c:    c,
-			id:   dsys.ProcessID(i + 1),
-			done: make(chan struct{}),
-			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(0x9e3779b97f4a7c15*uint64(i+1)))),
-		}
+		c.procs[i] = &lproc{c: c, id: dsys.ProcessID(i + 1), done: make(chan struct{})}
 	}
 	if cfg.Transport != nil {
 		cfg.Transport.Start(c.Inject)
@@ -218,6 +212,18 @@ func (c *Cluster) Spawn(id dsys.ProcessID, name string, fn dsys.TaskFunc) {
 		}()
 		fn(taskView{t})
 	}()
+}
+
+// netRand returns the network model's source, seeding it on first use; the
+// caller holds netMu. Seeding fills a 607-word state table, and a mesh with
+// no model never plans a send, so the n+1 sources are paid for only when
+// drawn from, as the simulator does (sim.Kernel.netRand). The seed depends
+// only on the configuration and the draw order is unchanged.
+func (c *Cluster) netRand() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.cfg.Seed))
+	}
+	return c.rng
 }
 
 // Crash permanently crashes process id: its tasks are unwound at their next
@@ -277,15 +283,16 @@ func (c *Cluster) Crashed(id dsys.ProcessID) bool {
 	return p.crashed
 }
 
-// Stop unwinds every task, stops the transport and waits for the tasks to
-// exit. Tasks stuck in non-blocking user code are only reaped at their next
-// primitive call.
+// Stop unwinds every task, drops every process's mailbox as Crash does,
+// stops the transport and waits for the tasks to exit. Tasks stuck in
+// non-blocking user code are only reaped at their next primitive call.
 func (c *Cluster) Stop() {
 	c.stopOnce.Do(func() {
 		for _, p := range c.procs {
 			p.mu.Lock()
 			p.stopped = true
 			p.dead.Store(true)
+			p.buf, p.head = nil, 0
 			p.unparkAllLocked()
 			shouldClose := p.killLocked()
 			p.mu.Unlock()
@@ -343,19 +350,28 @@ var _ rand.Source64 = (*lockedSource)(nil)
 func (s *lockedSource) Int63() int64 {
 	s.p.rngMu.Lock()
 	defer s.p.rngMu.Unlock()
-	return s.p.rng.Int63()
+	return s.p.randLocked().Int63()
 }
 
 func (s *lockedSource) Uint64() uint64 {
 	s.p.rngMu.Lock()
 	defer s.p.rngMu.Unlock()
-	return s.p.rng.Uint64()
+	return s.p.randLocked().Uint64()
 }
 
 func (s *lockedSource) Seed(seed int64) {
 	s.p.rngMu.Lock()
 	defer s.p.rngMu.Unlock()
 	s.p.rng = rand.New(rand.NewSource(seed))
+}
+
+// randLocked returns the process source, seeding it on first use (see
+// Cluster.netRand); the caller holds rngMu.
+func (p *lproc) randLocked() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.c.cfg.Seed ^ int64(0x9e3779b97f4a7c15*uint64(p.id))))
+	}
+	return p.rng
 }
 
 func (v taskView) Send(to dsys.ProcessID, kind string, payload any) {
@@ -401,8 +417,8 @@ func (c *Cluster) route(m dsys.Message) {
 	copies := one[:0]
 	c.netMu.Lock()
 	if mn, ok := c.cfg.Network.(network.MultiNetwork); ok {
-		copies = mn.PlanCopies(m.From, m.To, m.Kind, m.SentAt, c.rng)
-	} else if delay, drop := c.cfg.Network.Plan(m.From, m.To, m.Kind, m.SentAt, c.rng); !drop {
+		copies = mn.PlanCopies(m.From, m.To, m.Kind, m.SentAt, c.netRand())
+	} else if delay, drop := c.cfg.Network.Plan(m.From, m.To, m.Kind, m.SentAt, c.netRand()); !drop {
 		copies = append(copies, delay)
 	}
 	c.netMu.Unlock()
@@ -614,6 +630,12 @@ func (p *lproc) unparkAt(i int) {
 	p.parked = p.parked[:len(p.parked)-1]
 }
 
+// mailboxKeep is the largest capacity a drained mailbox keeps. It sits above
+// the backlog of a busy replica (tens of messages), so steady load reuses
+// one array; a flood grows the array far past that, and the process would
+// otherwise keep the flood's array for the rest of its life.
+const mailboxKeep = 256
+
 // takeLocked removes and returns the first buffered message matching match.
 func (p *lproc) takeLocked(match dsys.Matcher) *dsys.Message {
 	for i := p.head; i < len(p.buf); i++ {
@@ -637,7 +659,12 @@ func (p *lproc) takeLocked(match dsys.Matcher) *dsys.Message {
 			p.buf = p.buf[:len(p.buf)-1]
 		}
 		if p.head == len(p.buf) {
-			p.buf, p.head = p.buf[:0], 0 // drained: reuse the array from the start
+			// Drained: reuse the array from the start, unless a burst grew it
+			// past mailboxKeep.
+			p.buf, p.head = p.buf[:0], 0
+			if cap(p.buf) > mailboxKeep {
+				p.buf = nil
+			}
 		} else if p.head >= 1024 && p.head*2 >= len(p.buf) {
 			// Compact occasionally so a never-empty mailbox cannot grow its
 			// dead prefix without bound. Amortized O(1) per take.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -71,13 +72,22 @@ func holdsPointer(rt reflect.Type) bool {
 
 // TestNeverBlockingTasksShareOneGoroutine runs 1,000 Spawn bodies — the
 // shape of a population's set-up tasks — a receive loop and a sleeping step
-// task. The goroutine count read inside a Spawn body, inside a step and after
-// Run must equal the count before Run: every task runs on the Run goroutine.
+// task. A goroutine profile read inside each Spawn body, inside each step and
+// after Run must show no goroutine that code in internal/sim or internal/dsys
+// created: every task runs on the Run goroutine. The profile names each
+// goroutine's creator, so a goroutine of another test that starts or exits
+// during the run does not change the reading.
 func TestNeverBlockingTasksShareOneGoroutine(t *testing.T) {
 	const n = 1000
 	k := New(reliableCfg(10, 1))
-	var counts []int
-	sample := func() { counts = append(counts, runtime.NumGoroutine()) }
+	samples := 0
+	var started []string // the first sample's kernel goroutines, if any
+	sample := func() {
+		samples++
+		if g := kernelGoroutines(); len(g) > 0 && started == nil {
+			started = append(g, fmt.Sprintf("(sample %d)", samples-1))
+		}
+	}
 	ran := 0
 	for i := 0; i < n; i++ {
 		k.Spawn(dsys.ProcessID(i%10+1), "setup", func(p dsys.Proc) {
@@ -88,20 +98,40 @@ func TestNeverBlockingTasksShareOneGoroutine(t *testing.T) {
 	}
 	k.SpawnRecvLoop(3, "loop", func(dsys.Proc, *dsys.Message) { sample() }, "x")
 	k.SpawnStep(4, "sleeper", script(sleep(time.Millisecond), then(func(dsys.Proc, *dsys.Message) { sample() })))
-	before := runtime.NumGoroutine()
 	k.Run(time.Second)
 	sample()
 	if ran != n {
 		t.Fatalf("%d of %d Spawn bodies ran", ran, n)
 	}
-	if len(counts) != n+100+2 {
-		t.Fatalf("%d samples, want %d", len(counts), n+100+2)
+	if samples != n+100+2 {
+		t.Fatalf("%d samples, want %d", samples, n+100+2)
 	}
-	for i, c := range counts {
-		if c != before {
-			t.Fatalf("sample %d read %d goroutines, %d before Run", i, c, before)
+	if started != nil {
+		t.Fatalf("tasks ran on goroutines the kernel started:\n%s", strings.Join(started, "\n\n"))
+	}
+}
+
+// kernelGoroutines returns the stacks, from a goroutine profile, of the
+// goroutines that code in internal/sim or internal/dsys created.
+func kernelGoroutines() []string {
+	var b strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 2); err != nil {
+		panic(err)
+	}
+	creators := []string{
+		"created by " + reflect.TypeOf(Kernel{}).PkgPath() + ".",
+		"created by " + reflect.TypeOf(dsys.Message{}).PkgPath() + ".",
+	}
+	var out []string
+	for _, g := range strings.Split(b.String(), "\n\n") {
+		for _, line := range strings.Split(g, "\n") {
+			if strings.HasPrefix(line, creators[0]) || strings.HasPrefix(line, creators[1]) {
+				out = append(out, g)
+				break
+			}
 		}
 	}
+	return out
 }
 
 // TestCrashBeforeFirstSelectionStartsNoGoroutine spawns a task from a hook

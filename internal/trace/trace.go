@@ -346,11 +346,6 @@ func (c *Collector) TotalDropped() int {
 	return c.dropped.total()
 }
 
-// TotalDelivered returns the number of messages delivered across all kinds.
-func (c *Collector) TotalDelivered() int {
-	return c.delivered.total()
-}
-
 // Kinds returns all message kinds seen, sorted.
 func (c *Collector) Kinds() []string {
 	return c.sent.names()

@@ -117,7 +117,7 @@ type Transport struct {
 	wg    sync.WaitGroup
 
 	rngMu sync.Mutex
-	rng   *rand.Rand // ReorderP rolls, drawn from every sender
+	rng   *rand.Rand // ReorderP rolls, drawn from every sender; nil when ReorderP is 0
 }
 
 // encBufPool holds send-path encode buffers; immediate (undelayed) sends are
@@ -148,10 +148,12 @@ func NewTransport(cfg Config) (*Transport, error) {
 	t := &Transport{
 		cfg:     cfg,
 		epoch:   time.Now(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		crashed: make([]atomic.Bool, cfg.N),
 		conns:   make([]atomic.Pointer[net.UDPConn], cfg.N),
 		addrs:   make([]*net.UDPAddr, cfg.N),
+	}
+	if cfg.ReorderP > 0 {
+		t.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	for i := 0; i < cfg.N; i++ {
 		id := dsys.ProcessID(i + 1)
