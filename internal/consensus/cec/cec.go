@@ -38,9 +38,12 @@
 // ProbeAfter idle polls, repair message loss; no fault-free step waits on it.
 //
 // Because every step reacts to a message or an idle poll, one process's run
-// of an instance is a resumable state machine, Proposal: each Step handles
-// the message (or the idle poll) that ended the last wait and runs on to the
-// next one. Spawned with dsys.SpawnStep it is a step task, the only kind
+// of an instance is a resumable state machine, Proposal, on the skeleton
+// ctc and mrc share too (consensus.Instance): each Step handles the message
+// (or the idle poll) that ended the last wait and runs on to the next one.
+// What stays in this package is the algorithm, the self-addressed decision
+// hand-off and the loss repairs (probes, retransmissions, the responder).
+// Spawned with dsys.SpawnStep it is a step task, the only kind
 // the simulator runs; Propose is the blocking driver over the same machine,
 // for callers on the live runtime that want to wait for the decision
 // inline.
@@ -79,76 +82,47 @@ const (
 	KindDecided = "cec.decided"
 )
 
-// Stats reports per-run counters of one process's Proposal.
-type Stats struct {
-	// Rounds is the number of rounds this process entered.
-	Rounds int
-	// NacksSent counts nack messages this process sent.
-	NacksSent int
-}
-
 // phase is the wait a Proposal is in: each is one "wait until" loop of the
 // round, re-entered at its top after every message and every idle poll.
 type phase uint8
 
 const (
-	phStart     phase = iota // not started: the first Step subscribes to R-delivery
-	phRound                  // between rounds: open the next one
+	phRound     phase = iota // between rounds: open the next one
 	phCoord                  // Phase 0: adopt a coordinator
 	phTrust                  // merged Phases 0–1: trust someone
 	phEstimates              // Phase 2: the coordinator gathers estimates
 	phProposal               // Phase 3: wait for a proposition
 	phReplies                // Phase 4: the coordinator gathers acks and nacks
 	phDelivery               // the decision is R-broadcast: wait for our own copy
-	phDone
 )
 
-// Proposal is one process's run of one Uniform Consensus instance, as a
-// resumable state machine: Step is a dsys.StepFunc that returns when the
-// instance waits for its next message and finishes once this process has
-// decided. d must be a ◇C detector module of the same process, rb its
+// Proposal is one process's run of one Uniform Consensus instance: the
+// consensus.Instance it embeds runs it as a step task that finishes once
+// this process has decided, and its Handle and Advance are the algorithm.
+// d must be a ◇C detector module of the same process, rb its
 // reliable-broadcast module; all processes of the instance must use the
-// same Options.Instance. On a process that crashes before deciding the task
-// is unwound by the runtime and never finishes.
+// same Options.Instance.
 type Proposal struct {
-	p    dsys.Proc
-	d    fd.EventuallyConsistent
-	rb   *rbcast.Module
-	opt  consensus.Options
-	self dsys.ProcessID
-	n    int
-	maj  int
-
-	ph       phase
-	r        int
-	coord    dsys.ProcessID // the current round's coordinator
-	idle     bool           // the last wait ended in an idle poll
-	estimate any
-	ts       int
+	consensus.Instance
+	d     fd.EventuallyConsistent
+	ph    phase
+	coord dsys.ProcessID // the current round's coordinator
+	idle  bool           // the last wait ended in an idle poll
 
 	// Cross-round message stores, filled by dispatch.
 	rounds     map[int]*round           // per round, created on first use
 	pending    map[int][]dsys.ProcessID // announcements for rounds not yet entered
 	donePhase3 bool
-	idlePolls  int    // consecutive empty pump cycles, for catch-up probing
+	idlePolls  int    // consecutive empty waits, for catch-up probing
 	resend     func() // re-sends the current phase's messages on long idle
-	matchAll   dsys.MatchFunc
-	cancel     func() // ends the R-delivery subscription
-	decided    *consensus.Result
-	stats      Stats
 }
 
 // NewProposal prepares this process's run of one instance, proposing v. It
 // sends nothing until its first Step.
 func NewProposal(d fd.EventuallyConsistent, rb *rbcast.Module, v any, opt consensus.Options) *Proposal {
-	opt = opt.WithDefaults()
-	return &Proposal{
-		d: d, rb: rb, opt: opt,
-		estimate: v,
-		rounds:   make(map[int]*round),
-		pending:  make(map[int][]dsys.ProcessID),
-		matchAll: consensus.Match("cec.", opt.Instance),
-	}
+	st := &Proposal{d: d, rounds: make(map[int]*round), pending: make(map[int][]dsys.ProcessID)}
+	st.Bind(st, rb, v, opt, "cec.", KindDecided)
+	return st
 }
 
 // round is what this process adopted, sent and received in one round.
@@ -181,7 +155,7 @@ const (
 func (st *Proposal) round(r int) *round {
 	rd := st.rounds[r]
 	if rd == nil {
-		rd = &round{from: make([]peerMsgs, st.n)}
+		rd = &round{from: make([]peerMsgs, st.N)}
 		st.rounds[r] = rd
 	}
 	return rd
@@ -202,54 +176,27 @@ func Propose(p dsys.Proc, d fd.EventuallyConsistent, rb *rbcast.Module, v any, o
 	return res
 }
 
-// Result returns this process's decision and true once it has decided (the
-// Proposal has finished).
-func (st *Proposal) Result() (consensus.Result, bool) {
-	if st.ph != phDone {
-		return consensus.Result{}, false
-	}
-	return *st.decided, true
-}
-
-// Stats returns the Proposal's run statistics so far.
-func (st *Proposal) Stats() Stats { return st.stats }
-
-// Step implements dsys.StepFunc: it handles m — the message that ended the
-// last wait, nil for the first step and for an idle poll — and runs the
-// instance on to its next wait, which is always one poll interval for any
-// message of the instance. Once this process has decided it finishes.
+// Step runs the embedded Instance's step and, once this process has
+// decided, keeps answering stragglers: under lossy links (outside the
+// paper's model) the decision broadcast can be lost, and the relayers are
+// gone once everyone here returns. The responder replies to any late
+// instance message with the decision, making catch-up possible forever.
+// Callers running many instances per process provide a shared responder
+// instead (Options.NoResponder).
 func (st *Proposal) Step(p dsys.Proc, m *dsys.Message) dsys.Wait {
-	st.p = p
-	if st.ph == phStart {
-		st.self, st.n, st.maj = p.ID(), p.N(), dsys.Majority(p.N())
-		st.cancel = st.rb.OnDeliver(st.onRDeliver)
-		st.ph = phRound
-	} else {
-		st.idle = !st.pump(m)
-	}
-	if !st.advance() {
-		return dsys.AwaitTimeout(st.matchAll, st.opt.Poll)
-	}
-	st.ph = phDone
-	st.cancel()
-	// Keep answering stragglers: under lossy links (outside the paper's
-	// model) the decision broadcast can be lost, and the relayers are gone
-	// once everyone here returns. The responder replies to any late
-	// instance message with the decision, making catch-up possible forever.
-	// Callers running many instances per process provide a shared responder
-	// instead (Options.NoResponder).
-	if !st.opt.NoResponder {
+	w := st.Instance.Step(p, m)
+	if w.Done() && !st.Opt.NoResponder {
 		st.spawnResponder(p)
 	}
-	return dsys.Finished
+	return w
 }
 
 // spawnResponder starts the post-decision catch-up task.
 func (st *Proposal) spawnResponder(p dsys.Proc) {
 	// The responder lives as long as the process: it copies what it needs so
 	// that the instance's round stores are not kept alive with it.
-	dec := *st.decided
-	inst, self, matchAll := st.opt.Instance, st.self, st.matchAll
+	dec, _ := st.Result()
+	inst, self, matchAll := st.Opt.Instance, st.Self, st.MatchAll
 	wait := dsys.Await(dsys.MatchFunc(func(m *dsys.Message) bool {
 		// Never answer another responder. Our own KindDecided is the
 		// R-delivery wake-up of an instance that had already decided another
@@ -265,33 +212,11 @@ func (st *Proposal) spawnResponder(p dsys.Proc) {
 	})
 }
 
-// onRDeliver is the third task of Fig. 4: upon R-delivering a decide
-// request, decide accordingly. It runs on the reliable-broadcast relay task
-// and touches no state of the instance: it hands the decision over as a
-// self-addressed KindDecided, which never reaches a transport and which the
-// dispatcher treats like a decided peer's answer.
-func (st *Proposal) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
-	dec, ok := payload.(consensus.Decide)
-	if !ok || dec.Inst != st.opt.Instance {
-		return
-	}
-	p.Send(p.ID(), KindDecided, consensus.Msg{Inst: dec.Inst, Round: dec.Round, Est: dec.Value})
-}
-
-// checkDecided returns the decision once the dispatcher has seen one.
-func (st *Proposal) checkDecided() *consensus.Result {
-	if st.decided == nil && st.opt.PreDecided != nil {
-		if v, r, ok := st.opt.PreDecided(); ok {
-			st.decided = &consensus.Result{Value: v, Round: r, At: st.p.Now()}
-		}
-	}
-	return st.decided
-}
-
-// pump handles the outcome of one poll-interval wait for a consensus
-// message: it dispatches m, or counts an idle poll when m is nil. It reports
-// whether a message was handled.
-func (st *Proposal) pump(m *dsys.Message) bool {
+// Handle implements consensus.Algorithm for the outcome of one
+// poll-interval wait: it dispatches m, or counts an idle poll when m is nil
+// and repairs message loss after Options.ProbeAfter of them in a row.
+func (st *Proposal) Handle(m *dsys.Message) {
+	st.idle = m == nil
 	if m != nil {
 		st.dispatch(m)
 		if m.Kind != KindProbe {
@@ -302,39 +227,34 @@ func (st *Proposal) pump(m *dsys.Message) bool {
 			// restart) never recovers.
 			st.idlePolls = 0
 		}
-		return true
+		return
 	}
 	st.idlePolls++
-	if st.idlePolls >= st.opt.ProbeAfter {
+	if st.idlePolls >= st.Opt.ProbeAfter {
 		// A long-idle wait suggests lost messages (the model's links are
 		// reliable, but transports and partitions are not). Two repairs:
 		// probe the others so any decided process re-sends the decision,
 		// and retransmit whatever this phase last sent, in case it was the
 		// message that got lost.
 		st.idlePolls = 0
-		st.sendAll(KindProbe, consensus.Msg{Round: st.r}, false)
+		st.sendOthers(KindProbe, consensus.Msg{Round: st.R})
 		if st.resend != nil {
 			st.resend()
 		}
 	}
-	return false
 }
 
-func (st *Proposal) send(to dsys.ProcessID, kind string, env consensus.Msg) {
-	env.Inst = st.opt.Instance
-	st.p.Send(to, kind, env)
-}
-
-func (st *Proposal) sendAll(kind string, env consensus.Msg, includeSelf bool) {
-	for _, q := range st.p.All() {
-		if q != st.self || includeSelf {
-			st.send(q, kind, env)
+// sendOthers sends env to every process but this one.
+func (st *Proposal) sendOthers(kind string, env consensus.Msg) {
+	for _, q := range st.P.All() {
+		if q != st.Self {
+			st.Send(q, kind, env)
 		}
 	}
 }
 
 func (st *Proposal) sendNullEst(to dsys.ProcessID, round int) {
-	st.send(to, KindEst, consensus.Msg{Round: round, Null: true})
+	st.Send(to, KindEst, consensus.Msg{Round: round, Null: true})
 }
 
 // dispatch routes one received message into the round stores, implementing
@@ -355,7 +275,7 @@ func (st *Proposal) dispatch(m *dsys.Message) {
 			}
 			return
 		}
-		if r < st.r {
+		if r < st.R {
 			// A coordinator of a round we already went past without ever
 			// adopting a coordinator (we jumped over it).
 			st.sendNullEst(m.From, r)
@@ -380,19 +300,18 @@ func (st *Proposal) dispatch(m *dsys.Message) {
 			from.got |= gotProp
 			from.prop = env
 		}
-		if !env.Null && (r < st.r || (r == st.r && st.donePhase3)) {
+		if !env.Null && (r < st.R || (r == st.R && st.donePhase3)) {
 			if rd.acked == m.From {
 				// A retransmission of the very proposition we adopted: our
 				// ack may have been the lost message, so repeat it. Nacking
 				// here would contradict the earlier ack and turn a
 				// recoverable loss into a failed round.
-				st.send(m.From, KindAck, consensus.Msg{Round: r})
+				st.Send(m.From, KindAck, consensus.Msg{Round: r})
 				return
 			}
 			// Fig. 4, second task: nack a late coordinator's non-null
 			// proposition for the current or a previous round.
-			st.send(m.From, KindNack, consensus.Msg{Round: r})
-			st.stats.NacksSent++
+			st.Send(m.From, KindNack, consensus.Msg{Round: r})
 		}
 	case KindAck:
 		if from.got&gotAck == 0 {
@@ -407,28 +326,21 @@ func (st *Proposal) dispatch(m *dsys.Message) {
 	case KindDecided:
 		// Our own R-delivery or a decided peer's answer to a probe; the
 		// first one is the decision (uniform integrity: decide at most once).
-		if st.decided == nil {
-			st.decided = &consensus.Result{Value: env.Est, Round: r, At: st.p.Now()}
-		}
+		st.Decide(env.Est, r)
 	}
 }
 
-// advance runs the rounds (Phases 0–4) from the wait the instance is in
-// until it must wait for a message again (false) or has decided (true).
+// Advance implements consensus.Algorithm, running the rounds (Phases 0–4).
 // Every wait ends as soon as a decision is known, whatever the phase.
-func (st *Proposal) advance() bool {
-	for st.checkDecided() == nil {
+func (st *Proposal) Advance() bool {
+	for !st.Decided() {
 		switch st.ph {
 		case phRound:
-			st.r++
+			st.OpenRound()
 			st.donePhase3 = false
 			st.resend = nil
-			st.stats.Rounds++
-			if st.opt.RoundProbe != nil {
-				st.opt.RoundProbe.Set(st.self, st.r)
-			}
 			st.ph = phCoord
-			if st.opt.MergedPhase01 {
+			if st.Opt.MergedPhase01 {
 				st.ph = phTrust
 			}
 
@@ -436,20 +348,20 @@ func (st *Proposal) advance() bool {
 			// Phase 0 of Fig. 3: become coordinator when the detector trusts
 			// us, otherwise adopt an announced coordinator (possibly of a
 			// later round, jumping to it).
-			if st.d.Trusted() == st.self {
-				st.round(st.r).coord = st.self
-				st.sendAll(KindCoord, consensus.Msg{Round: st.r}, false)
-				r := st.r
-				st.resend = func() { st.sendAll(KindCoord, consensus.Msg{Round: r}, false) }
-				st.coord = st.self
+			if st.d.Trusted() == st.Self {
+				st.round(st.R).coord = st.Self
+				st.sendOthers(KindCoord, consensus.Msg{Round: st.R})
+				r := st.R
+				st.resend = func() { st.sendOthers(KindCoord, consensus.Msg{Round: r}) }
+				st.coord = st.Self
 			} else if st.coord = st.takePending(); st.coord == dsys.None {
 				return false
 			}
 			// ------------- Phase 1: estimate to the coordinator -------------
-			env := consensus.Msg{Round: st.r, Est: st.estimate, TS: st.ts}
-			st.send(st.coord, KindEst, env)
-			if c := st.coord; c != st.self {
-				st.resend = func() { st.send(c, KindEst, env) }
+			env := consensus.Msg{Round: st.R, Est: st.Estimate, TS: st.TS}
+			st.Send(st.coord, KindEst, env)
+			if c := st.coord; c != st.Self {
+				st.resend = func() { st.Send(c, KindEst, env) }
 			}
 			st.enterPhase2()
 
@@ -462,31 +374,31 @@ func (st *Proposal) advance() bool {
 			if st.coord = st.d.Trusted(); st.coord == dsys.None {
 				return false
 			}
-			st.round(st.r).coord = st.coord
+			st.round(st.R).coord = st.coord
 			fanout := func(r int, c dsys.ProcessID, env consensus.Msg) func() {
 				return func() {
-					for _, q := range st.p.All() {
+					for _, q := range st.P.All() {
 						if q == c {
-							st.send(q, KindEst, env)
+							st.Send(q, KindEst, env)
 						} else {
 							st.sendNullEst(q, r)
 						}
 					}
 				}
-			}(st.r, st.coord, consensus.Msg{Round: st.r, Est: st.estimate, TS: st.ts})
+			}(st.R, st.coord, consensus.Msg{Round: st.R, Est: st.Estimate, TS: st.TS})
 			fanout()
 			st.resend = fanout
 			st.enterPhase2()
 
 		case phEstimates:
 			// ---------------- Phase 2: coordinator gathers estimates --------
-			r, rd := st.r, st.round(st.r)
+			r, rd := st.R, st.round(st.R)
 			if !st.repliesIn(rd.ests, gotEst) {
 				return false
 			}
 			var best *consensus.Msg
 			nonNull := 0
-			for _, q := range st.p.All() { // deterministic iteration
+			for _, q := range st.P.All() { // deterministic iteration
 				from := &rd.from[q-1]
 				if from.got&gotEst == 0 || from.est.Null {
 					continue
@@ -497,13 +409,13 @@ func (st *Proposal) advance() bool {
 				}
 			}
 			var propMsg consensus.Msg
-			if nonNull >= st.maj {
+			if nonNull >= st.Maj {
 				rd.propEst, rd.proposed = best.Est, true
 				propMsg = consensus.Msg{Round: r, Est: best.Est}
 			} else {
 				propMsg = consensus.Msg{Round: r, Null: true}
 			}
-			st.sendAll(KindProp, propMsg, true)
+			st.SendAll(KindProp, propMsg)
 			annMsg := consensus.Msg{Round: r}
 			st.resend = func() {
 				// Re-announce before re-proposing: a participant that missed
@@ -513,8 +425,8 @@ func (st *Proposal) advance() bool {
 				// non-suspected process answered" wait rule would hang the
 				// instance on it. The announcement is idempotent at
 				// participants that did see it.
-				st.sendAll(KindCoord, annMsg, false)
-				st.sendAll(KindProp, propMsg, true)
+				st.sendOthers(KindCoord, annMsg)
+				st.SendAll(KindProp, propMsg)
 			}
 			st.ph, st.idle = phProposal, false
 
@@ -525,31 +437,27 @@ func (st *Proposal) advance() bool {
 			}
 			st.donePhase3 = true
 			st.ph = phRound
-			if st.round(st.r).proposed && st.coord == st.self {
+			if st.round(st.R).proposed && st.coord == st.Self {
 				st.ph = phReplies
 			}
 
 		case phReplies:
 			// ---------------- Phase 4: coordinator gathers acks --------------
-			r, rd := st.r, st.round(st.r)
+			r, rd := st.R, st.round(st.R)
 			if !st.repliesIn(rd.acks+rd.nacks, gotAck|gotNack) {
 				return false
 			}
 			st.ph = phRound
-			if st.opt.FirstMajorityCutoff && rd.nacks > 0 {
+			if st.Opt.FirstMajorityCutoff && rd.nacks > 0 {
 				// Ablation: Chandra–Toueg semantics — any nack in the first
 				// majority kills the round.
 				continue
 			}
-			if rd.acks >= st.maj {
+			if rd.acks >= st.Maj {
 				// A majority adopted the proposition: R-broadcast the decision
 				// (even if some nacks arrived — the improvement over waiting
 				// for a unanimous first majority).
-				st.rb.Broadcast(st.p, consensus.Decide{
-					Inst:  st.opt.Instance,
-					Round: r,
-					Value: rd.propEst,
-				})
+				st.BroadcastDecision(r, rd.propEst)
 				// The broadcast's self-addressed copy is local, so our own
 				// R-delivery is certain and imminent: wait for it here.
 				// Opening round r+1 instead would announce a round for an
@@ -569,11 +477,9 @@ func (st *Proposal) advance() bool {
 // fixed, so it is reported, and the coordinator goes on to gather estimates
 // while everyone else waits for a proposition.
 func (st *Proposal) enterPhase2() {
-	if st.opt.RoundProbe != nil {
-		st.opt.RoundProbe.Set(st.self, st.r)
-	}
+	st.ProbeRound()
 	st.ph, st.idle = phProposal, false
-	if st.coord == st.self {
+	if st.coord == st.Self {
 		st.ph = phEstimates
 	}
 }
@@ -593,12 +499,12 @@ func (st *Proposal) enterPhase2() {
 // message explosion in the merged variant, which has no announcement step to
 // gate round starts.
 func (st *Proposal) phase3Over() bool {
-	r, rd, coord := st.r, st.round(st.r), st.coord
-	if from, env, ok := rd.nonNullProp(st.p.All()); ok {
-		st.estimate = env.Est
-		st.ts = r
+	r, rd, coord := st.R, st.round(st.R), st.coord
+	if from, env, ok := rd.nonNullProp(st.P.All()); ok {
+		st.Estimate = env.Est
+		st.TS = r
 		rd.acked = from
-		st.send(from, KindAck, consensus.Msg{Round: r})
+		st.Send(from, KindAck, consensus.Msg{Round: r})
 		return true
 	}
 	if c := &rd.from[coord-1]; c.got&gotProp != 0 && c.prop.Null {
@@ -607,9 +513,8 @@ func (st *Proposal) phase3Over() bool {
 	if !st.idle {
 		return false
 	}
-	if coord != st.self && st.d.Suspected().Has(coord) {
-		st.send(coord, KindNack, consensus.Msg{Round: r})
-		st.stats.NacksSent++
+	if coord != st.Self && st.d.Suspected().Has(coord) {
+		st.Send(coord, KindNack, consensus.Msg{Round: r})
 		return true
 	}
 	// In the merged variant there are no coordinator announcements to chase:
@@ -618,7 +523,7 @@ func (st *Proposal) phase3Over() bool {
 	// cannot conclude for us — give it up and let the next round start under
 	// the new trustee. A non-null proposition from the old coordinator that
 	// arrives later is nacked by the dispatcher, so no coordinator blocks.
-	return st.opt.MergedPhase01 && st.d.Trusted() != coord
+	return st.Opt.MergedPhase01 && st.d.Trusted() != coord
 }
 
 // takePending adopts a pending coordinator announcement for the current or a
@@ -630,7 +535,7 @@ func (st *Proposal) phase3Over() bool {
 func (st *Proposal) takePending() dsys.ProcessID {
 	best := 0
 	for r := range st.pending {
-		if r >= st.r && r > best {
+		if r >= st.R && r > best {
 			best = r
 		}
 	}
@@ -654,7 +559,7 @@ func (st *Proposal) takePending() dsys.ProcessID {
 		}
 		delete(st.pending, r)
 	}
-	st.r = best
+	st.R = best
 	st.round(best).coord = coord
 	return coord
 }
@@ -664,16 +569,16 @@ func (st *Proposal) takePending() dsys.ProcessID {
 // replies AND — the paper's rule, unless the FirstMajorityCutoff ablation is
 // on — a reply from every process the detector does not suspect.
 func (st *Proposal) repliesIn(got int, reply uint8) bool {
-	if got < st.maj {
+	if got < st.Maj {
 		return false
 	}
-	if st.opt.FirstMajorityCutoff {
+	if st.Opt.FirstMajorityCutoff {
 		return true
 	}
 	susp := st.d.Suspected()
-	from := st.round(st.r).from
-	for _, q := range st.p.All() {
-		if q != st.self && from[q-1].got&reply == 0 && !susp.Has(q) {
+	from := st.round(st.R).from
+	for _, q := range st.P.All() {
+		if q != st.Self && from[q-1].got&reply == 0 && !susp.Has(q) {
 			return false
 		}
 	}

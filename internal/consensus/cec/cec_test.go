@@ -258,7 +258,7 @@ func TestStatsCountRounds(t *testing.T) {
 	if got := res.Log.MaxRound(); got != 1 {
 		t.Errorf("decision round %d, want 1", got)
 	}
-	if got := props[1].Stats().Rounds; got > 2 {
+	if got := props[1].Rounds; got > 2 {
 		t.Errorf("coordinator entered %d rounds, want at most 2", got)
 	}
 }

@@ -42,12 +42,12 @@ func TestTakePendingSendsInRoundOrder(t *testing.T) {
 	for i := range 200 {
 		rp := &recordingProc{id: 1}
 		st := &Proposal{
-			p: rp, self: 1, n: 5, r: 1,
-			rounds:  map[int]*round{},
-			pending: map[int][]dsys.ProcessID{1: {2}, 2: {3}, 4: {4, 5}},
+			Instance: consensus.Instance{P: rp, Self: 1, N: 5, R: 1},
+			rounds:   map[int]*round{},
+			pending:  map[int][]dsys.ProcessID{1: {2}, 2: {3}, 4: {4, 5}},
 		}
-		if c := st.takePending(); c != 4 || st.r != 4 || st.round(4).coord != 4 {
-			t.Fatalf("run %d: adopted %v at round %d (round 4's coordinator %v), want p4 at round 4", i, c, st.r, st.round(4).coord)
+		if c := st.takePending(); c != 4 || st.R != 4 || st.round(4).coord != 4 {
+			t.Fatalf("run %d: adopted %v at round %d (round 4's coordinator %v), want p4 at round 4", i, c, st.R, st.round(4).coord)
 		}
 		if !reflect.DeepEqual(rp.sent, want) {
 			t.Fatalf("run %d: null estimates went to %v, want %v", i, rp.sent, want)

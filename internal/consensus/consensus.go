@@ -1,14 +1,16 @@
-// Package consensus holds the types shared by the three Uniform Consensus
-// implementations compared in the paper's Section 5.4:
+// Package consensus holds what the three Uniform Consensus implementations
+// compared in the paper's Section 5.4 share:
 //
-//	ec — the paper's ◇C-based algorithm (Figs. 3–4)
-//	ct — the Chandra–Toueg ◇S rotating-coordinator algorithm
-//	mr — a Mostefaoui–Raynal-style Ω leader-based algorithm
+//	cec — the paper's ◇C-based algorithm (Figs. 3–4)
+//	ctc — the Chandra–Toueg ◇S rotating-coordinator algorithm
+//	mrc — a Mostefaoui–Raynal-style Ω leader-based algorithm
 //
 // All three solve Uniform Consensus assuming a majority of correct processes
 // (f < n/2). Each exposes one process's run of an instance as a resumable
 // state machine, a Proposal, run as a step task; its Result is the decided
-// value and the round in which the process decided.
+// value and the round in which the process decided. The three Proposals are
+// one skeleton, Instance, with an Algorithm each: they differ only in how
+// they handle a message and run their rounds.
 package consensus
 
 import (
@@ -72,12 +74,13 @@ type Options struct {
 	// Instance isolates this consensus instance's messages. Processes must
 	// use equal Instance strings for the same instance.
 	Instance string
-	// Poll is the interval at which blocking waits re-examine detector
-	// output and local conditions (default 1ms). It bounds how quickly a
-	// process reacts to suspicions and, times ProbeAfter, how soon it
-	// repairs a lost message; message arrivals — the R-delivery of the
-	// decision included — are reacted to immediately, so no fault-free step
-	// waits for it.
+	// Poll is the interval after which an instance's wait ends idle, so
+	// that it re-examines detector output and local conditions (default
+	// 1ms). It bounds how quickly a process reacts to suspicions and, in
+	// cec, times ProbeAfter, how soon it repairs a lost message. Message
+	// arrivals are reacted to immediately, and so is cec's R-delivery of
+	// the decision, a self-addressed message; ctc and mrc take an
+	// R-delivered decision at their next wake-up.
 	Poll time.Duration
 	// RoundProbe, if set, is updated with this process's current round at
 	// every round start — instrumentation for experiment E6.
@@ -94,11 +97,12 @@ type Options struct {
 	// process. Used to quantify the value of the paper's wait rule. Only
 	// package cec honours this flag.
 	FirstMajorityCutoff bool
-	// PreDecided, if set, is consulted by the algorithm's waits: when it
-	// reports a decision (value, round, true) the Propose call adopts it
-	// and returns. Layers that learn decisions out of band — e.g. a
-	// replicated log whose replica joins an instance after its decide
-	// message was already R-delivered — use this to avoid blocking forever.
+	// PreDecided, if set, is consulted at each of the instance's waits:
+	// when it reports a decision (value, round, true) the instance adopts
+	// it and finishes in that step, without sending another message. Layers
+	// that learn decisions out of band — e.g. a replicated log whose replica
+	// joins an instance after its decide message was already R-delivered —
+	// use this to avoid waiting forever.
 	PreDecided func() (any, int, bool)
 	// ProbeAfter is the number of consecutive idle poll cycles a blocking
 	// wait tolerates before it broadcasts a catch-up probe and retransmits

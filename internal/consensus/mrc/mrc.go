@@ -33,9 +33,9 @@
 // the Chandra–Toueg locking argument applies verbatim.
 //
 // One process's run of an instance is a resumable state machine, Proposal,
-// on package cec's pattern: each Step handles the message (or the idle
-// poll) that ended the last wait and runs on to the next one. Spawned with
-// dsys.SpawnStep it is a step task.
+// on the skeleton all three algorithms share (consensus.Instance): each
+// Step handles the message (or the idle poll) that ended the last wait and
+// runs on to the next one. Spawned with dsys.SpawnStep it is a step task.
 package mrc
 
 import (
@@ -79,169 +79,75 @@ type arrival struct {
 type phase uint8
 
 const (
-	phStart     phase = iota // not started: the first Step subscribes to R-delivery
-	phRound                  // between rounds: open the next one
+	phRound     phase = iota // between rounds: open the next one
 	phLeaders                // Phase 1: the first majority of leader messages
 	phCandidate              // Phase 2: the candidate's proposal
 	phReplies                // Phase 3: the first majority of obtained values
-	phDone
 )
 
-// Proposal is one process's run of one Uniform Consensus instance, as a
-// resumable state machine on cec.Proposal's pattern: Step is a
-// dsys.StepFunc that returns when the instance waits for its next message
-// and finishes once this process has decided. d is the process's Ω oracle,
-// rb its reliable-broadcast module. On a process that crashes before
-// deciding the task is unwound by the runtime and never finishes.
+// Proposal is one process's run of one Uniform Consensus instance: the
+// consensus.Instance it embeds runs it as a step task, and its Handle and
+// Advance are the algorithm. d is the process's Ω oracle, rb its
+// reliable-broadcast module.
 type Proposal struct {
-	p    dsys.Proc
-	d    fd.LeaderOracle
-	rb   *rbcast.Module
-	opt  consensus.Options
-	self dsys.ProcessID
-	maj  int
-
-	ph       phase
-	r        int
-	cand     dsys.ProcessID // the round's candidate named by our first majority
-	estimate any
-	ts       int
-
-	byKind   map[string]map[int][]arrival // kind -> round -> arrivals in order
-	seen     map[string]map[int]map[dsys.ProcessID]bool
-	matchAll dsys.MatchFunc
-	// decidedCh carries the R-delivered decision from the relay task, which
-	// on the live runtime is another goroutine.
-	decidedCh chan consensus.Result
-	cancel    func() // ends the R-delivery subscription
-	decided   *consensus.Result
-	stats     Stats
+	consensus.Instance
+	d               fd.LeaderOracle
+	ph              phase
+	cand            dsys.ProcessID               // the round's candidate named by our first majority
+	byKind          map[string]map[int][]arrival // kind -> round -> arrivals in order
+	blockedByBottom int
 }
 
 // NewProposal prepares this process's run of one instance, proposing v. It
 // sends nothing until its first Step.
 func NewProposal(d fd.LeaderOracle, rb *rbcast.Module, v any, opt consensus.Options) *Proposal {
-	opt = opt.WithDefaults()
-	return &Proposal{
-		d: d, rb: rb, opt: opt,
-		estimate:  v,
-		byKind:    make(map[string]map[int][]arrival),
-		seen:      make(map[string]map[int]map[dsys.ProcessID]bool),
-		matchAll:  consensus.Match("mrc.", opt.Instance),
-		decidedCh: make(chan consensus.Result, 1),
-	}
-}
-
-// Result returns this process's decision and true once it has decided (the
-// Proposal has finished).
-func (st *Proposal) Result() (consensus.Result, bool) {
-	if st.ph != phDone {
-		return consensus.Result{}, false
-	}
-	return *st.decided, true
+	st := &Proposal{d: d, byKind: make(map[string]map[int][]arrival)}
+	st.Bind(st, rb, v, opt, "mrc.", "")
+	return st
 }
 
 // Stats returns the Proposal's run statistics so far.
-func (st *Proposal) Stats() Stats { return st.stats }
-
-// Step implements dsys.StepFunc: it handles m — the message that ended the
-// last wait, nil for the first step and for an idle poll — and runs the
-// instance on to its next wait, which is always one poll interval for any
-// message of the instance. Once this process has decided it finishes.
-func (st *Proposal) Step(p dsys.Proc, m *dsys.Message) dsys.Wait {
-	st.p = p
-	if st.ph == phStart {
-		st.self, st.maj = p.ID(), dsys.Majority(p.N())
-		st.cancel = st.rb.OnDeliver(st.onRDeliver)
-		st.ph = phRound
-	} else if m != nil {
-		st.dispatch(m)
-	}
-	if !st.advance() {
-		return dsys.AwaitTimeout(st.matchAll, st.opt.Poll)
-	}
-	st.ph = phDone
-	st.cancel()
-	return dsys.Finished
+func (st *Proposal) Stats() Stats {
+	return Stats{Rounds: st.Rounds, BlockedByBottom: st.blockedByBottom}
 }
 
-func (st *Proposal) onRDeliver(p dsys.Proc, _ dsys.ProcessID, payload any) {
-	dec, ok := payload.(consensus.Decide)
-	if !ok || dec.Inst != st.opt.Instance {
+// Handle implements consensus.Algorithm: it files m under its kind and
+// round, the first message of each kind and round from each sender only.
+func (st *Proposal) Handle(m *dsys.Message) {
+	if m == nil {
 		return
 	}
-	select {
-	case st.decidedCh <- consensus.Result{Value: dec.Value, Round: dec.Round, At: p.Now()}:
-	default:
-	}
-}
-
-func (st *Proposal) checkDecided() *consensus.Result {
-	if st.decided != nil {
-		return st.decided
-	}
-	select {
-	case res := <-st.decidedCh:
-		st.decided = &res
-	default:
-	}
-	if st.decided == nil && st.opt.PreDecided != nil {
-		if v, r, ok := st.opt.PreDecided(); ok {
-			st.decided = &consensus.Result{Value: v, Round: r, At: st.p.Now()}
-		}
-	}
-	return st.decided
-}
-
-func (st *Proposal) dispatch(m *dsys.Message) {
 	env := m.Payload.(consensus.Msg)
+	if _, dup := st.from(m.Kind, env.Round, m.From); dup {
+		return
+	}
 	if st.byKind[m.Kind] == nil {
 		st.byKind[m.Kind] = make(map[int][]arrival)
-		st.seen[m.Kind] = make(map[int]map[dsys.ProcessID]bool)
 	}
-	if st.seen[m.Kind][env.Round] == nil {
-		st.seen[m.Kind][env.Round] = make(map[dsys.ProcessID]bool)
-	}
-	if st.seen[m.Kind][env.Round][m.From] {
-		return
-	}
-	st.seen[m.Kind][env.Round][m.From] = true
 	st.byKind[m.Kind][env.Round] = append(st.byKind[m.Kind][env.Round], arrival{from: m.From, env: env})
-}
-
-func (st *Proposal) broadcast(kind string, env consensus.Msg) {
-	env.Inst = st.opt.Instance
-	for _, q := range st.p.All() {
-		st.p.Send(q, kind, env)
-	}
 }
 
 // firstMaj returns the first majority of arrivals of kind for the current
 // round, or nil while fewer have arrived.
 func (st *Proposal) firstMaj(kind string) []arrival {
-	if as := st.byKind[kind][st.r]; len(as) >= st.maj {
-		return as[:st.maj]
+	if as := st.byKind[kind][st.R]; len(as) >= st.Maj {
+		return as[:st.Maj]
 	}
 	return nil
 }
 
-// advance runs the rounds from the wait the instance is in until it must
-// wait for a message again (false) or has decided (true). Every wait ends
-// as soon as a decision is known.
-func (st *Proposal) advance() bool {
-	for st.checkDecided() == nil {
-		r := st.r
+// Advance implements consensus.Algorithm. Every wait ends as soon as a
+// decision is known.
+func (st *Proposal) Advance() bool {
+	for !st.Decided() {
+		r := st.R
 		switch st.ph {
 		case phRound:
-			st.r++
-			r = st.r
-			st.stats.Rounds++
-			if st.opt.RoundProbe != nil {
-				st.opt.RoundProbe.Set(st.self, r)
-			}
+			st.OpenRound()
+			r = st.R
 			// Phase 1: broadcast our leader's identity and our estimate.
 			myLeader := st.d.Trusted()
-			st.broadcast(KindLdr, consensus.Msg{Round: r, Est: LdrInfo{Leader: myLeader, Est: st.estimate}, TS: st.ts})
+			st.SendAll(KindLdr, consensus.Msg{Round: r, Est: LdrInfo{Leader: myLeader, Est: st.Estimate}, TS: st.TS})
 			st.ph = phLeaders
 
 		case phLeaders:
@@ -262,16 +168,16 @@ func (st *Proposal) advance() bool {
 			// majority we propose the largest-timestamp estimate from it;
 			// otherwise we announce that we have nothing to propose. Either
 			// way we broadcast, so nobody waits on us in vain.
-			if st.cand == st.self {
+			if st.cand == st.Self {
 				best := p1[0]
 				for _, a := range p1[1:] {
 					if a.env.TS > best.env.TS {
 						best = a
 					}
 				}
-				st.broadcast(KindProp, consensus.Msg{Round: r, Est: best.env.Est.(LdrInfo).Est})
+				st.SendAll(KindProp, consensus.Msg{Round: r, Est: best.env.Est.(LdrInfo).Est})
 			} else {
-				st.broadcast(KindProp, consensus.Msg{Round: r, Null: true})
+				st.SendAll(KindProp, consensus.Msg{Round: r, Null: true})
 			}
 			if st.cand == dsys.None {
 				// With no candidate the obtained value is ⊥ immediately.
@@ -311,11 +217,11 @@ func (st *Proposal) advance() bool {
 			}
 			switch {
 			case sawV && !sawBottom:
-				st.rb.Broadcast(st.p, consensus.Decide{Inst: st.opt.Instance, Round: r, Value: v})
+				st.BroadcastDecision(r, v)
 			case sawV:
-				st.stats.BlockedByBottom++
-				st.estimate = v
-				st.ts = r
+				st.blockedByBottom++
+				st.Estimate = v
+				st.TS = r
 			}
 			st.ph = phRound
 		}
@@ -331,10 +237,10 @@ func (st *Proposal) phase3(obtained any, haveV bool) {
 	} else {
 		// Adopt on acknowledgement, as in Chandra–Toueg: the value is
 		// locked before the ack is visible to anyone.
-		st.estimate = obtained
-		st.ts = st.r
+		st.Estimate = obtained
+		st.TS = st.R
 	}
-	st.broadcast(KindAck, consensus.Msg{Round: st.r, Est: obtained, Null: !haveV})
+	st.SendAll(KindAck, consensus.Msg{Round: st.R, Est: obtained, Null: !haveV})
 	st.ph = phReplies
 }
 

@@ -40,6 +40,15 @@ func roundMessages(col *trace.Collector, r int, kinds []string) int {
 	return n
 }
 
+// checkPhases holds a failure-free run over fixed 1ms links to the phases
+// column: each phase is one communication step, so the last decision comes
+// exactly phases link delays after the start.
+func checkPhases(id, name string, n, phases int, res conslab.Result) error {
+	at := res.Log.LastDecisionAt()
+	return checkf(at == time.Duration(phases)*time.Millisecond, id,
+		"%s n=%d: decided at %v, want %d phases × 1ms", name, n, at, phases)
+}
+
 // E5RoundCosts reproduces Section 5.4's per-round cost comparison: phases
 // per round and messages per round in the failure-free, stable-detector
 // case.
@@ -91,6 +100,7 @@ func E5RoundCosts(quick bool) (*Table, error) {
 				err = firstErr(
 					checkf(res.Log.MaxRound() == 1, "E5", "%s n=%d decided in round %d", name, n, res.Log.MaxRound()),
 					checkf(msgs >= lo && msgs <= hi, "E5", "%s n=%d: %d round-1 msgs, want %d..%d", name, n, msgs, lo, hi),
+					checkPhases("E5", name, n, a.Phases, res),
 				)
 			}
 		}
@@ -378,6 +388,9 @@ func E8MergedPhaseTradeoff(quick bool) (*Table, error) {
 				name, phases = "merged 0+1", 4
 			}
 			t.AddRow(n, name, phases, msgs, msd(res.Log.LastDecisionAt()))
+			if err == nil {
+				err = checkPhases("E8", name, n, phases, res)
+			}
 		}
 		if err == nil {
 			err = firstErr(
