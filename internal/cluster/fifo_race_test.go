@@ -44,7 +44,7 @@ func TestSubmitDuringApplyKeepsOriginFIFO(t *testing.T) {
 		id := id
 		m.Spawn(id, "replica", func(p dsys.Proc) {
 			r := core.StartReplica(p, core.Config{
-				Ring:      ring.Options{Period: 5 * time.Millisecond},
+				Detector:  ring.Start(p, ring.Options{Period: 5 * time.Millisecond}),
 				Consensus: consensus.Options{Poll: 2 * time.Millisecond},
 				// Small batches so applies of earlier batches overlap many
 				// later Submits instead of one batch swallowing everything.

@@ -15,8 +15,8 @@
 //   - Batching: a slot carries a Batch of commands, not one command. Submit
 //     appends to a pending buffer; when a replica opens a slot for its own
 //     traffic it proposes the whole buffered prefix (capped by
-//     Config.MaxBatch / MaxBatchBytes), so one consensus round commits
-//     dozens of client operations.
+//     Config.MaxBatch and by a 1 MiB payload estimate), so one consensus
+//     round commits dozens of client operations.
 //   - Pipelining: a replica may keep up to Config.Pipeline consensus
 //     instances open at once — slot k+1 starts before slot k decides.
 //     Decisions arriving out of slot order are parked and applied strictly
@@ -107,12 +107,9 @@ type Kick struct {
 // polling interval: the replica's driver blocks until a message gives it
 // something to do (see KindDone).
 type Config struct {
-	// Detector supplies the ◇C modules; if nil a ring detector is started
-	// with Ring options.
+	// Detector supplies the ◇C modules; if nil a ring detector with the
+	// default period is started.
 	Detector fd.EventuallyConsistent
-	// Ring configures the default ring detector (ignored when Detector is
-	// set).
-	Ring ring.Options
 	// Consensus is the base for per-slot consensus options; Instance is
 	// used as a namespace prefix.
 	Consensus consensus.Options
@@ -122,13 +119,9 @@ type Config struct {
 	Apply func(slot int, cmd Command)
 	// MaxBatch caps how many pending commands one slot proposal carries
 	// (default 64). 1 disables batching: one command per slot, the
-	// pre-batching behaviour.
+	// pre-batching behaviour. A proposal also stops short of 1 MiB of
+	// estimated payload, though it always carries one command.
 	MaxBatch int
-	// MaxBatchBytes caps the estimated payload bytes of one slot proposal
-	// (default 1 MiB). The estimate is exact for string and []byte
-	// payloads and a small constant otherwise; a batch always carries at
-	// least one command regardless of size.
-	MaxBatchBytes int
 	// Pipeline is how many consensus instances this replica may keep open
 	// at once (default 4): slot k+W-1 can start while slot k is still
 	// undecided. Decisions are applied strictly in slot order regardless.
@@ -159,10 +152,6 @@ type Config struct {
 	// TransferTimeout bounds how long a state-transfer request waits for
 	// one chunk before trying the next donor (default 250ms).
 	TransferTimeout time.Duration
-	// NoStateTransfer disables the batch catch-up path; a behind replica
-	// then replays missed slots one consensus probe at a time (the
-	// pre-transfer behaviour; useful for tests and ablations).
-	NoStateTransfer bool
 }
 
 // Replica is one process's replicated-log engine.
@@ -205,13 +194,16 @@ type Replica struct {
 // the replica defers coordination until its replay completes.
 const deferLag = 3
 
+// maxBatchBytes caps the estimated payload bytes of one slot proposal. The
+// estimate (payloadSize) is exact for string and []byte payloads and a small
+// constant otherwise; a batch always carries at least one command regardless
+// of size.
+const maxBatchBytes = 1 << 20
+
 // StartReplica attaches a replica to p's process and starts its tasks.
 func StartReplica(p dsys.Proc, cfg Config) *Replica {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
-	}
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 1 << 20
 	}
 	if cfg.Pipeline <= 0 {
 		cfg.Pipeline = 4
@@ -248,7 +240,7 @@ func StartReplica(p dsys.Proc, cfg Config) *Replica {
 		r.doneKind += suffix
 	}
 	if r.det == nil {
-		r.det = ring.Start(p, cfg.Ring)
+		r.det = ring.Start(p, ring.Options{})
 	}
 	// Caught-up leadership: if the detector supports self-deferral, gate
 	// this replica's leadership on being (near) the decided frontier, so a
@@ -371,9 +363,6 @@ func (r *Replica) responder() dsys.StepFunc {
 	}
 }
 
-// Detector returns the replica's failure detector module.
-func (r *Replica) Detector() fd.EventuallyConsistent { return r.det }
-
 // Submit enqueues a command payload for ordering and returns its identity.
 // It may be called from any goroutine (live runtime) or from any task or
 // kernel callback (simulator) and returns immediately; the command is applied
@@ -440,7 +429,7 @@ func (r *Replica) noteKick(k Kick) {
 	r.mu.Unlock()
 }
 
-// payloadSize estimates a command payload's wire weight for MaxBatchBytes:
+// payloadSize estimates a command payload's wire weight for maxBatchBytes:
 // exact for the common string/[]byte cases, a small constant otherwise.
 func payloadSize(v any) int {
 	switch s := v.(type) {
@@ -454,7 +443,7 @@ func payloadSize(v any) int {
 }
 
 // takeChunkLocked builds this replica's next own-batch proposal from the
-// head of the pending buffer (bounded by MaxBatch / MaxBatchBytes) and marks
+// head of the pending buffer (bounded by MaxBatch and maxBatchBytes) and marks
 // it in flight at slot s. Chunks are always contiguous head prefixes and at
 // most one own chunk is in flight at a time; together with strict slot-order
 // apply that is what preserves per-origin FIFO (see drainApplies).
@@ -468,7 +457,7 @@ func (r *Replica) takeChunkLocked(s int) Batch {
 	for i := r.pendHead; i < len(r.pending) && len(cmds) < r.cfg.MaxBatch; i++ {
 		c := r.pending[i]
 		bytes += payloadSize(c.Payload)
-		if len(cmds) > 0 && bytes > r.cfg.MaxBatchBytes {
+		if len(cmds) > 0 && bytes > maxBatchBytes {
 			break
 		}
 		cmds = append(cmds, c)
@@ -699,7 +688,7 @@ func (d *driver) step(p dsys.Proc, m *dsys.Message) dsys.Wait {
 		r.mu.Lock()
 		r.submitWoke = false
 		r.mu.Unlock()
-		if !r.cfg.NoStateTransfer && r.beginTransfer(p, &d.xfer) {
+		if r.beginTransfer(p, &d.xfer) {
 			return d.fetch(p)
 		}
 		return d.settle(p)

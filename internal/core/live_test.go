@@ -44,7 +44,7 @@ func TestConcurrentSubmitBurstsOverTCP(t *testing.T) {
 		id := id
 		m.Spawn(id, "replica", func(p dsys.Proc) {
 			r := core.StartReplica(p, core.Config{
-				Ring:      ring.Options{Period: 5 * time.Millisecond},
+				Detector:  ring.Start(p, ring.Options{Period: 5 * time.Millisecond}),
 				Consensus: consensus.Options{Poll: time.Second},
 				Apply: func(_ int, cmd core.Command) {
 					if cmd.Origin != id {

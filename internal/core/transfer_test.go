@@ -18,16 +18,20 @@ import (
 // partitionedScenario runs the canonical catch-up situation: p3 is cut off
 // from {p1, p2} while p1 decides nSlots commands, the partition heals, the
 // survivors stop suspecting p3, and one more command triggers p3 into
-// noticing the frontier. It returns the replicas and the trace collector so
-// tests can assert on how the catch-up happened.
-func partitionedScenario(t *testing.T, nSlots int, cfgTweak func(*core.Config)) (map[dsys.ProcessID]*core.Replica, *trace.Collector) {
+// noticing the frontier. wrapNet, if not nil, wraps the partitioned network.
+// It returns the replicas and the trace collector so tests can assert on how
+// the catch-up happened.
+func partitionedScenario(t *testing.T, nSlots int, cfgTweak func(*core.Config), wrapNet func(network.Network) network.Network) (map[dsys.ProcessID]*core.Replica, *trace.Collector) {
 	t.Helper()
 	const heal = 600 * time.Millisecond
-	net := network.Partitioned{
+	var net network.Network = network.Partitioned{
 		Under:  network.Reliable{Latency: network.Fixed(time.Millisecond)},
 		GroupA: map[dsys.ProcessID]bool{3: true},
 		From:   0,
 		Until:  heal,
+	}
+	if wrapNet != nil {
+		net = wrapNet(net)
 	}
 	// Scripted detectors so the consensus wait rule skips the partitioned
 	// p3 (with the default ring detector a fully partitioned process is
@@ -67,7 +71,7 @@ func partitionedScenario(t *testing.T, nSlots int, cfgTweak func(*core.Config)) 
 // — several chunks for 40 slots at chunk size 8 — instead of replaying one
 // consensus probe per slot.
 func TestStateTransferCatchesUpPartitionedReplica(t *testing.T) {
-	reps, col := partitionedScenario(t, 40, nil)
+	reps, col := partitionedScenario(t, 40, nil, nil)
 	assertSameLogs(t, reps, dsys.Pids(3), 41)
 	if got := col.Sent(core.KindFetch); got < 5 {
 		t.Errorf("sent %d fetches, want >= 5 (40 slots, chunk 8)", got)
@@ -83,14 +87,26 @@ func TestStateTransferCatchesUpPartitionedReplica(t *testing.T) {
 	}
 }
 
-// TestNoStateTransferFallsBackToSlotReplay: the ablation switch disables the
-// batch path and the replica still converges, the old way — per-slot probes,
-// no fetch traffic. This is also the behaviour when every donor is gone.
-func TestNoStateTransferFallsBackToSlotReplay(t *testing.T) {
-	reps, col := partitionedScenario(t, 40, func(cfg *core.Config) { cfg.NoStateTransfer = true })
+// TestStalledTransferFallsBackToSlotReplay: when no donor ever answers, the
+// transfer times out on each of them and is recorded as stalled, so the
+// driver does not retry it, and the replica still converges the old way —
+// per-slot consensus probes.
+func TestStalledTransferFallsBackToSlotReplay(t *testing.T) {
+	dropFetches := func(under network.Network) network.Network {
+		return network.Func(func(from, to dsys.ProcessID, kind string, now time.Duration, rng *rand.Rand) (time.Duration, bool) {
+			if kind == core.KindFetch {
+				return 0, true
+			}
+			return under.Plan(from, to, kind, now, rng)
+		})
+	}
+	reps, col := partitionedScenario(t, 40, nil, dropFetches)
 	assertSameLogs(t, reps, dsys.Pids(3), 41)
-	if got := col.Sent(core.KindFetch) + col.Sent(core.KindState); got != 0 {
-		t.Errorf("sent %d transfer messages with NoStateTransfer set", got)
+	if got := col.Sent(core.KindFetch); got == 0 {
+		t.Error("sent no fetch: the transfer never started")
+	}
+	if got := col.Sent(core.KindState); got != 0 {
+		t.Errorf("sent %d state chunks with every fetch dropped", got)
 	}
 	if probes := col.Sent(cec.KindProbe); probes < 20 {
 		t.Errorf("sent %d cec probes, want >= 20 (slot-by-slot replay of 40 slots)", probes)
@@ -236,7 +252,7 @@ func TestOutOfOrderDecisionsParkUntilGapFills(t *testing.T) {
 // must catch up through the batch path, applying strictly in slot order,
 // exactly like the sequential variant above.
 func TestPipelinedCatchUpViaStateTransfer(t *testing.T) {
-	reps, col := partitionedScenario(t, 40, func(cfg *core.Config) { cfg.Pipeline = 4 })
+	reps, col := partitionedScenario(t, 40, func(cfg *core.Config) { cfg.Pipeline = 4 }, nil)
 	assertSameLogs(t, reps, dsys.Pids(3), 41)
 	if got := col.Sent(core.KindFetch); got < 5 {
 		t.Errorf("sent %d fetches, want >= 5 (40 slots, chunk 8)", got)

@@ -156,7 +156,7 @@ func e18SimMatrix(quick bool) (*Table, error) {
 
 // e18DetectBound gates detection latency of the deterministic zero-adversity
 // cells: generous against the ~30–60ms actual figures (period 10ms,
-// InitialTimeout 3 periods, ring watch propagation), tight against
+// fd.InitialTimeout 3 periods, ring watch propagation), tight against
 // regressions that cost a multiple.
 const e18DetectBound = 300 * time.Millisecond
 

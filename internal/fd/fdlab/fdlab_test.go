@@ -1,6 +1,7 @@
 package fdlab_test
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,6 +80,59 @@ func TestRunLiveWiresProbesAndCrashes(t *testing.T) {
 		if s.At > at {
 			t.Errorf("crashed process sampled at %v, after its crash at %v", s.At, at)
 		}
+	}
+}
+
+// TestStacksOnLiveRuntime runs every catalog stack on the goroutine runtime,
+// where the detector's tasks really run concurrently and share the module's
+// state under its mutex (run it under -race): after one crash every survivor
+// suspects the crashed process in every stack with a suspect list — some
+// survivor does in ◇Q's neighbor, which is only weakly complete — and no
+// survivor trusts it.
+func TestStacksOnLiveRuntime(t *testing.T) {
+	const (
+		n       = 4
+		crashed = dsys.ProcessID(4)
+		period  = 5 * time.Millisecond
+	)
+	for _, st := range fdlab.Stacks() {
+		t.Run(st.Name, func(t *testing.T) {
+			c := live.NewCluster(live.Config{N: n, Network: network.Reliable{Latency: network.Fixed(time.Millisecond)}})
+			defer c.Stop()
+			var suspects atomic.Bool // the stack has a suspect list
+			tr := fdlab.RunLive(c, fdlab.Setup{
+				N:       n,
+				Crashes: map[dsys.ProcessID]time.Duration{crashed: 100 * time.Millisecond},
+				Build: func(p dsys.Proc) any {
+					m := st.Start(p, period)
+					if _, ok := m.(fd.Suspector); ok {
+						suspects.Store(true)
+					}
+					return m
+				},
+				SampleEvery: period,
+				RunFor:      600 * time.Millisecond,
+			})
+			suspecting := 0
+			for _, id := range dsys.Pids(n - 1) {
+				samples := tr.Rec.Samples(id)
+				if len(samples) == 0 {
+					t.Fatalf("no samples of survivor %v", id)
+				}
+				last := samples[len(samples)-1]
+				if last.Trusted == crashed {
+					t.Errorf("survivor %v trusts the crashed %v at %v", id, crashed, last.At)
+				}
+				if last.Suspected.Has(crashed) {
+					suspecting++
+				} else if suspects.Load() && st.Name != "neighbor" {
+					t.Errorf("survivor %v does not suspect the crashed %v at %v: suspects %v", id, crashed, last.At, last.Suspected)
+				}
+			}
+			if suspects.Load() && suspecting == 0 {
+				t.Errorf("no survivor suspects the crashed %v", crashed)
+			}
+		})
 	}
 }
 

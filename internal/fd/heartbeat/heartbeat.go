@@ -30,7 +30,7 @@ type TimeoutPolicy int
 
 const (
 	// PolicyAdditive is the paper-style policy: the timeout for q grows by
-	// TimeoutIncrement each time a false suspicion of q is retracted. It
+	// fd.TimeoutIncrement each time a false suspicion of q is retracted. It
 	// adapts monotonically, which is what the eventual-accuracy proofs use,
 	// but it never tightens: after pre-GST chaos the timeout stays inflated
 	// and detection is slow forever.
@@ -47,22 +47,17 @@ const (
 	PolicyJacobson
 )
 
-// Options configures the detector. Zero fields take defaults.
+// Options configures the detector. Zero fields take defaults; the increment
+// and the check interval follow from Period by package fd's timing policy.
 type Options struct {
 	// Period η between heartbeats. Default 10ms.
 	Period time.Duration
 	// InitialTimeout is the starting value of every per-process timeout.
-	// Default 3·Period.
+	// Default fd.InitialTimeout(Period).
 	InitialTimeout time.Duration
-	// TimeoutIncrement is added to a process's timeout each time a false
-	// suspicion of it is corrected (PolicyAdditive). Default 2·Period.
-	TimeoutIncrement time.Duration
-	// CheckInterval is how often expiries are evaluated. Default Period/2,
-	// at least 1ns.
-	CheckInterval time.Duration
-	// Adaptive disables timeout growth when false — the ablation of
-	// EXPERIMENTS.md showing eventual accuracy fail for timeouts below Δ.
-	// Default true (set via New; the zero Options means adaptive).
+	// FixedTimeout disables timeout growth, so every timeout stays at
+	// InitialTimeout — the ablation of EXPERIMENTS.md showing eventual
+	// accuracy fail for timeouts below Δ. The zero Options adapts.
 	FixedTimeout bool
 	// Policy selects the adaptation scheme (default PolicyAdditive).
 	// Ignored when FixedTimeout is set.
@@ -74,13 +69,7 @@ func (o *Options) fill() {
 		o.Period = 10 * time.Millisecond
 	}
 	if o.InitialTimeout <= 0 {
-		o.InitialTimeout = 3 * o.Period
-	}
-	if o.TimeoutIncrement <= 0 {
-		o.TimeoutIncrement = 2 * o.Period
-	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = max(o.Period/2, time.Nanosecond)
+		o.InitialTimeout = fd.InitialTimeout(o.Period)
 	}
 }
 
@@ -137,7 +126,7 @@ func Start(p dsys.Proc, opt Options) *Detector {
 	// spawn order and task shape exactly mirror the blocking originals.
 	dsys.SpawnTickLoop(p, "hb-send", dsys.TickLoop{Period: opt.Period, Immediate: true, Fn: d.sendStep})
 	dsys.SpawnRecvLoop(p, "hb-recv", d.recvStep, KindAlive)
-	dsys.SpawnTickLoop(p, "hb-check", dsys.TickLoop{Period: opt.CheckInterval, Fn: d.checkStep})
+	dsys.SpawnTickLoop(p, "hb-check", dsys.TickLoop{Period: fd.CheckInterval(opt.Period), Fn: d.checkStep})
 	return d
 }
 
@@ -191,7 +180,7 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 		switch d.opt.Policy {
 		case PolicyAdditive:
 			if wasSuspected {
-				pr.timeout += d.opt.TimeoutIncrement
+				pr.timeout += fd.TimeoutIncrement(d.opt.Period)
 			}
 		case PolicyJacobson:
 			d.observeGapLocked(m.From, gap)

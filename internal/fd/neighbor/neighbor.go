@@ -38,39 +38,20 @@ const (
 	KindWatch = "nb.watch"
 )
 
-// Options configures the detector. Zero fields take defaults (same scheme as
-// package ring).
+// Options configures the detector. A zero Period takes the default; the
+// timeouts follow from it by package fd's timing policy, as in package ring.
 type Options struct {
-	Period           time.Duration // default 10ms
-	InitialTimeout   time.Duration // default 3·Period
-	TimeoutIncrement time.Duration // default 2·Period
-	CheckInterval    time.Duration // default Period/2, at least 1ns
-	WatchTTL         time.Duration // default 6·Period
-	WatchRenew       time.Duration // default WatchTTL/2
+	Period time.Duration // default 10ms
 }
 
 func (o *Options) fill() {
 	if o.Period <= 0 {
 		o.Period = 10 * time.Millisecond
 	}
-	if o.InitialTimeout <= 0 {
-		o.InitialTimeout = 3 * o.Period
-	}
-	if o.TimeoutIncrement <= 0 {
-		o.TimeoutIncrement = 2 * o.Period
-	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = max(o.Period/2, time.Nanosecond)
-	}
-	if o.WatchTTL <= 0 {
-		o.WatchTTL = 6 * o.Period
-	}
-	if o.WatchRenew <= 0 {
-		o.WatchRenew = o.WatchTTL / 2
-	}
 }
 
-// Detector is a ◇Q module attached to one process.
+// Detector is a ◇Q module attached to one process. Like the ring detector it
+// monitors one predecessor at a time, so it keeps one last-heard time.
 type Detector struct {
 	opt  Options
 	self dsys.ProcessID
@@ -80,8 +61,8 @@ type Detector struct {
 	susp      fd.Set // only processes this module timed out on itself
 	pred      dsys.ProcessID
 	rewatched bool
-	lastHeard map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
+	predHeard time.Duration // last beat from pred, or when monitoring moved to it
+	timeouts  fd.Timeouts
 	watchers  map[dsys.ProcessID]time.Duration
 	lastWatch time.Duration
 	falseSusp int
@@ -96,22 +77,14 @@ func Start(p dsys.Proc, opt Options) *Detector {
 		opt:       opt,
 		self:      p.ID(),
 		n:         p.N(),
-		susp:      fd.Set{},
-		lastHeard: make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:   make(map[dsys.ProcessID]time.Duration, p.N()),
+		predHeard: p.Now(),
+		timeouts:  fd.NewTimeouts(opt.Period),
 		watchers:  make(map[dsys.ProcessID]time.Duration),
-	}
-	now := p.Now()
-	for _, q := range p.All() {
-		if q != d.self {
-			d.lastHeard[q] = now
-			d.timeout[q] = opt.InitialTimeout
-		}
 	}
 	d.pred = d.nearestPred()
 	dsys.SpawnTickLoop(p, "nb-beat", dsys.TickLoop{Period: opt.Period, Immediate: true, Fn: d.beatStep})
 	dsys.SpawnRecvLoop(p, "nb-recv", d.recvStep, KindBeat, KindWatch)
-	dsys.SpawnTickLoop(p, "nb-check", dsys.TickLoop{Period: opt.CheckInterval, Fn: d.checkStep})
+	dsys.SpawnTickLoop(p, "nb-check", dsys.TickLoop{Period: fd.CheckInterval(opt.Period), Fn: d.checkStep})
 	return d
 }
 
@@ -168,7 +141,7 @@ func (d *Detector) setPred(p dsys.Proc, q dsys.ProcessID) {
 	if q == dsys.None {
 		return
 	}
-	d.lastHeard[q] = p.Now()
+	d.predHeard = p.Now()
 	d.lastWatch = p.Now()
 	p.Send(q, KindWatch, nil)
 }
@@ -198,13 +171,15 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 	defer d.mu.Unlock()
 	switch m.Kind {
 	case KindWatch:
-		d.watchers[m.From] = p.Now() + d.opt.WatchTTL
+		d.watchers[m.From] = p.Now() + fd.WatchTTL(d.opt.Period)
 	case KindBeat:
-		d.lastHeard[m.From] = p.Now()
+		if m.From == d.pred {
+			d.predHeard = p.Now()
+		}
 		if d.susp.Has(m.From) {
 			d.susp.Remove(m.From)
 			d.falseSusp++
-			d.timeout[m.From] += d.opt.TimeoutIncrement
+			d.timeouts.Increase(m.From)
 			if np := d.nearestPred(); np != d.pred {
 				d.setPred(p, np)
 			}
@@ -222,17 +197,17 @@ func (d *Detector) checkStep(p dsys.Proc) {
 		}
 		return
 	}
-	if now-d.lastHeard[d.pred] > d.timeout[d.pred] {
+	if now-d.predHeard > d.timeouts.Of(d.pred) {
 		if !d.rewatched {
 			d.rewatched = true
-			d.lastHeard[d.pred] = now
+			d.predHeard = now
 			d.lastWatch = now
 			p.Send(d.pred, KindWatch, nil)
 		} else {
 			d.susp.Add(d.pred)
 			d.setPred(p, d.nearestPred())
 		}
-	} else if d.pred != d.prev(d.self) && now-d.lastWatch >= d.opt.WatchRenew {
+	} else if d.pred != d.prev(d.self) && now-d.lastWatch >= fd.WatchRenew(d.opt.Period) {
 		d.lastWatch = now
 		p.Send(d.pred, KindWatch, nil)
 	}

@@ -47,33 +47,16 @@ type BeatPayload struct {
 	Attachment any
 }
 
-// Options configures either implementation. Zero fields take defaults.
+// Options configures either implementation. A zero Period takes the default;
+// LeaderBeat's timeouts follow from it by package fd's timing policy.
 type Options struct {
 	// Period between broadcasts. Default 10ms.
 	Period time.Duration
-	// InitialTimeout is the starting leader timeout (LeaderBeat only).
-	// Default 3·Period.
-	InitialTimeout time.Duration
-	// TimeoutIncrement is added on each retracted suspicion (LeaderBeat
-	// only). Default 2·Period.
-	TimeoutIncrement time.Duration
-	// CheckInterval is how often expiries are evaluated (LeaderBeat only).
-	// Default Period/2, at least 1ns.
-	CheckInterval time.Duration
 }
 
 func (o *Options) fill() {
 	if o.Period <= 0 {
 		o.Period = 10 * time.Millisecond
-	}
-	if o.InitialTimeout <= 0 {
-		o.InitialTimeout = 3 * o.Period
-	}
-	if o.TimeoutIncrement <= 0 {
-		o.TimeoutIncrement = 2 * o.Period
-	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = max(o.Period/2, time.Nanosecond)
 	}
 }
 
@@ -87,14 +70,13 @@ func (o *Options) fill() {
 // past the heartbeat round trip, exactly the smallest-id correct process is
 // trusted by every correct process, permanently.
 type LeaderBeat struct {
-	opt  Options
 	self dsys.ProcessID
 	n    int
 
 	mu        sync.Mutex
 	susp      fd.Set // suspected leader candidates (always a prefix-ish set)
 	lastHeard map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
+	timeouts  fd.Timeouts
 	changes   int
 	last      dsys.ProcessID
 
@@ -111,24 +93,21 @@ var (
 func StartLeaderBeat(p dsys.Proc, opt Options) *LeaderBeat {
 	opt.fill()
 	d := &LeaderBeat{
-		opt:       opt,
 		self:      p.ID(),
 		n:         p.N(),
-		susp:      fd.Set{},
 		lastHeard: make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:   make(map[dsys.ProcessID]time.Duration, p.N()),
+		timeouts:  fd.NewTimeouts(opt.Period),
 	}
 	now := p.Now()
 	for _, q := range p.All() {
 		if q != d.self {
 			d.lastHeard[q] = now
-			d.timeout[q] = opt.InitialTimeout
 		}
 	}
 	d.last = d.trustedLocked()
 	dsys.SpawnTickLoop(p, "omega-beat", dsys.TickLoop{Period: opt.Period, Immediate: true, Fn: d.beatStep})
 	dsys.SpawnRecvLoop(p, "omega-recv", d.recvStep, KindLeaderBeat)
-	dsys.SpawnTickLoop(p, "omega-check", dsys.TickLoop{Period: opt.CheckInterval, Fn: d.checkStep})
+	dsys.SpawnTickLoop(p, "omega-check", dsys.TickLoop{Period: fd.CheckInterval(opt.Period), Fn: d.checkStep})
 	return d
 }
 
@@ -199,7 +178,7 @@ func (d *LeaderBeat) recvStep(p dsys.Proc, m *dsys.Message) {
 	d.lastHeard[m.From] = p.Now()
 	if d.susp.Has(m.From) {
 		d.susp.Remove(m.From)
-		d.timeout[m.From] += d.opt.TimeoutIncrement
+		d.timeouts.Increase(m.From)
 		d.noteChangeLocked()
 	}
 	handlers := d.onBeacon
@@ -213,7 +192,7 @@ func (d *LeaderBeat) checkStep(p dsys.Proc) {
 	now := p.Now()
 	d.mu.Lock()
 	ldr := d.trustedLocked()
-	if ldr != dsys.None && ldr != d.self && now-d.lastHeard[ldr] > d.timeout[ldr] {
+	if ldr != dsys.None && ldr != d.self && now-d.lastHeard[ldr] > d.timeouts.Of(ldr) {
 		d.susp.Add(ldr)
 		// Grant the next candidate a fresh grace period: it does not
 		// broadcast until it learns it is leader, which takes time.
@@ -237,7 +216,6 @@ func (d *LeaderBeat) checkStep(p dsys.Proc) {
 // makes all correct processes agree on converged components, so eventually
 // everyone permanently trusts the same correct process.
 type FromSuspector struct {
-	opt   Options
 	self  dsys.ProcessID
 	n     int
 	under fd.Suspector
@@ -255,7 +233,6 @@ var _ fd.LeaderOracle = (*FromSuspector)(nil)
 func StartFromSuspector(p dsys.Proc, under fd.Suspector, opt Options) *FromSuspector {
 	opt.fill()
 	d := &FromSuspector{
-		opt:      opt,
 		self:     p.ID(),
 		n:        p.N(),
 		under:    under,

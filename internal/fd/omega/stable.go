@@ -32,14 +32,13 @@ const KindStableBeat = "omega.stablebeat"
 //
 // Steady-state cost: n−1 messages per period, like LeaderBeat.
 type Stable struct {
-	opt  Options
 	self dsys.ProcessID
 	n    int
 
 	mu        sync.Mutex
 	epoch     []uint32 // index 0 = p1
 	lastHeard map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
+	timeouts  fd.Timeouts
 	changes   int
 	last      dsys.ProcessID
 }
@@ -50,24 +49,22 @@ var _ fd.LeaderOracle = (*Stable)(nil)
 func StartStable(p dsys.Proc, opt Options) *Stable {
 	opt.fill()
 	d := &Stable{
-		opt:       opt,
 		self:      p.ID(),
 		n:         p.N(),
 		epoch:     make([]uint32, p.N()),
 		lastHeard: make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:   make(map[dsys.ProcessID]time.Duration, p.N()),
+		timeouts:  fd.NewTimeouts(opt.Period),
 	}
 	now := p.Now()
 	for _, q := range p.All() {
 		if q != d.self {
 			d.lastHeard[q] = now
-			d.timeout[q] = opt.InitialTimeout
 		}
 	}
 	d.last = d.leaderLocked()
 	dsys.SpawnTickLoop(p, "omegastable-beat", dsys.TickLoop{Period: opt.Period, Immediate: true, Fn: d.beatStep})
 	dsys.SpawnRecvLoop(p, "omegastable-recv", d.recvStep, KindStableBeat)
-	dsys.SpawnTickLoop(p, "omegastable-check", dsys.TickLoop{Period: opt.CheckInterval, Fn: d.checkStep})
+	dsys.SpawnTickLoop(p, "omegastable-check", dsys.TickLoop{Period: fd.CheckInterval(opt.Period), Fn: d.checkStep})
 	return d
 }
 
@@ -146,12 +143,12 @@ func (d *Stable) checkStep(p dsys.Proc) {
 	now := p.Now()
 	d.mu.Lock()
 	ldr := d.leaderLocked()
-	if ldr != d.self && now-d.lastHeard[ldr] > d.timeout[ldr] {
+	if ldr != d.self && now-d.lastHeard[ldr] > d.timeouts.Of(ldr) {
 		// Accuse the silent leader: its epoch grows (locally first;
 		// globally once our vector spreads) and it is permanently
 		// outranked by the accusation — no flapping back.
 		d.epoch[int(ldr)-1]++
-		d.timeout[ldr] += d.opt.TimeoutIncrement
+		d.timeouts.Increase(ldr)
 		d.noteChangeLocked(p)
 	}
 	d.mu.Unlock()

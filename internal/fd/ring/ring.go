@@ -42,48 +42,20 @@ const (
 	// snapshot of the sender's suspect list.
 	KindBeat = "ring.beat"
 	// KindWatch asks the destination to direct ring heartbeats to the
-	// sender for WatchTTL.
+	// sender for fd.WatchTTL.
 	KindWatch = "ring.watch"
 )
 
-// Options configures the detector. Zero fields take defaults.
+// Options configures the detector. A zero Period takes the default; the
+// timeouts follow from it by package fd's timing policy.
 type Options struct {
 	// Period η between heartbeats. Default 10ms.
 	Period time.Duration
-	// InitialTimeout is the starting per-process timeout. Default 3·Period.
-	InitialTimeout time.Duration
-	// TimeoutIncrement is added to a process's timeout each time a false
-	// suspicion of it is corrected. Default 2·Period.
-	TimeoutIncrement time.Duration
-	// CheckInterval is how often expiries are evaluated. Default Period/2,
-	// at least 1ns.
-	CheckInterval time.Duration
-	// WatchTTL is how long a WATCH keeps the watcher on the sender's
-	// heartbeat list. Default 6·Period.
-	WatchTTL time.Duration
-	// WatchRenew is how often a process re-sends WATCH to a predecessor
-	// that is not its immediate ring neighbour. Default WatchTTL/2.
-	WatchRenew time.Duration
 }
 
 func (o *Options) fill() {
 	if o.Period <= 0 {
 		o.Period = 10 * time.Millisecond
-	}
-	if o.InitialTimeout <= 0 {
-		o.InitialTimeout = 3 * o.Period
-	}
-	if o.TimeoutIncrement <= 0 {
-		o.TimeoutIncrement = 2 * o.Period
-	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = max(o.Period/2, time.Nanosecond)
-	}
-	if o.WatchTTL <= 0 {
-		o.WatchTTL = 6 * o.Period
-	}
-	if o.WatchRenew <= 0 {
-		o.WatchRenew = o.WatchTTL / 2
 	}
 }
 
@@ -92,8 +64,8 @@ func (o *Options) fill() {
 // A process monitors one predecessor at a time, and its state is sized to
 // that: the last-heard time of the current predecessor (setPred restarts it
 // whenever monitoring moves, so no other process's ever matters), and a
-// timeout only for the processes a retracted suspicion has backed off —
-// everyone else is at InitialTimeout.
+// timeout only for the processes a retracted suspicion has backed off
+// (fd.Timeouts).
 type Detector struct {
 	opt  Options
 	self dsys.ProcessID
@@ -108,11 +80,7 @@ type Detector struct {
 	pred      dsys.ProcessID // nearest non-suspected predecessor; None if alone
 	rewatched bool           // a retry WATCH was sent for the current pred deadline
 	predHeard time.Duration  // last beat from pred, or when monitoring moved to it
-	// backoff is the sparse override table of timeouts: it holds the total
-	// TimeoutIncrement added for each process that was ever falsely
-	// suspected here; a process absent from it times out after
-	// InitialTimeout. Allocated on the first retraction.
-	backoff   map[dsys.ProcessID]time.Duration
+	timeouts  fd.Timeouts
 	watchers  map[dsys.ProcessID]time.Duration // watcher -> expiry
 	lastWatch time.Duration                    // last renewal WATCH to pred
 	falseSusp int
@@ -143,6 +111,7 @@ func Start(p dsys.Proc, opt Options) *Detector {
 		opt:        opt,
 		self:       p.ID(),
 		n:          p.N(),
+		timeouts:   fd.NewTimeouts(opt.Period),
 		watchers:   make(map[dsys.ProcessID]time.Duration),
 		deferUntil: make(map[dsys.ProcessID]time.Duration),
 	}
@@ -153,7 +122,7 @@ func Start(p dsys.Proc, opt Options) *Detector {
 	// receive kinds exactly mirror the blocking originals.
 	dsys.SpawnTickLoop(p, "ring-beat", dsys.TickLoop{Period: opt.Period, Immediate: true, Fn: d.beatStep})
 	dsys.SpawnRecvLoop(p, "ring-recv", d.recvStep, KindBeat, KindWatch)
-	dsys.SpawnTickLoop(p, "ring-check", dsys.TickLoop{Period: opt.CheckInterval, Fn: d.checkStep})
+	dsys.SpawnTickLoop(p, "ring-check", dsys.TickLoop{Period: fd.CheckInterval(opt.Period), Fn: d.checkStep})
 	return d
 }
 
@@ -309,7 +278,7 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 	d.mu.Lock()
 	switch m.Kind {
 	case KindWatch:
-		d.watchers[m.From] = p.Now() + d.opt.WatchTTL
+		d.watchers[m.From] = p.Now() + fd.WatchTTL(d.opt.Period)
 	case KindBeat:
 		if m.From == d.pred {
 			d.predHeard = p.Now()
@@ -327,7 +296,7 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 			// after a restart). The mark expires on its own so a stale
 			// entry cannot outlive the sender's beats if the ring is
 			// re-stitched away from us.
-			d.deferUntil[m.From] = p.Now() + d.opt.InitialTimeout
+			d.deferUntil[m.From] = p.Now() + fd.InitialTimeout(d.opt.Period)
 		} else {
 			delete(d.deferUntil, m.From)
 		}
@@ -337,10 +306,7 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 			d.susp.Remove(m.From)
 			d.beat = nil
 			d.falseSusp++
-			if d.backoff == nil {
-				d.backoff = make(map[dsys.ProcessID]time.Duration)
-			}
-			d.backoff[m.From] += d.opt.TimeoutIncrement
+			d.timeouts.Increase(m.From)
 			if np := d.nearestPred(); np != d.pred {
 				d.setPred(p, np)
 			}
@@ -394,7 +360,7 @@ func (d *Detector) checkStep(p dsys.Proc) {
 		}
 		return
 	}
-	if now-d.predHeard > d.opt.InitialTimeout+d.backoff[d.pred] {
+	if now-d.predHeard > d.timeouts.Of(d.pred) {
 		if !d.rewatched {
 			// The predecessor may simply not know we are listening
 			// (e.g. it still heartbeats a process we already gave up
@@ -408,7 +374,7 @@ func (d *Detector) checkStep(p dsys.Proc) {
 			d.beat = nil
 			d.setPred(p, d.nearestPred())
 		}
-	} else if d.pred != d.prev(d.self) && now-d.lastWatch >= d.opt.WatchRenew {
+	} else if d.pred != d.prev(d.self) && now-d.lastWatch >= fd.WatchRenew(d.opt.Period) {
 		// Keep a non-adjacent predecessor's watcher entry alive across
 		// crash gaps.
 		d.lastWatch = now

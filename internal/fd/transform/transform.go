@@ -47,19 +47,12 @@ const (
 	KindList = "tp.list"
 )
 
-// Options configures the transformation. Zero fields take defaults.
+// Options configures the transformation. A zero Period takes the default;
+// Δp(q) and Task 3's check interval follow from it by package fd's timing
+// policy.
 type Options struct {
 	// Period Φ of Tasks 1 and 2. Default 10ms.
 	Period time.Duration
-	// InitialTimeout is the starting value of every Δp(q). Default
-	// 3·Period.
-	InitialTimeout time.Duration
-	// TimeoutIncrement is added to Δp(q) on each retracted suspicion (Task
-	// 4). Default 2·Period.
-	TimeoutIncrement time.Duration
-	// CheckInterval is how often Task 3 evaluates expiries. Default
-	// Period/2.
-	CheckInterval time.Duration
 	// Piggyback, when non-nil, suppresses Task 1 and rides the suspect
 	// list on the beacon's leader broadcasts instead.
 	Piggyback fd.Beacon
@@ -69,33 +62,18 @@ func (o *Options) fill() {
 	if o.Period <= 0 {
 		o.Period = 10 * time.Millisecond
 	}
-	if o.InitialTimeout <= 0 {
-		o.InitialTimeout = 3 * o.Period
-	}
-	if o.TimeoutIncrement <= 0 {
-		o.TimeoutIncrement = 2 * o.Period
-	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = max(o.Period/2, time.Nanosecond)
-	}
-}
-
-// peer is the leader's view of one monitored process.
-type peer struct {
-	lastAlive time.Duration // last I-AM-ALIVE seen
-	timeout   time.Duration // Δp(q)
 }
 
 // Detector is the ◇P module produced by the transformation at one process.
 //
-// Its memory follows its role. Tasks 3 and 4 are the leader's, so the per-peer
-// table they work on exists only at a process that has been leader: a
-// follower holds its adopted list, a few scalars and nothing that grows with
-// n. Until the table exists every peer has the values Start used to write
-// for it — last heard at start, timeout InitialTimeout — and that default is
+// Its memory follows its role. Task 3 is the leader's, so the last-heard
+// table it reads exists only at a process that has been leader: a follower
+// holds its adopted list, a few scalars and nothing that grows with n. Until
+// the table exists every peer was last heard at start, and that default is
 // exact, not approximate: Task 3 reads lastAlive only through
 // max(lastAlive, leaderSince), so nothing a process hears before its first
-// stint as leader can outlive the leaderSince that stint sets.
+// stint as leader can outlive the leaderSince that stint sets. Task 4's
+// back-off is sparse (fd.Timeouts), so a follower keeps one too.
 type Detector struct {
 	opt   Options
 	self  dsys.ProcessID
@@ -109,9 +87,11 @@ type Detector struct {
 	// by every message of every period until the next change. nil when
 	// stale.
 	listMsg any
-	// peers is indexed by process id (entry 0 and the own entry unused); nil
-	// until this process first finds itself leader, see ensurePeers.
-	peers []peer
+	// lastAlive is when each process's last I-AM-ALIVE arrived, indexed by
+	// process id (entry 0 and the own entry unused); nil until this process
+	// first finds itself leader.
+	lastAlive []time.Duration
+	timeouts  fd.Timeouts // Δp(q)
 	// leaderSince is when this process last became leader in its own view;
 	// it bounds the freshness reference for Task 3 so stale lastAlive
 	// values from a previous leadership stint do not cause instant
@@ -128,7 +108,7 @@ var _ fd.Suspector = (*Detector)(nil)
 // process from under (a ◇C or Ω detector).
 func Start(p dsys.Proc, under fd.LeaderOracle, opt Options) *Detector {
 	opt.fill()
-	d := &Detector{opt: opt, self: p.ID(), n: p.N(), under: under}
+	d := &Detector{opt: opt, self: p.ID(), n: p.N(), under: under, timeouts: fd.NewTimeouts(opt.Period)}
 	if opt.Piggyback != nil {
 		opt.Piggyback.SetBeaconPayload(func() any {
 			d.mu.Lock()
@@ -150,7 +130,7 @@ func Start(p dsys.Proc, under fd.LeaderOracle, opt Options) *Detector {
 	// blocking task34 spawned it, so task creation order is unchanged.
 	dsys.SpawnTickLoop(p, "tp-task2", dsys.TickLoop{Period: opt.Period, Immediate: true, Fn: d.task2Step})
 	dsys.SpawnTickLoop(p, "tp-task34", dsys.TickLoop{
-		Period: opt.CheckInterval,
+		Period: fd.CheckInterval(opt.Period),
 		Setup: func(p dsys.Proc) {
 			dsys.SpawnRecvLoop(p, "tp-task4", d.task4Step, KindAlive)
 		},
@@ -196,18 +176,6 @@ func (d *Detector) listMsgLocked() any {
 	return d.listMsg
 }
 
-// ensurePeers allocates the leader's per-peer table with the defaults every
-// peer has had so far. Callers hold d.mu.
-func (d *Detector) ensurePeers() {
-	if d.peers != nil {
-		return
-	}
-	d.peers = make([]peer, d.n+1)
-	for q := range d.peers {
-		d.peers[q].timeout = d.opt.InitialTimeout
-	}
-}
-
 // isLeader reports whether this process currently considers itself leader,
 // tracking leadership transitions for Task 3's freshness reference.
 func (d *Detector) isLeader(now time.Duration) bool {
@@ -216,7 +184,9 @@ func (d *Detector) isLeader(now time.Duration) bool {
 	defer d.mu.Unlock()
 	if leader && !d.wasLeader {
 		d.leaderSince = now
-		d.ensurePeers()
+		if d.lastAlive == nil {
+			d.lastAlive = make([]time.Duration, d.n+1)
+		}
 	}
 	d.wasLeader = leader
 	return leader
@@ -256,8 +226,8 @@ func (d *Detector) task3Step(p dsys.Proc) {
 		if q == d.self || d.list.Has(q) {
 			continue
 		}
-		ref := max(d.peers[q].lastAlive, d.leaderSince)
-		if now-ref > d.peers[q].timeout {
+		ref := max(d.lastAlive[q], d.leaderSince)
+		if now-ref > d.timeouts.Of(q) {
 			// Task 3: no I-AM-ALIVE within Δp(q); suspect q. The leader
 			// never suspects itself.
 			d.list.Add(q)
@@ -274,16 +244,15 @@ func (d *Detector) task4Step(p dsys.Proc, m *dsys.Message) {
 		// Task 4: the suspicion was a mistake; retract it and back
 		// off so that q is suspected only a bounded number of times
 		// once the system is stable (proof of Theorem 1). A follower whose
-		// adopted list names the sender gets here too; its back-off must
-		// survive until it leads, so it takes a table now.
-		d.ensurePeers()
+		// adopted list names the sender gets here too, and keeps the
+		// back-off for when it leads.
 		d.list.Remove(m.From)
 		d.listMsg = nil
 		d.falseSusp++
-		d.peers[m.From].timeout += d.opt.TimeoutIncrement
+		d.timeouts.Increase(m.From)
 	}
-	if d.peers != nil {
-		d.peers[m.From].lastAlive = p.Now()
+	if d.lastAlive != nil {
+		d.lastAlive[m.From] = p.Now()
 	}
 	d.mu.Unlock()
 }

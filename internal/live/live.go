@@ -334,9 +334,8 @@ func (v taskView) Now() time.Duration    { return time.Since(v.t.p.c.start) }
 func (v taskView) Rand() *rand.Rand {
 	// The per-process source is shared by its tasks; per-call locking makes
 	// access safe at the cost of determinism (which live does not promise
-	// anyway). A fresh Rand wrapping a locked source would allocate per
-	// call; instead we expose the shared one guarded by the process lock
-	// through lockedRand.
+	// anyway). Each call wraps that source in a new Rand and lockedSource,
+	// two small allocations; the state they draw from is the shared one.
 	return rand.New(&lockedSource{p: v.t.p})
 }
 

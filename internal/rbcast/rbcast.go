@@ -36,7 +36,7 @@ import (
 )
 
 // Kind is the message kind of reliable-broadcast transport messages (the
-// default, un-namespaced module; see StartNamespace).
+// default, un-namespaced module; see StartNamespaceInc).
 const Kind = "rb.msg"
 
 // Wire is the transport envelope of reliable-broadcast messages. Origin,
@@ -92,25 +92,21 @@ type registered struct {
 // Start attaches a reliable-broadcast module to p's process, using the
 // default message kind. At most one module per process may use a given
 // namespace: modules sharing a kind would compete for the same messages.
-func Start(p dsys.Proc) *Module { return StartNamespace(p, "") }
+func Start(p dsys.Proc) *Module { return StartNamespaceInc(p, "", 0) }
 
-// StartNamespace attaches a module whose transport messages carry a
+// StartNamespaceInc attaches a module whose transport messages carry a
 // namespaced kind, so several independent broadcast domains (e.g. two
 // replicated logs) can coexist on the same processes. All processes of a
-// domain must use the same namespace. The module's incarnation is stamped
-// from p.Now() — sufficient where restarts advance the process clock (the
-// simulator's virtual time); embedders whose clock restarts with the
-// process (an OS-process node) must use StartNamespaceInc with a stamp that
-// survives the reset, e.g. wall-clock nanoseconds.
-func StartNamespace(p dsys.Proc, ns string) *Module {
-	return StartNamespaceInc(p, ns, int64(p.Now()))
-}
-
-// StartNamespaceInc is StartNamespace with an explicit incarnation stamp.
-// The stamp distinguishes this module's broadcasts from those of earlier
-// lives of the same process, whose sequence numbers peers may already have
-// marked delivered; it must differ from every stamp the process used
-// before. An inc of 0 falls back to p.Now().
+// domain must use the same namespace; "" is the default kind.
+//
+// inc is the module's incarnation stamp. It distinguishes this module's
+// broadcasts from those of earlier lives of the same process, whose
+// sequence numbers peers may already have marked delivered, so it must
+// differ from every stamp the process used before. An inc of 0 stamps the
+// module from p.Now() — sufficient where restarts advance the process clock
+// (the simulator's virtual time); embedders whose clock restarts with the
+// process (an OS-process node) must pass a stamp that survives the reset,
+// e.g. wall-clock nanoseconds.
 func StartNamespaceInc(p dsys.Proc, ns string, inc int64) *Module {
 	kind := Kind
 	if ns != "" {

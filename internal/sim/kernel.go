@@ -56,9 +56,6 @@ type Config struct {
 	Network network.Network
 	// Seed drives all randomness in the run.
 	Seed int64
-	// SelfDelay is the latency of a process sending to itself (default 0;
-	// self-sends never traverse the Network).
-	SelfDelay time.Duration
 	// Trace receives message and crash events. Optional.
 	Trace *trace.Collector
 	// Log receives task debug output (Proc.Logf). Optional.

@@ -363,8 +363,9 @@ func (v taskView) Send(to dsys.ProcessID, kind string, payload any) {
 	// recycles it; a slot left with no copy (all dropped) recycles now.
 	h, s := k.sendSlot(p.id, k.kindID(kind), payload)
 	if to == p.id {
+		// A self-send never traverses the Network: it is delivered now.
 		k.traceSend(s, to, false)
-		k.sendCopy(k.now+k.cfg.SelfDelay, h, s, to)
+		k.sendCopy(k.now, h, s, to)
 		return
 	}
 	// Networks supporting duplication deliver one copy per planned latency.

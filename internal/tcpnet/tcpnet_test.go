@@ -189,7 +189,7 @@ func TestReplicatedLogOverTCP(t *testing.T) {
 		id := id
 		m.Spawn(id, "replica", func(p dsys.Proc) {
 			r := core.StartReplica(p, core.Config{
-				Ring:      ring.Options{Period: 5 * time.Millisecond},
+				Detector:  ring.Start(p, ring.Options{Period: 5 * time.Millisecond}),
 				Consensus: consensus.Options{Poll: 2 * time.Millisecond},
 			})
 			repsMu.Lock()
